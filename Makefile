@@ -3,16 +3,15 @@
 
 GO ?= go
 
-.PHONY: tier1 vet build test race bench-test benchsmoke bench campaign-bench allocguard benchguard parallel-smoke parallel effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke ledger-overhead invariants chaos-smoke chaos resume-smoke fuzz-validate fuzz-checkpoint trace-demo
+.PHONY: tier1 vet build test race bench-test benchsmoke bench campaign-bench allocguard benchguard effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke ledger-overhead invariants chaos-smoke chaos resume-smoke fuzz-validate fuzz-checkpoint trace-demo
 
 ## tier1: the full pre-PR gate — vet, build, race-enabled tests, a
 ## one-shot figure-campaign smoke bench, the alloc-budget guards, the
-## campaign-throughput regression gate, the parallel-executor differential
-## under -race, the swap-provenance effectiveness smoke, the
-## cycle-attribution smoke, the address-space telemetry smoke, the
-## sampled-execution accuracy/speedup gate, the invariant-audit gate, a
+## campaign-throughput regression gate, the swap-provenance effectiveness
+## smoke, the cycle-attribution smoke, the address-space telemetry smoke,
+## the sampled-execution accuracy/speedup gate, the invariant-audit gate, a
 ## fault-injection smoke run, and the kill-and-resume durability gate.
-tier1: vet build race bench-test benchsmoke allocguard benchguard parallel-smoke effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke invariants chaos-smoke resume-smoke
+tier1: vet build race bench-test benchsmoke allocguard benchguard effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke invariants chaos-smoke resume-smoke
 
 vet:
 	$(GO) vet ./...
@@ -47,12 +46,11 @@ bench:
 ## plus a sampled-mode rerun of the same grid so the record also carries
 ## the sampled-execution wall-clock trajectory (entries distinguished by
 ## their sample_windows geometry; benchguard keeps the modes apart).
-## The note pins the host core count: jrun speedups only mean anything
-## against a record that says how many cores the baseline had to work with.
+## The note pins the host core count the record was measured on.
 campaign-bench:
 	$(GO) run ./cmd/paper-figures -quick -all -quiet -benchjson BENCH_campaign.json \
 		-bench-sampled 16,1000,1000 \
-		-benchnote "host: $$(nproc) CPU(s); jrun 1 (serial reference engine); sampled entries: 16 windows x 1000 instr, 1000-instr warm-ups"
+		-benchnote "host: $$(nproc) CPU(s); sampled entries: 16 windows x 1000 instr, 1000-instr warm-ups"
 
 ## allocguard: testing.AllocsPerRun proofs that (a) the observability hot
 ## path pays zero allocations with sinks disabled, (b) a disabled
@@ -85,24 +83,6 @@ benchguard:
 		-benchjson .benchguard_sampled.json -benchnote "sampled: 16 windows x 1000 instr, 1000-instr warm-ups"
 	$(GO) run ./cmd/benchguard -baseline .benchguard_head.json -head .benchguard_sampled.json -wall -warnonly -label "sampled-mode speedup"
 	@rm -f .benchguard_head.json .benchguard_ledger.json .benchguard_cpi.json .benchguard_pagemap.json .benchguard_sampled.json
-
-## parallel-smoke: the epoch-barrier executor's correctness gate — the
-## full-system differential (all five schemes plus the ablation, Results
-## DeepEqual at jrun 1 vs jrun 4) and the engine-level ordering, audit,
-## and failure-path tests, all under the race detector. This is also the
-## executor's data-race gate: a mis-sharded send into a lane that is
-## recording in the same run is exactly a data race, and -race is the
-## detector that owns it.
-parallel-smoke:
-	$(GO) test -race -count=1 -run 'TestParallel|TestMisSharded|TestBarrierResidue|TestLanePanic|TestSerialPathUntouched|TestShardViolation|TestCPIParallelDifferential|TestPageMapParallelDifferential' ./internal/engine ./internal/sim
-
-## parallel: the PAGESEER_PARALLEL=1 matrix — rerun the invariant and
-## effectiveness smokes with every run on the epoch executor at jrun 4,
-## proving the audits and the ledger see the identical machine the serial
-## engine builds.
-parallel: parallel-smoke
-	PAGESEER_PARALLEL=1 PAGESEER_INVARIANTS_FULL=1 $(GO) test -run TestAuditPassesAndMatchesBaseline -count=1 ./internal/sim
-	PAGESEER_PARALLEL=1 $(GO) test -run 'TestEffectivenessSmoke|TestEffectivenessAllSchemes|TestChaosSmoke|TestChaosDeterministic' -count=1 ./internal/sim
 
 ## effectiveness-smoke: run one PageSeer quick workload with the
 ## swap-provenance ledger armed and assert the acceptance bar: all three

@@ -29,10 +29,6 @@
 // includes the sampling geometry, so a mixed record like
 // BENCH_campaign.json gates detailed-vs-detailed and sampled-vs-sampled
 // separately.
-//
-// Records carry the campaign's intra-run parallelism (jrun). When baseline
-// and head widths differ the comparison still runs — it measures the epoch
-// executor's scaling then, not engine drift — and the report says so.
 package main
 
 import (
@@ -47,7 +43,6 @@ import (
 type runMetric struct {
 	Workload      string  `json:"workload"`
 	Scheme        string  `json:"scheme"`
-	Jrun          int     `json:"jrun"`
 	WallSeconds   float64 `json:"wall_seconds"`
 	EventsFired   uint64  `json:"events_fired"`
 	EventsPerSec  float64 `json:"events_per_sec"`
@@ -60,19 +55,9 @@ type campaignBench struct {
 	Generated    string      `json:"generated"`
 	Note         string      `json:"note"`
 	NumCPU       int         `json:"num_cpu"`
-	Jrun         int         `json:"jrun"`
 	Runs         []runMetric `json:"runs"`
 	TotalEvents  uint64      `json:"total_events"`
 	EventsPerSec float64     `json:"events_per_sec"`
-}
-
-// jrunOf normalises a record's intra-run parallelism: files written before
-// the -jrun flag existed carry no field and mean the serial engine.
-func jrunOf(b campaignBench) int {
-	if b.Jrun > 1 {
-		return b.Jrun
-	}
-	return 1
 }
 
 func load(path string) (campaignBench, error) {
@@ -184,13 +169,6 @@ func main() {
 		os.Exit(2)
 	}
 	geomean := math.Exp(logSum / float64(matched))
-
-	// Cross-width comparisons measure the executor, not a regression: say so
-	// up front rather than letting a speedup (or barrier overhead) masquerade
-	// as engine drift.
-	if bj, hj := jrunOf(baseline), jrunOf(head); bj != hj {
-		fmt.Printf("benchguard: note — baseline ran at jrun %d, head at jrun %d; the ratio includes epoch-executor scaling, not just engine drift\n", bj, hj)
-	}
 
 	sort.Slice(rows, func(i, j int) bool { return rows[i].ratio < rows[j].ratio })
 	floor := 1.0 - *tolerance

@@ -5,9 +5,6 @@
 // -workload accepts one name, a comma-separated list, or "all"; with more
 // than one workload the runs fan out across -j workers (each run stays
 // single-threaded and deterministic) and reports print in argument order.
-// -jrun N additionally parallelises events inside each run across N shard
-// lanes under the engine's epoch barrier; results are bit-identical to
-// -jrun 1, so it is purely a wall-clock lever on multi-core hosts.
 //
 // -sample N switches a run to SMARTS-style sampled execution: the measured
 // region is split into N strides, each fast-forwarded functionally (caches,
@@ -113,7 +110,6 @@ func main() {
 		sampleWindow = flag.Uint64("sample-window", 0, "instructions per core measured in each sample window (requires -sample)")
 		sampleWarmup = flag.Uint64("sample-warmup", 0, "detailed-but-discarded warm-up instructions per core before each window")
 		jobs         = flag.Int("j", runtime.GOMAXPROCS(0), "parallel runs when multiple workloads are given")
-		jrun         = flag.Int("jrun", 1, "intra-run event parallelism (epoch-barrier executor; 1 = serial reference engine, results identical at any width)")
 		list         = flag.Bool("list", false, "list workloads and exit")
 
 		journalDir = flag.String("journal", "", "campaign journal directory: completed runs are appended and fsynced there so a killed invocation can resume with -resume (routes runs through the campaign runner; incompatible with -trace/-timeline)")
@@ -212,7 +208,6 @@ func main() {
 	}
 	cfg.Seed = *seed
 	cfg.MaxCores = *cores
-	cfg.Jrun = *jrun
 	cfg.DisableBWOpt = *nobw
 	cfg.Sample = *sample
 	cfg.SampleWindow = *sampleWindow
@@ -260,7 +255,6 @@ func main() {
 			Workloads:         wls,
 			MaxCores:          cfg.MaxCores,
 			Parallelism:       *jobs,
-			Jrun:              cfg.Jrun,
 			Audit:             cfg.Audit,
 			Faults:            cfg.Faults,
 			Sample:            cfg.Sample,

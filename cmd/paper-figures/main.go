@@ -74,8 +74,7 @@ func main() {
 		maxCores     = flag.Int("maxcores", 0, "cap on cores per workload (0 = paper counts)")
 		workloads    = flag.String("workloads", "", "comma-separated workload subset")
 		quiet        = flag.Bool("quiet", false, "suppress per-run progress")
-		jobs         = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation runs (campaign-level; each run stays single-threaded unless -jrun asks otherwise)")
-		jrun         = flag.Int("jrun", 1, "intra-run event parallelism per simulation (epoch-barrier executor; 1 = serial reference engine, results identical at any width)")
+		jobs         = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation runs (campaign-level; each run stays single-threaded)")
 		sample       = flag.Uint64("sample", 0, "SMARTS-style sampled execution for every campaign run: number of detailed windows (0 = full detailed runs)")
 		sampleWindow = flag.Uint64("sample-window", 0, "instructions per core measured in each sample window (requires -sample)")
 		sampleWarmup = flag.Uint64("sample-warmup", 0, "detailed-but-discarded warm-up instructions per core before each window")
@@ -142,7 +141,6 @@ func main() {
 		opts.Progress = os.Stderr
 	}
 	opts.Parallelism = *jobs
-	opts.Jrun = *jrun
 	opts.Sample = *sample
 	opts.SampleWindow = *sampleWindow
 	opts.SampleWarmup = *sampleWarmup
@@ -520,7 +518,6 @@ type campaignBench struct {
 	GoMaxProcs       int                 `json:"go_max_procs"`
 	NumCPU           int                 `json:"num_cpu"`
 	Parallelism      int                 `json:"parallelism"`
-	Jrun             int                 `json:"jrun"`
 	Quick            bool                `json:"quick"`
 	Workloads        []string            `json:"workloads"`
 	Runs             []figures.RunMetric `json:"runs"`
@@ -546,17 +543,12 @@ func writeMemProfile(path string) {
 }
 
 func writeBenchJSON(path string, runs []figures.RunMetric, opts figures.Options, jobs int, quick bool, wall time.Duration, note string) error {
-	jrun := opts.Jrun
-	if jrun < 1 {
-		jrun = 1
-	}
 	b := campaignBench{
 		Generated:        time.Now().UTC().Format(time.RFC3339),
 		Note:             note,
 		GoMaxProcs:       runtime.GOMAXPROCS(0),
 		NumCPU:           runtime.NumCPU(),
 		Parallelism:      jobs,
-		Jrun:             jrun,
 		Quick:            quick,
 		Workloads:        opts.Workloads,
 		Runs:             runs,

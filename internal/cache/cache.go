@@ -157,7 +157,7 @@ func (s *Stats) Add(o Stats) {
 
 // Cache is one level of the hierarchy.
 type Cache struct {
-	sim  *engine.Lane
+	sim  *engine.Sim
 	cfg  Config
 	next Backend
 	comp attrib.Component // blame component this level's lookup latency is charged to
@@ -187,11 +187,9 @@ type Cache struct {
 	liveMSHR int
 }
 
-// New builds a cache over the given backend. sim is the cache's shard lane
-// (a private cache shares its core's lane; the LLC lives on the shared
-// lane), so scheduled lookups and fills land on the owning shard under the
-// epoch executor.
-func New(sim *engine.Lane, cfg Config, next Backend) *Cache {
+// New builds a cache over the given backend, scheduling its lookups and
+// fills on sim.
+func New(sim *engine.Sim, cfg Config, next Backend) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}

@@ -31,7 +31,7 @@ func (f *fakeMem) Access(l mem.Addr, write bool, meta Meta, done func()) {
 }
 
 func smallCache(sim *engine.Sim, next Backend) *Cache {
-	return New(sim.Lane(0), Config{Name: "T", SizeBytes: 4096, Ways: 2, LatencyCycles: 2, AllowPTE: true}, next)
+	return New(sim, Config{Name: "T", SizeBytes: 4096, Ways: 2, LatencyCycles: 2, AllowPTE: true}, next)
 }
 
 func TestHitAndMissLatency(t *testing.T) {
@@ -136,7 +136,7 @@ func TestLRUReplacement(t *testing.T) {
 func TestPTEInL1Panics(t *testing.T) {
 	sim := engine.New()
 	fm := &fakeMem{sim: sim, latency: 10}
-	l1 := New(sim.Lane(0), L1Config(), fm)
+	l1 := New(sim, L1Config(), fm)
 	defer func() {
 		if recover() == nil {
 			t.Error("PTE access to L1 did not panic")
@@ -162,9 +162,9 @@ func TestPTEStatsTracked(t *testing.T) {
 func TestHierarchyChain(t *testing.T) {
 	sim := engine.New()
 	fm := &fakeMem{sim: sim, latency: 200}
-	l3 := New(sim.Lane(0), L3Config(), fm)
-	l2 := New(sim.Lane(0), L2Config(), l3)
-	l1 := New(sim.Lane(0), L1Config(), l2)
+	l3 := New(sim, L3Config(), fm)
+	l2 := New(sim, L2Config(), l3)
+	l1 := New(sim, L1Config(), l2)
 	var lat uint64
 	l1.Access(0x1000, false, Meta{}, func() { lat = sim.Now() })
 	sim.Drain(0)
@@ -193,7 +193,7 @@ func TestBadGeometryPanics(t *testing.T) {
 	} {
 		func() {
 			defer func() { recover() }()
-			New(sim.Lane(0), cfg, nil)
+			New(sim, cfg, nil)
 			t.Errorf("config %+v did not panic", cfg)
 		}()
 	}
@@ -209,7 +209,7 @@ func TestLRUMatchesReferenceProperty(t *testing.T) {
 		fm := &fakeMem{sim: sim, latency: 1}
 		ways := 4
 		nSets := 8
-		c := New(sim.Lane(0), Config{Name: "p", SizeBytes: nSets * ways * 64, Ways: ways, LatencyCycles: 1, AllowPTE: true}, fm)
+		c := New(sim, Config{Name: "p", SizeBytes: nSets * ways * 64, Ways: ways, LatencyCycles: 1, AllowPTE: true}, fm)
 		ref := make([]refSet, nSets)
 		for op := 0; op < 600; op++ {
 			lineNo := uint64(rng.Intn(nSets * ways * 3))

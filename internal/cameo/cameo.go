@@ -78,9 +78,9 @@ type blk uint64 // global block index (addr >> 6)
 
 // CAMEO is the baseline manager.
 type CAMEO struct {
-	lane *engine.Lane // shared back-end shard (lane 0)
-	ctl  *hmc.Controller
-	cfg  Config
+	sim *engine.Sim
+	ctl *hmc.Controller
+	cfg Config
 
 	remapCache *hmc.MetaCache
 	region     hmc.MetaRegion
@@ -105,7 +105,7 @@ type job struct {
 // New installs a CAMEO manager on the controller.
 func New(ctl *hmc.Controller, cfg Config) *CAMEO {
 	c := &CAMEO{
-		lane:       ctl.Lane,
+		sim:        ctl.Sim,
 		ctl:        ctl,
 		cfg:        cfg,
 		fastBlocks: blk(ctl.Layout.DRAMBytes / BlockBytes),
@@ -114,7 +114,7 @@ func New(ctl *hmc.Controller, cfg Config) *CAMEO {
 		inflight:   make(map[blk]*job),
 	}
 	c.region = ctl.AllocMetaRegion(cfg.RemapTableBytes, 4)
-	c.remapCache = hmc.NewMetaCache(ctl.Lane, hmc.MetaCacheConfig{
+	c.remapCache = hmc.NewMetaCache(ctl.Sim, hmc.MetaCacheConfig{
 		Name: "CAMEORemap", Entries: cfg.RemapEntries, Ways: cfg.RemapWays,
 		HitLatency: cfg.RemapLatency, EntriesPerLine: 16,
 	}, c.region, ctl.IssueLine)
@@ -213,12 +213,12 @@ func (c *CAMEO) trySwap(b blk) {
 		c.ctl.Oracle.Exchange(uint64(fastSlot), uint64(slowSlot))
 		c.ctl.IssueLine(c.region.EntryAddr(uint64(fastSlot)), true, hmc.PrioSwap, nil)
 		if led := c.ctl.Ledger(); led != nil {
-			now := c.lane.Now()
+			now := c.sim.Now()
 			led.RemapCommitted(j.lid, now)
 			led.Evicted(uint64(displaced.base()), now)
 		}
 		if pm := c.ctl.PageMap(); pm != nil {
-			now := c.lane.Now()
+			now := c.sim.Now()
 			pm.Committed(j.pid, now)
 			pm.Evicted(uint64(displaced.base()), now)
 		}
@@ -231,7 +231,7 @@ func (c *CAMEO) trySwap(b blk) {
 	}
 	led := c.ctl.Ledger()
 	if led != nil {
-		now := c.lane.Now()
+		now := c.sim.Now()
 		dramB, nvmB := c.ctl.OpBytes(op)
 		j.lid = led.SwapStarted(uint64(b.base()), uint64(displaced.base()), true,
 			ledger.TrigRegular, now, now, dramB, nvmB)
@@ -239,7 +239,7 @@ func (c *CAMEO) trySwap(b blk) {
 	}
 	if pm := c.ctl.PageMap(); pm != nil {
 		j.pid = pm.SwapStarted(uint64(b.base()), uint64(displaced.base()), true,
-			ledger.TrigRegular, c.lane.Now())
+			ledger.TrigRegular, c.sim.Now())
 		op.PageMapID = j.pid
 	}
 	if !c.ctl.Engine.Start(op) {

@@ -15,7 +15,7 @@ import (
 func testRig() (*engine.Sim, *hmc.Controller, *CAMEO) {
 	sim := engine.New()
 	osm := mem.NewOS(mem.Map{DRAMBytes: 2 << 20, NVMBytes: 16 << 20}, 16)
-	ctl := hmc.NewController(sim.Lane(0), osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
+	ctl := hmc.NewController(sim, osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
 	cfg := DefaultConfig()
 	cfg.RemapEntries = 256
 	cfg.RemapTableBytes = 8 << 10

@@ -28,7 +28,7 @@ import (
 // Version is the current checkpoint format version. Bump on any layout
 // change; Open refuses mismatched versions so a stale snapshot is diagnosed
 // as such instead of misdecoding.
-const Version = 1
+const Version = 2
 
 var magic = [4]byte{'P', 'S', 'C', 'K'}
 

@@ -18,7 +18,7 @@ import (
 // halvings that elapsed since the last one — an exact, deterministic
 // equivalent of the paper's fixed-interval counter halving.
 type HPT struct {
-	lane       *engine.Lane // shared back-end shard (lane 0)
+	sim        *engine.Sim
 	interval   uint64
 	capacity   int
 	counterMax uint32
@@ -32,9 +32,9 @@ type HPT struct {
 
 // NewHPT builds an empty hot page table that halves counters every
 // interval CPU cycles of sim time.
-func NewHPT(lane *engine.Lane, interval uint64, capacity int, counterMax uint32) *HPT {
+func NewHPT(sim *engine.Sim, interval uint64, capacity int, counterMax uint32) *HPT {
 	return &HPT{
-		lane:       lane,
+		sim:        sim,
 		interval:   interval,
 		capacity:   capacity,
 		counterMax: counterMax,
@@ -46,7 +46,7 @@ func (h *HPT) maybeDecay() {
 	if h.interval == 0 {
 		return
 	}
-	now := h.lane.Now()
+	now := h.sim.Now()
 	for h.lastDecay+h.interval <= now {
 		h.lastDecay += h.interval
 		h.decays++
@@ -69,7 +69,7 @@ func (h *HPT) maybeDecay() {
 }
 
 // DecayOnce applies one counter-halving pass immediately, without consulting
-// the lane clock or advancing the lazy-decay cursor. The sampled scheduler's
+// the engine clock or advancing the lazy-decay cursor. The sampled scheduler's
 // fast-forward path uses it to model the decay intervals that elapse across
 // frozen-clock gaps; the lazy clock-keyed schedule resumes untouched when
 // detailed execution restarts.

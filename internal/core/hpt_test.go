@@ -11,7 +11,7 @@ import (
 
 func TestHPTTouchAndThreshold(t *testing.T) {
 	sim := engine.New()
-	h := NewHPT(sim.Lane(0), 0, 16, 63)
+	h := NewHPT(sim, 0, 16, 63)
 	for i := 1; i <= 6; i++ {
 		if c := h.Touch(42); c != uint32(i) {
 			t.Fatalf("count after %d touches = %d", i, c)
@@ -24,7 +24,7 @@ func TestHPTTouchAndThreshold(t *testing.T) {
 
 func TestHPTSaturation(t *testing.T) {
 	sim := engine.New()
-	h := NewHPT(sim.Lane(0), 0, 16, 7)
+	h := NewHPT(sim, 0, 16, 7)
 	for i := 0; i < 100; i++ {
 		h.Touch(1)
 	}
@@ -35,7 +35,7 @@ func TestHPTSaturation(t *testing.T) {
 
 func TestHPTLazyDecay(t *testing.T) {
 	sim := engine.New()
-	h := NewHPT(sim.Lane(0), 1000, 16, 63)
+	h := NewHPT(sim, 1000, 16, 63)
 	for i := 0; i < 8; i++ {
 		h.Touch(5)
 	}
@@ -53,7 +53,7 @@ func TestHPTLazyDecay(t *testing.T) {
 
 func TestHPTDecayAcrossIdleGap(t *testing.T) {
 	sim := engine.New()
-	h := NewHPT(sim.Lane(0), 100, 16, 63)
+	h := NewHPT(sim, 100, 16, 63)
 	h.Touch(1)
 	sim.RunUntil(1_000_000) // long idle: fast-forward must not loop per tick
 	if h.Contains(1) {
@@ -67,7 +67,7 @@ func TestHPTDecayAcrossIdleGap(t *testing.T) {
 
 func TestHPTEvictsColdest(t *testing.T) {
 	sim := engine.New()
-	h := NewHPT(sim.Lane(0), 0, 3, 63)
+	h := NewHPT(sim, 0, 3, 63)
 	for i := 0; i < 5; i++ {
 		h.Touch(1)
 	}
@@ -86,7 +86,7 @@ func TestHPTEvictsColdest(t *testing.T) {
 
 func TestHPTRemove(t *testing.T) {
 	sim := engine.New()
-	h := NewHPT(sim.Lane(0), 0, 8, 63)
+	h := NewHPT(sim, 0, 8, 63)
 	h.Touch(9)
 	h.Remove(9)
 	if h.Contains(9) {
@@ -100,7 +100,7 @@ func TestHPTDecayEquivalenceProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		sim := engine.New()
 		interval := uint64(rng.Intn(500) + 100)
-		h := NewHPT(sim.Lane(0), interval, 64, 63)
+		h := NewHPT(sim, interval, 64, 63)
 		ref := map[uint64]uint32{} // eager reference
 		lastDecay := uint64(0)
 		now := uint64(0)

@@ -109,9 +109,9 @@ type prefTrack struct {
 
 // PageSeer is the paper's Hybrid Memory Controller manager.
 type PageSeer struct {
-	lane *engine.Lane // shared back-end shard (lane 0)
-	ctl  *hmc.Controller
-	cfg  Config
+	sim *engine.Sim
+	ctl *hmc.Controller
+	cfg Config
 
 	prtc    *hmc.MetaCache
 	pctc    *hmc.MetaCache
@@ -334,7 +334,7 @@ const pendingStaleCycles = 60_000
 // workload pages are allocated.
 func New(ctl *hmc.Controller, cfg Config) *PageSeer {
 	p := &PageSeer{
-		lane:        ctl.Lane,
+		sim:         ctl.Sim,
 		ctl:         ctl,
 		cfg:         cfg,
 		remap:       make(map[mem.PPN]mem.PPN),
@@ -345,11 +345,11 @@ func New(ctl *hmc.Controller, cfg Config) *PageSeer {
 	}
 	p.prtRegion = ctl.AllocMetaRegion(cfg.PRTBytes, 4)  // 3.5B entries, rounded
 	p.pctRegion = ctl.AllocMetaRegion(cfg.PCTBytes, 11) // 10.5B entries
-	p.prtc = hmc.NewMetaCache(ctl.Lane, hmc.MetaCacheConfig{
+	p.prtc = hmc.NewMetaCache(ctl.Sim, hmc.MetaCacheConfig{
 		Name: "PRTc", Entries: cfg.PRTcEntries, Ways: cfg.PRTcWays,
 		HitLatency: cfg.PRTcHitLatency, EntriesPerLine: 18, // 3.5B entries
 	}, p.prtRegion, ctl.IssueLine)
-	p.pctc = hmc.NewMetaCache(ctl.Lane, hmc.MetaCacheConfig{
+	p.pctc = hmc.NewMetaCache(ctl.Sim, hmc.MetaCacheConfig{
 		Name: "PCTc", Entries: cfg.PCTcEntries, Ways: cfg.PCTcWays,
 		HitLatency: cfg.PCTcHitLatency, EntriesPerLine: 6, // 10.5B entries
 		Background: true, // off the critical path (Section III-C3)
@@ -359,8 +359,8 @@ func New(ctl *hmc.Controller, cfg Config) *PageSeer {
 			p.pctc.MarkDirty(uint64(leader))
 		}
 	})
-	p.hptDRAM = NewHPT(ctl.Lane, cfg.HPTDecayInterval, cfg.HPTEntries, cfg.CounterMax)
-	p.hptNVM = NewHPT(ctl.Lane, cfg.HPTDecayInterval, cfg.HPTEntries, cfg.CounterMax)
+	p.hptDRAM = NewHPT(ctl.Sim, cfg.HPTDecayInterval, cfg.HPTEntries, cfg.CounterMax)
+	p.hptNVM = NewHPT(ctl.Sim, cfg.HPTDecayInterval, cfg.HPTEntries, cfg.CounterMax)
 	p.pte = NewPTECache(cfg.MMUDriverLines)
 	// The same-color constraint is defined over logical PRT entry sets
 	// (Figure 4), independent of the PRTc's physical line organisation.
@@ -489,7 +489,7 @@ func (p *PageSeer) trackMiss(pid int, page mem.PPN) {
 // entire value is lead time over the replayed access.
 func (p *PageSeer) evaluateCorrelation(page mem.PPN, kind SwapKind) {
 	t := p.getCorrTxn()
-	t.page, t.kind, t.start = page, kind, p.lane.Now()
+	t.page, t.kind, t.start = page, kind, p.sim.Now()
 	t.snap = p.corr.Snapshot(page)
 	if kind == SwapPrefetchMMU {
 		p.pctc.AccessUrgent(uint64(page), t.fn)
@@ -501,7 +501,7 @@ func (p *PageSeer) evaluateCorrelation(page mem.PPN, kind SwapKind) {
 func (p *PageSeer) corrEvaluated(t *corrTxn) {
 	page, kind, snap := t.page, t.kind, t.snap
 	if p.att != nil {
-		p.att.CorrEval(p.lane.Now() - t.start)
+		p.att.CorrEval(p.sim.Now() - t.start)
 	}
 	p.putCorrTxn(t)
 	if snap.Count >= p.cfg.PCTThreshold && !p.residentDRAM(page) {
@@ -535,7 +535,7 @@ func (p *PageSeer) MMUHint(h mmu.Hint) {
 		// arrow here retroactively and the swap's transfer span closes it
 		// (the arrow Perfetto draws from page walk to page move).
 		p.hintSeq++
-		now := p.lane.Now()
+		now := p.sim.Now()
 		t.Instant("hint", "mmu-hint", obs.TracePidCores, h.Core, now, "vpn", uint64(h.VPN))
 		if p.hintFlow == nil {
 			p.hintFlow = make(map[mem.PPN]hintOrigin)
@@ -581,7 +581,7 @@ func (p *PageSeer) requestSwapFrom(page mem.PPN, kind SwapKind, follower bool) b
 		// hint and the replayed access race — the swap is MMU-initiated).
 		if kind > prev {
 			p.pendingKind[page] = kind
-			p.pendingPref = append(p.pendingPref, pendingSwap{page: page, kind: kind, follower: follower, at: p.lane.Now()})
+			p.pendingPref = append(p.pendingPref, pendingSwap{page: page, kind: kind, follower: follower, at: p.sim.Now()})
 		}
 		return true
 	}
@@ -590,7 +590,7 @@ func (p *PageSeer) requestSwapFrom(page mem.PPN, kind SwapKind, follower bool) b
 	}
 	if t := p.ctl.Tracer(); t != nil {
 		t.Instant("swap", "request:"+kind.String(), obs.TracePidSwap, traceQueueTid,
-			p.lane.Now(), "page", uint64(page))
+			p.sim.Now(), "page", uint64(page))
 	}
 	if p.cfg.BWOpt && p.dramSaturated() {
 		p.stats.DeclinedBW++
@@ -599,7 +599,7 @@ func (p *PageSeer) requestSwapFrom(page mem.PPN, kind SwapKind, follower bool) b
 	if !p.ctl.Engine.CanStart() {
 		return p.enqueue(page, kind, follower)
 	}
-	p.startSwap(page, kind, follower, p.lane.Now())
+	p.startSwap(page, kind, follower, p.sim.Now())
 	return true
 }
 
@@ -609,7 +609,7 @@ func (p *PageSeer) enqueue(page mem.PPN, kind SwapKind, follower bool) bool {
 		return false
 	}
 	p.pendingKind[page] = kind
-	e := pendingSwap{page: page, kind: kind, follower: follower, at: p.lane.Now()}
+	e := pendingSwap{page: page, kind: kind, follower: follower, at: p.sim.Now()}
 	if kind == SwapRegular {
 		p.pendingReg = append(p.pendingReg, e)
 	} else {
@@ -622,7 +622,7 @@ func (p *PageSeer) enqueue(page mem.PPN, kind SwapKind, follower bool) bool {
 // Entries whose recorded kind no longer matches are stale (upgraded or
 // already handled) and are skipped.
 func (p *PageSeer) popPending() (pendingSwap, bool) {
-	now := p.lane.Now()
+	now := p.sim.Now()
 	for _, q := range []*[]pendingSwap{&p.pendingPref, &p.pendingReg} {
 		for len(*q) > 0 {
 			e := (*q)[0]
@@ -667,7 +667,7 @@ func (p *PageSeer) dramSaturated() bool {
 // dramUtilization returns the DRAM data-bus utilization over the previous
 // measurement window (lazily refreshed).
 func (p *PageSeer) dramUtilization() float64 {
-	now := p.lane.Now()
+	now := p.sim.Now()
 	win := p.cfg.BWUtilWindow
 	if win == 0 {
 		win = 50_000
@@ -811,7 +811,7 @@ func (p *PageSeer) startSwap(page mem.PPN, kind SwapKind, follower bool, req uin
 		}
 		dramB, nvmB := p.ctl.OpBytes(op)
 		job.lid = led.SwapStarted(uint64(page.Addr()), uint64(victim.Addr()), true,
-			swapTrigger(kind, follower), req, p.lane.Now(), dramB, nvmB)
+			swapTrigger(kind, follower), req, p.sim.Now(), dramB, nvmB)
 		op.LedgerID = job.lid
 	}
 	if pm := p.ctl.PageMap(); pm != nil {
@@ -820,7 +820,7 @@ func (p *PageSeer) startSwap(page mem.PPN, kind SwapKind, follower bool, req uin
 			victim = partner
 		}
 		job.pid = pm.SwapStarted(uint64(page.Addr()), uint64(victim.Addr()), true,
-			swapTrigger(kind, follower), p.lane.Now())
+			swapTrigger(kind, follower), p.sim.Now())
 		op.PageMapID = job.pid
 	}
 	if !p.ctl.Engine.Start(op) {
@@ -864,12 +864,12 @@ func (p *PageSeer) startRestore(dPage, nPartner mem.PPN, kind SwapKind, follower
 			p.ctl.IssueLine(p.prtRegion.EntryAddr(uint64(dPage)), true, hmc.PrioSwap, nil)
 			p.traceRemapCommit(dPage)
 			if led := p.ctl.Ledger(); led != nil {
-				now := p.lane.Now()
+				now := p.sim.Now()
 				led.RemapCommitted(job.lid, now)
 				led.Evicted(uint64(nPartner.Addr()), now)
 			}
 			if pm := p.ctl.PageMap(); pm != nil {
-				now := p.lane.Now()
+				now := p.sim.Now()
 				pm.Committed(job.pid, now)
 				pm.Evicted(uint64(nPartner.Addr()), now)
 			}
@@ -888,12 +888,12 @@ func (p *PageSeer) startRestore(dPage, nPartner mem.PPN, kind SwapKind, follower
 	if led != nil {
 		dramB, nvmB := p.ctl.OpBytes(op)
 		job.lid = led.SwapStarted(uint64(dPage.Addr()), uint64(nPartner.Addr()), true,
-			swapTrigger(kind, follower), req, p.lane.Now(), dramB, nvmB)
+			swapTrigger(kind, follower), req, p.sim.Now(), dramB, nvmB)
 		op.LedgerID = job.lid
 	}
 	if pm := p.ctl.PageMap(); pm != nil {
 		job.pid = pm.SwapStarted(uint64(dPage.Addr()), uint64(nPartner.Addr()), true,
-			swapTrigger(kind, follower), p.lane.Now())
+			swapTrigger(kind, follower), p.sim.Now())
 		op.PageMapID = job.pid
 	}
 	if !p.ctl.Engine.Start(op) {
@@ -929,7 +929,7 @@ func (p *PageSeer) completeSwap(page, frame, partner mem.PPN, hasPartner bool, j
 	p.prtc.Prefetch(uint64(page))
 	p.traceRemapCommit(page)
 	if led := p.ctl.Ledger(); led != nil {
-		now := p.lane.Now()
+		now := p.sim.Now()
 		led.RemapCommitted(job.lid, now)
 		// The page that left DRAM: the partner under the optimized-slow
 		// exchange (its data was already in NVM), the frame otherwise.
@@ -940,7 +940,7 @@ func (p *PageSeer) completeSwap(page, frame, partner mem.PPN, hasPartner bool, j
 		led.Evicted(uint64(victim.Addr()), now)
 	}
 	if pm := p.ctl.PageMap(); pm != nil {
-		now := p.lane.Now()
+		now := p.sim.Now()
 		pm.Committed(job.pid, now)
 		victim := frame
 		if hasPartner {
@@ -992,7 +992,7 @@ func (p *PageSeer) bindHintFlow(op *hmc.Op, page mem.PPN, kind SwapKind) {
 func (p *PageSeer) traceRemapCommit(page mem.PPN) {
 	if t := p.ctl.Tracer(); t != nil {
 		t.Instant("swap", "remap-commit", obs.TracePidSwap, traceQueueTid,
-			p.lane.Now(), "page", uint64(page))
+			p.sim.Now(), "page", uint64(page))
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // are deliberate: the bandwidth heuristic and the swap queue are skipped
 // (both describe transient contention that does not exist on a quiesced,
 // clock-frozen machine), and HPT decay does not advance (it keys on the
-// lane clock, which fast-forward freezes).
+// engine clock, which fast-forward freezes).
 
 // SetFFSwapBudget bounds how many swaps the functional fast-forward path
 // may commit before the next detailed phase; the sampled scheduler sets it
@@ -30,7 +30,7 @@ func (p *PageSeer) SetFFSwapBudget(n uint64) { p.ffBudget = n }
 // must include.
 func (p *PageSeer) FFSwapCommits() uint64 { return p.ffCommits }
 
-// FFAdvance credits the hot page tables with virtual elapsed time. The lane
+// FFAdvance credits the hot page tables with virtual elapsed time. The engine
 // clock freezes during fast-forward, so the lazy clock-keyed decay never
 // fires there; the sampled scheduler estimates each gap's cycle span from
 // its calibrated IPC and passes it here, and every full decay interval

@@ -34,7 +34,7 @@ func testConfig() Config {
 func testRig(cfg Config) (*engine.Sim, *hmc.Controller, *PageSeer) {
 	sim := engine.New()
 	osm := mem.NewOS(mem.Map{DRAMBytes: 2 << 20, NVMBytes: 16 << 20}, 16)
-	ctl := hmc.NewController(sim.Lane(0), osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
+	ctl := hmc.NewController(sim, osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
 	ps := New(ctl, cfg)
 	return sim, ctl, ps
 }

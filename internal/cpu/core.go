@@ -49,7 +49,7 @@ func (s CoreStats) IPC() float64 {
 
 // Core executes one workload trace through an MMU and an L1 cache.
 type Core struct {
-	sim *engine.Lane
+	sim *engine.Sim
 	id  int
 	pid int
 	cfg CoreConfig
@@ -97,10 +97,8 @@ type memTxn struct {
 	next    *memTxn
 }
 
-// NewCore wires a core to its MMU, L1, and trace generator. sim is the
-// core's shard lane, so the frontend's self-scheduling stays on its own
-// shard under the epoch executor.
-func NewCore(sim *engine.Lane, id, pid int, cfg CoreConfig, m *mmu.MMU, l1 *cache.Cache, gen workload.Generator) *Core {
+// NewCore wires a core to its MMU, L1, and trace generator.
+func NewCore(sim *engine.Sim, id, pid int, cfg CoreConfig, m *mmu.MMU, l1 *cache.Cache, gen workload.Generator) *Core {
 	if cfg.MaxOutstanding < 1 {
 		cfg.MaxOutstanding = 1
 	}
@@ -254,8 +252,6 @@ func (c *Core) translated(t *memTxn, ppn mem.PPN) {
 func (c *Core) accessDone(t *memTxn) {
 	if c.att != nil {
 		// Retire: fold the stamped intervals into the per-core CPI stack.
-		// Folding happens on the core's own lane, so the accumulators need
-		// no synchronisation under the epoch executor.
 		c.att.Fold(c.id, &t.v, c.sim.Now())
 	}
 	c.putTxn(t)

@@ -44,10 +44,10 @@ func rig(t *testing.T, memLatency uint64, gen workload.Generator, cfg CoreConfig
 	osm := mem.NewOS(mem.Map{DRAMBytes: 8 << 20, NVMBytes: 64 << 20}, 16)
 	osm.NewProcess(1)
 	fm := &flatMem{sim: sim, latency: memLatency}
-	l2 := cache.New(sim.Lane(0), cache.L2Config(), fm)
-	l1 := cache.New(sim.Lane(0), cache.L1Config(), l2)
-	m := mmu.New(sim.Lane(0), osm, 0, 1, mmu.DefaultConfig(), l2, nil)
-	c := NewCore(sim.Lane(0), 0, 1, cfg, m, l1, gen)
+	l2 := cache.New(sim, cache.L2Config(), fm)
+	l1 := cache.New(sim, cache.L1Config(), l2)
+	m := mmu.New(sim, osm, 0, 1, mmu.DefaultConfig(), l2, nil)
+	c := NewCore(sim, 0, 1, cfg, m, l1, gen)
 	return sim, c
 }
 

@@ -14,30 +14,11 @@ import (
 
 // event is a scheduled closure. seq breaks ties between events scheduled for
 // the same cycle, preserving insertion order.
-//
-// The seq field packs the owning lane into its low laneShift bits
-// (seq<<laneShift | lane). Insertion order is still total — the true
-// sequence number occupies the high bits and is unique — so (cycle, seq)
-// comparisons are unchanged, the event stays 32 bytes, and the epoch
-// executor can read an event's lane without growing the struct the heap
-// and wheel copy around.
 type event struct {
 	cycle uint64
 	seq   uint64
 	fn    func()
 }
-
-const (
-	// laneShift/laneMask pack the lane id into event.seq (see event).
-	laneShift = 16
-	laneMask  = (1 << laneShift) - 1
-	// MaxLanes bounds Sim.Lane indices so packed sequence numbers keep
-	// 2^48 cycles of headroom — far above any run's event count.
-	MaxLanes = 1 << laneShift
-)
-
-// lane returns the lane id packed into the event's seq.
-func (e event) lane() int { return int(e.seq & laneMask) }
 
 // less orders events by (cycle, seq) — the deterministic fire order.
 func (e event) less(o event) bool {
@@ -113,12 +94,6 @@ type Sim struct {
 	wdFn    func()
 	wdEvery uint64
 	wdNext  uint64
-
-	// lanes are the shard handles components schedule through (Lane); par is
-	// the epoch executor, nil in serial mode (see parallel.go). Lane 0 is the
-	// shared lane, executed inline on the engine thread.
-	lanes []*Lane
-	par   *parallel
 }
 
 // New returns an empty simulator positioned at cycle 0.
@@ -132,17 +107,8 @@ func (s *Sim) Now() uint64 { return s.now }
 // Fired returns the number of events executed so far.
 func (s *Sim) Fired() uint64 { return s.fire }
 
-// Pending returns the number of events waiting in the queue. In parallel
-// mode it also counts events held in lane buffers and uncommitted lane logs
-// (normally zero between epochs; non-zero only when inspected from a panic
-// handler mid-epoch).
-func (s *Sim) Pending() int {
-	n := len(s.pq) + s.wheelLen
-	if s.par != nil {
-		n += s.par.pendingExtra()
-	}
-	return n
-}
+// Pending returns the number of events waiting in the queue.
+func (s *Sim) Pending() int { return len(s.pq) + s.wheelLen }
 
 // Reserve pre-sizes the event queue for about n concurrently pending
 // events: the overflow heap gets capacity n up front and every wheel bucket
@@ -329,30 +295,17 @@ func (s *Sim) peekCycle() (uint64, bool) {
 	return c, true
 }
 
-// At schedules fn to run at the given absolute cycle on the shared lane.
+// At schedules fn to run at the given absolute cycle.
 // Scheduling in the past panics: it always indicates a component bug, and
 // silently reordering time would corrupt every timing statistic downstream.
 // Scheduling at the current cycle is legal and fires after already-queued
 // same-cycle events.
 func (s *Sim) At(cycle uint64, fn func()) {
-	if s.par != nil && s.par.inRun {
-		// A worker reached the raw Sim instead of its lane handle: a
-		// mis-sharded component. Serialise the insert so the run survives to
-		// report the violation through the audit.
-		s.par.strayAt(0, cycle, fn)
-		return
-	}
-	s.at(cycle, fn, 0)
-}
-
-// at is the internal insert: the event is tagged with its owning lane.
-// Callers on the engine thread only.
-func (s *Sim) at(cycle uint64, fn func(), lane int) {
 	if cycle < s.now {
 		panic(fmt.Sprintf("engine: scheduling at cycle %d before now %d", cycle, s.now))
 	}
 	s.seq++
-	e := event{cycle: cycle, seq: s.seq<<laneShift | uint64(lane), fn: fn}
+	e := event{cycle: cycle, seq: s.seq, fn: fn}
 	if !s.heapOnly && cycle-s.now < WheelHorizon {
 		i := int(cycle) & wheelMask
 		sl := &s.slots[i]
@@ -401,21 +354,16 @@ func (s *Sim) SetWatchdog(every uint64, fn func()) {
 	s.wdFn = fn
 }
 
-// PendingEvent identifies one queued event for diagnostics. Lane is the
-// shard the event belongs to (0 = shared lane). Seq is 0 for events a lane
-// spawned mid-epoch that have not been through the barrier commit yet — they
-// have no global sequence number until then.
+// PendingEvent identifies one queued event for diagnostics: its cycle and
+// its insertion sequence number.
 type PendingEvent struct {
 	Cycle uint64
 	Seq   uint64
-	Lane  int
 }
 
 // SnapshotPending returns up to max queued events in (cycle, seq) fire
 // order without disturbing the queue — crashdump forensics for a run that
-// died with work still scheduled. In parallel mode the snapshot also covers
-// events parked in lane buffers and uncommitted lane logs, so a panic
-// inside a worker still yields a coherent queue picture.
+// died with work still scheduled.
 func (s *Sim) SnapshotPending(max int) []PendingEvent {
 	if max <= 0 {
 		return nil
@@ -424,14 +372,12 @@ func (s *Sim) SnapshotPending(max int) []PendingEvent {
 	for i := range s.slots {
 		sl := &s.slots[i]
 		for j := sl.head; j < len(sl.events); j++ {
-			evs = append(evs, pendingOf(sl.events[j]))
+			e := sl.events[j]
+			evs = append(evs, PendingEvent{Cycle: e.cycle, Seq: e.seq})
 		}
 	}
 	for _, e := range s.pq {
-		evs = append(evs, pendingOf(e))
-	}
-	if s.par != nil {
-		evs = s.par.appendPending(evs)
+		evs = append(evs, PendingEvent{Cycle: e.cycle, Seq: e.seq})
 	}
 	sort.Slice(evs, func(i, j int) bool {
 		if evs[i].Cycle != evs[j].Cycle {
@@ -445,15 +391,10 @@ func (s *Sim) SnapshotPending(max int) []PendingEvent {
 	return evs
 }
 
-func pendingOf(e event) PendingEvent {
-	return PendingEvent{Cycle: e.cycle, Seq: e.seq >> laneShift, Lane: e.lane()}
-}
-
 // fireHooks runs the tick and watchdog hooks if the clock has reached their
-// next boundary. Serial Step calls it after advancing to an event's cycle;
-// the epoch executor calls it once per cycle before the cycle's events.
-// Either way the hooks observe the state as of the instant the clock first
-// lands on the boundary, so the two modes see identical snapshots.
+// next boundary. Step calls it after advancing to an event's cycle, so the
+// hooks observe the state as of the instant the clock first lands on the
+// boundary.
 func (s *Sim) fireHooks() {
 	if s.tickFn != nil && s.now >= s.tickNext {
 		s.tickFn()
@@ -470,13 +411,8 @@ func (s *Sim) fireHooks() {
 }
 
 // Step executes the next event, advancing the clock to its cycle.
-// It reports whether an event was executed. In parallel mode one Step
-// executes the next cycle's entire epoch (see stepEpochCycle); Fired()
-// still counts individual events.
+// It reports whether an event was executed.
 func (s *Sim) Step() bool {
-	if s.par != nil {
-		return s.stepEpochCycle()
-	}
 	e, ok := s.next()
 	if !ok {
 		return false
@@ -531,9 +467,7 @@ func (s *Sim) RestoreClock(now, seq, fire uint64) {
 }
 
 // Drain executes events until none remain. maxEvents bounds runaway
-// self-scheduling loops; Drain panics if exceeded (0 means no bound). The
-// bound counts executed events (not Steps), so it means the same thing in
-// serial and parallel mode.
+// self-scheduling loops; Drain panics if exceeded (0 means no bound).
 func (s *Sim) Drain(maxEvents uint64) {
 	start := s.fire
 	for s.Step() {

@@ -6,16 +6,14 @@ import (
 	"testing"
 )
 
-// The benches pin the value-typed 4-ary heap's win over the previous
-// container/heap implementation (kept below as boxedQueue): boxing every
-// event through heap.Interface's interface{} costs one allocation per Push,
-// on the hottest path in the simulator. BenchmarkSchedulePop covers the two
-// distributions the simulator actually produces: uniform cycles (bank/bus
-// events spread across time) and clustered cycles (flurries of events at
-// nearly the same cycle, where tie-breaking by seq dominates).
+// BenchmarkSchedulePop covers the two cycle distributions the simulator
+// actually produces: uniform cycles (bank/bus events spread across time)
+// and clustered cycles (flurries of events at nearly the same cycle, where
+// tie-breaking by seq dominates).
 
-// boxedQueue is the old container/heap implementation, preserved verbatim
-// as the allocation baseline for BenchmarkSchedulePopBoxed*.
+// boxedQueue is the container/heap implementation the value-typed 4-ary
+// heap replaced, kept as the fire-order reference for
+// TestHeapMatchesBoxedReference.
 type boxedQueue []event
 
 func (h boxedQueue) Len() int { return len(h) }
@@ -69,29 +67,6 @@ func benchSchedulePop(b *testing.B, clustered bool) {
 
 func BenchmarkSchedulePopUniform(b *testing.B)   { benchSchedulePop(b, false) }
 func BenchmarkSchedulePopClustered(b *testing.B) { benchSchedulePop(b, true) }
-
-func benchSchedulePopBoxed(b *testing.B, clustered bool) {
-	cycles := cycleDist(benchEvents, clustered)
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var pq boxedQueue
-		heap.Init(&pq)
-		var seq uint64
-		for _, c := range cycles {
-			seq++
-			heap.Push(&pq, event{cycle: c, seq: seq, fn: fn})
-		}
-		for pq.Len() > 0 {
-			e := heap.Pop(&pq).(event)
-			e.fn()
-		}
-	}
-}
-
-func BenchmarkSchedulePopBoxedUniform(b *testing.B)   { benchSchedulePopBoxed(b, false) }
-func BenchmarkSchedulePopBoxedClustered(b *testing.B) { benchSchedulePopBoxed(b, true) }
 
 // benchWheelVsHeap drives a population of self-rescheduling events whose
 // delays are the simulator's actual hot-path latencies (cache tags, DRAM

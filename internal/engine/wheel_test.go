@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -267,5 +268,60 @@ func TestReserveKeepsBehavior(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotPendingSerial pins the crashdump view of the queue: events
+// spread across the wheel and the overflow heap come back in (cycle, seq)
+// fire order carrying their plain insertion numbers, max truncates, and the
+// snapshot leaves the queue exactly as it was.
+func TestSnapshotPendingSerial(t *testing.T) {
+	s := New()
+	var fired []PendingEvent
+	var n uint64
+	at := func(cycle uint64) {
+		n++
+		ev := PendingEvent{Cycle: cycle, Seq: n}
+		s.At(cycle, func() { fired = append(fired, ev) })
+	}
+	// Two heap events scheduled from cycle 0 (seq 1, 2), then a driver at
+	// cycle 600 (seq 3) whose wheel schedules wrap the slot ring and tie
+	// with a heap event, so neither slot order nor heap layout is fire order.
+	at(WheelHorizon + 50) // seq 1, heap
+	at(2 * WheelHorizon)  // seq 2, heap
+	n++
+	s.At(600, func() {
+		at(1500)              // seq 4
+		at(WheelHorizon + 50) // seq 5: ties with seq 1
+		at(610)               // seq 6
+		at(1620)              // seq 7: slot below seq 6's slot
+	})
+	s.RunUntil(600)
+	if s.wheelLen != 4 || len(s.pq) != 2 {
+		t.Fatalf("setup: wheel %d heap %d, want 4 and 2", s.wheelLen, len(s.pq))
+	}
+	want := []PendingEvent{
+		{Cycle: 610, Seq: 6},
+		{Cycle: WheelHorizon + 50, Seq: 1},
+		{Cycle: WheelHorizon + 50, Seq: 5},
+		{Cycle: 1500, Seq: 4},
+		{Cycle: 1620, Seq: 7},
+		{Cycle: 2 * WheelHorizon, Seq: 2},
+	}
+	if got := s.SnapshotPending(100); !reflect.DeepEqual(got, want) {
+		t.Fatalf("SnapshotPending = %+v, want %+v", got, want)
+	}
+	if got := s.SnapshotPending(2); !reflect.DeepEqual(got, want[:2]) {
+		t.Fatalf("SnapshotPending(2) = %+v, want %+v", got, want[:2])
+	}
+	if got := s.SnapshotPending(0); got != nil {
+		t.Fatalf("SnapshotPending(0) = %+v, want nil", got)
+	}
+	if s.Pending() != len(want) || s.Fired() != 1 {
+		t.Fatalf("snapshot disturbed the queue: Pending %d Fired %d", s.Pending(), s.Fired())
+	}
+	s.Drain(0)
+	if !reflect.DeepEqual(fired, want) {
+		t.Fatalf("drain fired %+v, snapshot promised %+v", fired, want)
 	}
 }

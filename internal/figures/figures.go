@@ -8,11 +8,9 @@
 //
 // Each (workload, scheme) run is an independent, deterministically-seeded
 // sim.System, so a campaign is embarrassingly parallel. The Runner
-// exploits that at the campaign level — fanning whole runs across a
-// worker pool (Options.Parallelism) — and, with Options.Jrun > 1, inside
-// each run too, via the engine's deterministic epoch-barrier executor.
-// Both axes preserve exact repeatability: parallel and serial campaigns
-// produce byte-identical figures at any (Parallelism, Jrun) combination.
+// exploits that at the campaign level, fanning whole runs across a worker
+// pool (Options.Parallelism); each run executes on the serial engine.
+// Parallel and serial campaigns produce byte-identical figures.
 package figures
 
 import (
@@ -46,13 +44,9 @@ type Options struct {
 	// in campaign order regardless of which worker finishes first.
 	Progress io.Writer
 	// Parallelism is the worker-pool width for Prefetch/RunAll
-	// (0 = runtime.GOMAXPROCS(0)). It fans whole runs out; within one run
-	// the engine stays serial unless Jrun asks otherwise.
+	// (0 = runtime.GOMAXPROCS(0)). It fans whole runs out; each run
+	// executes on the serial engine.
 	Parallelism int
-	// Jrun mirrors sim.Config.Jrun: intra-run event parallelism via the
-	// epoch-barrier executor (0 or 1 = the serial reference engine).
-	// Results are deterministic and identical at every width.
-	Jrun int
 
 	// Audit mirrors sim.Config.Audit: every campaign run carries the
 	// liveness watchdog and the end-of-run invariant audit.
@@ -358,7 +352,6 @@ func (r *Runner) configFor(k runKey) sim.Config {
 		Warmup:       r.opts.Warmup,
 		Seed:         r.opts.Seed,
 		MaxCores:     r.opts.MaxCores,
-		Jrun:         r.opts.Jrun,
 		DisableBWOpt: k.disableBW,
 		Audit:        r.opts.Audit,
 		Faults:       r.opts.Faults,
@@ -621,7 +614,6 @@ func (r *Runner) Failures() []RunFailure {
 type RunMetric struct {
 	Workload     string  `json:"workload"`
 	Scheme       string  `json:"scheme"`
-	Jrun         int     `json:"jrun"`
 	WallSeconds  float64 `json:"wall_seconds"`
 	EventsFired  uint64  `json:"events_fired"`
 	EventsPerSec float64 `json:"events_per_sec"`
@@ -632,15 +624,6 @@ type RunMetric struct {
 	SampleWindow  uint64  `json:"sample_window,omitempty"`
 	SampleWarmup  uint64  `json:"sample_warmup,omitempty"`
 	SampleIPCCV   float64 `json:"sample_ipc_cv,omitempty"`
-}
-
-// effectiveJrun is the intra-run worker count runs actually use: Options
-// .Jrun clamped up to the serial floor, so bench records never say 0.
-func (r *Runner) effectiveJrun() int {
-	if r.opts.Jrun > 1 {
-		return r.opts.Jrun
-	}
-	return 1
 }
 
 // Metrics returns per-run wall-clock and event-throughput records for
@@ -667,7 +650,6 @@ func (r *Runner) Metrics() []RunMetric {
 		m := RunMetric{
 			Workload:    k.workload,
 			Scheme:      schemeLabel(k.scheme, k.disableBW),
-			Jrun:        r.effectiveJrun(),
 			WallSeconds: e.wall.Seconds(),
 			EventsFired: e.res.EventsFired,
 		}

@@ -38,8 +38,10 @@ import (
 // goroutine, after the simulation has finished — never on the simulation's
 // demand path.
 
-// journalVersion is bumped on any format change.
-const journalVersion = 1
+// journalVersion is bumped on any format change, including a change to the
+// sim.Config fields configHash encodes: older records' hashes would no
+// longer match, and resume must say so by version, not as a foreign campaign.
+const journalVersion = 2
 
 // journalFile is the file name inside the -journal directory.
 const journalFile = "journal.psj"
@@ -258,7 +260,7 @@ func (j *Journal) Close() error {
 
 // CampaignHash digests every option that shapes a campaign's Results — the
 // journal header's compatibility check. Presentation and execution-strategy
-// options (Progress, Parallelism, Jrun, Retries, the journal itself) are
+// options (Progress, Parallelism, Retries, the journal itself) are
 // excluded on purpose: they change wall-clock behaviour, never Results, so a
 // campaign may legitimately resume under different parallelism or retry
 // policy.

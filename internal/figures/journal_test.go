@@ -200,6 +200,26 @@ func TestJournalCampaignMismatchRefused(t *testing.T) {
 	}
 }
 
+// TestJournalOldVersionRefused: a journal written by an older format —
+// whose per-record config hashes this build can no longer reproduce — is
+// refused on resume with the version diagnosis, not as a foreign campaign.
+func TestJournalOldVersionRefused(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, journalFile)
+	hash := CampaignHash(journalOpts())
+	if err := os.WriteFile(path, []byte("pageseer-journal v1 "+hash+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenJournal(dir, hash, true)
+	if err == nil {
+		t.Fatal("resume accepted a v1 journal")
+	}
+	want := "journal: " + path + " is format v1, this build writes v2"
+	if err.Error() != want {
+		t.Fatalf("v1 journal refused with %q, want %q", err, want)
+	}
+}
+
 // TestJournalRefusesClobber: without -resume an existing journal is never
 // overwritten.
 func TestJournalRefusesClobber(t *testing.T) {

@@ -31,7 +31,7 @@ func TestSwapAuditCleanEngine(t *testing.T) {
 func TestSwapAuditCatchesStuckOp(t *testing.T) {
 	sim := engine.New()
 	drop := func(addr mem.Addr, write bool, prio Priority, done func()) {}
-	e := NewSwapEngine(sim.Lane(0), DefaultSwapEngineConfig(), drop, nil)
+	e := NewSwapEngine(sim, DefaultSwapEngineConfig(), drop, nil)
 	if !e.Start(pageSwapOp(0, mem.Addr(256*mem.PageSize), nil)) {
 		t.Fatal("Start rejected a valid op")
 	}
@@ -56,7 +56,7 @@ func TestMetaCacheAuditCatchesStuckFetch(t *testing.T) {
 	sim := engine.New()
 	drop := func(addr mem.Addr, write bool, prio Priority, done func()) {}
 	region := MetaRegion{Base: 0x1000, Bytes: 1 << 20, EntrySize: 8}
-	mc := NewMetaCache(sim.Lane(0), MetaCacheConfig{Name: "T", Entries: 64, Ways: 4, HitLatency: 2}, region, drop)
+	mc := NewMetaCache(sim, MetaCacheConfig{Name: "T", Entries: 64, Ways: 4, HitLatency: 2}, region, drop)
 	got := false
 	mc.Access(42, false, func() { got = true })
 	sim.Drain(0)

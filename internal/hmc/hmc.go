@@ -144,7 +144,7 @@ func (s *Stats) Add(o Stats) {
 
 // Controller is the hybrid memory controller shell.
 type Controller struct {
-	Lane   *engine.Lane // shared back-end shard (lane 0; pass-through in serial mode)
+	Sim    *engine.Sim
 	OS     *mem.OS
 	Layout mem.Map
 	DRAM   *memsim.Module
@@ -186,18 +186,18 @@ type Controller struct {
 
 // NewController builds a controller with the given memory-part configs over
 // the OS's address map.
-func NewController(lane *engine.Lane, osm *mem.OS, dramCfg, nvmCfg memsim.Config, swapCfg SwapEngineConfig) *Controller {
+func NewController(sim *engine.Sim, osm *mem.OS, dramCfg, nvmCfg memsim.Config, swapCfg SwapEngineConfig) *Controller {
 	layout := osm.Map()
 	c := &Controller{
-		Lane:   lane,
+		Sim:    sim,
 		OS:     osm,
 		Layout: layout,
 		Oracle: NewOracle(),
 		frozen: make(map[mem.PPN]bool),
 	}
-	c.DRAM = memsim.New(lane, dramCfg, 0, layout.DRAMBytes)
-	c.NVM = memsim.New(lane, nvmCfg, mem.Addr(layout.DRAMBytes), layout.NVMBytes)
-	c.Engine = NewSwapEngine(lane, swapCfg, c.IssueLine, c.PromoteLine)
+	c.DRAM = memsim.New(sim, dramCfg, 0, layout.DRAMBytes)
+	c.NVM = memsim.New(sim, nvmCfg, mem.Addr(layout.DRAMBytes), layout.NVMBytes)
+	c.Engine = NewSwapEngine(sim, swapCfg, c.IssueLine, c.PromoteLine)
 	return c
 }
 
@@ -308,7 +308,7 @@ func (c *Controller) getRequest() *Request {
 		r = &Request{ctl: c}
 		r.memDoneFn = func() {
 			if r.epoch == r.ctl.epoch {
-				r.ctl.stats.MemLatencyTotal += r.ctl.Lane.Now() - r.issued
+				r.ctl.stats.MemLatencyTotal += r.ctl.Sim.Now() - r.issued
 			}
 			r.ctl.complete(r, r.src)
 		}
@@ -340,7 +340,7 @@ func (c *Controller) Access(line mem.Addr, write bool, meta cache.Meta, done fun
 	r.Line = mem.LineOf(line)
 	r.Write = write
 	r.Meta = meta
-	r.Arrival = c.Lane.Now()
+	r.Arrival = c.Sim.Now()
 	r.done = done
 	if meta.Writeback {
 		c.stats.Writebacks++
@@ -388,7 +388,7 @@ func (c *Controller) AccessFunctional(line mem.Addr, write bool, meta cache.Meta
 		// reflected: the observed residency reconciles the pagemap's tracked
 		// state across fast-forward gaps.
 		actual := c.mgr.TranslateLine(l)
-		c.pm.Functional(uint64(l), write, c.Layout.IsDRAM(actual), c.Lane.Now())
+		c.pm.Functional(uint64(l), write, c.Layout.IsDRAM(actual), c.Sim.Now())
 	}
 }
 
@@ -407,7 +407,7 @@ func (c *Controller) MMUHintFunctional(h mmu.Hint) {
 func (c *Controller) IssueLine(addr mem.Addr, write bool, prio Priority, done func()) {
 	if c.inj != nil {
 		if d := c.inj.IssueStallCycles(); d > 0 {
-			c.Lane.After(d, func() { c.issueLine(addr, write, prio, done) })
+			c.Sim.After(d, func() { c.issueLine(addr, write, prio, done) })
 			return
 		}
 	}
@@ -448,17 +448,17 @@ func (c *Controller) ServeMemory(r *Request, actual mem.Addr) {
 		// record's job ends once the write is enqueued. A writeback landing
 		// on NVM is one line-write of wear against the OS-visible page.
 		if c.pm != nil {
-			c.pm.Writeback(uint64(r.Line), src == SrcDRAM, c.Lane.Now())
+			c.pm.Writeback(uint64(r.Line), src == SrcDRAM, c.Sim.Now())
 		}
 		c.putRequest(r)
 		c.IssueLine(actual, true, PrioDemand, nil)
 		return
 	}
 	r.src = src
-	r.issued = c.Lane.Now()
+	r.issued = c.Sim.Now()
 	if c.inj != nil {
 		if d := c.inj.IssueStallCycles(); d > 0 {
-			c.Lane.After(d, func() {
+			c.Sim.After(d, func() {
 				c.Route(actual).AccessV(actual, r.Write, memsim.PrioDemand, r.Meta.V, r.memDoneFn)
 			})
 			return
@@ -485,7 +485,7 @@ func (c *Controller) routeTranslated(r *Request) {
 	// The remap entry just became available: everything since the previous
 	// stamp (the metadata-cache probe, zero for schemes that route without
 	// one) is remap stall.
-	r.Meta.V.Take(attrib.CompRemap, c.Lane.Now())
+	r.Meta.V.Take(attrib.CompRemap, c.Sim.Now())
 	actual := c.mgr.TranslateLine(r.Line)
 	if r.Meta.Writeback {
 		if c.Engine.TryService(actual, nil, noopFn) {
@@ -511,7 +511,7 @@ func (c *Controller) ServeBuffer(r *Request) { c.complete(r, SrcSwapBuffer) }
 // already-issued memory fetch.
 func (c *Controller) ServeDirect(r *Request, src Source, latency uint64) {
 	r.src = src
-	c.Lane.After(latency, r.directFn)
+	c.Sim.After(latency, r.directFn)
 }
 
 // ServePTECache completes a PTE-line request from the MMU Driver's small
@@ -527,7 +527,7 @@ func (c *Controller) complete(r *Request, src Source) {
 		panic("hmc: request completed twice")
 	}
 	r.served = true
-	now := c.Lane.Now()
+	now := c.Sim.Now()
 	if v := r.Meta.V; v != nil {
 		// Final blame stamp: the service source closes the request's last
 		// interval (a residual of zero when the timing model already
@@ -595,7 +595,7 @@ func (c *Controller) complete(r *Request, src Source) {
 				// The ledger keys on the OS-visible line: a demand landing
 				// on a swapped-in unit is that swap's payoff; one landing
 				// on an in-flight victim marks the swap late.
-				c.led.Demand(uint64(r.Line), c.Lane.Now())
+				c.led.Demand(uint64(r.Line), c.Sim.Now())
 			}
 			if c.pm != nil {
 				psrc := obs.LatDRAM

@@ -12,7 +12,7 @@ import (
 func testController() (*engine.Sim, *Controller) {
 	sim := engine.New()
 	osm := mem.NewOS(mem.Map{DRAMBytes: 8 << 20, NVMBytes: 64 << 20}, 64)
-	c := NewController(sim.Lane(0), osm, memsim.DRAMConfig(), memsim.NVMConfig(), DefaultSwapEngineConfig())
+	c := NewController(sim, osm, memsim.DRAMConfig(), memsim.NVMConfig(), DefaultSwapEngineConfig())
 	return sim, c
 }
 

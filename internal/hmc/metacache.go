@@ -103,7 +103,7 @@ type metaLine struct {
 // the MetaCache tracks only presence and timing, which is all the hardware
 // structure contributes.
 type MetaCache struct {
-	lane   *engine.Lane // shared back-end shard (lane 0)
+	sim    *engine.Sim
 	cfg    MetaCacheConfig
 	region MetaRegion
 	issue  IssueFunc
@@ -212,7 +212,7 @@ func (c *MetaCache) putWs(ws []func()) {
 }
 
 // NewMetaCache builds a metadata cache over a DRAM region.
-func NewMetaCache(lane *engine.Lane, cfg MetaCacheConfig, region MetaRegion, issue IssueFunc) *MetaCache {
+func NewMetaCache(sim *engine.Sim, cfg MetaCacheConfig, region MetaRegion, issue IssueFunc) *MetaCache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -221,7 +221,7 @@ func NewMetaCache(lane *engine.Lane, cfg MetaCacheConfig, region MetaRegion, iss
 	}
 	nSets := cfg.Entries / cfg.Ways
 	c := &MetaCache{
-		lane:    lane,
+		sim:     sim,
 		cfg:     cfg,
 		region:  region,
 		issue:   issue,
@@ -277,7 +277,7 @@ func (c *MetaCache) Access(key uint64, dirty bool, done func()) {
 func (c *MetaCache) AccessV(key uint64, dirty bool, v *attrib.Vector, done func()) {
 	t := c.getTxn()
 	t.key, t.dirty, t.v, t.done = key, dirty, v, done
-	c.lane.After(c.cfg.HitLatency, t.lookFn)
+	c.sim.After(c.cfg.HitLatency, t.lookFn)
 }
 
 // lookStage resolves the SRAM probe. Hits release the record before the
@@ -291,7 +291,7 @@ func (c *MetaCache) lookStage(t *metaTxn) {
 		if c.inj == nil || !c.inj.ForceMetaMiss() {
 			c.stats.Hits++
 			c.touch(l, t.dirty)
-			t.v.Take(attrib.CompRemap, c.lane.Now())
+			t.v.Take(attrib.CompRemap, c.sim.Now())
 			done := t.done
 			c.putTxn(t)
 			if done != nil {
@@ -301,7 +301,7 @@ func (c *MetaCache) lookStage(t *metaTxn) {
 		}
 	}
 	c.stats.Misses++
-	t.start = c.lane.Now()
+	t.start = c.sim.Now()
 	if t.urgent {
 		c.fetchUrgent(t.key, t.fillFn)
 	} else {
@@ -310,13 +310,13 @@ func (c *MetaCache) lookStage(t *metaTxn) {
 }
 
 func (c *MetaCache) fillStage(t *metaTxn) {
-	c.stats.WaitCycles += c.lane.Now() - t.start
+	c.stats.WaitCycles += c.sim.Now() - t.start
 	if l := c.find(t.key); l != nil {
 		c.touch(l, t.dirty)
 	}
 	// The demand request waited this whole interval on a metadata line
 	// fetch — the cost Figure 13 isolates for the PRTc.
-	t.v.Take(attrib.CompMeta, c.lane.Now())
+	t.v.Take(attrib.CompMeta, c.sim.Now())
 	done := t.done
 	c.putTxn(t)
 	if done != nil {
@@ -340,7 +340,7 @@ func (c *MetaCache) Prefetch(key uint64) {
 func (c *MetaCache) AccessUrgent(key uint64, done func()) {
 	t := c.getTxn()
 	t.key, t.urgent, t.done = key, true, done
-	c.lane.After(c.cfg.HitLatency, t.lookFn)
+	c.sim.After(c.cfg.HitLatency, t.lookFn)
 }
 
 func (c *MetaCache) fetchUrgent(key uint64, done func()) {

@@ -14,7 +14,7 @@ func testMetaCache(latency uint64) (*engine.Sim, *MetaCache, *recordingIssuer) {
 	region := MetaRegion{Base: 0x1000, Bytes: 1 << 20, EntrySize: 8}
 	// 32KB / 3.5B entries, 4-way (the paper's PRTc geometry, Table II).
 	cfg := MetaCacheConfig{Name: "PRTc", Entries: 9362, Ways: 4, HitLatency: 2}
-	return sim, NewMetaCache(sim.Lane(0), cfg, region, ri.issue), ri
+	return sim, NewMetaCache(sim, cfg, region, ri.issue), ri
 }
 
 func TestMetaCacheMissThenHit(t *testing.T) {
@@ -82,7 +82,7 @@ func TestMetaCacheDirtyWriteback(t *testing.T) {
 	ri := &recordingIssuer{sim: sim, latency: 1}
 	region := MetaRegion{Base: 0, Bytes: 1 << 20, EntrySize: 8}
 	cfg := MetaCacheConfig{Name: "t", Entries: 4, Ways: 2, HitLatency: 1}
-	c := NewMetaCache(sim.Lane(0), cfg, region, ri.issue)
+	c := NewMetaCache(sim, cfg, region, ri.issue)
 	// 2 sets x 2 ways. Fill set 0 with dirty entries, then overflow it.
 	c.Access(0, true, nil)
 	sim.Drain(0)
@@ -103,7 +103,7 @@ func TestMetaCacheCleanEvictionSilent(t *testing.T) {
 	ri := &recordingIssuer{sim: sim, latency: 1}
 	region := MetaRegion{Base: 0, Bytes: 1 << 20, EntrySize: 8}
 	cfg := MetaCacheConfig{Name: "t", Entries: 4, Ways: 2, HitLatency: 1}
-	c := NewMetaCache(sim.Lane(0), cfg, region, ri.issue)
+	c := NewMetaCache(sim, cfg, region, ri.issue)
 	for _, k := range []uint64{0, 2, 4} {
 		c.Access(k, false, nil)
 		sim.Drain(0)
@@ -131,7 +131,7 @@ func TestMetaCacheResidencyProperty(t *testing.T) {
 		ri := &recordingIssuer{sim: sim, latency: uint64(rng.Intn(20) + 1)}
 		region := MetaRegion{Base: 0, Bytes: 1 << 20, EntrySize: 8}
 		cfg := MetaCacheConfig{Name: "p", Entries: 16, Ways: 4, HitLatency: 1}
-		c := NewMetaCache(sim.Lane(0), cfg, region, ri.issue)
+		c := NewMetaCache(sim, cfg, region, ri.issue)
 		// Working set: `ways` keys in one set.
 		keys := make([]uint64, cfg.Ways)
 		set := uint64(rng.Intn(cfg.Entries / cfg.Ways))

@@ -202,7 +202,7 @@ type waiter struct {
 // services demand requests for in-flight pages from the swap buffers
 // (Section III-D3).
 type SwapEngine struct {
-	lane    *engine.Lane // shared back-end shard (lane 0)
+	sim     *engine.Sim
 	cfg     SwapEngineConfig
 	issue   IssueFunc
 	promote PromoteFunc
@@ -240,12 +240,12 @@ type SwapEngine struct {
 // NewSwapEngine builds a swap engine that issues line traffic through
 // issue; promote (optional) re-prioritises an in-flight line when a demand
 // request is waiting on it.
-func NewSwapEngine(lane *engine.Lane, cfg SwapEngineConfig, issue IssueFunc, promote PromoteFunc) *SwapEngine {
+func NewSwapEngine(sim *engine.Sim, cfg SwapEngineConfig, issue IssueFunc, promote PromoteFunc) *SwapEngine {
 	if promote == nil {
 		promote = func(mem.Addr) {}
 	}
 	return &SwapEngine{
-		lane:      lane,
+		sim:       sim,
 		cfg:       cfg,
 		issue:     issue,
 		promote:   promote,
@@ -347,8 +347,8 @@ func (e *SwapEngine) Start(op *Op) bool {
 	}
 	r := e.getOp()
 	r.op = op
-	r.began = e.lane.Now()
-	r.stageBegan = e.lane.Now()
+	r.began = e.sim.Now()
+	r.stageBegan = e.sim.Now()
 	if cap(r.order) < len(op.Stages) {
 		r.order = make([][]mem.Addr, len(op.Stages))
 	} else {
@@ -416,7 +416,7 @@ func (e *SwapEngine) injectStorm(r *runningOp) {
 	}
 	for j := 0; j < n; j++ {
 		src := order[j]
-		e.lane.After(uint64(j)+1, func() { e.TryService(src, nil, stormSink) })
+		e.sim.After(uint64(j)+1, func() { e.TryService(src, nil, stormSink) })
 	}
 }
 
@@ -480,10 +480,10 @@ func (e *SwapEngine) readDone(l *opLine) {
 	// completion stamp (CompSwapBuf).
 	if ws, ok := r.waiters[l.src]; ok {
 		delete(r.waiters, l.src)
-		now := e.lane.Now()
+		now := e.sim.Now()
 		for _, w := range ws {
 			w.v.Take(attrib.CompSwapXfer, now)
-			e.lane.After(e.cfg.BufferLatency, w.fn)
+			e.sim.After(e.cfg.BufferLatency, w.fn)
 		}
 		e.putWs(ws)
 	}
@@ -515,7 +515,7 @@ func (e *SwapEngine) writeDone(r *runningOp) {
 }
 
 func (e *SwapEngine) finishStage(r *runningOp) {
-	now := e.lane.Now()
+	now := e.sim.Now()
 	if e.tracer != nil {
 		e.tracer.Complete("swap", fmt.Sprintf("stage-%d", r.stage),
 			obs.TracePidSwap, r.slot, r.stageBegan, now, "lines", uint64(len(r.order[r.stage])))
@@ -539,14 +539,14 @@ func (e *SwapEngine) finishStage(r *runningOp) {
 		e.putLine(l)
 	}
 	e.stats.OpsCompleted++
-	e.stats.OpCycles += e.lane.Now() - r.began
+	e.stats.OpCycles += e.sim.Now() - r.began
 	if e.tracer != nil {
 		label := r.op.Label
 		if label == "" {
 			label = "swap"
 		}
 		e.tracer.Complete("swap", label, obs.TracePidSwap, r.slot,
-			r.began, e.lane.Now(), "stages", uint64(len(r.op.Stages)))
+			r.began, e.sim.Now(), "stages", uint64(len(r.op.Stages)))
 	}
 	if len(r.waiters) != 0 {
 		// Every waiter registers on a src line of some stage, and every
@@ -591,7 +591,7 @@ func (e *SwapEngine) TryService(addr mem.Addr, v *attrib.Vector, done func()) bo
 	switch l.status {
 	case lineBuffered:
 		e.stats.BufHits++
-		e.lane.After(e.cfg.BufferLatency, done)
+		e.sim.After(e.cfg.BufferLatency, done)
 	case lineIssued:
 		e.stats.BufWaits++
 		e.addWaiter(r, src, v, done)

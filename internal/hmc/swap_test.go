@@ -37,7 +37,7 @@ func (ri *recordingIssuer) issue(addr mem.Addr, write bool, prio Priority, done 
 func testEngine(latency uint64) (*engine.Sim, *SwapEngine, *recordingIssuer) {
 	sim := engine.New()
 	ri := &recordingIssuer{sim: sim, latency: latency}
-	e := NewSwapEngine(sim.Lane(0), DefaultSwapEngineConfig(), ri.issue, nil)
+	e := NewSwapEngine(sim, DefaultSwapEngineConfig(), ri.issue, nil)
 	return sim, e, ri
 }
 
@@ -120,7 +120,7 @@ func TestStageBarrier(t *testing.T) {
 			}
 		})
 	}
-	e := NewSwapEngine(sim.Lane(0), DefaultSwapEngineConfig(), issue, nil)
+	e := NewSwapEngine(sim, DefaultSwapEngineConfig(), issue, nil)
 	op := &Op{
 		Stages: []Stage{
 			{{Src: 0, Dst: NoAddr, Bytes: mem.PageSize}},

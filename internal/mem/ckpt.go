@@ -16,7 +16,6 @@ import (
 // different page tables.
 func (o *OS) SnapshotDigest(w *ckpt.Writer) {
 	w.Section("mem.os")
-	w.Bool(o.sealed)
 	w.U64(uint64(o.alloc.nextDRAM))
 	w.U64(uint64(o.alloc.nextNVM))
 	w.Int(len(o.alloc.freeDRAM))
@@ -42,10 +41,6 @@ func (o *OS) SnapshotDigest(w *ckpt.Writer) {
 // SnapshotDigest, failing the reader on any mismatch.
 func (o *OS) VerifyDigest(r *ckpt.Reader) {
 	r.Section("mem.os")
-	if sealed := r.Bool(); sealed != o.sealed {
-		r.Failf("mem: snapshot sealed=%v, built sealed=%v", sealed, o.sealed)
-		return
-	}
 	if v := PPN(r.U64()); v != o.alloc.nextDRAM {
 		r.Failf("mem: snapshot nextDRAM %#x, built %#x", uint64(v), uint64(o.alloc.nextDRAM))
 		return

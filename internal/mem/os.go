@@ -13,9 +13,6 @@ type OS struct {
 	alloc *Allocator
 	store *tableStore
 	procs map[int]*AddressSpace
-
-	// sealed freezes the page tables (see Seal).
-	sealed bool
 }
 
 // NewOS creates an OS over the given address map. reserveDRAM frames of DRAM
@@ -94,17 +91,6 @@ func (e *WalkError) Error() string {
 
 func (e *WalkError) Unwrap() error { return e.Err }
 
-// errSealed is the WalkError cause for a first touch after Seal.
-var errSealed = fmt.Errorf("page tables sealed: first-touch mapping not allowed during a parallel run")
-
-// Seal freezes the page tables: WalkVA becomes a pure read of existing
-// mappings and a first touch panics with a *WalkError instead of mutating
-// the shared frame allocator. The parallel build seals after pre-touching
-// every footprint, so concurrent walks from per-core lanes are safe by
-// construction — any path that would have allocated fails deterministically
-// rather than racing.
-func (o *OS) Seal() { o.sealed = true }
-
 // WalkVA performs a software-visible translation for pid/va, mapping the
 // page (and any missing table levels) on first touch. The returned Walk
 // carries the physical entry addresses the hardware walker will read.
@@ -113,13 +99,6 @@ func (o *OS) WalkVA(pid int, va VAddr) Walk {
 	as, ok := o.procs[pid]
 	if !ok {
 		panic(&WalkError{PID: pid, VA: va})
-	}
-	if o.sealed {
-		w, ok := as.Lookup(va)
-		if !ok {
-			panic(&WalkError{PID: pid, VA: va, Err: errSealed})
-		}
-		return w
 	}
 	w, _, err := as.Touch(va)
 	if err != nil {

@@ -99,9 +99,9 @@ type job struct {
 
 // MemPod is the baseline manager.
 type MemPod struct {
-	lane *engine.Lane // shared back-end shard (lane 0)
-	ctl  *hmc.Controller
-	cfg  Config
+	sim *engine.Sim
+	ctl *hmc.Controller
+	cfg Config
 
 	remapCache *hmc.MetaCache
 	region     hmc.MetaRegion
@@ -131,7 +131,7 @@ type pendingMig struct {
 // New installs a MemPod manager on the controller.
 func New(ctl *hmc.Controller, cfg Config) *MemPod {
 	m := &MemPod{
-		lane:      ctl.Lane,
+		sim:       ctl.Sim,
 		ctl:       ctl,
 		cfg:       cfg,
 		fastSegs:  seg(ctl.Layout.DRAMBytes / SegmentBytes),
@@ -141,7 +141,7 @@ func New(ctl *hmc.Controller, cfg Config) *MemPod {
 		inflight:  make(map[seg]*job),
 	}
 	m.region = ctl.AllocMetaRegion(cfg.RemapTableBytes, 4)
-	m.remapCache = hmc.NewMetaCache(ctl.Lane, hmc.MetaCacheConfig{
+	m.remapCache = hmc.NewMetaCache(ctl.Sim, hmc.MetaCacheConfig{
 		Name: "MemPodRemap", Entries: cfg.RemapEntries, Ways: cfg.RemapWays,
 		HitLatency: cfg.RemapLatency, EntriesPerLine: 16, // 4B segment entries
 	}, m.region, ctl.IssueLine)
@@ -215,7 +215,7 @@ func (m *MemPod) HandleRequest(r *hmc.Request) {
 // first access past an interval boundary runs that boundary's migration
 // pass (with no traffic there is nothing to migrate, so laziness is exact).
 func (m *MemPod) observe(s seg) {
-	now := m.lane.Now()
+	now := m.sim.Now()
 	if m.lastTick == 0 {
 		m.lastTick = now
 	}
@@ -292,12 +292,12 @@ func (m *MemPod) migrate(pi int, s seg, hotSet map[seg]bool) bool {
 		m.ctl.IssueLine(m.region.EntryAddr(uint64(slot)), true, hmc.PrioSwap, nil)
 		m.remapCache.Prefetch(uint64(s))
 		if led := m.ctl.Ledger(); led != nil {
-			now := m.lane.Now()
+			now := m.sim.Now()
 			led.RemapCommitted(j.lid, now)
 			led.Evicted(uint64(displaced.base()), now)
 		}
 		if pm := m.ctl.PageMap(); pm != nil {
-			now := m.lane.Now()
+			now := m.sim.Now()
 			pm.Committed(j.pid, now)
 			pm.Evicted(uint64(displaced.base()), now)
 		}
@@ -312,7 +312,7 @@ func (m *MemPod) migrate(pi int, s seg, hotSet map[seg]bool) bool {
 	}
 	led := m.ctl.Ledger()
 	if led != nil {
-		now := m.lane.Now()
+		now := m.sim.Now()
 		dramB, nvmB := m.ctl.OpBytes(op)
 		j.lid = led.SwapStarted(uint64(s.base()), uint64(displaced.base()), true,
 			ledger.TrigRegular, now, now, dramB, nvmB)
@@ -320,7 +320,7 @@ func (m *MemPod) migrate(pi int, s seg, hotSet map[seg]bool) bool {
 	}
 	if pm := m.ctl.PageMap(); pm != nil {
 		j.pid = pm.SwapStarted(uint64(s.base()), uint64(displaced.base()), true,
-			ledger.TrigRegular, m.lane.Now())
+			ledger.TrigRegular, m.sim.Now())
 		op.PageMapID = j.pid
 	}
 	if !m.ctl.Engine.Start(op) {

@@ -23,7 +23,7 @@ func testConfig() Config {
 func testRig() (*engine.Sim, *hmc.Controller, *MemPod) {
 	sim := engine.New()
 	osm := mem.NewOS(mem.Map{DRAMBytes: 2 << 20, NVMBytes: 16 << 20}, 16)
-	ctl := hmc.NewController(sim.Lane(0), osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
+	ctl := hmc.NewController(sim, osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
 	m := New(ctl, testConfig())
 	return sim, ctl, m
 }

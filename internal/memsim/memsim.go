@@ -205,7 +205,7 @@ func (s *Stats) Add(o Stats) {
 
 // Module simulates one memory part (the DRAM or the NVM of the hybrid pair).
 type Module struct {
-	lane *engine.Lane // shared back-end shard (lane 0)
+	sim  *engine.Sim
 	cfg  Config
 	base mem.Addr
 	size uint64
@@ -223,7 +223,7 @@ type Module struct {
 }
 
 // New creates a module covering physical range [base, base+size).
-func New(lane *engine.Lane, cfg Config, base mem.Addr, size uint64) *Module {
+func New(sim *engine.Sim, cfg Config, base mem.Addr, size uint64) *Module {
 	if cfg.Channels <= 0 || cfg.BanksPerRank <= 0 || cfg.RanksPerChannel <= 0 {
 		panic("memsim: invalid geometry")
 	}
@@ -236,7 +236,7 @@ func New(lane *engine.Lane, cfg Config, base mem.Addr, size uint64) *Module {
 		cfg.ClockRatio = 1
 	}
 	m := &Module{
-		lane:            lane,
+		sim:             sim,
 		cfg:             cfg,
 		base:            base,
 		size:            size,
@@ -301,7 +301,7 @@ func (m *Module) completeReq(r *request) {
 	if v != nil {
 		v.AddUpTo(attrib.CompSwapXfer, swapShare)
 		v.AddUpTo(attrib.CompMemQ, queueWait-swapShare)
-		v.Take(m.cfg.Blame, m.lane.Now())
+		v.Take(m.cfg.Blame, m.sim.Now())
 	}
 	if done != nil {
 		done()
@@ -370,7 +370,7 @@ func (m *Module) QueueOccupancy() int {
 // how far ahead of now the busiest data bus is committed, a cheap proxy for
 // bandwidth saturation used by the Swap Driver heuristic.
 func (m *Module) Backlog() (queued int, busAhead uint64) {
-	now := m.lane.Now()
+	now := m.sim.Now()
 	for i := range m.chans {
 		queued += m.chans[i].queued()
 		if m.chans[i].busFree > now && m.chans[i].busFree-now > busAhead {
@@ -405,7 +405,7 @@ func (m *Module) AccessV(addr mem.Addr, write bool, prio Priority, v *attrib.Vec
 	r.bank, r.row = bk, row
 	r.write = write
 	r.prio = prio
-	r.arrival = m.lane.Now()
+	r.arrival = m.sim.Now()
 	r.seq = c.seq
 	c.seq++
 	r.done = done
@@ -535,7 +535,7 @@ func (m *Module) trySchedule(ch int) {
 	if c.queued() == 0 {
 		return
 	}
-	now := m.lane.Now()
+	now := m.sim.Now()
 	// Commit the next request tCAS before the bus frees so a row hit's
 	// data burst packs immediately behind the previous one.
 	if c.busFree > now+m.tCAS {
@@ -557,7 +557,7 @@ func (m *Module) armWake(c *channel, ch int, at uint64) {
 		return
 	}
 	c.wakeAt = at
-	m.lane.At(at, c.wakeFn)
+	m.sim.At(at, c.wakeFn)
 }
 
 // issue commits one request at its data-burst start time.
@@ -614,7 +614,7 @@ func (m *Module) issue(ch int, r *request, dataStart uint64) {
 	}
 
 	m.stats.TotalWait += dataEnd - r.arrival
-	m.lane.At(dataEnd, r.fireFn)
+	m.sim.At(dataEnd, r.fireFn)
 }
 
 // Promote raises a queued request for the given line to demand priority —

@@ -24,7 +24,7 @@ type loadLoop struct {
 // demand when i%demandEvery == 0 and swap otherwise.
 func newLoadLoop(cfg Config, depth, demandEvery int) *loadLoop {
 	sim := engine.New()
-	l := &loadLoop{sim: sim, m: New(sim.Lane(0), cfg, 0, 64<<20), x: 1}
+	l := &loadLoop{sim: sim, m: New(sim, cfg, 0, 64<<20), x: 1}
 	l.lines = uint64(cfg.Channels) * cfg.RowBytes / mem.LineSize * uint64(cfg.BanksPerRank*cfg.RanksPerChannel) * 4
 	l.refill = make([]func(), depth)
 	for i := range l.refill {

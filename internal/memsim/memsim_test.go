@@ -10,11 +10,11 @@ import (
 )
 
 func newDRAM(sim *engine.Sim) *Module {
-	return New(sim.Lane(0), DRAMConfig(), 0, 512<<20)
+	return New(sim, DRAMConfig(), 0, 512<<20)
 }
 
 func newNVM(sim *engine.Sim) *Module {
-	return New(sim.Lane(0), NVMConfig(), 512<<20, 4<<30)
+	return New(sim, NVMConfig(), 512<<20, 4<<30)
 }
 
 func TestSingleReadLatency(t *testing.T) {
@@ -71,7 +71,7 @@ func TestRowConflictReopensRow(t *testing.T) {
 	cfg.Channels = 1
 	cfg.RanksPerChannel = 1
 	cfg.BanksPerRank = 1
-	d := New(sim.Lane(0), cfg, 0, 64<<20)
+	d := New(sim, cfg, 0, 64<<20)
 	rowStride := mem.Addr(cfg.RowBytes) // next row, same (only) bank
 	var t1, t2 uint64
 	d.Access(0, false, PrioDemand, func() { t1 = sim.Now() })
@@ -90,7 +90,7 @@ func TestBankParallelismBeatsSameBank(t *testing.T) {
 	sim := engine.New()
 	cfg := DRAMConfig()
 	cfg.Channels = 1
-	d := New(sim.Lane(0), cfg, 0, 256<<20)
+	d := New(sim, cfg, 0, 256<<20)
 
 	// N conflicting accesses to the same bank, different rows.
 	sameBankDone := uint64(0)
@@ -103,7 +103,7 @@ func TestBankParallelismBeatsSameBank(t *testing.T) {
 
 	// Same count spread over different banks.
 	sim2 := engine.New()
-	d2 := New(sim2.Lane(0), cfg, 0, 256<<20)
+	d2 := New(sim2, cfg, 0, 256<<20)
 	spreadDone := uint64(0)
 	for i := 0; i < 4; i++ {
 		d2.Access(mem.Addr(cfg.RowBytes)*mem.Addr(i), false, PrioDemand, func() { spreadDone = sim2.Now() })
@@ -120,7 +120,7 @@ func TestNVMWriteRecoveryHurtsFollowingAccess(t *testing.T) {
 	cfg.Channels = 1
 	cfg.RanksPerChannel = 1
 	cfg.BanksPerRank = 1
-	n := New(sim.Lane(0), cfg, 0, 64<<20)
+	n := New(sim, cfg, 0, 64<<20)
 	// Write then a conflicting read to another row in the same bank: the
 	// precharge must wait out tWR (180 memory cycles).
 	var rdDone uint64
@@ -137,7 +137,7 @@ func TestDemandPriorityOverSwap(t *testing.T) {
 	sim := engine.New()
 	cfg := DRAMConfig()
 	cfg.Channels = 1
-	d := New(sim.Lane(0), cfg, 0, 256<<20)
+	d := New(sim, cfg, 0, 256<<20)
 	var order []string
 	// Enqueue many swap requests first, then one demand request; demand must
 	// be picked at the first scheduling opportunity after arrival.
@@ -190,7 +190,7 @@ func TestBacklogReflectsQueuedWork(t *testing.T) {
 	sim := engine.New()
 	cfg := DRAMConfig()
 	cfg.Channels = 1
-	d := New(sim.Lane(0), cfg, 0, 256<<20)
+	d := New(sim, cfg, 0, 256<<20)
 	for i := 0; i < 32; i++ {
 		d.Access(mem.Addr(i*64), false, PrioDemand, nil)
 	}
@@ -248,7 +248,7 @@ func TestBandwidthBoundProperty(t *testing.T) {
 		sim := engine.New()
 		cfg := DRAMConfig()
 		cfg.Channels = 1
-		d := New(sim.Lane(0), cfg, 0, 256<<20)
+		d := New(sim, cfg, 0, 256<<20)
 		k := 50
 		var last uint64
 		for i := 0; i < k; i++ {

@@ -16,7 +16,7 @@ import (
 // old code verbatim; the rest is the least that drives them (no record
 // pool, no blame vectors). TestSchedulerMatchesReference holds Module to it.
 type refModule struct {
-	lane *engine.Lane
+	sim  *engine.Sim
 	cfg  Config
 	base mem.Addr
 	size uint64
@@ -38,9 +38,9 @@ type refChannel struct {
 	wakeFn  func()
 }
 
-func newRef(lane *engine.Lane, cfg Config, base mem.Addr, size uint64) *refModule {
+func newRef(sim *engine.Sim, cfg Config, base mem.Addr, size uint64) *refModule {
 	m := &refModule{
-		lane:            lane,
+		sim:             sim,
 		cfg:             cfg,
 		base:            base,
 		size:            size,
@@ -159,7 +159,7 @@ func (m *refModule) trySchedule(ch int) {
 	if len(c.queue) == 0 {
 		return
 	}
-	now := m.lane.Now()
+	now := m.sim.Now()
 	if c.busFree > now+m.tCAS {
 		m.armWake(c, ch, c.busFree-m.tCAS)
 		return
@@ -179,7 +179,7 @@ func (m *refModule) armWake(c *refChannel, ch int, at uint64) {
 		return
 	}
 	c.wakeAt = at
-	m.lane.At(at, c.wakeFn)
+	m.sim.At(at, c.wakeFn)
 }
 
 func (m *refModule) issue(ch int, r *request, dataStart uint64) {
@@ -207,13 +207,13 @@ func (m *refModule) issue(ch int, r *request, dataStart uint64) {
 		}
 	}
 	m.stats.TotalWait += dataEnd - r.arrival
-	m.lane.At(dataEnd, r.done)
+	m.sim.At(dataEnd, r.done)
 }
 
 func (m *refModule) Access(addr mem.Addr, write bool, prio Priority, done func()) {
 	ch, _, _ := m.locate(mem.LineOf(addr))
 	c := &m.chans[ch]
-	c.queue = append(c.queue, &request{addr: mem.LineOf(addr), write: write, prio: prio, arrival: m.lane.Now(), done: done})
+	c.queue = append(c.queue, &request{addr: mem.LineOf(addr), write: write, prio: prio, arrival: m.sim.Now(), done: done})
 	if write {
 		m.stats.Writes++
 	} else {
@@ -376,8 +376,8 @@ func TestSchedulerMatchesReference(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/bypass%d-age%d-classless%d/seed%d", g.name, k.maxBypass, k.age, k.classlessEv, seed), func(t *testing.T) {
 					ops := genOps(rand.New(rand.NewSource(seed)), cfg, 2000)
 					refSim, liveSim := engine.New(), engine.New()
-					ref := newRef(refSim.Lane(0), cfg, 0, size)
-					live := New(liveSim.Lane(0), cfg, 0, size)
+					ref := newRef(refSim, cfg, 0, size)
+					live := New(liveSim, cfg, 0, size)
 					want, wantPeak := replay(refSim, ref, ref.burst, ops)
 					got, gotPeak := replay(liveSim, live, live.burst, ops)
 					if len(got) != len(want) {
@@ -418,7 +418,7 @@ func TestNonPowerOfTwoGeometryPanics(t *testing.T) {
 					t.Error("non-power-of-two geometry did not panic")
 				}
 			}()
-			New(engine.New().Lane(0), cfg, 0, 64<<20)
+			New(engine.New(), cfg, 0, 64<<20)
 		})
 	}
 }

@@ -13,7 +13,7 @@ func TestPromoteRaisesSwapRequest(t *testing.T) {
 	cfg.Channels = 1
 	cfg.SwapAgeLimit = 0 // no aging: promotion is the only escape
 	cfg.ClasslessEvery = 0
-	d := New(sim.Lane(0), cfg, 0, 256<<20)
+	d := New(sim, cfg, 0, 256<<20)
 
 	// Keep the channel busy with demand, then enqueue a swap read and
 	// promote it: it must complete before the later demand tail.
@@ -39,7 +39,7 @@ func TestClasslessSlotGuaranteesBackgroundShare(t *testing.T) {
 	cfg.Channels = 1
 	cfg.SwapAgeLimit = 0
 	cfg.ClasslessEvery = 4
-	d := New(sim.Lane(0), cfg, 0, 256<<20)
+	d := New(sim, cfg, 0, 256<<20)
 
 	// Saturating demand: a new demand request arrives forever (bounded),
 	// plus a batch of swap reads. Without the reserved slot the swaps
@@ -77,7 +77,7 @@ func TestAgingPromotesToMiddleClass(t *testing.T) {
 	cfg.Channels = 1
 	cfg.SwapAgeLimit = 100
 	cfg.ClasslessEvery = 0
-	d := New(sim.Lane(0), cfg, 0, 256<<20)
+	d := New(sim, cfg, 0, 256<<20)
 
 	done := false
 	d.Access(0x300000, false, PrioSwap, func() { done = true })

@@ -88,7 +88,7 @@ func (s *Stats) Add(o Stats) {
 // walk-state record with pre-bound continuations — so the TLB-hit fast path
 // and the walk ladder both run allocation-free in steady state.
 type MMU struct {
-	sim      *engine.Lane
+	sim      *engine.Sim
 	os       *mem.OS
 	core     int
 	pid      int
@@ -232,9 +232,7 @@ type transTxn struct {
 
 // New builds an MMU for (core, pid) whose walker reads page tables through
 // walkPort. hinter may be nil (no MMU->HMC signal, as in the baselines).
-// sim is the core's shard lane; under the epoch executor a hinter that
-// crosses shards must be portal-wrapped by the caller (see sim.Build).
-func New(sim *engine.Lane, osm *mem.OS, core, pid int, cfg Config, walkPort cache.Backend, hinter Hinter) *MMU {
+func New(sim *engine.Sim, osm *mem.OS, core, pid int, cfg Config, walkPort cache.Backend, hinter Hinter) *MMU {
 	m := &MMU{
 		sim:      sim,
 		os:       osm,

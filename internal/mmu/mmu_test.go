@@ -43,7 +43,7 @@ func testRig(t *testing.T, hinter Hinter) (*engine.Sim, *mem.OS, *MMU, *flatMem)
 	osm := mem.NewOS(mem.Map{DRAMBytes: 8 << 20, NVMBytes: 64 << 20}, 16)
 	osm.NewProcess(1)
 	fm := &flatMem{sim: sim, latency: 100}
-	m := New(sim.Lane(0), osm, 0, 1, DefaultConfig(), fm, hinter)
+	m := New(sim, osm, 0, 1, DefaultConfig(), fm, hinter)
 	return sim, osm, m, fm
 }
 
@@ -221,7 +221,7 @@ func TestTranslationCorrectnessProperty(t *testing.T) {
 		osm := mem.NewOS(mem.Map{DRAMBytes: 8 << 20, NVMBytes: 128 << 20}, 16)
 		osm.NewProcess(7)
 		fm := &flatMem{sim: sim, latency: 20}
-		m := New(sim.Lane(0), osm, 0, 7, DefaultConfig(), fm, nil)
+		m := New(sim, osm, 0, 7, DefaultConfig(), fm, nil)
 		as, _ := osm.Process(7)
 		ok := true
 		for i := 0; i < 200; i++ {

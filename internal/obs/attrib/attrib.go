@@ -25,9 +25,8 @@
 // per stamp site and zero allocations (pinned by TestZeroAllocDisabledAttrib,
 // part of the Makefile allocguard gate). Vectors are embedded in the pooled
 // continuation records, so even an attribution-on run allocates nothing per
-// request. A run is single-threaded per lane; the accumulators are per-core
-// and folded on the owning core's lane, so parallel (-jrun) runs need no
-// locking and stay byte-identical to serial ones.
+// request. A run is single-threaded, so the per-core accumulators need no
+// locking.
 package attrib
 
 import (
@@ -283,8 +282,7 @@ func New(cores int) *Attrib {
 }
 
 // Fold retires one request: its latency and blame vector fold into the
-// owning core's accumulator for the vector's class. Runs on the core's
-// lane, so parallel runs need no locking.
+// owning core's accumulator for the vector's class.
 func (a *Attrib) Fold(core int, v *Vector, now uint64) {
 	if a == nil {
 		return

@@ -90,9 +90,9 @@ type seg uint64 // global segment index (addr >> 11)
 
 // PoM is the baseline manager.
 type PoM struct {
-	lane *engine.Lane // shared back-end shard (lane 0)
-	ctl  *hmc.Controller
-	cfg  Config
+	sim *engine.Sim
+	ctl *hmc.Controller
+	cfg Config
 
 	src       *hmc.MetaCache
 	srcRegion hmc.MetaRegion
@@ -122,7 +122,7 @@ type job struct {
 // New installs a PoM manager on the controller.
 func New(ctl *hmc.Controller, cfg Config) *PoM {
 	p := &PoM{
-		lane:     ctl.Lane,
+		sim:      ctl.Sim,
 		ctl:      ctl,
 		cfg:      cfg,
 		fastSegs: seg(ctl.Layout.DRAMBytes / SegmentBytes),
@@ -132,7 +132,7 @@ func New(ctl *hmc.Controller, cfg Config) *PoM {
 		inflight: make(map[seg]*job),
 	}
 	p.srcRegion = ctl.AllocMetaRegion(cfg.RemapTableBytes, 4)
-	p.src = hmc.NewMetaCache(ctl.Lane, hmc.MetaCacheConfig{
+	p.src = hmc.NewMetaCache(ctl.Sim, hmc.MetaCacheConfig{
 		Name: "SRC", Entries: cfg.SRCEntries, Ways: cfg.SRCWays,
 		HitLatency: cfg.SRCLatency, EntriesPerLine: 16, // 4B group entries
 	}, p.srcRegion, ctl.IssueLine)
@@ -206,7 +206,7 @@ func (p *PoM) maybeDecay() {
 	if p.cfg.CounterDecayInterval == 0 {
 		return
 	}
-	now := p.lane.Now()
+	now := p.sim.Now()
 	for p.lastDecay+p.cfg.CounterDecayInterval <= now {
 		p.lastDecay += p.cfg.CounterDecayInterval
 		for s, c := range p.counters {
@@ -290,12 +290,12 @@ func (p *PoM) trySwap(s seg) {
 		p.src.Prefetch(uint64(fastSlot))
 		delete(p.counters, s)
 		if led := p.ctl.Ledger(); led != nil {
-			now := p.lane.Now()
+			now := p.sim.Now()
 			led.RemapCommitted(j.lid, now)
 			led.Evicted(uint64(displaced.base()), now)
 		}
 		if pm := p.ctl.PageMap(); pm != nil {
-			now := p.lane.Now()
+			now := p.sim.Now()
 			pm.Committed(j.pid, now)
 			pm.Evicted(uint64(displaced.base()), now)
 		}
@@ -309,7 +309,7 @@ func (p *PoM) trySwap(s seg) {
 	}
 	led := p.ctl.Ledger()
 	if led != nil {
-		now := p.lane.Now()
+		now := p.sim.Now()
 		dramB, nvmB := p.ctl.OpBytes(op)
 		j.lid = led.SwapStarted(uint64(s.base()), uint64(displaced.base()), true,
 			ledger.TrigRegular, now, now, dramB, nvmB)
@@ -317,7 +317,7 @@ func (p *PoM) trySwap(s seg) {
 	}
 	if pm := p.ctl.PageMap(); pm != nil {
 		j.pid = pm.SwapStarted(uint64(s.base()), uint64(displaced.base()), true,
-			ledger.TrigRegular, p.lane.Now())
+			ledger.TrigRegular, p.sim.Now())
 		op.PageMapID = j.pid
 	}
 	if !p.ctl.Engine.Start(op) {

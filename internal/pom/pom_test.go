@@ -24,7 +24,7 @@ func testConfig() Config {
 func testRig() (*engine.Sim, *hmc.Controller, *PoM) {
 	sim := engine.New()
 	osm := mem.NewOS(mem.Map{DRAMBytes: 2 << 20, NVMBytes: 16 << 20}, 16)
-	ctl := hmc.NewController(sim.Lane(0), osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
+	ctl := hmc.NewController(sim, osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
 	p := New(ctl, testConfig())
 	return sim, ctl, p
 }
@@ -151,7 +151,7 @@ func TestCounterDecay(t *testing.T) {
 	cfg.CounterDecayInterval = 1000
 	sim2 := engine.New()
 	osm := mem.NewOS(mem.Map{DRAMBytes: 2 << 20, NVMBytes: 16 << 20}, 16)
-	ctl2 := hmc.NewController(sim2.Lane(0), osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
+	ctl2 := hmc.NewController(sim2, osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
 	p2 := New(ctl2, cfg)
 	a := slowSeg(ctl2, 50)
 	for i := 0; i < int(cfg.K)-2; i++ {

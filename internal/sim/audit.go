@@ -28,12 +28,6 @@ func (s *System) CheckInvariants() error {
 	a := &check.Audit{}
 	a.Checkf(s.Sim.Pending() == 0,
 		"engine: %d event(s) still queued after drain", s.Sim.Pending())
-	// Cross-shard discipline under the epoch executor: no mis-sharded sends
-	// or calls during any parallel run, and no lane left holding an event
-	// older than a barrier cycle. Always empty in serial mode.
-	for _, v := range s.Sim.ShardViolations() {
-		a.Checkf(false, "engine: %s", v)
-	}
 
 	var memOps, l1Accesses uint64
 	for i, c := range s.Cores {

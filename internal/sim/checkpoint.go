@@ -150,8 +150,7 @@ func Restore(data []byte) (*System, error) {
 
 // snapshotGate refuses configurations whose runtime state lives outside the
 // serialized machine: attached observability sinks (timeline samples, trace
-// events, ledger records, attribution intervals), parallel execution lanes,
-// the audit watchdog, an armed fault injector (its RNG position is private),
+// events, ledger records, attribution intervals), the audit watchdog, an armed fault injector (its RNG position is private),
 // and unexported build hooks (custom managers, explicit PageSeer configs)
 // that a restored Build cannot reconstruct from the serialized Config alone.
 func (s *System) snapshotGate() error {
@@ -161,8 +160,6 @@ func (s *System) snapshotGate() error {
 		return errors.New("sim: snapshot with observability sinks attached is not supported")
 	case cfg.Obs.PageMap:
 		return errors.New("sim: snapshot with the pagemap attached is not supported (per-page table and pending-swap handles are not serialized)")
-	case cfg.Jrun > 1:
-		return errors.New("sim: snapshot of a parallel (Jrun>1) run is not supported")
 	case cfg.Audit:
 		return errors.New("sim: snapshot with the audit watchdog armed is not supported")
 	case cfg.Faults != (check.FaultPlan{}):

@@ -5,20 +5,8 @@ import (
 	"testing"
 )
 
-// ckptConfig is tinyConfig without the parallel-matrix Jrun override:
-// checkpoints are gated to serial runs, and the gate is tested separately.
-func ckptConfig(scheme Scheme, wl string) Config {
-	cfg := DefaultConfig()
-	cfg.Scheme = scheme
-	cfg.Workload = wl
-	cfg.InstrPerCore = 120_000
-	cfg.Warmup = 60_000
-	cfg.MaxCores = 2
-	return cfg
-}
-
 func ckptSampledConfig(scheme Scheme, wl string) Config {
-	cfg := ckptConfig(scheme, wl)
+	cfg := tinyConfig(scheme, wl)
 	cfg.Sample = 6
 	cfg.SampleWindow = 10_000
 	cfg.SampleWarmup = 5_000
@@ -60,7 +48,7 @@ func roundTrip(t *testing.T, cfg Config, stopAt int) Results {
 // byte-identical to the uninterrupted run.
 func TestCheckpointRoundTripDetailed(t *testing.T) {
 	for _, scheme := range ckptSchemes {
-		cfg := ckptConfig(scheme, "lbm")
+		cfg := tinyConfig(scheme, "lbm")
 		want := runOnce(t, cfg)
 		got := roundTrip(t, cfg, 0)
 		if !reflect.DeepEqual(want, got) {
@@ -87,7 +75,7 @@ func TestCheckpointRoundTripSampled(t *testing.T) {
 // TestCheckpointResumeInPlace verifies a paused system can also just keep
 // going in-process (pause is not destructive).
 func TestCheckpointResumeInPlace(t *testing.T) {
-	cfg := ckptConfig(SchemePageSeer, "GemsFDTD")
+	cfg := tinyConfig(SchemePageSeer, "GemsFDTD")
 	want := runOnce(t, cfg)
 	sys, err := Build(cfg)
 	if err != nil {
@@ -116,7 +104,6 @@ func TestSnapshotGates(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"jrun", func(c *Config) { c.Jrun = 4 }},
 		{"audit", func(c *Config) { c.Audit = true }},
 		{"ledger", func(c *Config) { c.Obs.Ledger = true }},
 		{"cpi", func(c *Config) { c.Obs.CPI = true }},
@@ -125,7 +112,7 @@ func TestSnapshotGates(t *testing.T) {
 		{"pagemap", func(c *Config) { c.Obs.PageMap = true }},
 	}
 	for _, tc := range cases {
-		cfg := ckptConfig(SchemeStatic, "lbm")
+		cfg := tinyConfig(SchemeStatic, "lbm")
 		tc.mut(&cfg)
 		sys, err := Build(cfg)
 		if err != nil {
@@ -140,7 +127,7 @@ func TestSnapshotGates(t *testing.T) {
 // TestSnapshotRefusesCorruption verifies a flipped byte anywhere in the
 // payload is caught by the integrity hash before any component decodes.
 func TestSnapshotRefusesCorruption(t *testing.T) {
-	cfg := ckptConfig(SchemeStatic, "lbm")
+	cfg := tinyConfig(SchemeStatic, "lbm")
 	sys, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +165,7 @@ func FuzzCheckpointQuiesce(f *testing.F) {
 			cfg = ckptSampledConfig(scheme, "lbm")
 			points = int(cfg.Sample) // pause points 0..Sample-1
 		} else {
-			cfg = ckptConfig(scheme, "lbm")
+			cfg = tinyConfig(scheme, "lbm")
 			points = 1
 		}
 		stopAt := int(pointSel) % points

@@ -20,7 +20,6 @@ func cpiConfig(scheme Scheme) Config {
 	cfg.InstrPerCore = 400_000
 	cfg.Warmup = 250_000
 	cfg.MaxCores = 4
-	cfg.Jrun = testJrun()
 	cfg.Obs.CPI = true
 	cfg.Audit = true // registers the blame-conservation audit
 	return cfg
@@ -166,35 +165,5 @@ func TestCPIMutationFailsAudit(t *testing.T) {
 	}
 	if !errors.Is(err, check.ErrAuditFailed) {
 		t.Fatalf("audit error does not wrap ErrAuditFailed: %v", err)
-	}
-}
-
-// TestCPIParallelDifferential: an attribution-on run must stay byte-identical
-// across intra-run parallelism — the stamps ride existing per-request call
-// sites and fold on the owning core's lane, so -jrun is still purely a
-// wall-clock knob. Under -race this also proves the accumulators share no
-// unsynchronised state across lanes.
-func TestCPIParallelDifferential(t *testing.T) {
-	run := func(jrun int) Results {
-		cfg := tinyConfig(SchemePageSeer, "GemsFDTD")
-		cfg.Jrun = jrun
-		cfg.Obs.CPI = true
-		sys, err := Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.Run()
-		if err != nil {
-			t.Fatalf("jrun=%d: %v", jrun, err)
-		}
-		return res
-	}
-	serial, parallel := run(1), run(4)
-	if serial.CPIStack.Total().Requests == 0 {
-		t.Fatal("no attributed requests")
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("jrun=1 and jrun=4 attribution runs diverged:\nserial:   %+v\nparallel: %+v",
-			serial.CPIStack, parallel.CPIStack)
 	}
 }

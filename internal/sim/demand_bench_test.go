@@ -49,22 +49,22 @@ func benchSystem(gen workload.Generator, footprint uint64) (*engine.Sim, *cpu.Co
 	osm := mem.NewOS(layout, layout.DRAMPages()/16)
 	sm := engine.New()
 	sm.Reserve(cpu.DefaultCoreConfig().MaxOutstanding*4 + 256)
-	ctl := hmc.NewController(sm.Lane(0), osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
+	ctl := hmc.NewController(sm, osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
 	hmc.NewStatic(ctl)
 
 	l3cfg := cache.L3Config()
 	l3cfg.SizeBytes = 64 << 10
-	l3 := cache.New(sm.Lane(0), l3cfg, ctl)
+	l3 := cache.New(sm, l3cfg, ctl)
 	l2cfg := cache.L2Config()
 	l2cfg.SizeBytes = 16 << 10
-	l2 := cache.New(sm.Lane(0), l2cfg, l3)
+	l2 := cache.New(sm, l2cfg, l3)
 	l1cfg := cache.L1Config()
 	l1cfg.SizeBytes = 4 << 10
-	l1 := cache.New(sm.Lane(0), l1cfg, l2)
+	l1 := cache.New(sm, l1cfg, l2)
 
 	osm.NewProcess(1)
-	m := mmu.New(sm.Lane(0), osm, 0, 1, mmu.DefaultConfig(), l2, nil)
-	c := cpu.NewCore(sm.Lane(0), 0, 1, cpu.DefaultCoreConfig(), m, l1, gen)
+	m := mmu.New(sm, osm, 0, 1, mmu.DefaultConfig(), l2, nil)
+	c := cpu.NewCore(sm, 0, 1, cpu.DefaultCoreConfig(), m, l1, gen)
 	for off := uint64(0); off < footprint; off += mem.PageSize {
 		osm.WalkVA(1, workload.VABase+mem.VAddr(off))
 	}

@@ -22,7 +22,6 @@ func TestEffectivenessSmoke(t *testing.T) {
 	cfg.InstrPerCore = 400_000
 	cfg.Warmup = 250_000
 	cfg.MaxCores = 4
-	cfg.Jrun = testJrun()
 	cfg.Obs.Ledger = true
 	cfg.Audit = true // registers the ledger's conservation audit
 	sys, err := Build(cfg)

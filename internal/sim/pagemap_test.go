@@ -21,7 +21,6 @@ func pagemapConfig(scheme Scheme) Config {
 	cfg.InstrPerCore = 400_000
 	cfg.Warmup = 250_000
 	cfg.MaxCores = 4
-	cfg.Jrun = testJrun()
 	cfg.Obs.PageMap = true
 	cfg.Audit = true // registers the pagemap conservation + residency audits
 	return cfg
@@ -175,35 +174,6 @@ func TestPageMapMutationFailsAudit(t *testing.T) {
 	}
 	if !errors.Is(err, check.ErrAuditFailed) {
 		t.Fatalf("audit error does not wrap ErrAuditFailed: %v", err)
-	}
-}
-
-// TestPageMapParallelDifferential: a pagemap-on run must stay byte-identical
-// across intra-run parallelism — the hooks ride existing per-request call
-// sites on the owning lane, so -jrun remains purely a wall-clock knob. Under
-// -race this also proves the table shares no unsynchronised state.
-func TestPageMapParallelDifferential(t *testing.T) {
-	run := func(jrun int) Results {
-		cfg := tinyConfig(SchemePageSeer, "GemsFDTD")
-		cfg.Jrun = jrun
-		cfg.Obs.PageMap = true
-		sys, err := Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.Run()
-		if err != nil {
-			t.Fatalf("jrun=%d: %v", jrun, err)
-		}
-		return res
-	}
-	serial, parallel := run(1), run(4)
-	if serial.PageMap.UniquePages == 0 {
-		t.Fatal("no pages tracked")
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("jrun=1 and jrun=4 pagemap runs diverged:\nserial:   %+v\nparallel: %+v",
-			serial.PageMap, parallel.PageMap)
 	}
 }
 

@@ -76,7 +76,7 @@ func (m *stuckManager) HandleRequest(r *hmc.Request) {
 	if m.fuse--; m.fuse < 0 {
 		if m.fuse == -1 { // first dropped request: start the idle heartbeat
 			var beat func()
-			beat = func() { m.ctl.Lane.After(1000, beat) }
+			beat = func() { m.ctl.Sim.After(1000, beat) }
 			beat()
 		}
 		return // drop the request: no completion, no progress

@@ -73,22 +73,6 @@ type Config struct {
 	// (Figure 11's ablation). Defaults to on for scheme "pageseer".
 	DisableBWOpt bool
 
-	// ForceHeapQueue routes every engine event through the overflow heap,
-	// bypassing the timing wheel. Scheduling-policy control for differential
-	// tests and the BenchmarkWheelVsHeap baseline: Results must be
-	// byte-identical with the knob on or off.
-	ForceHeapQueue bool
-
-	// Jrun is the intra-run parallelism: the number of execution contexts
-	// the epoch executor may use for one run (engine.EnableParallel). 0 or 1
-	// selects the serial engine — the untouched reference path. Higher
-	// values shard the machine into per-core lanes plus a shared lane and
-	// execute each cycle as a barrier-committed epoch; Results are
-	// byte-identical to the serial engine for every scheme (pinned by
-	// TestParallelVsSerialDifferentialSim), so Jrun is purely a wall-clock
-	// knob on multi-core hosts.
-	Jrun int
-
 	// Sample enables SMARTS-style sampled execution: the measured region
 	// (InstrPerCore per core) is divided into Sample equal strides, each
 	// opening with a SampleWarmup-instruction detailed warm-up (stats
@@ -152,6 +136,11 @@ type Config struct {
 	// customManager, when set (via BuildWithManager), installs a
 	// user-defined scheme instead of one of the named ones.
 	customManager ManagerFactory
+
+	// forceHeapQueue routes every engine event through the overflow heap,
+	// bypassing the timing wheel — the reference the wheel-vs-heap
+	// differential test compares against.
+	forceHeapQueue bool
 }
 
 // ObsOptions selects which observability sinks a run attaches. The zero
@@ -260,11 +249,8 @@ type System struct {
 	pm        *pagemap.PageMap
 	pmCleared bool
 
-	// doneCores counts cores that retired the current phase's budget. A
-	// core's completion callback may fire on its own lane under the epoch
-	// executor, so the counter is atomic (increments commute; the engine
-	// thread reads it only between epochs).
-	doneCores atomic.Int32
+	// doneCores counts cores that retired the current phase's budget.
+	doneCores int
 
 	// phase is the detailed schedule's resume cursor (0 = fresh, 1 = warm-up
 	// done); sc is the sampled schedule's (nil until runSampled starts). Both
@@ -361,31 +347,15 @@ func Build(cfg Config) (*System, error) {
 	osm := mem.NewOS(layout, reserve)
 
 	sm := engine.New()
-	if cfg.ForceHeapQueue {
+	if cfg.forceHeapQueue {
 		sm.DisableWheel()
-	}
-	// Shard layout for the epoch executor: lane 0 is the shared back end
-	// (L3, controller, swap engine, memory modules), lane i+1 is core i's
-	// front end (core, L1, L2, MMU). With Jrun <= 1 every component lands on
-	// lane 0 and the executor stays disarmed: the handles forward straight
-	// to the serial queue.
-	parallel := cfg.Jrun > 1
-	if parallel {
-		sm.EnableParallel(cfg.Jrun)
-	}
-	sharedLane := sm.Lane(0)
-	coreLane := func(i int) *engine.Lane {
-		if parallel {
-			return sm.Lane(i + 1)
-		}
-		return sharedLane
 	}
 	// Steady-state event concurrency: each in-flight memory op holds one
 	// event across its pipeline stages, plus per-channel wakeups and swap
 	// engine traffic. Reserving up front keeps append-growth out of the
 	// measured epoch.
 	sm.Reserve(nCores*cfg.CoreConfig.MaxOutstanding*4 + 256)
-	ctl := hmc.NewController(sharedLane, osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
+	ctl := hmc.NewController(sm, osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
 
 	sys := &System{Cfg: cfg, Sim: sm, OS: osm, Ctl: ctl}
 	sys.lat = &obs.LatencySet{}
@@ -453,7 +423,7 @@ func Build(cfg Config) (*System, error) {
 
 	l3cfg := cache.L3Config()
 	l3cfg.SizeBytes = scaleCache(l3cfg.SizeBytes, cfg.Scale, 64<<10)
-	sys.L3 = cache.New(sharedLane, l3cfg, ctl)
+	sys.L3 = cache.New(sm, l3cfg, ctl)
 
 	var hinter mmu.Hinter
 	if sys.PageSeer != nil || cfg.customManager != nil {
@@ -476,29 +446,14 @@ func Build(cfg Config) (*System, error) {
 	for i := 0; i < nCores; i++ {
 		pid := pids[i]
 		osm.NewProcess(pid)
-		lane := coreLane(i)
-		// The two seams where a core's shard calls synchronously into the
-		// shared back end — the L2's fetch/writeback port into the L3 and
-		// the MMU's hint wire into the controller — go through portals under
-		// the epoch executor: the call is recorded on the core's lane and
-		// replayed at the barrier in the originating event's (cycle, seq)
-		// position. Serial builds wire the components directly.
-		var l2Next cache.Backend = sys.L3
-		coreHinter := hinter
-		if parallel {
-			l2Next = newBackendPortal(lane, sys.L3)
-			if hinter != nil {
-				coreHinter = newHintPortal(lane, hinter)
-			}
-		}
 		l2cfg := cache.L2Config()
 		l2cfg.SizeBytes = scaleCache(l2cfg.SizeBytes, cfg.Scale, 16<<10)
-		l2 := cache.New(lane, l2cfg, l2Next)
+		l2 := cache.New(sm, l2cfg, sys.L3)
 		l1cfg := cache.L1Config()
 		l1cfg.SizeBytes = scaleCache(l1cfg.SizeBytes, cfg.Scale, 4<<10)
-		l1 := cache.New(lane, l1cfg, l2)
-		m := mmu.New(lane, osm, i, pid, mcfg, l2, coreHinter)
-		c := cpu.NewCore(lane, i, pid, cfg.CoreConfig, m, l1, gens[i])
+		l1 := cache.New(sm, l1cfg, l2)
+		m := mmu.New(sm, osm, i, pid, mcfg, l2, hinter)
+		c := cpu.NewCore(sm, i, pid, cfg.CoreConfig, m, l1, gens[i])
 		if sys.att != nil {
 			c.SetAttrib(sys.att)
 		}
@@ -506,12 +461,6 @@ func Build(cfg Config) (*System, error) {
 		sys.Cores = append(sys.Cores, c)
 	}
 	preTouch(osm, pids, feet)
-	if parallel {
-		// Every footprint page is mapped; freeze the page tables so a stray
-		// first-touch from a worker fails deterministically instead of
-		// racing on the shared frame allocator.
-		osm.Seal()
-	}
 	return sys, nil
 }
 
@@ -661,14 +610,14 @@ func (s *System) runPhaseOpt(instr uint64, drain bool) {
 	if instr == 0 {
 		return
 	}
-	s.doneCores.Store(0)
-	n := int32(len(s.Cores))
+	s.doneCores = 0
+	n := len(s.Cores)
 	for _, c := range s.Cores {
 		target := c.Stats().Instructions + instr
-		c.RunTo(target, func(*cpu.Core) { s.doneCores.Add(1) })
+		c.RunTo(target, func(*cpu.Core) { s.doneCores++ })
 	}
 	var steps uint64
-	for s.doneCores.Load() < n {
+	for s.doneCores < n {
 		if steps&abortCheckMask == 0 {
 			s.checkAbort()
 		}
@@ -822,10 +771,6 @@ func (s *System) RunToQuiesce(stop func(point int) bool) (Results, error) {
 }
 
 func (s *System) run(pause func(int) bool) (res Results, err error) {
-	// Stop the epoch executor's workers when the run ends (no-op when
-	// Cfg.Jrun <= 1 or they never started); the Sim stays armed, so a
-	// second Run restarts them lazily.
-	defer s.Sim.ReleaseWorkers()
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = Results{}, s.recoverRunError(p, debug.Stack())

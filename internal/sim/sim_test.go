@@ -16,7 +16,6 @@ func tinyConfig(scheme Scheme, wl string) Config {
 	cfg.InstrPerCore = 120_000
 	cfg.Warmup = 60_000
 	cfg.MaxCores = 2
-	cfg.Jrun = testJrun() // 4 under the PAGESEER_PARALLEL matrix, else serial
 	return cfg
 }
 

@@ -6,7 +6,6 @@ import (
 	"pageseer/internal/cache"
 	"pageseer/internal/cameo"
 	"pageseer/internal/core"
-	"pageseer/internal/engine"
 	"pageseer/internal/hmc"
 	"pageseer/internal/mempod"
 	"pageseer/internal/pom"
@@ -32,12 +31,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.CoreConfig.MaxOutstanding < 0 {
 		return fail(fmt.Errorf("core window %d is negative", cfg.CoreConfig.MaxOutstanding))
-	}
-	if cfg.Jrun < 0 {
-		return fail(fmt.Errorf("jrun %d is negative", cfg.Jrun))
-	}
-	if cfg.Jrun >= engine.MaxLanes {
-		return fail(fmt.Errorf("jrun %d exceeds the engine's %d-lane limit", cfg.Jrun, engine.MaxLanes))
 	}
 	if cfg.Sample > 0 {
 		if cfg.SampleWindow == 0 {

@@ -8,7 +8,7 @@ import (
 // TestWheelVsHeapDifferentialSim pins the timing wheel's fire order at full
 // system scale: campaign-style runs must produce identical Results — every
 // counter, cycle count, and latency histogram — with the wheel on (the
-// default) and off (ForceHeapQueue routes every event through the 4-ary
+// default) and off (forceHeapQueue routes every event through the 4-ary
 // overflow heap, the reference implementation). The grid covers all five
 // manager schemes so wheel/heap boundary crossings are exercised under every
 // event mix: swaps, metadata fetches, MMU hints, and decay timers.
@@ -33,7 +33,7 @@ func TestWheelVsHeapDifferentialSim(t *testing.T) {
 				cfg.InstrPerCore = 80_000
 				cfg.Warmup = 40_000
 				cfg.MaxCores = 2
-				cfg.ForceHeapQueue = forceHeap
+				cfg.forceHeapQueue = forceHeap
 				sys, err := Build(cfg)
 				if err != nil {
 					t.Fatal(err)

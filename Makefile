@@ -3,15 +3,19 @@
 
 GO ?= go
 
-.PHONY: tier1 vet build test race bench-test benchsmoke bench campaign-bench allocguard benchguard effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke ledger-overhead invariants chaos-smoke chaos resume-smoke fuzz-validate fuzz-checkpoint trace-demo
+.PHONY: tier1 fmt vet build test race bench-test benchsmoke bench campaign-bench allocguard benchguard effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke ledger-overhead invariants chaos-smoke chaos resume-smoke fuzz-validate trace-demo
 
-## tier1: the full pre-PR gate — vet, build, race-enabled tests, a
+## tier1: the full pre-PR gate — gofmt, vet, build, race-enabled tests, a
 ## one-shot figure-campaign smoke bench, the alloc-budget guards, the
 ## campaign-throughput regression gate, the swap-provenance effectiveness
 ## smoke, the cycle-attribution smoke, the address-space telemetry smoke,
 ## the sampled-execution accuracy/speedup gate, the invariant-audit gate, a
 ## fault-injection smoke run, and the kill-and-resume durability gate.
-tier1: vet build race bench-test benchsmoke allocguard benchguard effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke invariants chaos-smoke resume-smoke
+tier1: fmt vet build race bench-test benchsmoke allocguard benchguard effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke invariants chaos-smoke resume-smoke
+
+## fmt: fail if any tracked Go file is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 vet:
 	$(GO) vet ./...
@@ -149,12 +153,6 @@ resume-smoke:
 ## disagree with Build.
 fuzz-validate:
 	$(GO) test -run '^$$' -fuzz FuzzConfigValidate -fuzztime 20s ./internal/sim
-
-## fuzz-checkpoint: fuzz the checkpoint round-trip over (scheme, quiesce
-## point, sampled-mode) — a restored run must always reproduce the
-## uninterrupted run's Results exactly.
-fuzz-checkpoint:
-	$(GO) test -run '^$$' -fuzz FuzzCheckpointQuiesce -fuzztime 20s ./internal/sim
 
 ## trace-demo: produce a sample Perfetto trace + epoch timeline from a
 ## quick run (open trace-demo.json at https://ui.perfetto.dev).

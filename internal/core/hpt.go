@@ -146,8 +146,7 @@ func (h *HPT) evictColdest() {
 	var vc uint32 = ^uint32(0)
 	for p, c := range h.entries {
 		// Lowest-PPN tie-break: map iteration order is random, and a
-		// tie-dependent victim would make runs (and checkpoint round trips)
-		// nondeterministic.
+		// tie-dependent victim would make runs nondeterministic.
 		if c < vc || (c == vc && p < victim) {
 			victim, vc = p, c
 		}

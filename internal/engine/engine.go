@@ -440,32 +440,6 @@ func (s *Sim) RunUntil(cycle uint64) {
 	}
 }
 
-// ClockState returns the deterministic clock triple (current cycle, last
-// assigned sequence number, events fired) — everything a checkpoint must
-// carry so a restored engine assigns the exact same (cycle, seq) pairs, and
-// therefore the exact same fire order, as the uninterrupted run.
-func (s *Sim) ClockState() (now, seq, fire uint64) {
-	return s.now, s.seq, s.fire
-}
-
-// RestoreClock re-establishes a previously captured clock triple on an empty
-// engine. It panics if any events are queued: checkpoints are only taken at
-// quiesced points, so a non-empty queue means the caller restored into an
-// engine that already started scheduling. Armed tick/watchdog hooks are
-// re-baselined to the restored clock.
-func (s *Sim) RestoreClock(now, seq, fire uint64) {
-	if s.Pending() != 0 {
-		panic(fmt.Sprintf("engine: RestoreClock with %d event(s) pending", s.Pending()))
-	}
-	s.now, s.seq, s.fire = now, seq, fire
-	if s.tickFn != nil {
-		s.tickNext = now + s.tickEvery
-	}
-	if s.wdFn != nil {
-		s.wdNext = now + s.wdEvery
-	}
-}
-
 // Drain executes events until none remain. maxEvents bounds runaway
 // self-scheduling loops; Drain panics if exceeded (0 means no bound).
 func (s *Sim) Drain(maxEvents uint64) {

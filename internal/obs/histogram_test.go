@@ -33,7 +33,7 @@ func TestPercentileAgainstBruteForce(t *testing.T) {
 	distros := map[string]func() uint64{
 		"uniform-small": func() uint64 { return uint64(rng.Intn(500)) },
 		"uniform-large": func() uint64 { return uint64(rng.Int63n(1 << 40)) },
-		"heavy-tail":    func() uint64 { return uint64(100 / (1 + rng.Intn(99))) << uint(rng.Intn(20)) },
+		"heavy-tail":    func() uint64 { return uint64(100/(1+rng.Intn(99))) << uint(rng.Intn(20)) },
 		"constant":      func() uint64 { return 42 },
 		"zero-heavy": func() uint64 {
 			if rng.Intn(3) == 0 {

@@ -87,9 +87,9 @@ const maxStages = 2
 
 // Record is one swap's full causal chain.
 type Record struct {
-	ID     uint64 // 1-based, monotonically increasing across the run
-	Unit   uint64 // swap unit (addr >> unitShift) of the swapped-in data
-	Victim uint64 // unit of the displaced data, when VictimValid
+	ID          uint64 // 1-based, monotonically increasing across the run
+	Unit        uint64 // swap unit (addr >> unitShift) of the swapped-in data
+	Victim      uint64 // unit of the displaced data, when VictimValid
 	VictimValid bool
 	Trigger     Trigger
 

@@ -247,8 +247,7 @@ func (p *PoM) evictColdestCounter() {
 	var vc uint32 = ^uint32(0)
 	for s, c := range p.counters {
 		// Lowest-segment tie-break: map iteration order is random, and a
-		// tie-dependent victim would make runs (and checkpoint round trips)
-		// nondeterministic.
+		// tie-dependent victim would make runs nondeterministic.
 		if c < vc || (c == vc && s < victim) {
 			victim, vc = s, c
 		}

@@ -73,39 +73,11 @@ type SamplingStats struct {
 // estimate before any window has run.
 const ffCalibrationProbe = 2_000
 
-// sampleCursor is the sampled scheduler's loop state, hoisted out of
-// runSampled's locals so a paused run (RunToQuiesce) resumes mid-grid and a
-// checkpoint can carry it across processes. Every field either accumulates
-// monotonically across windows or is the index of the next window to
-// execute; all are updated only at quiesce points.
-type sampleCursor struct {
-	probeDone bool
-	window    uint64 // next window to execute
-	probe     uint64 // actual calibration-probe length (clamped)
-
-	// Swap-budget calibration accumulators (see ffGap).
-	calInstr  uint64
-	calCycles uint64
-	obsSwaps  uint64
-
-	ffTotal uint64 // fast-forwarded instructions per core so far
-	swaps   uint64 // region-wide swap count for the SwapsPerKI estimate
-
-	// Per-window IPC dispersion accumulators.
-	sumIPC  float64
-	sumIPC2 float64
-	minIPC  float64
-	maxIPC  float64
-
-	merged Results // windows folded so far (valid once window > 0)
-}
-
 // runSampled executes the sampled schedule. Panics are recovered by Run's
 // deferred handler; the watchdog (if armed) rides the detailed phases and
 // sees no ticks during fast-forward (the clock is frozen there, so a gap can
-// never look like a stall). pause, when non-nil, is consulted at every
-// fast-forward gap boundary (see RunToQuiesce).
-func (s *System) runSampled(pause func(int) bool) (Results, error) {
+// never look like a stall).
+func (s *System) runSampled() (Results, error) {
 	cfg := &s.Cfg
 	stride := cfg.InstrPerCore / cfg.Sample
 	var gap uint64
@@ -115,11 +87,6 @@ func (s *System) runSampled(pause func(int) bool) (Results, error) {
 		gap = stride - cfg.SampleWarmup - cfg.SampleWindow
 	}
 	nCores := uint64(len(s.Cores))
-	cur := s.sc
-	if cur == nil {
-		cur = &sampleCursor{minIPC: math.Inf(1), maxIPC: math.Inf(-1)}
-		s.sc = cur
-	}
 
 	// Fast-forward swap budget: each gap caps the free instant commits at
 	// the swap throughput the NVM bus could physically sustain over the
@@ -137,15 +104,16 @@ func (s *System) runSampled(pause func(int) bool) (Results, error) {
 	nvmCfg := memsim.NVMConfig()
 	swapsPerCycle := float64(nvmCfg.Channels) /
 		float64(nvmCfg.BurstMemCycles*nvmCfg.ClockRatio) / float64(2*mem.LinesPerPage)
+	var calInstr, calCycles, obsSwaps uint64
 	detailedPhase := func(n uint64, drain bool) {
 		if n == 0 {
 			return
 		}
 		i0, c0, w0 := s.totalInstructions(), s.Sim.Now(), s.completedSwaps()
 		s.runPhaseOpt(n, drain)
-		cur.calInstr += s.totalInstructions() - i0
-		cur.calCycles += s.Sim.Now() - c0
-		cur.obsSwaps += s.completedSwaps() - w0
+		calInstr += s.totalInstructions() - i0
+		calCycles += s.Sim.Now() - c0
+		obsSwaps += s.completedSwaps() - w0
 	}
 	// ffGap fast-forwards one gap under the structural swap budget, crediting
 	// the hot page tables with the gap's virtual time in quarter-gap chunks
@@ -161,8 +129,8 @@ func (s *System) runSampled(pause func(int) bool) (Results, error) {
 		}
 		budget := ^uint64(0)
 		ipc := 0.0
-		if cur.calInstr > 0 && cur.calCycles > 0 {
-			ipc = float64(cur.calInstr) / float64(cur.calCycles)
+		if calInstr > 0 && calCycles > 0 {
+			ipc = float64(calInstr) / float64(calCycles)
 			// The structural ceiling is the right cap, but once detailed
 			// phases have observed actual swap completions, their measured
 			// rate is the better estimate: it folds in everything that
@@ -172,8 +140,8 @@ func (s *System) runSampled(pause func(int) bool) (Results, error) {
 			// commit the whole trigger backlog early and hand later windows
 			// an unrealistically quiet machine.
 			rate := swapsPerCycle
-			if cur.obsSwaps > 0 {
-				if r := float64(cur.obsSwaps) / float64(cur.calCycles); r < rate {
+			if obsSwaps > 0 {
+				if r := float64(obsSwaps) / float64(calCycles); r < rate {
 					rate = r
 				}
 			}
@@ -192,25 +160,27 @@ func (s *System) runSampled(pause func(int) bool) (Results, error) {
 			s.fastForward(g)
 		}
 	}
-	if !cur.probeDone {
-		probe := uint64(ffCalibrationProbe)
-		if headroom := cfg.Warmup - cfg.SampleWarmup; probe > headroom {
-			probe = headroom
-		}
-		cur.probe = probe
-		detailedPhase(probe, true)
-		cur.probeDone = true
-		if pause != nil && pause(0) {
-			return Results{}, ErrPaused
-		}
+	probe := uint64(ffCalibrationProbe)
+	if headroom := cfg.Warmup - cfg.SampleWarmup; probe > headroom {
+		probe = headroom
 	}
+	detailedPhase(probe, true)
 
-	for w := cur.window; w < cfg.Sample; w++ {
+	var (
+		ffTotal uint64 // fast-forwarded instructions per core
+		swaps   uint64 // region-wide swap count for the SwapsPerKI estimate
+		sumIPC  float64
+		sumIPC2 float64
+		minIPC  = math.Inf(1)
+		maxIPC  = math.Inf(-1)
+		merged  Results
+	)
+	for w := uint64(0); w < cfg.Sample; w++ {
 		g := gap
 		if w == 0 {
-			g = cfg.Warmup - cfg.SampleWarmup - cur.probe
+			g = cfg.Warmup - cfg.SampleWarmup - probe
 		}
-		cur.ffTotal += g
+		ffTotal += g
 		var ffc0 uint64
 		if s.PageSeer != nil {
 			ffc0 = s.PageSeer.FFSwapCommits()
@@ -221,7 +191,7 @@ func (s *System) runSampled(pause func(int) bool) (Results, error) {
 			// fast-forward commits are real swap activity the sampled
 			// swap-rate estimate must include. Window 0's gap is the global
 			// warm-up, which the detailed reference excludes too.
-			cur.swaps += s.PageSeer.FFSwapCommits() - ffc0
+			swaps += s.PageSeer.FFSwapCommits() - ffc0
 		}
 		// Window 0's warm-up is the global warm-up's tail: drain it so the
 		// measured epoch opens on the same quiesced boundary the detailed
@@ -232,7 +202,7 @@ func (s *System) runSampled(pause func(int) bool) (Results, error) {
 		k0 := s.completedSwaps()
 		detailedPhase(cfg.SampleWarmup, w == 0)
 		if w > 0 {
-			cur.swaps += s.completedSwaps() - k0
+			swaps += s.completedSwaps() - k0
 		}
 		s.resetStats()
 		if w == 0 && s.Timeline != nil {
@@ -259,23 +229,18 @@ func (s *System) runSampled(pause func(int) bool) (Results, error) {
 		}
 		r := s.collect(start)
 		r.EventsFired = s.Sim.Fired() - firedStart
-		cur.swaps += s.completedSwaps()
+		swaps += s.completedSwaps()
 		ipc := r.IPC
-		cur.sumIPC += ipc
-		cur.sumIPC2 += ipc * ipc
-		cur.minIPC = math.Min(cur.minIPC, ipc)
-		cur.maxIPC = math.Max(cur.maxIPC, ipc)
+		sumIPC += ipc
+		sumIPC2 += ipc * ipc
+		minIPC = math.Min(minIPC, ipc)
+		maxIPC = math.Max(maxIPC, ipc)
 		if w == 0 {
-			cur.merged = r
+			merged = r
 		} else {
-			mergeWindow(&cur.merged, r)
-		}
-		cur.window = w + 1
-		if pause != nil && cur.window < cfg.Sample && pause(int(cur.window)) {
-			return Results{}, ErrPaused
+			mergeWindow(&merged, r)
 		}
 	}
-	merged := cur.merged
 	if cfg.Sample > 1 {
 		// Fast-forward the tail after the last window (the detailed schedule
 		// runs to InstrPerCore; the windows tile only up to the last window's
@@ -290,9 +255,9 @@ func (s *System) runSampled(pause func(int) bool) (Results, error) {
 				ffc0 = s.PageSeer.FFSwapCommits()
 			}
 			ffGap(tail)
-			cur.ffTotal += tail
+			ffTotal += tail
 			if s.PageSeer != nil {
-				cur.swaps += s.PageSeer.FFSwapCommits() - ffc0
+				swaps += s.PageSeer.FFSwapCommits() - ffc0
 				s.PageSeer.Finish()
 			}
 			// Every mid-run gap is followed by a resetStats before its
@@ -312,7 +277,7 @@ func (s *System) runSampled(pause func(int) bool) (Results, error) {
 		// extrapolation, so burstiness between windows does not alias into
 		// the estimate. With a single window the measured span is the whole
 		// region and collect's own rate already is the estimate.
-		merged.SwapsPerKI = float64(cur.swaps) / (float64(cfg.InstrPerCore*nCores) / 1000)
+		merged.SwapsPerKI = float64(swaps) / (float64(cfg.InstrPerCore*nCores) / 1000)
 	}
 	if err := s.Ctl.VerifyIntegrity(); err != nil {
 		return Results{}, s.failRun(fmt.Errorf("sim: integrity check failed after run: %w", err), nil)
@@ -324,8 +289,8 @@ func (s *System) runSampled(pause func(int) bool) (Results, error) {
 	}
 
 	n := float64(cfg.Sample)
-	mean := cur.sumIPC / n
-	variance := cur.sumIPC2/n - mean*mean
+	mean := sumIPC / n
+	variance := sumIPC2/n - mean*mean
 	if variance < 0 {
 		variance = 0 // float cancellation on near-identical windows
 	}
@@ -342,13 +307,13 @@ func (s *System) runSampled(pause func(int) bool) (Results, error) {
 		Windows:       cfg.Sample,
 		WindowInstr:   cfg.SampleWindow,
 		WarmupInstr:   cfg.SampleWarmup,
-		FastForwarded: cur.ffTotal * nCores,
-		Discarded:     (cfg.SampleWarmup*cfg.Sample + cur.probe) * nCores,
+		FastForwarded: ffTotal * nCores,
+		Discarded:     (cfg.SampleWarmup*cfg.Sample + probe) * nCores,
 		Extrapolation: extrap,
 		MeanIPC:       mean,
 		IPCCV:         cv,
-		MinIPC:        cur.minIPC,
-		MaxIPC:        cur.maxIPC,
+		MinIPC:        minIPC,
+		MaxIPC:        maxIPC,
 	}
 	return merged, nil
 }

@@ -252,13 +252,6 @@ type System struct {
 	// doneCores counts cores that retired the current phase's budget.
 	doneCores int
 
-	// phase is the detailed schedule's resume cursor (0 = fresh, 1 = warm-up
-	// done); sc is the sampled schedule's (nil until runSampled starts). Both
-	// advance only at quiesce points, so a paused run resumes — on this
-	// system or one rebuilt by Restore — exactly where it stopped.
-	phase int
-	sc    *sampleCursor
-
 	// abortFlag/abortReason implement cooperative cancellation: Abort may be
 	// called from any goroutine; the event loops poll the flag every few
 	// thousand steps and panic with an *abortError, which the usual recover
@@ -757,20 +750,7 @@ func (s *System) progress() uint64 {
 // and keep going. With Cfg.Audit set, a liveness watchdog rides the engine
 // clock during the run and CheckInvariants audits the quiesced system after
 // it; audit violations also surface as a *RunError.
-func (s *System) Run() (Results, error) { return s.run(nil) }
-
-// RunToQuiesce executes like Run but consults stop at every quiesce point —
-// a position where the event queue is provably empty and every component is
-// at rest (the warm-up/measurement boundary in detailed mode; fast-forward
-// gap boundaries in sampled mode; point indices count from 0 in schedule
-// order). When stop returns true the run pauses with ErrPaused: the system
-// may then be Snapshot, and the run resumes — on this system or on one
-// rebuilt by Restore — by calling Run or RunToQuiesce again.
-func (s *System) RunToQuiesce(stop func(point int) bool) (Results, error) {
-	return s.run(stop)
-}
-
-func (s *System) run(pause func(int) bool) (res Results, err error) {
+func (s *System) Run() (res Results, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = Results{}, s.recoverRunError(p, debug.Stack())
@@ -782,17 +762,11 @@ func (s *System) run(pause func(int) bool) (res Results, err error) {
 		defer s.Sim.SetWatchdog(0, nil)
 	}
 	if s.Cfg.Sample > 0 {
-		return s.runSampled(pause)
+		return s.runSampled()
 	}
-	if s.phase == 0 {
-		if s.Cfg.Warmup > 0 {
-			s.runPhase(s.Cfg.Warmup)
-			s.resetStats()
-		}
-		s.phase = 1
-		if pause != nil && pause(0) {
-			return Results{}, ErrPaused
-		}
+	if s.Cfg.Warmup > 0 {
+		s.runPhase(s.Cfg.Warmup)
+		s.resetStats()
 	}
 	if s.Timeline != nil {
 		// Arm after warm-up so samples cover exactly the measured epoch.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"pageseer/internal/hmc"
@@ -71,22 +72,20 @@ func TestStaticIsAllNeutral(t *testing.T) {
 	}
 }
 
+// TestDeterminism pins that a freshly built System reproduces the full
+// Results of an identical one, for every scheme in detailed and sampled mode.
 func TestDeterminism(t *testing.T) {
-	runOnce := func() Results {
-		sys, err := Build(tinyConfig(SchemePageSeer, "mix6"))
-		if err != nil {
-			t.Fatal(err)
+	for _, scheme := range []Scheme{SchemeStatic, SchemePageSeer, SchemePageSeerNoCorr, SchemePoM, SchemeMemPod, SchemeCAMEO} {
+		for _, sampled := range []bool{false, true} {
+			cfg := tinyConfig(scheme, "mix6")
+			if sampled {
+				cfg.Sample, cfg.SampleWindow, cfg.SampleWarmup = 6, 10_000, 5_000
+			}
+			a, b := runOnce(t, cfg), runOnce(t, cfg)
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("%s (sampled=%v): non-deterministic results:\n%+v\nvs\n%+v", scheme, sampled, a, b)
+			}
 		}
-		res, err := sys.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := runOnce(), runOnce()
-	if a.Cycles != b.Cycles || a.Instructions != b.Instructions ||
-		a.Ctl != b.Ctl || a.PS != b.PS {
-		t.Fatalf("non-deterministic results:\n%+v\nvs\n%+v", a, b)
 	}
 }
 

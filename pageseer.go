@@ -320,14 +320,6 @@ func DefaultFigureOptions() FigureOptions { return figures.DefaultOptions() }
 // QuickFigureOptions runs a reduced campaign for smoke checks and benches.
 func QuickFigureOptions() FigureOptions { return figures.QuickOptions() }
 
-// ErrPaused is returned by System.RunToQuiesce when the stop callback
-// halted the run at a quiesce point; System.Snapshot is valid there.
-var ErrPaused = sim.ErrPaused
-
-// Restore rebuilds a System from a System.Snapshot payload; continuing the
-// run produces Results byte-identical to the uninterrupted run.
-func Restore(data []byte) (*System, error) { return sim.Restore(data) }
-
 // Journal is the crash-safe campaign journal: completed runs append to it
 // (fsynced), and a resumed campaign replays them instead of re-executing.
 type Journal = figures.Journal

@@ -1,0 +1,80 @@
+package core
+
+import (
+	"testing"
+
+	"pageseer/internal/mem"
+)
+
+// evictLoop is a steady stream of leader changes from four pids over a
+// full 128-entry Filter: every pid cycles through more pages than the
+// Filter holds, so every new invocation evicts an entry, and the PCT
+// stops growing once each page has been seen.
+type evictLoop struct {
+	c    *Correlator
+	next [4]mem.PPN
+}
+
+func newEvictLoop(tb testing.TB) *evictLoop {
+	cfg := DefaultConfig()
+	if cfg.FilterEntries != 128 {
+		tb.Fatalf("FilterEntries = %d, want the 128 of Table II", cfg.FilterEntries)
+	}
+	l := &evictLoop{c: NewCorrelator(cfg, nil)}
+	l.run(4 * 512 * 2) // every page once: fills the Filter and the PCT
+	return l
+}
+
+// run issues n invocations, each a leader change that the default
+// two-miss debounce accepts.
+func (l *evictLoop) run(n int) {
+	for i := 0; i < n; i++ {
+		pid := i & 3
+		page := mem.PPN(pid)<<20 | l.next[pid]
+		l.next[pid] = (l.next[pid] + 1) & 511
+		l.c.OnMiss(pid+1, page)
+		l.c.OnMiss(pid+1, page)
+	}
+}
+
+func BenchmarkCorrelatorOnMissEvict(b *testing.B) {
+	l := newEvictLoop(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	l.run(b.N)
+}
+
+// TestZeroAllocCorrelator: steady-state OnMiss, evictions included,
+// recycles Filter entries and allocates nothing.
+func TestZeroAllocCorrelator(t *testing.T) {
+	l := newEvictLoop(t)
+	before := l.c.Stats().Writebacks
+	if allocs := testing.AllocsPerRun(10, func() { l.run(1_000) }); allocs != 0 {
+		t.Fatalf("steady-state OnMiss allocates %.1f times per 1000 invocations, want 0", allocs)
+	}
+	if l.c.Stats().Writebacks == before {
+		t.Fatal("the steady-state stream evicted nothing")
+	}
+}
+
+// BenchmarkPTECacheObtain: a 16-line PTE cache under a stream over 24
+// lines with fills that complete at once, so Obtain mixes hits with
+// misses that evict the least recently used line.
+func BenchmarkPTECacheObtain(b *testing.B) {
+	p := NewPTECache(16)
+	lines := make([]mem.Addr, 1024)
+	x := uint32(1)
+	for i := range lines {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		lines[i] = mem.Addr(x%24) * mem.LineSize
+	}
+	fetch := func(done func()) { done() }
+	ready := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Obtain(lines[i&1023], fetch, ready)
+	}
+}

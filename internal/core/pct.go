@@ -1,11 +1,6 @@
 package core
 
-import (
-	"cmp"
-	"slices"
-
-	"pageseer/internal/mem"
-)
+import "pageseer/internal/mem"
 
 // PCTEntry is the architectural content of one Page Correlation Table
 // entry (Figure 6): the per-invocation LLC-miss count of a leader page and
@@ -32,8 +27,22 @@ type filterEntry struct {
 	old    PCTEntry // snapshot brought in from the PCT
 	count  uint32   // misses observed this invocation
 	succ   [2]successor
-	lru    uint64
-	next   *filterEntry // free-list link while recycled
+	lru    uint64 // recency stamp; the LRU list keeps entries in lru order
+	// older/newer link the Filter's LRU list; next links the free list
+	// while the entry is recycled.
+	older, newer *filterEntry
+	next         *filterEntry
+}
+
+// leadState is one pid's current invocation: the leader page, and the
+// takeover candidate that debounces leadership changes
+// (cfg.LeaderDebounce): a page must miss that many times, without the
+// current leader reasserting itself in between, before it takes over.
+type leadState struct {
+	active  mem.PPN
+	hasLead bool
+	cand    mem.PPN
+	candN   uint32
 }
 
 // CorrelatorStats counts correlation activity.
@@ -50,18 +59,15 @@ type CorrelatorStats struct {
 // tracks the currently-flurrying pages and folds fresh counts back into the
 // PCT with history halving: new = current + old/2.
 type Correlator struct {
-	cfg     Config
-	pct     map[mem.PPN]PCTEntry
-	filter  map[mem.PPN]*filterEntry
-	active  map[int]mem.PPN // pid -> current leader
-	hasLead map[int]bool
-	// cand/candN debounce leadership changes (cfg.LeaderDebounce): a page
-	// must miss that many times, without the current leader reasserting
-	// itself in between, before it takes over the invocation.
-	cand  map[int]mem.PPN
-	candN map[int]uint32
-	tick  uint64
-	stats CorrelatorStats
+	cfg    Config
+	pct    map[mem.PPN]PCTEntry
+	filter map[mem.PPN]*filterEntry
+	// oldest/newest are the ends of the Filter's LRU list, so eviction
+	// finds its victim without scanning the table.
+	oldest, newest *filterEntry
+	leads          []leadState // indexed by pid, grown on demand
+	tick           uint64
+	stats          CorrelatorStats
 	// freeFE recycles filter entries: leader changes are per-flurry events
 	// in steady state, so allocating an entry per invocation would charge
 	// the demand path's allocation budget.
@@ -80,12 +86,17 @@ func NewCorrelator(cfg Config, onWriteback func(mem.PPN, bool)) *Correlator {
 		cfg:         cfg,
 		pct:         make(map[mem.PPN]PCTEntry),
 		filter:      make(map[mem.PPN]*filterEntry),
-		active:      make(map[int]mem.PPN),
-		hasLead:     make(map[int]bool),
-		cand:        make(map[int]mem.PPN),
-		candN:       make(map[int]uint32),
 		onWriteback: onWriteback,
 	}
+}
+
+// lead returns pid's leader state. Pids are small dense integers
+// (sim.Build numbers them 1..nCores), so a slice replaces a map.
+func (c *Correlator) lead(pid int) *leadState {
+	if pid >= len(c.leads) {
+		c.leads = append(c.leads, make([]leadState, pid+1-len(c.leads))...)
+	}
+	return &c.leads[pid]
 }
 
 // Stats returns a snapshot of the counters.
@@ -116,38 +127,39 @@ func (c *Correlator) PCTSize() int { return len(c.pct) }
 // miss starts a new invocation of page (the "first miss" that Section
 // III-C2 uses as the prefetch-swap trigger point).
 func (c *Correlator) OnMiss(pid int, page mem.PPN) (firstMiss bool) {
-	if c.hasLead[pid] && c.active[pid] == page {
+	l := c.lead(pid)
+	if l.hasLead && l.active == page {
 		// The leader reasserting itself dissolves any takeover candidate:
 		// stragglers from the next flurry jumbled into this one by the
 		// core's out-of-order window must not end the invocation.
-		c.candN[pid] = 0
+		l.candN = 0
 		fe := c.filter[page]
 		if fe != nil && fe.count < c.cfg.CounterMax {
 			fe.count++
 		}
 		return false
 	}
-	if c.hasLead[pid] && c.cfg.LeaderDebounce > 1 {
-		if c.candN[pid] == 0 || c.cand[pid] != page {
-			c.cand[pid] = page
-			c.candN[pid] = 1
+	if l.hasLead && c.cfg.LeaderDebounce > 1 {
+		if l.candN == 0 || l.cand != page {
+			l.cand = page
+			l.candN = 1
 			return false
 		}
-		c.candN[pid]++
-		if c.candN[pid] < c.cfg.LeaderDebounce {
+		l.candN++
+		if l.candN < c.cfg.LeaderDebounce {
 			return false
 		}
-		c.candN[pid] = 0
+		l.candN = 0
 	}
 
 	// Leader change: page follows the previous leader.
-	if c.hasLead[pid] {
-		if prev, ok := c.filter[c.active[pid]]; ok && prev.pid == pid {
+	if l.hasLead {
+		if prev, ok := c.filter[l.active]; ok && prev.pid == pid {
 			c.observeSuccessor(prev, page)
 		}
 	}
-	c.active[pid] = page
-	c.hasLead[pid] = true
+	l.active = page
+	l.hasLead = true
 	c.stats.Invocations++
 
 	fe, ok := c.filter[page]
@@ -204,26 +216,54 @@ func (c *Correlator) observeSuccessor(prev *filterEntry, succ mem.PPN) {
 	*s = successor{page: succ, n: 1, valid: true}
 }
 
+// touch stamps fe and moves it to the MRU end of the LRU list.
 func (c *Correlator) touch(fe *filterEntry) {
 	c.tick++
 	fe.lru = c.tick
+	if c.newest == fe {
+		return
+	}
+	c.unlink(fe)
+	fe.older = c.newest
+	if c.newest != nil {
+		c.newest.newer = fe
+	} else {
+		c.oldest = fe
+	}
+	c.newest = fe
 }
 
+// unlink takes fe out of the LRU list; an entry not yet on it is a no-op.
+func (c *Correlator) unlink(fe *filterEntry) {
+	if fe.older != nil {
+		fe.older.newer = fe.newer
+	} else if c.oldest == fe {
+		c.oldest = fe.newer
+	}
+	if fe.newer != nil {
+		fe.newer.older = fe.older
+	} else if c.newest == fe {
+		c.newest = fe.older
+	}
+	fe.older, fe.newer = nil, nil
+}
+
+// isLeader reports whether fe is its pid's current leader.
+func (c *Correlator) isLeader(fe *filterEntry) bool {
+	l := &c.leads[fe.pid]
+	return l.hasLead && l.active == fe.leader
+}
+
+// evictLRU writes back the least recently used entry that is not a
+// current leader, or the LRU entry itself when every entry leads. Each pid
+// has at most one current leader, so the walk visits at most #pids+1
+// entries.
 func (c *Correlator) evictLRU() {
-	var victim *filterEntry
-	for _, fe := range c.filter {
-		// Avoid evicting a currently-active leader while alternatives exist.
-		activeLeader := c.hasLead[fe.pid] && c.active[fe.pid] == fe.leader
-		if victim == nil {
+	victim := c.oldest
+	for fe := c.oldest; fe != nil; fe = fe.newer {
+		if !c.isLeader(fe) {
 			victim = fe
-			continue
-		}
-		victimActive := c.hasLead[victim.pid] && c.active[victim.pid] == victim.leader
-		switch {
-		case victimActive && !activeLeader:
-			victim = fe
-		case victimActive == activeLeader && fe.lru < victim.lru:
-			victim = fe
+			break
 		}
 	}
 	if victim != nil {
@@ -288,6 +328,7 @@ func (c *Correlator) writeback(fe *filterEntry) {
 	}
 	c.pct[fe.leader] = newEntry
 	delete(c.filter, fe.leader)
+	c.unlink(fe)
 	fe.next = c.freeFE
 	c.freeFE = fe
 	c.stats.Writebacks++
@@ -316,19 +357,10 @@ func (c *Correlator) effectiveChange(old, new PCTEntry) bool {
 
 // Flush writes every filter entry back to the PCT (end of simulation), least
 // recently used first. Each writeback reads the entries still in the Filter
-// (a follower's live count), so the order is part of the result: Go's map
-// order would make it vary from run to run.
+// (a follower's live count), so the order is part of the result.
 func (c *Correlator) Flush() {
-	fes := make([]*filterEntry, 0, len(c.filter))
-	for _, fe := range c.filter {
-		fes = append(fes, fe)
+	for c.oldest != nil {
+		c.writeback(c.oldest)
 	}
-	slices.SortFunc(fes, func(a, b *filterEntry) int { return cmp.Compare(a.lru, b.lru) })
-	for _, fe := range fes {
-		c.writeback(fe)
-	}
-	c.active = make(map[int]mem.PPN)
-	c.hasLead = make(map[int]bool)
-	c.cand = make(map[int]mem.PPN)
-	c.candN = make(map[int]uint32)
+	clear(c.leads)
 }

@@ -317,3 +317,115 @@ func TestFlushIsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// evictScanReference is the Filter's eviction rule written as a scan over
+// the whole table, the reference the LRU-list walk must match: the least
+// recently used entry that is not its pid's current leader, or the least
+// recently used entry when every entry leads.
+func evictScanReference(c *Correlator) *filterEntry {
+	leads := func(fe *filterEntry) bool {
+		l := c.leads[fe.pid]
+		return l.hasLead && l.active == fe.leader
+	}
+	var victim *filterEntry
+	for _, fe := range c.filter {
+		if victim == nil {
+			victim = fe
+			continue
+		}
+		switch feLeads, victimLeads := leads(fe), leads(victim); {
+		case victimLeads && !feLeads:
+			victim = fe
+		case victimLeads == feLeads && fe.lru < victim.lru:
+			victim = fe
+		}
+	}
+	return victim
+}
+
+// scanCorrelator drives a Correlator whose Filter never fills on its own
+// and replays, with evictScanReference, the eviction each insertion past
+// capacity would have made. The replay runs where OnMiss evicts: after the
+// leader change, with the new entry hidden from the Filter, so the
+// victim's fold sees the same table.
+type scanCorrelator struct {
+	*Correlator
+	capacity  int
+	fallbacks int // evictions that found every entry leading
+}
+
+func newScanCorrelator(cfg Config, onWriteback func(mem.PPN, bool)) *scanCorrelator {
+	capacity := cfg.FilterEntries
+	cfg.FilterEntries = 1 << 30
+	return &scanCorrelator{Correlator: NewCorrelator(cfg, onWriteback), capacity: capacity}
+}
+
+func (s *scanCorrelator) OnMiss(pid int, page mem.PPN) bool {
+	first := s.Correlator.OnMiss(pid, page)
+	if len(s.filter) > s.capacity {
+		fe := s.filter[page]
+		delete(s.filter, page)
+		victim := evictScanReference(s.Correlator)
+		if l := s.leads[victim.pid]; l.hasLead && l.active == victim.leader {
+			s.fallbacks++
+		}
+		s.writeback(victim)
+		s.filter[page] = fe
+	}
+	return first
+}
+
+type writebackRec struct {
+	leader    mem.PPN
+	effective bool
+}
+
+// TestEvictionMatchesScanReference: the LRU-list eviction picks exactly
+// the victim the full-table scan picks, skipping current leaders, so the
+// writeback sequence, the PCT and the stats match the scan's on random
+// multi-pid miss streams. The six-pid cases over a Filter of five or fewer
+// entries reach the fallback where every entry leads.
+func TestEvictionMatchesScanReference(t *testing.T) {
+	fallbacks := 0
+	for pids := 1; pids <= 6; pids++ {
+		for entries := 2; entries <= 8; entries++ {
+			for _, debounce := range []uint32{1, 2} {
+				cfg := DefaultConfig()
+				cfg.FilterEntries = entries
+				cfg.LeaderDebounce = debounce
+				var got, want []writebackRec
+				c := NewCorrelator(cfg, func(p mem.PPN, eff bool) { got = append(got, writebackRec{p, eff}) })
+				ref := newScanCorrelator(cfg, func(p mem.PPN, eff bool) { want = append(want, writebackRec{p, eff}) })
+				rng := rand.New(rand.NewSource(int64(pids*100 + entries*10 + int(debounce))))
+				last := make([]mem.PPN, pids+1)
+				universe := 2*entries + pids
+				for op := 0; op < 3000; op++ {
+					pid := 1 + rng.Intn(pids)
+					if rng.Intn(2) == 0 {
+						last[pid] = mem.PPN(rng.Intn(universe))
+					}
+					if c.OnMiss(pid, last[pid]) != ref.OnMiss(pid, last[pid]) {
+						t.Fatalf("pids=%d entries=%d debounce=%d op %d: first-miss verdicts differ", pids, entries, debounce, op)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("pids=%d entries=%d debounce=%d op %d: %d writebacks, reference %d", pids, entries, debounce, op, len(got), len(want))
+					}
+				}
+				c.Flush()
+				ref.Flush()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("pids=%d entries=%d debounce=%d: writeback order differs from the scan reference", pids, entries, debounce)
+				}
+				if !reflect.DeepEqual(c.pct, ref.pct) || c.Stats() != ref.Stats() {
+					t.Fatalf("pids=%d entries=%d debounce=%d: PCT or stats differ from the scan reference", pids, entries, debounce)
+				}
+				if pids > entries {
+					fallbacks += ref.fallbacks
+				}
+			}
+		}
+	}
+	if fallbacks == 0 {
+		t.Fatal("no eviction found every Filter entry leading; the fallback went untested")
+	}
+}

@@ -8,7 +8,7 @@ import "pageseer/internal/mem"
 // a >99% hit rate for those requests (Section V-B).
 type PTECache struct {
 	capacity int
-	lines    map[mem.Addr]uint64 // line -> lru stamp
+	lines    []pteLine // resident lines, at most capacity
 	pending  map[mem.Addr][]func()
 	tick     uint64
 
@@ -21,6 +21,12 @@ type PTECache struct {
 	hits        uint64
 	pendingHits uint64
 	misses      uint64
+}
+
+// pteLine is one resident line and its LRU stamp.
+type pteLine struct {
+	line  mem.Addr
+	stamp uint64
 }
 
 // pteFill is one in-flight fetch's completion continuation, pre-bound to a
@@ -75,7 +81,7 @@ func (p *PTECache) getWaiters() []func() {
 func NewPTECache(capacity int) *PTECache {
 	return &PTECache{
 		capacity: capacity,
-		lines:    make(map[mem.Addr]uint64),
+		lines:    make([]pteLine, 0, capacity),
 		pending:  make(map[mem.Addr][]func()),
 	}
 }
@@ -95,8 +101,18 @@ func (p *PTECache) Len() int { return len(p.lines) }
 
 // Contains reports residency without touching LRU.
 func (p *PTECache) Contains(line mem.Addr) bool {
-	_, ok := p.lines[mem.LineOf(line)]
-	return ok
+	return p.find(mem.LineOf(line)) >= 0
+}
+
+// find returns line's index in lines, or -1. The cache is a handful of
+// lines (16 in Table II), so a linear search beats hashing.
+func (p *PTECache) find(line mem.Addr) int {
+	for i := range p.lines {
+		if p.lines[i].line == line {
+			return i
+		}
+	}
+	return -1
 }
 
 // Pending reports whether a fetch for line is in flight.
@@ -112,9 +128,9 @@ func (p *PTECache) Pending(line mem.Addr) bool {
 // line without a new memory access.
 func (p *PTECache) Obtain(line mem.Addr, fetch func(done func()), ready func()) (servedFromCache bool) {
 	line = mem.LineOf(line)
-	if _, ok := p.lines[line]; ok {
+	if i := p.find(line); i >= 0 {
 		p.hits++
-		p.touch(line)
+		p.touch(i)
 		ready()
 		return true
 	}
@@ -130,24 +146,26 @@ func (p *PTECache) Obtain(line mem.Addr, fetch func(done func()), ready func()) 
 }
 
 func (p *PTECache) insert(line mem.Addr) {
-	if _, ok := p.lines[line]; ok {
-		p.touch(line)
-		return
-	}
-	if len(p.lines) >= p.capacity {
-		var victim mem.Addr
-		var oldest = ^uint64(0)
-		for l, stamp := range p.lines {
-			if stamp < oldest {
-				victim, oldest = l, stamp
+	i := p.find(line)
+	switch {
+	case i >= 0:
+	case len(p.lines) < max(p.capacity, 1):
+		i = len(p.lines)
+		p.lines = append(p.lines, pteLine{line: line})
+	default:
+		// Full: the new line takes the least recently used slot.
+		i = 0
+		for j := range p.lines {
+			if p.lines[j].stamp < p.lines[i].stamp {
+				i = j
 			}
 		}
-		delete(p.lines, victim)
+		p.lines[i].line = line
 	}
-	p.touch(line)
+	p.touch(i)
 }
 
-func (p *PTECache) touch(line mem.Addr) {
+func (p *PTECache) touch(i int) {
 	p.tick++
-	p.lines[line] = p.tick
+	p.lines[i].stamp = p.tick
 }

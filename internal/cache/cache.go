@@ -91,13 +91,6 @@ func L3Config() Config {
 	return Config{Name: "L3", SizeBytes: 8 << 20, Ways: 16, LatencyCycles: 32, AllowPTE: true}
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64 // larger = more recently used
-}
-
 // mshr tracks one outstanding miss. Records are pooled per cache with a
 // pre-bound fill closure, so a miss costs no allocation once the pool (and
 // each record's waiters array) has warmed to the cache's steady-state miss
@@ -115,6 +108,95 @@ type mshr struct {
 	vwaiters []*attrib.Vector
 	fillFn   func()
 	next     *mshr
+}
+
+// mshrTable finds the outstanding miss for a line: the simulator's stand-in
+// for the MSHR file's CAM. It is an open-addressed hash table of records
+// keyed by their line, with linear probing from a multiplicative-hash home
+// slot; nil marks an empty slot. It doubles at half load, so it is as
+// unbounded as the MSHR file it models, and deletion shifts later members of
+// the probe run back rather than leaving tombstones, so a get never probes
+// past slots that are only formerly occupied.
+type mshrTable struct {
+	slots []*mshr // power-of-two length once the first record arrives
+	shift uint    // 64 - log2(len(slots)): home is the hash's top bits
+	n     int     // live records
+}
+
+// mshrTableMin is the table's initial size in slots.
+const mshrTableMin = 16
+
+// home is the slot a line's probe run starts at: Fibonacci hashing of the
+// line number, whose top bits spread strided lines across the table.
+func (t *mshrTable) home(l mem.Addr) int {
+	return int((uint64(l) >> mem.LineShift) * 0x9e3779b97f4a7c15 >> t.shift)
+}
+
+// get returns the outstanding record for line l, or nil.
+func (t *mshrTable) get(l mem.Addr) *mshr {
+	if t.n == 0 {
+		return nil
+	}
+	mask := len(t.slots) - 1
+	for i := t.home(l); ; i = (i + 1) & mask {
+		if m := t.slots[i]; m == nil || m.line == l {
+			return m
+		}
+	}
+}
+
+// put adds m, whose line must not already be present.
+func (t *mshrTable) put(m *mshr) {
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow()
+	}
+	t.insert(m)
+	t.n++
+}
+
+func (t *mshrTable) insert(m *mshr) {
+	mask := len(t.slots) - 1
+	i := t.home(m.line)
+	for t.slots[i] != nil {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = m
+}
+
+func (t *mshrTable) grow() {
+	old := t.slots
+	size := 2 * len(old)
+	if size == 0 {
+		size = mshrTableMin
+	}
+	t.slots = make([]*mshr, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, m := range old {
+		if m != nil {
+			t.insert(m)
+		}
+	}
+}
+
+// del removes line l's record, which must be present. Each later member of
+// the probe run whose home does not lie cyclically in (hole, its slot]
+// moves back into the hole, so every remaining record stays reachable from
+// its home without crossing an empty slot.
+func (t *mshrTable) del(l mem.Addr) {
+	mask := len(t.slots) - 1
+	hole := t.home(l)
+	for t.slots[hole].line != l {
+		hole = (hole + 1) & mask
+	}
+	t.slots[hole] = nil
+	t.n--
+	for j := (hole + 1) & mask; t.slots[j] != nil; j = (j + 1) & mask {
+		m := t.slots[j]
+		if (j-t.home(m.line))&mask >= (j-hole)&mask {
+			t.slots[hole], t.slots[j] = m, nil
+			hole = j
+		}
+	}
 }
 
 // cacheTxn carries one access across this level's tag-lookup latency: the
@@ -162,22 +244,30 @@ type Cache struct {
 	next Backend
 	comp attrib.Component // blame component this level's lookup latency is charged to
 
-	sets    [][]line
+	// store is the tag store, one contiguous block of 2*ways words per
+	// set: the set's tag words, then its stamp words. A tag word holds
+	// tag+1, so 0 marks an invalid way and a lookup compares one word per
+	// way. A stamp word holds the way's recency stamp (larger = more
+	// recently used) shifted left one bit, with the dirty bit in bit 0:
+	// stamps are unique, so words order as their stamps do. A way is named
+	// by the index of its tag word; its stamp word sits ways words later.
+	store   []uint64
+	ways    int
 	nSets   uint64
 	setBits uint // log2(nSets); Validate guarantees nSets is a power of two
 	lruTick uint64
-	mshrs   map[mem.Addr]*mshr
+	mshrs   mshrTable
 	stats   Stats
 
 	// nextFunc caches the next-level FunctionalBackend assertion for the
 	// sampled fast-forward path; nil until first functional use.
 	nextFunc FunctionalBackend
-	// mru shortcuts the set scan for the common same-line streak in the
-	// functional path (the detailed path never reads it). It may go stale
-	// when the line is replaced; the tag/set re-check below makes staleness
-	// harmless, so it never needs invalidation.
-	mru    *line
-	mruSet uint64
+	// mru is the tag-store index of the way the functional path touched
+	// last (-1 when unset), shortcutting the set scan for the common
+	// same-line streak (the detailed path never reads it). It may go stale
+	// when the way is replaced; the set/tag re-check in AccessFunctional
+	// makes staleness harmless, so it never needs invalidation.
+	mru int
 
 	freeTxn  *cacheTxn
 	freeMSHR *mshr
@@ -193,21 +283,19 @@ func New(sim *engine.Sim, cfg Config, next Backend) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	nSets := cfg.SizeBytes / mem.LineSize / cfg.Ways
-	c := &Cache{
+	nLines := cfg.SizeBytes / mem.LineSize
+	nSets := nLines / cfg.Ways
+	return &Cache{
 		sim:     sim,
 		cfg:     cfg,
 		next:    next,
 		comp:    blameFor(cfg.Name),
+		store:   make([]uint64, 2*nLines),
+		ways:    cfg.Ways,
 		nSets:   uint64(nSets),
 		setBits: uint(bits.TrailingZeros64(uint64(nSets))),
-		mshrs:   make(map[mem.Addr]*mshr),
+		mru:     -1,
 	}
-	c.sets = make([][]line, nSets)
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
-	return c
 }
 
 // blameFor maps a level name to the cycle-accounting component its tag
@@ -230,20 +318,70 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-func (c *Cache) index(l mem.Addr) (set uint64, tag uint64) {
+// index splits a line address into the store index of its set's first
+// tag word and the stored tag (tag+1, never 0).
+func (c *Cache) index(l mem.Addr) (base int, want uint64) {
 	n := uint64(l) >> mem.LineShift
-	return n & (c.nSets - 1), n >> c.setBits
+	return int(n&(c.nSets-1)) * 2 * c.ways, n>>c.setBits + 1
 }
 
-func (c *Cache) lookup(l mem.Addr) *line {
-	set, tag := c.index(l)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
-			return ln
+// find returns the way holding want in the set at base, or -1.
+func (c *Cache) find(base int, want uint64) int {
+	for i, t := range c.store[base : base+c.ways] {
+		if t == want {
+			return base + i
 		}
 	}
-	return nil
+	return -1
+}
+
+func (c *Cache) lookup(l mem.Addr) int {
+	return c.find(c.index(l))
+}
+
+// victim picks the way an install into the set at base replaces: the first
+// invalid way, else the least recently used one. A way never filled has
+// stamp word 0 and a filled way a nonzero one, and stamps are unique, so
+// both cases are the first way holding the smallest stamp word.
+func (c *Cache) victim(base int) int {
+	stamps := c.store[base+c.ways : base+2*c.ways]
+	least := stamps[0]
+	for _, s := range stamps[1:] {
+		least = min(least, s)
+	}
+	v := 0
+	for stamps[v] != least {
+		v++
+	}
+	return base + v
+}
+
+// dirtyVictim returns the address of the line way v holds when that line
+// is dirty (a way never filled is clean), so installing line l over it must
+// write it back; ok is false otherwise. v lies in l's set.
+func (c *Cache) dirtyVictim(l mem.Addr, v int) (wb mem.Addr, ok bool) {
+	if c.store[v+c.ways]&1 == 0 {
+		return 0, false
+	}
+	set := uint64(l) >> mem.LineShift & (c.nSets - 1)
+	return mem.Addr(((c.store[v]-1)*c.nSets + set) << mem.LineShift), true
+}
+
+// touch makes way w the most recently used in its set, marking it dirty
+// on a write.
+func (c *Cache) touch(w int, write bool) {
+	c.lruTick++
+	d := c.store[w+c.ways] & 1
+	if write {
+		d = 1
+	}
+	c.store[w+c.ways] = c.lruTick<<1 | d
+}
+
+// fillWay writes a freshly installed line into way v.
+func (c *Cache) fillWay(v int, want uint64, dirty bool) {
+	c.store[v], c.store[v+c.ways] = want, 0
+	c.touch(v, dirty)
 }
 
 func (c *Cache) getTxn() *cacheTxn {
@@ -317,13 +455,9 @@ func (c *Cache) afterTagLookup(t *cacheTxn) {
 	// previous stamp, hit or miss alike (a miss still paid the lookup before
 	// the fetch below was issued).
 	meta.V.Take(c.comp, c.sim.Now())
-	if ln := c.lookup(l); ln != nil {
+	if w := c.lookup(l); w >= 0 {
 		c.stats.Hits++
-		c.lruTick++
-		ln.lru = c.lruTick
-		if write {
-			ln.dirty = true
-		}
+		c.touch(w, write)
 		if done != nil {
 			done()
 		}
@@ -333,7 +467,7 @@ func (c *Cache) afterTagLookup(t *cacheTxn) {
 	if meta.IsPTE {
 		c.stats.PTEMiss++
 	}
-	if m, ok := c.mshrs[l]; ok {
+	if m := c.mshrs.get(l); m != nil {
 		c.stats.MSHRMerges++
 		m.write = m.write || write
 		if done != nil {
@@ -349,7 +483,7 @@ func (c *Cache) afterTagLookup(t *cacheTxn) {
 	if done != nil {
 		m.waiters = append(m.waiters, done)
 	}
-	c.mshrs[l] = m
+	c.mshrs.put(m)
 	// Fetch the line from below. The fill installs it and releases waiters.
 	fetchMeta := meta
 	fetchMeta.Writeback = false
@@ -357,10 +491,10 @@ func (c *Cache) afterTagLookup(t *cacheTxn) {
 }
 
 func (c *Cache) fill(m *mshr) {
-	if got, ok := c.mshrs[m.line]; !ok || got != m {
+	if c.mshrs.get(m.line) != m {
 		panic(fmt.Sprintf("cache %s: fill for %#x without MSHR", c.cfg.Name, uint64(m.line)))
 	}
-	delete(c.mshrs, m.line)
+	c.mshrs.del(m.line)
 	c.install(m.line, m.write, m.meta)
 	// Mergers spent their whole wait parked in this MSHR while the creator's
 	// vector accumulated the downstream story; charge them the wait here.
@@ -380,26 +514,14 @@ func (c *Cache) fill(m *mshr) {
 }
 
 func (c *Cache) install(l mem.Addr, dirty bool, meta Meta) {
-	set, tag := c.index(l)
-	victim := &c.sets[set][0]
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if !ln.valid {
-			victim = ln
-			break
-		}
-		if ln.lru < victim.lru {
-			victim = ln
-		}
-	}
-	if victim.valid && victim.dirty {
+	base, want := c.index(l)
+	v := c.victim(base)
+	if victimAddr, ok := c.dirtyVictim(l, v); ok {
 		c.stats.Writebacks++
-		victimAddr := mem.Addr((victim.tag*c.nSets + set) << mem.LineShift)
 		wb := Meta{Core: meta.Core, PID: meta.PID, Writeback: true}
 		c.next.Access(victimAddr, true, wb, nil)
 	}
-	c.lruTick++
-	*victim = line{tag: tag, valid: true, dirty: dirty, lru: c.lruTick}
+	c.fillWay(v, want, dirty)
 }
 
 // FunctionalBackend is the no-event counterpart of Backend: service a line
@@ -420,25 +542,14 @@ func (c *Cache) AccessFunctional(addr mem.Addr, write bool, meta Meta) {
 	if meta.IsPTE && !c.cfg.AllowPTE {
 		panic(fmt.Sprintf("cache %s: PTE request reached a level that does not cache PTEs", c.cfg.Name))
 	}
-	set, tag := c.index(l)
-	ln := c.mru
-	if ln == nil || c.mruSet != set || !ln.valid || ln.tag != tag {
-		ln = nil
-		for i := range c.sets[set] {
-			w := &c.sets[set][i]
-			if w.valid && w.tag == tag {
-				ln = w
-				break
-			}
-		}
+	base, want := c.index(l)
+	w := c.mru
+	if w < base || w >= base+c.ways || c.store[w] != want {
+		w = c.find(base, want)
 	}
-	if ln != nil {
-		c.mru, c.mruSet = ln, set
-		c.lruTick++
-		ln.lru = c.lruTick
-		if write {
-			ln.dirty = true
-		}
+	if w >= 0 {
+		c.mru = w
+		c.touch(w, write)
 		return
 	}
 	fetchMeta := meta
@@ -465,41 +576,29 @@ func (c *Cache) functionalNext() FunctionalBackend {
 // the same victim choice, with dirty victims written back functionally so
 // lower-level dirty state matches what a detailed run would have produced.
 func (c *Cache) installFunctional(l mem.Addr, dirty bool, meta Meta) {
-	set, tag := c.index(l)
-	victim := &c.sets[set][0]
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if !ln.valid {
-			victim = ln
-			break
-		}
-		if ln.lru < victim.lru {
-			victim = ln
-		}
-	}
-	if victim.valid && victim.dirty {
-		victimAddr := mem.Addr((victim.tag*c.nSets + set) << mem.LineShift)
+	base, want := c.index(l)
+	v := c.victim(base)
+	if victimAddr, ok := c.dirtyVictim(l, v); ok {
 		wb := Meta{Core: meta.Core, PID: meta.PID, Writeback: true}
 		c.functionalNext().AccessFunctional(victimAddr, true, wb)
 	}
-	c.lruTick++
-	*victim = line{tag: tag, valid: true, dirty: dirty, lru: c.lruTick}
-	c.mru, c.mruSet = victim, set
+	c.fillWay(v, want, dirty)
+	c.mru = v
 }
 
 // Contains reports whether the line is currently resident (for tests).
 func (c *Cache) Contains(addr mem.Addr) bool {
-	return c.lookup(mem.LineOf(addr)) != nil
+	return c.lookup(mem.LineOf(addr)) >= 0
 }
 
 // OutstandingMisses returns the number of live MSHRs (for tests).
-func (c *Cache) OutstandingMisses() int { return len(c.mshrs) }
+func (c *Cache) OutstandingMisses() int { return c.mshrs.n }
 
 // Audit reports end-of-run invariant violations: a quiesced cache has no
 // outstanding MSHRs and every pooled record back on its free list.
 func (c *Cache) Audit(a *check.Audit) {
-	a.Checkf(len(c.mshrs) == 0,
-		"cache %s: %d MSHR(s) still outstanding at quiescence (leaked miss)", c.cfg.Name, len(c.mshrs))
+	a.Checkf(c.mshrs.n == 0,
+		"cache %s: %d MSHR(s) still outstanding at quiescence (leaked miss)", c.cfg.Name, c.mshrs.n)
 	a.Checkf(c.liveMSHR == 0,
 		"cache %s: %d pooled MSHR record(s) never returned", c.cfg.Name, c.liveMSHR)
 	a.Checkf(c.liveTxn == 0,

@@ -60,11 +60,12 @@ campaign-bench:
 ## path pays zero allocations with sinks disabled, (b) a disabled
 ## swap-provenance ledger is free on every hook, (c) the full demand
 ## path stays under its allocs-per-retired-instruction budget in steady
-## state, and (d) memsim scheduling, PageSeer's correlator and the cache
-## miss/fill path allocate nothing in steady state. Run without -race (race
-## instrumentation allocates and would false-fail).
+## state, and (d) memsim scheduling, PageSeer's correlator and Hot Page
+## Tables, the cache miss/fill path and the metadata caches allocate
+## nothing in steady state. Run without -race (race instrumentation
+## allocates and would false-fail).
 allocguard:
-	$(GO) test -run TestZeroAlloc -count=1 ./internal/obs ./internal/obs/ledger ./internal/obs/attrib ./internal/obs/pagemap ./internal/sim ./internal/memsim ./internal/core ./internal/cache
+	$(GO) test -run TestZeroAlloc -count=1 ./internal/obs ./internal/obs/ledger ./internal/obs/attrib ./internal/obs/pagemap ./internal/sim ./internal/memsim ./internal/core ./internal/cache ./internal/hmc
 
 ## benchguard: re-run the quick campaign and fail if per-run
 ## events_per_sec (geomean over the workload x scheme grid) regresses

@@ -54,7 +54,8 @@ type Config struct {
 }
 
 // Validate reports whether the geometry describes a buildable cache: a
-// positive size that divides evenly into a power-of-two number of sets.
+// positive size that divides evenly into a power-of-two number of sets of
+// at most MaxWays ways.
 // New panics on the same conditions (misconfigured construction inside the
 // simulator is a bug); Validate lets sim.Config.Validate surface the
 // diagnosis as an error before anything is built.
@@ -64,6 +65,9 @@ func (c Config) Validate() error {
 	}
 	if c.Ways <= 0 {
 		return fmt.Errorf("cache %s: %d ways is not positive", c.Name, c.Ways)
+	}
+	if c.Ways > MaxWays {
+		return fmt.Errorf("cache %s: %d ways exceeds the %d an LRU order word ranks", c.Name, c.Ways, MaxWays)
 	}
 	nLines := c.SizeBytes / mem.LineSize
 	if nLines%c.Ways != 0 {
@@ -244,18 +248,15 @@ type Cache struct {
 	next Backend
 	comp attrib.Component // blame component this level's lookup latency is charged to
 
-	// store is the tag store, one contiguous block of 2*ways words per
-	// set: the set's tag words, then its stamp words. A tag word holds
-	// tag+1, so 0 marks an invalid way and a lookup compares one word per
-	// way. A stamp word holds the way's recency stamp (larger = more
-	// recently used) shifted left one bit, with the dirty bit in bit 0:
-	// stamps are unique, so words order as their stamps do. A way is named
-	// by the index of its tag word; its stamp word sits ways words later.
+	// store is the tag store, one contiguous block of ways+2 words per
+	// set: the set's tag words, its LRU order word, then its dirty mask
+	// (bit i for way i). A tag word holds tag+1, so 0 marks an invalid way
+	// and a lookup compares one word per way. A way is named by the store
+	// index of its tag word.
 	store   []uint64
 	ways    int
 	nSets   uint64
 	setBits uint // log2(nSets); Validate guarantees nSets is a power of two
-	lruTick uint64
 	mshrs   mshrTable
 	stats   Stats
 
@@ -283,19 +284,23 @@ func New(sim *engine.Sim, cfg Config, next Backend) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	nLines := cfg.SizeBytes / mem.LineSize
-	nSets := nLines / cfg.Ways
-	return &Cache{
+	nSets := cfg.SizeBytes / mem.LineSize / cfg.Ways
+	c := &Cache{
 		sim:     sim,
 		cfg:     cfg,
 		next:    next,
 		comp:    blameFor(cfg.Name),
-		store:   make([]uint64, 2*nLines),
+		store:   make([]uint64, nSets*(cfg.Ways+2)),
 		ways:    cfg.Ways,
 		nSets:   uint64(nSets),
 		setBits: uint(bits.TrailingZeros64(uint64(nSets))),
 		mru:     -1,
 	}
+	order := uint64(NewLRU(cfg.Ways))
+	for base := 0; base < len(c.store); base += cfg.Ways + 2 {
+		c.store[base+cfg.Ways] = order
+	}
+	return c
 }
 
 // blameFor maps a level name to the cycle-accounting component its tag
@@ -322,7 +327,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 // tag word and the stored tag (tag+1, never 0).
 func (c *Cache) index(l mem.Addr) (base int, want uint64) {
 	n := uint64(l) >> mem.LineShift
-	return int(n&(c.nSets-1)) * 2 * c.ways, n>>c.setBits + 1
+	return int(n&(c.nSets-1)) * (c.ways + 2), n>>c.setBits + 1
 }
 
 // find returns the way holding want in the set at base, or -1.
@@ -339,49 +344,39 @@ func (c *Cache) lookup(l mem.Addr) int {
 	return c.find(c.index(l))
 }
 
-// victim picks the way an install into the set at base replaces: the first
-// invalid way, else the least recently used one. A way never filled has
-// stamp word 0 and a filled way a nonzero one, and stamps are unique, so
-// both cases are the first way holding the smallest stamp word.
+// victim picks the way an install into the set at base replaces: the
+// least recently used one, which is the first invalid way while the set
+// is not yet full (see NewLRU).
 func (c *Cache) victim(base int) int {
-	stamps := c.store[base+c.ways : base+2*c.ways]
-	least := stamps[0]
-	for _, s := range stamps[1:] {
-		least = min(least, s)
-	}
-	v := 0
-	for stamps[v] != least {
-		v++
-	}
-	return base + v
+	return base + LRU(c.store[base+c.ways]).Victim()
 }
 
-// dirtyVictim returns the address of the line way v holds when that line
-// is dirty (a way never filled is clean), so installing line l over it must
-// write it back; ok is false otherwise. v lies in l's set.
-func (c *Cache) dirtyVictim(l mem.Addr, v int) (wb mem.Addr, ok bool) {
-	if c.store[v+c.ways]&1 == 0 {
+// dirtyVictim returns the address of the line way v of the set at base
+// holds when that line is dirty (a way never filled is clean), so
+// installing line l over it must write it back; ok is false otherwise.
+func (c *Cache) dirtyVictim(l mem.Addr, base, v int) (wb mem.Addr, ok bool) {
+	if c.store[base+c.ways+1]>>(v-base)&1 == 0 {
 		return 0, false
 	}
 	set := uint64(l) >> mem.LineShift & (c.nSets - 1)
 	return mem.Addr(((c.store[v]-1)*c.nSets + set) << mem.LineShift), true
 }
 
-// touch makes way w the most recently used in its set, marking it dirty
-// on a write.
-func (c *Cache) touch(w int, write bool) {
-	c.lruTick++
-	d := c.store[w+c.ways] & 1
+// touch makes way w of the set at base the most recently used, marking it
+// dirty on a write.
+func (c *Cache) touch(base, w int, write bool) {
+	o := &c.store[base+c.ways]
+	*o = uint64(LRU(*o).Touch(w-base, c.ways))
 	if write {
-		d = 1
+		c.store[base+c.ways+1] |= 1 << (w - base)
 	}
-	c.store[w+c.ways] = c.lruTick<<1 | d
 }
 
-// fillWay writes a freshly installed line into way v.
-func (c *Cache) fillWay(v int, want uint64, dirty bool) {
-	c.store[v], c.store[v+c.ways] = want, 0
-	c.touch(v, dirty)
+// fillWay writes a freshly installed line into way v of the set at base.
+func (c *Cache) fillWay(base, v int, want uint64, dirty bool) {
+	c.store[v] = want
+	c.store[base+c.ways+1] &^= 1 << (v - base)
+	c.touch(base, v, dirty)
 }
 
 func (c *Cache) getTxn() *cacheTxn {
@@ -455,9 +450,10 @@ func (c *Cache) afterTagLookup(t *cacheTxn) {
 	// previous stamp, hit or miss alike (a miss still paid the lookup before
 	// the fetch below was issued).
 	meta.V.Take(c.comp, c.sim.Now())
-	if w := c.lookup(l); w >= 0 {
+	base, want := c.index(l)
+	if w := c.find(base, want); w >= 0 {
 		c.stats.Hits++
-		c.touch(w, write)
+		c.touch(base, w, write)
 		if done != nil {
 			done()
 		}
@@ -516,12 +512,12 @@ func (c *Cache) fill(m *mshr) {
 func (c *Cache) install(l mem.Addr, dirty bool, meta Meta) {
 	base, want := c.index(l)
 	v := c.victim(base)
-	if victimAddr, ok := c.dirtyVictim(l, v); ok {
+	if victimAddr, ok := c.dirtyVictim(l, base, v); ok {
 		c.stats.Writebacks++
 		wb := Meta{Core: meta.Core, PID: meta.PID, Writeback: true}
 		c.next.Access(victimAddr, true, wb, nil)
 	}
-	c.fillWay(v, want, dirty)
+	c.fillWay(base, v, want, dirty)
 }
 
 // FunctionalBackend is the no-event counterpart of Backend: service a line
@@ -549,7 +545,7 @@ func (c *Cache) AccessFunctional(addr mem.Addr, write bool, meta Meta) {
 	}
 	if w >= 0 {
 		c.mru = w
-		c.touch(w, write)
+		c.touch(base, w, write)
 		return
 	}
 	fetchMeta := meta
@@ -578,11 +574,11 @@ func (c *Cache) functionalNext() FunctionalBackend {
 func (c *Cache) installFunctional(l mem.Addr, dirty bool, meta Meta) {
 	base, want := c.index(l)
 	v := c.victim(base)
-	if victimAddr, ok := c.dirtyVictim(l, v); ok {
+	if victimAddr, ok := c.dirtyVictim(l, base, v); ok {
 		wb := Meta{Core: meta.Core, PID: meta.PID, Writeback: true}
 		c.functionalNext().AccessFunctional(victimAddr, true, wb)
 	}
-	c.fillWay(v, want, dirty)
+	c.fillWay(base, v, want, dirty)
 	c.mru = v
 }
 

@@ -189,7 +189,8 @@ func TestBadGeometryPanics(t *testing.T) {
 	for _, cfg := range []Config{
 		{Name: "x", SizeBytes: 4096, Ways: 0},
 		{Name: "y", SizeBytes: 4096 + 64, Ways: 2},
-		{Name: "z", SizeBytes: 3 * 64 * 2, Ways: 2}, // 3 sets, not pow2
+		{Name: "z", SizeBytes: 3 * 64 * 2, Ways: 2},   // 3 sets, not pow2
+		{Name: "w", SizeBytes: 2 * 64 * 32, Ways: 32}, // wider than an LRU order word
 	} {
 		func() {
 			defer func() { recover() }()

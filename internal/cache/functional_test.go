@@ -36,7 +36,7 @@ func tinyHierarchy(sim *engine.Sim, fm *fakeMem) [3]*Cache {
 //
 // Memory answers in zero cycles. With a slower memory the two paths part
 // ways by design: an L2 victim's writeback that misses L3 installs there
-// only after the fetch returns, so a later L3 hit can stamp its LRU first,
+// only after the fetch returns, so a later L3 hit can touch its LRU first,
 // while the functional path installs at once.
 //
 // The stream opens with the stale-MRU case: lines a, b and c share an L1

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"pageseer/internal/engine"
 	"pageseer/internal/mem"
 )
 
@@ -76,5 +77,52 @@ func BenchmarkPTECacheObtain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Obtain(lines[i&1023], fetch, ready)
+	}
+}
+
+// hptLoop touches a full 1,024-entry HPT (the Table II size) with pages it
+// has never seen, so every Touch evicts the coldest entry and inserts a
+// new one. Counts stay tied at 1, so each eviction takes the lowest-PPN
+// tie-break.
+type hptLoop struct {
+	h    *HPT
+	next mem.PPN
+}
+
+func newHPTLoop(tb testing.TB) *hptLoop {
+	cfg := DefaultConfig()
+	if cfg.HPTEntries != 1024 {
+		tb.Fatalf("HPTEntries = %d, want the 1024 of Table II", cfg.HPTEntries)
+	}
+	l := &hptLoop{h: NewHPT(engine.New(), 0, cfg.HPTEntries, cfg.CounterMax)}
+	l.run(cfg.HPTEntries)
+	return l
+}
+
+// run touches n new pages, scattered so consecutive PPNs are far apart.
+func (l *hptLoop) run(n int) {
+	for i := 0; i < n; i++ {
+		l.h.Touch(l.next * 0x9e3779b1 & (1<<40 - 1))
+		l.next++
+	}
+}
+
+func BenchmarkHPTTouchFull(b *testing.B) {
+	l := newHPTLoop(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	l.run(b.N)
+}
+
+// TestZeroAllocHPT: once full, a Touch that evicts and inserts allocates
+// nothing, and the table stays at capacity.
+func TestZeroAllocHPT(t *testing.T) {
+	l := newHPTLoop(t)
+	l.run(100_000)
+	if allocs := testing.AllocsPerRun(10, func() { l.run(1_000) }); allocs != 0 {
+		t.Fatalf("steady-state Touch allocates %.1f times per 1000 inserts, want 0", allocs)
+	}
+	if n := l.h.Len(); n != 1024 {
+		t.Fatalf("Len = %d after the stream, want the full 1024", n)
 	}
 }

@@ -22,12 +22,32 @@ type HPT struct {
 	interval   uint64
 	capacity   int
 	counterMax uint32
-	entries    map[mem.PPN]uint32
 	lastDecay  uint64
 
-	inserts   uint64
-	evictions uint64
-	decays    uint64
+	// idx holds each page's counter and heap slot. heap holds slot
+	// numbers as a binary min-heap on (key, PPN), where a slot's key is
+	// its page's counter as of its last placement in the heap. Touch
+	// raises only the counter, so the key may lag it; a full table
+	// refreshes lagging roots before it evicts, which makes the root the
+	// coldest entry, lowest PPN first among equal counts (a
+	// tie-independent choice keeps runs deterministic). Each slot records
+	// its heap position, so reordering the heap writes no map entry.
+	// free lists the slots no page holds.
+	idx   map[mem.PPN]hptEntry
+	slots []hptSlot
+	free  []int32
+	heap  []int32
+}
+
+type hptEntry struct {
+	count uint32
+	slot  int32
+}
+
+type hptSlot struct {
+	ppn mem.PPN
+	key uint32 // heap key: the counter when last placed, never above it
+	at  int32  // position in heap
 }
 
 // NewHPT builds an empty hot page table that halves counters every
@@ -38,7 +58,7 @@ func NewHPT(sim *engine.Sim, interval uint64, capacity int, counterMax uint32) *
 		interval:   interval,
 		capacity:   capacity,
 		counterMax: counterMax,
-		entries:    make(map[mem.PPN]uint32),
+		idx:        make(map[mem.PPN]hptEntry),
 	}
 }
 
@@ -49,20 +69,11 @@ func (h *HPT) maybeDecay() {
 	now := h.sim.Now()
 	for h.lastDecay+h.interval <= now {
 		h.lastDecay += h.interval
-		h.decays++
-		for p, c := range h.entries {
-			c /= 2
-			if c == 0 {
-				delete(h.entries, p)
-				continue
-			}
-			h.entries[p] = c
-		}
-		if len(h.entries) == 0 {
+		h.DecayOnce()
+		if len(h.heap) == 0 {
 			// Fast-forward across idle stretches.
 			remaining := (now - h.lastDecay) / h.interval
 			h.lastDecay += remaining * h.interval
-			h.decays += remaining
 			break
 		}
 	}
@@ -73,35 +84,48 @@ func (h *HPT) maybeDecay() {
 // fast-forward path uses it to model the decay intervals that elapse across
 // frozen-clock gaps; the lazy clock-keyed schedule resumes untouched when
 // detailed execution restarts.
+//
+// The survivors' keys are reset to their halved counts and re-heapified:
+// halving can also tie two counts that differed, which may leave a lower
+// PPN below a higher one.
 func (h *HPT) DecayOnce() {
-	for p, c := range h.entries {
-		c /= 2
-		if c == 0 {
-			delete(h.entries, p)
+	n := 0
+	for _, s := range h.heap {
+		p := h.slots[s].ppn
+		e := h.idx[p]
+		if e.count /= 2; e.count == 0 {
+			delete(h.idx, p)
+			h.free = append(h.free, s)
 			continue
 		}
-		h.entries[p] = c
+		h.idx[p] = e
+		h.slots[s].key = e.count
+		h.put(n, s)
+		n++
 	}
-	h.decays++
+	h.heap = h.heap[:n]
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 }
 
 // Len returns the number of live entries.
 func (h *HPT) Len() int {
 	h.maybeDecay()
-	return len(h.entries)
+	return len(h.heap)
 }
 
 // Count returns the counter for p (0 if absent).
 func (h *HPT) Count(p mem.PPN) uint32 {
 	h.maybeDecay()
-	return h.entries[p]
+	return h.idx[p].count
 }
 
 // Contains reports whether p has an entry — the DRAM HPT's "locked in
 // DRAM" predicate.
 func (h *HPT) Contains(p mem.PPN) bool {
 	h.maybeDecay()
-	_, ok := h.entries[p]
+	_, ok := h.idx[p]
 	return ok
 }
 
@@ -109,48 +133,148 @@ func (h *HPT) Contains(p mem.PPN) bool {
 // table is full, the coldest entry is evicted to make room.
 func (h *HPT) Touch(p mem.PPN) uint32 {
 	h.maybeDecay()
-	if c, ok := h.entries[p]; ok {
-		if c < h.counterMax {
-			c++
-			h.entries[p] = c
+	if e, ok := h.idx[p]; ok {
+		if e.count < h.counterMax {
+			e.count++ // the heap key catches up if the slot reaches the root
+			h.idx[p] = e
 		}
-		return c
+		return e.count
 	}
-	if len(h.entries) >= h.capacity {
-		h.evictColdest()
+	if len(h.heap) >= h.capacity && len(h.heap) > 0 {
+		// A root whose key lags its count sinks with its key refreshed.
+		// Once the root's key is current it is the coldest entry: every
+		// other entry's count is at least its key, which the heap orders
+		// after the root's.
+		for {
+			r := &h.slots[h.heap[0]]
+			c := h.idx[r.ppn].count
+			if r.key == c {
+				break
+			}
+			r.key = c
+			h.down(0)
+		}
+		// Evict the root: its slot takes the new page and sinks.
+		s := h.heap[0]
+		delete(h.idx, h.slots[s].ppn)
+		h.slots[s].ppn, h.slots[s].key = p, 1
+		h.idx[p] = hptEntry{count: 1, slot: s}
+		h.down(0)
+		return 1
 	}
-	h.entries[p] = 1
-	h.inserts++
+	h.insert(p, 1)
 	return 1
 }
 
 // Remove drops p's entry (used when a page changes residence).
-func (h *HPT) Remove(p mem.PPN) { delete(h.entries, p) }
+func (h *HPT) Remove(p mem.PPN) {
+	if e, ok := h.idx[p]; ok {
+		h.removeAt(int(h.slots[e.slot].at))
+	}
+}
 
 // Set overwrites p's counter (used to re-arm an edge trigger after the
 // Swap Driver declines a request).
 func (h *HPT) Set(p mem.PPN, v uint32) {
 	h.maybeDecay()
-	if v == 0 {
-		delete(h.entries, p)
-		return
+	e, ok := h.idx[p]
+	switch {
+	case v == 0:
+		if ok {
+			h.removeAt(int(h.slots[e.slot].at))
+		}
+	case !ok:
+		h.insert(p, min(v, h.counterMax))
+	default:
+		e.count = min(v, h.counterMax)
+		h.idx[p] = e
+		h.slots[e.slot].key = e.count
+		h.fix(int(h.slots[e.slot].at))
 	}
-	if v > h.counterMax {
-		v = h.counterMax
-	}
-	h.entries[p] = v
 }
 
-func (h *HPT) evictColdest() {
-	var victim mem.PPN
-	var vc uint32 = ^uint32(0)
-	for p, c := range h.entries {
-		// Lowest-PPN tie-break: map iteration order is random, and a
-		// tie-dependent victim would make runs nondeterministic.
-		if c < vc || (c == vc && p < victim) {
-			victim, vc = p, c
-		}
+// insert adds page p with counter c.
+func (h *HPT) insert(p mem.PPN, c uint32) {
+	var s int32
+	if n := len(h.free); n > 0 {
+		s = h.free[n-1]
+		h.free = h.free[:n-1]
+	} else {
+		s = int32(len(h.slots))
+		h.slots = append(h.slots, hptSlot{})
 	}
-	delete(h.entries, victim)
-	h.evictions++
+	h.slots[s] = hptSlot{ppn: p, key: c}
+	h.idx[p] = hptEntry{count: c, slot: s}
+	h.heap = append(h.heap, s)
+	h.up(len(h.heap) - 1)
+}
+
+// removeAt deletes the entry at heap position i, filling the position
+// with the last entry.
+func (h *HPT) removeAt(i int) {
+	s := h.heap[i]
+	delete(h.idx, h.slots[s].ppn)
+	h.free = append(h.free, s)
+	last := h.heap[len(h.heap)-1]
+	h.heap = h.heap[:len(h.heap)-1]
+	if i < len(h.heap) {
+		h.put(i, last)
+		h.fix(i)
+	}
+}
+
+// less orders slots by (key, PPN).
+func (h *HPT) less(a, b int32) bool {
+	x, y := &h.slots[a], &h.slots[b]
+	return x.key < y.key || x.key == y.key && x.ppn < y.ppn
+}
+
+// put places slot s at heap position i.
+func (h *HPT) put(i int, s int32) {
+	h.heap[i] = s
+	h.slots[s].at = int32(i)
+}
+
+// fix restores the heap order after the entry at i changed its key.
+func (h *HPT) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
+}
+
+// up raises the entry at i above any larger parent. Parents move down
+// into the hole it leaves, so each moved entry is written once.
+func (h *HPT) up(i int) {
+	s := h.heap[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(s, h.heap[parent]) {
+			break
+		}
+		h.put(i, h.heap[parent])
+		i = parent
+	}
+	h.put(i, s)
+}
+
+// down sinks the entry at i below any smaller child, moving children up
+// into the hole, and reports whether it moved.
+func (h *HPT) down(i int) bool {
+	s, start := h.heap[i], i
+	for {
+		c := 2*i + 1
+		if c >= len(h.heap) {
+			break
+		}
+		if r := c + 1; r < len(h.heap) && h.less(h.heap[r], h.heap[c]) {
+			c = r
+		}
+		if !h.less(h.heap[c], s) {
+			break
+		}
+		h.put(i, h.heap[c])
+		i = c
+	}
+	h.put(i, s)
+	return i > start
 }

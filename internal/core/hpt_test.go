@@ -137,3 +137,131 @@ func TestHPTDecayEquivalenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// scanHPT is the map-and-scan Hot Page Table the heap replaced, kept as
+// the reference: a full table evicts the entry with the smallest (count,
+// PPN), found by iterating the whole map.
+type scanHPT struct {
+	sim        *engine.Sim
+	interval   uint64
+	capacity   int
+	counterMax uint32
+	entries    map[mem.PPN]uint32
+	lastDecay  uint64
+}
+
+func (h *scanHPT) decayOnce() {
+	for p, c := range h.entries {
+		if c /= 2; c == 0 {
+			delete(h.entries, p)
+		} else {
+			h.entries[p] = c
+		}
+	}
+}
+
+func (h *scanHPT) maybeDecay() {
+	if h.interval == 0 {
+		return
+	}
+	now := h.sim.Now()
+	for h.lastDecay+h.interval <= now {
+		h.lastDecay += h.interval
+		h.decayOnce()
+		if len(h.entries) == 0 {
+			h.lastDecay += (now - h.lastDecay) / h.interval * h.interval
+			break
+		}
+	}
+}
+
+func (h *scanHPT) touch(p mem.PPN) uint32 {
+	h.maybeDecay()
+	if c, ok := h.entries[p]; ok {
+		if c < h.counterMax {
+			c++
+			h.entries[p] = c
+		}
+		return c
+	}
+	if len(h.entries) >= h.capacity {
+		var victim mem.PPN
+		vc := ^uint32(0)
+		for q, c := range h.entries {
+			if c < vc || (c == vc && q < victim) {
+				victim, vc = q, c
+			}
+		}
+		delete(h.entries, victim)
+	}
+	h.entries[p] = 1
+	return 1
+}
+
+func (h *scanHPT) set(p mem.PPN, v uint32) {
+	h.maybeDecay()
+	if v == 0 {
+		delete(h.entries, p)
+		return
+	}
+	h.entries[p] = min(v, h.counterMax)
+}
+
+// TestHPTMatchesScanReference drives the heap-ordered HPT and the
+// map-and-scan reference through the same random Touch, Set, Remove,
+// DecayOnce and clock-advance sequence. Few pages, a small table and a low
+// counter ceiling keep counts tied, so evictions hinge on the lowest-PPN
+// tie-break. Count, Contains and Len must agree after every operation.
+func TestHPTMatchesScanReference(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sim := engine.New()
+		interval := uint64(rng.Intn(3)) * 400 // 0 turns lazy decay off
+		capacity := rng.Intn(12) + 1
+		counterMax := uint32(rng.Intn(6) + 2)
+		h := NewHPT(sim, interval, capacity, counterMax)
+		ref := &scanHPT{sim: sim, interval: interval, capacity: capacity,
+			counterMax: counterMax, entries: map[mem.PPN]uint32{}}
+		pages := capacity*2 + 2
+		for op := 0; op < 3000; op++ {
+			p := mem.PPN(rng.Intn(pages))
+			desc := ""
+			switch k := rng.Intn(20); {
+			case k < 12:
+				if got, want := h.Touch(p), ref.touch(p); got != want {
+					t.Fatalf("seed %d op %d: Touch(%d) = %d, reference %d", seed, op, p, got, want)
+				}
+				desc = "Touch"
+			case k < 14:
+				v := uint32(rng.Intn(int(counterMax) + 3))
+				h.Set(p, v)
+				ref.set(p, v)
+				desc = "Set"
+			case k < 16:
+				h.Remove(p)
+				delete(ref.entries, p)
+				desc = "Remove"
+			case k < 17:
+				h.DecayOnce()
+				ref.decayOnce()
+				desc = "DecayOnce"
+			default:
+				sim.RunUntil(sim.Now() + uint64(rng.Intn(300)))
+				desc = "advance"
+			}
+			ref.maybeDecay()
+			if got, want := h.Len(), len(ref.entries); got != want {
+				t.Fatalf("seed %d op %d (%s): Len = %d, reference %d", seed, op, desc, got, want)
+			}
+			for q := mem.PPN(0); q < mem.PPN(pages); q++ {
+				want, in := ref.entries[q]
+				if got := h.Count(q); got != want {
+					t.Fatalf("seed %d op %d (%s): Count(%d) = %d, reference %d", seed, op, desc, q, got, want)
+				}
+				if got := h.Contains(q); got != in {
+					t.Fatalf("seed %d op %d (%s): Contains(%d) = %v, reference %v", seed, op, desc, q, got, in)
+				}
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package hmc
 import (
 	"fmt"
 
+	"pageseer/internal/cache"
 	"pageseer/internal/check"
 	"pageseer/internal/engine"
 	"pageseer/internal/mem"
@@ -60,6 +61,9 @@ func (c MetaCacheConfig) Validate() error {
 	if c.Ways <= 0 {
 		return fmt.Errorf("hmc: meta cache %s: %d ways is not positive", c.Name, c.Ways)
 	}
+	if c.Ways > cache.MaxWays {
+		return fmt.Errorf("hmc: meta cache %s: %d ways exceeds the %d an LRU order word ranks", c.Name, c.Ways, cache.MaxWays)
+	}
 	if c.Entries/c.Ways < 1 {
 		return fmt.Errorf("hmc: meta cache %s has %d entries < %d ways", c.Name, c.Entries, c.Ways)
 	}
@@ -89,13 +93,6 @@ func (s *MetaCacheStats) Add(o MetaCacheStats) {
 	s.WaitCycles += o.WaitCycles
 }
 
-type metaLine struct {
-	key   uint64
-	valid bool
-	dirty bool
-	lru   uint64
-}
-
 // MetaCache models an on-controller SRAM cache of a DRAM-resident metadata
 // table. Keys are entry indices into the backing table. A miss issues one
 // DRAM line read (and fills every entry the line carries); a dirty eviction
@@ -108,9 +105,14 @@ type MetaCache struct {
 	region MetaRegion
 	issue  IssueFunc
 
-	epl       uint64
-	sets      [][]metaLine
-	tick      uint64
+	epl  uint64
+	sets uint64
+	// store holds the entries, one block of ways+2 words per set: a key
+	// word per way (key+1, 0 = invalid), the set's LRU order word, then its
+	// dirty mask (bit i for way i). An entry is named by the store index of
+	// its key word.
+	store     []uint64
+	ways      int
 	pending   map[uint64][]func() // keyed by line index
 	freeTxn   *metaTxn
 	freeFetch *fetchTxn
@@ -226,11 +228,14 @@ func NewMetaCache(sim *engine.Sim, cfg MetaCacheConfig, region MetaRegion, issue
 		region:  region,
 		issue:   issue,
 		epl:     uint64(cfg.EntriesPerLine),
+		sets:    uint64(nSets),
+		store:   make([]uint64, nSets*(cfg.Ways+2)),
+		ways:    cfg.Ways,
 		pending: make(map[uint64][]func()),
 	}
-	c.sets = make([][]metaLine, nSets)
-	for i := range c.sets {
-		c.sets[i] = make([]metaLine, cfg.Ways)
+	order := uint64(cache.NewLRU(cfg.Ways))
+	for base := 0; base < len(c.store); base += cfg.Ways + 2 {
+		c.store[base+cfg.Ways] = order
 	}
 	return c
 }
@@ -239,10 +244,10 @@ func NewMetaCache(sim *engine.Sim, cfg MetaCacheConfig, region MetaRegion, issue
 func (c *MetaCache) Config() MetaCacheConfig { return c.cfg }
 
 // Sets returns the number of sets.
-func (c *MetaCache) Sets() int { return len(c.sets) }
+func (c *MetaCache) Sets() int { return int(c.sets) }
 
 // SetOf returns the set index key maps to.
-func (c *MetaCache) SetOf(key uint64) int { return int(key % uint64(len(c.sets))) }
+func (c *MetaCache) SetOf(key uint64) int { return int(key % c.sets) }
 
 // Stats returns a snapshot of the counters.
 func (c *MetaCache) Stats() MetaCacheStats { return c.stats }
@@ -250,18 +255,31 @@ func (c *MetaCache) Stats() MetaCacheStats { return c.stats }
 // lineKey groups adjacent table entries that share a DRAM line.
 func (c *MetaCache) lineKey(key uint64) uint64 { return key / c.epl }
 
-func (c *MetaCache) find(key uint64) *metaLine {
-	set := c.sets[c.SetOf(key)]
-	for i := range set {
-		if set[i].valid && set[i].key == key {
-			return &set[i]
+// base returns the store index of set's first key word.
+func (c *MetaCache) base(set int) int { return set * (c.ways + 2) }
+
+// findIn returns the entry holding key in the set at base, or -1.
+func (c *MetaCache) findIn(base int, key uint64) int {
+	for i, k := range c.store[base : base+c.ways] {
+		if k == key+1 {
+			return base + i
 		}
 	}
-	return nil
+	return -1
+}
+
+// find locates key: the store index of its set's block and of its entry
+// (-1 when absent).
+func (c *MetaCache) find(key uint64) (base, e int) {
+	base = c.base(c.SetOf(key))
+	return base, c.findIn(base, key)
 }
 
 // Present reports whether key is cached (no LRU update, no timing).
-func (c *MetaCache) Present(key uint64) bool { return c.find(key) != nil }
+func (c *MetaCache) Present(key uint64) bool {
+	_, e := c.find(key)
+	return e >= 0
+}
 
 // Access looks up key, modelling timing: after HitLatency, a hit calls done
 // immediately; a miss fetches the entry's line from DRAM first. dirty marks
@@ -283,14 +301,14 @@ func (c *MetaCache) AccessV(key uint64, dirty bool, v *attrib.Vector, done func(
 // lookStage resolves the SRAM probe. Hits release the record before the
 // callback; misses park it on the pending line fetch (fillStage releases).
 func (c *MetaCache) lookStage(t *metaTxn) {
-	if l := c.find(t.key); l != nil {
+	if base, e := c.find(t.key); e >= 0 {
 		// Thrash injection treats the hit as a miss WITHOUT invalidating the
 		// line (dropping a dirty line here would silently lose its
 		// writeback): the access takes the full fetch path and fillStage
 		// finds the entry already resident.
 		if c.inj == nil || !c.inj.ForceMetaMiss() {
 			c.stats.Hits++
-			c.touch(l, t.dirty)
+			c.touch(base, e, t.dirty)
 			t.v.Take(attrib.CompRemap, c.sim.Now())
 			done := t.done
 			c.putTxn(t)
@@ -311,8 +329,8 @@ func (c *MetaCache) lookStage(t *metaTxn) {
 
 func (c *MetaCache) fillStage(t *metaTxn) {
 	c.stats.WaitCycles += c.sim.Now() - t.start
-	if l := c.find(t.key); l != nil {
-		c.touch(l, t.dirty)
+	if base, e := c.find(t.key); e >= 0 {
+		c.touch(base, e, t.dirty)
 	}
 	// The demand request waited this whole interval on a metadata line
 	// fetch — the cost Figure 13 isolates for the PRTc.
@@ -327,7 +345,7 @@ func (c *MetaCache) fillStage(t *metaTxn) {
 // Prefetch fetches key into the cache without a waiter — the early PRTc/PCTc
 // loads PageSeer starts from MMU hints (Section V-B, third factor).
 func (c *MetaCache) Prefetch(key uint64) {
-	if c.find(key) != nil {
+	if c.Present(key) {
 		return
 	}
 	c.stats.Prefetches++
@@ -391,9 +409,7 @@ func (c *MetaCache) fetchDone(t *fetchTxn) {
 	lk := t.lk
 	c.putFetch(t)
 	// The fetched line carries every entry sharing it; install them all.
-	for k := lk * c.epl; k < (lk+1)*c.epl; k++ {
-		c.install(k)
-	}
+	c.installLine(lk, true)
 	ws := c.pending[lk]
 	delete(c.pending, lk)
 	for _, w := range ws {
@@ -402,29 +418,40 @@ func (c *MetaCache) fetchDone(t *fetchTxn) {
 	c.putWs(ws)
 }
 
-func (c *MetaCache) install(key uint64) {
-	if c.find(key) != nil {
+// installLine installs every entry of DRAM line lk that is not yet
+// resident. The line's keys are consecutive, so their sets are too: the
+// set index steps with the key instead of being recomputed. writeback
+// says whether a dirty victim is written back to the DRAM table (the
+// detailed path) or dropped (fast-forward, which has no bandwidth model
+// to charge it to).
+func (c *MetaCache) installLine(lk uint64, writeback bool) {
+	key := lk * c.epl
+	set := c.SetOf(key)
+	for end := key + c.epl; key < end; key++ {
+		c.install(c.base(set), key, writeback)
+		if set++; set == int(c.sets) {
+			set = 0
+		}
+	}
+}
+
+// install puts key into the set at base over its LRU entry unless it is
+// already resident.
+func (c *MetaCache) install(base int, key uint64, writeback bool) {
+	if c.findIn(base, key) >= 0 {
 		return
 	}
-	set := c.sets[c.SetOf(key)]
-	victim := &set[0]
-	for i := range set {
-		if !set[i].valid {
-			victim = &set[i]
-			break
-		}
-		if set[i].lru < victim.lru {
-			victim = &set[i]
-		}
-	}
-	if victim.valid && victim.dirty {
+	v := base + cache.LRU(c.store[base+c.ways]).Victim()
+	bit := uint64(1) << (v - base)
+	if writeback && c.store[base+c.ways+1]&bit != 0 {
 		// Write the evicted entry back to the DRAM table (change-bit
 		// behaviour: only dirty entries go back, Section III-C2).
 		c.stats.Writebacks++
-		c.issue(c.region.EntryAddr(victim.key), true, PrioSwap, nil)
+		c.issue(c.region.EntryAddr(c.store[v]-1), true, PrioSwap, nil)
 	}
-	c.tick++
-	*victim = metaLine{key: key, valid: true, lru: c.tick}
+	c.store[v] = key + 1
+	c.store[base+c.ways+1] &^= bit
+	c.touch(base, v, false)
 }
 
 // AccessFunctional warms residency for key with no timing, no events, and
@@ -433,50 +460,30 @@ func (c *MetaCache) install(key uint64) {
 // fetchDone would, with dirty-victim writebacks dropped silently — there is
 // no bandwidth model to charge them to during fast-forward.
 func (c *MetaCache) AccessFunctional(key uint64, dirty bool) {
-	if l := c.find(key); l != nil {
-		c.touch(l, dirty)
-		return
-	}
-	lk := c.lineKey(key)
-	for k := lk * c.epl; k < (lk+1)*c.epl; k++ {
-		c.installFunctional(k)
-	}
-	if l := c.find(key); l != nil {
-		c.touch(l, dirty)
-	}
-}
-
-func (c *MetaCache) installFunctional(key uint64) {
-	if c.find(key) != nil {
-		return
-	}
-	set := c.sets[c.SetOf(key)]
-	victim := &set[0]
-	for i := range set {
-		if !set[i].valid {
-			victim = &set[i]
-			break
-		}
-		if set[i].lru < victim.lru {
-			victim = &set[i]
+	base, e := c.find(key)
+	if e < 0 {
+		c.installLine(c.lineKey(key), false)
+		if e = c.findIn(base, key); e < 0 {
+			return
 		}
 	}
-	c.tick++
-	*victim = metaLine{key: key, valid: true, lru: c.tick}
+	c.touch(base, e, dirty)
 }
 
 // MarkDirty sets the dirty bit of a resident entry (no timing).
 func (c *MetaCache) MarkDirty(key uint64) {
-	if l := c.find(key); l != nil {
-		l.dirty = true
+	if base, e := c.find(key); e >= 0 {
+		c.store[base+c.ways+1] |= 1 << (e - base)
 	}
 }
 
-func (c *MetaCache) touch(l *metaLine, dirty bool) {
-	c.tick++
-	l.lru = c.tick
+// touch makes entry e of the set at base the most recently used, marking
+// it dirty if asked.
+func (c *MetaCache) touch(base, e int, dirty bool) {
+	o := &c.store[base+c.ways]
+	*o = uint64(cache.LRU(*o).Touch(e-base, c.ways))
 	if dirty {
-		l.dirty = true
+		c.store[base+c.ways+1] |= 1 << (e - base)
 	}
 }
 

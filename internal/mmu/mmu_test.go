@@ -185,9 +185,18 @@ func TestTLBPIDTagging(t *testing.T) {
 	if _, ok := tl.Lookup(2, 0x10); ok {
 		t.Fatal("TLB hit across PIDs")
 	}
-	tl.FlushPID(1)
-	if _, ok := tl.Lookup(1, 0x10); ok {
-		t.Fatal("entry survived FlushPID")
+}
+
+func TestNewTLBRejectsBadWays(t *testing.T) {
+	for _, ways := range []int{0, 17} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewTLB with %d ways did not panic", ways)
+				}
+			}()
+			NewTLB(TLBConfig{Entries: 64, Ways: ways, Latency: 1})
+		}()
 	}
 }
 

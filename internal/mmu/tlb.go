@@ -7,6 +7,9 @@
 package mmu
 
 import (
+	"fmt"
+
+	"pageseer/internal/cache"
 	"pageseer/internal/mem"
 )
 
@@ -30,33 +33,41 @@ type tlbEntry struct {
 	vpn   mem.VPN
 	ppn   mem.PPN
 	valid bool
-	lru   uint64
 }
 
 // TLB is a set-associative, PID-tagged translation cache.
 type TLB struct {
 	cfg     TLBConfig
-	sets    [][]tlbEntry
-	setMask uint64 // len(sets)-1 when a power of two, else 0 (use modulo)
-	tick    uint64
+	entries []tlbEntry  // set s holds entries[s*ways : (s+1)*ways]
+	order   []cache.LRU // each set's recency order
+	ways    int
+	setMask uint64 // len(order)-1 when a power of two, else 0 (use modulo)
 
 	hits   uint64
 	misses uint64
 }
 
-// NewTLB builds a TLB; entry count is rounded down to sets*ways.
+// NewTLB builds a TLB; entry count is rounded down to sets*ways. It panics
+// unless the TLB has between 1 and cache.MaxWays ways.
 func NewTLB(cfg TLBConfig) *TLB {
+	if cfg.Ways < 1 || cfg.Ways > cache.MaxWays {
+		panic(fmt.Sprintf("mmu: TLB with %d ways: want 1 to %d", cfg.Ways, cache.MaxWays))
+	}
 	nSets := cfg.Entries / cfg.Ways
 	if nSets < 1 {
 		nSets = 1
 	}
-	t := &TLB{cfg: cfg}
+	t := &TLB{
+		cfg:     cfg,
+		entries: make([]tlbEntry, nSets*cfg.Ways),
+		order:   make([]cache.LRU, nSets),
+		ways:    cfg.Ways,
+	}
 	if nSets&(nSets-1) == 0 {
 		t.setMask = uint64(nSets - 1)
 	}
-	t.sets = make([][]tlbEntry, nSets)
-	for i := range t.sets {
-		t.sets[i] = make([]tlbEntry, cfg.Ways)
+	for i := range t.order {
+		t.order[i] = cache.NewLRU(cfg.Ways)
 	}
 	return t
 }
@@ -65,26 +76,29 @@ func NewTLB(cfg TLBConfig) *TLB {
 func (t *TLB) Config() TLBConfig { return t.cfg }
 
 // Capacity returns the realised entry count (sets x ways).
-func (t *TLB) Capacity() int { return len(t.sets) * t.cfg.Ways }
+func (t *TLB) Capacity() int { return len(t.entries) }
 
 // Hits and Misses return lookup counters.
 func (t *TLB) Hits() uint64   { return t.hits }
 func (t *TLB) Misses() uint64 { return t.misses }
 
-func (t *TLB) set(vpn mem.VPN) []tlbEntry {
+// set returns the index of vpn's set and that set's entries.
+func (t *TLB) set(vpn mem.VPN) (int, []tlbEntry) {
+	var s int
 	if m := t.setMask; m != 0 {
-		return t.sets[uint64(vpn)&m]
+		s = int(uint64(vpn) & m)
+	} else {
+		s = int(uint64(vpn) % uint64(len(t.order)))
 	}
-	return t.sets[uint64(vpn)%uint64(len(t.sets))]
+	return s, t.entries[s*t.ways : (s+1)*t.ways]
 }
 
 // Lookup searches for (pid, vpn) and refreshes LRU on a hit.
 func (t *TLB) Lookup(pid int, vpn mem.VPN) (mem.PPN, bool) {
-	s := t.set(vpn)
+	set, s := t.set(vpn)
 	for i := range s {
 		if s[i].valid && s[i].pid == pid && s[i].vpn == vpn {
-			t.tick++
-			s[i].lru = t.tick
+			t.order[set] = t.order[set].Touch(i, t.ways)
 			t.hits++
 			return s[i].ppn, true
 		}
@@ -93,34 +107,17 @@ func (t *TLB) Lookup(pid int, vpn mem.VPN) (mem.PPN, bool) {
 	return 0, false
 }
 
-// Insert installs a translation, evicting the set's LRU entry if needed.
+// Insert installs a translation, refreshing (pid, vpn)'s entry in place
+// when it is resident and replacing the set's LRU entry otherwise.
 func (t *TLB) Insert(pid int, vpn mem.VPN, ppn mem.PPN) {
-	s := t.set(vpn)
-	victim := &s[0]
+	set, s := t.set(vpn)
+	w := t.order[set].Victim()
 	for i := range s {
 		if s[i].valid && s[i].pid == pid && s[i].vpn == vpn {
-			victim = &s[i] // refresh in place
+			w = i
 			break
 		}
-		if !s[i].valid {
-			victim = &s[i]
-			break
-		}
-		if s[i].lru < victim.lru {
-			victim = &s[i]
-		}
 	}
-	t.tick++
-	*victim = tlbEntry{pid: pid, vpn: vpn, ppn: ppn, valid: true, lru: t.tick}
-}
-
-// FlushPID invalidates all entries of one process (TLB shootdown).
-func (t *TLB) FlushPID(pid int) {
-	for i := range t.sets {
-		for j := range t.sets[i] {
-			if t.sets[i][j].pid == pid {
-				t.sets[i][j].valid = false
-			}
-		}
-	}
+	s[w] = tlbEntry{pid: pid, vpn: vpn, ppn: ppn, valid: true}
+	t.order[set] = t.order[set].Touch(w, t.ways)
 }

@@ -3,6 +3,8 @@ package sim
 import (
 	"strings"
 	"testing"
+
+	"pageseer/internal/core"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -23,6 +25,11 @@ func TestConfigValidate(t *testing.T) {
 		{"flap knobs without pagemap", func(c *Config) { c.Obs.PageMapFlapK = 4 }, "pagemap"},
 		{"flap window without pagemap", func(c *Config) { c.Obs.PageMapFlapWindow = 500_000 }, "pagemap"},
 		{"negative flap threshold", func(c *Config) { c.Obs.PageMap = true; c.Obs.PageMapFlapK = -1 }, "flap"},
+		{"PRTc wider than an LRU order word", func(c *Config) {
+			p := core.DefaultConfig()
+			p.PRTcWays = 32
+			c.pageSeerCfg = &p
+		}, "32 ways"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()

@@ -61,11 +61,12 @@ campaign-bench:
 ## swap-provenance ledger is free on every hook, (c) the full demand
 ## path stays under its allocs-per-retired-instruction budget in steady
 ## state, and (d) memsim scheduling, PageSeer's correlator and Hot Page
-## Tables, the cache miss/fill path and the metadata caches allocate
-## nothing in steady state. Run without -race (race instrumentation
-## allocates and would false-fail).
+## Tables, the cache miss/fill path, the metadata caches, a remap-table
+## commit and a page walk of a mapped page allocate nothing in steady
+## state. Run without -race (race instrumentation allocates and would
+## false-fail).
 allocguard:
-	$(GO) test -run TestZeroAlloc -count=1 ./internal/obs ./internal/obs/ledger ./internal/obs/attrib ./internal/obs/pagemap ./internal/sim ./internal/memsim ./internal/core ./internal/cache ./internal/hmc
+	$(GO) test -run TestZeroAlloc -count=1 ./internal/obs ./internal/obs/ledger ./internal/obs/attrib ./internal/obs/pagemap ./internal/sim ./internal/memsim ./internal/core ./internal/cache ./internal/hmc ./internal/mem
 
 ## benchguard: re-run the quick campaign and fail if per-run
 ## events_per_sec (geomean over the workload x scheme grid) regresses
@@ -101,7 +102,7 @@ effectiveness-smoke:
 ## and assert the acceptance bar: every trigger class the ledger
 ## distinguishes retires requests, at least 8 blame components carry
 ## cycles, no cycles retire unattributed, per-scheme blame conservation
-## (component cycles == end-to-end latency, all six schemes), the
+## (component cycles == end-to-end latency, all five schemes), the
 ## mutation audit catches a mis-stamped stage, and an attribution-off run
 ## stays byte-identical.
 cpi-smoke:
@@ -112,7 +113,7 @@ cpi-smoke:
 ## four service sources, a coherent hot-set profile, swap churn and NVM
 ## wear recorded, flap detection firing on the scheme that thrashes (PoM),
 ## per-scheme conservation audits green (trigger mix, read/write law,
-## residency ground truth — all six schemes), the mutation audit catching
+## residency ground truth — all five schemes), the mutation audit catching
 ## a phantom hook, the sampled-mode functional feed, and a pagemap-off run
 ## staying byte-identical.
 pagemap-smoke:

@@ -211,30 +211,3 @@ func BenchmarkSingleRun(b *testing.B) {
 		b.ReportMetric(float64(res.Instructions), "instructions")
 	}
 }
-
-// BenchmarkExtensionCAMEO compares the CAMEO extension baseline against
-// PageSeer on one workload — the fine-granularity end of the design space
-// the paper's background section lays out.
-func BenchmarkExtensionCAMEO(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var ipc [2]float64
-		for j, sch := range []Scheme{SchemeCAMEO, SchemePageSeer} {
-			cfg := DefaultConfig()
-			cfg.Workload = "barnes"
-			cfg.Scheme = sch
-			cfg.MaxCores = 4
-			cfg.InstrPerCore = 400_000
-			cfg.Warmup = 200_000
-			sys, err := Build(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := sys.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			ipc[j] = res.IPC
-		}
-		b.ReportMetric(ipc[1]/ipc[0], "pageseer-vs-cameo-ipc")
-	}
-}

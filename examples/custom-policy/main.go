@@ -1,11 +1,11 @@
 // Custom-policy: plug a user-defined management scheme into the hybrid
 // memory controller framework and race it against PageSeer.
 //
-// The framework accepts any hmc.Manager: this example implements
-// "Eager" — an aggressive CAMEO-flavoured policy that swaps an NVM page to
-// DRAM on its very first miss (no history, no thresholds). It demonstrates
-// the full extension surface: remap state, the swap engine with its
-// buffers, the integrity oracle, and DMA freezing. The result also shows
+// The framework accepts any hmc.Manager: this example implements "Eager" —
+// an aggressive policy that swaps an NVM page to DRAM on its very first
+// miss (no history, no thresholds). It demonstrates the full extension
+// surface: remap state, the swap engine with its buffers, the integrity
+// oracle, and DMA freezing. The result also shows
 // *why* the paper needs history: eager swapping wins when reuse is long,
 // and drowns in its own traffic when it is not.
 package main
@@ -24,7 +24,7 @@ import (
 // Eager is the custom manager: first NVM miss -> immediate page swap.
 type Eager struct {
 	ctl      *hmc.Controller
-	remap    map[mem.PPN]mem.PPN
+	remap    *hmc.Remap // page permutation: pairs of swapped pages
 	inflight map[mem.PPN]*job
 	next     mem.PPN // round-robin DRAM victim cursor
 	swaps    uint64
@@ -36,7 +36,7 @@ type job struct{ waiters []func() }
 func NewEager(ctl *hmc.Controller) *Eager {
 	e := &Eager{
 		ctl:      ctl,
-		remap:    make(map[mem.PPN]mem.PPN),
+		remap:    ctl.NewRemap(mem.PageShift),
 		inflight: make(map[mem.PPN]*job),
 	}
 	ctl.SetManager(e)
@@ -45,12 +45,7 @@ func NewEager(ctl *hmc.Controller) *Eager {
 
 func (e *Eager) Name() string { return "Eager" }
 
-func (e *Eager) frameOf(p mem.PPN) mem.PPN {
-	if f, ok := e.remap[p]; ok {
-		return f
-	}
-	return p
-}
+func (e *Eager) frameOf(p mem.PPN) mem.PPN { return mem.PPN(e.remap.Loc(uint64(p))) }
 
 // TranslateLine implements hmc.Manager.
 func (e *Eager) TranslateLine(a mem.Addr) mem.Addr {
@@ -60,9 +55,7 @@ func (e *Eager) TranslateLine(a mem.Addr) mem.Addr {
 
 // CheckIntegrity implements hmc.Manager.
 func (e *Eager) CheckIntegrity() error {
-	return e.ctl.Oracle.VerifyAll(func(d uint64) uint64 {
-		return uint64(e.frameOf(mem.PPN(d)))
-	})
+	return e.ctl.Oracle.VerifyAll(e.remap.Loc)
 }
 
 // HandleRequest implements hmc.Manager.
@@ -89,7 +82,7 @@ func (e *Eager) trySwap(page mem.PPN) {
 	if e.inflight[page] != nil {
 		return
 	}
-	if _, swapped := e.remap[page]; swapped {
+	if e.frameOf(page) != page {
 		return
 	}
 	if !e.ctl.Engine.CanStart() || e.ctl.FrozenByDMA(page) {
@@ -105,7 +98,7 @@ func (e *Eager) trySwap(page mem.PPN) {
 		if e.ctl.OS.IsPageTable(f) || e.inflight[f] != nil || e.ctl.FrozenByDMA(f) {
 			continue
 		}
-		if _, swapped := e.remap[f]; swapped {
+		if e.frameOf(f) != f {
 			continue
 		}
 		victim = f
@@ -124,7 +117,7 @@ func (e *Eager) trySwap(page mem.PPN) {
 			{Src: victim.Addr(), Dst: page.Addr(), Bytes: mem.PageSize},
 		}},
 		OnComplete: func() {
-			e.remap[page], e.remap[victim] = victim, page
+			e.remap.Exchange(uint64(page), uint64(victim))
 			e.ctl.Oracle.Exchange(uint64(page), uint64(victim))
 			e.swaps++
 			delete(e.inflight, page)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pageseer/internal/check"
-	"pageseer/internal/mem"
 )
 
 func TestAuditCleanManager(t *testing.T) {
@@ -19,11 +18,15 @@ func TestAuditCleanManager(t *testing.T) {
 	}
 }
 
-// TestAuditCatchesRemapDesync plants a one-directional remap entry — the
-// corruption a dropped commit or double-delete would leave behind.
+// TestAuditCatchesRemapDesync plants a three-way rotation — page N's data
+// in frame 0, frame 0's in N+1, N+1's in N — so N maps to 0 but 0 does not
+// map back: the corruption a dropped commit or a half-applied optimized
+// slow swap would leave behind.
 func TestAuditCatchesRemapDesync(t *testing.T) {
 	_, ctl, ps := testRig(testConfig())
-	ps.remap[nvmPage(ctl, 0)] = mem.PPN(0) // no back-pointer
+	n0, n1 := uint64(nvmPage(ctl, 0)), uint64(nvmPage(ctl, 1))
+	ps.remap.Exchange(n0, 0)
+	ps.remap.Exchange(n0, n1)
 
 	a := &check.Audit{}
 	ps.Audit(a)
@@ -40,9 +43,7 @@ func TestAuditCatchesRemapDesync(t *testing.T) {
 // side of the DRAM/NVM boundary — never legal for a hot/cold exchange.
 func TestAuditCatchesNonCrossingPair(t *testing.T) {
 	_, ctl, ps := testRig(testConfig())
-	n0, n1 := nvmPage(ctl, 0), nvmPage(ctl, 1)
-	ps.remap[n0] = n1
-	ps.remap[n1] = n0
+	ps.remap.Exchange(uint64(nvmPage(ctl, 0)), uint64(nvmPage(ctl, 1)))
 
 	a := &check.Audit{}
 	ps.Audit(a)
@@ -65,5 +66,33 @@ func TestAuditCatchesDanglingPending(t *testing.T) {
 	ps.Audit(a)
 	if a.OK() {
 		t.Fatal("audit missed a dangling pending-swap index entry")
+	}
+}
+
+// TestVerifyIntegrityCatchesMutation: after real swaps the manager's remap
+// table agrees with the oracle; sending one swapped page home in the
+// manager's table alone must fail the check.
+func TestVerifyIntegrityCatchesMutation(t *testing.T) {
+	cfg := testConfig()
+	sim, ctl, ps := testRig(cfg)
+	for i := 0; i < 3; i++ {
+		for j := 0; j < int(cfg.HPTThreshold); j++ {
+			miss(sim, ctl, 1, nvmPage(ctl, 3+i))
+		}
+	}
+	sim.Drain(0)
+	if ps.SwappedPages() == 0 {
+		t.Fatalf("no swaps to corrupt (%s)", ps.DumpState())
+	}
+	if err := ctl.VerifyIntegrity(); err != nil {
+		t.Fatalf("uncorrupted run fails: %v", err)
+	}
+	p := uint64(nvmPage(ctl, 3))
+	if ps.remap.Loc(p) == p {
+		t.Fatal("the first hot page never left home")
+	}
+	ps.remap.Place(p, p)
+	if err := ctl.VerifyIntegrity(); err == nil {
+		t.Fatal("VerifyIntegrity accepted a translation the oracle contradicts")
 	}
 }

@@ -81,8 +81,8 @@ func BenchmarkPTECacheObtain(b *testing.B) {
 }
 
 // hptLoop touches a full 1,024-entry HPT (the Table II size) with pages it
-// has never seen, so every Touch evicts the coldest entry and inserts a
-// new one. Counts stay tied at 1, so each eviction takes the lowest-PPN
+// has not seen for 2^20 touches, so every Touch evicts the coldest entry and
+// inserts a new one. Counts stay tied at 1, so each eviction takes the lowest-PPN
 // tie-break.
 type hptLoop struct {
 	h    *HPT
@@ -94,15 +94,19 @@ func newHPTLoop(tb testing.TB) *hptLoop {
 	if cfg.HPTEntries != 1024 {
 		tb.Fatalf("HPTEntries = %d, want the 1024 of Table II", cfg.HPTEntries)
 	}
-	l := &hptLoop{h: NewHPT(engine.New(), 0, cfg.HPTEntries, cfg.CounterMax)}
+	l := &hptLoop{h: NewHPT(engine.New(), 0, cfg.HPTEntries, cfg.CounterMax, hptLoopPages)}
 	l.run(cfg.HPTEntries)
 	return l
 }
 
-// run touches n new pages, scattered so consecutive PPNs are far apart.
+// hptLoopPages is the loop's physical page range: 4GB of 4KB pages.
+const hptLoopPages = 1 << 20
+
+// run touches n new pages, scattered so consecutive PPNs are far apart (an
+// odd multiplier permutes the range, so a page recurs only after 2^20).
 func (l *hptLoop) run(n int) {
 	for i := 0; i < n; i++ {
-		l.h.Touch(l.next * 0x9e3779b1 & (1<<40 - 1))
+		l.h.Touch(l.next * 0x9e3779b1 & (hptLoopPages - 1))
 		l.next++
 	}
 }

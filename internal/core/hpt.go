@@ -24,16 +24,18 @@ type HPT struct {
 	counterMax uint32
 	lastDecay  uint64
 
-	// idx holds each page's counter and heap slot. heap holds slot
-	// numbers as a binary min-heap on (key, PPN), where a slot's key is
-	// its page's counter as of its last placement in the heap. Touch
-	// raises only the counter, so the key may lag it; a full table
-	// refreshes lagging roots before it evicts, which makes the root the
-	// coldest entry, lowest PPN first among equal counts (a
-	// tie-independent choice keeps runs deterministic). Each slot records
-	// its heap position, so reordering the heap writes no map entry.
-	// free lists the slots no page holds.
-	idx   map[mem.PPN]hptEntry
+	// idx holds each page's counter and heap slot, indexed by PPN over
+	// all of physical memory (the tables key pages by identity, not by
+	// residence, so either table may hold a page of either tier); a zero
+	// counter marks a page with no entry. heap holds slot numbers as a
+	// binary min-heap on (key, PPN), where a slot's key is its page's
+	// counter as of its last placement in the heap. Touch raises only the
+	// counter, so the key may lag it; a full table refreshes lagging roots
+	// before it evicts, which makes the root the coldest entry, lowest PPN
+	// first among equal counts (a tie-independent choice keeps runs
+	// deterministic). Each slot records its heap position, so reordering
+	// the heap writes no index entry. free lists the slots no page holds.
+	idx   []hptEntry
 	slots []hptSlot
 	free  []int32
 	heap  []int32
@@ -50,15 +52,15 @@ type hptSlot struct {
 	at  int32  // position in heap
 }
 
-// NewHPT builds an empty hot page table that halves counters every
-// interval CPU cycles of sim time.
-func NewHPT(sim *engine.Sim, interval uint64, capacity int, counterMax uint32) *HPT {
+// NewHPT builds an empty hot page table over pages physical pages that
+// halves counters every interval CPU cycles of sim time.
+func NewHPT(sim *engine.Sim, interval uint64, capacity int, counterMax uint32, pages uint64) *HPT {
 	return &HPT{
 		sim:        sim,
 		interval:   interval,
 		capacity:   capacity,
 		counterMax: counterMax,
-		idx:        make(map[mem.PPN]hptEntry),
+		idx:        make([]hptEntry, pages),
 	}
 }
 
@@ -91,14 +93,11 @@ func (h *HPT) maybeDecay() {
 func (h *HPT) DecayOnce() {
 	n := 0
 	for _, s := range h.heap {
-		p := h.slots[s].ppn
-		e := h.idx[p]
+		e := &h.idx[h.slots[s].ppn]
 		if e.count /= 2; e.count == 0 {
-			delete(h.idx, p)
 			h.free = append(h.free, s)
 			continue
 		}
-		h.idx[p] = e
 		h.slots[s].key = e.count
 		h.put(n, s)
 		n++
@@ -125,18 +124,16 @@ func (h *HPT) Count(p mem.PPN) uint32 {
 // DRAM" predicate.
 func (h *HPT) Contains(p mem.PPN) bool {
 	h.maybeDecay()
-	_, ok := h.idx[p]
-	return ok
+	return h.idx[p].count != 0
 }
 
 // Touch records one LLC miss on p and returns the updated counter. When the
 // table is full, the coldest entry is evicted to make room.
 func (h *HPT) Touch(p mem.PPN) uint32 {
 	h.maybeDecay()
-	if e, ok := h.idx[p]; ok {
+	if e := &h.idx[p]; e.count != 0 {
 		if e.count < h.counterMax {
 			e.count++ // the heap key catches up if the slot reaches the root
-			h.idx[p] = e
 		}
 		return e.count
 	}
@@ -156,7 +153,7 @@ func (h *HPT) Touch(p mem.PPN) uint32 {
 		}
 		// Evict the root: its slot takes the new page and sinks.
 		s := h.heap[0]
-		delete(h.idx, h.slots[s].ppn)
+		h.idx[h.slots[s].ppn] = hptEntry{}
 		h.slots[s].ppn, h.slots[s].key = p, 1
 		h.idx[p] = hptEntry{count: 1, slot: s}
 		h.down(0)
@@ -168,7 +165,7 @@ func (h *HPT) Touch(p mem.PPN) uint32 {
 
 // Remove drops p's entry (used when a page changes residence).
 func (h *HPT) Remove(p mem.PPN) {
-	if e, ok := h.idx[p]; ok {
+	if e := h.idx[p]; e.count != 0 {
 		h.removeAt(int(h.slots[e.slot].at))
 	}
 }
@@ -177,17 +174,16 @@ func (h *HPT) Remove(p mem.PPN) {
 // Swap Driver declines a request).
 func (h *HPT) Set(p mem.PPN, v uint32) {
 	h.maybeDecay()
-	e, ok := h.idx[p]
+	e := &h.idx[p]
 	switch {
 	case v == 0:
-		if ok {
+		if e.count != 0 {
 			h.removeAt(int(h.slots[e.slot].at))
 		}
-	case !ok:
+	case e.count == 0:
 		h.insert(p, min(v, h.counterMax))
 	default:
 		e.count = min(v, h.counterMax)
-		h.idx[p] = e
 		h.slots[e.slot].key = e.count
 		h.fix(int(h.slots[e.slot].at))
 	}
@@ -213,7 +209,7 @@ func (h *HPT) insert(p mem.PPN, c uint32) {
 // with the last entry.
 func (h *HPT) removeAt(i int) {
 	s := h.heap[i]
-	delete(h.idx, h.slots[s].ppn)
+	h.idx[h.slots[s].ppn] = hptEntry{}
 	h.free = append(h.free, s)
 	last := h.heap[len(h.heap)-1]
 	h.heap = h.heap[:len(h.heap)-1]

@@ -9,9 +9,12 @@ import (
 	"pageseer/internal/mem"
 )
 
+// testHPTPages sizes the HPTs under test: every PPN the tests touch is below it.
+const testHPTPages = 1 << 13
+
 func TestHPTTouchAndThreshold(t *testing.T) {
 	sim := engine.New()
-	h := NewHPT(sim, 0, 16, 63)
+	h := NewHPT(sim, 0, 16, 63, testHPTPages)
 	for i := 1; i <= 6; i++ {
 		if c := h.Touch(42); c != uint32(i) {
 			t.Fatalf("count after %d touches = %d", i, c)
@@ -24,7 +27,7 @@ func TestHPTTouchAndThreshold(t *testing.T) {
 
 func TestHPTSaturation(t *testing.T) {
 	sim := engine.New()
-	h := NewHPT(sim, 0, 16, 7)
+	h := NewHPT(sim, 0, 16, 7, testHPTPages)
 	for i := 0; i < 100; i++ {
 		h.Touch(1)
 	}
@@ -35,7 +38,7 @@ func TestHPTSaturation(t *testing.T) {
 
 func TestHPTLazyDecay(t *testing.T) {
 	sim := engine.New()
-	h := NewHPT(sim, 1000, 16, 63)
+	h := NewHPT(sim, 1000, 16, 63, testHPTPages)
 	for i := 0; i < 8; i++ {
 		h.Touch(5)
 	}
@@ -53,7 +56,7 @@ func TestHPTLazyDecay(t *testing.T) {
 
 func TestHPTDecayAcrossIdleGap(t *testing.T) {
 	sim := engine.New()
-	h := NewHPT(sim, 100, 16, 63)
+	h := NewHPT(sim, 100, 16, 63, testHPTPages)
 	h.Touch(1)
 	sim.RunUntil(1_000_000) // long idle: fast-forward must not loop per tick
 	if h.Contains(1) {
@@ -67,7 +70,7 @@ func TestHPTDecayAcrossIdleGap(t *testing.T) {
 
 func TestHPTEvictsColdest(t *testing.T) {
 	sim := engine.New()
-	h := NewHPT(sim, 0, 3, 63)
+	h := NewHPT(sim, 0, 3, 63, testHPTPages)
 	for i := 0; i < 5; i++ {
 		h.Touch(1)
 	}
@@ -86,7 +89,7 @@ func TestHPTEvictsColdest(t *testing.T) {
 
 func TestHPTRemove(t *testing.T) {
 	sim := engine.New()
-	h := NewHPT(sim, 0, 8, 63)
+	h := NewHPT(sim, 0, 8, 63, testHPTPages)
 	h.Touch(9)
 	h.Remove(9)
 	if h.Contains(9) {
@@ -100,7 +103,7 @@ func TestHPTDecayEquivalenceProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		sim := engine.New()
 		interval := uint64(rng.Intn(500) + 100)
-		h := NewHPT(sim, interval, 64, 63)
+		h := NewHPT(sim, interval, 64, 63, testHPTPages)
 		ref := map[uint64]uint32{} // eager reference
 		lastDecay := uint64(0)
 		now := uint64(0)
@@ -219,7 +222,7 @@ func TestHPTMatchesScanReference(t *testing.T) {
 		interval := uint64(rng.Intn(3)) * 400 // 0 turns lazy decay off
 		capacity := rng.Intn(12) + 1
 		counterMax := uint32(rng.Intn(6) + 2)
-		h := NewHPT(sim, interval, capacity, counterMax)
+		h := NewHPT(sim, interval, capacity, counterMax, uint64(capacity*2+2))
 		ref := &scanHPT{sim: sim, interval: interval, capacity: capacity,
 			counterMax: counterMax, entries: map[mem.PPN]uint32{}}
 		pages := capacity*2 + 2

@@ -123,10 +123,11 @@ type PageSeer struct {
 	prtRegion hmc.MetaRegion
 	pctRegion hmc.MetaRegion
 
-	// remap holds the current page exchanges symmetrically: if pages N and
-	// D are swapped, remap[N]=D and remap[D]=N. Pages not present are at
-	// their OS-assigned frames — the PRT invariant of Section III-C1.
-	remap map[mem.PPN]mem.PPN
+	// remap is the page permutation the PRT holds. Every move is a pair
+	// exchange, so it is its own inverse: if pages N and D are swapped, N's
+	// data sits in frame D and D's in frame N, and every other page is at
+	// its OS-assigned frame — the PRT invariant of Section III-C1.
+	remap *hmc.Remap
 
 	inflight map[mem.PPN]*swapJob
 	// The Swap Driver's request queue: prefetch swaps (the early, targeted
@@ -337,7 +338,7 @@ func New(ctl *hmc.Controller, cfg Config) *PageSeer {
 		sim:         ctl.Sim,
 		ctl:         ctl,
 		cfg:         cfg,
-		remap:       make(map[mem.PPN]mem.PPN),
+		remap:       ctl.NewRemap(mem.PageShift),
 		inflight:    make(map[mem.PPN]*swapJob),
 		pendingKind: make(map[mem.PPN]SwapKind),
 		colorRR:     make(map[int]mem.PPN),
@@ -359,8 +360,9 @@ func New(ctl *hmc.Controller, cfg Config) *PageSeer {
 			p.pctc.MarkDirty(uint64(leader))
 		}
 	})
-	p.hptDRAM = NewHPT(ctl.Sim, cfg.HPTDecayInterval, cfg.HPTEntries, cfg.CounterMax)
-	p.hptNVM = NewHPT(ctl.Sim, cfg.HPTDecayInterval, cfg.HPTEntries, cfg.CounterMax)
+	pages := ctl.Layout.Total() >> mem.PageShift
+	p.hptDRAM = NewHPT(ctl.Sim, cfg.HPTDecayInterval, cfg.HPTEntries, cfg.CounterMax, pages)
+	p.hptNVM = NewHPT(ctl.Sim, cfg.HPTDecayInterval, cfg.HPTEntries, cfg.CounterMax, pages)
 	p.pte = NewPTECache(cfg.MMUDriverLines)
 	// The same-color constraint is defined over logical PRT entry sets
 	// (Figure 4), independent of the PRTc's physical line organisation.
@@ -401,10 +403,7 @@ func (p *PageSeer) PTEDriver() *PTECache { return p.pte }
 
 // frameOf returns the frame currently holding page's data.
 func (p *PageSeer) frameOf(page mem.PPN) mem.PPN {
-	if f, ok := p.remap[page]; ok {
-		return f
-	}
-	return page
+	return mem.PPN(p.remap.Loc(uint64(page)))
 }
 
 // TranslateLine implements hmc.Manager.
@@ -416,9 +415,7 @@ func (p *PageSeer) TranslateLine(addr mem.Addr) mem.Addr {
 
 // CheckIntegrity implements hmc.Manager.
 func (p *PageSeer) CheckIntegrity() error {
-	return p.ctl.Oracle.VerifyAll(func(d uint64) uint64 {
-		return uint64(p.frameOf(mem.PPN(d)))
-	})
+	return p.ctl.Oracle.VerifyAll(p.remap.Loc)
 }
 
 func (p *PageSeer) residentDRAM(page mem.PPN) bool {
@@ -715,11 +712,8 @@ func (p *PageSeer) pickVictim(color int) (frame mem.PPN, partner mem.PPN, hasPar
 			f = mem.PPN(color)
 		}
 		if !p.pinned(f) && !p.ctl.FrozenByDMA(f) && p.inflight[f] == nil {
-			resident := f
-			pn, swapped := p.remap[f]
-			if swapped {
-				resident = pn
-			}
+			resident := p.frameOf(f) // pairs are symmetric: f holds the data of the page it maps to
+			swapped := resident != f
 			if !p.ctl.FrozenByDMA(resident) && p.inflight[resident] == nil {
 				score := uint64(p.hptDRAM.Count(resident)) << 1
 				if swapped {
@@ -731,7 +725,7 @@ func (p *PageSeer) pickVictim(color int) (frame mem.PPN, partner mem.PPN, hasPar
 					return f, 0, false, true
 				}
 				if score < bestScore {
-					best, bestPartner, bestSwapped, bestScore = f, pn, swapped, score
+					best, bestPartner, bestSwapped, bestScore = f, resident, swapped, score
 					found = true
 				}
 			}
@@ -752,7 +746,7 @@ func (p *PageSeer) startSwap(page mem.PPN, kind SwapKind, follower bool, req uin
 	if p.residentDRAM(page) || p.inflight[page] != nil {
 		return
 	}
-	if nPartner, displaced := p.remap[page]; displaced {
+	if nPartner := p.frameOf(page); nPartner != page {
 		// page is a DRAM-original page whose data was pushed to NVM by an
 		// earlier swap and has become hot again: restore the pair to its
 		// original positions (the PRT design's only legal move).
@@ -856,8 +850,7 @@ func (p *PageSeer) startRestore(dPage, nPartner mem.PPN, kind SwapKind, follower
 			{Src: nSlot, Dst: dSlot, Bytes: mem.PageSize},
 		}},
 		OnComplete: func() {
-			delete(p.remap, dPage)
-			delete(p.remap, nPartner)
+			p.remap.Place(uint64(dPage), uint64(dPage))
 			p.ctl.Oracle.Exchange(uint64(dPage), uint64(nPartner))
 			p.finalizeTrack(nPartner) // it just left DRAM
 			p.hptNVM.Remove(dPage)
@@ -914,15 +907,14 @@ func (p *PageSeer) completeSwap(page, frame, partner mem.PPN, hasPartner bool, j
 	if hasPartner {
 		// Net permutation: frame holds page's data, partner is home, the
 		// DRAM page's data sits in page's old NVM slot.
-		delete(p.remap, partner)
+		p.remap.Place(uint64(partner), uint64(partner))
 		p.ctl.Oracle.Exchange(uint64(frame), uint64(page))
 		p.ctl.Oracle.Exchange(uint64(page), uint64(partner))
 		p.finalizeTrack(partner)
 	} else {
 		p.ctl.Oracle.Exchange(uint64(page), uint64(frame))
 	}
-	p.remap[page] = frame
-	p.remap[frame] = page
+	p.remap.Place(uint64(page), uint64(frame))
 
 	// Persist the PRT entry (one metadata line write) and refresh the PRTc.
 	p.ctl.IssueLine(p.prtRegion.EntryAddr(uint64(frame)), true, hmc.PrioSwap, nil)
@@ -1053,7 +1045,7 @@ func (p *PageSeer) PrefetchAccuracy() float64 {
 }
 
 // SwappedPages returns the number of page pairs currently exchanged.
-func (p *PageSeer) SwappedPages() int { return len(p.remap) / 2 }
+func (p *PageSeer) SwappedPages() int { return p.remap.Moved() / 2 }
 
 // DumpState formats a short diagnostic summary.
 func (p *PageSeer) DumpState() string {
@@ -1063,30 +1055,27 @@ func (p *PageSeer) DumpState() string {
 
 // Audit reports end-of-run invariant violations against the manager's
 // architectural state. It assumes quiescence after Finish: no swap jobs in
-// flight, every remap entry a symmetric DRAM<->NVM pair over frames the OS
-// actually owns, the Swap Driver's queue index consistent with its queues,
-// and all prefetch-accuracy windows closed.
+// flight, every remapped page in a symmetric DRAM<->NVM pair that leaves
+// page tables alone, the Swap Driver's queue index consistent with its
+// queues, and all prefetch-accuracy windows closed.
 func (p *PageSeer) Audit(a *check.Audit) {
 	a.Checkf(len(p.inflight) == 0,
 		"pageseer: %d swap job(s) still in flight at quiescence", len(p.inflight))
 	a.Checkf(len(p.prefTracks) == 0,
 		"pageseer: %d prefetch-accuracy window(s) still open after Finish", len(p.prefTracks))
 	layout := p.ctl.Layout
-	for page, frame := range p.remap {
-		if back, ok := p.remap[frame]; !ok || back != page {
+	for d := uint64(0); d < p.remap.Units(); d++ {
+		page, frame := mem.PPN(d), p.frameOf(mem.PPN(d))
+		if frame == page {
+			continue
+		}
+		if back := p.frameOf(frame); back != page {
 			a.Violationf("pageseer: remap asymmetric: remap[%#x]=%#x but remap[%#x]=%#x",
 				uint64(page), uint64(frame), uint64(frame), uint64(back))
 			continue // the pair checks below would double-report
 		}
-		if page == frame {
-			a.Violationf("pageseer: page %#x remapped to itself", uint64(page))
-		}
 		if layout.IsDRAM(page.Addr()) == layout.IsDRAM(frame.Addr()) {
 			a.Violationf("pageseer: remap pair %#x<->%#x does not cross the DRAM/NVM boundary",
-				uint64(page), uint64(frame))
-		}
-		if !layout.Contains(page.Addr()) || !layout.Contains(frame.Addr()) {
-			a.Violationf("pageseer: remap pair %#x<->%#x outside physical memory",
 				uint64(page), uint64(frame))
 		}
 		if p.ctl.OS.IsPageTable(page) || p.ctl.OS.IsPageTable(frame) {

@@ -135,7 +135,7 @@ func (p *PageSeer) ffSwap(page mem.PPN, kind SwapKind) bool {
 	if p.ffBudget == 0 {
 		return false
 	}
-	if nPartner, displaced := p.remap[page]; displaced {
+	if nPartner := p.frameOf(page); nPartner != page {
 		// Restore the pair to its original frames (startRestore's only
 		// legal move), with the same hot-partner guard.
 		if p.hptDRAM.Contains(nPartner) || p.ctl.FrozenByDMA(nPartner) {
@@ -143,8 +143,7 @@ func (p *PageSeer) ffSwap(page mem.PPN, kind SwapKind) bool {
 		}
 		p.ffBudget--
 		p.ffCommits++
-		delete(p.remap, page)
-		delete(p.remap, nPartner)
+		p.remap.Place(uint64(page), uint64(page))
 		p.ctl.Oracle.Exchange(uint64(page), uint64(nPartner))
 		p.finalizeTrack(nPartner) // it just left DRAM
 		p.hptNVM.Remove(page)
@@ -157,15 +156,14 @@ func (p *PageSeer) ffSwap(page mem.PPN, kind SwapKind) bool {
 	p.ffBudget--
 	p.ffCommits++
 	if hasPartner {
-		delete(p.remap, partner)
+		p.remap.Place(uint64(partner), uint64(partner))
 		p.ctl.Oracle.Exchange(uint64(frame), uint64(page))
 		p.ctl.Oracle.Exchange(uint64(page), uint64(partner))
 		p.finalizeTrack(partner)
 	} else {
 		p.ctl.Oracle.Exchange(uint64(page), uint64(frame))
 	}
-	p.remap[page] = frame
-	p.remap[frame] = page
+	p.remap.Place(uint64(page), uint64(frame))
 	p.prtc.AccessFunctional(uint64(page), false)
 	p.hptNVM.Remove(page)
 	if hasPartner {

@@ -192,13 +192,25 @@ func NewController(sim *engine.Sim, osm *mem.OS, dramCfg, nvmCfg memsim.Config, 
 		Sim:    sim,
 		OS:     osm,
 		Layout: layout,
-		Oracle: NewOracle(),
+		Oracle: NewOracle(layout.Total() >> mem.PageShift),
 		frozen: make(map[mem.PPN]bool),
 	}
 	c.DRAM = memsim.New(sim, dramCfg, 0, layout.DRAMBytes)
 	c.NVM = memsim.New(sim, nvmCfg, mem.Addr(layout.DRAMBytes), layout.NVMBytes)
 	c.Engine = NewSwapEngine(sim, swapCfg, c.IssueLine, c.PromoteLine)
 	return c
+}
+
+// NewRemap returns a manager's remap table over physical memory in swap
+// units of 1<<unitShift bytes, and re-keys the oracle to the same unit when
+// it differs (the oracle starts at page granularity). Managers call it from
+// their constructors, before any traffic.
+func (c *Controller) NewRemap(unitShift uint) *Remap {
+	units := c.Layout.Total() >> unitShift
+	if c.Oracle.Units() != units {
+		c.Oracle = NewOracle(units)
+	}
+	return NewRemap(units)
 }
 
 // SetManager installs the management scheme. Must be called before traffic.

@@ -12,50 +12,49 @@ import "fmt"
 // scheme and silent data corruption.
 //
 // Slots are at the segment granularity the manager swaps (4KB pages for
-// PageSeer, 2KB segments for PoM/MemPod); the oracle is agnostic and tracks
-// opaque uint64 identifiers. Any page permutation — including PageSeer's
-// optimized slow swap — decomposes into Exchange calls.
+// PageSeer, 2KB segments for PoM/MemPod). The oracle keeps its own Remap,
+// a second instance independent of the manager's: only the managers'
+// Exchange calls fill it, and it is allocated on the first one, so a run
+// that never swaps pays nothing. Any page permutation — including
+// PageSeer's optimized slow swap — decomposes into Exchange calls.
 type Oracle struct {
-	// location[data] = slot currently holding data's bytes.
-	location map[uint64]uint64
-	// owner[slot] = data currently stored in slot.
-	owner map[uint64]uint64
+	units uint64
+	slots *Remap // nil until the first Exchange: the identity
 	moves uint64
 }
 
-// NewOracle returns an identity-mapped oracle (every data item starts in
-// its own slot, as at boot).
-func NewOracle() *Oracle {
-	return &Oracle{
-		location: make(map[uint64]uint64),
-		owner:    make(map[uint64]uint64),
-	}
-}
+// NewOracle returns an identity-mapped oracle over units slots (every data
+// item starts in its own slot, as at boot).
+func NewOracle(units uint64) *Oracle { return &Oracle{units: units} }
+
+// Units returns the number of slots the oracle covers.
+func (o *Oracle) Units() uint64 { return o.units }
 
 // Moves returns how many slot exchanges have been recorded.
 func (o *Oracle) Moves() uint64 { return o.moves }
 
 // Location returns the slot currently holding data.
 func (o *Oracle) Location(data uint64) uint64 {
-	if s, ok := o.location[data]; ok {
-		return s
+	if o.slots == nil {
+		return data
 	}
-	return data // identity until first move
+	return o.slots.Loc(data)
 }
 
 // Owner returns the data currently held in slot.
 func (o *Oracle) Owner(slot uint64) uint64 {
-	if d, ok := o.owner[slot]; ok {
-		return d
+	if o.slots == nil {
+		return slot
 	}
-	return slot
+	return o.slots.Owner(slot)
 }
 
 // Exchange records that the contents of slots a and b were swapped.
 func (o *Oracle) Exchange(a, b uint64) {
-	da, db := o.Owner(a), o.Owner(b)
-	o.owner[a], o.owner[b] = db, da
-	o.location[da], o.location[db] = b, a
+	if o.slots == nil {
+		o.slots = NewRemap(o.units)
+	}
+	o.slots.Exchange(a, b)
 	o.moves++
 }
 
@@ -63,21 +62,26 @@ func (o *Oracle) Exchange(a, b uint64) {
 // translate(data) must equal the slot that holds data.
 func (o *Oracle) Verify(translate func(uint64) uint64, data []uint64) error {
 	for _, d := range data {
-		want := o.Location(d)
-		got := translate(d)
-		if got != want {
-			return fmt.Errorf("oracle: data %#x translated to slot %#x but lives in %#x", d, got, want)
+		if err := o.verify(translate, d); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// VerifyAll checks every data item that has ever moved.
+// VerifyAll checks every data item the oracle covers.
 func (o *Oracle) VerifyAll(translate func(uint64) uint64) error {
-	for d := range o.location {
-		if err := o.Verify(translate, []uint64{d}); err != nil {
+	for d := uint64(0); d < o.Units(); d++ {
+		if err := o.verify(translate, d); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+func (o *Oracle) verify(translate func(uint64) uint64, d uint64) error {
+	if got, want := translate(d), o.Location(d); got != want {
+		return fmt.Errorf("oracle: data %#x translated to slot %#x but lives in %#x", d, got, want)
 	}
 	return nil
 }

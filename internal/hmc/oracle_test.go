@@ -7,7 +7,7 @@ import (
 )
 
 func TestOracleIdentityByDefault(t *testing.T) {
-	o := NewOracle()
+	o := NewOracle(512)
 	if o.Location(5) != 5 || o.Owner(7) != 7 {
 		t.Fatal("fresh oracle not identity")
 	}
@@ -17,7 +17,7 @@ func TestOracleIdentityByDefault(t *testing.T) {
 }
 
 func TestOracleExchange(t *testing.T) {
-	o := NewOracle()
+	o := NewOracle(512)
 	o.Exchange(1, 2)
 	if o.Location(1) != 2 || o.Location(2) != 1 {
 		t.Fatalf("locations after swap: %d %d", o.Location(1), o.Location(2))
@@ -34,7 +34,7 @@ func TestOracleExchange(t *testing.T) {
 func TestOracleThreeCycle(t *testing.T) {
 	// The optimized slow swap's net permutation (Figure 5): slots (d,n2,n3)
 	// holding (2,1,3) end holding (3,2,1). Decomposed as two exchanges.
-	o := NewOracle()
+	o := NewOracle(512)
 	d, n2, n3 := uint64(100), uint64(200), uint64(300)
 	// Initial condition of Figure 5: pages 1 and 2 already swapped.
 	// Data "1" is the DRAM page originally in d; "2","3" are NVM pages.
@@ -58,7 +58,7 @@ func TestOracleThreeCycle(t *testing.T) {
 }
 
 func TestOracleVerifyCatchesBadTranslation(t *testing.T) {
-	o := NewOracle()
+	o := NewOracle(512)
 	o.Exchange(1, 2)
 	err := o.Verify(func(d uint64) uint64 { return d }, []uint64{1})
 	if err == nil {
@@ -71,7 +71,7 @@ func TestOracleVerifyCatchesBadTranslation(t *testing.T) {
 func TestOracleInverseProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		o := NewOracle()
+		o := NewOracle(512)
 		shadow := map[uint64]uint64{} // data -> slot
 		slotOf := func(d uint64) uint64 {
 			if s, ok := shadow[d]; ok {

@@ -23,7 +23,7 @@ func NewOS(m Map, reserveDRAM uint64) *OS {
 	a.ReserveDRAM = reserveDRAM
 	return &OS{
 		alloc: a,
-		store: newTableStore(),
+		store: newTableStore(m),
 		procs: make(map[int]*AddressSpace),
 	}
 }
@@ -67,10 +67,7 @@ func (o *OS) Process(pid int) (*AddressSpace, bool) {
 // IsPageTable reports whether frame p holds a page table. The memory
 // controller pins such frames: swapping a page-table frame out of DRAM
 // would break the MMU Driver's assumption that PTE lines live in DRAM.
-func (o *OS) IsPageTable(p PPN) bool {
-	_, ok := o.store.frames[p]
-	return ok
-}
+func (o *OS) IsPageTable(p PPN) bool { return o.store.table(p) != nil }
 
 // WalkError is the panic value WalkVA aborts with when a translation cannot
 // be completed: it carries the faulting (pid, va) so the run-isolation layer

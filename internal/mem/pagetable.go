@@ -12,30 +12,40 @@ func entryValid(e uint64) bool { return e&entryPresent != 0 }
 
 // tableStore holds the contents of every allocated page-table frame. It is
 // shared by all address spaces so the walker can read any table by frame
-// number, exactly as hardware reads physical memory.
+// number, exactly as hardware reads physical memory: frames is indexed by
+// PPN over all of physical memory, nil where a frame holds no table.
 type tableStore struct {
-	frames map[PPN]*[EntriesPerTable]uint64
+	frames []*[EntriesPerTable]uint64
 }
 
-func newTableStore() *tableStore {
-	return &tableStore{frames: make(map[PPN]*[EntriesPerTable]uint64)}
+func newTableStore(m Map) *tableStore {
+	return &tableStore{frames: make([]*[EntriesPerTable]uint64, m.Total()>>PageShift)}
 }
 
 func (ts *tableStore) add(p PPN) {
 	ts.frames[p] = new([EntriesPerTable]uint64)
 }
 
+// table returns frame p's table, or nil when p holds none or lies beyond
+// physical memory.
+func (ts *tableStore) table(p PPN) *[EntriesPerTable]uint64 {
+	if uint64(p) >= uint64(len(ts.frames)) {
+		return nil
+	}
+	return ts.frames[p]
+}
+
 func (ts *tableStore) read(p PPN, idx uint64) uint64 {
-	t, ok := ts.frames[p]
-	if !ok {
+	t := ts.table(p)
+	if t == nil {
 		panic(fmt.Sprintf("mem: reading page-table frame %#x that was never allocated", uint64(p)))
 	}
 	return t[idx]
 }
 
 func (ts *tableStore) write(p PPN, idx uint64, v uint64) {
-	t, ok := ts.frames[p]
-	if !ok {
+	t := ts.table(p)
+	if t == nil {
 		panic(fmt.Sprintf("mem: writing page-table frame %#x that was never allocated", uint64(p)))
 	}
 	t[idx] = v

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -190,5 +191,65 @@ func TestPageTableFunctionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// panicMessage runs f and returns the string it panicked with ("" if it
+// returned, and a runtime error's text if it died of one).
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		switch r := recover().(type) {
+		case string:
+			msg = r
+		case error:
+			msg = r.Error()
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestTableStoreBounds: touching a frame that holds no table — a data
+// frame, or a PPN beyond physical memory — panics with the store's own
+// message, never with a runtime index error.
+func TestTableStoreBounds(t *testing.T) {
+	o := testOS()
+	as := o.NewProcess(1)
+	w := o.WalkVA(1, 0x1000)
+	beyond := PPN(o.Map().Total() >> PageShift)
+	for _, c := range []struct {
+		name string
+		p    PPN
+	}{
+		{"data frame", w.Leaf},
+		{"first PPN beyond memory", beyond},
+		{"far beyond memory", beyond << 20},
+	} {
+		if msg := panicMessage(func() { as.store.read(c.p, 0) }); !strings.Contains(msg, "reading page-table frame") || !strings.Contains(msg, "never allocated") {
+			t.Errorf("%s: read panicked with %q", c.name, msg)
+		}
+		if msg := panicMessage(func() { as.store.write(c.p, 0, 1) }); !strings.Contains(msg, "writing page-table frame") || !strings.Contains(msg, "never allocated") {
+			t.Errorf("%s: write panicked with %q", c.name, msg)
+		}
+	}
+}
+
+// TestIsPageTableBounds: the root and the walk's tables are page tables;
+// the data frame and PPNs beyond physical memory are not.
+func TestIsPageTableBounds(t *testing.T) {
+	o := testOS()
+	as := o.NewProcess(1)
+	w := o.WalkVA(1, 0x1000)
+	if !o.IsPageTable(as.Root()) {
+		t.Error("the PGD is not a page table")
+	}
+	if o.IsPageTable(w.Leaf) {
+		t.Error("the data frame is a page table")
+	}
+	beyond := PPN(o.Map().Total() >> PageShift)
+	for _, p := range []PPN{beyond, beyond + 1, beyond << 20, ^PPN(0)} {
+		if o.IsPageTable(p) {
+			t.Errorf("PPN %#x beyond physical memory is a page table", uint64(p))
+		}
 	}
 }

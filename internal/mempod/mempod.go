@@ -111,8 +111,7 @@ type MemPod struct {
 	pods      []pod
 	lastTick  uint64
 
-	location map[seg]seg
-	occupant map[seg]seg
+	remap    *hmc.Remap // the segment permutation the remap table holds
 	inflight map[seg]*job
 
 	// pending holds interval migrations waiting for a free swap buffer;
@@ -136,8 +135,7 @@ func New(ctl *hmc.Controller, cfg Config) *MemPod {
 		cfg:       cfg,
 		fastSegs:  seg(ctl.Layout.DRAMBytes / SegmentBytes),
 		totalSegs: seg(ctl.Layout.Total() / SegmentBytes),
-		location:  make(map[seg]seg),
-		occupant:  make(map[seg]seg),
+		remap:     ctl.NewRemap(segShift),
 		inflight:  make(map[seg]*job),
 	}
 	m.region = ctl.AllocMetaRegion(cfg.RemapTableBytes, 4)
@@ -169,19 +167,9 @@ func (s seg) base() mem.Addr { return mem.Addr(s) << segShift }
 // slices of DRAM and NVM so migrations stay pod-local.
 func (m *MemPod) podOf(s seg) int { return int(s) % m.cfg.Pods }
 
-func (m *MemPod) locate(s seg) seg {
-	if l, ok := m.location[s]; ok {
-		return l
-	}
-	return s
-}
+func (m *MemPod) locate(s seg) seg { return seg(m.remap.Loc(uint64(s))) }
 
-func (m *MemPod) occupantOf(slot seg) seg {
-	if o, ok := m.occupant[slot]; ok {
-		return o
-	}
-	return slot
-}
+func (m *MemPod) occupantOf(slot seg) seg { return seg(m.remap.Owner(uint64(slot))) }
 
 // TranslateLine implements hmc.Manager.
 func (m *MemPod) TranslateLine(addr mem.Addr) mem.Addr {
@@ -192,9 +180,7 @@ func (m *MemPod) TranslateLine(addr mem.Addr) mem.Addr {
 
 // CheckIntegrity implements hmc.Manager.
 func (m *MemPod) CheckIntegrity() error {
-	if err := m.ctl.Oracle.VerifyAll(func(d uint64) uint64 {
-		return uint64(m.locate(seg(d)))
-	}); err != nil {
+	if err := m.ctl.Oracle.VerifyAll(m.remap.Loc); err != nil {
 		return fmt.Errorf("mempod: %w", err)
 	}
 	return nil
@@ -286,8 +272,7 @@ func (m *MemPod) migrate(pi int, s seg, hotSet map[seg]bool) bool {
 	}
 	j := &job{segs: []seg{slot, srcSlot}}
 	op.OnComplete = func() {
-		m.setOccupant(slot, s)
-		m.setOccupant(srcSlot, displaced)
+		m.remap.Place(uint64(s), uint64(slot))
 		m.ctl.Oracle.Exchange(uint64(slot), uint64(srcSlot))
 		m.ctl.IssueLine(m.region.EntryAddr(uint64(slot)), true, hmc.PrioSwap, nil)
 		m.remapCache.Prefetch(uint64(s))
@@ -384,16 +369,6 @@ func (m *MemPod) pinnedSlot(slot seg) bool {
 		return true
 	}
 	return m.ctl.OS.IsPageTable(mem.PageOf(a))
-}
-
-func (m *MemPod) setOccupant(slot, data seg) {
-	if slot == data {
-		delete(m.occupant, slot)
-		delete(m.location, data)
-		return
-	}
-	m.occupant[slot] = data
-	m.location[data] = slot
 }
 
 // frozen reports whether the page overlapping segment s is DMA-frozen.

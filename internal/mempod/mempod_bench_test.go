@@ -1,0 +1,38 @@
+package mempod
+
+import (
+	"math/rand"
+	"testing"
+
+	"pageseer/internal/mem"
+)
+
+// BenchmarkMemPodTranslateLine: the per-request translation on the test
+// rig after an interval's migrations, over lines spread across all of
+// memory.
+func BenchmarkMemPodTranslateLine(b *testing.B) {
+	sim, ctl, m := testRig()
+	for i := 0; i < 32; i++ {
+		for j := 0; j < 4; j++ {
+			miss(sim, ctl, nvmSeg(ctl, 8*i))
+		}
+	}
+	sim.RunUntil(sim.Now() + 2*m.cfg.IntervalCycles)
+	miss(sim, ctl, nvmSeg(ctl, 0))
+	sim.Drain(0)
+	if m.Stats().Migrations == 0 {
+		b.Fatal("no migrations")
+	}
+	rng := rand.New(rand.NewSource(1))
+	lines := make([]mem.Addr, 1024)
+	for i := range lines {
+		lines[i] = mem.Addr(rng.Int63n(int64(ctl.Layout.Total()))) &^ (mem.LineSize - 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink mem.Addr
+	for i := 0; i < b.N; i++ {
+		sink += m.TranslateLine(lines[i&1023])
+	}
+	_ = sink
+}

@@ -252,3 +252,28 @@ func TestFreezePageImmediateWhenIdle(t *testing.T) {
 	}
 	ctl.EndDMA(1234)
 }
+
+// TestVerifyIntegrityCatchesMutation: after a real migration the manager's
+// remap table agrees with the oracle; sending the migrated segment home in
+// the manager's table alone must fail the check.
+func TestVerifyIntegrityCatchesMutation(t *testing.T) {
+	sim, ctl, m := testRig()
+	hot := nvmSeg(ctl, 40)
+	for i := 0; i < 30; i++ {
+		miss(sim, ctl, hot)
+	}
+	sim.RunUntil(sim.Now() + 2*m.cfg.IntervalCycles)
+	miss(sim, ctl, hot)
+	sim.Drain(0)
+	if m.Stats().Migrations == 0 {
+		t.Fatal("no migration to corrupt")
+	}
+	if err := ctl.VerifyIntegrity(); err != nil {
+		t.Fatalf("uncorrupted run fails: %v", err)
+	}
+	s := uint64(segOf(hot))
+	m.remap.Place(s, s)
+	if err := ctl.VerifyIntegrity(); err == nil {
+		t.Fatal("VerifyIntegrity accepted a translation the oracle contradicts")
+	}
+}

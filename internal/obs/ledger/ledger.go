@@ -219,9 +219,9 @@ type Ledger struct {
 }
 
 // New builds a ledger for a scheme whose swap unit is 1<<unitShift bytes
-// (page for PageSeer/Static, segment for PoM/MemPod, line for CAMEO). All
-// addresses passed to the recording methods are OS-visible physical byte
-// addresses — the data-identity key every scheme swaps by.
+// (page for PageSeer/Static, segment for PoM/MemPod). All addresses passed
+// to the recording methods are OS-visible physical byte addresses — the
+// data-identity key every scheme swaps by.
 func New(unitShift uint) *Ledger {
 	return &Ledger{
 		shift: unitShift,

@@ -12,9 +12,9 @@
 // package keeps it, so questions like "which pages ping-pong", "how big is
 // the hot set", and "where does NVM wear land" become answerable per run and
 // comparable across schemes. Rows are keyed by the scheme's swap unit (page
-// for PageSeer/Static, 2KB segment for PoM/MemPod, line for CAMEO) — the
-// same data-identity key the ledger uses — and every address passed in is an
-// OS-visible physical byte address.
+// for PageSeer/Static, 2KB segment for PoM/MemPod) — the same data-identity
+// key the ledger uses — and every address passed in is an OS-visible
+// physical byte address.
 //
 // Cost discipline matches internal/obs: every recording method is nil-safe,
 // so a simulator built without a pagemap pays one nil check per call site

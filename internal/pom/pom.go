@@ -99,11 +99,8 @@ type PoM struct {
 
 	fastSegs seg // number of DRAM segments == number of swap groups
 
-	// location[s] = slot currently holding segment s's data;
-	// occupant[slot] = segment whose data the slot holds.
-	// Identity when absent.
-	location map[seg]seg
-	occupant map[seg]seg
+	// remap is the segment permutation the SRT holds.
+	remap *hmc.Remap
 
 	counters  map[seg]uint32
 	lastDecay uint64
@@ -126,8 +123,7 @@ func New(ctl *hmc.Controller, cfg Config) *PoM {
 		ctl:      ctl,
 		cfg:      cfg,
 		fastSegs: seg(ctl.Layout.DRAMBytes / SegmentBytes),
-		location: make(map[seg]seg),
-		occupant: make(map[seg]seg),
+		remap:    ctl.NewRemap(segShift),
 		counters: make(map[seg]uint32),
 		inflight: make(map[seg]*job),
 	}
@@ -161,19 +157,9 @@ func (p *PoM) group(s seg) seg {
 	return (s - p.fastSegs) % p.fastSegs
 }
 
-func (p *PoM) locate(s seg) seg {
-	if l, ok := p.location[s]; ok {
-		return l
-	}
-	return s
-}
+func (p *PoM) locate(s seg) seg { return seg(p.remap.Loc(uint64(s))) }
 
-func (p *PoM) occupantOf(slot seg) seg {
-	if o, ok := p.occupant[slot]; ok {
-		return o
-	}
-	return slot
-}
+func (p *PoM) occupantOf(slot seg) seg { return seg(p.remap.Owner(uint64(slot))) }
 
 // TranslateLine implements hmc.Manager.
 func (p *PoM) TranslateLine(addr mem.Addr) mem.Addr {
@@ -184,9 +170,7 @@ func (p *PoM) TranslateLine(addr mem.Addr) mem.Addr {
 
 // CheckIntegrity implements hmc.Manager.
 func (p *PoM) CheckIntegrity() error {
-	if err := p.ctl.Oracle.VerifyAll(func(d uint64) uint64 {
-		return uint64(p.locate(seg(d)))
-	}); err != nil {
+	if err := p.ctl.Oracle.VerifyAll(p.remap.Loc); err != nil {
 		return fmt.Errorf("pom: %w", err)
 	}
 	return nil
@@ -282,8 +266,7 @@ func (p *PoM) trySwap(s seg) {
 	op.OnComplete = func() {
 		// Fast swap: s's data lands in the fast slot; the displaced data
 		// lands where s used to be — NOT at its own home (Section II-B).
-		p.setOccupant(fastSlot, s)
-		p.setOccupant(slowSlot, displaced)
+		p.remap.Place(uint64(s), uint64(fastSlot))
 		p.ctl.Oracle.Exchange(uint64(fastSlot), uint64(slowSlot))
 		p.ctl.IssueLine(p.srcRegion.EntryAddr(uint64(fastSlot)), true, hmc.PrioSwap, nil)
 		p.src.Prefetch(uint64(fastSlot))
@@ -327,17 +310,6 @@ func (p *PoM) trySwap(s seg) {
 	}
 	p.inflight[fastSlot] = j
 	p.inflight[slowSlot] = j
-}
-
-func (p *PoM) setOccupant(slot, data seg) {
-	p.occupant[slot] = data
-	p.location[data] = slot
-	if p.occupant[slot] == slot {
-		delete(p.occupant, slot)
-	}
-	if p.location[data] == data {
-		delete(p.location, data)
-	}
 }
 
 // frozen reports whether any page overlapping segment s is DMA-frozen.

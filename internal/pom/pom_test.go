@@ -249,3 +249,31 @@ func TestFreezePageWaitsForInflightSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVerifyIntegrityCatchesMutation: after real swaps the manager's remap
+// table agrees with the oracle; sending one swapped segment home in the
+// manager's table alone must fail the check.
+func TestVerifyIntegrityCatchesMutation(t *testing.T) {
+	sim, ctl, p := testRig()
+	for i := 0; i < 4; i++ {
+		a := slowSeg(ctl, 100+i)
+		for j := 0; j < int(p.cfg.K); j++ {
+			miss(sim, ctl, a)
+		}
+	}
+	sim.Drain(0)
+	if p.Stats().Swaps == 0 {
+		t.Fatal("no swaps to corrupt")
+	}
+	if err := ctl.VerifyIntegrity(); err != nil {
+		t.Fatalf("uncorrupted run fails: %v", err)
+	}
+	s := uint64(segOf(slowSeg(ctl, 100)))
+	if p.remap.Loc(s) == s {
+		t.Fatal("the first hot segment never left home")
+	}
+	p.remap.Place(s, s)
+	if err := ctl.VerifyIntegrity(); err == nil {
+		t.Fatal("VerifyIntegrity accepted a translation the oracle contradicts")
+	}
+}

@@ -110,8 +110,6 @@ func (s *System) metaCaches() []*hmc.MetaCache {
 		return []*hmc.MetaCache{s.PoM.SRC()}
 	case s.MemPod != nil:
 		return []*hmc.MetaCache{s.MemPod.RemapCache()}
-	case s.CAMEO != nil:
-		return []*hmc.MetaCache{s.CAMEO.RemapCache()}
 	}
 	return nil
 }

@@ -36,7 +36,7 @@ func TestAuditPassesAndMatchesBaseline(t *testing.T) {
 		wls = []string{"lbm", "GemsFDTD", "miniFE", "barnes", "mix6"}
 	}
 	for _, wl := range wls {
-		for _, sch := range []Scheme{SchemeStatic, SchemePageSeer, SchemePoM, SchemeMemPod, SchemeCAMEO} {
+		for _, sch := range []Scheme{SchemeStatic, SchemePageSeer, SchemePoM, SchemeMemPod} {
 			base := runWith(t, wl, sch, false, check.FaultPlan{})
 			audited := runWith(t, wl, sch, true, check.FaultPlan{})
 			// Results.Watchdog reports the audit apparatus itself (sample

@@ -103,7 +103,7 @@ func TestCPISmoke(t *testing.T) {
 // The end-of-run audit enforces the same law (Config.Audit is set), so this
 // test both re-derives it from Results and proves the audit ran clean.
 func TestCPIConservation(t *testing.T) {
-	for _, sch := range []Scheme{SchemeStatic, SchemePageSeer, SchemePageSeerNoCorr, SchemePoM, SchemeMemPod, SchemeCAMEO} {
+	for _, sch := range []Scheme{SchemeStatic, SchemePageSeer, SchemePageSeerNoCorr, SchemePoM, SchemeMemPod} {
 		cfg := tinyConfig(sch, "lbm")
 		cfg.Obs.CPI = true
 		cfg.Audit = true

@@ -59,7 +59,7 @@ func TestEffectivenessSmoke(t *testing.T) {
 // and reports a conserved, internally consistent digest — the property that
 // makes effectiveness comparable across PageSeer and the baselines.
 func TestEffectivenessAllSchemes(t *testing.T) {
-	for _, sch := range []Scheme{SchemeStatic, SchemePageSeer, SchemePageSeerNoCorr, SchemePoM, SchemeMemPod, SchemeCAMEO} {
+	for _, sch := range []Scheme{SchemeStatic, SchemePageSeer, SchemePageSeerNoCorr, SchemePoM, SchemeMemPod} {
 		cfg := tinyConfig(sch, "lbm")
 		cfg.Obs.Ledger = true
 		cfg.Audit = true

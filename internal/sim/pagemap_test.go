@@ -123,7 +123,7 @@ func TestPageMapFlapDetection(t *testing.T) {
 // manager's translation ground truth. CheckInvariants re-runs the sweep
 // explicitly to prove it is green, not merely skipped.
 func TestPageMapConservation(t *testing.T) {
-	for _, sch := range []Scheme{SchemeStatic, SchemePageSeer, SchemePageSeerNoCorr, SchemePoM, SchemeMemPod, SchemeCAMEO} {
+	for _, sch := range []Scheme{SchemeStatic, SchemePageSeer, SchemePageSeerNoCorr, SchemePoM, SchemeMemPod} {
 		cfg := tinyConfig(sch, "lbm")
 		cfg.Obs.PageMap = true
 		cfg.Audit = true

@@ -176,8 +176,6 @@ func (s *System) collect(epochStart uint64) Results {
 		r.RemapCache = s.PoM.SRC().Stats()
 	case s.MemPod != nil:
 		r.RemapCache = s.MemPod.RemapCache().Stats()
-	case s.CAMEO != nil:
-		r.RemapCache = s.CAMEO.RemapCache().Stats()
 	}
 	swaps := s.completedSwaps()
 	if r.Instructions > 0 {

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"pageseer/internal/cache"
-	"pageseer/internal/cameo"
 	"pageseer/internal/check"
 	"pageseer/internal/core"
 	"pageseer/internal/cpu"
@@ -38,9 +37,6 @@ const (
 	SchemePageSeerNoCorr Scheme = "pageseer-nocorr"
 	SchemePoM            Scheme = "pom"
 	SchemeMemPod         Scheme = "mempod"
-	// SchemeCAMEO is the extension baseline from the paper's background
-	// section (64B blocks, swap on every slow access).
-	SchemeCAMEO Scheme = "cameo"
 )
 
 // Schemes returns the comparison set of Figure 14.
@@ -226,7 +222,6 @@ type System struct {
 	PageSeer *core.PageSeer // nil unless Scheme is pageseer / nocorr
 	PoM      *pom.PoM       // nil unless pom
 	MemPod   *mempod.MemPod // nil unless mempod
-	CAMEO    *cameo.CAMEO   // nil unless cameo
 
 	// Timeline and Tracer are the optional sinks selected by Config.Obs
 	// (nil when off). lat is always attached: see Config.Obs.
@@ -459,16 +454,13 @@ func Build(cfg Config) (*System, error) {
 
 // swapUnitShift returns the log2 of a scheme's swap granularity — the
 // ledger's addr->unit conversion. PageSeer and Static move 4KB pages, PoM
-// and MemPod 2KB segments, CAMEO 64B lines. Custom managers default to
-// page granularity.
+// and MemPod 2KB segments. Custom managers default to page granularity.
 func swapUnitShift(scheme Scheme) uint {
 	switch scheme {
 	case SchemePoM:
 		return 11 // pom.SegmentBytes
 	case SchemeMemPod:
 		return 11 // mempod.SegmentBytes
-	case SchemeCAMEO:
-		return mem.LineShift
 	}
 	return mem.PageShift
 }
@@ -491,8 +483,6 @@ func installScheme(cfg Config, sys *System, ctl *hmc.Controller) error {
 		sys.PoM = pom.New(ctl, pom.DefaultConfig().Scale(cfg.Scale))
 	case SchemeMemPod:
 		sys.MemPod = mempod.New(ctl, mempod.DefaultConfig().Scale(cfg.Scale))
-	case SchemeCAMEO:
-		sys.CAMEO = cameo.New(ctl, cameo.DefaultConfig().Scale(cfg.Scale))
 	default:
 		return fmt.Errorf("sim: unknown scheme %q", cfg.Scheme)
 	}
@@ -665,8 +655,6 @@ func (s *System) resetStats() {
 		s.PoM.ResetStats()
 	case s.MemPod != nil:
 		s.MemPod.ResetStats()
-	case s.CAMEO != nil:
-		s.CAMEO.ResetStats()
 	}
 }
 
@@ -713,8 +701,6 @@ func (s *System) completedSwaps() uint64 {
 		return s.PoM.Stats().Swaps
 	case s.MemPod != nil:
 		return s.MemPod.Stats().Migrations
-	case s.CAMEO != nil:
-		return s.CAMEO.Stats().Swaps
 	}
 	return 0
 }

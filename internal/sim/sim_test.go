@@ -75,7 +75,7 @@ func TestStaticIsAllNeutral(t *testing.T) {
 // TestDeterminism pins that a freshly built System reproduces the full
 // Results of an identical one, for every scheme in detailed and sampled mode.
 func TestDeterminism(t *testing.T) {
-	for _, scheme := range []Scheme{SchemeStatic, SchemePageSeer, SchemePageSeerNoCorr, SchemePoM, SchemeMemPod, SchemeCAMEO} {
+	for _, scheme := range []Scheme{SchemeStatic, SchemePageSeer, SchemePageSeerNoCorr, SchemePoM, SchemeMemPod} {
 		for _, sampled := range []bool{false, true} {
 			cfg := tinyConfig(scheme, "mix6")
 			if sampled {
@@ -283,22 +283,4 @@ func TestScaleOneIsPaperSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = mem.PageSize
-}
-
-func TestCAMEOSchemeRuns(t *testing.T) {
-	sys, err := Build(tinyConfig(SchemeCAMEO, "barnes"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.IPC <= 0 {
-		t.Fatalf("CAMEO run produced IPC %f", res.IPC)
-	}
-	// CAMEO swaps on every slow access: with any NVM traffic it must swap.
-	if res.SwapsPerKI == 0 && res.Ctl.ServedNVM > 1000 {
-		t.Fatal("CAMEO never swapped despite NVM traffic")
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pageseer/internal/cache"
-	"pageseer/internal/cameo"
 	"pageseer/internal/core"
 	"pageseer/internal/hmc"
 	"pageseer/internal/mempod"
@@ -111,12 +110,6 @@ func (cfg Config) Validate() error {
 	case SchemeMemPod:
 		mcfg := mempod.DefaultConfig().Scale(scale)
 		mc := hmc.MetaCacheConfig{Name: "remap", Entries: mcfg.RemapEntries, Ways: mcfg.RemapWays}
-		if err := mc.Validate(); err != nil {
-			return fail(err)
-		}
-	case SchemeCAMEO:
-		ccfg := cameo.DefaultConfig().Scale(scale)
-		mc := hmc.MetaCacheConfig{Name: "remap", Entries: ccfg.RemapEntries, Ways: ccfg.RemapWays}
 		if err := mc.Validate(); err != nil {
 			return fail(err)
 		}

@@ -14,7 +14,7 @@ func TestConfigValidate(t *testing.T) {
 		wantErr string // "" = valid
 	}{
 		{"default", func(c *Config) {}, ""},
-		{"every scheme", func(c *Config) { c.Scheme = SchemeCAMEO }, ""},
+		{"every scheme", func(c *Config) { c.Scheme = SchemeMemPod }, ""},
 		{"scale normalised", func(c *Config) { c.Scale = 0 }, ""},
 		{"unknown workload", func(c *Config) { c.Workload = "nope" }, "workload"},
 		{"unknown scheme", func(c *Config) { c.Scheme = "quantum" }, "scheme"},

@@ -21,7 +21,6 @@ func TestWheelVsHeapDifferentialSim(t *testing.T) {
 		{SchemePageSeer, "mix6"},
 		{SchemePoM, "mcf"},
 		{SchemeMemPod, "miniFE"},
-		{SchemeCAMEO, "barnes"},
 		{SchemeStatic, "leslie3d"},
 	}
 	for _, g := range grid {

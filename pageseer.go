@@ -52,9 +52,6 @@ const (
 	SchemePoM = sim.SchemePoM
 	// SchemeMemPod is the MemPod baseline (Prodromou et al., HPCA 2017).
 	SchemeMemPod = sim.SchemeMemPod
-	// SchemeCAMEO is the fine-granularity extension baseline (Chou et al.,
-	// MICRO 2014), as described in the paper's background section.
-	SchemeCAMEO = sim.SchemeCAMEO
 )
 
 // Config describes one simulation run; see sim.Config for field docs.

@@ -114,95 +114,6 @@ type mshr struct {
 	next     *mshr
 }
 
-// mshrTable finds the outstanding miss for a line: the simulator's stand-in
-// for the MSHR file's CAM. It is an open-addressed hash table of records
-// keyed by their line, with linear probing from a multiplicative-hash home
-// slot; nil marks an empty slot. It doubles at half load, so it is as
-// unbounded as the MSHR file it models, and deletion shifts later members of
-// the probe run back rather than leaving tombstones, so a get never probes
-// past slots that are only formerly occupied.
-type mshrTable struct {
-	slots []*mshr // power-of-two length once the first record arrives
-	shift uint    // 64 - log2(len(slots)): home is the hash's top bits
-	n     int     // live records
-}
-
-// mshrTableMin is the table's initial size in slots.
-const mshrTableMin = 16
-
-// home is the slot a line's probe run starts at: Fibonacci hashing of the
-// line number, whose top bits spread strided lines across the table.
-func (t *mshrTable) home(l mem.Addr) int {
-	return int((uint64(l) >> mem.LineShift) * 0x9e3779b97f4a7c15 >> t.shift)
-}
-
-// get returns the outstanding record for line l, or nil.
-func (t *mshrTable) get(l mem.Addr) *mshr {
-	if t.n == 0 {
-		return nil
-	}
-	mask := len(t.slots) - 1
-	for i := t.home(l); ; i = (i + 1) & mask {
-		if m := t.slots[i]; m == nil || m.line == l {
-			return m
-		}
-	}
-}
-
-// put adds m, whose line must not already be present.
-func (t *mshrTable) put(m *mshr) {
-	if 2*(t.n+1) > len(t.slots) {
-		t.grow()
-	}
-	t.insert(m)
-	t.n++
-}
-
-func (t *mshrTable) insert(m *mshr) {
-	mask := len(t.slots) - 1
-	i := t.home(m.line)
-	for t.slots[i] != nil {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = m
-}
-
-func (t *mshrTable) grow() {
-	old := t.slots
-	size := 2 * len(old)
-	if size == 0 {
-		size = mshrTableMin
-	}
-	t.slots = make([]*mshr, size)
-	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	for _, m := range old {
-		if m != nil {
-			t.insert(m)
-		}
-	}
-}
-
-// del removes line l's record, which must be present. Each later member of
-// the probe run whose home does not lie cyclically in (hole, its slot]
-// moves back into the hole, so every remaining record stays reachable from
-// its home without crossing an empty slot.
-func (t *mshrTable) del(l mem.Addr) {
-	mask := len(t.slots) - 1
-	hole := t.home(l)
-	for t.slots[hole].line != l {
-		hole = (hole + 1) & mask
-	}
-	t.slots[hole] = nil
-	t.n--
-	for j := (hole + 1) & mask; t.slots[j] != nil; j = (j + 1) & mask {
-		m := t.slots[j]
-		if (j-t.home(m.line))&mask >= (j-hole)&mask {
-			t.slots[hole], t.slots[j] = m, nil
-			hole = j
-		}
-	}
-}
-
 // cacheTxn carries one access across this level's tag-lookup latency: the
 // request payload plus a continuation closure pre-bound to the record.
 // Pooled like mshr, it replaces the per-access closure the Access ->
@@ -257,18 +168,15 @@ type Cache struct {
 	ways    int
 	nSets   uint64
 	setBits uint // log2(nSets); Validate guarantees nSets is a power of two
-	mshrs   mshrTable
-	stats   Stats
+	// mshrs finds the outstanding miss for a line, keyed by line number:
+	// the simulator's stand-in for the MSHR file's CAM, as unbounded as
+	// the file it models.
+	mshrs mem.Table[*mshr]
+	stats Stats
 
 	// nextFunc caches the next-level FunctionalBackend assertion for the
 	// sampled fast-forward path; nil until first functional use.
 	nextFunc FunctionalBackend
-	// mru is the tag-store index of the way the functional path touched
-	// last (-1 when unset), shortcutting the set scan for the common
-	// same-line streak (the detailed path never reads it). It may go stale
-	// when the way is replaced; the set/tag re-check in AccessFunctional
-	// makes staleness harmless, so it never needs invalidation.
-	mru int
 
 	freeTxn  *cacheTxn
 	freeMSHR *mshr
@@ -294,7 +202,6 @@ func New(sim *engine.Sim, cfg Config, next Backend) *Cache {
 		ways:    cfg.Ways,
 		nSets:   uint64(nSets),
 		setBits: uint(bits.TrailingZeros64(uint64(nSets))),
-		mru:     -1,
 	}
 	order := uint64(NewLRU(cfg.Ways))
 	for base := 0; base < len(c.store); base += cfg.Ways + 2 {
@@ -463,7 +370,7 @@ func (c *Cache) afterTagLookup(t *cacheTxn) {
 	if meta.IsPTE {
 		c.stats.PTEMiss++
 	}
-	if m := c.mshrs.get(l); m != nil {
+	if m, _ := c.mshrs.Get(mem.LineNum(l)); m != nil {
 		c.stats.MSHRMerges++
 		m.write = m.write || write
 		if done != nil {
@@ -479,7 +386,7 @@ func (c *Cache) afterTagLookup(t *cacheTxn) {
 	if done != nil {
 		m.waiters = append(m.waiters, done)
 	}
-	c.mshrs.put(m)
+	c.mshrs.Put(mem.LineNum(l), m)
 	// Fetch the line from below. The fill installs it and releases waiters.
 	fetchMeta := meta
 	fetchMeta.Writeback = false
@@ -487,10 +394,9 @@ func (c *Cache) afterTagLookup(t *cacheTxn) {
 }
 
 func (c *Cache) fill(m *mshr) {
-	if c.mshrs.get(m.line) != m {
+	if got, _ := c.mshrs.Del(mem.LineNum(m.line)); got != m {
 		panic(fmt.Sprintf("cache %s: fill for %#x without MSHR", c.cfg.Name, uint64(m.line)))
 	}
-	c.mshrs.del(m.line)
 	c.install(m.line, m.write, m.meta)
 	// Mergers spent their whole wait parked in this MSHR while the creator's
 	// vector accumulated the downstream story; charge them the wait here.
@@ -539,12 +445,7 @@ func (c *Cache) AccessFunctional(addr mem.Addr, write bool, meta Meta) {
 		panic(fmt.Sprintf("cache %s: PTE request reached a level that does not cache PTEs", c.cfg.Name))
 	}
 	base, want := c.index(l)
-	w := c.mru
-	if w < base || w >= base+c.ways || c.store[w] != want {
-		w = c.find(base, want)
-	}
-	if w >= 0 {
-		c.mru = w
+	if w := c.find(base, want); w >= 0 {
 		c.touch(base, w, write)
 		return
 	}
@@ -579,7 +480,6 @@ func (c *Cache) installFunctional(l mem.Addr, dirty bool, meta Meta) {
 		c.functionalNext().AccessFunctional(victimAddr, true, wb)
 	}
 	c.fillWay(base, v, want, dirty)
-	c.mru = v
 }
 
 // Contains reports whether the line is currently resident (for tests).
@@ -588,13 +488,13 @@ func (c *Cache) Contains(addr mem.Addr) bool {
 }
 
 // OutstandingMisses returns the number of live MSHRs (for tests).
-func (c *Cache) OutstandingMisses() int { return c.mshrs.n }
+func (c *Cache) OutstandingMisses() int { return c.mshrs.Len() }
 
 // Audit reports end-of-run invariant violations: a quiesced cache has no
 // outstanding MSHRs and every pooled record back on its free list.
 func (c *Cache) Audit(a *check.Audit) {
-	a.Checkf(c.mshrs.n == 0,
-		"cache %s: %d MSHR(s) still outstanding at quiescence (leaked miss)", c.cfg.Name, c.mshrs.n)
+	a.Checkf(c.mshrs.Len() == 0,
+		"cache %s: %d MSHR(s) still outstanding at quiescence (leaked miss)", c.cfg.Name, c.mshrs.Len())
 	a.Checkf(c.liveMSHR == 0,
 		"cache %s: %d pooled MSHR record(s) never returned", c.cfg.Name, c.liveMSHR)
 	a.Checkf(c.liveTxn == 0,

@@ -39,9 +39,9 @@ func tinyHierarchy(sim *engine.Sim, fm *fakeMem) [3]*Cache {
 // only after the fetch returns, so a later L3 hit can touch its LRU first,
 // while the functional path installs at once.
 //
-// The stream opens with the stale-MRU case: lines a, b and c share an L1
-// set of two ways, so c replaces a, and the re-access of a finds the MRU
-// shortcut on a's old way, now holding c: it must miss, not match there.
+// The stream opens with a replacement: lines a, b and c share an L1 set of
+// two ways, so c replaces a, and the re-access of a must miss on a's old
+// way, now holding c.
 func TestFunctionalMatchesDetailedProperty(t *testing.T) {
 	const lines = 256 // footprint in lines: 4x the L3
 	setStride := mem.Addr(8 * mem.LineSize)

@@ -60,7 +60,7 @@ func TestAuditCatchesNonCrossingPair(t *testing.T) {
 // backing queue record — the leak a mispaired popPending would leave.
 func TestAuditCatchesDanglingPending(t *testing.T) {
 	_, ctl, ps := testRig(testConfig())
-	ps.pendingKind[nvmPage(ctl, 3)] = SwapRegular
+	ps.pendingKind.Put(uint64(nvmPage(ctl, 3)), SwapRegular)
 
 	a := &check.Audit{}
 	ps.Audit(a)

@@ -21,17 +21,20 @@ func newEvictLoop(tb testing.TB) *evictLoop {
 	if cfg.FilterEntries != 128 {
 		tb.Fatalf("FilterEntries = %d, want the 128 of Table II", cfg.FilterEntries)
 	}
-	l := &evictLoop{c: NewCorrelator(cfg, nil)}
+	l := &evictLoop{c: NewCorrelator(cfg, evictLoopPages, nil)}
 	l.run(4 * 512 * 2) // every page once: fills the Filter and the PCT
 	return l
 }
+
+// evictLoopPages is the loop's physical page range: 512 pages per pid.
+const evictLoopPages = 4 << 9
 
 // run issues n invocations, each a leader change that the default
 // two-miss debounce accepts.
 func (l *evictLoop) run(n int) {
 	for i := 0; i < n; i++ {
 		pid := i & 3
-		page := mem.PPN(pid)<<20 | l.next[pid]
+		page := mem.PPN(pid)<<9 | l.next[pid]
 		l.next[pid] = (l.next[pid] + 1) & 511
 		l.c.OnMiss(pid+1, page)
 		l.c.OnMiss(pid+1, page)
@@ -77,6 +80,47 @@ func BenchmarkPTECacheObtain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Obtain(lines[i&1023], fetch, ready)
+	}
+}
+
+// TestZeroAllocPTECacheMerge: once warmed, an Obtain that misses, the
+// Obtains that merge into its pending fetch, the fill that wakes them and
+// the eviction it makes allocate nothing: waiters park on the pooled fill
+// record. Each round fetches 4 of 24 lines into the 16-line cache and
+// merges three more Obtains into each fetch before completing it.
+func TestZeroAllocPTECacheMerge(t *testing.T) {
+	p := NewPTECache(16)
+	var fills []func()
+	fetch := func(done func()) { fills = append(fills, done) }
+	ready := func() {}
+	next := 0
+	round := func() {
+		for i := 0; i < 4; i++ {
+			line := mem.Addr(next%24) * mem.LineSize
+			next += 7
+			for j := 0; j < 4; j++ {
+				p.Obtain(line, fetch, ready)
+			}
+		}
+		for i, f := range fills {
+			f()
+			fills[i] = nil
+		}
+		fills = fills[:0]
+	}
+	for i := 0; i < 100; i++ {
+		round()
+	}
+	misses, merged := p.Misses(), p.PendingHits()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("steady-state Obtain with merges allocates %.1f times per round, want 0", allocs)
+	}
+	if p.Misses() == misses || p.PendingHits()-merged < 3*(p.Misses()-misses) {
+		t.Fatalf("rounds missed %d times with %d merges; every miss must take three",
+			p.Misses()-misses, p.PendingHits()-merged)
+	}
+	if p.pending.Len() != 0 {
+		t.Fatalf("%d fetch(es) left pending", p.pending.Len())
 	}
 }
 

@@ -129,23 +129,25 @@ type PageSeer struct {
 	// its OS-assigned frame — the PRT invariant of Section III-C1.
 	remap *hmc.Remap
 
-	inflight map[mem.PPN]*swapJob
+	// inflight maps each page taking part in a running swap to its job.
+	inflight mem.Table[*swapJob]
 	// The Swap Driver's request queue: prefetch swaps (the early, targeted
 	// ones) drain ahead of regular swaps; a prefetch request for a page
 	// already queued as regular upgrades it in place.
 	pendingPref []pendingSwap
 	pendingReg  []pendingSwap
-	pendingKind map[mem.PPN]SwapKind
+	pendingKind mem.Table[SwapKind]
 
 	nColors int
-	colorRR map[int]mem.PPN // next victim-search start per color
+	colorRR []mem.PPN // next victim-search start per color; 0 = the color itself
 
 	// windowed DRAM utilization for the Swap Driver heuristic
 	utilCheckedAt uint64
 	utilLastBusy  uint64
 	utilRecent    float64
 
-	prefTracks map[mem.PPN]*prefTrack
+	// prefTracks holds the open prefetch-accuracy windows, keyed by page.
+	prefTracks mem.Table[prefTrack]
 
 	// ffBudget caps how many swaps the functional fast-forward path may
 	// commit before the next detailed phase (see SetFFSwapBudget);
@@ -335,14 +337,10 @@ const pendingStaleCycles = 60_000
 // workload pages are allocated.
 func New(ctl *hmc.Controller, cfg Config) *PageSeer {
 	p := &PageSeer{
-		sim:         ctl.Sim,
-		ctl:         ctl,
-		cfg:         cfg,
-		remap:       ctl.NewRemap(mem.PageShift),
-		inflight:    make(map[mem.PPN]*swapJob),
-		pendingKind: make(map[mem.PPN]SwapKind),
-		colorRR:     make(map[int]mem.PPN),
-		prefTracks:  make(map[mem.PPN]*prefTrack),
+		sim:   ctl.Sim,
+		ctl:   ctl,
+		cfg:   cfg,
+		remap: ctl.NewRemap(mem.PageShift),
 	}
 	p.prtRegion = ctl.AllocMetaRegion(cfg.PRTBytes, 4)  // 3.5B entries, rounded
 	p.pctRegion = ctl.AllocMetaRegion(cfg.PCTBytes, 11) // 10.5B entries
@@ -355,18 +353,19 @@ func New(ctl *hmc.Controller, cfg Config) *PageSeer {
 		HitLatency: cfg.PCTcHitLatency, EntriesPerLine: 6, // 10.5B entries
 		Background: true, // off the critical path (Section III-C3)
 	}, p.pctRegion, ctl.IssueLine)
-	p.corr = NewCorrelator(cfg, func(leader mem.PPN, effective bool) {
+	pages := ctl.Layout.Total() >> mem.PageShift
+	p.corr = NewCorrelator(cfg, pages, func(leader mem.PPN, effective bool) {
 		if effective {
 			p.pctc.MarkDirty(uint64(leader))
 		}
 	})
-	pages := ctl.Layout.Total() >> mem.PageShift
 	p.hptDRAM = NewHPT(ctl.Sim, cfg.HPTDecayInterval, cfg.HPTEntries, cfg.CounterMax, pages)
 	p.hptNVM = NewHPT(ctl.Sim, cfg.HPTDecayInterval, cfg.HPTEntries, cfg.CounterMax, pages)
 	p.pte = NewPTECache(cfg.MMUDriverLines)
 	// The same-color constraint is defined over logical PRT entry sets
 	// (Figure 4), independent of the PRTc's physical line organisation.
 	p.nColors = cfg.PRTcEntries / cfg.PRTcWays
+	p.colorRR = make([]mem.PPN, p.nColors)
 	ctl.SetManager(p)
 	return p
 }
@@ -456,7 +455,7 @@ func (p *PageSeer) HandleRequest(r *hmc.Request) {
 // trackMiss updates the hot-page tables and the correlator, and evaluates
 // swap triggers.
 func (p *PageSeer) trackMiss(pid int, page mem.PPN) {
-	if t, ok := p.prefTracks[page]; ok {
+	if t := p.prefTracks.Ref(uint64(page)); t != nil {
 		t.count++
 	}
 	if p.residentDRAM(page) {
@@ -568,16 +567,16 @@ func (p *PageSeer) requestSwap(page mem.PPN, kind SwapKind) bool {
 // requestSwapFrom is requestSwap with explicit provenance: follower marks a
 // correlation-follower request for the ledger's trigger taxonomy.
 func (p *PageSeer) requestSwapFrom(page mem.PPN, kind SwapKind, follower bool) bool {
-	if p.residentDRAM(page) || p.inflight[page] != nil {
+	if p.residentDRAM(page) || p.inflight.Has(uint64(page)) {
 		return true
 	}
-	if prev, queued := p.pendingKind[page]; queued {
+	if prev, queued := p.pendingKind.Get(uint64(page)); queued {
 		// A stronger trigger upgrades a queued request in place: prefetch
 		// kinds beat regular, and the MMU hint beats the access-triggered
 		// path (when both fire for one page — the common case, since the
 		// hint and the replayed access race — the swap is MMU-initiated).
 		if kind > prev {
-			p.pendingKind[page] = kind
+			p.pendingKind.Put(uint64(page), kind)
 			p.pendingPref = append(p.pendingPref, pendingSwap{page: page, kind: kind, follower: follower, at: p.sim.Now()})
 		}
 		return true
@@ -601,11 +600,11 @@ func (p *PageSeer) requestSwapFrom(page mem.PPN, kind SwapKind, follower bool) b
 }
 
 func (p *PageSeer) enqueue(page mem.PPN, kind SwapKind, follower bool) bool {
-	if len(p.pendingKind) >= maxPendingSwaps {
+	if p.pendingKind.Len() >= maxPendingSwaps {
 		p.stats.DeclinedQueue++
 		return false
 	}
-	p.pendingKind[page] = kind
+	p.pendingKind.Put(uint64(page), kind)
 	e := pendingSwap{page: page, kind: kind, follower: follower, at: p.sim.Now()}
 	if kind == SwapRegular {
 		p.pendingReg = append(p.pendingReg, e)
@@ -624,11 +623,11 @@ func (p *PageSeer) popPending() (pendingSwap, bool) {
 		for len(*q) > 0 {
 			e := (*q)[0]
 			*q = (*q)[1:]
-			k, ok := p.pendingKind[e.page]
+			k, ok := p.pendingKind.Get(uint64(e.page))
 			if !ok || k != e.kind {
 				continue // stale duplicate (upgraded or handled)
 			}
-			delete(p.pendingKind, e.page)
+			p.pendingKind.Del(uint64(e.page))
 			if now-e.at > pendingStaleCycles {
 				p.stats.DeclinedQueue++
 				continue // expired: the flurry this served has passed
@@ -695,8 +694,8 @@ func (p *PageSeer) color(page mem.PPN) int { return int(uint64(page) % uint64(p.
 // counters exist for.
 func (p *PageSeer) pickVictim(color int) (frame mem.PPN, partner mem.PPN, hasPartner, ok bool) {
 	dramPages := mem.PPN(p.ctl.Layout.DRAMPages())
-	start, exists := p.colorRR[color]
-	if !exists || start >= dramPages {
+	start := p.colorRR[color]
+	if start == 0 || start >= dramPages {
 		start = mem.PPN(color)
 	}
 
@@ -711,10 +710,10 @@ func (p *PageSeer) pickVictim(color int) (frame mem.PPN, partner mem.PPN, hasPar
 		if f >= dramPages {
 			f = mem.PPN(color)
 		}
-		if !p.pinned(f) && !p.ctl.FrozenByDMA(f) && p.inflight[f] == nil {
+		if !p.pinned(f) && !p.ctl.FrozenByDMA(f) && !p.inflight.Has(uint64(f)) {
 			resident := p.frameOf(f) // pairs are symmetric: f holds the data of the page it maps to
 			swapped := resident != f
-			if !p.ctl.FrozenByDMA(resident) && p.inflight[resident] == nil {
+			if !p.ctl.FrozenByDMA(resident) && !p.inflight.Has(uint64(resident)) {
 				score := uint64(p.hptDRAM.Count(resident)) << 1
 				if swapped {
 					score++
@@ -743,7 +742,7 @@ func (p *PageSeer) pickVictim(color int) (frame mem.PPN, partner mem.PPN, hasPar
 // the cycle the request entered the Swap Driver (for queued requests, the
 // enqueue cycle), recorded in the swap's provenance.
 func (p *PageSeer) startSwap(page mem.PPN, kind SwapKind, follower bool, req uint64) {
-	if p.residentDRAM(page) || p.inflight[page] != nil {
+	if p.residentDRAM(page) || p.inflight.Has(uint64(page)) {
 		return
 	}
 	if nPartner := p.frameOf(page); nPartner != page {
@@ -826,7 +825,7 @@ func (p *PageSeer) startSwap(page mem.PPN, kind SwapKind, follower bool, req uin
 	}
 	p.stats.SwapsStarted[kind]++
 	for _, pg := range job.pages {
-		p.inflight[pg] = job
+		p.inflight.Put(uint64(pg), job)
 	}
 }
 
@@ -834,7 +833,7 @@ func (p *PageSeer) startSwap(page mem.PPN, kind SwapKind, follower bool, req uin
 // original frame. dPage is the DRAM-original page, nPartner the NVM page
 // currently occupying its frame.
 func (p *PageSeer) startRestore(dPage, nPartner mem.PPN, kind SwapKind, follower bool, req uint64) {
-	if p.hptDRAM.Contains(nPartner) || p.inflight[nPartner] != nil ||
+	if p.hptDRAM.Contains(nPartner) || p.inflight.Has(uint64(nPartner)) ||
 		p.ctl.FrozenByDMA(nPartner) || p.ctl.FrozenByDMA(dPage) {
 		p.stats.DeclinedNoVictim++
 		return
@@ -868,7 +867,7 @@ func (p *PageSeer) startRestore(dPage, nPartner mem.PPN, kind SwapKind, follower
 			}
 			p.stats.SwapsCompleted[job.kind]++
 			for _, pg := range job.pages {
-				delete(p.inflight, pg)
+				p.inflight.Del(uint64(pg))
 			}
 			for _, w := range job.waiters {
 				w()
@@ -892,14 +891,14 @@ func (p *PageSeer) startRestore(dPage, nPartner mem.PPN, kind SwapKind, follower
 	if !p.ctl.Engine.Start(op) {
 		led.Abort(job.lid)
 		p.ctl.PageMap().Abort(job.pid)
-		if _, queued := p.pendingKind[dPage]; !queued {
+		if !p.pendingKind.Has(uint64(dPage)) {
 			p.enqueue(dPage, kind, follower)
 		}
 		return
 	}
 	p.stats.SwapsStarted[kind]++
 	for _, pg := range job.pages {
-		p.inflight[pg] = job
+		p.inflight.Put(uint64(pg), job)
 	}
 }
 
@@ -950,11 +949,11 @@ func (p *PageSeer) completeSwap(page, frame, partner mem.PPN, hasPartner bool, j
 	p.stats.SwapsCompleted[job.kind]++
 	if job.kind != SwapRegular {
 		p.stats.PrefetchTracked++
-		p.prefTracks[page] = &prefTrack{kind: job.kind}
+		p.prefTracks.Put(uint64(page), prefTrack{kind: job.kind})
 	}
 
 	for _, pg := range job.pages {
-		delete(p.inflight, pg)
+		p.inflight.Del(uint64(pg))
 	}
 	for _, w := range job.waiters {
 		w()
@@ -990,11 +989,13 @@ func (p *PageSeer) traceRemapCommit(page mem.PPN) {
 
 // finalizeTrack closes the accuracy window for a page leaving DRAM.
 func (p *PageSeer) finalizeTrack(page mem.PPN) {
-	t, ok := p.prefTracks[page]
-	if !ok {
-		return
+	if t, ok := p.prefTracks.Del(uint64(page)); ok {
+		p.closeTrack(t)
 	}
-	delete(p.prefTracks, page)
+}
+
+// closeTrack scores one closed accuracy window.
+func (p *PageSeer) closeTrack(t prefTrack) {
 	if t.count >= p.cfg.AccuracyTarget {
 		p.stats.PrefetchAccurate++
 	}
@@ -1006,7 +1007,7 @@ func (p *PageSeer) drainPending() {
 		if !ok {
 			return
 		}
-		if p.residentDRAM(next.page) || p.inflight[next.page] != nil || p.ctl.FrozenByDMA(next.page) {
+		if p.residentDRAM(next.page) || p.inflight.Has(uint64(next.page)) || p.ctl.FrozenByDMA(next.page) {
 			continue
 		}
 		p.startSwap(next.page, next.kind, next.follower, next.at)
@@ -1015,7 +1016,7 @@ func (p *PageSeer) drainPending() {
 
 // FreezePage implements hmc.Manager (Section III-E).
 func (p *PageSeer) FreezePage(page mem.PPN, done func()) {
-	if job, ok := p.inflight[page]; ok {
+	if job, ok := p.inflight.Get(uint64(page)); ok {
 		job.waiters = append(job.waiters, done)
 		return
 	}
@@ -1030,9 +1031,8 @@ func (p *PageSeer) UnfreezePage(mem.PPN) {}
 // open prefetch-accuracy windows close. Call once before reading stats.
 func (p *PageSeer) Finish() {
 	p.corr.Flush()
-	for page := range p.prefTracks {
-		p.finalizeTrack(page)
-	}
+	p.prefTracks.Each(func(_ uint64, t prefTrack) { p.closeTrack(t) })
+	p.prefTracks.Clear()
 }
 
 // PrefetchAccuracy returns Figure 9's metric: the fraction of prefetch
@@ -1050,7 +1050,7 @@ func (p *PageSeer) SwappedPages() int { return p.remap.Moved() / 2 }
 // DumpState formats a short diagnostic summary.
 func (p *PageSeer) DumpState() string {
 	return fmt.Sprintf("%s: %d pairs swapped, %d in flight, %d pending, swaps=%v",
-		p.Name(), p.SwappedPages(), len(p.inflight), len(p.pendingKind), p.stats.SwapsCompleted)
+		p.Name(), p.SwappedPages(), p.inflight.Len(), p.pendingKind.Len(), p.stats.SwapsCompleted)
 }
 
 // Audit reports end-of-run invariant violations against the manager's
@@ -1059,10 +1059,10 @@ func (p *PageSeer) DumpState() string {
 // page tables alone, the Swap Driver's queue index consistent with its
 // queues, and all prefetch-accuracy windows closed.
 func (p *PageSeer) Audit(a *check.Audit) {
-	a.Checkf(len(p.inflight) == 0,
-		"pageseer: %d swap job(s) still in flight at quiescence", len(p.inflight))
-	a.Checkf(len(p.prefTracks) == 0,
-		"pageseer: %d prefetch-accuracy window(s) still open after Finish", len(p.prefTracks))
+	a.Checkf(p.inflight.Len() == 0,
+		"pageseer: %d swap job(s) still in flight at quiescence", p.inflight.Len())
+	a.Checkf(p.prefTracks.Len() == 0,
+		"pageseer: %d prefetch-accuracy window(s) still open after Finish", p.prefTracks.Len())
 	layout := p.ctl.Layout
 	for d := uint64(0); d < p.remap.Units(); d++ {
 		page, frame := mem.PPN(d), p.frameOf(mem.PPN(d))
@@ -1086,7 +1086,8 @@ func (p *PageSeer) Audit(a *check.Audit) {
 	// The queues may carry stale entries (upgrades append duplicates and
 	// popPending skips them lazily), so the invariant is one-directional:
 	// every indexed request must have a live queue record of its kind.
-	for page, kind := range p.pendingKind {
+	p.pendingKind.Each(func(k uint64, kind SwapKind) {
+		page := mem.PPN(k)
 		found := false
 		for _, q := range [2][]pendingSwap{p.pendingPref, p.pendingReg} {
 			for _, e := range q {
@@ -1097,7 +1098,7 @@ func (p *PageSeer) Audit(a *check.Audit) {
 		}
 		a.Checkf(found,
 			"pageseer: pending request for page %#x (kind %d) has no queue record", uint64(page), kind)
-	}
+	})
 }
 
 // ResetStats zeroes the PageSeer counters (e.g. after warm-up). Trained
@@ -1106,7 +1107,5 @@ func (p *PageSeer) ResetStats() {
 	p.stats = Stats{}
 	p.prtc.ResetStats()
 	p.pctc.ResetStats()
-	for page := range p.prefTracks {
-		delete(p.prefTracks, page)
-	}
+	p.prefTracks.Clear()
 }

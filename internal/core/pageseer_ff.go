@@ -74,7 +74,7 @@ func (p *PageSeer) MMUHintFunctional(h mmu.Hint) {
 
 // trackMissFunctional mirrors trackMiss with instant-commit swaps.
 func (p *PageSeer) trackMissFunctional(pid int, page mem.PPN) {
-	if t, ok := p.prefTracks[page]; ok {
+	if t := p.prefTracks.Ref(uint64(page)); t != nil {
 		t.count++
 	}
 	if p.residentDRAM(page) {
@@ -173,7 +173,7 @@ func (p *PageSeer) ffSwap(page mem.PPN, kind SwapKind) bool {
 		// Open the accuracy window architecturally; the tracked/accurate
 		// counters stay silent, and resetStats clears open windows before
 		// any measurement starts.
-		p.prefTracks[page] = &prefTrack{kind: kind}
+		p.prefTracks.Put(uint64(page), prefTrack{kind: kind})
 	}
 	return true
 }

@@ -374,7 +374,7 @@ func TestDMAFreezeWaitsForSwap(t *testing.T) {
 		ctl.Access(p.Addr(), false, cache.Meta{PID: 1}, nil)
 	}
 	sim.RunUntil(sim.Now() + 40) // let the trigger fire, swap still moving
-	if len(ps.inflight) == 0 {
+	if ps.inflight.Len() == 0 {
 		t.Skip("swap completed too fast to observe in flight")
 	}
 	frozen := false

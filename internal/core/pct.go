@@ -54,14 +54,22 @@ type CorrelatorStats struct {
 }
 
 // Correlator implements the Page Correlation Table and its Filter front-end
-// (Section III-C2). The full PCT lives architecturally in a Go map (its
-// DRAM timing is modelled by the PCTc MetaCache in the manager); the Filter
-// tracks the currently-flurrying pages and folds fresh counts back into the
-// PCT with history halving: new = current + old/2.
+// (Section III-C2). The full PCT lives architecturally in an array indexed
+// by PPN, like the DRAM table it models (its DRAM timing is modelled by the
+// PCTc MetaCache in the manager); the Filter tracks the currently-flurrying
+// pages and folds fresh counts back into the PCT with history halving:
+// new = current + old/2.
 type Correlator struct {
-	cfg    Config
-	pct    map[mem.PPN]PCTEntry
-	filter map[mem.PPN]*filterEntry
+	cfg Config
+	// pct holds every page's entry; a zero Count marks a page with no PCT
+	// state (a written entry counts at least its activating miss). pctN
+	// counts the pages with state.
+	pct  []PCTEntry
+	pctN int
+	// filter indexes the Filter's entries by leader PPN (nil = not
+	// filtered); filterN counts them.
+	filter  []*filterEntry
+	filterN int
 	// oldest/newest are the ends of the Filter's LRU list, so eviction
 	// finds its victim without scanning the table.
 	oldest, newest *filterEntry
@@ -77,15 +85,15 @@ type Correlator struct {
 	onWriteback func(leader mem.PPN, effective bool)
 }
 
-// NewCorrelator builds an empty correlator.
-func NewCorrelator(cfg Config, onWriteback func(mem.PPN, bool)) *Correlator {
+// NewCorrelator builds an empty correlator over pages physical pages.
+func NewCorrelator(cfg Config, pages uint64, onWriteback func(mem.PPN, bool)) *Correlator {
 	if onWriteback == nil {
 		onWriteback = func(mem.PPN, bool) {}
 	}
 	return &Correlator{
 		cfg:         cfg,
-		pct:         make(map[mem.PPN]PCTEntry),
-		filter:      make(map[mem.PPN]*filterEntry),
+		pct:         make([]PCTEntry, pages),
+		filter:      make([]*filterEntry, pages),
 		onWriteback: onWriteback,
 	}
 }
@@ -110,7 +118,7 @@ func (c *Correlator) Stats() CorrelatorStats { return c.stats }
 // snapshot is one invocation stale there — a page's first re-walk would
 // always look untrained and MMU-triggered swaps could never start.
 func (c *Correlator) Snapshot(page mem.PPN) PCTEntry {
-	if fe, ok := c.filter[page]; ok {
+	if fe := c.filter[page]; fe != nil {
 		e := fe.old
 		if n := c.liveCount(page); n > e.Count {
 			e.Count = n
@@ -121,7 +129,7 @@ func (c *Correlator) Snapshot(page mem.PPN) PCTEntry {
 }
 
 // PCTSize returns the number of pages with PCT state (for footprint stats).
-func (c *Correlator) PCTSize() int { return len(c.pct) }
+func (c *Correlator) PCTSize() int { return c.pctN }
 
 // OnMiss records one data LLC miss by pid on page. It returns true when the
 // miss starts a new invocation of page (the "first miss" that Section
@@ -154,7 +162,7 @@ func (c *Correlator) OnMiss(pid int, page mem.PPN) (firstMiss bool) {
 
 	// Leader change: page follows the previous leader.
 	if l.hasLead {
-		if prev, ok := c.filter[l.active]; ok && prev.pid == pid {
+		if prev := c.filter[l.active]; prev != nil && prev.pid == pid {
 			c.observeSuccessor(prev, page)
 		}
 	}
@@ -162,8 +170,8 @@ func (c *Correlator) OnMiss(pid int, page mem.PPN) (firstMiss bool) {
 	l.hasLead = true
 	c.stats.Invocations++
 
-	fe, ok := c.filter[page]
-	if ok {
+	fe := c.filter[page]
+	if fe != nil {
 		// Re-activation while still filtered: fold the previous invocation
 		// into history and start a fresh count.
 		fe.old = c.folded(fe)
@@ -172,7 +180,7 @@ func (c *Correlator) OnMiss(pid int, page mem.PPN) (firstMiss bool) {
 		return true
 	}
 	// Bring the PCT entry into the Filter (evicting LRU if full).
-	if len(c.filter) >= c.cfg.FilterEntries {
+	if c.filterN >= c.cfg.FilterEntries {
 		c.evictLRU()
 	}
 	if fe = c.freeFE; fe != nil {
@@ -185,6 +193,7 @@ func (c *Correlator) OnMiss(pid int, page mem.PPN) (firstMiss bool) {
 		fe.succ[0] = successor{page: fe.old.Follower, valid: true}
 	}
 	c.filter[page] = fe
+	c.filterN++
 	c.touch(fe)
 	return true
 }
@@ -306,7 +315,7 @@ func (c *Correlator) folded(fe *filterEntry) PCTEntry {
 // liveCount estimates a page's per-invocation miss count including any
 // in-progress invocation still accumulating in the Filter.
 func (c *Correlator) liveCount(page mem.PPN) uint32 {
-	if fe, ok := c.filter[page]; ok {
+	if fe := c.filter[page]; fe != nil {
 		n := fe.count + fe.old.Count/2
 		if hist := fe.old.Count; hist > n {
 			n = hist
@@ -326,8 +335,12 @@ func (c *Correlator) writeback(fe *filterEntry) {
 	if newEntry.HasFollower && (!old.HasFollower || old.Follower != newEntry.Follower) {
 		c.stats.FollowerChanges++
 	}
+	if old.Count == 0 {
+		c.pctN++
+	}
 	c.pct[fe.leader] = newEntry
-	delete(c.filter, fe.leader)
+	c.filter[fe.leader] = nil
+	c.filterN--
 	c.unlink(fe)
 	fe.next = c.freeFE
 	c.freeFE = fe

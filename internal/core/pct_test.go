@@ -9,6 +9,10 @@ import (
 	"pageseer/internal/mem"
 )
 
+// testCorrPages sizes the correlators under test: every PPN the tests touch
+// is below it.
+const testCorrPages = 1 << 10
+
 func corrConfig() Config {
 	c := DefaultConfig()
 	c.FilterEntries = 8
@@ -17,7 +21,7 @@ func corrConfig() Config {
 }
 
 func TestFirstMissDetection(t *testing.T) {
-	c := NewCorrelator(corrConfig(), nil)
+	c := NewCorrelator(corrConfig(), testCorrPages, nil)
 	if !c.OnMiss(1, 100) {
 		t.Fatal("first miss not detected")
 	}
@@ -39,7 +43,7 @@ func TestFirstMissDetection(t *testing.T) {
 func TestLeaderDebounceAbsorbsJumble(t *testing.T) {
 	cfg := corrConfig()
 	cfg.LeaderDebounce = 2
-	c := NewCorrelator(cfg, nil)
+	c := NewCorrelator(cfg, testCorrPages, nil)
 	// 100's flurry with 200-stragglers jumbled in: ...100,200,100,200,100...
 	for i := 0; i < 16; i++ {
 		if c.OnMiss(1, 100) && i > 0 {
@@ -68,7 +72,7 @@ func TestLeaderDebounceAbsorbsJumble(t *testing.T) {
 }
 
 func TestCountFoldingWithHalving(t *testing.T) {
-	c := NewCorrelator(corrConfig(), nil)
+	c := NewCorrelator(corrConfig(), testCorrPages, nil)
 	// Invocation 1: 20 misses on page 100.
 	for i := 0; i < 20; i++ {
 		c.OnMiss(1, 100)
@@ -92,7 +96,7 @@ func TestCountFoldingWithHalving(t *testing.T) {
 }
 
 func TestFollowerLearning(t *testing.T) {
-	c := NewCorrelator(corrConfig(), nil)
+	c := NewCorrelator(corrConfig(), testCorrPages, nil)
 	// Pattern: 100 (flurry) then 200 (flurry), repeated.
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 16; i++ {
@@ -113,7 +117,7 @@ func TestFollowerLearning(t *testing.T) {
 }
 
 func TestFollowerChangesAdaptively(t *testing.T) {
-	c := NewCorrelator(corrConfig(), nil)
+	c := NewCorrelator(corrConfig(), testCorrPages, nil)
 	run := func(follower mem.PPN, rounds int) {
 		for r := 0; r < rounds; r++ {
 			for i := 0; i < 16; i++ {
@@ -135,7 +139,7 @@ func TestFollowerChangesAdaptively(t *testing.T) {
 }
 
 func TestPIDSeparation(t *testing.T) {
-	c := NewCorrelator(corrConfig(), nil)
+	c := NewCorrelator(corrConfig(), testCorrPages, nil)
 	// Interleaved misses from two processes must not create cross-process
 	// follower links.
 	for r := 0; r < 4; r++ {
@@ -160,7 +164,7 @@ func TestPIDSeparation(t *testing.T) {
 func TestNoCorrDisablesFollowers(t *testing.T) {
 	cfg := corrConfig()
 	cfg.NoCorr = true
-	c := NewCorrelator(cfg, nil)
+	c := NewCorrelator(cfg, testCorrPages, nil)
 	for r := 0; r < 4; r++ {
 		for i := 0; i < 16; i++ {
 			c.OnMiss(1, 100)
@@ -181,7 +185,7 @@ func TestNoCorrDisablesFollowers(t *testing.T) {
 func TestEffectiveChangeBit(t *testing.T) {
 	var calls []bool
 	cfg := corrConfig()
-	c := NewCorrelator(cfg, func(_ mem.PPN, eff bool) { calls = append(calls, eff) })
+	c := NewCorrelator(cfg, testCorrPages, func(_ mem.PPN, eff bool) { calls = append(calls, eff) })
 	// A tiny flurry (below threshold, no follower): writeback should be
 	// ineffective — no swap decision changes.
 	c.OnMiss(1, 100)
@@ -194,7 +198,7 @@ func TestEffectiveChangeBit(t *testing.T) {
 	}
 	calls = nil
 	// A long flurry crosses the threshold: effective.
-	c2 := NewCorrelator(cfg, func(_ mem.PPN, eff bool) { calls = append(calls, eff) })
+	c2 := NewCorrelator(cfg, testCorrPages, func(_ mem.PPN, eff bool) { calls = append(calls, eff) })
 	for i := 0; i < 20; i++ {
 		c2.OnMiss(1, 100)
 	}
@@ -207,7 +211,7 @@ func TestEffectiveChangeBit(t *testing.T) {
 func TestFilterEviction(t *testing.T) {
 	cfg := corrConfig()
 	cfg.FilterEntries = 4
-	c := NewCorrelator(cfg, nil)
+	c := NewCorrelator(cfg, testCorrPages, nil)
 	// Touch more leaders than the filter holds; old ones must be written
 	// back to the PCT, preserving their counts.
 	for p := mem.PPN(0); p < 8; p++ {
@@ -215,8 +219,8 @@ func TestFilterEviction(t *testing.T) {
 			c.OnMiss(1, p)
 		}
 	}
-	if len(c.filter) > 4 {
-		t.Fatalf("filter holds %d entries, cap 4", len(c.filter))
+	if n := filterLen(c); n > 4 || n != c.filterN {
+		t.Fatalf("filter holds %d entries (count %d), cap 4", n, c.filterN)
 	}
 	if c.Stats().Writebacks == 0 {
 		t.Fatal("no writebacks despite eviction pressure")
@@ -233,7 +237,7 @@ func TestFoldingMatchesReferenceProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := corrConfig()
 		cfg.FilterEntries = 64 // large enough to avoid mid-run evictions
-		c := NewCorrelator(cfg, nil)
+		c := NewCorrelator(cfg, testCorrPages, nil)
 		ref := map[mem.PPN]uint32{} // folded history per page
 		cur := map[mem.PPN]uint32{} // current invocation counts
 		var leader mem.PPN
@@ -292,7 +296,7 @@ func TestFlushIsDeterministic(t *testing.T) {
 	cfg.FilterEntries = 64
 	fill := func() (*Correlator, *[]mem.PPN) {
 		var order []mem.PPN
-		c := NewCorrelator(cfg, func(p mem.PPN, _ bool) { order = append(order, p) })
+		c := NewCorrelator(cfg, testCorrPages, func(p mem.PPN, _ bool) { order = append(order, p) })
 		// History: a chain of long flurries, each page followed by the next.
 		for p := mem.PPN(0); p < 32; p++ {
 			for i := 0; i < 12; i++ {
@@ -318,6 +322,17 @@ func TestFlushIsDeterministic(t *testing.T) {
 	}
 }
 
+// filterLen counts the Filter's entries by scanning the dense index.
+func filterLen(c *Correlator) int {
+	n := 0
+	for _, fe := range c.filter {
+		if fe != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // evictScanReference is the Filter's eviction rule written as a scan over
 // the whole table, the reference the LRU-list walk must match: the least
 // recently used entry that is not its pid's current leader, or the least
@@ -329,6 +344,9 @@ func evictScanReference(c *Correlator) *filterEntry {
 	}
 	var victim *filterEntry
 	for _, fe := range c.filter {
+		if fe == nil {
+			continue
+		}
 		if victim == nil {
 			victim = fe
 			continue
@@ -357,20 +375,25 @@ type scanCorrelator struct {
 func newScanCorrelator(cfg Config, onWriteback func(mem.PPN, bool)) *scanCorrelator {
 	capacity := cfg.FilterEntries
 	cfg.FilterEntries = 1 << 30
-	return &scanCorrelator{Correlator: NewCorrelator(cfg, onWriteback), capacity: capacity}
+	return &scanCorrelator{Correlator: NewCorrelator(cfg, testCorrPages, onWriteback), capacity: capacity}
 }
 
 func (s *scanCorrelator) OnMiss(pid int, page mem.PPN) bool {
 	first := s.Correlator.OnMiss(pid, page)
-	if len(s.filter) > s.capacity {
+	if s.filterN != filterLen(s.Correlator) {
+		panic("Filter count disagrees with its index")
+	}
+	if s.filterN > s.capacity {
 		fe := s.filter[page]
-		delete(s.filter, page)
+		s.filter[page] = nil
+		s.filterN--
 		victim := evictScanReference(s.Correlator)
 		if l := s.leads[victim.pid]; l.hasLead && l.active == victim.leader {
 			s.fallbacks++
 		}
 		s.writeback(victim)
 		s.filter[page] = fe
+		s.filterN++
 	}
 	return first
 }
@@ -394,7 +417,7 @@ func TestEvictionMatchesScanReference(t *testing.T) {
 				cfg.FilterEntries = entries
 				cfg.LeaderDebounce = debounce
 				var got, want []writebackRec
-				c := NewCorrelator(cfg, func(p mem.PPN, eff bool) { got = append(got, writebackRec{p, eff}) })
+				c := NewCorrelator(cfg, testCorrPages, func(p mem.PPN, eff bool) { got = append(got, writebackRec{p, eff}) })
 				ref := newScanCorrelator(cfg, func(p mem.PPN, eff bool) { want = append(want, writebackRec{p, eff}) })
 				rng := rand.New(rand.NewSource(int64(pids*100 + entries*10 + int(debounce))))
 				last := make([]mem.PPN, pids+1)
@@ -418,6 +441,15 @@ func TestEvictionMatchesScanReference(t *testing.T) {
 				}
 				if !reflect.DeepEqual(c.pct, ref.pct) || c.Stats() != ref.Stats() {
 					t.Fatalf("pids=%d entries=%d debounce=%d: PCT or stats differ from the scan reference", pids, entries, debounce)
+				}
+				written := 0
+				for _, e := range c.pct {
+					if e != (PCTEntry{}) {
+						written++
+					}
+				}
+				if c.PCTSize() != written {
+					t.Fatalf("pids=%d entries=%d debounce=%d: PCTSize = %d, %d entries written", pids, entries, debounce, c.PCTSize(), written)
 				}
 				if pids > entries {
 					fallbacks += ref.fallbacks

@@ -9,14 +9,15 @@ import "pageseer/internal/mem"
 type PTECache struct {
 	capacity int
 	lines    []pteLine // resident lines, at most capacity
-	pending  map[mem.Addr][]func()
-	tick     uint64
+	// pending holds the in-flight fetches, keyed by line number; later
+	// Obtains of a pending line park on its record.
+	pending mem.Table[*pteFill]
+	tick    uint64
 
-	// Fetch-completion records and waiter slices are recycled: Obtain sits
-	// on the MMU-hint path, which fires on every page walk, so per-miss
+	// Fetch records are recycled with their waiter arrays: Obtain sits on
+	// the MMU-hint path, which fires on every page walk, so per-miss
 	// closure and slice allocations would land on the steady-state budget.
-	freeFill    *pteFill
-	freeWaiters [][]func()
+	freeFill *pteFill
 
 	hits        uint64
 	pendingHits uint64
@@ -29,36 +30,21 @@ type pteLine struct {
 	stamp uint64
 }
 
-// pteFill is one in-flight fetch's completion continuation, pre-bound to a
-// pooled record.
+// pteFill is one in-flight fetch: the Obtain calls waiting on it and its
+// completion continuation, pre-bound to a pooled record.
 type pteFill struct {
-	p    *PTECache
-	line mem.Addr
-	fn   func()
-	next *pteFill
+	p       *PTECache
+	line    mem.Addr
+	waiters []func()
+	fn      func()
+	next    *pteFill
 }
 
 func (p *PTECache) getFill(line mem.Addr) *pteFill {
 	f := p.freeFill
 	if f == nil {
 		f = &pteFill{p: p}
-		f.fn = func() {
-			line := f.line
-			c := f.p
-			f.line = 0
-			f.next = c.freeFill
-			c.freeFill = f
-			c.insert(line)
-			ws := c.pending[line]
-			delete(c.pending, line)
-			for _, w := range ws {
-				w()
-			}
-			for i := range ws {
-				ws[i] = nil
-			}
-			c.freeWaiters = append(c.freeWaiters, ws[:0])
-		}
+		f.fn = func() { f.p.filled(f) }
 	} else {
 		p.freeFill = f.next
 		f.next = nil
@@ -67,14 +53,19 @@ func (p *PTECache) getFill(line mem.Addr) *pteFill {
 	return f
 }
 
-func (p *PTECache) getWaiters() []func() {
-	if n := len(p.freeWaiters); n > 0 {
-		ws := p.freeWaiters[n-1]
-		p.freeWaiters[n-1] = nil
-		p.freeWaiters = p.freeWaiters[:n-1]
-		return ws
+// filled installs f's line and runs its waiters. The line leaves the
+// pending table first, so a waiter that obtains it again finds it
+// resident; f returns to the pool only after the last waiter ran.
+func (p *PTECache) filled(f *pteFill) {
+	p.pending.Del(mem.LineNum(f.line))
+	p.insert(f.line)
+	for i := 0; i < len(f.waiters); i++ {
+		f.waiters[i]()
 	}
-	return make([]func(), 0, 4)
+	clear(f.waiters)
+	f.line, f.waiters = 0, f.waiters[:0]
+	f.next = p.freeFill
+	p.freeFill = f
 }
 
 // NewPTECache builds an empty PTE-line cache.
@@ -82,7 +73,6 @@ func NewPTECache(capacity int) *PTECache {
 	return &PTECache{
 		capacity: capacity,
 		lines:    make([]pteLine, 0, capacity),
-		pending:  make(map[mem.Addr][]func()),
 	}
 }
 
@@ -117,8 +107,7 @@ func (p *PTECache) find(line mem.Addr) int {
 
 // Pending reports whether a fetch for line is in flight.
 func (p *PTECache) Pending(line mem.Addr) bool {
-	_, ok := p.pending[mem.LineOf(line)]
-	return ok
+	return p.pending.Has(mem.LineNum(line))
 }
 
 // Obtain delivers the PTE line: immediately if resident, after the current
@@ -134,14 +123,16 @@ func (p *PTECache) Obtain(line mem.Addr, fetch func(done func()), ready func()) 
 		ready()
 		return true
 	}
-	if ws, ok := p.pending[line]; ok {
+	if f, ok := p.pending.Get(mem.LineNum(line)); ok {
 		p.pendingHits++
-		p.pending[line] = append(ws, ready)
+		f.waiters = append(f.waiters, ready)
 		return true
 	}
 	p.misses++
-	p.pending[line] = append(p.getWaiters(), ready)
-	fetch(p.getFill(line).fn)
+	f := p.getFill(line)
+	f.waiters = append(f.waiters, ready)
+	p.pending.Put(mem.LineNum(line), f)
+	fetch(f.fn)
 	return false
 }
 

@@ -12,7 +12,7 @@ import (
 
 // MetaRegion is a contiguous range of DRAM reserved for a controller
 // metadata table (the full PRT, PCT, or a baseline's remap table). The
-// architectural contents of such tables live in ordinary Go maps inside the
+// architectural contents of such tables live in plain arrays inside the
 // managers; MetaRegion only provides the *timing* of reaching the in-memory
 // copy: each entry access becomes one line access to the right DRAM address.
 type MetaRegion struct {
@@ -111,12 +111,13 @@ type MetaCache struct {
 	// word per way (key+1, 0 = invalid), the set's LRU order word, then its
 	// dirty mask (bit i for way i). An entry is named by the store index of
 	// its key word.
-	store     []uint64
-	ways      int
-	pending   map[uint64][]func() // keyed by line index
+	store []uint64
+	ways  int
+	// pending holds the in-flight DRAM line fetches, keyed by line index;
+	// later misses to a pending line park on its record.
+	pending   mem.Table[*fetchTxn]
 	freeTxn   *metaTxn
 	freeFetch *fetchTxn
-	freeWs    [][]func()
 	liveTxn   int // pooled access records checked out
 	liveFetch int // pooled fetch records checked out
 	stats     MetaCacheStats
@@ -167,12 +168,15 @@ func (c *MetaCache) putTxn(t *metaTxn) {
 }
 
 // fetchTxn carries one in-flight DRAM line fetch with its pre-bound return
-// continuation, so miss fetches allocate nothing in steady state.
+// continuation and the accesses parked on it (their waiters array keeps
+// its capacity across reuses), so miss fetches allocate nothing in steady
+// state.
 type fetchTxn struct {
-	c    *MetaCache
-	lk   uint64
-	fn   func()
-	next *fetchTxn
+	c       *MetaCache
+	lk      uint64
+	waiters []func()
+	fn      func()
+	next    *fetchTxn
 }
 
 func (c *MetaCache) getFetch() *fetchTxn {
@@ -190,27 +194,10 @@ func (c *MetaCache) getFetch() *fetchTxn {
 
 func (c *MetaCache) putFetch(t *fetchTxn) {
 	c.liveFetch--
-	t.lk = 0
+	clear(t.waiters)
+	t.lk, t.waiters = 0, t.waiters[:0]
 	t.next = c.freeFetch
 	c.freeFetch = t
-}
-
-// getWs and putWs recycle pending-waiter slices (capacity persists across
-// miss episodes).
-func (c *MetaCache) getWs() []func() {
-	if n := len(c.freeWs); n > 0 {
-		ws := c.freeWs[n-1]
-		c.freeWs = c.freeWs[:n-1]
-		return ws
-	}
-	return make([]func(), 0, 4)
-}
-
-func (c *MetaCache) putWs(ws []func()) {
-	for i := range ws {
-		ws[i] = nil
-	}
-	c.freeWs = append(c.freeWs, ws[:0])
 }
 
 // NewMetaCache builds a metadata cache over a DRAM region.
@@ -223,15 +210,14 @@ func NewMetaCache(sim *engine.Sim, cfg MetaCacheConfig, region MetaRegion, issue
 	}
 	nSets := cfg.Entries / cfg.Ways
 	c := &MetaCache{
-		sim:     sim,
-		cfg:     cfg,
-		region:  region,
-		issue:   issue,
-		epl:     uint64(cfg.EntriesPerLine),
-		sets:    uint64(nSets),
-		store:   make([]uint64, nSets*(cfg.Ways+2)),
-		ways:    cfg.Ways,
-		pending: make(map[uint64][]func()),
+		sim:    sim,
+		cfg:    cfg,
+		region: region,
+		issue:  issue,
+		epl:    uint64(cfg.EntriesPerLine),
+		sets:   uint64(nSets),
+		store:  make([]uint64, nSets*(cfg.Ways+2)),
+		ways:   cfg.Ways,
 	}
 	order := uint64(cache.NewLRU(cfg.Ways))
 	for base := 0; base < len(c.store); base += cfg.Ways + 2 {
@@ -362,60 +348,47 @@ func (c *MetaCache) AccessUrgent(key uint64, done func()) {
 }
 
 func (c *MetaCache) fetchUrgent(key uint64, done func()) {
-	lk := c.lineKey(key)
-	if ws, inflight := c.pending[lk]; inflight {
-		if done != nil {
-			c.pending[lk] = append(ws, done)
-		}
-		return
-	}
-	list := c.getWs()
-	if done != nil {
-		list = append(list, done)
-	}
-	c.pending[lk] = list
-	c.issueFetch(key, lk, PrioDemand)
+	c.fetchLine(key, PrioDemand, done)
 }
 
 func (c *MetaCache) fetch(key uint64, prefetch bool, done func()) {
-	lk := c.lineKey(key)
-	if ws, inflight := c.pending[lk]; inflight {
-		if done != nil {
-			c.pending[lk] = append(ws, done)
-		}
-		return
-	}
-	list := c.getWs()
-	if done != nil {
-		list = append(list, done)
-	}
-	c.pending[lk] = list
 	prio := PrioDemand
 	if prefetch || c.cfg.Background {
 		prio = PrioSwap
 	}
-	c.issueFetch(key, lk, prio)
+	c.fetchLine(key, prio, done)
 }
 
-func (c *MetaCache) issueFetch(key, lk uint64, prio Priority) {
-	t := c.getFetch()
-	t.lk = lk
-	c.issue(c.region.EntryAddr(key), false, prio, t.fn)
+// fetchLine parks done (if any) on the fetch of key's DRAM line, issuing
+// that fetch at prio unless one is already in flight.
+func (c *MetaCache) fetchLine(key uint64, prio Priority, done func()) {
+	lk := c.lineKey(key)
+	t, inflight := c.pending.Get(lk)
+	if !inflight {
+		t = c.getFetch()
+		t.lk = lk
+		c.pending.Put(lk, t)
+	}
+	if done != nil {
+		t.waiters = append(t.waiters, done)
+	}
+	if !inflight {
+		c.issue(c.region.EntryAddr(key), false, prio, t.fn)
+	}
 }
 
 // fetchDone installs the fetched line and wakes the parked accesses. The
-// fetchTxn is released before the callbacks so they can start new fetches.
+// line leaves the pending table before the callbacks run, so one that
+// misses the same line again starts a fresh fetch on a fresh record; t
+// returns to the pool only after the last of them.
 func (c *MetaCache) fetchDone(t *fetchTxn) {
-	lk := t.lk
-	c.putFetch(t)
+	c.pending.Del(t.lk)
 	// The fetched line carries every entry sharing it; install them all.
-	c.installLine(lk, true)
-	ws := c.pending[lk]
-	delete(c.pending, lk)
-	for _, w := range ws {
-		w()
+	c.installLine(t.lk, true)
+	for i := 0; i < len(t.waiters); i++ {
+		t.waiters[i]()
 	}
-	c.putWs(ws)
+	c.putFetch(t)
 }
 
 // installLine installs every entry of DRAM line lk that is not yet
@@ -493,8 +466,8 @@ func (c *MetaCache) SetInjector(i *check.Injector) { c.inj = i }
 // Audit reports end-of-run invariant violations: a quiesced metadata cache
 // has no pending line fetches and every pooled record back on its free list.
 func (c *MetaCache) Audit(a *check.Audit) {
-	a.Checkf(len(c.pending) == 0,
-		"meta cache %s: %d line fetch(es) still pending at quiescence", c.cfg.Name, len(c.pending))
+	a.Checkf(c.pending.Len() == 0,
+		"meta cache %s: %d line fetch(es) still pending at quiescence", c.cfg.Name, c.pending.Len())
 	a.Checkf(c.liveTxn == 0,
 		"meta cache %s: %d pooled access record(s) never returned", c.cfg.Name, c.liveTxn)
 	a.Checkf(c.liveFetch == 0,

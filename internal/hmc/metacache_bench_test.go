@@ -3,6 +3,7 @@ package hmc
 import (
 	"testing"
 
+	"pageseer/internal/check"
 	"pageseer/internal/engine"
 	"pageseer/internal/mem"
 )
@@ -23,22 +24,27 @@ func fixedIssue(sim *engine.Sim) IssueFunc {
 // nearly every access misses and its line fill evicts 18 entries; a
 // quarter of the accesses dirty their entry, so evictions write back.
 type metaLoop struct {
-	sim  *engine.Sim
-	c    *MetaCache
-	x    uint64 // LCG state
-	done func()
+	sim     *engine.Sim
+	c       *MetaCache
+	x       uint64 // LCG state
+	line    uint64 // runMerging's current DRAM line
+	fetches uint64 // line reads issued
+	done    func()
 }
 
 func newMetaLoop() *metaLoop {
 	sim := engine.New()
 	cfg := MetaCacheConfig{Name: "PRTc", Entries: 851, Ways: 4, HitLatency: 2, EntriesPerLine: 18}
 	region := MetaRegion{Base: 0, Bytes: 1 << 20, EntrySize: 4}
-	return &metaLoop{
-		sim:  sim,
-		c:    NewMetaCache(sim, cfg, region, fixedIssue(sim)),
-		x:    1,
-		done: func() {},
-	}
+	l := &metaLoop{sim: sim, x: 1, done: func() {}}
+	issue := fixedIssue(sim)
+	l.c = NewMetaCache(sim, cfg, region, func(a mem.Addr, write bool, prio Priority, done func()) {
+		if !write {
+			l.fetches++
+		}
+		issue(a, write, prio, done)
+	})
+	return l
 }
 
 // step draws the next key and whether the access dirties it.
@@ -66,6 +72,58 @@ func (l *metaLoop) runDetailed(n int) {
 		}
 	}
 	l.sim.Drain(0)
+}
+
+// runMerging issues n timed accesses in groups of four to one DRAM line
+// (keys 5 apart among its 18), four groups between drains. The first
+// access of a group nearly always misses and fetches the line; the other
+// three probe the SRAM in the same cycle, miss too, and merge into that
+// pending fetch.
+func (l *metaLoop) runMerging(n int) {
+	for i := 0; i < n; i++ {
+		if i&3 == 0 {
+			l.x = l.x*6364136223846793005 + 1442695040888963407
+			l.line = l.x >> 32 % (64 * 851 / 18)
+		}
+		l.c.Access(l.line*18+uint64(i&3)*5, i&7 == 0, l.done)
+		if i&15 == 15 {
+			l.sim.Drain(0)
+		}
+	}
+	l.sim.Drain(0)
+}
+
+// BenchmarkMetaCacheTimedMiss: one timed access, nearly always a miss, three
+// in four of them merging into a pending line fetch.
+func BenchmarkMetaCacheTimedMiss(b *testing.B) {
+	l := newMetaLoop()
+	l.runMerging(100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	l.runMerging(b.N)
+}
+
+// TestZeroAllocMetaCacheMerge: once warmed, misses that merge into a
+// pending line fetch allocate nothing: the waiters park on the pooled
+// fetch record.
+func TestZeroAllocMetaCacheMerge(t *testing.T) {
+	l := newMetaLoop()
+	for i := 0; i < 100; i++ {
+		l.runMerging(1_024)
+	}
+	st, fetches := l.c.Stats(), l.fetches
+	if allocs := testing.AllocsPerRun(10, func() { l.runMerging(1_024) }); allocs != 0 {
+		t.Fatalf("steady-state merging misses allocate %.1f times per 1024 accesses, want 0", allocs)
+	}
+	misses, fetched := l.c.Stats().Misses-st.Misses, l.fetches-fetches
+	if merged := misses - fetched; merged < misses/2 {
+		t.Fatalf("%d misses issued %d line fetches: too few merged", misses, fetched)
+	}
+	a := &check.Audit{}
+	l.c.Audit(a)
+	if !a.OK() {
+		t.Fatalf("drained cache fails its audit: %q", a.Violations())
+	}
 }
 
 // BenchmarkMetaCacheFunctionalMiss: one fast-forward access, nearly always

@@ -163,13 +163,16 @@ type opLine struct {
 	stage  int
 	src    mem.Addr
 	dst    mem.Addr // NoAddr if fill-only
-	readFn func()
-	next   *opLine
+	// waiters are the demand requests parked until the read returns; the
+	// array keeps its capacity across reuses.
+	waiters []waiter
+	readFn  func()
+	next    *opLine
 }
 
-// runningOp is one in-flight swap operation. Pooled like opLine: the maps
-// and per-stage order slices keep their capacity across reuses, and the
-// single write-return continuation is shared by every line write of the op.
+// runningOp is one in-flight swap operation. Pooled like opLine: the
+// per-stage order slices keep their capacity across reuses, and the single
+// write-return continuation is shared by every line write of the op.
 type runningOp struct {
 	e          *SwapEngine
 	op         *Op
@@ -177,14 +180,13 @@ type runningOp struct {
 	stageBegan uint64
 	slot       int // trace track: op sequence % MaxOps
 	stage      int
-	lines      map[mem.Addr]*opLine // keyed by src line address, all stages
-	order      [][]mem.Addr         // read issue order per stage
+	order      [][]*opLine // the op's lines in read issue order, per stage
 	nextRead   int
 	inflight   int
 	readsLeft  int    // current stage
 	writesLeft int    // current stage
 	nvmWrites  uint64 // line-writes issued to the NVM module (wear, pagemap)
-	waiters    map[mem.Addr][]waiter
+	waiting    int    // demand requests parked on the op's lines
 	writeFn    func()
 	next       *runningOp
 }
@@ -207,12 +209,13 @@ type SwapEngine struct {
 	issue   IssueFunc
 	promote PromoteFunc
 
-	running map[*runningOp]struct{}
-	// lineOwner indexes running ops by src line for fast interception.
-	lineOwner map[mem.Addr]*runningOp
+	running []*runningOp // in start order
+	// lineOwner finds the running line reading a src line, keyed by line
+	// number, for interception. When ops overlap on a line, the last one
+	// to start owns it.
+	lineOwner mem.Table[*opLine]
 	freeOp    *runningOp
 	freeLine  *opLine
-	freeWs    [][]waiter
 	liveOp    int // pooled op records checked out
 	liveLine  int // pooled line records checked out
 	stats     SwapEngineStats
@@ -245,12 +248,10 @@ func NewSwapEngine(sim *engine.Sim, cfg SwapEngineConfig, issue IssueFunc, promo
 		promote = func(mem.Addr) {}
 	}
 	return &SwapEngine{
-		sim:       sim,
-		cfg:       cfg,
-		issue:     issue,
-		promote:   promote,
-		running:   make(map[*runningOp]struct{}),
-		lineOwner: make(map[mem.Addr]*runningOp),
+		sim:     sim,
+		cfg:     cfg,
+		issue:   issue,
+		promote: promote,
 	}
 }
 
@@ -258,11 +259,7 @@ func (e *SwapEngine) getOp() *runningOp {
 	e.liveOp++
 	r := e.freeOp
 	if r == nil {
-		r = &runningOp{
-			e:       e,
-			lines:   make(map[mem.Addr]*opLine),
-			waiters: make(map[mem.Addr][]waiter),
-		}
+		r = &runningOp{e: e}
 		r.writeFn = func() { r.e.writeDone(r) }
 		return r
 	}
@@ -273,8 +270,8 @@ func (e *SwapEngine) getOp() *runningOp {
 
 func (e *SwapEngine) putOp(r *runningOp) {
 	e.liveOp--
-	clear(r.lines)
 	for i := range r.order {
+		clear(r.order[i])
 		r.order[i] = r.order[i][:0]
 	}
 	r.op = nil
@@ -297,24 +294,6 @@ func (e *SwapEngine) getLine() *opLine {
 	e.freeLine = l.next
 	l.next = nil
 	return l
-}
-
-// getWs and putWs recycle demand-waiter slices (capacity persists across
-// buffer-wait episodes).
-func (e *SwapEngine) getWs() []waiter {
-	if n := len(e.freeWs); n > 0 {
-		ws := e.freeWs[n-1]
-		e.freeWs = e.freeWs[:n-1]
-		return ws
-	}
-	return make([]waiter, 0, 4)
-}
-
-func (e *SwapEngine) putWs(ws []waiter) {
-	for i := range ws {
-		ws[i] = waiter{}
-	}
-	e.freeWs = append(e.freeWs, ws[:0])
 }
 
 func (e *SwapEngine) putLine(l *opLine) {
@@ -350,7 +329,7 @@ func (e *SwapEngine) Start(op *Op) bool {
 	r.began = e.sim.Now()
 	r.stageBegan = e.sim.Now()
 	if cap(r.order) < len(op.Stages) {
-		r.order = make([][]mem.Addr, len(op.Stages))
+		r.order = make([][]*opLine, len(op.Stages))
 	} else {
 		r.order = r.order[:len(op.Stages)]
 	}
@@ -379,19 +358,18 @@ func (e *SwapEngine) Start(op *Op) bool {
 				if tr.Dst != NoAddr {
 					dst = tr.Dst + mem.Addr(off)
 				}
+				if o, _ := e.lineOwner.Get(mem.LineNum(src)); o != nil && o.r == r {
+					panic(fmt.Sprintf("hmc: line %#x read twice in one op", uint64(src)))
+				}
 				l := e.getLine()
 				l.r = r
 				l.stage, l.src, l.dst = si, src, dst
-				if _, dup := r.lines[src]; dup {
-					panic(fmt.Sprintf("hmc: line %#x read twice in one op", uint64(src)))
-				}
-				r.lines[src] = l
-				r.order[si] = append(r.order[si], src)
-				e.lineOwner[src] = r
+				r.order[si] = append(r.order[si], l)
+				e.lineOwner.Put(mem.LineNum(src), l)
 			}
 		}
 	}
-	e.running[r] = struct{}{}
+	e.running = append(e.running, r)
 	e.stats.OpsStarted++
 	e.startStage(r)
 	if e.inj != nil {
@@ -415,7 +393,7 @@ func (e *SwapEngine) injectStorm(r *runningOp) {
 		n = len(order)
 	}
 	for j := 0; j < n; j++ {
-		src := order[j]
+		src := order[j].src
 		e.sim.After(uint64(j)+1, func() { e.TryService(src, nil, stormSink) })
 	}
 }
@@ -451,9 +429,8 @@ func (e *SwapEngine) startStage(r *runningOp) {
 func (e *SwapEngine) pump(r *runningOp) {
 	order := r.order[r.stage]
 	for r.inflight < e.cfg.MaxInflightReads && r.nextRead < len(order) {
-		src := order[r.nextRead]
+		l := order[r.nextRead]
 		r.nextRead++
-		l := r.lines[src]
 		if l.status != lineUnissued {
 			continue // escalated earlier by a demand waiter
 		}
@@ -478,14 +455,15 @@ func (e *SwapEngine) readDone(l *opLine) {
 	// spent behind the swap's own transfer — swap interference by
 	// definition; the buffer latency that follows is charged by the
 	// completion stamp (CompSwapBuf).
-	if ws, ok := r.waiters[l.src]; ok {
-		delete(r.waiters, l.src)
+	if len(l.waiters) > 0 {
 		now := e.sim.Now()
-		for _, w := range ws {
+		for _, w := range l.waiters {
 			w.v.Take(attrib.CompSwapXfer, now)
 			e.sim.After(e.cfg.BufferLatency, w.fn)
 		}
-		e.putWs(ws)
+		r.waiting -= len(l.waiters)
+		clear(l.waiters)
+		l.waiters = l.waiters[:0]
 	}
 	if l.dst != NoAddr {
 		e.issueWrite(r, l.dst)
@@ -531,12 +509,24 @@ func (e *SwapEngine) finishStage(r *runningOp) {
 	}
 	// Operation complete: expose the new mapping first (OnComplete updates
 	// the manager's remap state), then dismantle buffer interception.
-	delete(e.running, r)
-	for src, l := range r.lines {
-		if e.lineOwner[src] == r {
-			delete(e.lineOwner, src)
+	for i, o := range e.running {
+		if o == r {
+			n := len(e.running) - 1
+			copy(e.running[i:], e.running[i+1:])
+			e.running[n] = nil
+			e.running = e.running[:n]
+			break
 		}
-		e.putLine(l)
+	}
+	for _, ls := range r.order {
+		for _, l := range ls {
+			// A later op that reads the same line took it over; its entry
+			// stays.
+			if o, _ := e.lineOwner.Get(mem.LineNum(l.src)); o == l {
+				e.lineOwner.Del(mem.LineNum(l.src))
+			}
+			e.putLine(l)
+		}
 	}
 	e.stats.OpsCompleted++
 	e.stats.OpCycles += e.sim.Now() - r.began
@@ -548,7 +538,7 @@ func (e *SwapEngine) finishStage(r *runningOp) {
 		e.tracer.Complete("swap", label, obs.TracePidSwap, r.slot,
 			r.began, e.sim.Now(), "stages", uint64(len(r.op.Stages)))
 	}
-	if len(r.waiters) != 0 {
+	if r.waiting != 0 {
 		// Every waiter registers on a src line of some stage, and every
 		// stage's reads complete before the op does.
 		panic("hmc: swap op completed with demand waiters still pending")
@@ -582,26 +572,25 @@ func (e *SwapEngine) finishStage(r *runningOp) {
 // or as soon as its read returns — and TryService reports true. done runs
 // when the data is available.
 func (e *SwapEngine) TryService(addr mem.Addr, v *attrib.Vector, done func()) bool {
-	src := mem.LineOf(addr)
-	r, ok := e.lineOwner[src]
+	l, ok := e.lineOwner.Get(mem.LineNum(addr))
 	if !ok {
 		return false
 	}
-	l := r.lines[src]
+	r, src := l.r, l.src
 	switch l.status {
 	case lineBuffered:
 		e.stats.BufHits++
 		e.sim.After(e.cfg.BufferLatency, done)
 	case lineIssued:
 		e.stats.BufWaits++
-		e.addWaiter(r, src, v, done)
+		e.addWaiter(l, v, done)
 		// Requested-line-first: the read is already in a channel queue at
 		// background priority; promote it (Section III-D1).
 		e.stats.EscalatedRead++
 		e.promote(src)
 	case lineUnissued:
 		e.stats.BufWaits++
-		e.addWaiter(r, src, v, done)
+		e.addWaiter(l, v, done)
 		if l.stage == r.stage {
 			// Requested-line-first: promote this read past the queue and
 			// issue it at demand priority (Section III-D1).
@@ -612,18 +601,14 @@ func (e *SwapEngine) TryService(addr mem.Addr, v *attrib.Vector, done func()) bo
 	return true
 }
 
-func (e *SwapEngine) addWaiter(r *runningOp, src mem.Addr, v *attrib.Vector, done func()) {
-	ws, ok := r.waiters[src]
-	if !ok {
-		ws = e.getWs()
-	}
-	r.waiters[src] = append(ws, waiter{fn: done, v: v})
+func (e *SwapEngine) addWaiter(l *opLine, v *attrib.Vector, done func()) {
+	l.waiters = append(l.waiters, waiter{fn: done, v: v})
+	l.r.waiting++
 }
 
 // Involved reports whether addr's line belongs to a running swap (tests).
 func (e *SwapEngine) Involved(addr mem.Addr) bool {
-	_, ok := e.lineOwner[mem.LineOf(addr)]
-	return ok
+	return e.lineOwner.Has(mem.LineNum(addr))
 }
 
 // Audit reports end-of-run invariant violations: a quiesced engine has no
@@ -633,8 +618,8 @@ func (e *SwapEngine) Involved(addr mem.Addr) bool {
 func (e *SwapEngine) Audit(a *check.Audit) {
 	a.Checkf(len(e.running) == 0,
 		"swap engine: %d op(s) still running at quiescence", len(e.running))
-	a.Checkf(len(e.lineOwner) == 0,
-		"swap engine: %d line(s) still intercepted with no running op", len(e.lineOwner))
+	a.Checkf(e.lineOwner.Len() == 0,
+		"swap engine: %d line(s) still intercepted with no running op", e.lineOwner.Len())
 	a.Checkf(e.liveOp == 0,
 		"swap engine: %d pooled op record(s) never returned", e.liveOp)
 	a.Checkf(e.liveLine == 0,
@@ -643,15 +628,10 @@ func (e *SwapEngine) Audit(a *check.Audit) {
 		"swap engine: %d op(s) started but %d completed", e.stats.OpsStarted, e.stats.OpsCompleted)
 }
 
-// DescribeRunning renders every in-flight op for a crashdump, sorted so the
-// output is deterministic despite map iteration.
+// DescribeRunning renders every in-flight op for a crashdump, sorted.
 func (e *SwapEngine) DescribeRunning() []string {
 	out := make([]string, 0, len(e.running))
-	for r := range e.running {
-		waiters := 0
-		for _, ws := range r.waiters {
-			waiters += len(ws)
-		}
+	for _, r := range e.running {
 		label := r.op.Label
 		if label == "" {
 			label = "swap"
@@ -659,7 +639,7 @@ func (e *SwapEngine) DescribeRunning() []string {
 		out = append(out, fmt.Sprintf(
 			"op %q tag=%d began=%d stage=%d/%d readsLeft=%d writesLeft=%d inflight=%d waiters=%d",
 			label, r.op.Tag, r.began, r.stage+1, len(r.op.Stages),
-			r.readsLeft, r.writesLeft, r.inflight, waiters))
+			r.readsLeft, r.writesLeft, r.inflight, r.waiting))
 	}
 	sort.Strings(out)
 	return out

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pageseer/internal/check"
 	"pageseer/internal/engine"
 	"pageseer/internal/mem"
 )
@@ -203,6 +204,57 @@ func TestTryServiceIgnoresUninvolvedLines(t *testing.T) {
 	sim.Drain(0)
 	if e.Involved(0x40) {
 		t.Fatal("lines still marked involved after completion")
+	}
+}
+
+// TestOverlappingOpsLastStartOwns pins interception when two running ops
+// read the same line: the op started last owns it, an op's completion
+// removes only the entries it owns, and so when the owner finishes first
+// the line stops being intercepted even though the other op still has to
+// read it.
+func TestOverlappingOpsLastStartOwns(t *testing.T) {
+	page := func(n int) mem.Addr { return mem.Addr(n) * mem.PageSize }
+	shared := page(0) + 5*mem.LineSize
+	for _, ownerFirst := range []bool{false, true} {
+		sim, e, _ := testEngine(10)
+		var aDone, bDone bool
+		short := []Stage{{{Src: page(0), Dst: page(100), Bytes: mem.PageSize}}}
+		long := []Stage{
+			{{Src: page(1), Dst: page(101), Bytes: mem.PageSize}},
+			{{Src: page(0), Dst: page(102), Bytes: mem.PageSize}},
+		}
+		a := &Op{Stages: short, OnComplete: func() { aDone = true }}
+		b := &Op{Stages: long, OnComplete: func() { bDone = true }}
+		if ownerFirst {
+			a.Stages, b.Stages = long, short
+		}
+		if !e.Start(a) || !e.Start(b) {
+			t.Fatal("Start rejected with an empty engine")
+		}
+		if l, _ := e.lineOwner.Get(mem.LineNum(shared)); l == nil || l.r.op != b {
+			t.Fatalf("ownerFirst=%v: the op started last does not own the shared line", ownerFirst)
+		}
+		for !aDone && !bDone && sim.Step() {
+		}
+		if ownerFirst {
+			if !bDone || e.Involved(shared) {
+				t.Fatal("the owner finished first but its shared line is still intercepted")
+			}
+		} else if !aDone || !e.Involved(shared) {
+			t.Fatal("the first op's completion removed a line the later op owns")
+		}
+		if !e.Involved(page(1)) {
+			t.Fatal("the first completion removed a line only the running op reads")
+		}
+		sim.Drain(0)
+		if !aDone || !bDone || e.Involved(shared) || e.Busy() != 0 {
+			t.Fatal("ops did not both complete and release their lines")
+		}
+		audit := &check.Audit{}
+		e.Audit(audit)
+		if !audit.OK() {
+			t.Fatalf("ownerFirst=%v: %q", ownerFirst, audit.Violations())
+		}
 	}
 }
 

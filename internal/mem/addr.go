@@ -40,6 +40,10 @@ func PageOf(a Addr) PPN { return PPN(a >> PageShift) }
 // LineOf returns the line-aligned physical address containing a.
 func LineOf(a Addr) Addr { return a &^ (LineSize - 1) }
 
+// LineNum returns the number of the line containing a: the key of the
+// line's entry in a Table.
+func LineNum(a Addr) uint64 { return uint64(a) >> LineShift }
+
 // VPageOf returns the virtual page number containing va.
 func VPageOf(va VAddr) VPN { return VPN(va >> PageShift) }
 

@@ -12,7 +12,11 @@ import "fmt"
 type OS struct {
 	alloc *Allocator
 	store *tableStore
-	procs map[int]*AddressSpace
+	// procs holds each process's address space, indexed by pid (nil = no
+	// such process): sim.Build numbers pids 1..nCores. nProcs counts the
+	// live ones.
+	procs  []*AddressSpace
+	nProcs int
 }
 
 // NewOS creates an OS over the given address map. reserveDRAM frames of DRAM
@@ -24,7 +28,6 @@ func NewOS(m Map, reserveDRAM uint64) *OS {
 	return &OS{
 		alloc: a,
 		store: newTableStore(m),
-		procs: make(map[int]*AddressSpace),
 	}
 }
 
@@ -35,10 +38,13 @@ func (o *OS) Allocator() *Allocator { return o.alloc }
 // Map returns the physical address map.
 func (o *OS) Map() Map { return o.alloc.Map() }
 
-// NewProcess creates an address space for pid. It panics if pid exists:
-// duplicate PIDs always indicate a harness bug.
+// NewProcess creates an address space for pid. It panics if pid exists
+// or is negative: either always indicates a harness bug.
 func (o *OS) NewProcess(pid int) *AddressSpace {
-	if _, ok := o.procs[pid]; ok {
+	if pid < 0 {
+		panic(fmt.Sprintf("mem: negative pid %d", pid))
+	}
+	if _, ok := o.Process(pid); ok {
 		panic(fmt.Sprintf("mem: process %d already exists", pid))
 	}
 	root, ok := o.alloc.AllocTable()
@@ -54,14 +60,20 @@ func (o *OS) NewProcess(pid int) *AddressSpace {
 		mapped:     make(map[VPN]PPN),
 		tableCount: 1,
 	}
+	if pid >= len(o.procs) {
+		o.procs = append(o.procs, make([]*AddressSpace, pid+1-len(o.procs))...)
+	}
 	o.procs[pid] = as
+	o.nProcs++
 	return as
 }
 
 // Process returns the address space for pid.
 func (o *OS) Process(pid int) (*AddressSpace, bool) {
-	as, ok := o.procs[pid]
-	return as, ok
+	if uint(pid) >= uint(len(o.procs)) || o.procs[pid] == nil {
+		return nil, false
+	}
+	return o.procs[pid], true
 }
 
 // IsPageTable reports whether frame p holds a page table. The memory
@@ -93,7 +105,7 @@ func (e *WalkError) Unwrap() error { return e.Err }
 // carries the physical entry addresses the hardware walker will read.
 // Failure panics with *WalkError; the sim layer recovers it into a RunError.
 func (o *OS) WalkVA(pid int, va VAddr) Walk {
-	as, ok := o.procs[pid]
+	as, ok := o.Process(pid)
 	if !ok {
 		panic(&WalkError{PID: pid, VA: va})
 	}
@@ -116,6 +128,6 @@ func (o *OS) Stats() OSStats {
 	return OSStats{
 		UsedDRAMFrames: o.alloc.UsedDRAMFrames(),
 		UsedNVMFrames:  o.alloc.UsedNVMFrames(),
-		Processes:      len(o.procs),
+		Processes:      o.nProcs,
 	}
 }

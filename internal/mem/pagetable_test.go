@@ -152,6 +152,45 @@ func TestOSStats(t *testing.T) {
 	if after.UsedDRAMFrames <= before.UsedDRAMFrames {
 		t.Error("Touch did not consume frames")
 	}
+	// Processes counts live address spaces, not the pid range: pid 4
+	// leaves 0, 2 and 3 unused.
+	o.NewProcess(4)
+	if n := o.Stats().Processes; n != 2 {
+		t.Fatalf("Processes = %d after pids 1 and 4, want 2", n)
+	}
+	for _, pid := range []int{0, 2, 3, 5, -1} {
+		if _, ok := o.Process(pid); ok {
+			t.Fatalf("Process(%d) found an address space never created", pid)
+		}
+	}
+	if got, ok := o.Process(4); !ok || got.pid != 4 {
+		t.Fatal("Process(4) lost its address space")
+	}
+}
+
+// TestWalkVAUnknownPID: a walk for a pid with no address space — never
+// created, inside or past the created range, or negative — panics with a
+// *WalkError naming the pid and address and carrying no cause.
+func TestWalkVAUnknownPID(t *testing.T) {
+	o := testOS()
+	o.NewProcess(2)
+	for _, pid := range []int{0, 1, 3, 1 << 20, -1, -1 << 40} {
+		func() {
+			defer func() {
+				we, ok := recover().(*WalkError)
+				if !ok {
+					t.Fatalf("pid %d: WalkVA did not panic with *WalkError", pid)
+				}
+				if we.PID != pid || we.VA != 0x5000 || we.Err != nil {
+					t.Fatalf("pid %d: WalkError = %+v", pid, *we)
+				}
+				if !strings.Contains(we.Error(), "unknown pid") {
+					t.Fatalf("pid %d: message %q", pid, we.Error())
+				}
+			}()
+			o.WalkVA(pid, 0x5000)
+		}()
+	}
 }
 
 // Property: a page table is a function — walking the same VA always yields

@@ -12,9 +12,14 @@ package mempod
 // tracked increments its counter; a new element takes a free counter; if
 // none is free, every counter decrements (evicting zeros). Elements still
 // tracked at the end of an interval are the frequent ones.
+//
+// The counters are two fixed arrays, the first n entries live: scanning 64
+// keys costs less than hashing one, and an interval's Reset allocates
+// nothing.
 type MEA struct {
-	capacity int
-	counts   map[uint64]uint32
+	keys   []uint64
+	counts []uint32
+	n      int
 
 	Increments uint64
 	Decrements uint64
@@ -22,47 +27,64 @@ type MEA struct {
 
 // NewMEA builds a sketch with the given counter count (64 in the paper).
 func NewMEA(capacity int) *MEA {
-	return &MEA{capacity: capacity, counts: make(map[uint64]uint32)}
+	return &MEA{keys: make([]uint64, capacity), counts: make([]uint32, capacity)}
+}
+
+// find returns e's counter index, or -1.
+func (m *MEA) find(e uint64) int {
+	for i, k := range m.keys[:m.n] {
+		if k == e {
+			return i
+		}
+	}
+	return -1
 }
 
 // Observe feeds one element occurrence into the sketch.
 func (m *MEA) Observe(e uint64) {
-	if _, ok := m.counts[e]; ok {
-		m.counts[e]++
+	if i := m.find(e); i >= 0 {
+		m.counts[i]++
 		m.Increments++
 		return
 	}
-	if len(m.counts) < m.capacity {
-		m.counts[e] = 1
+	if m.n < len(m.keys) {
+		m.keys[m.n], m.counts[m.n] = e, 1
+		m.n++
 		m.Increments++
 		return
 	}
 	m.Decrements++
-	for k, v := range m.counts {
-		if v <= 1 {
-			delete(m.counts, k)
-		} else {
-			m.counts[k] = v - 1
+	live := 0
+	for i := 0; i < m.n; i++ {
+		if c := m.counts[i]; c > 1 {
+			m.keys[live], m.counts[live] = m.keys[i], c-1
+			live++
 		}
 	}
+	m.n = live
 }
 
 // Len returns the number of tracked elements.
-func (m *MEA) Len() int { return len(m.counts) }
+func (m *MEA) Len() int { return m.n }
 
 // Count returns e's current counter (0 if untracked).
-func (m *MEA) Count(e uint64) uint32 { return m.counts[e] }
+func (m *MEA) Count(e uint64) uint32 {
+	if i := m.find(e); i >= 0 {
+		return m.counts[i]
+	}
+	return 0
+}
 
 // Frequent returns the tracked elements with count >= minCount, unordered.
 func (m *MEA) Frequent(minCount uint32) []uint64 {
-	out := make([]uint64, 0, len(m.counts))
-	for e, c := range m.counts {
+	out := make([]uint64, 0, m.n)
+	for i, c := range m.counts[:m.n] {
 		if c >= minCount {
-			out = append(out, e)
+			out = append(out, m.keys[i])
 		}
 	}
 	return out
 }
 
 // Reset clears the sketch for the next interval.
-func (m *MEA) Reset() { m.counts = make(map[uint64]uint32) }
+func (m *MEA) Reset() { m.n = 0 }

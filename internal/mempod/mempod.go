@@ -111,8 +111,8 @@ type MemPod struct {
 	pods      []pod
 	lastTick  uint64
 
-	remap    *hmc.Remap // the segment permutation the remap table holds
-	inflight map[seg]*job
+	remap    *hmc.Remap      // the segment permutation the remap table holds
+	inflight mem.Table[*job] // keyed by the slots a running migration touches
 
 	// pending holds interval migrations waiting for a free swap buffer;
 	// hotness is re-checked against the sketch state at start time.
@@ -136,7 +136,6 @@ func New(ctl *hmc.Controller, cfg Config) *MemPod {
 		fastSegs:  seg(ctl.Layout.DRAMBytes / SegmentBytes),
 		totalSegs: seg(ctl.Layout.Total() / SegmentBytes),
 		remap:     ctl.NewRemap(segShift),
-		inflight:  make(map[seg]*job),
 	}
 	m.region = ctl.AllocMetaRegion(cfg.RemapTableBytes, 4)
 	m.remapCache = hmc.NewMetaCache(ctl.Sim, hmc.MetaCacheConfig{
@@ -257,7 +256,7 @@ func (m *MemPod) migrate(pi int, s seg, hotSet map[seg]bool) bool {
 		return false
 	}
 	srcSlot := m.locate(s)
-	if m.inflight[slot] != nil || m.inflight[srcSlot] != nil {
+	if m.inflight.Has(uint64(slot)) || m.inflight.Has(uint64(srcSlot)) {
 		return false
 	}
 	displaced := m.occupantOf(slot)
@@ -288,7 +287,7 @@ func (m *MemPod) migrate(pi int, s seg, hotSet map[seg]bool) bool {
 		}
 		m.stats.Migrations++
 		for _, sg := range j.segs {
-			delete(m.inflight, sg)
+			m.inflight.Del(uint64(sg))
 		}
 		for _, w := range j.waiters {
 			w()
@@ -314,8 +313,8 @@ func (m *MemPod) migrate(pi int, s seg, hotSet map[seg]bool) bool {
 		m.stats.MigrationsDropped++
 		return false
 	}
-	m.inflight[slot] = j
-	m.inflight[srcSlot] = j
+	m.inflight.Put(uint64(slot), j)
+	m.inflight.Put(uint64(srcSlot), j)
 	return true
 }
 
@@ -349,7 +348,7 @@ func (m *MemPod) pickVictim(pi int, hotSet map[seg]bool) (seg, bool) {
 			continue
 		}
 		data := m.occupantOf(slot)
-		if hotSet[data] || m.inflight[slot] != nil || m.frozen(data) {
+		if hotSet[data] || m.inflight.Has(uint64(slot)) || m.frozen(data) {
 			continue
 		}
 		if m.pinnedSlot(slot) {
@@ -385,10 +384,10 @@ func (m *MemPod) FreezePage(page mem.PPN, done func()) {
 	waitFor := map[*job]struct{}{}
 	for i := 0; i < mem.PageSize/SegmentBytes; i++ {
 		s := base + seg(i)
-		if j, ok := m.inflight[m.locate(s)]; ok {
+		if j, ok := m.inflight.Get(uint64(m.locate(s))); ok {
 			waitFor[j] = struct{}{}
 		}
-		if j, ok := m.inflight[s]; ok {
+		if j, ok := m.inflight.Get(uint64(s)); ok {
 			waitFor[j] = struct{}{}
 		}
 	}

@@ -36,3 +36,30 @@ func BenchmarkMemPodTranslateLine(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestZeroAllocMEA: a MemPod interval's sketch work — 64-counter Observes
+// that increment, insert and decrement, then the interval's Reset —
+// allocates nothing.
+func TestZeroAllocMEA(t *testing.T) {
+	m := NewMEA(64)
+	x := uint64(1)
+	interval := func() {
+		for i := 0; i < 2_000; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			e := x >> 40 % 96 // a few more elements than counters
+			if i&1 == 0 {
+				e = x >> 40 % 8 // a hot set that survives
+			}
+			m.Observe(e)
+		}
+		m.Reset()
+	}
+	interval()
+	inc, dec := m.Increments, m.Decrements
+	if allocs := testing.AllocsPerRun(10, interval); allocs != 0 {
+		t.Fatalf("an interval of Observe and Reset allocates %.1f times, want 0", allocs)
+	}
+	if m.Increments == inc || m.Decrements == dec {
+		t.Fatal("the stream never incremented or never decremented")
+	}
+}

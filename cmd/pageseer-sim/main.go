@@ -52,8 +52,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,6 +59,7 @@ import (
 	"time"
 
 	"pageseer"
+	"pageseer/internal/cli"
 	"pageseer/internal/stats"
 )
 
@@ -97,54 +96,30 @@ func abortActive(reason string) {
 }
 
 func main() {
+	common := cli.Register(flag.CommandLine)
 	var (
-		wl           = flag.String("workload", "lbm", `Table III workload name(s), comma-separated, or "all"`)
-		scheme       = flag.String("scheme", "pageseer", "pageseer | pageseer-nocorr | pom | mempod | static")
-		scale        = flag.Int("scale", 0, "memory scale denominator (0 = default)")
-		instr        = flag.Uint64("instr", 0, "measured instructions per core (0 = default)")
-		warmup       = flag.Uint64("warmup", 0, "warm-up instructions per core (0 = default)")
-		seed         = flag.Uint64("seed", 1, "workload seed")
-		cores        = flag.Int("maxcores", 0, "cap on core count (0 = paper counts)")
-		nobw         = flag.Bool("nobw", false, "disable the Swap Driver bandwidth heuristic")
-		sample       = flag.Uint64("sample", 0, "SMARTS-style sampled execution: number of detailed windows (0 = full detailed run)")
-		sampleWindow = flag.Uint64("sample-window", 0, "instructions per core measured in each sample window (requires -sample)")
-		sampleWarmup = flag.Uint64("sample-warmup", 0, "detailed-but-discarded warm-up instructions per core before each window")
-		jobs         = flag.Int("j", runtime.GOMAXPROCS(0), "parallel runs when multiple workloads are given")
-		list         = flag.Bool("list", false, "list workloads and exit")
+		wl     = flag.String("workload", "lbm", `Table III workload name(s), comma-separated, or "all"`)
+		scheme = flag.String("scheme", "pageseer", "pageseer | pageseer-nocorr | pom | mempod | static")
+		nobw   = flag.Bool("nobw", false, "disable the Swap Driver bandwidth heuristic")
+		list   = flag.Bool("list", false, "list workloads and exit")
 
-		journalDir = flag.String("journal", "", "campaign journal directory: completed runs are appended and fsynced there so a killed invocation can resume with -resume (routes runs through the campaign runner; incompatible with -trace/-timeline)")
-		resume     = flag.Bool("resume", false, "resume the invocation journaled in -journal: completed runs replay from the journal, only unfinished runs execute")
-		runTimeout = flag.Duration("run-timeout", 0, "per-run wall-clock limit (e.g. 10m); a run exceeding it is aborted and fails with a crashdump")
-
-		audit     = flag.Bool("audit", false, "run end-of-run invariant audits and the liveness watchdog")
-		fault     = flag.String("fault", "none", "deterministic fault injection: none | swap-exhaustion | meta-thrash | queue-saturation | demand-storm")
-		faultRate = flag.Float64("fault-rate", 0, "fault trigger probability per decision point (0 = kind default)")
-		faultSeed = flag.Uint64("fault-seed", 1, "fault-injection RNG seed")
-		dumpDir   = flag.String("crashdump-dir", ".", "directory for per-run crashdump files on failure")
-
-		effect     = flag.Bool("effectiveness", false, "attach the swap-provenance ledger and print per-trigger swap effectiveness")
-		cpi        = flag.Bool("cpi", false, "attach cycle attribution and print the CPI-stack table")
-		cpiCSV     = flag.String("cpi-csv", "", "write the CPI stacks to this CSV file (implies -cpi)")
-		cpiJSON    = flag.String("cpi-json", "", "write the CPI stacks (with per-trigger-class splits) to this JSON file (implies -cpi)")
-		pagemapOn  = flag.Bool("pagemap", false, "attach the per-page telemetry table and print its digest (hot sets, churn, flaps, NVM wear)")
-		pmCSV      = flag.String("pagemap-csv", "", "write the full per-page table to this CSV file (implies -pagemap)")
-		pmJSON     = flag.String("pagemap-json", "", "write the full per-page table to this JSON file (implies -pagemap)")
-		pm2MB      = flag.Bool("pagemap-2mb", false, "roll the -pagemap-csv/-json export up into 2MB extents instead of per-page rows")
-		pmFlapK    = flag.Int("pagemap-flap-k", 0, "flap threshold: DRAM<->NVM round trips inside the window that count as one flap (0 = default)")
-		pmFlapWin  = flag.Uint64("pagemap-flap-window", 0, "flap detection sliding window in cycles (0 = default)")
-		serveAddr  = flag.String("serve", "", "serve live run introspection on this address (e.g. :8090); incompatible with -trace/-timeline")
-		tracePath  = flag.String("trace", "", "write a Chrome/Perfetto trace of swap lifecycles and MMU hints to this file")
-		tlPath     = flag.String("timeline", "", "write the epoch timeline to this file (.json = JSON, otherwise CSV)")
-		tlEvery    = flag.Uint64("timeline-every", 50_000, "timeline sampling interval in cycles")
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
+		cpi       = flag.Bool("cpi", false, "attach cycle attribution and print the CPI-stack table")
+		cpiCSV    = flag.String("cpi-csv", "", "write the CPI stacks to this CSV file (implies -cpi)")
+		cpiJSON   = flag.String("cpi-json", "", "write the CPI stacks (with per-trigger-class splits) to this JSON file (implies -cpi)")
+		pagemapOn = flag.Bool("pagemap", false, "attach the per-page telemetry table and print its digest (hot sets, churn, flaps, NVM wear)")
+		pmCSV     = flag.String("pagemap-csv", "", "write the full per-page table to this CSV file (implies -pagemap)")
+		pmJSON    = flag.String("pagemap-json", "", "write the full per-page table to this JSON file (implies -pagemap)")
+		pm2MB     = flag.Bool("pagemap-2mb", false, "roll the -pagemap-csv/-json export up into 2MB extents instead of per-page rows")
+		tracePath = flag.String("trace", "", "write a Chrome/Perfetto trace of swap lifecycles and MMU hints to this file")
+		tlPath    = flag.String("timeline", "", "write the epoch timeline to this file (.json = JSON, otherwise CSV)")
+		tlEvery   = flag.Uint64("timeline-every", 50_000, "timeline sampling interval in cycles")
 	)
 	flag.Parse()
 
 	// Flag-combination validation up front, before any run (or server) starts:
-	// -serve routes runs through the campaign runner, which owns no per-run
-	// file sinks, so the per-run observers cannot combine with it.
-	if *serveAddr != "" || *journalDir != "" {
+	// -serve and -journal route runs through the campaign runner, which owns
+	// no per-run file sinks, so the per-run observers cannot combine with it.
+	if common.Serve != "" || common.Journal != "" {
 		var conflicting []string
 		if *tracePath != "" {
 			conflicting = append(conflicting, "-trace")
@@ -157,31 +132,24 @@ func main() {
 		}
 		if len(conflicting) > 0 {
 			with := "-serve"
-			if *serveAddr == "" {
+			if common.Serve == "" {
 				with = "-journal"
 			}
 			fmt.Fprintf(os.Stderr, "error: %s cannot be combined with %s: the campaign runner behind it owns no per-run file sinks\n", with, strings.Join(conflicting, "/"))
 			os.Exit(2)
 		}
 	}
-	if *resume && *journalDir == "" {
-		fmt.Fprintln(os.Stderr, "error: -resume requires -journal (the directory holding the journal to resume)")
+	if err := common.CheckResume(); err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(2)
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := common.StartProfiles()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
 	}
-	defer writeMemProfile(*memProfile)
+	defer stopProfiles()
 
 	if *list {
 		for _, w := range pageseer.Workloads() {
@@ -197,44 +165,23 @@ func main() {
 
 	cfg := pageseer.DefaultConfig()
 	cfg.Scheme = pageseer.Scheme(*scheme)
-	if *scale > 0 {
-		cfg.Scale = *scale
-	}
-	if *instr > 0 {
-		cfg.InstrPerCore = *instr
-	}
-	if *warmup > 0 {
-		cfg.Warmup = *warmup
-	}
-	cfg.Seed = *seed
-	cfg.MaxCores = *cores
 	cfg.DisableBWOpt = *nobw
-	cfg.Sample = *sample
-	cfg.SampleWindow = *sampleWindow
-	cfg.SampleWarmup = *sampleWarmup
-	cfg.Audit = *audit
-	fk, err := pageseer.ParseFault(*fault)
-	if err != nil {
+	if err := common.ApplyConfig(&cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(2)
 	}
-	cfg.Faults = pageseer.FaultPlan{Kind: fk, Rate: *faultRate, Seed: *faultSeed}
 	cfg.Obs.Trace = *tracePath != ""
 	if *cpiCSV != "" || *cpiJSON != "" {
 		*cpi = true
 	}
 	// The introspection server's /metrics page draws on the provenance and
 	// attribution digests, so -serve attaches both (mirroring paper-figures).
-	cfg.Obs.Ledger = *effect || *serveAddr != ""
-	cfg.Obs.CPI = *cpi || *serveAddr != ""
+	cfg.Obs.Ledger = common.Effectiveness || common.Serve != ""
+	cfg.Obs.CPI = *cpi || common.Serve != ""
 	if *pmCSV != "" || *pmJSON != "" {
 		*pagemapOn = true
 	}
 	cfg.Obs.PageMap = *pagemapOn
-	// The flap knobs pass through unconditionally: Validate rejects them
-	// when the pagemap is off rather than silently ignoring them.
-	cfg.Obs.PageMapFlapK = *pmFlapK
-	cfg.Obs.PageMapFlapWindow = *pmFlapWin
 	if *tlPath != "" {
 		cfg.Obs.TimelineEvery = *tlEvery
 	}
@@ -246,43 +193,36 @@ func main() {
 	var fr *pageseer.FigureRunner
 	var journal *pageseer.Journal
 	var srv *http.Server
-	if *serveAddr != "" || *journalDir != "" {
+	if common.Serve != "" || common.Journal != "" {
 		fopts := pageseer.FigureOptions{
-			Scale:             cfg.Scale,
-			InstrPerCore:      cfg.InstrPerCore,
-			Warmup:            cfg.Warmup,
-			Seed:              cfg.Seed,
-			Workloads:         wls,
-			MaxCores:          cfg.MaxCores,
-			Parallelism:       *jobs,
-			Audit:             cfg.Audit,
-			Faults:            cfg.Faults,
-			Sample:            cfg.Sample,
-			SampleWindow:      cfg.SampleWindow,
-			SampleWarmup:      cfg.SampleWarmup,
-			Ledger:            cfg.Obs.Ledger,
-			CPI:               cfg.Obs.CPI,
-			PageMap:           cfg.Obs.PageMap,
-			PageMapFlapK:      cfg.Obs.PageMapFlapK,
-			PageMapFlapWindow: cfg.Obs.PageMapFlapWindow,
-			RunTimeout:        *runTimeout,
+			Scale:        cfg.Scale,
+			InstrPerCore: cfg.InstrPerCore,
+			Warmup:       cfg.Warmup,
+			Workloads:    wls,
+			Ledger:       cfg.Obs.Ledger,
+			CPI:          cfg.Obs.CPI,
+			PageMap:      cfg.Obs.PageMap,
 		}
-		if *journalDir != "" {
-			j, err := pageseer.OpenJournal(*journalDir, pageseer.CampaignHash(fopts), *resume)
+		if err := common.ApplyOptions(&fopts); err != nil {
+			fmt.Fprintln(os.Stderr, "error:", err)
+			os.Exit(2)
+		}
+		if common.Journal != "" {
+			j, err := pageseer.OpenJournal(common.Journal, pageseer.CampaignHash(fopts), common.Resume)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
 				os.Exit(1)
 			}
-			if *resume {
-				fmt.Fprintf(os.Stderr, "journal: resuming from %s — %d run(s) already complete\n", *journalDir, j.Completed())
+			if common.Resume {
+				fmt.Fprintf(os.Stderr, "journal: resuming from %s — %d run(s) already complete\n", common.Journal, j.Completed())
 			}
 			journal = j
 			fopts.Journal = j
 		}
 		fr = pageseer.NewFigureRunner(fopts)
 	}
-	if *serveAddr != "" {
-		ln, err := net.Listen("tcp", *serveAddr)
+	if common.Serve != "" {
+		ln, err := net.Listen("tcp", common.Serve)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
@@ -320,7 +260,7 @@ func main() {
 	// Fan runs across -j workers; each worker owns its private system, so
 	// per-run determinism is untouched. Reports buffer per run and print
 	// in argument order, never interleaved.
-	par := *jobs
+	par := common.Jobs
 	if par < 1 {
 		par = 1
 	}
@@ -365,7 +305,7 @@ func main() {
 					pmJSON:   outPath(*pmJSON, wls[i], multi),
 					pm2MB:    *pm2MB,
 				}
-				results[i], reports[i], errs[i] = runOne(c, sinks, *runTimeout)
+				results[i], reports[i], errs[i] = runOne(c, sinks, common.RunTimeout)
 			}
 		}()
 	}
@@ -390,7 +330,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "error:", errs[i])
 			var re *pageseer.RunError
 			if errors.As(errs[i], &re) {
-				path := filepath.Join(*dumpDir, fmt.Sprintf("crashdump-%s-%s.txt", re.Workload, re.Scheme))
+				path := filepath.Join(common.CrashdumpDir, fmt.Sprintf("crashdump-%s-%s.txt", re.Workload, re.Scheme))
 				if werr := os.WriteFile(path, []byte(re.Crashdump), 0o644); werr != nil {
 					fmt.Fprintln(os.Stderr, "crashdump:", werr)
 				} else {
@@ -448,7 +388,7 @@ func main() {
 	if skipped > 0 {
 		fmt.Fprintf(os.Stderr, "interrupted: %d run(s) never started\n", skipped)
 		if journal != nil {
-			fmt.Fprintf(os.Stderr, "resume with the same flags plus: -journal %s -resume\n", *journalDir)
+			fmt.Fprintf(os.Stderr, "resume with the same flags plus: -journal %s -resume\n", common.Journal)
 		} else {
 			fmt.Fprintln(os.Stderr, "hint: -journal DIR makes interrupted invocations resumable")
 		}
@@ -571,22 +511,6 @@ func writeSink(path string, write func(w io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "memprofile:", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "memprofile:", err)
-	}
 }
 
 func report(cfg pageseer.Config, res pageseer.Results) string {

@@ -28,16 +28,16 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
 
-	"pageseer/internal/check"
+	"pageseer/internal/cli"
 	"pageseer/internal/figures"
 )
 
 func main() {
+	common := cli.Register(flag.CommandLine)
 	var (
 		all   = flag.Bool("all", false, "regenerate everything")
 		quick = flag.Bool("quick", false, "reduced campaign (subset of workloads, small budgets)")
@@ -56,7 +56,6 @@ func main() {
 		abl    = flag.Bool("ablation", false, "Section V-C: PageSeer vs PageSeer-NoCorr")
 		lat    = flag.Bool("latency", false, "per-source HMC service-latency percentiles (PageSeer)")
 
-		effect       = flag.Bool("effectiveness", false, "swap-provenance effectiveness table (attaches the ledger to every run; not part of -all)")
 		effectCSV    = flag.String("effectiveness-csv", "", "write the effectiveness table to this CSV file (implies -effectiveness)")
 		effectJSON   = flag.String("effectiveness-json", "", "write the effectiveness table (with lead-time histograms) to this JSON file (implies -effectiveness)")
 		cpistack     = flag.Bool("cpistack", false, "cycle-attribution CPI-stack table incl. the static baseline (attaches attribution to every run; not part of -all)")
@@ -65,74 +64,36 @@ func main() {
 		churn        = flag.Bool("churn", false, "address-space churn table: hot-set sizes, swap churn, flaps, NVM wear (attaches the pagemap to every run; not part of -all)")
 		churnCSV     = flag.String("churn-csv", "", "write the churn table to this CSV file (implies -churn)")
 		churnJSON    = flag.String("churn-json", "", "write the churn table (with reuse histograms and leaderboards) to this JSON file (implies -churn)")
-		serveAddr    = flag.String("serve", "", "serve live campaign introspection on this address (e.g. :8090): progress on /, per-run JSON on /runs, Prometheus on /metrics, pprof under /debug/pprof/")
 
-		scale        = flag.Int("scale", 0, "memory scale denominator (default from profile)")
-		instr        = flag.Uint64("instr", 0, "measured instructions per core")
-		warmup       = flag.Uint64("warmup", 0, "warm-up instructions per core")
-		seed         = flag.Uint64("seed", 1, "workload seed")
-		maxCores     = flag.Int("maxcores", 0, "cap on cores per workload (0 = paper counts)")
 		workloads    = flag.String("workloads", "", "comma-separated workload subset")
 		quiet        = flag.Bool("quiet", false, "suppress per-run progress")
-		jobs         = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation runs (campaign-level; each run stays single-threaded)")
-		sample       = flag.Uint64("sample", 0, "SMARTS-style sampled execution for every campaign run: number of detailed windows (0 = full detailed runs)")
-		sampleWindow = flag.Uint64("sample-window", 0, "instructions per core measured in each sample window (requires -sample)")
-		sampleWarmup = flag.Uint64("sample-warmup", 0, "detailed-but-discarded warm-up instructions per core before each window")
 		benchJSON    = flag.String("benchjson", "", "write per-run wall-clock/throughput records to this JSON file")
 		benchNote    = flag.String("benchnote", "", "free-form note recorded in the -benchjson output (e.g. serial-vs-parallel comparison)")
 		benchSampled = flag.String("bench-sampled", "", "additionally rerun the campaign in sampled mode \"N,W,K\" (windows, window instr, warm-up instr) and append its records to -benchjson, so the trajectory captures sampled-vs-detailed wall-clock")
-
-		audit     = flag.Bool("audit", false, "run end-of-run invariant audits and the liveness watchdog on every run")
-		fault     = flag.String("fault", "none", "deterministic fault injection: none | swap-exhaustion | meta-thrash | queue-saturation | demand-storm")
-		faultRate = flag.Float64("fault-rate", 0, "fault trigger probability per decision point (0 = kind default)")
-		faultSeed = flag.Uint64("fault-seed", 1, "fault-injection RNG seed")
-		retry     = flag.Int("retry", 0, "retry each failed run up to N times (capped exponential backoff) before reporting it as a gap")
-		dumpDir   = flag.String("crashdump-dir", ".", "directory for per-run crashdump files on failure")
-
-		journalDir = flag.String("journal", "", "campaign journal directory: every completed run is appended and fsynced there, so a killed campaign can be resumed with -resume")
-		resume     = flag.Bool("resume", false, "resume the campaign journaled in -journal: completed runs replay from the journal, only unfinished runs execute")
-		runTimeout = flag.Duration("run-timeout", 0, "per-run wall-clock limit (e.g. 10m); a run exceeding it is aborted and reported as a failed run with a crashdump")
-
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
+		retry        = flag.Int("retry", 0, "retry each failed run up to N times (capped exponential backoff) before reporting it as a gap")
 	)
 	flag.Parse()
+	effect := &common.Effectiveness
 
 	if *benchSampled != "" && *benchJSON == "" {
 		fmt.Fprintln(os.Stderr, "error: -bench-sampled requires -benchjson (it only adds records to the bench output)")
 		os.Exit(2)
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := common.StartProfiles()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
 	}
-	defer writeMemProfile(*memProfile)
+	defer stopProfiles()
 
 	opts := figures.DefaultOptions()
 	if *quick {
 		opts = figures.QuickOptions()
 	}
-	if *scale > 0 {
-		opts.Scale = *scale
-	}
-	if *instr > 0 {
-		opts.InstrPerCore = *instr
-	}
-	if *warmup > 0 {
-		opts.Warmup = *warmup
-	}
-	opts.Seed = *seed
-	if *maxCores > 0 {
-		opts.MaxCores = *maxCores
+	if err := common.ApplyOptions(&opts); err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(2)
 	}
 	if *workloads != "" {
 		opts.Workloads = strings.Split(*workloads, ",")
@@ -140,21 +101,7 @@ func main() {
 	if !*quiet {
 		opts.Progress = os.Stderr
 	}
-	opts.Parallelism = *jobs
-	opts.Sample = *sample
-	opts.SampleWindow = *sampleWindow
-	opts.SampleWarmup = *sampleWarmup
-	opts.Audit = *audit
 	opts.Retries = *retry
-	opts.RunTimeout = *runTimeout
-	fk, err := check.ParseFault(*fault)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(2)
-	}
-	opts.Faults.Kind = fk
-	opts.Faults.Rate = *faultRate
-	opts.Faults.Seed = *faultSeed
 	if *effectCSV != "" || *effectJSON != "" {
 		*effect = true
 	}
@@ -162,14 +109,14 @@ func main() {
 	// introspection server asks for it. It is deliberately NOT part of
 	// -all: -all regenerates the paper's figures, whose runs stay
 	// ledger-free (and byte-identical to earlier releases).
-	opts.Ledger = *effect || *serveAddr != ""
+	opts.Ledger = *effect || common.Serve != ""
 	if *cpistackCSV != "" || *cpistackJSON != "" {
 		*cpistack = true
 	}
 	// Cycle attribution follows the same rule: it rides every run when the
 	// CPI-stack table or the introspection server (per-component cycle
 	// counters on /metrics) asks for it, and never under plain -all.
-	opts.CPI = *cpistack || *serveAddr != ""
+	opts.CPI = *cpistack || common.Serve != ""
 	if *churnCSV != "" || *churnJSON != "" {
 		*churn = true
 	}
@@ -184,7 +131,7 @@ func main() {
 		*table1, *table2, *table3 = true, true, true
 		*fig7, *fig8, *fig9, *fig10, *fig11, *fig12, *fig13, *fig14, *abl, *lat =
 			true, true, true, true, true, true, true, true, true, true
-	} else if !anyFigure && !anyTable && *serveAddr == "" {
+	} else if !anyFigure && !anyTable && common.Serve == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -209,18 +156,18 @@ func main() {
 	// instead of re-executing (refusing a journal recorded under different
 	// campaign options).
 	var journal *figures.Journal
-	if *resume && *journalDir == "" {
-		fail(errors.New("-resume requires -journal (the directory holding the journal to resume)"))
+	if err := common.CheckResume(); err != nil {
+		fail(err)
 	}
-	if *journalDir != "" {
-		j, err := figures.OpenJournal(*journalDir, figures.CampaignHash(opts), *resume)
+	if common.Journal != "" {
+		j, err := figures.OpenJournal(common.Journal, figures.CampaignHash(opts), common.Resume)
 		if err != nil {
 			fail(err)
 		}
 		journal = j
 		opts.Journal = j
-		if *resume {
-			fmt.Fprintf(os.Stderr, "journal: resuming from %s — %d run(s) already complete\n", *journalDir, j.Completed())
+		if common.Resume {
+			fmt.Fprintf(os.Stderr, "journal: resuming from %s — %d run(s) already complete\n", common.Journal, j.Completed())
 		}
 	}
 
@@ -247,8 +194,8 @@ func main() {
 	// The introspection server watches the campaign live: it reads the
 	// Runner's memoisation cache, so it sees runs the moment they begin.
 	var srv *http.Server
-	if *serveAddr != "" {
-		ln, err := net.Listen("tcp", *serveAddr)
+	if common.Serve != "" {
+		ln, err := net.Listen("tcp", common.Serve)
 		if err != nil {
 			fail(err)
 		}
@@ -277,7 +224,7 @@ func main() {
 				if journal != nil {
 					journal.Close()
 					fmt.Fprintf(os.Stderr, "campaign stopped: %d run(s) journaled; resume with the same flags plus: -journal %s -resume\n",
-						journal.Completed(), *journalDir)
+						journal.Completed(), common.Journal)
 				} else {
 					fmt.Fprintln(os.Stderr, "campaign stopped; hint: -journal DIR makes interrupted campaigns resumable")
 				}
@@ -453,7 +400,7 @@ func main() {
 			}
 			runs = append(runs, sr.Metrics()...)
 		}
-		if err := writeBenchJSON(*benchJSON, runs, opts, *jobs, *quick, benchWall, *benchNote); err != nil {
+		if err := writeBenchJSON(*benchJSON, runs, opts, common.Jobs, *quick, benchWall, *benchNote); err != nil {
 			fail(err)
 		}
 	}
@@ -471,7 +418,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "\n%d run(s) failed (their figures show gaps):\n", len(fails))
 		for _, f := range fails {
 			fmt.Fprintf(os.Stderr, "  %s/%s (%d attempt(s)): %v\n", f.Workload, f.Scheme, f.Attempts, f.Err.Cause)
-			path := filepath.Join(*dumpDir, fmt.Sprintf("crashdump-%s-%s.txt", f.Workload, f.Scheme))
+			path := filepath.Join(common.CrashdumpDir, fmt.Sprintf("crashdump-%s-%s.txt", f.Workload, f.Scheme))
 			if err := os.WriteFile(path, []byte(f.Err.Crashdump), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, "  crashdump:", err)
 			} else {
@@ -524,22 +471,6 @@ type campaignBench struct {
 	TotalWallSeconds float64             `json:"total_wall_seconds"`
 	TotalEvents      uint64              `json:"total_events"`
 	EventsPerSec     float64             `json:"events_per_sec"`
-}
-
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "memprofile:", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "memprofile:", err)
-	}
 }
 
 func writeBenchJSON(path string, runs []figures.RunMetric, opts figures.Options, jobs int, quick bool, wall time.Duration, note string) error {

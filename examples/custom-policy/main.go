@@ -5,9 +5,13 @@
 // an aggressive policy that swaps an NVM page to DRAM on its very first
 // miss (no history, no thresholds). It demonstrates the full extension
 // surface: remap state, the swap engine with its buffers, the integrity
-// oracle, and DMA freezing. The result also shows
-// *why* the paper needs history: eager swapping wins when reuse is long,
-// and drowns in its own traffic when it is not.
+// oracle, and DMA freezing. Each swap op carries its identity (obs.Swap:
+// what comes in, what goes out, why); the swap engine reports the op's
+// lifecycle to every attached observer, so the policy gets ledger,
+// pagemap and trace rows with no observer code of its own — the run below
+// prints its swap accuracy from the ledger. The result also shows *why*
+// the paper needs history: eager swapping wins when reuse is long, and
+// drowns in its own traffic when it is not.
 package main
 
 import (
@@ -18,6 +22,7 @@ import (
 	"pageseer/internal/hmc"
 	"pageseer/internal/mem"
 	"pageseer/internal/mmu"
+	"pageseer/internal/obs"
 	"pageseer/internal/sim"
 )
 
@@ -112,6 +117,10 @@ func (e *Eager) trySwap(page mem.PPN) {
 	j := &job{}
 	e.inflight[page], e.inflight[victim] = j, j
 	op := &hmc.Op{
+		Swap: obs.Swap{
+			Addr: uint64(page.Addr()), Victim: uint64(victim.Addr()), HasVictim: true,
+			Trigger: obs.TrigRegular, Request: e.ctl.Sim.Now(),
+		},
 		Stages: []hmc.Stage{{
 			{Src: page.Addr(), Dst: victim.Addr(), Bytes: mem.PageSize},
 			{Src: victim.Addr(), Dst: page.Addr(), Bytes: mem.PageSize},
@@ -155,6 +164,7 @@ func main() {
 	cfg.MaxCores = 4
 	cfg.InstrPerCore = 1_000_000
 	cfg.Warmup = 500_000
+	cfg.Obs.Ledger = true
 
 	// The driver wires cores, TLBs, caches and memories around whatever
 	// manager the factory installs.
@@ -170,8 +180,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("custom 'Eager' policy on %s: IPC %.3f, AMMAT %.1f, %d swaps\n",
-		wl, res.IPC, res.AMMAT, eager.swaps)
+	fmt.Printf("custom 'Eager' policy on %s: IPC %.3f, AMMAT %.1f, %d swaps (%.0f%% useful)\n",
+		wl, res.IPC, res.AMMAT, eager.swaps, res.Effectiveness.Accuracy*100)
 
 	// And PageSeer on the identical workload via the facade.
 	cfg2 := cfg
@@ -184,6 +194,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("PageSeer on %s:              IPC %.3f, AMMAT %.1f, %.0f swaps\n",
-		wl, res2.IPC, res2.AMMAT, res2.SwapsPerKI*float64(res2.Instructions)/1000)
+	fmt.Printf("PageSeer on %s:              IPC %.3f, AMMAT %.1f, %.0f swaps (%.0f%% useful)\n",
+		wl, res2.IPC, res2.AMMAT, res2.SwapsPerKI*float64(res2.Instructions)/1000, res2.Effectiveness.Accuracy*100)
 }

@@ -10,7 +10,6 @@ import (
 	"pageseer/internal/mmu"
 	"pageseer/internal/obs"
 	"pageseer/internal/obs/attrib"
-	"pageseer/internal/obs/ledger"
 )
 
 // SwapKind distinguishes the three swap triggers of Section III-A.
@@ -82,24 +81,26 @@ type swapJob struct {
 	kind    SwapKind
 	pages   []mem.PPN // every page identity participating
 	waiters []func()  // DMA freeze waiting for completion
-	lid     uint64    // swap-provenance record ID (0 when the ledger is off)
-	pid     uint64    // pagemap pending-swap handle (0 when the pagemap is off)
 }
 
-// swapTrigger maps the paper's SwapKind (plus the follower flag, which the
-// kind accounting deliberately folds into the leader's kind) onto the
-// ledger's trigger taxonomy.
-func swapTrigger(kind SwapKind, follower bool) ledger.Trigger {
-	if follower {
-		return ledger.TrigFollower
+// swapIdentity is the obs.Swap identity of a swap bringing page into DRAM
+// and displacing victim. It maps the paper's SwapKind (plus the follower
+// flag, which the kind accounting deliberately folds into the leader's
+// kind) onto the observers' trigger taxonomy.
+func swapIdentity(page, victim mem.PPN, kind SwapKind, follower bool, req uint64, label string) obs.Swap {
+	trig := obs.TrigRegular
+	switch {
+	case follower:
+		trig = obs.TrigFollower
+	case kind == SwapPrefetchPCT:
+		trig = obs.TrigPCT
+	case kind == SwapPrefetchMMU:
+		trig = obs.TrigMMU
 	}
-	switch kind {
-	case SwapPrefetchPCT:
-		return ledger.TrigPCT
-	case SwapPrefetchMMU:
-		return ledger.TrigMMU
+	return obs.Swap{
+		Addr: uint64(page.Addr()), Victim: uint64(victim.Addr()), HasVictim: true,
+		Trigger: trig, Request: req, HintPath: kind == SwapPrefetchMMU, Label: label,
 	}
-	return ledger.TrigRegular
 }
 
 type prefTrack struct {
@@ -166,28 +167,12 @@ type PageSeer struct {
 	freeHint  *hintEval
 	freeServe *pteServe
 
-	// Tracing state (nil/empty when the controller has no tracer): hintSeq
-	// numbers MMU-hint causality arrows; hintFlow remembers where each
-	// hint fired so the arrow can be emitted retroactively — only when an
-	// MMU-triggered swap actually closes it (dangling arrows clutter
-	// Perfetto and bloat the trace; most hints trigger nothing).
-	hintSeq  uint64
-	hintFlow map[mem.PPN]hintOrigin
-
 	// att (nil when attribution is off) receives correlation-evaluation
 	// machinery cycles — PCTc lookups are off the request critical path, so
 	// their cost is reported separately rather than in any blame vector.
 	att *attrib.Attrib
 
 	stats Stats
-}
-
-// hintOrigin records when/where an MMU hint fired, keyed by the hinted
-// page, so bindHintFlow can open its causality arrow at the original spot.
-type hintOrigin struct {
-	id   uint64
-	ts   uint64
-	core int
 }
 
 type pendingSwap struct {
@@ -321,11 +306,6 @@ func (p *PageSeer) issueLineDemand(line mem.Addr, done func()) {
 }
 
 const maxPendingSwaps = 1024
-
-// traceQueueTid is the trace track (under the swap-engine process) that
-// carries Swap Driver queueing events: request instants, queue-wait spans,
-// and remap commits. Transfer spans live on tids 0..MaxOps-1.
-const traceQueueTid = 99
 
 // pendingStaleCycles expires queued swap requests: converting a page whose
 // flurry has already ended wastes swap bandwidth that a fresh request could
@@ -522,22 +502,6 @@ func (p *PageSeer) corrEvaluated(t *corrTxn) {
 // page, prefetch its metadata, and possibly start MMU-triggered swaps.
 func (p *PageSeer) MMUHint(h mmu.Hint) {
 	p.stats.HintsReceived++
-	// Ledger hint capture is tracer-independent: the causal chain starts at
-	// the walker's final-PTE computation (h.Cycle), not at hint delivery.
-	p.ctl.Ledger().Hint(uint64(h.LeafPPN.Addr()), h.Cycle)
-	if t := p.ctl.Tracer(); t != nil {
-		// Remember where the hint fired; if it ends up starting an
-		// MMU-triggered prefetch swap, bindHintFlow opens the causality
-		// arrow here retroactively and the swap's transfer span closes it
-		// (the arrow Perfetto draws from page walk to page move).
-		p.hintSeq++
-		now := p.sim.Now()
-		t.Instant("hint", "mmu-hint", obs.TracePidCores, h.Core, now, "vpn", uint64(h.VPN))
-		if p.hintFlow == nil {
-			p.hintFlow = make(map[mem.PPN]hintOrigin)
-		}
-		p.hintFlow[h.LeafPPN] = hintOrigin{id: p.hintSeq, ts: now, core: h.Core}
-	}
 	e := p.getHintEval()
 	e.line, e.page = h.PTELine, h.LeafPPN
 	p.pte.Obtain(h.PTELine, e.fetchFn, e.readyFn)
@@ -584,10 +548,7 @@ func (p *PageSeer) requestSwapFrom(page mem.PPN, kind SwapKind, follower bool) b
 	if p.ctl.FrozenByDMA(page) {
 		return false
 	}
-	if t := p.ctl.Tracer(); t != nil {
-		t.Instant("swap", "request:"+kind.String(), obs.TracePidSwap, traceQueueTid,
-			p.sim.Now(), "page", uint64(page))
-	}
+	p.ctl.Probe().SwapRequested(uint64(page.Addr()), kind.String(), p.sim.Now())
 	if p.cfg.BWOpt && p.dramSaturated() {
 		p.stats.DeclinedBW++
 		return false
@@ -632,10 +593,7 @@ func (p *PageSeer) popPending() (pendingSwap, bool) {
 				p.stats.DeclinedQueue++
 				continue // expired: the flurry this served has passed
 			}
-			if t := p.ctl.Tracer(); t != nil && now > e.at {
-				t.Complete("swap", "queued:"+e.kind.String(), obs.TracePidSwap,
-					traceQueueTid, e.at, now, "page", uint64(e.page))
-			}
+			p.ctl.Probe().SwapQueued(uint64(e.page.Addr()), e.kind.String(), e.at, now)
 			return e, true
 		}
 	}
@@ -761,6 +719,10 @@ func (p *PageSeer) startSwap(page mem.PPN, kind SwapKind, follower bool, req uin
 	dSlot := frame.Addr() // target DRAM frame
 	job := &swapJob{kind: kind, pages: []mem.PPN{page, frame}}
 
+	// The victim is the data that will leave DRAM: the frame's own page on
+	// a plain exchange, the partner on an optimized slow swap (the frame's
+	// data already sits in NVM at the partner's slot).
+	victim, label := frame, "swap:"+kind.String()
 	var op *hmc.Op
 	if !hasPartner {
 		// Plain exchange: the DRAM frame's own data goes to the NVM slot.
@@ -773,6 +735,7 @@ func (p *PageSeer) startSwap(page mem.PPN, kind SwapKind, follower bool, req uin
 		// partner's data; partner returns home, the displaced DRAM page
 		// rides the buffer to the incoming page's slot.
 		p.stats.OptimizedSlow++
+		victim, label = partner, label+"+opt"
 		job.pages = append(job.pages, partner)
 		pSlot := partner.Addr()
 		op = &hmc.Op{Stages: []hmc.Stage{
@@ -786,40 +749,11 @@ func (p *PageSeer) startSwap(page mem.PPN, kind SwapKind, follower bool, req uin
 			},
 		}}
 	}
+	op.Swap = swapIdentity(page, victim, kind, follower, req, label)
 	op.Tag = int(kind)
-	op.Label = "swap:" + kind.String()
-	if hasPartner {
-		op.Label += "+opt"
-	}
-	p.bindHintFlow(op, page, kind)
 	op.OnComplete = func() { p.completeSwap(page, frame, partner, hasPartner, job) }
-	led := p.ctl.Ledger()
-	if led != nil {
-		// The victim identity is the data that will leave DRAM: the frame's
-		// own page on a plain exchange, the partner on an optimized slow
-		// swap (the frame's data already sits in NVM at the partner's slot).
-		victim := frame
-		if hasPartner {
-			victim = partner
-		}
-		dramB, nvmB := p.ctl.OpBytes(op)
-		job.lid = led.SwapStarted(uint64(page.Addr()), uint64(victim.Addr()), true,
-			swapTrigger(kind, follower), req, p.sim.Now(), dramB, nvmB)
-		op.LedgerID = job.lid
-	}
-	if pm := p.ctl.PageMap(); pm != nil {
-		victim := frame
-		if hasPartner {
-			victim = partner
-		}
-		job.pid = pm.SwapStarted(uint64(page.Addr()), uint64(victim.Addr()), true,
-			swapTrigger(kind, follower), p.sim.Now())
-		op.PageMapID = job.pid
-	}
 	if !p.ctl.Engine.Start(op) {
 		// Raced with another start; requeue.
-		led.Abort(job.lid)
-		p.ctl.PageMap().Abort(job.pid)
 		p.enqueue(page, kind, follower)
 		return
 	}
@@ -842,8 +776,8 @@ func (p *PageSeer) startRestore(dPage, nPartner mem.PPN, kind SwapKind, follower
 	nSlot := nPartner.Addr() // holds dPage's data
 	job := &swapJob{kind: kind, pages: []mem.PPN{dPage, nPartner}}
 	op := &hmc.Op{
-		Tag:   int(kind),
-		Label: "swap:restore:" + kind.String(),
+		Swap: swapIdentity(dPage, nPartner, kind, follower, req, "swap:restore:"+kind.String()),
+		Tag:  int(kind),
 		Stages: []hmc.Stage{{
 			{Src: dSlot, Dst: nSlot, Bytes: mem.PageSize},
 			{Src: nSlot, Dst: dSlot, Bytes: mem.PageSize},
@@ -854,17 +788,6 @@ func (p *PageSeer) startRestore(dPage, nPartner mem.PPN, kind SwapKind, follower
 			p.finalizeTrack(nPartner) // it just left DRAM
 			p.hptNVM.Remove(dPage)
 			p.ctl.IssueLine(p.prtRegion.EntryAddr(uint64(dPage)), true, hmc.PrioSwap, nil)
-			p.traceRemapCommit(dPage)
-			if led := p.ctl.Ledger(); led != nil {
-				now := p.sim.Now()
-				led.RemapCommitted(job.lid, now)
-				led.Evicted(uint64(nPartner.Addr()), now)
-			}
-			if pm := p.ctl.PageMap(); pm != nil {
-				now := p.sim.Now()
-				pm.Committed(job.pid, now)
-				pm.Evicted(uint64(nPartner.Addr()), now)
-			}
 			p.stats.SwapsCompleted[job.kind]++
 			for _, pg := range job.pages {
 				p.inflight.Del(uint64(pg))
@@ -875,22 +798,7 @@ func (p *PageSeer) startRestore(dPage, nPartner mem.PPN, kind SwapKind, follower
 			p.drainPending()
 		},
 	}
-	p.bindHintFlow(op, dPage, kind)
-	led := p.ctl.Ledger()
-	if led != nil {
-		dramB, nvmB := p.ctl.OpBytes(op)
-		job.lid = led.SwapStarted(uint64(dPage.Addr()), uint64(nPartner.Addr()), true,
-			swapTrigger(kind, follower), req, p.sim.Now(), dramB, nvmB)
-		op.LedgerID = job.lid
-	}
-	if pm := p.ctl.PageMap(); pm != nil {
-		job.pid = pm.SwapStarted(uint64(dPage.Addr()), uint64(nPartner.Addr()), true,
-			swapTrigger(kind, follower), p.sim.Now())
-		op.PageMapID = job.pid
-	}
 	if !p.ctl.Engine.Start(op) {
-		led.Abort(job.lid)
-		p.ctl.PageMap().Abort(job.pid)
 		if !p.pendingKind.Has(uint64(dPage)) {
 			p.enqueue(dPage, kind, follower)
 		}
@@ -918,27 +826,6 @@ func (p *PageSeer) completeSwap(page, frame, partner mem.PPN, hasPartner bool, j
 	// Persist the PRT entry (one metadata line write) and refresh the PRTc.
 	p.ctl.IssueLine(p.prtRegion.EntryAddr(uint64(frame)), true, hmc.PrioSwap, nil)
 	p.prtc.Prefetch(uint64(page))
-	p.traceRemapCommit(page)
-	if led := p.ctl.Ledger(); led != nil {
-		now := p.sim.Now()
-		led.RemapCommitted(job.lid, now)
-		// The page that left DRAM: the partner under the optimized-slow
-		// exchange (its data was already in NVM), the frame otherwise.
-		victim := frame
-		if hasPartner {
-			victim = partner
-		}
-		led.Evicted(uint64(victim.Addr()), now)
-	}
-	if pm := p.ctl.PageMap(); pm != nil {
-		now := p.sim.Now()
-		pm.Committed(job.pid, now)
-		victim := frame
-		if hasPartner {
-			victim = partner
-		}
-		pm.Evicted(uint64(victim.Addr()), now)
-	}
 
 	// Residence changed: restart hot-page tracking on the new tiers.
 	p.hptNVM.Remove(page)
@@ -959,32 +846,6 @@ func (p *PageSeer) completeSwap(page, frame, partner mem.PPN, hasPartner bool, j
 		w()
 	}
 	p.drainPending()
-}
-
-// bindHintFlow opens the MMU-hint causality arrow for page (back at the
-// hint's recorded time and core) and attaches it to the op's transfer
-// span, so Perfetto draws hint → swap. Arrows for hints that never
-// trigger a swap are never emitted.
-func (p *PageSeer) bindHintFlow(op *hmc.Op, page mem.PPN, kind SwapKind) {
-	if kind != SwapPrefetchMMU || p.hintFlow == nil {
-		return
-	}
-	if o, ok := p.hintFlow[page]; ok {
-		if t := p.ctl.Tracer(); t != nil {
-			t.FlowStart("hint", "mmu-hint", o.id, obs.TracePidCores, o.core, o.ts)
-		}
-		op.FlowID = o.id
-		delete(p.hintFlow, page)
-	}
-}
-
-// traceRemapCommit marks the moment a completed swap's new mapping became
-// architecturally visible (PRT updated, oracle exchanged).
-func (p *PageSeer) traceRemapCommit(page mem.PPN) {
-	if t := p.ctl.Tracer(); t != nil {
-		t.Instant("swap", "remap-commit", obs.TracePidSwap, traceQueueTid,
-			p.sim.Now(), "page", uint64(page))
-	}
 }
 
 // finalizeTrack closes the accuracy window for a page leaving DRAM.

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"pageseer/internal/obs"
-	"pageseer/internal/obs/ledger"
 	"pageseer/internal/obs/pagemap"
 )
 
@@ -108,7 +107,7 @@ func WriteChurnCSV(w io.Writer, rows []ChurnRow) error {
 		rec = append(rec,
 			csvUint(s.Reads), csvUint(s.Writes), csvUint(s.FFReads), csvUint(s.FFWrites),
 			csvUint(s.NVMWearWrites), csvUint(s.SwapIns), csvUint(s.SwapOuts))
-		for t := 0; t < int(ledger.NumTriggers); t++ {
+		for t := 0; t < int(obs.NumTriggers); t++ {
 			rec = append(rec, csvUint(s.InsByTrigger[t]))
 		}
 		return append(rec,

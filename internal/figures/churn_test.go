@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"pageseer/internal/obs"
-	"pageseer/internal/obs/ledger"
 	"pageseer/internal/obs/pagemap"
 	"pageseer/internal/sim"
 )
@@ -31,10 +30,10 @@ func churnRows() []ChurnRow {
 	s.NVMWearWrites = 13500
 	s.SwapIns = 130
 	s.SwapOuts = 128
-	s.InsByTrigger[ledger.TrigRegular] = 60
-	s.InsByTrigger[ledger.TrigPCT] = 40
-	s.InsByTrigger[ledger.TrigMMU] = 25
-	s.InsByTrigger[ledger.TrigFollower] = 5
+	s.InsByTrigger[obs.TrigRegular] = 60
+	s.InsByTrigger[obs.TrigPCT] = 40
+	s.InsByTrigger[obs.TrigMMU] = 25
+	s.InsByTrigger[obs.TrigFollower] = 5
 	s.UnusedIns = 3
 	s.WastedSwapPages = 2
 	s.RoundTrips = 11

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 
+	"pageseer/internal/obs"
 	"pageseer/internal/obs/ledger"
 )
 
@@ -61,14 +62,14 @@ func RenderEffectiveness(rows []EffectivenessRow) string {
 		"", "", "regular", "pct", "mmu", "follower", "acc", "cov", "late", "wasteMB")
 	for _, r := range rows {
 		s := r.Summary
-		cell := func(t ledger.Trigger) string {
+		cell := func(t obs.Trigger) string {
 			return fmt.Sprintf("%d:%d", s.Started[t], s.Useful[t])
 		}
 		waste := float64(s.WastedDRAMBytes+s.WastedNVMBytes) / (1 << 20)
 		fmt.Fprintf(&b, "  %-12s %-10s %11s %11s %11s %11s %s %s %5d %9.2f\n",
 			r.Workload, r.Scheme,
-			cell(ledger.TrigRegular), cell(ledger.TrigPCT),
-			cell(ledger.TrigMMU), cell(ledger.TrigFollower),
+			cell(obs.TrigRegular), cell(obs.TrigPCT),
+			cell(obs.TrigMMU), cell(obs.TrigFollower),
 			pct(s.Accuracy), pct(s.Coverage), s.Late, waste)
 	}
 	return b.String()
@@ -96,8 +97,8 @@ func WriteEffectivenessCSV(w io.Writer, rows []EffectivenessRow) error {
 		r := rows[i]
 		s := r.Summary
 		rec := []string{r.Workload, r.Scheme}
-		for _, arr := range [][ledger.NumTriggers]uint64{s.Started, s.Useful, s.Unused, s.Open} {
-			for t := 0; t < int(ledger.NumTriggers); t++ {
+		for _, arr := range [][obs.NumTriggers]uint64{s.Started, s.Useful, s.Unused, s.Open} {
+			for t := 0; t < int(obs.NumTriggers); t++ {
 				rec = append(rec, csvUint(arr[t]))
 			}
 		}

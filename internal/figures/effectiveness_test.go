@@ -17,10 +17,10 @@ import (
 // formatting, not just zeros.
 func effRows() []EffectivenessRow {
 	var s ledger.Summary
-	s.Started = [ledger.NumTriggers]uint64{14, 68, 9, 30}
-	s.Useful = [ledger.NumTriggers]uint64{10, 41, 7, 22}
-	s.Unused = [ledger.NumTriggers]uint64{3, 20, 1, 5}
-	s.Open = [ledger.NumTriggers]uint64{1, 7, 1, 3}
+	s.Started = [obs.NumTriggers]uint64{14, 68, 9, 30}
+	s.Useful = [obs.NumTriggers]uint64{10, 41, 7, 22}
+	s.Unused = [obs.NumTriggers]uint64{3, 20, 1, 5}
+	s.Open = [obs.NumTriggers]uint64{1, 7, 1, 3}
 	s.Late = 4
 	s.Accuracy = 80.0 / 121.0
 	s.Coverage = 1.0 / 3.0

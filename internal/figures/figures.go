@@ -62,11 +62,8 @@ type Options struct {
 	// PageMap mirrors sim.Config.Obs.PageMap: every campaign run carries
 	// the address-space telemetry table, filling Results.PageMap for the
 	// churn table and the wear/flap/hot-set metrics on the introspection
-	// server. PageMapFlapK and PageMapFlapWindow mirror the flap-detection
-	// knobs (0 = defaults).
-	PageMap           bool
-	PageMapFlapK      int
-	PageMapFlapWindow uint64
+	// server.
+	PageMap bool
 	// Faults mirrors sim.Config.Faults: every campaign run executes under
 	// the given deterministic fault-injection plan.
 	Faults check.FaultPlan
@@ -358,12 +355,7 @@ func (r *Runner) configFor(k runKey) sim.Config {
 		Sample:       r.opts.Sample,
 		SampleWindow: r.opts.SampleWindow,
 		SampleWarmup: r.opts.SampleWarmup,
-		Obs: sim.ObsOptions{
-			Ledger: r.opts.Ledger, CPI: r.opts.CPI,
-			PageMap:           r.opts.PageMap,
-			PageMapFlapK:      r.opts.PageMapFlapK,
-			PageMapFlapWindow: r.opts.PageMapFlapWindow,
-		},
+		Obs:          sim.ObsOptions{Ledger: r.opts.Ledger, CPI: r.opts.CPI, PageMap: r.opts.PageMap},
 	}
 }
 

@@ -266,43 +266,39 @@ func (j *Journal) Close() error {
 // policy.
 func CampaignHash(opts Options) string {
 	canon := struct {
-		Version           int
-		Scale             int
-		InstrPerCore      uint64
-		Warmup            uint64
-		Seed              uint64
-		MaxCores          int
-		Audit             bool
-		Ledger            bool
-		CPI               bool
-		PageMap           bool
-		PageMapFlapK      int
-		PageMapFlapWindow uint64
-		FaultKind         string
-		FaultRate         float64
-		FaultSeed         uint64
-		Sample            uint64
-		SampleWindow      uint64
-		SampleWarmup      uint64
+		Version      int
+		Scale        int
+		InstrPerCore uint64
+		Warmup       uint64
+		Seed         uint64
+		MaxCores     int
+		Audit        bool
+		Ledger       bool
+		CPI          bool
+		PageMap      bool
+		FaultKind    string
+		FaultRate    float64
+		FaultSeed    uint64
+		Sample       uint64
+		SampleWindow uint64
+		SampleWarmup uint64
 	}{
-		Version:           journalVersion,
-		Scale:             opts.Scale,
-		InstrPerCore:      opts.InstrPerCore,
-		Warmup:            opts.Warmup,
-		Seed:              opts.Seed,
-		MaxCores:          opts.MaxCores,
-		Audit:             opts.Audit,
-		Ledger:            opts.Ledger,
-		CPI:               opts.CPI,
-		PageMap:           opts.PageMap,
-		PageMapFlapK:      opts.PageMapFlapK,
-		PageMapFlapWindow: opts.PageMapFlapWindow,
-		FaultKind:         string(opts.Faults.Kind),
-		FaultRate:         opts.Faults.Rate,
-		FaultSeed:         opts.Faults.Seed,
-		Sample:            opts.Sample,
-		SampleWindow:      opts.SampleWindow,
-		SampleWarmup:      opts.SampleWarmup,
+		Version:      journalVersion,
+		Scale:        opts.Scale,
+		InstrPerCore: opts.InstrPerCore,
+		Warmup:       opts.Warmup,
+		Seed:         opts.Seed,
+		MaxCores:     opts.MaxCores,
+		Audit:        opts.Audit,
+		Ledger:       opts.Ledger,
+		CPI:          opts.CPI,
+		PageMap:      opts.PageMap,
+		FaultKind:    string(opts.Faults.Kind),
+		FaultRate:    opts.Faults.Rate,
+		FaultSeed:    opts.Faults.Seed,
+		Sample:       opts.Sample,
+		SampleWindow: opts.SampleWindow,
+		SampleWarmup: opts.SampleWarmup,
 	}
 	b, err := json.Marshal(canon)
 	if err != nil {

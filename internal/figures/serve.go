@@ -10,7 +10,6 @@ import (
 
 	"pageseer/internal/obs"
 	"pageseer/internal/obs/attrib"
-	"pageseer/internal/obs/ledger"
 	"pageseer/internal/sim"
 	"pageseer/internal/stats"
 )
@@ -198,7 +197,7 @@ func metricsPage(r *Runner) string {
 	counter("pageseer_swaps_total", "Ledger-tracked swaps by trigger and outcome.")
 	for _, s := range ok {
 		eff := s.Results.Effectiveness
-		for t := ledger.Trigger(0); t < ledger.NumTriggers; t++ {
+		for t := obs.Trigger(0); t < obs.NumTriggers; t++ {
 			if eff.Started[t] == 0 {
 				continue
 			}

@@ -8,7 +8,7 @@ import (
 	"pageseer/internal/hmc"
 	"pageseer/internal/mem"
 	"pageseer/internal/mmu"
-	"pageseer/internal/obs/ledger"
+	"pageseer/internal/obs"
 )
 
 // SegmentBytes is MemPod's migration granularity.
@@ -93,8 +93,6 @@ type pod struct {
 type job struct {
 	segs    []seg
 	waiters []func()
-	lid     uint64 // swap-provenance record ID (0 when the ledger is off)
-	pid     uint64 // pagemap pending-swap handle (0 when the pagemap is off)
 }
 
 // MemPod is the baseline manager.
@@ -264,6 +262,10 @@ func (m *MemPod) migrate(pi int, s seg, hotSet map[seg]bool) bool {
 		return false
 	}
 	op := &hmc.Op{
+		Swap: obs.Swap{
+			Addr: uint64(s.base()), Victim: uint64(displaced.base()), HasVictim: true,
+			Trigger: obs.TrigRegular, Request: m.sim.Now(),
+		},
 		Stages: []hmc.Stage{{
 			{Src: srcSlot.base(), Dst: slot.base(), Bytes: SegmentBytes},
 			{Src: slot.base(), Dst: srcSlot.base(), Bytes: SegmentBytes},
@@ -275,16 +277,6 @@ func (m *MemPod) migrate(pi int, s seg, hotSet map[seg]bool) bool {
 		m.ctl.Oracle.Exchange(uint64(slot), uint64(srcSlot))
 		m.ctl.IssueLine(m.region.EntryAddr(uint64(slot)), true, hmc.PrioSwap, nil)
 		m.remapCache.Prefetch(uint64(s))
-		if led := m.ctl.Ledger(); led != nil {
-			now := m.sim.Now()
-			led.RemapCommitted(j.lid, now)
-			led.Evicted(uint64(displaced.base()), now)
-		}
-		if pm := m.ctl.PageMap(); pm != nil {
-			now := m.sim.Now()
-			pm.Committed(j.pid, now)
-			pm.Evicted(uint64(displaced.base()), now)
-		}
 		m.stats.Migrations++
 		for _, sg := range j.segs {
 			m.inflight.Del(uint64(sg))
@@ -294,22 +286,7 @@ func (m *MemPod) migrate(pi int, s seg, hotSet map[seg]bool) bool {
 		}
 		m.drainPending()
 	}
-	led := m.ctl.Ledger()
-	if led != nil {
-		now := m.sim.Now()
-		dramB, nvmB := m.ctl.OpBytes(op)
-		j.lid = led.SwapStarted(uint64(s.base()), uint64(displaced.base()), true,
-			ledger.TrigRegular, now, now, dramB, nvmB)
-		op.LedgerID = j.lid
-	}
-	if pm := m.ctl.PageMap(); pm != nil {
-		j.pid = pm.SwapStarted(uint64(s.base()), uint64(displaced.base()), true,
-			ledger.TrigRegular, m.sim.Now())
-		op.PageMapID = j.pid
-	}
 	if !m.ctl.Engine.Start(op) {
-		led.Abort(j.lid)
-		m.ctl.PageMap().Abort(j.pid)
 		m.stats.MigrationsDropped++
 		return false
 	}

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"pageseer/internal/check"
-	"pageseer/internal/obs/ledger"
+	"pageseer/internal/obs"
 )
 
 // TestZeroAllocDisabledAttrib pins the zero-cost-when-off contract: every
@@ -117,19 +117,19 @@ func TestClassOf(t *testing.T) {
 	if got := ClassOf(0, false); got != ClassNone {
 		t.Fatalf("no residency: got %v, want %v", got, ClassNone)
 	}
-	want := map[ledger.Trigger]Class{
-		ledger.TrigRegular:  ClassRegular,
-		ledger.TrigPCT:      ClassPCT,
-		ledger.TrigMMU:      ClassMMU,
-		ledger.TrigFollower: ClassFollower,
+	want := map[obs.Trigger]Class{
+		obs.TrigRegular:  ClassRegular,
+		obs.TrigPCT:      ClassPCT,
+		obs.TrigMMU:      ClassMMU,
+		obs.TrigFollower: ClassFollower,
 	}
 	for tr, cl := range want {
 		if got := ClassOf(tr, true); got != cl {
 			t.Errorf("trigger %v: got %v, want %v", tr, got, cl)
 		}
 	}
-	if int(NumClasses) != int(ledger.NumTriggers)+1 {
-		t.Fatalf("NumClasses %d != NumTriggers+1 %d", NumClasses, int(ledger.NumTriggers)+1)
+	if int(NumClasses) != int(obs.NumTriggers)+1 {
+		t.Fatalf("NumClasses %d != NumTriggers+1 %d", NumClasses, int(obs.NumTriggers)+1)
 	}
 }
 

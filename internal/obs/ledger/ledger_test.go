@@ -5,22 +5,51 @@ import (
 	"testing"
 
 	"pageseer/internal/check"
+	"pageseer/internal/obs"
 )
 
+// Event helpers: drive the ledger the way the swap engine and controller do.
+
+func start(l *Ledger, id, addr, victim uint64, trig obs.Trigger, req, now, dramB, nvmB uint64) *obs.Swap {
+	s := &obs.Swap{
+		Addr: addr, Victim: victim, HasVictim: true, Trigger: trig, Request: req,
+		ID: id, Start: now, BytesDRAM: dramB, BytesNVM: nvmB,
+	}
+	l.SwapStarted(s)
+	return s
+}
+
+func hint(l *Ledger, addr, cycle uint64) { l.Hint(addr, cycle, cycle, 0, 0) }
+func demand(l *Ledger, addr, now uint64) { l.Demand(addr, false, obs.LatDRAM, now) }
+
+// commit reports the remap commit alone (the victim's eviction is left to
+// a later test step); the engine reports both together.
+func commit(l *Ledger, s *obs.Swap, now uint64) {
+	noVictim := *s
+	noVictim.HasVictim = false
+	l.SwapCommitted(&noVictim, now)
+}
+
+// evict reports addr's unit leaving DRAM as some later swap's victim.
+func evict(l *Ledger, addr, now uint64) {
+	l.SwapCommitted(&obs.Swap{Victim: addr, HasVictim: true}, now)
+}
+
 // TestZeroAllocDisabledLedger pins the zero-cost-when-off contract for the
-// provenance ledger: every hook a simulator hot path calls against a
-// disabled (nil) ledger must allocate nothing. Part of the Makefile
-// `allocguard` tier-1 gate.
+// provenance ledger: a simulator without a ledger has no subscriber on its
+// event stream, and every event a hot path fires into that disabled
+// stream — and every digest call on the nil ledger — must allocate
+// nothing. Part of the Makefile `allocguard` tier-1 gate.
 func TestZeroAllocDisabledLedger(t *testing.T) {
 	var l *Ledger
+	var stream obs.Probes
+	s := &obs.Swap{Addr: 0x1000, Victim: 0x2000, HasVictim: true, Trigger: obs.TrigMMU, ID: 1}
 	n := testing.AllocsPerRun(1000, func() {
-		l.Hint(0x1000, 10)
-		l.SwapStarted(0x1000, 0x2000, true, TrigMMU, 10, 20, 4096, 4096)
-		l.Abort(1)
-		l.StageDone(1, 0, 100)
-		l.RemapCommitted(1, 200)
-		l.Demand(0x1000, 300)
-		l.Evicted(0x2000, 400)
+		stream.Hint(0x1000, 10, 10, 0, 1)
+		stream.SwapStarted(s)
+		stream.SwapStage(s, 0, 20, 100, 64, 64)
+		stream.SwapCommitted(s, 200)
+		stream.Demand(0x1000, false, obs.LatDRAM, 300)
 		l.Reset()
 		l.Counts()
 	})
@@ -30,8 +59,8 @@ func TestZeroAllocDisabledLedger(t *testing.T) {
 }
 
 func TestTriggerAndOutcomeStrings(t *testing.T) {
-	for trig, want := range map[Trigger]string{
-		TrigRegular: "regular", TrigPCT: "pct", TrigMMU: "mmu", TrigFollower: "follower",
+	for trig, want := range map[obs.Trigger]string{
+		obs.TrigRegular: "regular", obs.TrigPCT: "pct", obs.TrigMMU: "mmu", obs.TrigFollower: "follower",
 	} {
 		if got := trig.String(); got != want {
 			t.Errorf("Trigger(%d).String() = %q, want %q", trig, got, want)
@@ -51,17 +80,17 @@ func TestTriggerAndOutcomeStrings(t *testing.T) {
 // hint, and feed the lead-time histogram with first-use minus hint cycles.
 func TestUsefulSwapWithHintLeadTime(t *testing.T) {
 	l := New(12)
-	l.Hint(0x5000, 100)
-	id := l.SwapStarted(0x5000, 0x9000, true, TrigMMU, 150, 160, 8192, 8192)
-	if id != 1 {
-		t.Fatalf("first record ID = %d, want 1", id)
+	hint(l, 0x5000, 100)
+	id := start(l, 1, 0x5000, 0x9000, obs.TrigMMU, 150, 160, 8192, 8192)
+	if got := l.Records()[0].ID; got != 1 {
+		t.Fatalf("first record ID = %d, want the swap's ID 1", got)
 	}
-	l.StageDone(id, 0, 40)
-	l.RemapCommitted(id, 400)
-	l.Demand(0x5040, 900) // same page, different line
+	l.SwapStage(id, 0, 0, 40, 64, 0)
+	commit(l, id, 400)
+	demand(l, 0x5040, 900) // same page, different line
 	s := l.Summary()
-	if s.Useful[TrigMMU] != 1 || s.TotalUseful() != 1 {
-		t.Fatalf("useful[mmu] = %d, want 1", s.Useful[TrigMMU])
+	if s.Useful[obs.TrigMMU] != 1 || s.TotalUseful() != 1 {
+		t.Fatalf("useful[mmu] = %d, want 1", s.Useful[obs.TrigMMU])
 	}
 	if s.Late != 0 {
 		t.Fatalf("late = %d, want 0 (demand arrived after commit)", s.Late)
@@ -86,12 +115,12 @@ func TestUsefulSwapWithHintLeadTime(t *testing.T) {
 // data arrived, just not soon enough to hide the swap.
 func TestDemandBeforeCommitIsLate(t *testing.T) {
 	l := New(12)
-	id := l.SwapStarted(0x5000, 0x9000, true, TrigRegular, 150, 160, 8192, 8192)
-	l.Demand(0x5000, 200) // pre-commit
-	l.RemapCommitted(id, 400)
+	id := start(l, 1, 0x5000, 0x9000, obs.TrigRegular, 150, 160, 8192, 8192)
+	demand(l, 0x5000, 200) // pre-commit
+	commit(l, id, 400)
 	s := l.Summary()
-	if s.Useful[TrigRegular] != 1 || s.Late != 1 {
-		t.Fatalf("useful=%d late=%d, want 1/1", s.Useful[TrigRegular], s.Late)
+	if s.Useful[obs.TrigRegular] != 1 || s.Late != 1 {
+		t.Fatalf("useful=%d late=%d, want 1/1", s.Useful[obs.TrigRegular], s.Late)
 	}
 }
 
@@ -99,18 +128,18 @@ func TestDemandBeforeCommitIsLate(t *testing.T) {
 // record Unused and charges its transfer bytes as waste.
 func TestEvictedUnusedChargesWaste(t *testing.T) {
 	l := New(12)
-	id := l.SwapStarted(0x5000, 0x9000, true, TrigPCT, 150, 160, 4096, 8192)
-	l.RemapCommitted(id, 400)
-	l.Evicted(0x5000, 1000)
+	id := start(l, 1, 0x5000, 0x9000, obs.TrigPCT, 150, 160, 4096, 8192)
+	commit(l, id, 400)
+	evict(l, 0x5000, 1000)
 	s := l.Summary()
-	if s.Unused[TrigPCT] != 1 || s.TotalUseful() != 0 {
-		t.Fatalf("unused[pct] = %d, want 1", s.Unused[TrigPCT])
+	if s.Unused[obs.TrigPCT] != 1 || s.TotalUseful() != 0 {
+		t.Fatalf("unused[pct] = %d, want 1", s.Unused[obs.TrigPCT])
 	}
 	if s.WastedDRAMBytes != 4096 || s.WastedNVMBytes != 8192 {
 		t.Fatalf("waste = %d/%d, want 4096/8192", s.WastedDRAMBytes, s.WastedNVMBytes)
 	}
 	// A demand after eviction must not resurrect the record.
-	l.Demand(0x5000, 1100)
+	demand(l, 0x5000, 1100)
 	if s2 := l.Summary(); s2.TotalUseful() != 0 || s2.DemandCovered != 0 {
 		t.Fatalf("post-eviction demand resurrected the record: %+v", s2)
 	}
@@ -122,8 +151,8 @@ func TestEvictedUnusedChargesWaste(t *testing.T) {
 // still wanted — and must NOT count as the swap's payoff.
 func TestVictimReRequestIsLateNotUseful(t *testing.T) {
 	l := New(12)
-	id := l.SwapStarted(0x5000, 0x9000, true, TrigRegular, 100, 110, 8192, 8192)
-	l.Demand(0x9000, 200) // victim re-requested mid-swap
+	id := start(l, 1, 0x5000, 0x9000, obs.TrigRegular, 100, 110, 8192, 8192)
+	demand(l, 0x9000, 200) // victim re-requested mid-swap
 	s := l.Summary()
 	if s.TotalUseful() != 0 {
 		t.Fatalf("victim re-request counted useful: %+v", s)
@@ -136,63 +165,34 @@ func TestVictimReRequestIsLateNotUseful(t *testing.T) {
 	}
 	// After the remap commits the victim window closes: further demands for
 	// the (now NVM-resident) victim are ordinary slow accesses, not lateness.
-	l.RemapCommitted(id, 400)
-	l.Demand(0x9000, 500)
+	commit(l, id, 400)
+	demand(l, 0x9000, 500)
 	if s2 := l.Summary(); s2.Late != 1 {
 		t.Fatalf("post-commit victim demand changed lateness: %+v", s2)
 	}
 }
 
-// TestAbortRestoresHintAndCounts: an engine-refused op must leave no trace —
-// and the consumed hint must be restored so the retry keeps its provenance.
-func TestAbortRestoresHintAndCounts(t *testing.T) {
-	l := New(12)
-	l.Hint(0x5000, 50)
-	id := l.SwapStarted(0x5000, 0x9000, true, TrigMMU, 100, 110, 8192, 8192)
-	l.Abort(id)
-	if got, _, _, _ := l.Counts(); got != 0 {
-		t.Fatalf("started = %d after abort, want 0", got)
-	}
-	if len(l.Records()) != 0 {
-		t.Fatalf("%d records after abort, want 0", len(l.Records()))
-	}
-	// Retry consumes the restored hint.
-	id2 := l.SwapStarted(0x5000, 0x9000, true, TrigMMU, 120, 130, 8192, 8192)
-	if r := l.Records()[0]; !r.Hinted || r.HintCycle != 50 {
-		t.Fatalf("retry lost the hint: %+v", r)
-	}
-	if id2 != 1 {
-		t.Fatalf("retry ID = %d, want 1 (abort must free the slot)", id2)
-	}
-	// Aborting a non-latest ID is a no-op.
-	l.SwapStarted(0x7000, 0xb000, true, TrigRegular, 140, 150, 8192, 8192)
-	l.Abort(id2)
-	if got, _, _, _ := l.Counts(); got != 2 {
-		t.Fatalf("started = %d after stale abort, want 2", got)
-	}
-}
-
 // TestResetDropsStaleIDs: records opened before Reset must ignore late
-// stage/commit callbacks (their ops were started pre-reset), and new records
-// must get fresh IDs that never collide with stale ones.
+// stage/commit events (their ops were started pre-reset), and new records
+// carry their swap's fresh engine-assigned ID.
 func TestResetDropsStaleIDs(t *testing.T) {
 	l := New(12)
-	stale := l.SwapStarted(0x5000, 0x9000, true, TrigRegular, 100, 110, 8192, 8192)
+	stale := start(l, 1, 0x5000, 0x9000, obs.TrigRegular, 100, 110, 8192, 8192)
 	l.Reset()
 	if got, _, _, _ := l.Counts(); got != 0 {
 		t.Fatalf("started = %d after reset, want 0", got)
 	}
-	l.RemapCommitted(stale, 400) // stale callback: must be ignored
-	l.StageDone(stale, 0, 40)
+	commit(l, stale, 400) // stale callback: must be ignored
+	l.SwapStage(stale, 0, 0, 40, 64, 0)
 	if len(l.Records()) != 0 {
 		t.Fatalf("stale callback revived a record")
 	}
-	fresh := l.SwapStarted(0x6000, 0xa000, true, TrigRegular, 500, 510, 8192, 8192)
-	if fresh <= stale {
-		t.Fatalf("fresh ID %d not beyond stale ID %d", fresh, stale)
+	fresh := start(l, 2, 0x6000, 0xa000, obs.TrigRegular, 500, 510, 8192, 8192)
+	if got := l.Records()[0].ID; got != fresh.ID {
+		t.Fatalf("fresh record ID %d, want the swap's ID %d", got, fresh.ID)
 	}
-	l.RemapCommitted(fresh, 600)
-	l.Demand(0x6000, 700)
+	commit(l, fresh, 600)
+	demand(l, 0x6000, 700)
 	if s := l.Summary(); s.TotalUseful() != 1 {
 		t.Fatalf("fresh record not tracked after reset: %+v", s)
 	}
@@ -203,13 +203,13 @@ func TestResetDropsStaleIDs(t *testing.T) {
 func TestSummaryDeterministicAcrossCopies(t *testing.T) {
 	drive := func() Summary {
 		l := New(12)
-		l.Hint(0x5000, 10)
-		a := l.SwapStarted(0x5000, 0x9000, true, TrigMMU, 20, 30, 8192, 8192)
-		l.RemapCommitted(a, 100)
-		l.Demand(0x5000, 150)
-		b := l.SwapStarted(0x7000, 0xb000, true, TrigPCT, 160, 170, 8192, 8192)
-		l.RemapCommitted(b, 300)
-		l.Evicted(0x7000, 400)
+		hint(l, 0x5000, 10)
+		a := start(l, 1, 0x5000, 0x9000, obs.TrigMMU, 20, 30, 8192, 8192)
+		commit(l, a, 100)
+		demand(l, 0x5000, 150)
+		b := start(l, 2, 0x7000, 0xb000, obs.TrigPCT, 160, 170, 8192, 8192)
+		commit(l, b, 300)
+		evict(l, 0x7000, 400)
 		return l.Summary()
 	}
 	if a, b := drive(), drive(); !reflect.DeepEqual(a, b) {
@@ -223,13 +223,13 @@ func TestSummaryDeterministicAcrossCopies(t *testing.T) {
 func TestConservationAuditFires(t *testing.T) {
 	build := func() *Ledger {
 		l := New(12)
-		a := l.SwapStarted(0x5000, 0x9000, true, TrigRegular, 20, 30, 8192, 8192)
-		l.RemapCommitted(a, 100)
-		l.Demand(0x5000, 150)
-		b := l.SwapStarted(0x7000, 0xb000, true, TrigPCT, 160, 170, 8192, 8192)
-		l.RemapCommitted(b, 300)
-		l.Evicted(0x7000, 400)
-		l.SwapStarted(0xd000, 0xf000, true, TrigMMU, 500, 510, 8192, 8192) // stays open
+		a := start(l, 1, 0x5000, 0x9000, obs.TrigRegular, 20, 30, 8192, 8192)
+		commit(l, a, 100)
+		demand(l, 0x5000, 150)
+		b := start(l, 2, 0x7000, 0xb000, obs.TrigPCT, 160, 170, 8192, 8192)
+		commit(l, b, 300)
+		evict(l, 0x7000, 400)
+		start(l, 3, 0xd000, 0xf000, obs.TrigMMU, 500, 510, 8192, 8192) // stays open
 		return l
 	}
 	audit := func(l *Ledger) error {
@@ -241,9 +241,9 @@ func TestConservationAuditFires(t *testing.T) {
 		t.Fatalf("healthy ledger fails its own audit: %v", err)
 	}
 	mutations := map[string]func(l *Ledger){
-		"useful overcount":       func(l *Ledger) { l.useful[TrigRegular]++ },
-		"unused overcount":       func(l *Ledger) { l.unused[TrigPCT]++ },
-		"started undercount":     func(l *Ledger) { l.started[TrigRegular]-- },
+		"useful overcount":       func(l *Ledger) { l.useful[obs.TrigRegular]++ },
+		"unused overcount":       func(l *Ledger) { l.unused[obs.TrigPCT]++ },
+		"started undercount":     func(l *Ledger) { l.started[obs.TrigRegular]-- },
 		"lost registration":      func(l *Ledger) { delete(l.in, l.records[2].Unit) },
 		"stale victim entry":     func(l *Ledger) { l.vict[0xdead] = 0 },
 		"covered beyond total":   func(l *Ledger) { l.demandCovered = l.demandTotal + 1 },
@@ -262,9 +262,9 @@ func TestConservationAuditFires(t *testing.T) {
 // same identity; the shift is per-scheme (page, segment, line).
 func TestUnitShiftKeysIdentity(t *testing.T) {
 	l := New(11) // 2KB segments (PoM/MemPod)
-	id := l.SwapStarted(0x4800, 0x9000, true, TrigRegular, 10, 20, 2048, 2048)
-	l.RemapCommitted(id, 100)
-	l.Demand(0x4fff, 200) // last byte of the same 2KB segment
+	id := start(l, 1, 0x4800, 0x9000, obs.TrigRegular, 10, 20, 2048, 2048)
+	commit(l, id, 100)
+	demand(l, 0x4fff, 200) // last byte of the same 2KB segment
 	if s := l.Summary(); s.TotalUseful() != 1 {
 		t.Fatalf("same-segment demand missed: %+v", s)
 	}

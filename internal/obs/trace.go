@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"strconv"
 )
 
 // Trace-track process ids. Chrome-trace groups events into processes and
@@ -12,6 +13,15 @@ const (
 	TracePidCores = 1 // tid = core id
 	TracePidSwap  = 2 // tid = swap-buffer slot (op sequence % MaxOps)
 )
+
+// TraceTidQueue is the swap-engine track that carries scheme queue events
+// (request instants, queue-wait spans) and remap commits; transfer spans
+// live on tids 0..MaxOps-1.
+const TraceTidQueue = 99
+
+// pageShift turns the byte addresses of probe events into the 4KB page
+// numbers the trace's "page" arguments carry.
+const pageShift = 12
 
 // traceEvent is one Chrome trace-event. Fields mirror the Trace Event
 // Format; values stay scalar so recording never boxes into interfaces.
@@ -29,17 +39,81 @@ type traceEvent struct {
 	argS string
 }
 
-// Tracer collects Chrome-trace/Perfetto events: swap lifecycle spans and
-// MMU-hint causality arrows. All recording methods are nil-safe, so call
-// sites guard with a single pointer test and pay nothing when tracing is
-// off. Timestamps are CPU cycles written as trace microseconds — absolute
-// durations read 1 cycle = 1us in the UI, which keeps relative timing exact.
+// Tracer collects Chrome-trace/Perfetto events. As a Probe subscriber it
+// draws swap lifecycle spans, scheme queue events and MMU-hint causality
+// arrows; its recording primitives are nil-safe. Timestamps are CPU cycles
+// written as trace microseconds — absolute durations read 1 cycle = 1us in
+// the UI, which keeps relative timing exact.
 type Tracer struct {
+	NopProbe
 	events []traceEvent
+
+	// hintSeq numbers MMU-hint causality arrows; hintFlow remembers, by
+	// page, where each hint fired, so the arrow is emitted retroactively —
+	// only when a hint-path swap of that page starts (dangling arrows
+	// clutter Perfetto and bloat the trace; most hints trigger nothing).
+	hintSeq  uint64
+	hintFlow map[uint64]hintOrigin
+}
+
+type hintOrigin struct {
+	id, ts uint64
+	core   int
 }
 
 // NewTracer returns an empty tracer.
-func NewTracer() *Tracer { return &Tracer{} }
+func NewTracer() *Tracer { return &Tracer{hintFlow: make(map[uint64]hintOrigin)} }
+
+// Hint marks an MMU hint on its core's lane and remembers it as the origin
+// of the page's causality arrow.
+func (t *Tracer) Hint(addr, cycle, now uint64, core int, vpn uint64) {
+	t.hintSeq++
+	t.Instant("hint", "mmu-hint", TracePidCores, core, now, "vpn", vpn)
+	t.hintFlow[addr>>pageShift] = hintOrigin{id: t.hintSeq, ts: now, core: core}
+}
+
+// SwapRequested marks a request entering the scheme's swap queue.
+func (t *Tracer) SwapRequested(addr uint64, kind string, now uint64) {
+	t.Instant("swap", "request:"+kind, TracePidSwap, TraceTidQueue, now, "page", addr>>pageShift)
+}
+
+// SwapQueued draws a request's wait in the scheme's swap queue.
+func (t *Tracer) SwapQueued(addr uint64, kind string, enq, now uint64) {
+	if now > enq {
+		t.Complete("swap", "queued:"+kind, TracePidSwap, TraceTidQueue, enq, now, "page", addr>>pageShift)
+	}
+}
+
+// SwapStarted draws the MMU-hint arrow of a hint-path swap, from where the
+// page's hint fired to the start of the swap's transfer span.
+func (t *Tracer) SwapStarted(s *Swap) {
+	if !s.HintPath {
+		return
+	}
+	o, ok := t.hintFlow[s.Addr>>pageShift]
+	if !ok {
+		return
+	}
+	delete(t.hintFlow, s.Addr>>pageShift)
+	t.FlowStart("hint", "mmu-hint", o.id, TracePidCores, o.core, o.ts)
+	t.FlowEnd("hint", "mmu-hint", o.id, TracePidSwap, s.Slot, s.Start)
+}
+
+// SwapStage draws one transfer stage on the swap's track.
+func (t *Tracer) SwapStage(s *Swap, stage int, began, now, lines, nvmWrites uint64) {
+	t.Complete("swap", "stage-"+strconv.Itoa(stage), TracePidSwap, s.Slot, began, now, "lines", lines)
+}
+
+// SwapCommitted draws the swap's whole transfer span and marks the moment
+// its new mapping became architecturally visible.
+func (t *Tracer) SwapCommitted(s *Swap, now uint64) {
+	label := s.Label
+	if label == "" {
+		label = "swap"
+	}
+	t.Complete("swap", label, TracePidSwap, s.Slot, s.Start, now, "stages", uint64(s.StageCount))
+	t.Instant("swap", "remap-commit", TracePidSwap, TraceTidQueue, now, "page", s.Addr>>pageShift)
+}
 
 // Len returns the number of recorded events (0 for a nil tracer).
 func (t *Tracer) Len() int {

@@ -12,7 +12,7 @@ import (
 	"pageseer/internal/hmc"
 	"pageseer/internal/mem"
 	"pageseer/internal/mmu"
-	"pageseer/internal/obs/ledger"
+	"pageseer/internal/obs"
 )
 
 // SegmentBytes is PoM's swap granularity.
@@ -112,8 +112,6 @@ type PoM struct {
 type job struct {
 	segs    []seg
 	waiters []func()
-	lid     uint64 // swap-provenance record ID (0 when the ledger is off)
-	pid     uint64 // pagemap pending-swap handle (0 when the pagemap is off)
 }
 
 // New installs a PoM manager on the controller.
@@ -257,6 +255,10 @@ func (p *PoM) trySwap(s seg) {
 		return
 	}
 	op := &hmc.Op{
+		Swap: obs.Swap{
+			Addr: uint64(s.base()), Victim: uint64(displaced.base()), HasVictim: true,
+			Trigger: obs.TrigRegular, Request: p.sim.Now(),
+		},
 		Stages: []hmc.Stage{{
 			{Src: slowSlot.base(), Dst: fastSlot.base(), Bytes: SegmentBytes},
 			{Src: fastSlot.base(), Dst: slowSlot.base(), Bytes: SegmentBytes},
@@ -271,16 +273,6 @@ func (p *PoM) trySwap(s seg) {
 		p.ctl.IssueLine(p.srcRegion.EntryAddr(uint64(fastSlot)), true, hmc.PrioSwap, nil)
 		p.src.Prefetch(uint64(fastSlot))
 		delete(p.counters, s)
-		if led := p.ctl.Ledger(); led != nil {
-			now := p.sim.Now()
-			led.RemapCommitted(j.lid, now)
-			led.Evicted(uint64(displaced.base()), now)
-		}
-		if pm := p.ctl.PageMap(); pm != nil {
-			now := p.sim.Now()
-			pm.Committed(j.pid, now)
-			pm.Evicted(uint64(displaced.base()), now)
-		}
 		p.stats.Swaps++
 		for _, sg := range j.segs {
 			delete(p.inflight, sg)
@@ -289,22 +281,7 @@ func (p *PoM) trySwap(s seg) {
 			w()
 		}
 	}
-	led := p.ctl.Ledger()
-	if led != nil {
-		now := p.sim.Now()
-		dramB, nvmB := p.ctl.OpBytes(op)
-		j.lid = led.SwapStarted(uint64(s.base()), uint64(displaced.base()), true,
-			ledger.TrigRegular, now, now, dramB, nvmB)
-		op.LedgerID = j.lid
-	}
-	if pm := p.ctl.PageMap(); pm != nil {
-		j.pid = pm.SwapStarted(uint64(s.base()), uint64(displaced.base()), true,
-			ledger.TrigRegular, p.sim.Now())
-		op.PageMapID = j.pid
-	}
 	if !p.ctl.Engine.Start(op) {
-		led.Abort(j.lid)
-		p.ctl.PageMap().Abort(j.pid)
 		p.stats.SwapsDeclined++
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"pageseer/internal/obs"
 	"pageseer/internal/obs/ledger"
 )
 
@@ -33,7 +34,7 @@ func TestEffectivenessSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	eff := res.Effectiveness
-	for _, trig := range []ledger.Trigger{ledger.TrigRegular, ledger.TrigPCT, ledger.TrigMMU} {
+	for _, trig := range []obs.Trigger{obs.TrigRegular, obs.TrigPCT, obs.TrigMMU} {
 		if eff.Started[trig] == 0 {
 			t.Errorf("trigger class %v started no swaps; effectiveness cannot compare the paper's mechanisms", trig)
 		}

@@ -22,8 +22,6 @@ var mapGuardPackages = []string{"cache", "hmc", "core", "mem", "mempod", "memsim
 var mapAllowlist = map[string]string{
 	"hmc.Controller.frozen":    "DMA freeze set: touched when a DMA transfer starts or ends",
 	"hmc.NewController":        "builds the DMA freeze set",
-	"core.PageSeer.hintFlow":   "MMU-hint flow arrows: allocated only when a tracer is attached",
-	"core.PageSeer.MMUHint":    "builds hintFlow, only when a tracer is attached",
 	"mem.AddressSpace.mapped":  "first-touch VPN -> PPN record: a walk reads the page table itself",
 	"mem.OS.NewProcess":        "builds an address space's first-touch record",
 	"mempod.pendingMig.hot":    "per-interval hot set carried by a queued migration",

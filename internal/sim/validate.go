@@ -52,13 +52,6 @@ func (cfg Config) Validate() error {
 		return fail(fmt.Errorf("sample window/warmup set but sampling is off (sample=0)"))
 	}
 
-	if cfg.Obs.PageMapFlapK < 0 {
-		return fail(fmt.Errorf("pagemap flap threshold %d is negative", cfg.Obs.PageMapFlapK))
-	}
-	if !cfg.Obs.PageMap && (cfg.Obs.PageMapFlapK != 0 || cfg.Obs.PageMapFlapWindow != 0) {
-		return fail(fmt.Errorf("pagemap flap knobs set but the pagemap is off"))
-	}
-
 	scale := cfg.Scale
 	if scale < 1 {
 		scale = 1

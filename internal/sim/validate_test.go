@@ -21,10 +21,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative cores", func(c *Config) { c.MaxCores = -1 }, "cores"},
 		{"negative window", func(c *Config) { c.CoreConfig.MaxOutstanding = -2 }, "window"},
 		{"pagemap on", func(c *Config) { c.Obs.PageMap = true }, ""},
-		{"pagemap with knobs", func(c *Config) { c.Obs.PageMap = true; c.Obs.PageMapFlapK = 4; c.Obs.PageMapFlapWindow = 1_000_000 }, ""},
-		{"flap knobs without pagemap", func(c *Config) { c.Obs.PageMapFlapK = 4 }, "pagemap"},
-		{"flap window without pagemap", func(c *Config) { c.Obs.PageMapFlapWindow = 500_000 }, "pagemap"},
-		{"negative flap threshold", func(c *Config) { c.Obs.PageMap = true; c.Obs.PageMapFlapK = -1 }, "flap"},
 		{"PRTc wider than an LRU order word", func(c *Config) {
 			p := core.DefaultConfig()
 			p.PRTcWays = 32

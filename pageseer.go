@@ -92,18 +92,18 @@ type LatencyDist = obs.Dist
 // bytes, hint lead times) — zero unless Config.Obs.Ledger is set.
 type EffectivenessSummary = ledger.Summary
 
-// SwapTrigger classifies what caused a ledger-tracked swap: the HPT
-// threshold, a PCT correlation, an MMU hint, or follower correlation.
-type SwapTrigger = ledger.Trigger
+// SwapTrigger classifies what caused a swap: the HPT threshold, a PCT
+// correlation, an MMU hint, or follower correlation.
+type SwapTrigger = obs.Trigger
 
 // The swap-trigger taxonomy (indexes into EffectivenessSummary's
 // per-trigger arrays).
 const (
-	TrigRegular  = ledger.TrigRegular
-	TrigPCT      = ledger.TrigPCT
-	TrigMMU      = ledger.TrigMMU
-	TrigFollower = ledger.TrigFollower
-	NumTriggers  = ledger.NumTriggers
+	TrigRegular  = obs.TrigRegular
+	TrigPCT      = obs.TrigPCT
+	TrigMMU      = obs.TrigMMU
+	TrigFollower = obs.TrigFollower
+	NumTriggers  = obs.NumTriggers
 )
 
 // CPIStackSummary is the cycle-attribution digest in Results.CPIStack:
@@ -255,9 +255,6 @@ const (
 	FaultQueueSaturation = check.FaultQueueSaturation
 	FaultDemandStorm     = check.FaultDemandStorm
 )
-
-// ParseFault maps a CLI fault name ("swap-exhaustion", ...) to its kind.
-func ParseFault(name string) (FaultKind, error) { return check.ParseFault(name) }
 
 // FaultKinds lists the injectable fault kinds (excluding FaultNone).
 func FaultKinds() []FaultKind { return check.FaultKinds() }

@@ -60,15 +60,16 @@ campaign-bench:
 ## path pays zero allocations with sinks disabled, (b) a disabled
 ## swap-provenance ledger is free on every hook, (c) the full demand
 ## path stays under its allocs-per-retired-instruction budget in steady
-## state, and (d) memsim scheduling, PageSeer's correlator, Hot Page
-## Tables and PTE-line cache, the cache miss/fill path, the metadata caches
-## (pending-fetch merges included), swap-engine interception and op
+## state, and (d) the engine's timing wheel, memsim scheduling, PageSeer's
+## correlator, Hot Page Tables and PTE-line cache, the cache miss/fill
+## path, the metadata caches (pending-fetch merges included), swap-engine
+## interception and op
 ## cycles, the shared open-addressed table, MemPod's MEA sketch, a
 ## remap-table commit and a page walk of a mapped page allocate nothing in
 ## steady state. Run without -race (race instrumentation allocates and would
 ## false-fail).
 allocguard:
-	$(GO) test -run TestZeroAlloc -count=1 ./internal/obs ./internal/obs/ledger ./internal/obs/attrib ./internal/obs/pagemap ./internal/sim ./internal/memsim ./internal/core ./internal/cache ./internal/hmc ./internal/mem ./internal/mempod
+	$(GO) test -run TestZeroAlloc -count=1 ./internal/obs ./internal/obs/ledger ./internal/obs/attrib ./internal/obs/pagemap ./internal/sim ./internal/engine ./internal/memsim ./internal/core ./internal/cache ./internal/hmc ./internal/mem ./internal/mempod
 
 ## benchguard: re-run the quick campaign and fail if per-run
 ## events_per_sec (geomean over the workload x scheme grid) regresses

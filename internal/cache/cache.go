@@ -55,7 +55,7 @@ type Config struct {
 
 // Validate reports whether the geometry describes a buildable cache: a
 // positive size that divides evenly into a power-of-two number of sets of
-// at most MaxWays ways.
+// at most mem.MaxWays ways.
 // New panics on the same conditions (misconfigured construction inside the
 // simulator is a bug); Validate lets sim.Config.Validate surface the
 // diagnosis as an error before anything is built.
@@ -66,8 +66,8 @@ func (c Config) Validate() error {
 	if c.Ways <= 0 {
 		return fmt.Errorf("cache %s: %d ways is not positive", c.Name, c.Ways)
 	}
-	if c.Ways > MaxWays {
-		return fmt.Errorf("cache %s: %d ways exceeds the %d an LRU order word ranks", c.Name, c.Ways, MaxWays)
+	if c.Ways > mem.MaxWays {
+		return fmt.Errorf("cache %s: %d ways exceeds the %d an LRU order word ranks", c.Name, c.Ways, mem.MaxWays)
 	}
 	nLines := c.SizeBytes / mem.LineSize
 	if nLines%c.Ways != 0 {
@@ -203,7 +203,7 @@ func New(sim *engine.Sim, cfg Config, next Backend) *Cache {
 		nSets:   uint64(nSets),
 		setBits: uint(bits.TrailingZeros64(uint64(nSets))),
 	}
-	order := uint64(NewLRU(cfg.Ways))
+	order := uint64(mem.NewLRU(cfg.Ways))
 	for base := 0; base < len(c.store); base += cfg.Ways + 2 {
 		c.store[base+cfg.Ways] = order
 	}
@@ -253,9 +253,9 @@ func (c *Cache) lookup(l mem.Addr) int {
 
 // victim picks the way an install into the set at base replaces: the
 // least recently used one, which is the first invalid way while the set
-// is not yet full (see NewLRU).
+// is not yet full (see mem.NewLRU).
 func (c *Cache) victim(base int) int {
-	return base + LRU(c.store[base+c.ways]).Victim()
+	return base + mem.LRU(c.store[base+c.ways]).Victim()
 }
 
 // dirtyVictim returns the address of the line way v of the set at base
@@ -273,7 +273,7 @@ func (c *Cache) dirtyVictim(l mem.Addr, base, v int) (wb mem.Addr, ok bool) {
 // dirty on a write.
 func (c *Cache) touch(base, w int, write bool) {
 	o := &c.store[base+c.ways]
-	*o = uint64(LRU(*o).Touch(w-base, c.ways))
+	*o = uint64(mem.LRU(*o).Touch(w-base, c.ways))
 	if write {
 		c.store[base+c.ways+1] |= 1 << (w - base)
 	}

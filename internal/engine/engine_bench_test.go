@@ -177,7 +177,67 @@ func TestPopReleasesClosure(t *testing.T) {
 	// The drained entry in the slot's backing array must be zeroed even
 	// while the slot still holds the second event.
 	sl := &w.slots[1]
-	if got := sl.events[:2][0]; got.fn != nil || got.cycle != 0 || got.seq != 0 {
-		t.Fatalf("drained wheel entry still holds %+v; closure not released", got)
+	if sl.fns[:2][0] != nil {
+		t.Fatal("drained wheel entry still holds its closure; closure not released")
+	}
+}
+
+// demandMix is a closed population of self-rescheduling events whose
+// delays cycle through a fixed palette in LCG order: a stand-in for the
+// simulator's demand path, where every pending memory operation holds one
+// event that reschedules itself at a short fixed latency and the overflow
+// heap stays idle.
+type demandMix struct {
+	s      *Sim
+	x      uint64 // LCG state
+	delays []uint64
+	hops   []func()
+	fired  int
+}
+
+func newDemandMix(population int, delays []uint64) *demandMix {
+	d := &demandMix{s: New(), x: 1, delays: delays}
+	d.s.Reserve(population * WheelHorizon / 4) // as sim.Build does: no append-growth mid-run
+	d.hops = make([]func(), population)
+	for j := range d.hops {
+		d.hops[j] = func() {
+			d.fired++
+			d.x = d.x*6364136223846793005 + 1442695040888963407
+			d.s.After(d.delays[(d.x>>33)%uint64(len(d.delays))], d.hops[j])
+		}
+	}
+	for j, h := range d.hops {
+		d.s.At(uint64(j)/2, h)
+	}
+	return d
+}
+
+// run steps the engine through n more events.
+func (d *demandMix) run(n int) {
+	for target := d.fired + n; d.fired < target; {
+		d.s.Step()
+	}
+}
+
+// BenchmarkEngineDemandMix approximates the event mix of a detailed
+// simulation run, one event per op: 56 pending events with delays drawn
+// from {1, 2, 8, 30, 32, 146} cycles, so that about half of all events
+// (48%) fire at the cycle of the event before them and most of the rest
+// after gaps of one or two cycles, with an empty heap.
+func BenchmarkEngineDemandMix(b *testing.B) {
+	d := newDemandMix(56, []uint64{1, 2, 8, 30, 32, 146})
+	d.run(100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	d.run(b.N)
+}
+
+// TestZeroAllocEngine: on a reserved, warmed wheel, scheduling and firing
+// same-cycle (delay 0) and short-gap events allocates nothing.
+func TestZeroAllocEngine(t *testing.T) {
+	d := newDemandMix(56, []uint64{0, 1, 2, 8, 30, 32, 146})
+	d.run(100_000)
+	if allocs := testing.AllocsPerRun(10, func() { d.run(10_000) }); allocs != 0 {
+		t.Fatalf("a warmed wheel allocates %.1f times per 10000 events, want 0", allocs)
 	}
 }

@@ -87,6 +87,19 @@ func FuzzWheelVsHeap(f *testing.F) {
 	})
 }
 
+// TestDisableWheelPanicsWithPending pins that DisableWheel is a
+// construction option: once an event is queued it refuses to switch modes.
+func TestDisableWheelPanicsWithPending(t *testing.T) {
+	s := New()
+	s.At(1, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DisableWheel with a pending event did not panic")
+		}
+	}()
+	s.DisableWheel()
+}
+
 // TestHorizonBoundary pins the wheel/heap routing at the exact horizon:
 // delay WheelHorizon-1 is the last wheel-eligible event, delay WheelHorizon
 // the first heap event, and both fire in cycle order either way.
@@ -272,56 +285,45 @@ func TestReserveKeepsBehavior(t *testing.T) {
 }
 
 // TestSnapshotPendingSerial pins the crashdump view of the queue: events
-// spread across the wheel and the overflow heap come back in (cycle, seq)
-// fire order carrying their plain insertion numbers, max truncates, and the
-// snapshot leaves the queue exactly as it was.
+// spread across the wheel and the overflow heap come back as their cycles
+// in fire order, max truncates, and the snapshot leaves the queue exactly
+// as it was.
 func TestSnapshotPendingSerial(t *testing.T) {
 	s := New()
-	var fired []PendingEvent
-	var n uint64
+	var fired []uint64
 	at := func(cycle uint64) {
-		n++
-		ev := PendingEvent{Cycle: cycle, Seq: n}
-		s.At(cycle, func() { fired = append(fired, ev) })
+		s.At(cycle, func() { fired = append(fired, s.Now()) })
 	}
-	// Two heap events scheduled from cycle 0 (seq 1, 2), then a driver at
-	// cycle 600 (seq 3) whose wheel schedules wrap the slot ring and tie
-	// with a heap event, so neither slot order nor heap layout is fire order.
-	at(WheelHorizon + 50) // seq 1, heap
-	at(2 * WheelHorizon)  // seq 2, heap
-	n++
+	// Two heap events scheduled from cycle 0, then a driver at cycle 600
+	// whose wheel schedules wrap the slot ring and tie with a heap event,
+	// so neither slot order nor heap layout is fire order.
+	at(WheelHorizon + 50) // heap
+	at(2 * WheelHorizon)  // heap
 	s.At(600, func() {
-		at(1500)              // seq 4
-		at(WheelHorizon + 50) // seq 5: ties with seq 1
-		at(610)               // seq 6
-		at(1620)              // seq 7: slot below seq 6's slot
+		at(1500)
+		at(WheelHorizon + 50) // ties with the first heap event
+		at(610)
+		at(1620) // slot below the slot of 610
 	})
 	s.RunUntil(600)
 	if s.wheelLen != 4 || len(s.pq) != 2 {
 		t.Fatalf("setup: wheel %d heap %d, want 4 and 2", s.wheelLen, len(s.pq))
 	}
-	want := []PendingEvent{
-		{Cycle: 610, Seq: 6},
-		{Cycle: WheelHorizon + 50, Seq: 1},
-		{Cycle: WheelHorizon + 50, Seq: 5},
-		{Cycle: 1500, Seq: 4},
-		{Cycle: 1620, Seq: 7},
-		{Cycle: 2 * WheelHorizon, Seq: 2},
-	}
+	want := []uint64{610, WheelHorizon + 50, WheelHorizon + 50, 1500, 1620, 2 * WheelHorizon}
 	if got := s.SnapshotPending(100); !reflect.DeepEqual(got, want) {
-		t.Fatalf("SnapshotPending = %+v, want %+v", got, want)
+		t.Fatalf("SnapshotPending = %v, want %v", got, want)
 	}
 	if got := s.SnapshotPending(2); !reflect.DeepEqual(got, want[:2]) {
-		t.Fatalf("SnapshotPending(2) = %+v, want %+v", got, want[:2])
+		t.Fatalf("SnapshotPending(2) = %v, want %v", got, want[:2])
 	}
 	if got := s.SnapshotPending(0); got != nil {
-		t.Fatalf("SnapshotPending(0) = %+v, want nil", got)
+		t.Fatalf("SnapshotPending(0) = %v, want nil", got)
 	}
 	if s.Pending() != len(want) || s.Fired() != 1 {
 		t.Fatalf("snapshot disturbed the queue: Pending %d Fired %d", s.Pending(), s.Fired())
 	}
 	s.Drain(0)
 	if !reflect.DeepEqual(fired, want) {
-		t.Fatalf("drain fired %+v, snapshot promised %+v", fired, want)
+		t.Fatalf("drain fired at %v, snapshot promised %v", fired, want)
 	}
 }

@@ -3,7 +3,6 @@ package hmc
 import (
 	"fmt"
 
-	"pageseer/internal/cache"
 	"pageseer/internal/check"
 	"pageseer/internal/engine"
 	"pageseer/internal/mem"
@@ -61,8 +60,8 @@ func (c MetaCacheConfig) Validate() error {
 	if c.Ways <= 0 {
 		return fmt.Errorf("hmc: meta cache %s: %d ways is not positive", c.Name, c.Ways)
 	}
-	if c.Ways > cache.MaxWays {
-		return fmt.Errorf("hmc: meta cache %s: %d ways exceeds the %d an LRU order word ranks", c.Name, c.Ways, cache.MaxWays)
+	if c.Ways > mem.MaxWays {
+		return fmt.Errorf("hmc: meta cache %s: %d ways exceeds the %d an LRU order word ranks", c.Name, c.Ways, mem.MaxWays)
 	}
 	if c.Entries/c.Ways < 1 {
 		return fmt.Errorf("hmc: meta cache %s has %d entries < %d ways", c.Name, c.Entries, c.Ways)
@@ -219,7 +218,7 @@ func NewMetaCache(sim *engine.Sim, cfg MetaCacheConfig, region MetaRegion, issue
 		store:  make([]uint64, nSets*(cfg.Ways+2)),
 		ways:   cfg.Ways,
 	}
-	order := uint64(cache.NewLRU(cfg.Ways))
+	order := uint64(mem.NewLRU(cfg.Ways))
 	for base := 0; base < len(c.store); base += cfg.Ways + 2 {
 		c.store[base+cfg.Ways] = order
 	}
@@ -414,7 +413,7 @@ func (c *MetaCache) install(base int, key uint64, writeback bool) {
 	if c.findIn(base, key) >= 0 {
 		return
 	}
-	v := base + cache.LRU(c.store[base+c.ways]).Victim()
+	v := base + mem.LRU(c.store[base+c.ways]).Victim()
 	bit := uint64(1) << (v - base)
 	if writeback && c.store[base+c.ways+1]&bit != 0 {
 		// Write the evicted entry back to the DRAM table (change-bit
@@ -454,7 +453,7 @@ func (c *MetaCache) MarkDirty(key uint64) {
 // it dirty if asked.
 func (c *MetaCache) touch(base, e int, dirty bool) {
 	o := &c.store[base+c.ways]
-	*o = uint64(cache.LRU(*o).Touch(e-base, c.ways))
+	*o = uint64(mem.LRU(*o).Touch(e-base, c.ways))
 	if dirty {
 		c.store[base+c.ways+1] |= 1 << (e - base)
 	}

@@ -125,8 +125,6 @@ type request struct {
 	prio    Priority
 	arrival uint64
 	seq     uint64 // per-channel enqueue order
-	bank    int    // decoded once, at enqueue
-	row     int64
 	bypass  int
 	done    func()
 	fireFn  func()
@@ -149,17 +147,25 @@ type bank struct {
 	rowHits      uint64
 	rowMisses    uint64
 	rowConflicts uint64
-	// hitAt/missAt are the earliest data-burst starts of a row hit and of
-	// any other access to this bank, refreshed by every pick.
-	hitAt, missAt uint64
+}
+
+// entry is one queued request with its bank and row decoded at enqueue and
+// held inline, so a pick's scan reads one contiguous slice.
+type entry struct {
+	row  int64
+	bank int
+	r    *request
 }
 
 type channel struct {
 	banks   []bank
 	busFree uint64
+	// opened is set by the channel's first commit; rows never close, so
+	// from then on some bank is open (see floor).
+	opened bool
 	// demand and swap hold the queued requests of each class in enqueue
 	// (seq) order; Promote moves a swap request into demand at its seq.
-	demand, swap []*request
+	demand, swap []entry
 	seq          uint64
 	// wakeAt is the cycle of the earliest pending scheduler wakeup
 	// (0 = none).
@@ -402,7 +408,6 @@ func (m *Module) AccessV(addr mem.Addr, write bool, prio Priority, v *attrib.Vec
 	c := &m.chans[ch]
 	r := m.getReq()
 	r.addr = mem.LineOf(addr)
-	r.bank, r.row = bk, row
 	r.write = write
 	r.prio = prio
 	r.arrival = m.sim.Now()
@@ -412,9 +417,9 @@ func (m *Module) AccessV(addr mem.Addr, write bool, prio Priority, v *attrib.Vec
 	r.v = v
 	r.swapBusyAt = c.swapBusy
 	if prio == PrioSwap {
-		c.swap = append(c.swap, r)
+		c.swap = append(c.swap, entry{row, bk, r})
 	} else {
-		c.demand = append(c.demand, r)
+		c.demand = append(c.demand, entry{row, bk, r})
 	}
 	if write {
 		m.stats.Writes++
@@ -424,36 +429,35 @@ func (m *Module) AccessV(addr mem.Addr, write bool, prio Priority, v *attrib.Vec
 	m.trySchedule(ch)
 }
 
-// refreshStarts sets every bank's hitAt/missAt for a commit at now and
-// returns the lowest start any queued request can get. Command latencies
-// overlap with bus occupancy (commands pipeline on the command bus), so
-// back-to-back row hits stream at full bus rate: their tCAS only shows when
-// the bus is otherwise idle.
-func (m *Module) refreshStarts(c *channel, now uint64) (floor uint64) {
-	floor = ^uint64(0)
-	for i := range c.banks {
-		bk := &c.banks[i]
-		ready := max(bk.nextReady, c.busFree)
-		bk.hitAt = max(now+m.tCAS, ready)
-		if bk.openRow == -1 {
-			bk.missAt = max(now+m.tRCD+m.tCAS, ready)
-			floor = min(floor, bk.missAt)
-		} else {
-			bk.missAt = max(max(now, bk.earliestPre)+m.tRP+m.tRCD+m.tCAS, ready)
-			floor = min(floor, bk.hitAt)
-		}
+// floor returns the lowest data-burst start any request could get from a
+// commit at now: the minimum of start over every bank and row. A bank's
+// nextReady is the start of its last burst, which never exceeds busFree,
+// the end of the channel's last burst; so an open bank's lowest start is a
+// row hit at max(now+tCAS, busFree) and a closed bank's is
+// max(now+tRCD+tCAS, busFree). Rows never close, so the floor is the first
+// from the channel's first commit on and the second before it.
+func (m *Module) floor(c *channel, now uint64) uint64 {
+	lat := m.tCAS
+	if !c.opened {
+		lat += m.tRCD
 	}
-	return floor
+	return max(now+lat, c.busFree)
 }
 
-// start is the earliest cycle r's data burst can start, from the bank
-// bounds of the current pick.
-func (c *channel) start(r *request) uint64 {
-	bk := &c.banks[r.bank]
-	if bk.openRow == r.row {
-		return bk.hitAt
+// start is the earliest cycle e's data burst can start from a commit at
+// now. Command latencies overlap with bus occupancy (commands pipeline on
+// the command bus), so back-to-back row hits stream at full bus rate: their
+// tCAS only shows when the bus is otherwise idle.
+func (m *Module) start(c *channel, e entry, now uint64) uint64 {
+	bk := &c.banks[e.bank]
+	ready := max(bk.nextReady, c.busFree)
+	switch bk.openRow {
+	case e.row:
+		return max(now+m.tCAS, ready)
+	case -1:
+		return max(now+m.tRCD+m.tCAS, ready)
 	}
-	return bk.missAt
+	return max(max(now, bk.earliestPre)+m.tRP+m.tRCD+m.tCAS, ready)
 }
 
 // pick chooses the next request: best priority class first; within a class,
@@ -466,14 +470,13 @@ func (c *channel) start(r *request) uint64 {
 // it, so the oldest request heads one of them and the aged swap requests
 // form a prefix of c.swap. The class is therefore settled before any scan,
 // and the scan stops at the first request that reaches the floor start.
-func (m *Module) pick(c *channel, now uint64) (q *[]*request, idx int, start uint64) {
-	floor := m.refreshStarts(c, now)
+func (m *Module) pick(c *channel, now uint64) (q *[]entry, idx int, start uint64) {
 	q = &c.demand
-	if len(c.demand) == 0 || (len(c.swap) > 0 && c.swap[0].seq < c.demand[0].seq) {
+	if len(c.demand) == 0 || (len(c.swap) > 0 && c.swap[0].r.seq < c.demand[0].r.seq) {
 		q = &c.swap
 	}
 	oldest := (*q)[0]
-	if oldest.bypass >= m.cfg.MaxBypass {
+	if oldest.r.bypass >= m.cfg.MaxBypass {
 		// Force the starving oldest request — unless its bank is genuinely
 		// unready (write recovery / precharge constraints push its start
 		// beyond even a worst-case row conflict on an idle bank); idling
@@ -483,7 +486,7 @@ func (m *Module) pick(c *channel, now uint64) (q *[]*request, idx int, start uin
 		if c.busFree > now {
 			bound += c.busFree - now
 		}
-		if s := c.start(oldest); s <= bound {
+		if s := m.start(c, oldest, now); s <= bound {
 			return q, 0, s
 		}
 	}
@@ -495,10 +498,10 @@ func (m *Module) pick(c *channel, now uint64) (q *[]*request, idx int, start uin
 	// row-hitting demand.
 	aged := 0
 	if lim := m.cfg.SwapAgeLimit; lim != 0 {
-		aged = sort.Search(len(c.swap), func(i int) bool { return now-c.swap[i].arrival <= lim })
+		aged = sort.Search(len(c.swap), func(i int) bool { return now-c.swap[i].r.arrival <= lim })
 	}
 	type span struct {
-		q      *[]*request
+		q      *[]entry
 		lo, hi int
 	}
 	classes := [3]span{{&c.demand, 0, len(c.demand)}, {&c.swap, 0, aged}, {&c.swap, aged, len(c.swap)}}
@@ -510,17 +513,18 @@ func (m *Module) pick(c *channel, now uint64) (q *[]*request, idx int, start uin
 		k++
 	}
 	sp := classes[k]
+	floor := m.floor(c, now)
 	idx = -1
-	for i, r := range (*sp.q)[sp.lo:sp.hi] {
-		if s := c.start(r); idx == -1 || s < start {
+	for i, e := range (*sp.q)[sp.lo:sp.hi] {
+		if s := m.start(c, e, now); idx == -1 || s < start {
 			idx, start = sp.lo+i, s
 			if s == floor {
 				break // no later request can start earlier
 			}
 		}
 	}
-	if (*sp.q)[idx] != oldest {
-		oldest.bypass++
+	if (*sp.q)[idx].r != oldest.r {
+		oldest.r.bypass++
 	}
 	return sp.q, idx, start
 }
@@ -543,10 +547,10 @@ func (m *Module) trySchedule(ch int) {
 		return
 	}
 	q, i, start := m.pick(c, now)
-	r := (*q)[i]
+	e := (*q)[i]
 	*q = slices.Delete(*q, i, i+1) // clears the vacated tail slot
 	c.commits++
-	m.issue(ch, r, start)
+	m.issue(ch, e, start)
 	if c.queued() > 0 {
 		m.armWake(c, ch, c.busFree)
 	}
@@ -560,14 +564,15 @@ func (m *Module) armWake(c *channel, ch int, at uint64) {
 	m.sim.At(at, c.wakeFn)
 }
 
-// issue commits one request at its data-burst start time.
-func (m *Module) issue(ch int, r *request, dataStart uint64) {
+// issue commits one queued request at its data-burst start time.
+func (m *Module) issue(ch int, e entry, dataStart uint64) {
 	c := &m.chans[ch]
-	bk := &c.banks[r.bank]
+	bk := &c.banks[e.bank]
+	r := e.r
 
 	var cmdLat uint64
 	switch {
-	case bk.openRow == r.row:
+	case bk.openRow == e.row:
 		bk.rowHits++
 		cmdLat = m.tCAS
 	case bk.openRow == -1:
@@ -600,7 +605,8 @@ func (m *Module) issue(ch int, r *request, dataStart uint64) {
 		c.swapBusy += m.burst
 	}
 
-	bk.openRow = r.row
+	bk.openRow = e.row
+	c.opened = true
 	// The next column command to this bank can pipeline behind this one.
 	bk.nextReady = dataStart
 	if r.write {
@@ -625,15 +631,15 @@ func (m *Module) Promote(addr mem.Addr) {
 	ch, _, _ := m.locate(line)
 	c := &m.chans[ch]
 	for i := 0; i < len(c.swap); {
-		r := c.swap[i]
-		if r.addr != line {
+		e := c.swap[i]
+		if e.r.addr != line {
 			i++
 			continue
 		}
-		r.prio = PrioDemand
+		e.r.prio = PrioDemand
 		c.swap = slices.Delete(c.swap, i, i+1)
-		at, _ := slices.BinarySearchFunc(c.demand, r.seq, func(d *request, seq uint64) int { return cmp.Compare(d.seq, seq) })
-		c.demand = slices.Insert(c.demand, at, r)
+		at, _ := slices.BinarySearchFunc(c.demand, e.r.seq, func(d entry, seq uint64) int { return cmp.Compare(d.r.seq, seq) })
+		c.demand = slices.Insert(c.demand, at, e)
 	}
 }
 

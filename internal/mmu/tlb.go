@@ -9,7 +9,6 @@ package mmu
 import (
 	"fmt"
 
-	"pageseer/internal/cache"
 	"pageseer/internal/mem"
 )
 
@@ -38,8 +37,8 @@ type tlbEntry struct {
 // TLB is a set-associative, PID-tagged translation cache.
 type TLB struct {
 	cfg     TLBConfig
-	entries []tlbEntry  // set s holds entries[s*ways : (s+1)*ways]
-	order   []cache.LRU // each set's recency order
+	entries []tlbEntry // set s holds entries[s*ways : (s+1)*ways]
+	order   []mem.LRU  // each set's recency order
 	ways    int
 	setMask uint64 // len(order)-1 when a power of two, else 0 (use modulo)
 
@@ -48,10 +47,10 @@ type TLB struct {
 }
 
 // NewTLB builds a TLB; entry count is rounded down to sets*ways. It panics
-// unless the TLB has between 1 and cache.MaxWays ways.
+// unless the TLB has between 1 and mem.MaxWays ways.
 func NewTLB(cfg TLBConfig) *TLB {
-	if cfg.Ways < 1 || cfg.Ways > cache.MaxWays {
-		panic(fmt.Sprintf("mmu: TLB with %d ways: want 1 to %d", cfg.Ways, cache.MaxWays))
+	if cfg.Ways < 1 || cfg.Ways > mem.MaxWays {
+		panic(fmt.Sprintf("mmu: TLB with %d ways: want 1 to %d", cfg.Ways, mem.MaxWays))
 	}
 	nSets := cfg.Entries / cfg.Ways
 	if nSets < 1 {
@@ -60,14 +59,14 @@ func NewTLB(cfg TLBConfig) *TLB {
 	t := &TLB{
 		cfg:     cfg,
 		entries: make([]tlbEntry, nSets*cfg.Ways),
-		order:   make([]cache.LRU, nSets),
+		order:   make([]mem.LRU, nSets),
 		ways:    cfg.Ways,
 	}
 	if nSets&(nSets-1) == 0 {
 		t.setMask = uint64(nSets - 1)
 	}
 	for i := range t.order {
-		t.order[i] = cache.NewLRU(cfg.Ways)
+		t.order[i] = mem.NewLRU(cfg.Ways)
 	}
 	return t
 }

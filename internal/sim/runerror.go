@@ -93,8 +93,8 @@ func (s *System) Crashdump(re *RunError) string {
 	}
 
 	fmt.Fprintf(&b, "\nevent queue (first %d):\n", crashdumpPendingEvents)
-	for _, ev := range s.Sim.SnapshotPending(crashdumpPendingEvents) {
-		fmt.Fprintf(&b, "  cycle=%d seq=%d\n", ev.Cycle, ev.Seq)
+	for _, cycle := range s.Sim.SnapshotPending(crashdumpPendingEvents) {
+		fmt.Fprintf(&b, "  cycle=%d\n", cycle)
 	}
 
 	es := s.Ctl.Engine.Stats()

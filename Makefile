@@ -3,14 +3,15 @@
 
 GO ?= go
 
-.PHONY: tier1 fmt vet build test race bench-test benchsmoke bench campaign-bench allocguard benchguard effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke ledger-overhead invariants chaos-smoke chaos resume-smoke fuzz-validate trace-demo
+.PHONY: tier1 fmt vet build test race bench-test benchsmoke bench bench-record layers allocguard benchguard effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke invariants chaos-smoke chaos resume-smoke fuzz-validate trace-demo
 
 ## tier1: the full pre-PR gate — gofmt, vet, build, race-enabled tests, a
 ## one-shot figure-campaign smoke bench, the alloc-budget guards, the
-## campaign-throughput regression gate, the swap-provenance effectiveness
-## smoke, the cycle-attribution smoke, the address-space telemetry smoke,
-## the sampled-execution accuracy/speedup gate, the invariant-audit gate, a
-## fault-injection smoke run, and the kill-and-resume durability gate.
+## bench/ regression gate against BENCH_bench.json, the swap-provenance
+## effectiveness smoke, the cycle-attribution smoke, the address-space
+## telemetry smoke, the sampled-execution accuracy/speedup gate, the
+## invariant-audit gate, a fault-injection smoke run, and the
+## kill-and-resume durability gate.
 tier1: fmt vet build race bench-test benchsmoke allocguard benchguard effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke invariants chaos-smoke resume-smoke
 
 ## fmt: fail if any tracked Go file is not gofmt-formatted.
@@ -46,15 +47,22 @@ benchsmoke:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-## campaign-bench: regenerate BENCH_campaign.json from the quick campaign,
-## plus a sampled-mode rerun of the same grid so the record also carries
-## the sampled-execution wall-clock trajectory (entries distinguished by
-## their sample_windows geometry; benchguard keeps the modes apart).
-## The note pins the host core count the record was measured on.
-campaign-bench:
-	$(GO) run ./cmd/paper-figures -quick -all -quiet -benchjson BENCH_campaign.json \
-		-bench-sampled 16,1000,1000 \
-		-benchnote "host: $$(nproc) CPU(s); sampled entries: 16 windows x 1000 instr, 1000-instr warm-ups"
+## bench-record: regenerate BENCH_bench.json, the committed end-to-end
+## record benchguard compares against: an untraced bench/ run of every
+## workload with the default 30 s window. The stamp records the host's
+## nproc, GOMAXPROCS, Go version and commit.
+bench-record:
+	bash bench/run.sh --trace 0 --out BENCH_bench.json
+
+## layers: regenerate BENCH_layers.txt, the committed layer record — every
+## Benchmark* of the internal packages that hold them, five counts each, in
+## plain `go test` output (benchstat reads it) under a header line with the
+## host's nproc and Go version.
+layers:
+	{ echo "# host: $$(nproc) CPU(s); $$($(GO) version)"; \
+		$(GO) test -run '^$$' -bench . -benchmem -count 5 ./internal/engine ./internal/memsim \
+			./internal/cache ./internal/mmu ./internal/mem ./internal/hmc ./internal/core \
+			./internal/pom ./internal/mempod ./internal/sim; } > BENCH_layers.txt
 
 ## allocguard: testing.AllocsPerRun proofs that (a) the observability hot
 ## path pays zero allocations with sinks disabled, (b) a disabled
@@ -71,28 +79,16 @@ campaign-bench:
 allocguard:
 	$(GO) test -run TestZeroAlloc -count=1 ./internal/obs ./internal/obs/ledger ./internal/obs/attrib ./internal/obs/pagemap ./internal/sim ./internal/engine ./internal/memsim ./internal/core ./internal/cache ./internal/hmc ./internal/mem ./internal/mempod
 
-## benchguard: re-run the quick campaign and fail if per-run
-## events_per_sec (geomean over the workload x scheme grid) regresses
-## more than 10% against the committed BENCH_campaign.json. A second,
-## ledger-on quick campaign is then compared against the fresh ledger-off
-## record with -warnonly: the swap-provenance ledger's overhead (5%
-## target) is reported but never gates, since the sink is opt-in. A
-## final sampled-mode campaign (-sample) is compared on wall-clock with
-## -wall -warnonly: the per-run speedup sampling buys is reported, never
-## gated (the accuracy gate lives in sample-smoke).
+## benchguard: a 10 s untraced bench/ run of every workload on this tree
+## (it exits 1 if any run fails), then `bench --compare` against the
+## committed BENCH_bench.json, which exits 1 on any REGRESSION verdict:
+## wall_s or run_mips_geomean worse by more than 24%, setup_s by more than
+## 25% or peak_rss_mb by more than 20% (the end-to-end bounds in
+## BENCHMARK.json). The record's 30 s window against this 10 s one makes
+## --compare print a settings warning; the verdicts still apply.
 benchguard:
-	$(GO) run ./cmd/paper-figures -quick -all -quiet -benchjson .benchguard_head.json
-	$(GO) run ./cmd/benchguard -baseline BENCH_campaign.json -head .benchguard_head.json -tolerance 0.10
-	$(GO) run ./cmd/paper-figures -quick -all -effectiveness -quiet -benchjson .benchguard_ledger.json
-	$(GO) run ./cmd/benchguard -baseline .benchguard_head.json -head .benchguard_ledger.json -tolerance 0.05 -warnonly -label "ledger-on overhead"
-	$(GO) run ./cmd/paper-figures -quick -all -cpistack -quiet -benchjson .benchguard_cpi.json
-	$(GO) run ./cmd/benchguard -baseline .benchguard_head.json -head .benchguard_cpi.json -tolerance 0.05 -warnonly -label "cpi-on overhead"
-	$(GO) run ./cmd/paper-figures -quick -all -churn -quiet -benchjson .benchguard_pagemap.json
-	$(GO) run ./cmd/benchguard -baseline .benchguard_head.json -head .benchguard_pagemap.json -tolerance 0.05 -warnonly -label "pagemap-on overhead"
-	$(GO) run ./cmd/paper-figures -quick -all -quiet -sample 16 -sample-window 1000 -sample-warmup 1000 \
-		-benchjson .benchguard_sampled.json -benchnote "sampled: 16 windows x 1000 instr, 1000-instr warm-ups"
-	$(GO) run ./cmd/benchguard -baseline .benchguard_head.json -head .benchguard_sampled.json -wall -warnonly -label "sampled-mode speedup"
-	@rm -f .benchguard_head.json .benchguard_ledger.json .benchguard_cpi.json .benchguard_pagemap.json .benchguard_sampled.json
+	bash bench/run.sh --trace 0 --seconds 10 --out .bench_build/head.json
+	bash bench/run.sh --compare BENCH_bench.json .bench_build/head.json
 
 ## effectiveness-smoke: run one PageSeer quick workload with the
 ## swap-provenance ledger armed and assert the acceptance bar: all three

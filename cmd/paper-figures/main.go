@@ -6,7 +6,6 @@
 //	paper-figures -all                # every table and figure (slow)
 //	paper-figures -all -j 8           # same, 8 simulations in flight at once
 //	paper-figures -quick -all         # reduced campaign for a fast look
-//	paper-figures -quick -all -benchjson BENCH_campaign.json
 //	paper-figures -quick -fig14 -sample 16 -sample-window 1000 -sample-warmup 1000
 //	paper-figures -fig14              # just the headline IPC/AMMAT figure
 //	paper-figures -fig7 -fig8 -scale 64 -instr 4000000 -warmup 2000000
@@ -17,7 +16,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -27,7 +25,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -65,20 +62,12 @@ func main() {
 		churnCSV     = flag.String("churn-csv", "", "write the churn table to this CSV file (implies -churn)")
 		churnJSON    = flag.String("churn-json", "", "write the churn table (with reuse histograms and leaderboards) to this JSON file (implies -churn)")
 
-		workloads    = flag.String("workloads", "", "comma-separated workload subset")
-		quiet        = flag.Bool("quiet", false, "suppress per-run progress")
-		benchJSON    = flag.String("benchjson", "", "write per-run wall-clock/throughput records to this JSON file")
-		benchNote    = flag.String("benchnote", "", "free-form note recorded in the -benchjson output (e.g. serial-vs-parallel comparison)")
-		benchSampled = flag.String("bench-sampled", "", "additionally rerun the campaign in sampled mode \"N,W,K\" (windows, window instr, warm-up instr) and append its records to -benchjson, so the trajectory captures sampled-vs-detailed wall-clock")
-		retry        = flag.Int("retry", 0, "retry each failed run up to N times (capped exponential backoff) before reporting it as a gap")
+		workloads = flag.String("workloads", "", "comma-separated workload subset")
+		quiet     = flag.Bool("quiet", false, "suppress per-run progress")
+		retry     = flag.Int("retry", 0, "retry each failed run up to N times (capped exponential backoff) before reporting it as a gap")
 	)
 	flag.Parse()
 	effect := &common.Effectiveness
-
-	if *benchSampled != "" && *benchJSON == "" {
-		fmt.Fprintln(os.Stderr, "error: -bench-sampled requires -benchjson (it only adds records to the bench output)")
-		os.Exit(2)
-	}
 
 	stopProfiles, err := common.StartProfiles()
 	if err != nil {
@@ -217,7 +206,6 @@ func main() {
 		NoCorr:    *abl,
 		NoBW:      *fig11,
 	}
-	campaignStart := time.Now()
 	if anyFigure || *all {
 		if err := r.Prefetch(needs); err != nil {
 			if errors.Is(err, figures.ErrStopped) {
@@ -233,7 +221,6 @@ func main() {
 			fail(err)
 		}
 	}
-	campaignWall := time.Since(campaignStart)
 
 	if *fig7 {
 		rows, err := figures.Figure7(r)
@@ -369,42 +356,6 @@ func main() {
 		}
 	}
 
-	if *benchJSON != "" {
-		runs := r.Metrics()
-		benchWall := campaignWall
-		// -bench-sampled reruns the same campaign grid in sampled mode and
-		// appends its per-run records. The records carry their window
-		// geometry (sample_windows etc.), so consumers like benchguard can
-		// keep sampled and detailed entries apart.
-		if *benchSampled != "" {
-			var n, w, k uint64
-			if _, err := fmt.Sscanf(*benchSampled, "%d,%d,%d", &n, &w, &k); err != nil || n == 0 || w == 0 {
-				fail(fmt.Errorf("-bench-sampled wants \"N,W,K\" with N, W > 0 (windows, window instr, warm-up instr): %q", *benchSampled))
-			}
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "bench-sampled: rerunning campaign with %d windows x %d instr (warm-up %d)\n", n, w, k)
-			}
-			sopts := opts
-			sopts.Sample, sopts.SampleWindow, sopts.SampleWarmup = n, w, k
-			sr := figures.NewRunner(sopts)
-			start := time.Now()
-			if err := sr.Prefetch(needs); err != nil {
-				fail(err)
-			}
-			benchWall += time.Since(start)
-			if fails := sr.Failures(); len(fails) > 0 {
-				for _, f := range fails {
-					fmt.Fprintf(os.Stderr, "bench-sampled: %s/%s failed: %v\n", f.Workload, f.Scheme, f.Err.Cause)
-				}
-				os.Exit(1)
-			}
-			runs = append(runs, sr.Metrics()...)
-		}
-		if err := writeBenchJSON(*benchJSON, runs, opts, common.Jobs, *quick, benchWall, *benchNote); err != nil {
-			fail(err)
-		}
-	}
-
 	// Failed runs were absorbed as gaps so the rest of the campaign could
 	// finish; report them — with a crashdump file each — and fail the exit
 	// code only now, after every figure and table has printed.
@@ -454,46 +405,4 @@ func writeFile[T any](path string, rows []T, write func(io.Writer, []T) error) e
 		return err
 	}
 	return f.Close()
-}
-
-// campaignBench is the machine-readable perf record (BENCH_campaign.json):
-// one campaign's wall-clock and per-run throughput, so future changes have
-// a trajectory to compare against.
-type campaignBench struct {
-	Generated        string              `json:"generated"`
-	Note             string              `json:"note,omitempty"`
-	GoMaxProcs       int                 `json:"go_max_procs"`
-	NumCPU           int                 `json:"num_cpu"`
-	Parallelism      int                 `json:"parallelism"`
-	Quick            bool                `json:"quick"`
-	Workloads        []string            `json:"workloads"`
-	Runs             []figures.RunMetric `json:"runs"`
-	TotalWallSeconds float64             `json:"total_wall_seconds"`
-	TotalEvents      uint64              `json:"total_events"`
-	EventsPerSec     float64             `json:"events_per_sec"`
-}
-
-func writeBenchJSON(path string, runs []figures.RunMetric, opts figures.Options, jobs int, quick bool, wall time.Duration, note string) error {
-	b := campaignBench{
-		Generated:        time.Now().UTC().Format(time.RFC3339),
-		Note:             note,
-		GoMaxProcs:       runtime.GOMAXPROCS(0),
-		NumCPU:           runtime.NumCPU(),
-		Parallelism:      jobs,
-		Quick:            quick,
-		Workloads:        opts.Workloads,
-		Runs:             runs,
-		TotalWallSeconds: wall.Seconds(),
-	}
-	for _, m := range b.Runs {
-		b.TotalEvents += m.EventsFired
-	}
-	if b.TotalWallSeconds > 0 {
-		b.EventsPerSec = float64(b.TotalEvents) / b.TotalWallSeconds
-	}
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

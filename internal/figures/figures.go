@@ -71,8 +71,7 @@ type Options struct {
 	// geometry: when Sample > 0 every campaign run executes the SMARTS-style
 	// sampled schedule (functional fast-forward between detailed windows)
 	// instead of the full detailed reference. Results carry the geometry in
-	// Results.Sampling, and bench records flag it so sampled campaign
-	// numbers are never mistaken for detailed ones.
+	// Results.Sampling.
 	Sample       uint64
 	SampleWindow uint64
 	SampleWarmup uint64
@@ -599,64 +598,6 @@ func (r *Runner) Failures() []RunFailure {
 		}
 	}
 	return fs
-}
-
-// RunMetric is one run's perf record for the campaign bench trajectory
-// (BENCH_campaign.json).
-type RunMetric struct {
-	Workload     string  `json:"workload"`
-	Scheme       string  `json:"scheme"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	EventsFired  uint64  `json:"events_fired"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	// Sampling geometry (zero/absent on detailed runs): a sampled record's
-	// wall-clock and event counts cover only the detailed windows, so they
-	// must never be compared against detailed records without this context.
-	SampleWindows uint64  `json:"sample_windows,omitempty"`
-	SampleWindow  uint64  `json:"sample_window,omitempty"`
-	SampleWarmup  uint64  `json:"sample_warmup,omitempty"`
-	SampleIPCCV   float64 `json:"sample_ipc_cv,omitempty"`
-}
-
-// Metrics returns per-run wall-clock and event-throughput records for
-// every completed campaign run, in canonical order.
-func (r *Runner) Metrics() []RunMetric {
-	var ms []RunMetric
-	for _, k := range r.keys(AllNeeds()) {
-		r.mu.Lock()
-		e, ok := r.cache[k]
-		r.mu.Unlock()
-		if !ok {
-			continue
-		}
-		select {
-		case <-e.done:
-		default:
-			continue // still in flight
-		}
-		if e.err != nil || e.fromJournal {
-			// Journal replays did no simulation work in this process, so
-			// they carry no wall-clock record.
-			continue
-		}
-		m := RunMetric{
-			Workload:    k.workload,
-			Scheme:      schemeLabel(k.scheme, k.disableBW),
-			WallSeconds: e.wall.Seconds(),
-			EventsFired: e.res.EventsFired,
-		}
-		if m.WallSeconds > 0 {
-			m.EventsPerSec = float64(m.EventsFired) / m.WallSeconds
-		}
-		if sp := e.res.Sampling; sp.Windows > 0 {
-			m.SampleWindows = sp.Windows
-			m.SampleWindow = sp.WindowInstr
-			m.SampleWarmup = sp.WarmupInstr
-			m.SampleIPCCV = sp.IPCCV
-		}
-		ms = append(ms, m)
-	}
-	return ms
 }
 
 func schemeLabel(s sim.Scheme, disableBW bool) string {

@@ -103,10 +103,6 @@ func TestRunnerSingleflight(t *testing.T) {
 			t.Fatalf("goroutine %d saw different results", i)
 		}
 	}
-	ms := r.Metrics()
-	if len(ms) != 1 || ms[0].EventsFired == 0 || ms[0].EventsPerSec <= 0 {
-		t.Fatalf("Metrics() = %+v, want one record with events recorded", ms)
-	}
 }
 
 // TestPrefetchProgressOrdered asserts progress lines come out in canonical

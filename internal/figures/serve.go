@@ -167,225 +167,200 @@ func metricsPage(r *Runner) string {
 		}
 	}
 	var b strings.Builder
-	gauge := func(name, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
+	header := func(name, typ, help string) {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 	}
-	counter := func(name, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	}
-	gauge("pageseer_campaign_runs", "Campaign runs by state.")
+	header("pageseer_campaign_runs", "gauge", "Campaign runs by state.")
 	fmt.Fprintf(&b, "pageseer_campaign_runs{state=\"done\"} %g\n", done)
 	fmt.Fprintf(&b, "pageseer_campaign_runs{state=\"failed\"} %g\n", failed)
 	fmt.Fprintf(&b, "pageseer_campaign_runs{state=\"inflight\"} %g\n", inflight)
 
-	ok := states[:0:0]
-	for _, s := range states {
-		if s.Done && !s.Failed {
-			ok = append(ok, s)
-		}
-	}
-
-	gauge("pageseer_run_ipc", "Aggregate IPC of a completed run.")
-	for _, s := range ok {
-		fmt.Fprintf(&b, "pageseer_run_ipc{%s} %g\n", runLabels(s), s.Results.IPC)
-	}
-	gauge("pageseer_run_ammat", "Average main-memory access time (CPU cycles).")
-	for _, s := range ok {
-		fmt.Fprintf(&b, "pageseer_run_ammat{%s} %g\n", runLabels(s), s.Results.AMMAT)
-	}
-
-	counter("pageseer_swaps_total", "Ledger-tracked swaps by trigger and outcome.")
-	for _, s := range ok {
-		eff := s.Results.Effectiveness
-		for t := obs.Trigger(0); t < obs.NumTriggers; t++ {
-			if eff.Started[t] == 0 {
+	for _, f := range metricFamilies {
+		header(f.name, f.typ, f.help)
+		for _, s := range states {
+			if !s.Done || s.Failed {
 				continue
 			}
-			for _, oc := range []struct {
-				name string
-				n    uint64
-			}{
-				{"useful", eff.Useful[t]},
-				{"unused", eff.Unused[t]},
-				{"open", eff.Open[t]},
-			} {
-				fmt.Fprintf(&b, "pageseer_swaps_total{%s,trigger=%q,outcome=%q} %d\n",
-					runLabels(s), t.String(), oc.name, oc.n)
-			}
+			f.samples(s.Results, func(suffix string, v any, labels ...string) {
+				fmt.Fprintf(&b, "%s%s{%s", f.name, suffix, runLabels(s))
+				for i := 0; i < len(labels); i += 2 {
+					fmt.Fprintf(&b, ",%s=%q", labels[i], labels[i+1])
+				}
+				fmt.Fprintf(&b, "} %v\n", v)
+			})
 		}
 	}
-	gauge("pageseer_swap_accuracy", "Useful swaps / started swaps.")
-	for _, s := range ok {
-		fmt.Fprintf(&b, "pageseer_swap_accuracy{%s} %g\n", runLabels(s), s.Results.Effectiveness.Accuracy)
-	}
-	gauge("pageseer_swap_coverage", "Demand accesses landing on swapped-in units / all demand accesses.")
-	for _, s := range ok {
-		fmt.Fprintf(&b, "pageseer_swap_coverage{%s} %g\n", runLabels(s), s.Results.Effectiveness.Coverage)
-	}
-	counter("pageseer_swap_wasted_bytes_total", "Transfer bytes spent on swaps evicted unused, by module.")
-	for _, s := range ok {
-		eff := s.Results.Effectiveness
-		fmt.Fprintf(&b, "pageseer_swap_wasted_bytes_total{%s,module=\"dram\"} %d\n", runLabels(s), eff.WastedDRAMBytes)
-		fmt.Fprintf(&b, "pageseer_swap_wasted_bytes_total{%s,module=\"nvm\"} %d\n", runLabels(s), eff.WastedNVMBytes)
-	}
+	return b.String()
+}
 
-	// Per-source demand-latency distributions as real Prometheus histograms:
-	// cumulative _bucket series with log2 `le` bounds straight from the
-	// simulator's fixed-size histograms, not just the percentile gauges.
-	fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n",
-		"pageseer_request_latency_cycles",
-		"Demand-request HMC service latency by serving source (CPU cycles).",
-		"pageseer_request_latency_cycles")
-	for _, s := range ok {
-		lh := s.Results.LatencyHist
-		for src := obs.LatSource(0); src < obs.NumLatSources; src++ {
-			h := lh.H[src]
-			if h.Count == 0 {
-				continue
-			}
-			var cum uint64
-			for bkt := 0; bkt < obs.HistBuckets-1; bkt++ {
-				if h.Counts[bkt] == 0 {
+// emitFunc writes one sample of a metric family: the series name is the
+// family's name plus suffix, the labels are the run's workload and scheme
+// followed by the given key/value pairs, and v prints with %v (%g for
+// floats, %d for integers).
+type emitFunc func(suffix string, v any, labels ...string)
+
+// metricFamily is one Prometheus family on /metrics: its name, type and
+// help text, and the samples it contributes for one completed run.
+type metricFamily struct {
+	name, typ, help string
+	samples         func(res *sim.Results, emit emitFunc)
+}
+
+// metricFamilies lists every per-run family in page order.
+var metricFamilies = []metricFamily{
+	{"pageseer_run_ipc", "gauge", "Aggregate IPC of a completed run.",
+		func(res *sim.Results, emit emitFunc) { emit("", res.IPC) }},
+	{"pageseer_run_ammat", "gauge", "Average main-memory access time (CPU cycles).",
+		func(res *sim.Results, emit emitFunc) { emit("", res.AMMAT) }},
+
+	{"pageseer_swaps_total", "counter", "Ledger-tracked swaps by trigger and outcome.",
+		func(res *sim.Results, emit emitFunc) {
+			eff := res.Effectiveness
+			for t := obs.Trigger(0); t < obs.NumTriggers; t++ {
+				if eff.Started[t] == 0 {
 					continue
 				}
-				cum += h.Counts[bkt]
-				hi, _ := obs.BucketUpper(bkt)
-				fmt.Fprintf(&b, "pageseer_request_latency_cycles_bucket{%s,source=%q,le=%q} %d\n",
-					runLabels(s), src.String(), strconv.FormatUint(hi, 10), cum)
+				emit("", eff.Useful[t], "trigger", t.String(), "outcome", "useful")
+				emit("", eff.Unused[t], "trigger", t.String(), "outcome", "unused")
+				emit("", eff.Open[t], "trigger", t.String(), "outcome", "open")
 			}
-			fmt.Fprintf(&b, "pageseer_request_latency_cycles_bucket{%s,source=%q,le=\"+Inf\"} %d\n",
-				runLabels(s), src.String(), h.Count)
-			fmt.Fprintf(&b, "pageseer_request_latency_cycles_sum{%s,source=%q} %d\n",
-				runLabels(s), src.String(), h.Sum)
-			fmt.Fprintf(&b, "pageseer_request_latency_cycles_count{%s,source=%q} %d\n",
-				runLabels(s), src.String(), h.Count)
-		}
-	}
+		}},
+	{"pageseer_swap_accuracy", "gauge", "Useful swaps / started swaps.",
+		func(res *sim.Results, emit emitFunc) { emit("", res.Effectiveness.Accuracy) }},
+	{"pageseer_swap_coverage", "gauge", "Demand accesses landing on swapped-in units / all demand accesses.",
+		func(res *sim.Results, emit emitFunc) { emit("", res.Effectiveness.Coverage) }},
+	{"pageseer_swap_wasted_bytes_total", "counter", "Transfer bytes spent on swaps evicted unused, by module.",
+		func(res *sim.Results, emit emitFunc) {
+			emit("", res.Effectiveness.WastedDRAMBytes, "module", "dram")
+			emit("", res.Effectiveness.WastedNVMBytes, "module", "nvm")
+		}},
+
+	// Per-source demand-latency distributions as real Prometheus
+	// histograms: cumulative _bucket series with log2 `le` bounds straight
+	// from the simulator's fixed-size histograms.
+	{"pageseer_request_latency_cycles", "histogram", "Demand-request HMC service latency by serving source (CPU cycles).",
+		func(res *sim.Results, emit emitFunc) {
+			for src := obs.LatSource(0); src < obs.NumLatSources; src++ {
+				h := res.LatencyHist.H[src]
+				if h.Count == 0 {
+					continue
+				}
+				var cum uint64
+				for bkt := 0; bkt < obs.HistBuckets-1; bkt++ {
+					if h.Counts[bkt] == 0 {
+						continue
+					}
+					cum += h.Counts[bkt]
+					hi, _ := obs.BucketUpper(bkt)
+					emit("_bucket", cum, "source", src.String(), "le", strconv.FormatUint(hi, 10))
+				}
+				emit("_bucket", h.Count, "source", src.String(), "le", "+Inf")
+				emit("_sum", h.Sum, "source", src.String())
+				emit("_count", h.Count, "source", src.String())
+			}
+		}},
 
 	// Cycle-attribution counters (campaigns run with Options.CPI): the raw
 	// material of the CPI stacks, one counter per trigger class x component.
-	counter("pageseer_cpi_cycles_total", "Attributed blame cycles by trigger class and component.")
-	for _, s := range ok {
-		cs := s.Results.CPIStack
-		for cl := attrib.Class(0); cl < attrib.NumClasses; cl++ {
-			st := cs.Class[cl]
-			for c := attrib.Component(0); c < attrib.NumComponents; c++ {
-				if st.Comp[c] == 0 {
-					continue
+	{"pageseer_cpi_cycles_total", "counter", "Attributed blame cycles by trigger class and component.",
+		func(res *sim.Results, emit emitFunc) {
+			for cl := attrib.Class(0); cl < attrib.NumClasses; cl++ {
+				for c := attrib.Component(0); c < attrib.NumComponents; c++ {
+					if n := res.CPIStack.Class[cl].Comp[c]; n != 0 {
+						emit("", n, "class", cl.String(), "component", c.String())
+					}
 				}
-				fmt.Fprintf(&b, "pageseer_cpi_cycles_total{%s,class=%q,component=%q} %d\n",
-					runLabels(s), cl.String(), c.String(), st.Comp[c])
 			}
-		}
-	}
-	counter("pageseer_cpi_requests_total", "Attributed retired demand requests by trigger class.")
-	for _, s := range ok {
-		cs := s.Results.CPIStack
-		for cl := attrib.Class(0); cl < attrib.NumClasses; cl++ {
-			if cs.Class[cl].Requests == 0 {
-				continue
+		}},
+	{"pageseer_cpi_requests_total", "counter", "Attributed retired demand requests by trigger class.",
+		func(res *sim.Results, emit emitFunc) {
+			for cl := attrib.Class(0); cl < attrib.NumClasses; cl++ {
+				if n := res.CPIStack.Class[cl].Requests; n != 0 {
+					emit("", n, "class", cl.String())
+				}
 			}
-			fmt.Fprintf(&b, "pageseer_cpi_requests_total{%s,class=%q} %d\n",
-				runLabels(s), cl.String(), cs.Class[cl].Requests)
-		}
-	}
-	counter("pageseer_cpi_correval_cycles_total", "PageSeer correlation-evaluation cycles (off the demand path).")
-	for _, s := range ok {
-		if s.Results.CPIStack.CorrEvals == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "pageseer_cpi_correval_cycles_total{%s} %d\n",
-			runLabels(s), s.Results.CPIStack.CorrEvalCycles)
-	}
+		}},
+	{"pageseer_cpi_correval_cycles_total", "counter", "PageSeer correlation-evaluation cycles (off the demand path).",
+		func(res *sim.Results, emit emitFunc) {
+			if res.CPIStack.CorrEvals != 0 {
+				emit("", res.CPIStack.CorrEvalCycles)
+			}
+		}},
 
-	counter("pageseer_structure_energy_nanojoules_total", "Table II dynamic energy spent in the SRAM structures, by structure group.")
-	for _, s := range ok {
-		res := s.Results
-		e := stats.Energy(res.RemapCache, res.PCTc, res.Ctl.DataDemand)
-		if e.TotalAccess == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "pageseer_structure_energy_nanojoules_total{%s,structure=\"prtc\"} %g\n", runLabels(s), e.PRTcNanoJ)
-		fmt.Fprintf(&b, "pageseer_structure_energy_nanojoules_total{%s,structure=\"pctc\"} %g\n", runLabels(s), e.PCTcNanoJ)
-		fmt.Fprintf(&b, "pageseer_structure_energy_nanojoules_total{%s,structure=\"all\"} %g\n", runLabels(s), e.TotalNanoJ)
-	}
-	counter("pageseer_structure_accesses_total", "SRAM structure accesses charged by the energy model.")
-	for _, s := range ok {
-		res := s.Results
-		e := stats.Energy(res.RemapCache, res.PCTc, res.Ctl.DataDemand)
-		if e.TotalAccess == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "pageseer_structure_accesses_total{%s} %d\n", runLabels(s), e.TotalAccess)
-	}
-
-	counter("pageseer_faults_injected_total", "Faults the deterministic injector actually injected, by kind.")
-	for _, s := range ok {
-		f := s.Results.Faults
-		for _, kv := range []struct {
-			kind string
-			n    uint64
-		}{
-			{"swap_start_blocked", f.SwapStartsBlocked},
-			{"meta_miss_forced", f.MetaMissesForced},
-			{"issue_stall", f.IssueStalls},
-			{"storm_touch", f.StormTouches},
-		} {
-			if kv.n == 0 {
-				continue
+	{"pageseer_structure_energy_nanojoules_total", "counter", "Table II dynamic energy spent in the SRAM structures, by structure group.",
+		func(res *sim.Results, emit emitFunc) {
+			if e := stats.Energy(res.RemapCache, res.PCTc, res.Ctl.DataDemand); e.TotalAccess != 0 {
+				emit("", e.PRTcNanoJ, "structure", "prtc")
+				emit("", e.PCTcNanoJ, "structure", "pctc")
+				emit("", e.TotalNanoJ, "structure", "all")
 			}
-			fmt.Fprintf(&b, "pageseer_faults_injected_total{%s,kind=%q} %d\n", runLabels(s), kv.kind, kv.n)
-		}
-	}
+		}},
+	{"pageseer_structure_accesses_total", "counter", "SRAM structure accesses charged by the energy model.",
+		func(res *sim.Results, emit emitFunc) {
+			if e := stats.Energy(res.RemapCache, res.PCTc, res.Ctl.DataDemand); e.TotalAccess != 0 {
+				emit("", e.TotalAccess)
+			}
+		}},
+
+	{"pageseer_faults_injected_total", "counter", "Faults the deterministic injector actually injected, by kind.",
+		func(res *sim.Results, emit emitFunc) {
+			f := res.Faults
+			for _, kv := range []struct {
+				kind string
+				n    uint64
+			}{
+				{"swap_start_blocked", f.SwapStartsBlocked},
+				{"meta_miss_forced", f.MetaMissesForced},
+				{"issue_stall", f.IssueStalls},
+				{"storm_touch", f.StormTouches},
+			} {
+				if kv.n != 0 {
+					emit("", kv.n, "kind", kv.kind)
+				}
+			}
+		}},
+
 	// Address-space telemetry (campaigns run with Options.PageMap): churn,
 	// wear, and hot-set size from the per-page table's digest.
-	counter("pageseer_page_flaps_total", "Pagemap flap events: K DRAM<->NVM round trips completed inside the sliding window.")
-	for _, s := range ok {
-		if s.Results.PageMap.UniquePages == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "pageseer_page_flaps_total{%s} %d\n", runLabels(s), s.Results.PageMap.FlapEvents)
-	}
-	counter("pageseer_nvm_wear_writes_total", "NVM line-writes charged by the pagemap wear model (demand, writeback, swap transfer, functional).")
-	for _, s := range ok {
-		if s.Results.PageMap.UniquePages == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "pageseer_nvm_wear_writes_total{%s} %d\n", runLabels(s), s.Results.PageMap.NVMWearWrites)
-	}
-	gauge("pageseer_hot_set_pages", "Smallest page count covering the given fraction of all accesses.")
-	for _, s := range ok {
-		pm := s.Results.PageMap
-		if pm.UniquePages == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "pageseer_hot_set_pages{%s,coverage=\"p50\"} %d\n", runLabels(s), pm.HotSet50)
-		fmt.Fprintf(&b, "pageseer_hot_set_pages{%s,coverage=\"p90\"} %d\n", runLabels(s), pm.HotSet90)
-		fmt.Fprintf(&b, "pageseer_hot_set_pages{%s,coverage=\"p99\"} %d\n", runLabels(s), pm.HotSet99)
-	}
+	{"pageseer_page_flaps_total", "counter", "Pagemap flap events: K DRAM<->NVM round trips completed inside the sliding window.",
+		func(res *sim.Results, emit emitFunc) {
+			if res.PageMap.UniquePages != 0 {
+				emit("", res.PageMap.FlapEvents)
+			}
+		}},
+	{"pageseer_nvm_wear_writes_total", "counter", "NVM line-writes charged by the pagemap wear model (demand, writeback, swap transfer, functional).",
+		func(res *sim.Results, emit emitFunc) {
+			if res.PageMap.UniquePages != 0 {
+				emit("", res.PageMap.NVMWearWrites)
+			}
+		}},
+	{"pageseer_hot_set_pages", "gauge", "Smallest page count covering the given fraction of all accesses.",
+		func(res *sim.Results, emit emitFunc) {
+			if pm := res.PageMap; pm.UniquePages != 0 {
+				emit("", pm.HotSet50, "coverage", "p50")
+				emit("", pm.HotSet90, "coverage", "p90")
+				emit("", pm.HotSet99, "coverage", "p99")
+			}
+		}},
 
-	counter("pageseer_watchdog_checks_total", "Liveness watchdog progress samples taken.")
-	for _, s := range ok {
-		if s.Results.Watchdog.Checks == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "pageseer_watchdog_checks_total{%s} %d\n", runLabels(s), s.Results.Watchdog.Checks)
-	}
-	counter("pageseer_watchdog_strikes_total", "Consecutive no-progress watchdog samples at the final check.")
-	for _, s := range ok {
-		if s.Results.Watchdog.Checks == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "pageseer_watchdog_strikes_total{%s} %d\n", runLabels(s), s.Results.Watchdog.Strikes)
-	}
-	gauge("pageseer_watchdog_max_strikes", "Worst consecutive no-progress watchdog run observed.")
-	for _, s := range ok {
-		if s.Results.Watchdog.Checks == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "pageseer_watchdog_max_strikes{%s} %d\n", runLabels(s), s.Results.Watchdog.MaxStrikes)
-	}
-	return b.String()
+	{"pageseer_watchdog_checks_total", "counter", "Liveness watchdog progress samples taken.",
+		func(res *sim.Results, emit emitFunc) {
+			if res.Watchdog.Checks != 0 {
+				emit("", res.Watchdog.Checks)
+			}
+		}},
+	{"pageseer_watchdog_strikes_total", "counter", "Consecutive no-progress watchdog samples at the final check.",
+		func(res *sim.Results, emit emitFunc) {
+			if res.Watchdog.Checks != 0 {
+				emit("", res.Watchdog.Strikes)
+			}
+		}},
+	{"pageseer_watchdog_max_strikes", "gauge", "Worst consecutive no-progress watchdog run observed.",
+		func(res *sim.Results, emit emitFunc) {
+			if res.Watchdog.Checks != 0 {
+				emit("", res.Watchdog.MaxStrikes)
+			}
+		}},
 }
 
 // runLabels renders a run's identifying Prometheus label pair.

@@ -58,9 +58,7 @@ type Results struct {
 	SwapsPerKI float64
 
 	// EventsFired counts engine events executed during the measured
-	// epoch — the simulator-throughput denominator the campaign bench
-	// record (BENCH_campaign.json) divides wall time by. Deterministic
-	// for a given Config, like every other field.
+	// epoch. Deterministic for a given Config, like every other field.
 	EventsFired uint64
 
 	// Effectiveness is the swap-provenance digest (trigger mix, accuracy,

@@ -295,10 +295,6 @@ func NewFigureRunner(opts FigureOptions) *FigureRunner { return figures.NewRunne
 // (baselines, ablation, no-BW); FigureRunner.RunAll covers them all.
 type FigureNeeds = figures.Needs
 
-// RunMetric is one run's wall-clock/throughput record, as emitted into
-// BENCH_campaign.json by paper-figures -benchjson.
-type RunMetric = figures.RunMetric
-
 // NewIntrospectionHandler builds the live introspection HTTP handler over a
 // FigureRunner: campaign progress on /, per-run JSON on /runs, Prometheus
 // metrics (including latency histograms and CPI cycle counters) on /metrics,

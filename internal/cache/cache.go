@@ -11,7 +11,6 @@ package cache
 
 import (
 	"fmt"
-	"math/bits"
 
 	"pageseer/internal/check"
 	"pageseer/internal/engine"
@@ -60,21 +59,15 @@ type Config struct {
 // simulator is a bug); Validate lets sim.Config.Validate surface the
 // diagnosis as an error before anything is built.
 func (c Config) Validate() error {
-	if c.SizeBytes <= 0 {
-		return fmt.Errorf("cache %s: size %d bytes is not positive", c.Name, c.SizeBytes)
-	}
-	if c.Ways <= 0 {
-		return fmt.Errorf("cache %s: %d ways is not positive", c.Name, c.Ways)
-	}
-	if c.Ways > mem.MaxWays {
-		return fmt.Errorf("cache %s: %d ways exceeds the %d an LRU order word ranks", c.Name, c.Ways, mem.MaxWays)
-	}
 	nLines := c.SizeBytes / mem.LineSize
+	if err := mem.CheckSets(nLines, c.Ways); err != nil {
+		return fmt.Errorf("cache %s: %w", c.Name, err)
+	}
 	if nLines%c.Ways != 0 {
 		return fmt.Errorf("cache %s: size %d not divisible into %d ways", c.Name, c.SizeBytes, c.Ways)
 	}
 	nSets := nLines / c.Ways
-	if nSets <= 0 || nSets&(nSets-1) != 0 {
+	if nSets&(nSets-1) != 0 {
 		return fmt.Errorf("cache %s: %d sets is not a power of two", c.Name, nSets)
 	}
 	return nil
@@ -111,7 +104,6 @@ type mshr struct {
 	// charges their interval to CompMSHR.
 	vwaiters []*attrib.Vector
 	fillFn   func()
-	next     *mshr
 }
 
 // cacheTxn carries one access across this level's tag-lookup latency: the
@@ -125,7 +117,6 @@ type cacheTxn struct {
 	meta  Meta
 	done  func()
 	fn    func()
-	next  *cacheTxn
 }
 
 // Stats holds per-cache counters.
@@ -159,15 +150,8 @@ type Cache struct {
 	next Backend
 	comp attrib.Component // blame component this level's lookup latency is charged to
 
-	// store is the tag store, one contiguous block of ways+2 words per
-	// set: the set's tag words, its LRU order word, then its dirty mask
-	// (bit i for way i). A tag word holds tag+1, so 0 marks an invalid way
-	// and a lookup compares one word per way. A way is named by the store
-	// index of its tag word.
-	store   []uint64
-	ways    int
-	nSets   uint64
-	setBits uint // log2(nSets); Validate guarantees nSets is a power of two
+	// tags holds the resident lines, keyed by line number.
+	tags mem.Sets
 	// mshrs finds the outstanding miss for a line, keyed by line number:
 	// the simulator's stand-in for the MSHR file's CAM, as unbounded as
 	// the file it models.
@@ -178,12 +162,8 @@ type Cache struct {
 	// sampled fast-forward path; nil until first functional use.
 	nextFunc FunctionalBackend
 
-	freeTxn  *cacheTxn
-	freeMSHR *mshr
-	// liveTxn/liveMSHR count pooled records currently checked out. Plain
-	// integer bumps, so the leak audit costs the demand path nothing.
-	liveTxn  int
-	liveMSHR int
+	txnPool  mem.Pool[cacheTxn]
+	mshrPool mem.Pool[mshr]
 }
 
 // New builds a cache over the given backend, scheduling its lookups and
@@ -192,22 +172,13 @@ func New(sim *engine.Sim, cfg Config, next Backend) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	nSets := cfg.SizeBytes / mem.LineSize / cfg.Ways
-	c := &Cache{
-		sim:     sim,
-		cfg:     cfg,
-		next:    next,
-		comp:    blameFor(cfg.Name),
-		store:   make([]uint64, nSets*(cfg.Ways+2)),
-		ways:    cfg.Ways,
-		nSets:   uint64(nSets),
-		setBits: uint(bits.TrailingZeros64(uint64(nSets))),
+	return &Cache{
+		sim:  sim,
+		cfg:  cfg,
+		next: next,
+		comp: blameFor(cfg.Name),
+		tags: mem.NewSets(cfg.SizeBytes/mem.LineSize, cfg.Ways),
 	}
-	order := uint64(mem.NewLRU(cfg.Ways))
-	for base := 0; base < len(c.store); base += cfg.Ways + 2 {
-		c.store[base+cfg.Ways] = order
-	}
-	return c
 }
 
 // blameFor maps a level name to the cycle-accounting component its tag
@@ -230,108 +201,56 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// index splits a line address into the store index of its set's first
-// tag word and the stored tag (tag+1, never 0).
-func (c *Cache) index(l mem.Addr) (base int, want uint64) {
-	n := uint64(l) >> mem.LineShift
-	return int(n&(c.nSets-1)) * (c.ways + 2), n>>c.setBits + 1
-}
-
-// find returns the way holding want in the set at base, or -1.
-func (c *Cache) find(base int, want uint64) int {
-	for i, t := range c.store[base : base+c.ways] {
-		if t == want {
-			return base + i
-		}
-	}
-	return -1
-}
-
-func (c *Cache) lookup(l mem.Addr) int {
-	return c.find(c.index(l))
-}
-
-// victim picks the way an install into the set at base replaces: the
-// least recently used one, which is the first invalid way while the set
-// is not yet full (see mem.NewLRU).
-func (c *Cache) victim(base int) int {
-	return base + mem.LRU(c.store[base+c.ways]).Victim()
-}
-
 // dirtyVictim returns the address of the line way v of the set at base
 // holds when that line is dirty (a way never filled is clean), so
-// installing line l over it must write it back; ok is false otherwise.
-func (c *Cache) dirtyVictim(l mem.Addr, base, v int) (wb mem.Addr, ok bool) {
-	if c.store[base+c.ways+1]>>(v-base)&1 == 0 {
+// installing over it must write it back; ok is false otherwise.
+func (c *Cache) dirtyVictim(base, v int) (wb mem.Addr, ok bool) {
+	if !c.tags.Dirty(base, v) {
 		return 0, false
 	}
-	set := uint64(l) >> mem.LineShift & (c.nSets - 1)
-	return mem.Addr(((c.store[v]-1)*c.nSets + set) << mem.LineShift), true
+	n, _ := c.tags.Key(v)
+	return mem.Addr(n << mem.LineShift), true
 }
 
 // touch makes way w of the set at base the most recently used, marking it
 // dirty on a write.
 func (c *Cache) touch(base, w int, write bool) {
-	o := &c.store[base+c.ways]
-	*o = uint64(mem.LRU(*o).Touch(w-base, c.ways))
+	c.tags.Touch(base, w)
 	if write {
-		c.store[base+c.ways+1] |= 1 << (w - base)
+		c.tags.MarkDirty(base, w)
 	}
-}
-
-// fillWay writes a freshly installed line into way v of the set at base.
-func (c *Cache) fillWay(base, v int, want uint64, dirty bool) {
-	c.store[v] = want
-	c.store[base+c.ways+1] &^= 1 << (v - base)
-	c.touch(base, v, dirty)
 }
 
 func (c *Cache) getTxn() *cacheTxn {
-	c.liveTxn++
-	t := c.freeTxn
+	t := c.txnPool.Get()
 	if t == nil {
 		t = &cacheTxn{c: c}
 		t.fn = func() { t.c.afterTagLookup(t) }
-		return t
 	}
-	c.freeTxn = t.next
-	t.next = nil
 	return t
 }
 
 func (c *Cache) putTxn(t *cacheTxn) {
-	c.liveTxn--
 	t.line, t.write, t.meta, t.done = 0, false, Meta{}, nil
-	t.next = c.freeTxn
-	c.freeTxn = t
+	c.txnPool.Put(t)
 }
 
 func (c *Cache) getMSHR() *mshr {
-	c.liveMSHR++
-	m := c.freeMSHR
+	m := c.mshrPool.Get()
 	if m == nil {
 		m = &mshr{c: c}
 		m.fillFn = func() { m.c.fill(m) }
-		return m
 	}
-	c.freeMSHR = m.next
-	m.next = nil
 	return m
 }
 
 func (c *Cache) putMSHR(m *mshr) {
-	c.liveMSHR--
-	for i := range m.waiters {
-		m.waiters[i] = nil
-	}
+	clear(m.waiters)
 	m.waiters = m.waiters[:0]
-	for i := range m.vwaiters {
-		m.vwaiters[i] = nil
-	}
+	clear(m.vwaiters)
 	m.vwaiters = m.vwaiters[:0]
 	m.line, m.meta, m.write = 0, Meta{}, false
-	m.next = c.freeMSHR
-	c.freeMSHR = m
+	c.mshrPool.Put(m)
 }
 
 // Access requests a line. done fires when the data is available at this
@@ -357,8 +276,8 @@ func (c *Cache) afterTagLookup(t *cacheTxn) {
 	// previous stamp, hit or miss alike (a miss still paid the lookup before
 	// the fetch below was issued).
 	meta.V.Take(c.comp, c.sim.Now())
-	base, want := c.index(l)
-	if w := c.find(base, want); w >= 0 {
+	base := c.tags.Set(mem.LineNum(l))
+	if w := c.tags.Find(base, mem.LineNum(l)); w >= 0 {
 		c.stats.Hits++
 		c.touch(base, w, write)
 		if done != nil {
@@ -416,14 +335,22 @@ func (c *Cache) fill(m *mshr) {
 }
 
 func (c *Cache) install(l mem.Addr, dirty bool, meta Meta) {
-	base, want := c.index(l)
-	v := c.victim(base)
-	if victimAddr, ok := c.dirtyVictim(l, base, v); ok {
+	base := c.tags.Set(mem.LineNum(l))
+	v := c.tags.Victim(base)
+	if victimAddr, ok := c.dirtyVictim(base, v); ok {
 		c.stats.Writebacks++
 		wb := Meta{Core: meta.Core, PID: meta.PID, Writeback: true}
 		c.next.Access(victimAddr, true, wb, nil)
 	}
-	c.fillWay(base, v, want, dirty)
+	c.fillWay(base, v, l, dirty)
+}
+
+// fillWay installs line l into way v of the set at base.
+func (c *Cache) fillWay(base, v int, l mem.Addr, dirty bool) {
+	c.tags.Fill(base, v, mem.LineNum(l))
+	if dirty {
+		c.tags.MarkDirty(base, v)
+	}
 }
 
 // FunctionalBackend is the no-event counterpart of Backend: service a line
@@ -444,8 +371,8 @@ func (c *Cache) AccessFunctional(addr mem.Addr, write bool, meta Meta) {
 	if meta.IsPTE && !c.cfg.AllowPTE {
 		panic(fmt.Sprintf("cache %s: PTE request reached a level that does not cache PTEs", c.cfg.Name))
 	}
-	base, want := c.index(l)
-	if w := c.find(base, want); w >= 0 {
+	base := c.tags.Set(mem.LineNum(l))
+	if w := c.tags.Find(base, mem.LineNum(l)); w >= 0 {
 		c.touch(base, w, write)
 		return
 	}
@@ -473,32 +400,33 @@ func (c *Cache) functionalNext() FunctionalBackend {
 // the same victim choice, with dirty victims written back functionally so
 // lower-level dirty state matches what a detailed run would have produced.
 func (c *Cache) installFunctional(l mem.Addr, dirty bool, meta Meta) {
-	base, want := c.index(l)
-	v := c.victim(base)
-	if victimAddr, ok := c.dirtyVictim(l, base, v); ok {
+	base := c.tags.Set(mem.LineNum(l))
+	v := c.tags.Victim(base)
+	if victimAddr, ok := c.dirtyVictim(base, v); ok {
 		wb := Meta{Core: meta.Core, PID: meta.PID, Writeback: true}
 		c.functionalNext().AccessFunctional(victimAddr, true, wb)
 	}
-	c.fillWay(base, v, want, dirty)
+	c.fillWay(base, v, l, dirty)
 }
 
 // Contains reports whether the line is currently resident (for tests).
 func (c *Cache) Contains(addr mem.Addr) bool {
-	return c.lookup(mem.LineOf(addr)) >= 0
+	n := mem.LineNum(addr)
+	return c.tags.Find(c.tags.Set(n), n) >= 0
 }
 
 // OutstandingMisses returns the number of live MSHRs (for tests).
 func (c *Cache) OutstandingMisses() int { return c.mshrs.Len() }
 
 // Audit reports end-of-run invariant violations: a quiesced cache has no
-// outstanding MSHRs and every pooled record back on its free list.
+// outstanding MSHRs and every pooled record back in its pool.
 func (c *Cache) Audit(a *check.Audit) {
 	a.Checkf(c.mshrs.Len() == 0,
 		"cache %s: %d MSHR(s) still outstanding at quiescence (leaked miss)", c.cfg.Name, c.mshrs.Len())
-	a.Checkf(c.liveMSHR == 0,
-		"cache %s: %d pooled MSHR record(s) never returned", c.cfg.Name, c.liveMSHR)
-	a.Checkf(c.liveTxn == 0,
-		"cache %s: %d pooled access record(s) never returned", c.cfg.Name, c.liveTxn)
+	a.Checkf(c.mshrPool.Live() == 0,
+		"cache %s: %d pooled MSHR record(s) never returned", c.cfg.Name, c.mshrPool.Live())
+	a.Checkf(c.txnPool.Live() == 0,
+		"cache %s: %d pooled access record(s) never returned", c.cfg.Name, c.txnPool.Live())
 }
 
 // ResetStats zeroes all counters (e.g. after warm-up) without touching

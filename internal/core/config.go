@@ -44,8 +44,6 @@ type Config struct {
 	// of misses of a genuine handover. 1 disables the debounce (the raw
 	// single-leader semantics the unit tests pin).
 	LeaderDebounce uint32
-	// MMUDriverLines is the PTE-line cache in the MMU Driver (16).
-	MMUDriverLines int
 	// PTEServeLatency is the cost of serving an intercepted PTE request
 	// from the MMU Driver's cache, in CPU cycles.
 	PTEServeLatency uint64
@@ -92,7 +90,6 @@ func DefaultConfig() Config {
 		HPTEntries:      1024, // 5.3KB / 5.25B
 		FilterEntries:   128,  // 2.2KB / 17.25B
 		LeaderDebounce:  2,
-		MMUDriverLines:  16,
 		PTEServeLatency: 4,
 
 		PRTBytes: 426 << 10,

@@ -65,7 +65,7 @@ func TestZeroAllocCorrelator(t *testing.T) {
 // lines with fills that complete at once, so Obtain mixes hits with
 // misses that evict the least recently used line.
 func BenchmarkPTECacheObtain(b *testing.B) {
-	p := NewPTECache(16)
+	p := NewPTECache()
 	lines := make([]mem.Addr, 1024)
 	x := uint32(1)
 	for i := range lines {
@@ -89,7 +89,7 @@ func BenchmarkPTECacheObtain(b *testing.B) {
 // record. Each round fetches 4 of 24 lines into the 16-line cache and
 // merges three more Obtains into each fetch before completing it.
 func TestZeroAllocPTECacheMerge(t *testing.T) {
-	p := NewPTECache(16)
+	p := NewPTECache()
 	var fills []func()
 	fetch := func(done func()) { fills = append(fills, done) }
 	ready := func() {}

@@ -158,14 +158,14 @@ type PageSeer struct {
 	ffCommits uint64
 	ffVirtual uint64
 
-	// freeCorr heads the pool of correlation-evaluation records (one live
-	// per in-flight PCTc lookup), keeping the per-invocation PCT check off
-	// the allocator. freeHint and freeServe pool the MMU-hint evaluation
-	// and PTE-serve continuations the same way: both ride the page-walk
-	// path, which is per-burst in steady state, not per-warmup.
-	freeCorr  *corrTxn
-	freeHint  *hintEval
-	freeServe *pteServe
+	// corrPool holds the correlation-evaluation records (one live per
+	// in-flight PCTc lookup), keeping the per-invocation PCT check off the
+	// allocator. hintPool and servePool pool the MMU-hint evaluation and
+	// PTE-serve continuations the same way: both ride the page-walk path,
+	// which is per-burst in steady state, not per-warmup.
+	corrPool  mem.Pool[corrTxn]
+	hintPool  mem.Pool[hintEval]
+	servePool mem.Pool[pteServe]
 
 	// att (nil when attribution is off) receives correlation-evaluation
 	// machinery cycles — PCTc lookups are off the request critical path, so
@@ -192,25 +192,20 @@ type corrTxn struct {
 	snap  PCTEntry
 	start uint64 // trigger cycle, for the attribution layer's machinery counter
 	fn    func()
-	next  *corrTxn
 }
 
 func (p *PageSeer) getCorrTxn() *corrTxn {
-	t := p.freeCorr
+	t := p.corrPool.Get()
 	if t == nil {
 		t = &corrTxn{p: p}
 		t.fn = func() { t.p.corrEvaluated(t) }
-		return t
 	}
-	p.freeCorr = t.next
-	t.next = nil
 	return t
 }
 
 func (p *PageSeer) putCorrTxn(t *corrTxn) {
 	t.page, t.kind, t.snap, t.start = 0, 0, PCTEntry{}, 0
-	t.next = p.freeCorr
-	p.freeCorr = t
+	p.corrPool.Put(t)
 }
 
 // hintEval carries one MMU hint through the PTE-line obtain: the fetch and
@@ -223,11 +218,10 @@ type hintEval struct {
 	page    mem.PPN
 	fetchFn func(done func())
 	readyFn func()
-	next    *hintEval
 }
 
 func (p *PageSeer) getHintEval() *hintEval {
-	e := p.freeHint
+	e := p.hintPool.Get()
 	if e == nil {
 		e = &hintEval{p: p}
 		e.fetchFn = func(done func()) {
@@ -243,17 +237,13 @@ func (p *PageSeer) getHintEval() *hintEval {
 			pp.prtc.Prefetch(uint64(page))
 			pp.evaluateCorrelation(page, SwapPrefetchMMU)
 		}
-		return e
 	}
-	p.freeHint = e.next
-	e.next = nil
 	return e
 }
 
 func (p *PageSeer) putHintEval(e *hintEval) {
 	e.line, e.page = 0, 0
-	e.next = p.freeHint
-	p.freeHint = e
+	p.hintPool.Put(e)
 }
 
 // pteServe carries one intercepted PTE-line LLC miss (handlePTERequest)
@@ -265,11 +255,10 @@ type pteServe struct {
 	driverHad bool
 	fetchFn   func(done func())
 	readyFn   func()
-	next      *pteServe
 }
 
 func (p *PageSeer) getPTEServe() *pteServe {
-	s := p.freeServe
+	s := p.servePool.Get()
 	if s == nil {
 		s = &pteServe{p: p}
 		s.fetchFn = func(done func()) {
@@ -286,17 +275,13 @@ func (p *PageSeer) getPTEServe() *pteServe {
 				pp.ctl.ServeDirect(r, hmc.SrcDRAM, pp.cfg.PTEServeLatency)
 			}
 		}
-		return s
 	}
-	p.freeServe = s.next
-	s.next = nil
 	return s
 }
 
 func (p *PageSeer) putPTEServe(s *pteServe) {
 	s.line, s.r, s.driverHad = 0, nil, false
-	s.next = p.freeServe
-	p.freeServe = s
+	p.servePool.Put(s)
 }
 
 // issueLineDemand is the shared demand-priority line fetch the pooled
@@ -341,7 +326,7 @@ func New(ctl *hmc.Controller, cfg Config) *PageSeer {
 	})
 	p.hptDRAM = NewHPT(ctl.Sim, cfg.HPTDecayInterval, cfg.HPTEntries, cfg.CounterMax, pages)
 	p.hptNVM = NewHPT(ctl.Sim, cfg.HPTDecayInterval, cfg.HPTEntries, cfg.CounterMax, pages)
-	p.pte = NewPTECache(cfg.MMUDriverLines)
+	p.pte = NewPTECache()
 	// The same-color constraint is defined over logical PRT entry sets
 	// (Figure 4), independent of the PRTc's physical line organisation.
 	p.nColors = cfg.PRTcEntries / cfg.PRTcWays

@@ -28,10 +28,8 @@ type filterEntry struct {
 	count  uint32   // misses observed this invocation
 	succ   [2]successor
 	lru    uint64 // recency stamp; the LRU list keeps entries in lru order
-	// older/newer link the Filter's LRU list; next links the free list
-	// while the entry is recycled.
+	// older/newer link the Filter's LRU list.
 	older, newer *filterEntry
-	next         *filterEntry
 }
 
 // leadState is one pid's current invocation: the leader page, and the
@@ -76,10 +74,10 @@ type Correlator struct {
 	leads          []leadState // indexed by pid, grown on demand
 	tick           uint64
 	stats          CorrelatorStats
-	// freeFE recycles filter entries: leader changes are per-flurry events
+	// fePool recycles filter entries: leader changes are per-flurry events
 	// in steady state, so allocating an entry per invocation would charge
 	// the demand path's allocation budget.
-	freeFE *filterEntry
+	fePool mem.Pool[filterEntry]
 	// onWriteback lets the manager mark the PCTc entry dirty when the fold
 	// effectively changes a swap decision (the change bit of Figure 6).
 	onWriteback func(leader mem.PPN, effective bool)
@@ -183,12 +181,10 @@ func (c *Correlator) OnMiss(pid int, page mem.PPN) (firstMiss bool) {
 	if c.filterN >= c.cfg.FilterEntries {
 		c.evictLRU()
 	}
-	if fe = c.freeFE; fe != nil {
-		c.freeFE = fe.next
-		*fe = filterEntry{pid: pid, leader: page, old: c.pct[page], count: 1}
-	} else {
-		fe = &filterEntry{pid: pid, leader: page, old: c.pct[page], count: 1}
+	if fe = c.fePool.Get(); fe == nil {
+		fe = new(filterEntry)
 	}
+	*fe = filterEntry{pid: pid, leader: page, old: c.pct[page], count: 1}
 	if fe.old.HasFollower {
 		fe.succ[0] = successor{page: fe.old.Follower, valid: true}
 	}
@@ -342,8 +338,7 @@ func (c *Correlator) writeback(fe *filterEntry) {
 	c.filter[fe.leader] = nil
 	c.filterN--
 	c.unlink(fe)
-	fe.next = c.freeFE
-	c.freeFE = fe
+	c.fePool.Put(fe)
 	c.stats.Writebacks++
 	if effective {
 		c.stats.EffectiveWritebacks++

@@ -2,32 +2,27 @@ package core
 
 import "pageseer/internal/mem"
 
+// MMUDriverLines is the size of the MMU Driver's PTE-line cache (Table II).
+const MMUDriverLines = 16
+
 // PTECache is the MMU Driver's small cache of memory lines holding PTEs
-// (16 lines in Table II). It is filled by MMU hints and consulted when an
-// LLC miss requesting a PTE line reaches the controller; the paper measures
-// a >99% hit rate for those requests (Section V-B).
+// (MMUDriverLines lines, one fully associative set). It is filled by MMU
+// hints and consulted when an LLC miss requesting a PTE line reaches the
+// controller; the paper measures a >99% hit rate for those requests
+// (Section V-B).
 type PTECache struct {
-	capacity int
-	lines    []pteLine // resident lines, at most capacity
+	lines mem.Sets // resident lines, keyed by line number
 	// pending holds the in-flight fetches, keyed by line number; later
 	// Obtains of a pending line park on its record.
 	pending mem.Table[*pteFill]
-	tick    uint64
-
 	// Fetch records are recycled with their waiter arrays: Obtain sits on
 	// the MMU-hint path, which fires on every page walk, so per-miss
 	// closure and slice allocations would land on the steady-state budget.
-	freeFill *pteFill
+	fills mem.Pool[pteFill]
 
 	hits        uint64
 	pendingHits uint64
 	misses      uint64
-}
-
-// pteLine is one resident line and its LRU stamp.
-type pteLine struct {
-	line  mem.Addr
-	stamp uint64
 }
 
 // pteFill is one in-flight fetch: the Obtain calls waiting on it and its
@@ -37,17 +32,13 @@ type pteFill struct {
 	line    mem.Addr
 	waiters []func()
 	fn      func()
-	next    *pteFill
 }
 
 func (p *PTECache) getFill(line mem.Addr) *pteFill {
-	f := p.freeFill
+	f := p.fills.Get()
 	if f == nil {
 		f = &pteFill{p: p}
 		f.fn = func() { f.p.filled(f) }
-	} else {
-		p.freeFill = f.next
-		f.next = nil
 	}
 	f.line = line
 	return f
@@ -64,16 +55,12 @@ func (p *PTECache) filled(f *pteFill) {
 	}
 	clear(f.waiters)
 	f.line, f.waiters = 0, f.waiters[:0]
-	f.next = p.freeFill
-	p.freeFill = f
+	p.fills.Put(f)
 }
 
 // NewPTECache builds an empty PTE-line cache.
-func NewPTECache(capacity int) *PTECache {
-	return &PTECache{
-		capacity: capacity,
-		lines:    make([]pteLine, 0, capacity),
-	}
+func NewPTECache() *PTECache {
+	return &PTECache{lines: mem.NewSets(MMUDriverLines, MMUDriverLines)}
 }
 
 // Hits returns how many Obtain calls found the line resident.
@@ -87,22 +74,19 @@ func (p *PTECache) PendingHits() uint64 { return p.pendingHits }
 func (p *PTECache) Misses() uint64 { return p.misses }
 
 // Len returns the number of resident lines.
-func (p *PTECache) Len() int { return len(p.lines) }
+func (p *PTECache) Len() int {
+	n := 0
+	for w := range MMUDriverLines {
+		if _, ok := p.lines.Key(w); ok {
+			n++
+		}
+	}
+	return n
+}
 
 // Contains reports residency without touching LRU.
 func (p *PTECache) Contains(line mem.Addr) bool {
-	return p.find(mem.LineOf(line)) >= 0
-}
-
-// find returns line's index in lines, or -1. The cache is a handful of
-// lines (16 in Table II), so a linear search beats hashing.
-func (p *PTECache) find(line mem.Addr) int {
-	for i := range p.lines {
-		if p.lines[i].line == line {
-			return i
-		}
-	}
-	return -1
+	return p.lines.Find(0, mem.LineNum(line)) >= 0
 }
 
 // Pending reports whether a fetch for line is in flight.
@@ -117,9 +101,9 @@ func (p *PTECache) Pending(line mem.Addr) bool {
 // line without a new memory access.
 func (p *PTECache) Obtain(line mem.Addr, fetch func(done func()), ready func()) (servedFromCache bool) {
 	line = mem.LineOf(line)
-	if i := p.find(line); i >= 0 {
+	if w := p.lines.Find(0, mem.LineNum(line)); w >= 0 {
 		p.hits++
-		p.touch(i)
+		p.lines.Touch(0, w)
 		ready()
 		return true
 	}
@@ -136,27 +120,13 @@ func (p *PTECache) Obtain(line mem.Addr, fetch func(done func()), ready func()) 
 	return false
 }
 
+// insert makes line resident and the most recently used, displacing the
+// least recently used line when the cache is full.
 func (p *PTECache) insert(line mem.Addr) {
-	i := p.find(line)
-	switch {
-	case i >= 0:
-	case len(p.lines) < max(p.capacity, 1):
-		i = len(p.lines)
-		p.lines = append(p.lines, pteLine{line: line})
-	default:
-		// Full: the new line takes the least recently used slot.
-		i = 0
-		for j := range p.lines {
-			if p.lines[j].stamp < p.lines[i].stamp {
-				i = j
-			}
-		}
-		p.lines[i].line = line
+	n := mem.LineNum(line)
+	w := p.lines.Find(0, n)
+	if w < 0 {
+		w = p.lines.Victim(0)
 	}
-	p.touch(i)
-}
-
-func (p *PTECache) touch(i int) {
-	p.tick++
-	p.lines[i].stamp = p.tick
+	p.lines.Fill(0, w, n)
 }

@@ -24,7 +24,7 @@ func (d *deferredFetch) complete(line mem.Addr) {
 }
 
 func TestPTECacheCounters(t *testing.T) {
-	p := NewPTECache(16)
+	p := NewPTECache()
 	d := &deferredFetch{done: map[mem.Addr]func(){}}
 	ready := func() {}
 	if p.Obtain(0x1000, d.fetch(0x1000), ready) {
@@ -46,7 +46,7 @@ func TestPTECacheCounters(t *testing.T) {
 }
 
 func TestPTECacheWaitersRunInArrivalOrder(t *testing.T) {
-	p := NewPTECache(16)
+	p := NewPTECache()
 	d := &deferredFetch{done: map[mem.Addr]func(){}}
 	var order []int
 	for i := 0; i < 4; i++ {
@@ -70,7 +70,7 @@ func TestPTECacheWaitersRunInArrivalOrder(t *testing.T) {
 }
 
 func TestPTECacheContainsPendingLen(t *testing.T) {
-	p := NewPTECache(16)
+	p := NewPTECache()
 	d := &deferredFetch{done: map[mem.Addr]func(){}}
 	p.Obtain(0x4010, d.fetch(0x4000), func() {})
 	if !p.Pending(0x4038) || p.Contains(0x4000) || p.Len() != 0 {
@@ -132,7 +132,7 @@ func (r *refPTECache) fill(line mem.Addr) {
 func TestPTECacheLRUMatchesReference(t *testing.T) {
 	const universe = 40
 	rng := rand.New(rand.NewSource(7))
-	p := NewPTECache(16)
+	p := NewPTECache()
 	ref := &refPTECache{capacity: 16, lines: map[mem.Addr]uint64{}}
 	d := &deferredFetch{done: map[mem.Addr]func(){}}
 	lineOf := func(i int) mem.Addr { return mem.Addr(i * mem.LineSize) }

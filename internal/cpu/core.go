@@ -63,11 +63,11 @@ type Core struct {
 	frontTime   uint64 // frontend's instruction clock
 	pumping     bool
 
-	// freeTxn heads the pool of per-access transaction records. The pool
+	// txnPool holds the per-access transaction records. The pool
 	// never exceeds MaxOutstanding entries, and each entry binds its
 	// continuation closures exactly once, so the steady-state demand path
 	// issues memory operations without allocating.
-	freeTxn *memTxn
+	txnPool mem.Pool[memTxn]
 	pumpFn  func()
 
 	// att, when non-nil, receives each retired memory operation's blame
@@ -94,7 +94,6 @@ type memTxn struct {
 	issueFn func()
 	transFn func(mem.PPN)
 	doneFn  func()
-	next    *memTxn
 }
 
 // NewCore wires a core to its MMU, L1, and trace generator.
@@ -110,23 +109,19 @@ func NewCore(sim *engine.Sim, id, pid int, cfg CoreConfig, m *mmu.MMU, l1 *cache
 // getTxn pops a transaction record from the pool, minting (and binding) a
 // new one only while the pool is still warming toward MaxOutstanding.
 func (c *Core) getTxn() *memTxn {
-	t := c.freeTxn
+	t := c.txnPool.Get()
 	if t == nil {
 		t = &memTxn{c: c}
 		t.issueFn = func() { t.c.issue(t) }
 		t.transFn = func(ppn mem.PPN) { t.c.translated(t, ppn) }
 		t.doneFn = func() { t.c.accessDone(t) }
-		return t
 	}
-	c.freeTxn = t.next
-	t.next = nil
 	return t
 }
 
 func (c *Core) putTxn(t *memTxn) {
 	t.acc = workload.Access{}
-	t.next = c.freeTxn
-	c.freeTxn = t
+	c.txnPool.Put(t)
 }
 
 // Stats returns a snapshot of the core's counters.

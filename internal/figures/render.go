@@ -50,7 +50,7 @@ func Table2(scale int) string {
 	fmt.Fprintf(&b, "  PCTc                         %d entries, %d-way, %d-cycle hit\n", cfg.PCTcEntries, cfg.PCTcWays, cfg.PCTcHitLatency)
 	fmt.Fprintf(&b, "  HPT (each)                   %d entries, fully associative\n", cfg.HPTEntries)
 	fmt.Fprintf(&b, "  Filter                       %d entries, fully associative\n", cfg.FilterEntries)
-	fmt.Fprintf(&b, "  MMU Driver                   %d PTE lines, 64B each\n", cfg.MMUDriverLines)
+	fmt.Fprintf(&b, "  MMU Driver                   %d PTE lines, 64B each\n", core.MMUDriverLines)
 	fmt.Fprintf(&b, "  PRT in DRAM                  %dKB   PCT in DRAM: %dKB\n", cfg.PRTBytes>>10, cfg.PCTBytes>>10)
 	fmt.Fprintf(&b, "  Area/energy per access (from the paper's CACTI analysis):\n")
 	for _, e := range stats.TableII() {

@@ -39,7 +39,7 @@ const (
 // is the OS-visible physical address — remapping below the LLC means every
 // request must be translated by the manager before touching memory.
 //
-// Requests are pooled by the controller: a record returns to the free list
+// Requests are pooled by the controller: a record returns to the pool
 // when it completes (or, for writebacks, when its write is issued), so the
 // per-request allocation the controller used to pay — the record itself
 // plus the memory-completion closure — disappears in steady state.
@@ -64,7 +64,6 @@ type Request struct {
 	directFn  func()
 	routeFn   func()
 	bufFn     func()
-	next      *Request
 }
 
 // RouteFn returns the request's pre-bound routing continuation: it
@@ -154,8 +153,7 @@ type Controller struct {
 	ffMgr   FunctionalManager    // mgr's functional path, nil if unsupported
 	ffHint  mmu.FunctionalHinter // mgr's functional hint path, nil if unsupported
 	stats   Stats
-	freeReq *Request
-	liveReq int // pooled request records currently checked out
+	reqPool mem.Pool[Request]
 
 	// epoch advances on every ResetStats. A request checked out under an
 	// older epoch had its arrival counted in statistics that were since
@@ -275,8 +273,7 @@ func (c *Controller) Injector() *check.Injector { return c.inj }
 // release, so a freed record keeps served=true until reuse — a stale
 // double-completion in the window between free and reuse still panics.
 func (c *Controller) getRequest() *Request {
-	c.liveReq++
-	r := c.freeReq
+	r := c.reqPool.Get()
 	if r == nil {
 		r = &Request{ctl: c}
 		r.memDoneFn = func() {
@@ -288,9 +285,6 @@ func (c *Controller) getRequest() *Request {
 		r.directFn = func() { r.ctl.complete(r, r.src) }
 		r.routeFn = func() { r.ctl.routeTranslated(r) }
 		r.bufFn = func() { r.ctl.ServeBuffer(r) }
-	} else {
-		c.freeReq = r.next
-		r.next = nil
 	}
 	r.served = false
 	r.pteSrc = false
@@ -300,11 +294,9 @@ func (c *Controller) getRequest() *Request {
 }
 
 func (c *Controller) putRequest(r *Request) {
-	c.liveReq--
 	r.Line, r.Write, r.Meta, r.Arrival = 0, false, cache.Meta{}, 0
 	r.done = nil
-	r.next = c.freeReq
-	c.freeReq = r
+	c.reqPool.Put(r)
 }
 
 // Access implements cache.Backend: the LLC's next level.
@@ -651,8 +643,8 @@ func (c *Controller) VerifyIntegrity() error { return c.mgr.CheckIntegrity() }
 // conservation — each data-demand request was served by exactly one of
 // DRAM, NVM, or the swap buffers.
 func (c *Controller) Audit(a *check.Audit) {
-	a.Checkf(c.liveReq == 0,
-		"hmc: %d pooled request record(s) never completed", c.liveReq)
+	a.Checkf(c.reqPool.Live() == 0,
+		"hmc: %d pooled request record(s) never completed", c.reqPool.Live())
 	a.Checkf(len(c.frozen) == 0,
 		"hmc: %d page(s) still frozen by DMA at quiescence", len(c.frozen))
 	served := c.stats.ServedDRAM + c.stats.ServedNVM + c.stats.ServedBuf

@@ -54,17 +54,8 @@ type MetaCacheConfig struct {
 // sim.Config.Validate surface the diagnosis as an error before anything is
 // built.
 func (c MetaCacheConfig) Validate() error {
-	if c.Entries <= 0 {
-		return fmt.Errorf("hmc: meta cache %s: %d entries is not positive", c.Name, c.Entries)
-	}
-	if c.Ways <= 0 {
-		return fmt.Errorf("hmc: meta cache %s: %d ways is not positive", c.Name, c.Ways)
-	}
-	if c.Ways > mem.MaxWays {
-		return fmt.Errorf("hmc: meta cache %s: %d ways exceeds the %d an LRU order word ranks", c.Name, c.Ways, mem.MaxWays)
-	}
-	if c.Entries/c.Ways < 1 {
-		return fmt.Errorf("hmc: meta cache %s has %d entries < %d ways", c.Name, c.Entries, c.Ways)
+	if err := mem.CheckSets(c.Entries, c.Ways); err != nil {
+		return fmt.Errorf("hmc: meta cache %s: %w", c.Name, err)
 	}
 	if c.EntriesPerLine < 0 {
 		return fmt.Errorf("hmc: meta cache %s: %d entries per line is negative", c.Name, c.EntriesPerLine)
@@ -104,21 +95,14 @@ type MetaCache struct {
 	region MetaRegion
 	issue  IssueFunc
 
-	epl  uint64
-	sets uint64
-	// store holds the entries, one block of ways+2 words per set: a key
-	// word per way (key+1, 0 = invalid), the set's LRU order word, then its
-	// dirty mask (bit i for way i). An entry is named by the store index of
-	// its key word.
-	store []uint64
-	ways  int
+	epl uint64
+	// sets holds the resident entries, keyed by entry index.
+	sets mem.Sets
 	// pending holds the in-flight DRAM line fetches, keyed by line index;
 	// later misses to a pending line park on its record.
 	pending   mem.Table[*fetchTxn]
-	freeTxn   *metaTxn
-	freeFetch *fetchTxn
-	liveTxn   int // pooled access records checked out
-	liveFetch int // pooled fetch records checked out
+	txnPool   mem.Pool[metaTxn]
+	fetchPool mem.Pool[fetchTxn]
 	stats     MetaCacheStats
 
 	// inj (nil when off) forces resident entries to refetch (thrash); set
@@ -142,28 +126,21 @@ type metaTxn struct {
 
 	lookFn func()
 	fillFn func()
-	next   *metaTxn
 }
 
 func (c *MetaCache) getTxn() *metaTxn {
-	c.liveTxn++
-	t := c.freeTxn
+	t := c.txnPool.Get()
 	if t == nil {
 		t = &metaTxn{c: c}
 		t.lookFn = func() { t.c.lookStage(t) }
 		t.fillFn = func() { t.c.fillStage(t) }
-		return t
 	}
-	c.freeTxn = t.next
-	t.next = nil
 	return t
 }
 
 func (c *MetaCache) putTxn(t *metaTxn) {
-	c.liveTxn--
 	t.key, t.dirty, t.urgent, t.start, t.v, t.done = 0, false, false, 0, nil, nil
-	t.next = c.freeTxn
-	c.freeTxn = t
+	c.txnPool.Put(t)
 }
 
 // fetchTxn carries one in-flight DRAM line fetch with its pre-bound return
@@ -175,28 +152,21 @@ type fetchTxn struct {
 	lk      uint64
 	waiters []func()
 	fn      func()
-	next    *fetchTxn
 }
 
 func (c *MetaCache) getFetch() *fetchTxn {
-	c.liveFetch++
-	t := c.freeFetch
+	t := c.fetchPool.Get()
 	if t == nil {
 		t = &fetchTxn{c: c}
 		t.fn = func() { t.c.fetchDone(t) }
-		return t
 	}
-	c.freeFetch = t.next
-	t.next = nil
 	return t
 }
 
 func (c *MetaCache) putFetch(t *fetchTxn) {
-	c.liveFetch--
 	clear(t.waiters)
 	t.lk, t.waiters = 0, t.waiters[:0]
-	t.next = c.freeFetch
-	c.freeFetch = t
+	c.fetchPool.Put(t)
 }
 
 // NewMetaCache builds a metadata cache over a DRAM region.
@@ -207,32 +177,18 @@ func NewMetaCache(sim *engine.Sim, cfg MetaCacheConfig, region MetaRegion, issue
 	if cfg.EntriesPerLine < 1 {
 		cfg.EntriesPerLine = 1
 	}
-	nSets := cfg.Entries / cfg.Ways
-	c := &MetaCache{
+	return &MetaCache{
 		sim:    sim,
 		cfg:    cfg,
 		region: region,
 		issue:  issue,
 		epl:    uint64(cfg.EntriesPerLine),
-		sets:   uint64(nSets),
-		store:  make([]uint64, nSets*(cfg.Ways+2)),
-		ways:   cfg.Ways,
+		sets:   mem.NewSets(cfg.Entries, cfg.Ways),
 	}
-	order := uint64(mem.NewLRU(cfg.Ways))
-	for base := 0; base < len(c.store); base += cfg.Ways + 2 {
-		c.store[base+cfg.Ways] = order
-	}
-	return c
 }
 
 // Config returns the cache configuration.
 func (c *MetaCache) Config() MetaCacheConfig { return c.cfg }
-
-// Sets returns the number of sets.
-func (c *MetaCache) Sets() int { return int(c.sets) }
-
-// SetOf returns the set index key maps to.
-func (c *MetaCache) SetOf(key uint64) int { return int(key % c.sets) }
 
 // Stats returns a snapshot of the counters.
 func (c *MetaCache) Stats() MetaCacheStats { return c.stats }
@@ -240,24 +196,10 @@ func (c *MetaCache) Stats() MetaCacheStats { return c.stats }
 // lineKey groups adjacent table entries that share a DRAM line.
 func (c *MetaCache) lineKey(key uint64) uint64 { return key / c.epl }
 
-// base returns the store index of set's first key word.
-func (c *MetaCache) base(set int) int { return set * (c.ways + 2) }
-
-// findIn returns the entry holding key in the set at base, or -1.
-func (c *MetaCache) findIn(base int, key uint64) int {
-	for i, k := range c.store[base : base+c.ways] {
-		if k == key+1 {
-			return base + i
-		}
-	}
-	return -1
-}
-
-// find locates key: the store index of its set's block and of its entry
-// (-1 when absent).
+// find locates key: the base of its set and its way (-1 when absent).
 func (c *MetaCache) find(key uint64) (base, e int) {
-	base = c.base(c.SetOf(key))
-	return base, c.findIn(base, key)
+	base = c.sets.Set(key)
+	return base, c.sets.Find(base, key)
 }
 
 // Present reports whether key is cached (no LRU update, no timing).
@@ -398,32 +340,28 @@ func (c *MetaCache) fetchDone(t *fetchTxn) {
 // to charge it to).
 func (c *MetaCache) installLine(lk uint64, writeback bool) {
 	key := lk * c.epl
-	set := c.SetOf(key)
+	base := c.sets.Set(key)
 	for end := key + c.epl; key < end; key++ {
-		c.install(c.base(set), key, writeback)
-		if set++; set == int(c.sets) {
-			set = 0
-		}
+		c.install(base, key, writeback)
+		base = c.sets.Next(base)
 	}
 }
 
 // install puts key into the set at base over its LRU entry unless it is
 // already resident.
 func (c *MetaCache) install(base int, key uint64, writeback bool) {
-	if c.findIn(base, key) >= 0 {
+	if c.sets.Find(base, key) >= 0 {
 		return
 	}
-	v := base + mem.LRU(c.store[base+c.ways]).Victim()
-	bit := uint64(1) << (v - base)
-	if writeback && c.store[base+c.ways+1]&bit != 0 {
+	v := c.sets.Victim(base)
+	if writeback && c.sets.Dirty(base, v) {
 		// Write the evicted entry back to the DRAM table (change-bit
 		// behaviour: only dirty entries go back, Section III-C2).
 		c.stats.Writebacks++
-		c.issue(c.region.EntryAddr(c.store[v]-1), true, PrioSwap, nil)
+		old, _ := c.sets.Key(v)
+		c.issue(c.region.EntryAddr(old), true, PrioSwap, nil)
 	}
-	c.store[v] = key + 1
-	c.store[base+c.ways+1] &^= bit
-	c.touch(base, v, false)
+	c.sets.Fill(base, v, key)
 }
 
 // AccessFunctional warms residency for key with no timing, no events, and
@@ -435,7 +373,7 @@ func (c *MetaCache) AccessFunctional(key uint64, dirty bool) {
 	base, e := c.find(key)
 	if e < 0 {
 		c.installLine(c.lineKey(key), false)
-		if e = c.findIn(base, key); e < 0 {
+		if e = c.sets.Find(base, key); e < 0 {
 			return
 		}
 	}
@@ -445,17 +383,16 @@ func (c *MetaCache) AccessFunctional(key uint64, dirty bool) {
 // MarkDirty sets the dirty bit of a resident entry (no timing).
 func (c *MetaCache) MarkDirty(key uint64) {
 	if base, e := c.find(key); e >= 0 {
-		c.store[base+c.ways+1] |= 1 << (e - base)
+		c.sets.MarkDirty(base, e)
 	}
 }
 
 // touch makes entry e of the set at base the most recently used, marking
 // it dirty if asked.
 func (c *MetaCache) touch(base, e int, dirty bool) {
-	o := &c.store[base+c.ways]
-	*o = uint64(mem.LRU(*o).Touch(e-base, c.ways))
+	c.sets.Touch(base, e)
 	if dirty {
-		c.store[base+c.ways+1] |= 1 << (e - base)
+		c.sets.MarkDirty(base, e)
 	}
 }
 
@@ -463,14 +400,14 @@ func (c *MetaCache) touch(base, e int, dirty bool) {
 func (c *MetaCache) SetInjector(i *check.Injector) { c.inj = i }
 
 // Audit reports end-of-run invariant violations: a quiesced metadata cache
-// has no pending line fetches and every pooled record back on its free list.
+// has no pending line fetches and every pooled record back in its pool.
 func (c *MetaCache) Audit(a *check.Audit) {
 	a.Checkf(c.pending.Len() == 0,
 		"meta cache %s: %d line fetch(es) still pending at quiescence", c.cfg.Name, c.pending.Len())
-	a.Checkf(c.liveTxn == 0,
-		"meta cache %s: %d pooled access record(s) never returned", c.cfg.Name, c.liveTxn)
-	a.Checkf(c.liveFetch == 0,
-		"meta cache %s: %d pooled fetch record(s) never returned", c.cfg.Name, c.liveFetch)
+	a.Checkf(c.txnPool.Live() == 0,
+		"meta cache %s: %d pooled access record(s) never returned", c.cfg.Name, c.txnPool.Live())
+	a.Checkf(c.fetchPool.Live() == 0,
+		"meta cache %s: %d pooled fetch record(s) never returned", c.cfg.Name, c.fetchPool.Live())
 }
 
 // ResetStats zeroes the cache counters (e.g. after warm-up) without

@@ -113,15 +113,6 @@ func TestMetaCacheCleanEvictionSilent(t *testing.T) {
 	}
 }
 
-func TestSetOfStable(t *testing.T) {
-	_, c, _ := testMetaCache(1)
-	for _, k := range []uint64{0, 1, 99999, 1 << 40} {
-		if c.SetOf(k) != int(k%uint64(c.Sets())) {
-			t.Fatalf("SetOf(%d) inconsistent", k)
-		}
-	}
-}
-
 // Property: after Access(k) completes, Present(k) is true; repeated accesses
 // to a working set no larger than one set's ways never miss again.
 func TestMetaCacheResidencyProperty(t *testing.T) {

@@ -154,7 +154,6 @@ type opLine struct {
 	// array keeps its capacity across reuses.
 	waiters []waiter
 	readFn  func()
-	next    *opLine
 }
 
 // runningOp is one in-flight swap operation. Pooled like opLine: the
@@ -174,7 +173,6 @@ type runningOp struct {
 	nvmWrites  uint64 // current stage's line-writes to the NVM module (probe only)
 	waiting    int    // demand requests parked on the op's lines
 	writeFn    func()
-	next       *runningOp
 }
 
 // waiter is one demand request parked on an in-flight swap line: its
@@ -200,10 +198,8 @@ type SwapEngine struct {
 	// number, for interception. When ops overlap on a line, the last one
 	// to start owns it.
 	lineOwner mem.Table[*opLine]
-	freeOp    *runningOp
-	freeLine  *opLine
-	liveOp    int // pooled op records checked out
-	liveLine  int // pooled line records checked out
+	opPool    mem.Pool[runningOp]
+	linePool  mem.Pool[opLine]
 	stats     SwapEngineStats
 
 	// inj (nil when off) forces buffer exhaustion and demand storms; set
@@ -233,20 +229,15 @@ func NewSwapEngine(sim *engine.Sim, cfg SwapEngineConfig, issue IssueFunc, promo
 }
 
 func (e *SwapEngine) getOp() *runningOp {
-	e.liveOp++
-	r := e.freeOp
+	r := e.opPool.Get()
 	if r == nil {
 		r = &runningOp{e: e}
 		r.writeFn = func() { r.e.writeDone(r) }
-		return r
 	}
-	e.freeOp = r.next
-	r.next = nil
 	return r
 }
 
 func (e *SwapEngine) putOp(r *runningOp) {
-	e.liveOp--
 	for i := range r.order {
 		clear(r.order[i])
 		r.order[i] = r.order[i][:0]
@@ -256,30 +247,23 @@ func (e *SwapEngine) putOp(r *runningOp) {
 	r.stage = 0
 	r.nextRead, r.inflight, r.readsLeft, r.writesLeft = 0, 0, 0, 0
 	r.nvmWrites = 0
-	r.next = e.freeOp
-	e.freeOp = r
+	e.opPool.Put(r)
 }
 
 func (e *SwapEngine) getLine() *opLine {
-	e.liveLine++
-	l := e.freeLine
+	l := e.linePool.Get()
 	if l == nil {
 		l = &opLine{e: e}
 		l.readFn = func() { l.e.readDone(l) }
-		return l
 	}
-	e.freeLine = l.next
-	l.next = nil
 	return l
 }
 
 func (e *SwapEngine) putLine(l *opLine) {
-	e.liveLine--
 	l.r = nil
 	l.status = lineUnissued
 	l.stage, l.src, l.dst = 0, 0, 0
-	l.next = e.freeLine
-	e.freeLine = l
+	e.linePool.Put(l)
 }
 
 // Stats returns a snapshot of the counters.
@@ -596,10 +580,10 @@ func (e *SwapEngine) Audit(a *check.Audit) {
 		"swap engine: %d op(s) still running at quiescence", len(e.running))
 	a.Checkf(e.lineOwner.Len() == 0,
 		"swap engine: %d line(s) still intercepted with no running op", e.lineOwner.Len())
-	a.Checkf(e.liveOp == 0,
-		"swap engine: %d pooled op record(s) never returned", e.liveOp)
-	a.Checkf(e.liveLine == 0,
-		"swap engine: %d pooled line record(s) never returned", e.liveLine)
+	a.Checkf(e.opPool.Live() == 0,
+		"swap engine: %d pooled op record(s) never returned", e.opPool.Live())
+	a.Checkf(e.linePool.Live() == 0,
+		"swap engine: %d pooled line record(s) never returned", e.linePool.Live())
 	a.Checkf(e.stats.OpsStarted == e.stats.OpsCompleted,
 		"swap engine: %d op(s) started but %d completed", e.stats.OpsStarted, e.stats.OpsCompleted)
 }

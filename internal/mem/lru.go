@@ -13,9 +13,9 @@ const nibbles = 0x1111_1111_1111_1111
 // LRU is the recency order of one set of at most MaxWays ways: the way
 // numbers in rank order, one per nibble, least recently used in the low
 // nibble and most recently used in nibble ways-1. Nibbles above that stay
-// zero. The caches, the metadata caches and the TLBs keep one word per set
-// in place of per-way recency stamps, so a victim is one mask and a touch a
-// handful of word operations, with no scan over the ways.
+// zero. Sets keeps one word per set in place of per-way recency stamps, so
+// a victim is one mask and a touch a handful of word operations, with no
+// scan over the ways.
 type LRU uint64
 
 // NewLRU returns the order of a set of the given number of ways, none of
@@ -34,17 +34,14 @@ func NewLRU(ways int) LRU {
 // Victim returns the least recently used way.
 func (o LRU) Victim() int { return int(o & 0xf) }
 
-// Touch returns o with way w moved to the most recently used rank of a
-// set of the given number of ways; the ways ranked above w each move down
-// one rank. w's rank is found as the lowest zero nibble of o XOR w (the
-// borrow trick marks it exactly, since no nibble below it is zero).
-func (o LRU) Touch(w, ways int) LRU {
+// Touch returns o with way w moved to the most recently used rank, whose
+// nibble starts at bit top (4*(ways-1) for a set of ways ways); the ways
+// ranked above w each move down one rank. w's rank is found as the lowest
+// zero nibble of o XOR w (the borrow trick marks it exactly, since no
+// nibble below it is zero); masking its bit offset (always a no-op on the
+// nibble boundary) tells the compiler every shift is under 64.
+func (o LRU) Touch(w int, top uint) LRU {
 	x := uint64(o) ^ uint64(w)*nibbles
-	z := (x - nibbles) &^ x & (nibbles << 3)
-	// Bit offset of w's rank; the mask (always a no-op on the nibble
-	// boundary) also tells the compiler every shift below is under 64.
-	p := uint(bits.TrailingZeros64(z)) & 60
-	below := uint64(o) & (1<<p - 1)
-	above := uint64(o) >> p >> 4 << p
-	return LRU(below | above | uint64(w)<<(uint(ways-1)*4&63))
+	p := uint(bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3))) & 60
+	return LRU(uint64(o)&(1<<p-1) | uint64(o)>>p>>4<<p | uint64(w)<<(top&63))
 }

@@ -57,7 +57,7 @@ func TestLRUMatchesStampRule(t *testing.T) {
 					w = rng.Intn(filled) // ways fill lowest index first
 				}
 				ref.touch(w)
-				o = o.Touch(w, ways)
+				o = o.Touch(w, 4*uint(ways-1))
 				if got := o.Victim(); got != ref.victim() {
 					t.Fatalf("ways %d, step %d: after touching %d victim %d, stamp rule %d",
 						ways, step, w, got, ref.victim())

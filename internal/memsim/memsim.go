@@ -128,7 +128,6 @@ type request struct {
 	bypass  int
 	done    func()
 	fireFn  func()
-	next    *request
 
 	// Cycle accounting (nil/zero when the request carries no blame vector):
 	// swapBusyAt snapshots the channel's cumulative swap-bus occupancy at
@@ -218,8 +217,7 @@ type Module struct {
 
 	chans   []channel
 	stats   Stats
-	freeReq *request
-	liveReq int // pooled request records checked out
+	reqPool mem.Pool[request]
 
 	// derived, in CPU cycles
 	tCAS, tRCD, tRAS, tRP, tWR, burst uint64
@@ -275,24 +273,18 @@ func New(sim *engine.Sim, cfg Config, base mem.Addr, size uint64) *Module {
 func pow2(n uint64) bool { return n != 0 && n&(n-1) == 0 }
 
 func (m *Module) getReq() *request {
-	m.liveReq++
-	r := m.freeReq
+	r := m.reqPool.Get()
 	if r == nil {
 		r = &request{}
 		r.fireFn = func() { m.completeReq(r) }
-		return r
 	}
-	m.freeReq = r.next
-	r.next = nil
 	return r
 }
 
 func (m *Module) putReq(r *request) {
-	m.liveReq--
 	r.addr, r.write, r.prio, r.arrival, r.bypass, r.done = 0, false, 0, 0, 0, nil
 	r.v, r.swapBusyAt, r.queueWait, r.swapShare = nil, 0, 0, 0
-	r.next = m.freeReq
-	m.freeReq = r
+	m.reqPool.Put(r)
 }
 
 // completeReq fires at a request's data-return time: the record returns to
@@ -387,12 +379,12 @@ func (m *Module) Backlog() (queued int, busAhead uint64) {
 }
 
 // Audit reports end-of-run invariant violations: a quiesced module has empty
-// channel queues and every pooled request record back on its free list.
+// channel queues and every pooled request record back in its pool.
 func (m *Module) Audit(a *check.Audit) {
 	a.Checkf(m.QueueOccupancy() == 0,
 		"memsim %s: %d request(s) still queued at quiescence", m.cfg.Name, m.QueueOccupancy())
-	a.Checkf(m.liveReq == 0,
-		"memsim %s: %d pooled request record(s) never completed", m.cfg.Name, m.liveReq)
+	a.Checkf(m.reqPool.Live() == 0,
+		"memsim %s: %d pooled request record(s) never completed", m.cfg.Name, m.reqPool.Live())
 }
 
 // Access enqueues a line access. done runs at completion time (may be nil).

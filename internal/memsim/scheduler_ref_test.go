@@ -394,8 +394,8 @@ func TestSchedulerMatchesReference(t *testing.T) {
 					if gotPeak != wantPeak || gotPeak < 32 {
 						t.Fatalf("peak queue %d, reference %d (want both equal and >= 32)", gotPeak, wantPeak)
 					}
-					if live.QueueOccupancy() != 0 || live.liveReq != 0 {
-						t.Fatalf("not quiesced: %d queued, %d live records", live.QueueOccupancy(), live.liveReq)
+					if live.QueueOccupancy() != 0 || live.reqPool.Live() != 0 {
+						t.Fatalf("not quiesced: %d queued, %d live records", live.QueueOccupancy(), live.reqPool.Live())
 					}
 				})
 			}

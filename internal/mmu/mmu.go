@@ -99,9 +99,8 @@ type MMU struct {
 	walkPort cache.Backend
 	hinter   Hinter
 
-	freeTxn  *transTxn
-	liveTxn  int // pooled translation records checked out
-	freeHint *hintTxn
+	txnPool  mem.Pool[transTxn]
+	hintPool mem.Pool[hintTxn]
 
 	// ffPort caches the walkPort FunctionalBackend assertion for the sampled
 	// fast-forward path; nil until first functional use.
@@ -124,14 +123,13 @@ type MMU struct {
 // pre-bound deliver closure: hints fire on every page walk, so an ad-hoc
 // closure here would put an allocation on the steady-state walk path.
 type hintTxn struct {
-	m    *MMU
-	h    Hint
-	fn   func()
-	next *hintTxn
+	m  *MMU
+	h  Hint
+	fn func()
 }
 
 func (m *MMU) getHint() *hintTxn {
-	t := m.freeHint
+	t := m.hintPool.Get()
 	if t == nil {
 		t = &hintTxn{m: m}
 		t.fn = func() {
@@ -139,17 +137,13 @@ func (m *MMU) getHint() *hintTxn {
 			t.m.putHint(t)
 			t.m.hinter.MMUHint(h)
 		}
-		return t
 	}
-	m.freeHint = t.next
-	t.next = nil
 	return t
 }
 
 func (m *MMU) putHint(t *hintTxn) {
 	t.h = Hint{}
-	t.next = m.freeHint
-	m.freeHint = t
+	m.hintPool.Put(t)
 }
 
 // FunctionalHinter is the optional no-event counterpart of Hinter: a hinter
@@ -227,7 +221,6 @@ type transTxn struct {
 
 	l1Fn func()
 	l2Fn func()
-	next *transTxn
 }
 
 // New builds an MMU for (core, pid) whose walker reads page tables through
@@ -251,24 +244,18 @@ func New(sim *engine.Sim, osm *mem.OS, core, pid int, cfg Config, walkPort cache
 }
 
 func (m *MMU) getTxn() *transTxn {
-	m.liveTxn++
-	t := m.freeTxn
+	t := m.txnPool.Get()
 	if t == nil {
 		t = &transTxn{m: m}
 		t.l1Fn = func() { t.m.l1Stage(t) }
 		t.l2Fn = func() { t.m.l2Stage(t) }
-		return t
 	}
-	m.freeTxn = t.next
-	t.next = nil
 	return t
 }
 
 func (m *MMU) putTxn(t *transTxn) {
-	m.liveTxn--
 	t.va, t.v, t.done = 0, nil, nil
-	t.next = m.freeTxn
-	m.freeTxn = t
+	m.txnPool.Put(t)
 }
 
 // Stats returns a snapshot of the counters.
@@ -420,8 +407,8 @@ func (m *MMU) walkStep() {
 }
 
 // Audit reports end-of-run invariant violations: a quiesced MMU has an idle
-// walker, an empty walk queue, and every pooled translation record back on
-// its free list.
+// walker, an empty walk queue, and every pooled translation record back in
+// its pool.
 func (m *MMU) Audit(a *check.Audit) {
 	a.Checkf(!m.walking,
 		"mmu core %d: page walker still busy at quiescence", m.core)
@@ -429,8 +416,8 @@ func (m *MMU) Audit(a *check.Audit) {
 		"mmu core %d: %d translation(s) still queued for the walker", m.core, len(m.walkQ))
 	a.Checkf(m.wkTxn == nil,
 		"mmu core %d: walk record still checked out", m.core)
-	a.Checkf(m.liveTxn == 0,
-		"mmu core %d: %d pooled translation record(s) never returned", m.core, m.liveTxn)
+	a.Checkf(m.txnPool.Live() == 0,
+		"mmu core %d: %d pooled translation record(s) never returned", m.core, m.txnPool.Live())
 }
 
 // ResetStats zeroes the MMU counters (e.g. after warm-up), keeping TLB and

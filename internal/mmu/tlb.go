@@ -6,11 +6,7 @@
 // sends a hint to the hybrid memory controller (Section III-B).
 package mmu
 
-import (
-	"fmt"
-
-	"pageseer/internal/mem"
-)
+import "pageseer/internal/mem"
 
 // TLBConfig describes one TLB level.
 type TLBConfig struct {
@@ -27,47 +23,23 @@ func L1TLBConfig() TLBConfig { return TLBConfig{Entries: 64, Ways: 4, Latency: 1
 // entries, the closest realisable geometry.
 func L2TLBConfig() TLBConfig { return TLBConfig{Entries: 1024, Ways: 12, Latency: 10} }
 
-type tlbEntry struct {
-	pid   int
-	vpn   mem.VPN
-	ppn   mem.PPN
-	valid bool
-}
-
-// TLB is a set-associative, PID-tagged translation cache.
+// TLB is a set-associative, PID-tagged translation cache. An entry's key
+// packs its PID above the 36-bit VPN of a 48-bit virtual address; sets are
+// indexed by the VPN alone.
 type TLB struct {
-	cfg     TLBConfig
-	entries []tlbEntry // set s holds entries[s*ways : (s+1)*ways]
-	order   []mem.LRU  // each set's recency order
-	ways    int
-	setMask uint64 // len(order)-1 when a power of two, else 0 (use modulo)
+	cfg  TLBConfig
+	sets mem.Sets
+	ppns []mem.PPN // indexed by way, parallel to sets
 
 	hits   uint64
 	misses uint64
 }
 
 // NewTLB builds a TLB; entry count is rounded down to sets*ways. It panics
-// unless the TLB has between 1 and mem.MaxWays ways.
+// unless the TLB has between 1 and mem.MaxWays ways and at least one set.
 func NewTLB(cfg TLBConfig) *TLB {
-	if cfg.Ways < 1 || cfg.Ways > mem.MaxWays {
-		panic(fmt.Sprintf("mmu: TLB with %d ways: want 1 to %d", cfg.Ways, mem.MaxWays))
-	}
-	nSets := cfg.Entries / cfg.Ways
-	if nSets < 1 {
-		nSets = 1
-	}
-	t := &TLB{
-		cfg:     cfg,
-		entries: make([]tlbEntry, nSets*cfg.Ways),
-		order:   make([]mem.LRU, nSets),
-		ways:    cfg.Ways,
-	}
-	if nSets&(nSets-1) == 0 {
-		t.setMask = uint64(nSets - 1)
-	}
-	for i := range t.order {
-		t.order[i] = mem.NewLRU(cfg.Ways)
-	}
+	t := &TLB{cfg: cfg, sets: mem.NewSets(cfg.Entries, cfg.Ways)}
+	t.ppns = make([]mem.PPN, t.sets.Len())
 	return t
 }
 
@@ -75,32 +47,22 @@ func NewTLB(cfg TLBConfig) *TLB {
 func (t *TLB) Config() TLBConfig { return t.cfg }
 
 // Capacity returns the realised entry count (sets x ways).
-func (t *TLB) Capacity() int { return len(t.entries) }
+func (t *TLB) Capacity() int { return t.sets.Capacity() }
 
 // Hits and Misses return lookup counters.
 func (t *TLB) Hits() uint64   { return t.hits }
 func (t *TLB) Misses() uint64 { return t.misses }
 
-// set returns the index of vpn's set and that set's entries.
-func (t *TLB) set(vpn mem.VPN) (int, []tlbEntry) {
-	var s int
-	if m := t.setMask; m != 0 {
-		s = int(uint64(vpn) & m)
-	} else {
-		s = int(uint64(vpn) % uint64(len(t.order)))
-	}
-	return s, t.entries[s*t.ways : (s+1)*t.ways]
-}
+// key packs (pid, vpn) into one set-store key.
+func key(pid int, vpn mem.VPN) uint64 { return uint64(pid)<<36 | uint64(vpn) }
 
 // Lookup searches for (pid, vpn) and refreshes LRU on a hit.
 func (t *TLB) Lookup(pid int, vpn mem.VPN) (mem.PPN, bool) {
-	set, s := t.set(vpn)
-	for i := range s {
-		if s[i].valid && s[i].pid == pid && s[i].vpn == vpn {
-			t.order[set] = t.order[set].Touch(i, t.ways)
-			t.hits++
-			return s[i].ppn, true
-		}
+	base := t.sets.Set(uint64(vpn))
+	if w := t.sets.Find(base, key(pid, vpn)); w >= 0 {
+		t.sets.Touch(base, w)
+		t.hits++
+		return t.ppns[w], true
 	}
 	t.misses++
 	return 0, false
@@ -109,14 +71,11 @@ func (t *TLB) Lookup(pid int, vpn mem.VPN) (mem.PPN, bool) {
 // Insert installs a translation, refreshing (pid, vpn)'s entry in place
 // when it is resident and replacing the set's LRU entry otherwise.
 func (t *TLB) Insert(pid int, vpn mem.VPN, ppn mem.PPN) {
-	set, s := t.set(vpn)
-	w := t.order[set].Victim()
-	for i := range s {
-		if s[i].valid && s[i].pid == pid && s[i].vpn == vpn {
-			w = i
-			break
-		}
+	base, k := t.sets.Set(uint64(vpn)), key(pid, vpn)
+	w := t.sets.Find(base, k)
+	if w < 0 {
+		w = t.sets.Victim(base)
 	}
-	s[w] = tlbEntry{pid: pid, vpn: vpn, ppn: ppn, valid: true}
-	t.order[set] = t.order[set].Touch(w, t.ways)
+	t.sets.Fill(base, w, k)
+	t.ppns[w] = ppn
 }

@@ -5,7 +5,7 @@
 // an aggressive policy that swaps an NVM page to DRAM on its very first
 // miss (no history, no thresholds). It demonstrates the full extension
 // surface: remap state, the swap engine with its buffers, the integrity
-// oracle, and DMA freezing. Each swap op carries its identity (obs.Swap:
+// oracle, and the controller's pinned frames. Each swap op carries its identity (obs.Swap:
 // what comes in, what goes out, why); the swap engine reports the op's
 // lifecycle to every attached observer, so the policy gets ledger,
 // pagemap and trace rows with no observer code of its own — the run below
@@ -30,19 +30,17 @@ import (
 type Eager struct {
 	ctl      *hmc.Controller
 	remap    *hmc.Remap // page permutation: pairs of swapped pages
-	inflight map[mem.PPN]*job
+	inflight map[mem.PPN]bool
 	next     mem.PPN // round-robin DRAM victim cursor
 	swaps    uint64
 }
-
-type job struct{ waiters []func() }
 
 // NewEager installs the policy on a controller.
 func NewEager(ctl *hmc.Controller) *Eager {
 	e := &Eager{
 		ctl:      ctl,
 		remap:    ctl.NewRemap(mem.PageShift),
-		inflight: make(map[mem.PPN]*job),
+		inflight: make(map[mem.PPN]bool),
 	}
 	ctl.SetManager(e)
 	return e
@@ -84,26 +82,18 @@ func (e *Eager) HandleRequest(r *hmc.Request) {
 }
 
 func (e *Eager) trySwap(page mem.PPN) {
-	if e.inflight[page] != nil {
+	if e.inflight[page] || e.frameOf(page) != page || !e.ctl.Engine.CanStart() {
 		return
 	}
-	if e.frameOf(page) != page {
-		return
-	}
-	if !e.ctl.Engine.CanStart() || e.ctl.FrozenByDMA(page) {
-		return
-	}
-	// Round-robin victim over DRAM frames, skipping page tables, in-flight
-	// frames and frames already hosting a swapped page.
+	// Round-robin victim over DRAM frames, skipping pinned frames (page
+	// tables, controller tables), in-flight frames and frames already
+	// hosting a swapped page.
 	dramPages := mem.PPN(e.ctl.Layout.DRAMPages())
 	var victim mem.PPN
 	found := false
 	for i := mem.PPN(0); i < dramPages; i++ {
 		f := (e.next + i) % dramPages
-		if e.ctl.OS.IsPageTable(f) || e.inflight[f] != nil || e.ctl.FrozenByDMA(f) {
-			continue
-		}
-		if e.frameOf(f) != f {
+		if e.ctl.Pinned(f) || e.inflight[f] || e.frameOf(f) != f {
 			continue
 		}
 		victim = f
@@ -114,8 +104,7 @@ func (e *Eager) trySwap(page mem.PPN) {
 	if !found {
 		return
 	}
-	j := &job{}
-	e.inflight[page], e.inflight[victim] = j, j
+	e.inflight[page], e.inflight[victim] = true, true
 	op := &hmc.Op{
 		Swap: obs.Swap{
 			Addr: uint64(page.Addr()), Victim: uint64(victim.Addr()), HasVictim: true,
@@ -131,9 +120,6 @@ func (e *Eager) trySwap(page mem.PPN) {
 			e.swaps++
 			delete(e.inflight, page)
 			delete(e.inflight, victim)
-			for _, w := range j.waiters {
-				w()
-			}
 		},
 	}
 	if !e.ctl.Engine.Start(op) {
@@ -144,18 +130,6 @@ func (e *Eager) trySwap(page mem.PPN) {
 
 // MMUHint implements hmc.Manager (Eager has no use for hints).
 func (e *Eager) MMUHint(mmu.Hint) {}
-
-// FreezePage implements hmc.Manager.
-func (e *Eager) FreezePage(p mem.PPN, done func()) {
-	if j, ok := e.inflight[p]; ok {
-		j.waiters = append(j.waiters, done)
-		return
-	}
-	done()
-}
-
-// UnfreezePage implements hmc.Manager.
-func (e *Eager) UnfreezePage(mem.PPN) {}
 
 func main() {
 	const wl = "barnes"

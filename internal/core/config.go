@@ -6,6 +6,8 @@
 // a Manager.
 package core
 
+import "pageseer/internal/hmc"
+
 // Config carries every PageSeer parameter from Table II of the paper.
 type Config struct {
 	// PCTThreshold is the PCTc prefetch-swap threshold: a page whose
@@ -110,48 +112,22 @@ func DefaultConfig() Config {
 	}
 }
 
-// Scale shrinks the SRAM structures for a scaled-down memory system. The
-// on-controller caches shrink with the square root of the memory scale:
-// their hit rates are set by how much of the *active* page population they
-// cover, and active sets shrink more slowly than total capacity — scaling
-// them linearly would leave nano-caches whose miss traffic dominates the
-// memory system, a pure simulation artifact. factor is the memory scale
-// denominator: Scale(8) models a system 1/8 the paper's size.
+// Scale shrinks the SRAM structures for a scaled-down memory system: the
+// on-controller caches by the square root of the memory scale
+// (hmc.SRAMRoot), the DRAM tables by the scale itself. factor is the memory
+// scale denominator: Scale(8) models a system 1/8 the paper's size.
 func (c Config) Scale(factor int) Config {
 	if factor <= 1 {
 		return c
 	}
-	root := 1
-	for (root+1)*(root+1) <= factor {
-		root++
-	}
-	div := func(v int) int {
-		if s := v / root; s > 0 {
-			return s
-		}
-		return 1
-	}
-	c.PRTcEntries = div(c.PRTcEntries)
-	c.PCTcEntries = div(c.PCTcEntries)
+	root := hmc.SRAMRoot(factor)
+	c.PRTcEntries = max(c.PRTcEntries/root, 1)
+	c.PCTcEntries = max(c.PCTcEntries/root, 1)
 	// The HPTs and the Filter size with the *active* page population (hot
 	// pages per core, concurrently-flurrying pages), not with memory
 	// capacity; they do not scale down. A too-small DRAM HPT cannot lock
 	// the hot set and the Swap Driver would churn it.
-	c.PRTBytes = max64(1<<12, c.PRTBytes/uint64(factor))
-	c.PCTBytes = max64(1<<12, c.PCTBytes/uint64(factor))
+	c.PRTBytes = max(c.PRTBytes/uint64(factor), 1<<12)
+	c.PCTBytes = max(c.PCTBytes/uint64(factor), 1<<12)
 	return c
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

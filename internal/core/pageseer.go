@@ -78,9 +78,8 @@ func (s Stats) TotalSwaps() uint64 {
 }
 
 type swapJob struct {
-	kind    SwapKind
-	pages   []mem.PPN // every page identity participating
-	waiters []func()  // DMA freeze waiting for completion
+	kind  SwapKind
+	pages []mem.PPN // every page identity participating
 }
 
 // swapIdentity is the obs.Swap identity of a swap bringing page into DRAM
@@ -386,19 +385,6 @@ func (p *PageSeer) residentDRAM(page mem.PPN) bool {
 	return p.ctl.Layout.IsDRAMPage(p.frameOf(page))
 }
 
-// pinned reports frames the Swap Driver must never relocate: controller
-// metadata and page tables.
-func (p *PageSeer) pinned(frame mem.PPN) bool {
-	a := frame.Addr()
-	if a >= p.prtRegion.Base && uint64(a-p.prtRegion.Base) < p.prtRegion.Bytes {
-		return true
-	}
-	if a >= p.pctRegion.Base && uint64(a-p.pctRegion.Base) < p.pctRegion.Bytes {
-		return true
-	}
-	return p.ctl.OS.IsPageTable(frame)
-}
-
 // HandleRequest implements hmc.Manager (flow of Section III-D1/D2).
 func (p *PageSeer) HandleRequest(r *hmc.Request) {
 	if r.Meta.IsPTE && !r.Meta.Writeback {
@@ -504,9 +490,9 @@ func (p *PageSeer) handlePTERequest(r *hmc.Request) {
 }
 
 // requestSwap asks the Swap Driver to move page (an NVM-resident page) to
-// DRAM. Deduplicates, applies the DMA freeze and the bandwidth heuristic,
-// and queues when the swap buffers are busy. Prefetch-kind requests queue
-// ahead of regular ones and upgrade a page already queued as regular. It
+// DRAM. Deduplicates, applies the bandwidth heuristic, and queues when the
+// swap buffers are busy. Prefetch-kind requests queue ahead of regular
+// ones and upgrade a page already queued as regular. It
 // reports whether the request was accepted (false: declined by the
 // bandwidth heuristic or the queue bound — the trigger may re-arm).
 func (p *PageSeer) requestSwap(page mem.PPN, kind SwapKind) bool {
@@ -529,9 +515,6 @@ func (p *PageSeer) requestSwapFrom(page mem.PPN, kind SwapKind, follower bool) b
 			p.pendingPref = append(p.pendingPref, pendingSwap{page: page, kind: kind, follower: follower, at: p.sim.Now()})
 		}
 		return true
-	}
-	if p.ctl.FrozenByDMA(page) {
-		return false
 	}
 	p.ctl.Probe().SwapRequested(uint64(page.Addr()), kind.String(), p.sim.Now())
 	if p.cfg.BWOpt && p.dramSaturated() {
@@ -631,7 +614,7 @@ func (p *PageSeer) color(page mem.PPN) int { return int(uint64(page) % uint64(p.
 // page. Candidates rank: an unlocked (HPT-cold) frame beats a locked one,
 // a colder resident beats a hotter one, and unswapped beats swapped (a
 // plain 2R/2W exchange beats the 3R/3W optimized slow swap). Frames that
-// are pinned, frozen or mid-swap are never eligible. When every candidate
+// are pinned or mid-swap are never eligible. When every candidate
 // is warm, the least-hot resident is evicted — declining outright would
 // strand the hot NVM page, and ranking residents is what the DRAM HPT's
 // counters exist for.
@@ -653,10 +636,10 @@ func (p *PageSeer) pickVictim(color int) (frame mem.PPN, partner mem.PPN, hasPar
 		if f >= dramPages {
 			f = mem.PPN(color)
 		}
-		if !p.pinned(f) && !p.ctl.FrozenByDMA(f) && !p.inflight.Has(uint64(f)) {
+		if !p.ctl.Pinned(f) && !p.inflight.Has(uint64(f)) {
 			resident := p.frameOf(f) // pairs are symmetric: f holds the data of the page it maps to
 			swapped := resident != f
-			if !p.ctl.FrozenByDMA(resident) && !p.inflight.Has(uint64(resident)) {
+			if !p.inflight.Has(uint64(resident)) {
 				score := uint64(p.hptDRAM.Count(resident)) << 1
 				if swapped {
 					score++
@@ -752,8 +735,7 @@ func (p *PageSeer) startSwap(page mem.PPN, kind SwapKind, follower bool, req uin
 // original frame. dPage is the DRAM-original page, nPartner the NVM page
 // currently occupying its frame.
 func (p *PageSeer) startRestore(dPage, nPartner mem.PPN, kind SwapKind, follower bool, req uint64) {
-	if p.hptDRAM.Contains(nPartner) || p.inflight.Has(uint64(nPartner)) ||
-		p.ctl.FrozenByDMA(nPartner) || p.ctl.FrozenByDMA(dPage) {
+	if p.hptDRAM.Contains(nPartner) || p.inflight.Has(uint64(nPartner)) {
 		p.stats.DeclinedNoVictim++
 		return
 	}
@@ -776,9 +758,6 @@ func (p *PageSeer) startRestore(dPage, nPartner mem.PPN, kind SwapKind, follower
 			p.stats.SwapsCompleted[job.kind]++
 			for _, pg := range job.pages {
 				p.inflight.Del(uint64(pg))
-			}
-			for _, w := range job.waiters {
-				w()
 			}
 			p.drainPending()
 		},
@@ -827,9 +806,6 @@ func (p *PageSeer) completeSwap(page, frame, partner mem.PPN, hasPartner bool, j
 	for _, pg := range job.pages {
 		p.inflight.Del(uint64(pg))
 	}
-	for _, w := range job.waiters {
-		w()
-	}
 	p.drainPending()
 }
 
@@ -853,25 +829,12 @@ func (p *PageSeer) drainPending() {
 		if !ok {
 			return
 		}
-		if p.residentDRAM(next.page) || p.inflight.Has(uint64(next.page)) || p.ctl.FrozenByDMA(next.page) {
+		if p.residentDRAM(next.page) || p.inflight.Has(uint64(next.page)) {
 			continue
 		}
 		p.startSwap(next.page, next.kind, next.follower, next.at)
 	}
 }
-
-// FreezePage implements hmc.Manager (Section III-E).
-func (p *PageSeer) FreezePage(page mem.PPN, done func()) {
-	if job, ok := p.inflight.Get(uint64(page)); ok {
-		job.waiters = append(job.waiters, done)
-		return
-	}
-	done()
-}
-
-// UnfreezePage implements hmc.Manager. The controller's frozen set already
-// gates new swaps; nothing else to restore.
-func (p *PageSeer) UnfreezePage(mem.PPN) {}
 
 // Finish flushes end-of-run state: the Filter folds into the PCT and all
 // open prefetch-accuracy windows close. Call once before reading stats.

@@ -121,9 +121,6 @@ func (p *PageSeer) ffSwap(page mem.PPN, kind SwapKind) bool {
 	if p.residentDRAM(page) {
 		return true
 	}
-	if p.ctl.FrozenByDMA(page) {
-		return false
-	}
 	// The swap budget stands in for everything that throttles swaps on the
 	// detailed machine — swap-engine occupancy, the queue bound, and above
 	// all the bandwidth heuristic (none of which can be evaluated on a
@@ -138,7 +135,7 @@ func (p *PageSeer) ffSwap(page mem.PPN, kind SwapKind) bool {
 	if nPartner := p.frameOf(page); nPartner != page {
 		// Restore the pair to its original frames (startRestore's only
 		// legal move), with the same hot-partner guard.
-		if p.hptDRAM.Contains(nPartner) || p.ctl.FrozenByDMA(nPartner) {
+		if p.hptDRAM.Contains(nPartner) {
 			return false
 		}
 		p.ffBudget--

@@ -365,37 +365,6 @@ func TestOptimizedSlowSwapWhenColorBusy(t *testing.T) {
 	}
 }
 
-func TestDMAFreezeWaitsForSwap(t *testing.T) {
-	cfg := testConfig()
-	sim, ctl, ps := testRig(cfg)
-	p := nvmPage(ctl, 3)
-	// Trigger a swap but do NOT drain: the op is in flight.
-	for i := 0; i < int(cfg.HPTThreshold); i++ {
-		ctl.Access(p.Addr(), false, cache.Meta{PID: 1}, nil)
-	}
-	sim.RunUntil(sim.Now() + 40) // let the trigger fire, swap still moving
-	if ps.inflight.Len() == 0 {
-		t.Skip("swap completed too fast to observe in flight")
-	}
-	frozen := false
-	ctl.BeginDMA(p, func() { frozen = true })
-	if frozen {
-		t.Fatal("freeze completed while swap in flight")
-	}
-	sim.Drain(0)
-	if !frozen {
-		t.Fatal("freeze never completed")
-	}
-	// Frozen pages are not re-swapped.
-	for i := 0; i < 20; i++ {
-		miss(sim, ctl, 1, ps.frameOf(p)) // heat whatever shares state
-	}
-	ctl.EndDMA(p)
-	if err := ctl.VerifyIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPrefetchAccuracyTracking(t *testing.T) {
 	cfg := testConfig()
 	cfg.HPTThreshold = 60

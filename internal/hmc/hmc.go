@@ -1,9 +1,9 @@
 // Package hmc provides the Hybrid Memory Controller framework shared by
 // PageSeer and the baseline schemes: request routing between the DRAM and
 // NVM timing models, a swap engine with swap buffers, on-controller
-// metadata caches backed by DRAM-resident tables, service-source and
-// positive/negative/neutral accounting, a DMA freeze protocol, and a
-// data-integrity oracle.
+// metadata caches backed by DRAM-resident tables, the segment-swap core
+// the 2KB baselines share, service-source and positive/negative/neutral
+// accounting, and a data-integrity oracle.
 //
 // A concrete scheme (PageSeer, PoM, MemPod, or the no-swap Static manager)
 // plugs in as a Manager: it receives every request that reaches the
@@ -90,11 +90,6 @@ type Manager interface {
 	// CheckIntegrity verifies the scheme's translation state against the
 	// shared oracle; used by tests and debug runs.
 	CheckIntegrity() error
-	// FreezePage completes any in-progress swap involving p, prevents
-	// future swaps of p, then calls done (Section III-E).
-	FreezePage(p mem.PPN, done func())
-	// UnfreezePage re-enables swapping for p.
-	UnfreezePage(p mem.PPN)
 }
 
 // Stats aggregates scheme-independent controller counters.
@@ -178,7 +173,9 @@ type Controller struct {
 	probe obs.Probes
 	prov  provenance
 
-	frozen map[mem.PPN]bool
+	// meta lists the regions AllocMetaRegion reserved, which no swap may
+	// move (Pinned).
+	meta []MetaRegion
 }
 
 // NewController builds a controller with the given memory-part configs over
@@ -190,7 +187,6 @@ func NewController(sim *engine.Sim, osm *mem.OS, dramCfg, nvmCfg memsim.Config, 
 		OS:     osm,
 		Layout: layout,
 		Oracle: NewOracle(layout.Total() >> mem.PageShift),
-		frozen: make(map[mem.PPN]bool),
 	}
 	c.DRAM = memsim.New(sim, dramCfg, 0, layout.DRAMBytes)
 	c.NVM = memsim.New(sim, nvmCfg, mem.Addr(layout.DRAMBytes), layout.NVMBytes)
@@ -613,40 +609,33 @@ func (c *Controller) AllocMetaRegion(bytes, entrySize uint64) MetaRegion {
 			panic("hmc: metadata region not contiguous; reserve it before starting workloads")
 		}
 	}
-	return MetaRegion{Base: base.Addr(), Bytes: nFrames * mem.PageSize, EntrySize: entrySize}
+	r := MetaRegion{Base: base.Addr(), Bytes: nFrames * mem.PageSize, EntrySize: entrySize}
+	c.meta = append(c.meta, r)
+	return r
 }
 
-// BeginDMA freezes page p (completing any in-flight swap for it) and then
-// invokes done; DMA requests for the page may proceed afterwards, rewritten
-// through Manager.TranslateLine exactly like demand traffic (Section III-E).
-func (c *Controller) BeginDMA(p mem.PPN, done func()) {
-	c.frozen[p] = true
-	c.mgr.FreezePage(p, done)
+// Pinned reports whether frame must never be relocated by a swap: it holds
+// a controller table reserved through AllocMetaRegion, or a page table.
+func (c *Controller) Pinned(frame mem.PPN) bool {
+	a := frame.Addr()
+	for _, r := range c.meta {
+		if a >= r.Base && uint64(a-r.Base) < r.Bytes {
+			return true
+		}
+	}
+	return c.OS.IsPageTable(frame)
 }
-
-// EndDMA unfreezes page p.
-func (c *Controller) EndDMA(p mem.PPN) {
-	delete(c.frozen, p)
-	c.mgr.UnfreezePage(p)
-}
-
-// FrozenByDMA reports whether p is currently frozen (managers consult this
-// before starting swaps involving p).
-func (c *Controller) FrozenByDMA(p mem.PPN) bool { return c.frozen[p] }
 
 // VerifyIntegrity checks the manager's translation state against the
 // oracle. It is cheap enough for tests but is not called on hot paths.
 func (c *Controller) VerifyIntegrity() error { return c.mgr.CheckIntegrity() }
 
 // Audit reports end-of-run invariant violations: every request completed
-// and its pooled record returned, no page left frozen, and service-source
-// conservation — each data-demand request was served by exactly one of
+// and its pooled record returned, and service-source conservation — each data-demand request was served by exactly one of
 // DRAM, NVM, or the swap buffers.
 func (c *Controller) Audit(a *check.Audit) {
 	a.Checkf(c.reqPool.Live() == 0,
 		"hmc: %d pooled request record(s) never completed", c.reqPool.Live())
-	a.Checkf(len(c.frozen) == 0,
-		"hmc: %d page(s) still frozen by DMA at quiescence", len(c.frozen))
 	served := c.stats.ServedDRAM + c.stats.ServedNVM + c.stats.ServedBuf
 	a.Checkf(served == c.stats.DataDemand,
 		"hmc: service conservation broken: DRAM+NVM+buf = %d served of %d data-demand requests",

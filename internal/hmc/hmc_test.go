@@ -103,24 +103,6 @@ func TestAllocMetaRegionContiguous(t *testing.T) {
 	}
 }
 
-func TestDMAFreezeFlow(t *testing.T) {
-	sim, c := testController()
-	NewStatic(c)
-	done := false
-	c.BeginDMA(42, func() { done = true })
-	sim.Drain(0)
-	if !done {
-		t.Fatal("BeginDMA done not called")
-	}
-	if !c.FrozenByDMA(42) {
-		t.Fatal("page not marked frozen")
-	}
-	c.EndDMA(42)
-	if c.FrozenByDMA(42) {
-		t.Fatal("page still frozen after EndDMA")
-	}
-}
-
 func TestRouteOutOfRangePanics(t *testing.T) {
 	_, c := testController()
 	defer func() {

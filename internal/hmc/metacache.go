@@ -63,6 +63,21 @@ func (c MetaCacheConfig) Validate() error {
 	return nil
 }
 
+// SRAMRoot returns the divisor the metadata caches' entry counts shrink by
+// in a memory system factor times smaller than the paper's: the integer
+// square root of factor, and 1 for factor <= 1. A cache's hit rate is set
+// by how much of the *active* page population it covers, and active sets
+// shrink more slowly than total capacity; scaling the caches linearly
+// would leave nano-caches whose miss traffic dominates the memory system,
+// a pure simulation artifact.
+func SRAMRoot(factor int) int {
+	root := 1
+	for (root+1)*(root+1) <= factor {
+		root++
+	}
+	return root
+}
+
 // MetaCacheStats counts cache activity. WaitCycles accumulates, over all
 // Access calls that missed, the cycles between the access and the fill —
 // the quantity Figure 13 reports for the PRTc.

@@ -36,9 +36,3 @@ func (s *Static) TranslateLine(addr mem.Addr) mem.Addr { return addr }
 func (s *Static) CheckIntegrity() error {
 	return s.ctl.Oracle.VerifyAll(func(d uint64) uint64 { return d })
 }
-
-// FreezePage implements Manager: no swaps can be in flight.
-func (s *Static) FreezePage(_ mem.PPN, done func()) { done() }
-
-// UnfreezePage implements Manager.
-func (s *Static) UnfreezePage(mem.PPN) {}

@@ -1,20 +1,12 @@
 package mempod
 
 import (
-	"fmt"
 	"sort"
 
 	"pageseer/internal/engine"
 	"pageseer/internal/hmc"
-	"pageseer/internal/mem"
 	"pageseer/internal/mmu"
-	"pageseer/internal/obs"
 )
-
-// SegmentBytes is MemPod's migration granularity.
-const SegmentBytes = 2048
-
-const segShift = 11
 
 // Config holds MemPod's parameters (Section IV-B of the PageSeer paper).
 type Config struct {
@@ -52,26 +44,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// Scale shrinks the remap cache with the memory system.
+// Scale shrinks the remap cache with the memory system, by the same square
+// root as PageSeer's caches (hmc.SRAMRoot).
 func (c Config) Scale(factor int) Config {
 	if factor <= 1 {
 		return c
 	}
-	root := 1
-	for (root+1)*(root+1) <= factor {
-		root++
-	}
-	factor = root
-	if s := c.RemapEntries / factor; s > 0 {
-		c.RemapEntries = s
-	} else {
-		c.RemapEntries = 1
-	}
-	if s := c.RemapTableBytes / uint64(factor); s >= 4096 {
-		c.RemapTableBytes = s
-	} else {
-		c.RemapTableBytes = 4096
-	}
+	root := hmc.SRAMRoot(factor)
+	c.RemapEntries = max(c.RemapEntries/root, 1)
+	c.RemapTableBytes = max(c.RemapTableBytes/uint64(root), 4096)
 	return c
 }
 
@@ -82,35 +63,24 @@ type Stats struct {
 	Intervals         uint64
 }
 
-type seg uint64
-
 type pod struct {
 	mea *MEA
 	// DRAM slot allocation cursor for victim choice.
-	nextVictim seg
+	nextVictim hmc.Seg
 }
 
-type job struct {
-	segs    []seg
-	waiters []func()
-}
-
-// MemPod is the baseline manager.
+// MemPod is the baseline manager: MEA pods, intervals and a victim scan
+// over the shared segment-swap core.
 type MemPod struct {
+	*hmc.Segments
+
 	sim *engine.Sim
 	ctl *hmc.Controller
 	cfg Config
 
-	remapCache *hmc.MetaCache
-	region     hmc.MetaRegion
-
-	fastSegs  seg
-	totalSegs seg
-	pods      []pod
-	lastTick  uint64
-
-	remap    *hmc.Remap      // the segment permutation the remap table holds
-	inflight mem.Table[*job] // keyed by the slots a running migration touches
+	fastSegs hmc.Seg
+	pods     []pod
+	lastTick uint64
 
 	// pending holds interval migrations waiting for a free swap buffer;
 	// hotness is re-checked against the sketch state at start time.
@@ -121,25 +91,22 @@ type MemPod struct {
 
 type pendingMig struct {
 	pod int
-	s   seg
-	hot map[seg]bool
+	s   hmc.Seg
+	hot map[hmc.Seg]bool
 }
 
 // New installs a MemPod manager on the controller.
 func New(ctl *hmc.Controller, cfg Config) *MemPod {
 	m := &MemPod{
-		sim:       ctl.Sim,
-		ctl:       ctl,
-		cfg:       cfg,
-		fastSegs:  seg(ctl.Layout.DRAMBytes / SegmentBytes),
-		totalSegs: seg(ctl.Layout.Total() / SegmentBytes),
-		remap:     ctl.NewRemap(segShift),
+		sim:      ctl.Sim,
+		ctl:      ctl,
+		cfg:      cfg,
+		fastSegs: hmc.Seg(ctl.Layout.DRAMBytes / hmc.SegmentBytes),
 	}
-	m.region = ctl.AllocMetaRegion(cfg.RemapTableBytes, 4)
-	m.remapCache = hmc.NewMetaCache(ctl.Sim, hmc.MetaCacheConfig{
-		Name: "MemPodRemap", Entries: cfg.RemapEntries, Ways: cfg.RemapWays,
-		HitLatency: cfg.RemapLatency, EntriesPerLine: 16, // 4B segment entries
-	}, m.region, ctl.IssueLine)
+	// The remap cache holds one 4B entry per segment.
+	m.Segments = hmc.NewSegments(ctl, "mempod", hmc.MetaCacheConfig{
+		Name: "MemPodRemap", Entries: cfg.RemapEntries, Ways: cfg.RemapWays, HitLatency: cfg.RemapLatency,
+	}, cfg.RemapTableBytes, m.committed)
 	m.pods = make([]pod, cfg.Pods)
 	for i := range m.pods {
 		m.pods[i] = pod{mea: NewMEA(cfg.MEACounters)}
@@ -154,50 +121,25 @@ func (m *MemPod) Name() string { return "MemPod" }
 // Stats returns a snapshot of the counters.
 func (m *MemPod) Stats() Stats { return m.stats }
 
-// RemapCache exposes the remap cache for stats.
-func (m *MemPod) RemapCache() *hmc.MetaCache { return m.remapCache }
-
-func segOf(a mem.Addr) seg   { return seg(a >> segShift) }
-func (s seg) base() mem.Addr { return mem.Addr(s) << segShift }
-
 // podOf statically interleaves segments across pods; a pod owns matching
 // slices of DRAM and NVM so migrations stay pod-local.
-func (m *MemPod) podOf(s seg) int { return int(s) % m.cfg.Pods }
-
-func (m *MemPod) locate(s seg) seg { return seg(m.remap.Loc(uint64(s))) }
-
-func (m *MemPod) occupantOf(slot seg) seg { return seg(m.remap.Owner(uint64(slot))) }
-
-// TranslateLine implements hmc.Manager.
-func (m *MemPod) TranslateLine(addr mem.Addr) mem.Addr {
-	s := segOf(addr)
-	off := addr - s.base()
-	return m.locate(s).base() + off
-}
-
-// CheckIntegrity implements hmc.Manager.
-func (m *MemPod) CheckIntegrity() error {
-	if err := m.ctl.Oracle.VerifyAll(m.remap.Loc); err != nil {
-		return fmt.Errorf("mempod: %w", err)
-	}
-	return nil
-}
+func (m *MemPod) podOf(s hmc.Seg) int { return int(s) % m.cfg.Pods }
 
 // HandleRequest implements hmc.Manager. The remap cache is on the critical
 // path; the paper grants the inverted table zero latency, so only the
 // forward lookup is timed.
 func (m *MemPod) HandleRequest(r *hmc.Request) {
-	s := segOf(r.Line)
+	s := hmc.SegOf(r.Line)
 	if !r.Meta.Writeback && !r.Meta.PageWalk {
 		m.observe(s)
 	}
-	m.remapCache.AccessV(uint64(s), false, r.Meta.V, r.RouteFn())
+	m.Lookup(r, uint64(s))
 }
 
 // observe feeds the MEA sketch and fires interval migrations lazily: the
 // first access past an interval boundary runs that boundary's migration
 // pass (with no traffic there is nothing to migrate, so laziness is exact).
-func (m *MemPod) observe(s seg) {
+func (m *MemPod) observe(s hmc.Seg) {
 	now := m.sim.Now()
 	if m.lastTick == 0 {
 		m.lastTick = now
@@ -218,17 +160,17 @@ func (m *MemPod) interval() {
 		p := &m.pods[pi]
 		hot := p.mea.Frequent(m.cfg.MinCount)
 		sort.Slice(hot, func(a, b int) bool { return hot[a] < hot[b] }) // determinism
-		hotSet := make(map[seg]bool, len(hot))
+		hotSet := make(map[hmc.Seg]bool, len(hot))
 		for _, h := range hot {
-			hotSet[seg(h)] = true
+			hotSet[hmc.Seg(h)] = true
 		}
 		migrated := 0
 		for _, h := range hot {
 			if migrated >= m.cfg.MaxMigrationsPerInterval {
 				break
 			}
-			s := seg(h)
-			if m.locate(s) < m.fastSegs {
+			s := hmc.Seg(h)
+			if m.Loc(s) < m.fastSegs {
 				continue // already in DRAM
 			}
 			if !m.ctl.Engine.CanStart() {
@@ -248,51 +190,26 @@ func (m *MemPod) interval() {
 
 // migrate swaps hot segment s into a DRAM slot of its pod whose current
 // data is not hot. Any-to-any flexibility within the pod.
-func (m *MemPod) migrate(pi int, s seg, hotSet map[seg]bool) bool {
+func (m *MemPod) migrate(pi int, s hmc.Seg, hotSet map[hmc.Seg]bool) bool {
 	slot, ok := m.pickVictim(pi, hotSet)
 	if !ok {
 		return false
 	}
-	srcSlot := m.locate(s)
-	if m.inflight.Has(uint64(slot)) || m.inflight.Has(uint64(srcSlot)) {
+	switch m.Exchange(s, slot, uint64(s)) {
+	case hmc.SlotBusy:
 		return false
-	}
-	displaced := m.occupantOf(slot)
-	if m.frozen(s) || m.frozen(displaced) {
-		return false
-	}
-	op := &hmc.Op{
-		Swap: obs.Swap{
-			Addr: uint64(s.base()), Victim: uint64(displaced.base()), HasVictim: true,
-			Trigger: obs.TrigRegular, Request: m.sim.Now(),
-		},
-		Stages: []hmc.Stage{{
-			{Src: srcSlot.base(), Dst: slot.base(), Bytes: SegmentBytes},
-			{Src: slot.base(), Dst: srcSlot.base(), Bytes: SegmentBytes},
-		}},
-	}
-	j := &job{segs: []seg{slot, srcSlot}}
-	op.OnComplete = func() {
-		m.remap.Place(uint64(s), uint64(slot))
-		m.ctl.Oracle.Exchange(uint64(slot), uint64(srcSlot))
-		m.ctl.IssueLine(m.region.EntryAddr(uint64(slot)), true, hmc.PrioSwap, nil)
-		m.remapCache.Prefetch(uint64(s))
-		m.stats.Migrations++
-		for _, sg := range j.segs {
-			m.inflight.Del(uint64(sg))
-		}
-		for _, w := range j.waiters {
-			w()
-		}
-		m.drainPending()
-	}
-	if !m.ctl.Engine.Start(op) {
+	case hmc.EngineFull:
 		m.stats.MigrationsDropped++
 		return false
 	}
-	m.inflight.Put(uint64(slot), j)
-	m.inflight.Put(uint64(srcSlot), j)
 	return true
+}
+
+// committed is the segment core's commit hook: a freed swap buffer starts
+// the next queued migration.
+func (m *MemPod) committed(hmc.Seg) {
+	m.stats.Migrations++
+	m.drainPending()
 }
 
 // drainPending starts queued interval migrations as swap buffers free.
@@ -300,7 +217,7 @@ func (m *MemPod) drainPending() {
 	for len(m.pending) > 0 && m.ctl.Engine.CanStart() {
 		e := m.pending[0]
 		m.pending = m.pending[1:]
-		if m.locate(e.s) < m.fastSegs {
+		if m.Loc(e.s) < m.fastSegs {
 			continue
 		}
 		if !m.migrate(e.pod, e.s, e.hot) {
@@ -310,25 +227,21 @@ func (m *MemPod) drainPending() {
 }
 
 // pickVictim scans the pod's DRAM slots round-robin for one whose resident
-// data is not currently hot, not in flight, and not frozen.
-func (m *MemPod) pickVictim(pi int, hotSet map[seg]bool) (seg, bool) {
+// data is not currently hot, and which is neither in flight nor pinned.
+func (m *MemPod) pickVictim(pi int, hotSet map[hmc.Seg]bool) (hmc.Seg, bool) {
 	p := &m.pods[pi]
-	n := m.fastSegs / seg(m.cfg.Pods)
+	n := m.fastSegs / hmc.Seg(m.cfg.Pods)
 	if n == 0 {
 		return 0, false
 	}
 	start := p.nextVictim
-	for i := seg(0); i < n; i++ {
+	for i := hmc.Seg(0); i < n; i++ {
 		idx := (start + i) % n
-		slot := idx*seg(m.cfg.Pods) + seg(pi) // pod-interleaved DRAM slot
+		slot := idx*hmc.Seg(m.cfg.Pods) + hmc.Seg(pi) // pod-interleaved DRAM slot
 		if slot >= m.fastSegs {
 			continue
 		}
-		data := m.occupantOf(slot)
-		if hotSet[data] || m.inflight.Has(uint64(slot)) || m.frozen(data) {
-			continue
-		}
-		if m.pinnedSlot(slot) {
+		if hotSet[m.Owner(slot)] || m.Busy(slot) || m.Pinned(slot) {
 			continue
 		}
 		p.nextVictim = idx + 1
@@ -337,58 +250,12 @@ func (m *MemPod) pickVictim(pi int, hotSet map[seg]bool) (seg, bool) {
 	return 0, false
 }
 
-// pinnedSlot protects the controller's own remap-table region and page
-// tables from being migrated.
-func (m *MemPod) pinnedSlot(slot seg) bool {
-	a := slot.base()
-	if a >= m.region.Base && uint64(a-m.region.Base) < m.region.Bytes {
-		return true
-	}
-	return m.ctl.OS.IsPageTable(mem.PageOf(a))
-}
-
-// frozen reports whether the page overlapping segment s is DMA-frozen.
-func (m *MemPod) frozen(s seg) bool {
-	return m.ctl.FrozenByDMA(mem.PageOf(s.base()))
-}
-
 // MMUHint implements hmc.Manager: MemPod has no MMU connection.
 func (m *MemPod) MMUHint(mmu.Hint) {}
-
-// FreezePage implements hmc.Manager.
-func (m *MemPod) FreezePage(page mem.PPN, done func()) {
-	base := segOf(page.Addr())
-	waitFor := map[*job]struct{}{}
-	for i := 0; i < mem.PageSize/SegmentBytes; i++ {
-		s := base + seg(i)
-		if j, ok := m.inflight.Get(uint64(m.locate(s))); ok {
-			waitFor[j] = struct{}{}
-		}
-		if j, ok := m.inflight.Get(uint64(s)); ok {
-			waitFor[j] = struct{}{}
-		}
-	}
-	if len(waitFor) == 0 {
-		done()
-		return
-	}
-	remaining := len(waitFor)
-	for j := range waitFor {
-		j.waiters = append(j.waiters, func() {
-			remaining--
-			if remaining == 0 {
-				done()
-			}
-		})
-	}
-}
-
-// UnfreezePage implements hmc.Manager.
-func (m *MemPod) UnfreezePage(mem.PPN) {}
 
 // ResetStats zeroes the MemPod counters (e.g. after warm-up), keeping all
 // sketch and remap state.
 func (m *MemPod) ResetStats() {
 	m.stats = Stats{}
-	m.remapCache.ResetStats()
+	m.RemapCache().ResetStats()
 }

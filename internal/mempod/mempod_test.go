@@ -29,7 +29,7 @@ func testRig() (*engine.Sim, *hmc.Controller, *MemPod) {
 }
 
 func nvmSeg(ctl *hmc.Controller, i int) mem.Addr {
-	return mem.Addr(ctl.Layout.DRAMBytes) + mem.Addr(i)*SegmentBytes
+	return mem.Addr(ctl.Layout.DRAMBytes) + mem.Addr(i)*hmc.SegmentBytes
 }
 
 func miss(sim *engine.Sim, ctl *hmc.Controller, a mem.Addr) {
@@ -160,8 +160,8 @@ func TestMigrationsStayInPod(t *testing.T) {
 	miss(sim, ctl, hots[0])
 	sim.Drain(0)
 	for _, h := range hots {
-		s := segOf(h)
-		loc := m.locate(s)
+		s := hmc.SegOf(h)
+		loc := m.Loc(s)
 		if loc == s {
 			continue // not migrated (victim scarcity is fine)
 		}
@@ -179,13 +179,13 @@ func TestHotDRAMDataNotVictimised(t *testing.T) {
 	// A DRAM segment that is itself hot must not be chosen as a victim for
 	// an NVM segment in the same pod and interval.
 	pod0DRAM := mem.Addr(1 << 20) // DRAM, above metadata
-	s := segOf(pod0DRAM)
+	s := hmc.SegOf(pod0DRAM)
 	pi := m.podOf(s)
 	// find an NVM segment in the same pod
 	var hot mem.Addr
 	for i := 0; i < 16; i++ {
 		a := nvmSeg(ctl, 80+i)
-		if m.podOf(segOf(a)) == pi {
+		if m.podOf(hmc.SegOf(a)) == pi {
 			hot = a
 			break
 		}
@@ -197,7 +197,7 @@ func TestHotDRAMDataNotVictimised(t *testing.T) {
 	sim.RunUntil(sim.Now() + 2*m.cfg.IntervalCycles)
 	miss(sim, ctl, hot)
 	sim.Drain(0)
-	if m.occupantOf(s) != s {
+	if m.Owner(s) != s {
 		t.Fatal("hot DRAM segment was displaced")
 	}
 }
@@ -239,41 +239,5 @@ func TestMemPodIntegrityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFreezePageImmediateWhenIdle(t *testing.T) {
-	sim, ctl, _ := testRig()
-	done := false
-	ctl.BeginDMA(1234, func() { done = true })
-	sim.Drain(0)
-	if !done {
-		t.Fatal("idle freeze did not complete immediately")
-	}
-	ctl.EndDMA(1234)
-}
-
-// TestVerifyIntegrityCatchesMutation: after a real migration the manager's
-// remap table agrees with the oracle; sending the migrated segment home in
-// the manager's table alone must fail the check.
-func TestVerifyIntegrityCatchesMutation(t *testing.T) {
-	sim, ctl, m := testRig()
-	hot := nvmSeg(ctl, 40)
-	for i := 0; i < 30; i++ {
-		miss(sim, ctl, hot)
-	}
-	sim.RunUntil(sim.Now() + 2*m.cfg.IntervalCycles)
-	miss(sim, ctl, hot)
-	sim.Drain(0)
-	if m.Stats().Migrations == 0 {
-		t.Fatal("no migration to corrupt")
-	}
-	if err := ctl.VerifyIntegrity(); err != nil {
-		t.Fatalf("uncorrupted run fails: %v", err)
-	}
-	s := uint64(segOf(hot))
-	m.remap.Place(s, s)
-	if err := ctl.VerifyIntegrity(); err == nil {
-		t.Fatal("VerifyIntegrity accepted a translation the oracle contradicts")
 	}
 }

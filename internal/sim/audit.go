@@ -107,7 +107,7 @@ func (s *System) metaCaches() []*hmc.MetaCache {
 	case s.PageSeer != nil:
 		return []*hmc.MetaCache{s.PageSeer.PRTc(), s.PageSeer.PCTc()}
 	case s.PoM != nil:
-		return []*hmc.MetaCache{s.PoM.SRC()}
+		return []*hmc.MetaCache{s.PoM.RemapCache()}
 	case s.MemPod != nil:
 		return []*hmc.MetaCache{s.MemPod.RemapCache()}
 	}

@@ -124,32 +124,40 @@ func BenchmarkDemandPathNVMMiss(b *testing.B) {
 
 // TestZeroAllocDemandBudget extends the allocguard gate from "disabled obs
 // sinks allocate nothing" to a runtime budget over the whole machine: after
-// warm-up, a full system (PageSeer scheme, swaps enabled, histograms
-// attached) must stay under a hard ceiling of allocations per retired
-// instruction. The pooled transaction records hold the steady state near
-// zero; the budget leaves headroom only for structural growth (map resizes
-// in the swap engine and hot-page tables, rare queue spills).
+// warm-up, a full system (each swapping scheme, histograms attached) must
+// stay under a hard ceiling of allocations per retired instruction. The
+// pooled transaction records hold the steady state near zero; the budget
+// leaves headroom only for structural growth (table resizes in the swap
+// engine and hot-page tables, rare queue spills, MemPod's per-interval hot
+// sets).
 func TestZeroAllocDemandBudget(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.InstrPerCore = 0 // phases driven manually below
-	cfg.Warmup = 0
-	sys, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.runPhase(300_000)
+	for _, scheme := range []Scheme{SchemePageSeer, SchemePoM, SchemeMemPod} {
+		t.Run(string(scheme), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Scheme = scheme
+			cfg.InstrPerCore = 0 // phases driven manually below
+			cfg.Warmup = 0
+			sys, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.runPhase(300_000)
 
-	const chunk = 25_000
-	allocs := testing.AllocsPerRun(4, func() { sys.runPhase(chunk) })
-	perInstr := allocs / chunk
+			const chunk = 25_000
+			allocs := testing.AllocsPerRun(4, func() { sys.runPhase(chunk) })
+			perInstr := allocs / chunk
 
-	// Ceiling: 1 allocation per 200 retired instructions. Before the
-	// pooling work the demand path alone paid ~8 closure/record allocations
-	// per memory op (roughly 1 per 2 instructions at lbm's intensity) —
-	// two orders of magnitude over this line.
-	const ceiling = 0.005
-	if perInstr > ceiling {
-		t.Fatalf("steady state allocates %.5f per retired instruction (%.0f per %d-instr chunk), budget %.3f",
-			perInstr, allocs, chunk, ceiling)
+			// Ceiling: 1 allocation per 200 retired instructions. Before
+			// the pooling work the demand path alone paid ~8
+			// closure/record allocations per memory op (roughly 1 per 2
+			// instructions at lbm's intensity) — two orders of magnitude
+			// over this line.
+			const ceiling = 0.005
+			if perInstr > ceiling {
+				t.Fatalf("steady state allocates %.5f per retired instruction (%.0f per %d-instr chunk), budget %.3f",
+					perInstr, allocs, chunk, ceiling)
+			}
+			t.Logf("%.5f allocations per retired instruction", perInstr)
+		})
 	}
 }

@@ -1,14 +1,9 @@
 package sim
 
-import (
-	"testing"
-
-	"pageseer/internal/mem"
-)
+import "testing"
 
 // These integration tests exercise whole-system flows end to end: page
-// walks reaching the MMU Driver, DMA freezing mid-swap, and cross-scheme
-// invariants that only hold when every component cooperates.
+// walks reaching the MMU Driver and cross-scheme invariants that only hold when every component cooperates.
 
 func TestWalkPathReachesMMUDriver(t *testing.T) {
 	cfg := tinyConfig(SchemePageSeer, "lbm")
@@ -36,38 +31,6 @@ func TestWalkPathReachesMMUDriver(t *testing.T) {
 	perWalk := float64(res.MMU.WalkReads) / float64(res.MMU.Walks)
 	if perWalk < 1 || perWalk > 4 {
 		t.Fatalf("walk reads per walk = %.2f, outside [1,4]", perWalk)
-	}
-}
-
-func TestDMAFreezeSystemLevel(t *testing.T) {
-	cfg := tinyConfig(SchemePageSeer, "miniFE")
-	sys, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Run a slice of the workload, then freeze a page mid-traffic, issue
-	// "DMA" accesses through the controller's translation, and unfreeze.
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	page := mem.PPN(sys.Ctl.Layout.DRAMPages()) + 7 // an NVM page
-	frozen := false
-	sys.Ctl.BeginDMA(page, func() { frozen = true })
-	sys.Sim.Drain(0)
-	if !frozen {
-		t.Fatal("DMA freeze never completed")
-	}
-	// The DMA engine reads the page through the manager's translation.
-	target := sys.Ctl.Manager().TranslateLine(page.Addr())
-	okCh := false
-	sys.Ctl.IssueLine(target, false, 1, func() { okCh = true })
-	sys.Sim.Drain(0)
-	if !okCh {
-		t.Fatal("DMA read never completed")
-	}
-	sys.Ctl.EndDMA(page)
-	if err := sys.Ctl.VerifyIntegrity(); err != nil {
-		t.Fatal(err)
 	}
 }
 

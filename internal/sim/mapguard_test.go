@@ -13,22 +13,19 @@ import (
 // mapGuardPackages are the packages a demand request passes through. A Go
 // map there costs a hash and a probe per use; sparse sets use mem.Table
 // and dense ones a plain slice instead.
-var mapGuardPackages = []string{"cache", "hmc", "core", "mem", "mempod", "memsim", "engine", "mmu", "cpu"}
+var mapGuardPackages = []string{"cache", "hmc", "core", "mem", "pom", "mempod", "memsim", "engine", "mmu", "cpu"}
 
 // mapAllowlist names every declaration in mapGuardPackages whose non-test
 // code may mention a map type, each with the reason it is off the
 // per-request path. A declaration is "pkg.Func", "pkg.Type.Method" or,
 // for a struct field, "pkg.Type.field".
 var mapAllowlist = map[string]string{
-	"hmc.Controller.frozen":    "DMA freeze set: touched when a DMA transfer starts or ends",
-	"hmc.NewController":        "builds the DMA freeze set",
 	"mem.AddressSpace.mapped":  "first-touch VPN -> PPN record: a walk reads the page table itself",
 	"mem.OS.NewProcess":        "builds an address space's first-touch record",
 	"mempod.pendingMig.hot":    "per-interval hot set carried by a queued migration",
 	"mempod.MemPod.interval":   "builds the per-interval hot set",
 	"mempod.MemPod.migrate":    "takes the per-interval hot set",
 	"mempod.MemPod.pickVictim": "takes the per-interval hot set",
-	"mempod.MemPod.FreezePage": "DMA freeze: the set of migrations to wait for",
 }
 
 // TestNoMapsOnRequestPath parses the non-test sources of mapGuardPackages

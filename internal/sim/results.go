@@ -171,7 +171,7 @@ func (s *System) collect(epochStart uint64) Results {
 		r.RemapCache = s.PageSeer.PRTc().Stats()
 		r.PCTc = s.PageSeer.PCTc().Stats()
 	case s.PoM != nil:
-		r.RemapCache = s.PoM.SRC().Stats()
+		r.RemapCache = s.PoM.RemapCache().Stats()
 	case s.MemPod != nil:
 		r.RemapCache = s.MemPod.RemapCache().Stats()
 	}

@@ -454,11 +454,8 @@ func (c ledgerCounters) SwapSettled(now uint64) {
 // ledger's addr->unit conversion. PageSeer and Static move 4KB pages, PoM
 // and MemPod 2KB segments. Custom managers default to page granularity.
 func swapUnitShift(scheme Scheme) uint {
-	switch scheme {
-	case SchemePoM:
-		return 11 // pom.SegmentBytes
-	case SchemeMemPod:
-		return 11 // mempod.SegmentBytes
+	if scheme == SchemePoM || scheme == SchemeMemPod {
+		return hmc.SegmentShift
 	}
 	return mem.PageShift
 }

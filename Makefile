@@ -144,10 +144,11 @@ chaos-smoke:
 chaos:
 	PAGESEER_CHAOS=1 $(GO) test -race -run 'TestChaosMatrix|TestChaosSmoke' -count=1 ./internal/sim
 
-## resume-smoke: the campaign-durability gate — SIGKILL a journaled quick
-## campaign mid-grid, resume it with -resume (completed runs replay from
-## the journal, only the casualties re-execute), and require the resumed
-## figure output to be byte-identical to an uninterrupted reference.
+## resume-smoke: the durability gate — SIGKILL a journaled quick
+## paper-figures campaign and a journaled pageseer-sim invocation mid-way,
+## resume each with -resume (completed runs replay from the journal, only
+## the casualties re-execute), and require each resumed output to be
+## byte-identical to an uninterrupted reference.
 resume-smoke:
 	GO="$(GO)" sh scripts/resume_smoke.sh
 

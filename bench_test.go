@@ -31,7 +31,7 @@ func benchOnce(b *testing.B, fn func(r *figures.Runner)) {
 
 func BenchmarkTable1Config(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if figures.Table1(figures.QuickOptions().Scale) == "" {
+		if figures.Table1(figures.QuickOptions().Config.Scale) == "" {
 			b.Fatal("empty Table I")
 		}
 	}
@@ -39,7 +39,7 @@ func BenchmarkTable1Config(b *testing.B) {
 
 func BenchmarkTable2Parameters(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if figures.Table2(figures.QuickOptions().Scale) == "" {
+		if figures.Table2(figures.QuickOptions().Config.Scale) == "" {
 			b.Fatal("empty Table II")
 		}
 	}

@@ -21,13 +21,20 @@
 // and prints a per-run CPI-stack table (export it with -cpi-csv/-cpi-json);
 // -serve runs the campaign introspection server from paper-figures over
 // this invocation's runs (progress on /, per-run JSON on /runs, Prometheus
-// metrics on /metrics, pprof under /debug/pprof/); -trace writes
+// metrics on /metrics, pprof under /debug/pprof/); -journal makes the
+// invocation resumable like a paper-figures campaign; -trace writes
 // swap-lifecycle spans and MMU-hint causality arrows in Chrome Trace Event
 // Format (open in Perfetto or chrome://tracing); -timeline samples IPC,
 // swap activity, and queue occupancy every -timeline-every cycles into CSV
 // (or JSON when the path ends in .json).
 // With multiple workloads each run writes its own file, the workload name
-// inserted before the extension (trace.json -> trace-lbm.json).
+// inserted before the extension (trace.json -> trace-lbm.json). A run
+// replayed from a -journal has no system to write these files from, so
+// -journal cannot combine with them.
+//
+// Every run goes through the same figures.Runner paper-figures uses, so
+// -j, -run-timeout, -serve, -journal and the signal handling behave alike
+// in both commands.
 //
 // Usage:
 //
@@ -42,135 +49,89 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"syscall"
-	"time"
 
 	"pageseer"
 	"pageseer/internal/cli"
 	"pageseer/internal/stats"
 )
 
-// Graceful-shutdown state for direct (non-runner) runs: the first
-// SIGINT/SIGTERM sets stopping so queued runs never start; a second signal
-// aborts the registered in-flight systems at their next event boundary.
-var (
-	stopping atomic.Bool
-	activeMu sync.Mutex
-	active   = map[*pageseer.System]struct{}{}
-)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// errSkipped marks runs that never started because the process was
-// interrupted; they are reported in one summary line, not as failures with
-// crashdumps.
-var errSkipped = errors.New("interrupted before this run started")
-
-func trackActive(sys *pageseer.System, on bool) {
-	activeMu.Lock()
-	defer activeMu.Unlock()
-	if on {
-		active[sys] = struct{}{}
-	} else {
-		delete(active, sys)
-	}
-}
-
-func abortActive(reason string) {
-	activeMu.Lock()
-	defer activeMu.Unlock()
-	for sys := range active {
-		sys.Abort(reason)
-	}
-}
-
-func main() {
-	common := cli.Register(flag.CommandLine)
+// run executes one invocation and returns its exit status: 0 on success, 1
+// when a run failed, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pageseer-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	common := cli.Register(fs)
 	var (
-		wl     = flag.String("workload", "lbm", `Table III workload name(s), comma-separated, or "all"`)
-		scheme = flag.String("scheme", "pageseer", "pageseer | pageseer-nocorr | pom | mempod | static")
-		nobw   = flag.Bool("nobw", false, "disable the Swap Driver bandwidth heuristic")
-		list   = flag.Bool("list", false, "list workloads and exit")
+		wl     = fs.String("workload", "lbm", `Table III workload name(s), comma-separated, or "all"`)
+		scheme = fs.String("scheme", "pageseer", "pageseer | pageseer-nocorr | pom | mempod | static")
+		nobw   = fs.Bool("nobw", false, "disable the Swap Driver bandwidth heuristic")
+		list   = fs.Bool("list", false, "list workloads and exit")
 
-		cpi       = flag.Bool("cpi", false, "attach cycle attribution and print the CPI-stack table")
-		cpiCSV    = flag.String("cpi-csv", "", "write the CPI stacks to this CSV file (implies -cpi)")
-		cpiJSON   = flag.String("cpi-json", "", "write the CPI stacks (with per-trigger-class splits) to this JSON file (implies -cpi)")
-		pagemapOn = flag.Bool("pagemap", false, "attach the per-page telemetry table and print its digest (hot sets, churn, flaps, NVM wear)")
-		pmCSV     = flag.String("pagemap-csv", "", "write the full per-page table to this CSV file (implies -pagemap)")
-		pmJSON    = flag.String("pagemap-json", "", "write the full per-page table to this JSON file (implies -pagemap)")
-		pm2MB     = flag.Bool("pagemap-2mb", false, "roll the -pagemap-csv/-json export up into 2MB extents instead of per-page rows")
-		tracePath = flag.String("trace", "", "write a Chrome/Perfetto trace of swap lifecycles and MMU hints to this file")
-		tlPath    = flag.String("timeline", "", "write the epoch timeline to this file (.json = JSON, otherwise CSV)")
-		tlEvery   = flag.Uint64("timeline-every", 50_000, "timeline sampling interval in cycles")
+		cpi       = fs.Bool("cpi", false, "attach cycle attribution and print the CPI-stack table")
+		cpiCSV    = fs.String("cpi-csv", "", "write the CPI stacks to this CSV file (implies -cpi)")
+		cpiJSON   = fs.String("cpi-json", "", "write the CPI stacks (with per-trigger-class splits) to this JSON file (implies -cpi)")
+		pagemapOn = fs.Bool("pagemap", false, "attach the per-page telemetry table and print its digest (hot sets, churn, flaps, NVM wear)")
+		files     runFiles
+		tlEvery   = fs.Uint64("timeline-every", 50_000, "timeline sampling interval in cycles")
 	)
-	flag.Parse()
+	fs.StringVar(&files.pmCSV, "pagemap-csv", "", "write the full per-page table to this CSV file (implies -pagemap)")
+	fs.StringVar(&files.pmJSON, "pagemap-json", "", "write the full per-page table to this JSON file (implies -pagemap)")
+	fs.BoolVar(&files.pm2MB, "pagemap-2mb", false, "roll the -pagemap-csv/-json export up into 2MB extents instead of per-page rows")
+	fs.StringVar(&files.trace, "trace", "", "write a Chrome/Perfetto trace of swap lifecycles and MMU hints to this file")
+	fs.StringVar(&files.timeline, "timeline", "", "write the epoch timeline to this file (.json = JSON, otherwise CSV)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
-	// Flag-combination validation up front, before any run (or server) starts:
-	// -serve and -journal route runs through the campaign runner, which owns
-	// no per-run file sinks, so the per-run observers cannot combine with it.
-	if common.Serve != "" || common.Journal != "" {
-		var conflicting []string
-		if *tracePath != "" {
-			conflicting = append(conflicting, "-trace")
-		}
-		if *tlPath != "" {
-			conflicting = append(conflicting, "-timeline")
-		}
-		if *pmCSV != "" || *pmJSON != "" {
-			conflicting = append(conflicting, "-pagemap-csv/-json")
-		}
-		if len(conflicting) > 0 {
-			with := "-serve"
-			if common.Serve == "" {
-				with = "-journal"
-			}
-			fmt.Fprintf(os.Stderr, "error: %s cannot be combined with %s: the campaign runner behind it owns no per-run file sinks\n", with, strings.Join(conflicting, "/"))
-			os.Exit(2)
-		}
+	// Flag-combination validation up front, before any run (or server)
+	// starts.
+	if common.Journal != "" && files.any() {
+		fmt.Fprintln(stderr, "error: -journal cannot be combined with -trace/-timeline/-pagemap-csv/-json: a run replayed from the journal has no system to write them from")
+		return 2
 	}
 	if err := common.CheckResume(); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "error:", err)
+		return 2
 	}
 
 	stopProfiles, err := common.StartProfiles()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "error:", err)
+		return 1
 	}
 	defer stopProfiles()
 
 	if *list {
 		for _, w := range pageseer.Workloads() {
-			fmt.Printf("%-12s (%s)\n", w, pageseer.Suite(w))
+			fmt.Fprintf(stdout, "%-12s (%s)\n", w, pageseer.Suite(w))
 		}
-		return
+		return 0
 	}
 
 	wls := strings.Split(*wl, ",")
 	if *wl == "all" {
 		wls = pageseer.Workloads()
 	}
+	files.multi = len(wls) > 1
 
 	cfg := pageseer.DefaultConfig()
-	cfg.Scheme = pageseer.Scheme(*scheme)
-	cfg.DisableBWOpt = *nobw
 	if err := common.ApplyConfig(&cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "error:", err)
+		return 2
 	}
-	cfg.Obs.Trace = *tracePath != ""
+	cfg.Obs.Trace = files.trace != ""
 	if *cpiCSV != "" || *cpiJSON != "" {
 		*cpi = true
 	}
@@ -178,316 +139,110 @@ func main() {
 	// attribution digests, so -serve attaches both (mirroring paper-figures).
 	cfg.Obs.Ledger = common.Effectiveness || common.Serve != ""
 	cfg.Obs.CPI = *cpi || common.Serve != ""
-	if *pmCSV != "" || *pmJSON != "" {
-		*pagemapOn = true
-	}
-	cfg.Obs.PageMap = *pagemapOn
-	if *tlPath != "" {
+	cfg.Obs.PageMap = *pagemapOn || files.pmCSV != "" || files.pmJSON != ""
+	if files.timeline != "" {
 		cfg.Obs.TimelineEvery = *tlEvery
 	}
 
-	// With -serve or -journal the runs route through a figures.Runner — so
-	// the campaign introspection server sees them live, and completed runs
-	// journal durably; the runner owns no per-run sinks, so the file-writing
-	// observers cannot combine with it.
-	var fr *pageseer.FigureRunner
-	var journal *pageseer.Journal
-	var srv *http.Server
-	if common.Serve != "" || common.Journal != "" {
-		fopts := pageseer.FigureOptions{
-			Scale:        cfg.Scale,
-			InstrPerCore: cfg.InstrPerCore,
-			Warmup:       cfg.Warmup,
-			Workloads:    wls,
-			Ledger:       cfg.Obs.Ledger,
-			CPI:          cfg.Obs.CPI,
-			PageMap:      cfg.Obs.PageMap,
-		}
-		if err := common.ApplyOptions(&fopts); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(2)
-		}
-		if common.Journal != "" {
-			j, err := pageseer.OpenJournal(common.Journal, pageseer.CampaignHash(fopts), common.Resume)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
-			}
-			if common.Resume {
-				fmt.Fprintf(os.Stderr, "journal: resuming from %s — %d run(s) already complete\n", common.Journal, j.Completed())
-			}
-			journal = j
-			fopts.Journal = j
-		}
-		fr = pageseer.NewFigureRunner(fopts)
+	s, err := common.Open(pageseer.FigureOptions{Config: cfg, Workloads: wls}, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "error:", err)
+		return 1
 	}
-	if common.Serve != "" {
-		ln, err := net.Listen("tcp", common.Serve)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "introspection server on http://%s/ (also /runs, /metrics, /debug/pprof/)\n", ln.Addr())
-		srv = &http.Server{Handler: pageseer.NewIntrospectionHandler(fr)}
-		go func() {
-			if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintln(os.Stderr, "serve:", err)
-			}
-		}()
+	keys := make([]pageseer.FigureKey, len(wls))
+	for i, w := range wls {
+		keys[i] = pageseer.FigureKey{Workload: w, Scheme: pageseer.Scheme(*scheme), DisableBW: *nobw}
 	}
+	var sink func(*pageseer.System) error
+	if files.any() {
+		sink = files.write
+	}
+	results, errs := s.Runner.RunKeys(keys, sink)
 
-	// Graceful shutdown: first SIGINT/SIGTERM lets in-flight runs finish
-	// (and journal) while queued runs never start; a second signal aborts
-	// the in-flight runs at their next event boundary.
-	sigCtx, _ := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigCtx.Done()
-		stopping.Store(true)
-		if fr != nil {
-			fr.Stop()
-		}
-		fmt.Fprintln(os.Stderr, "\ninterrupted: no new runs will start; in-flight runs finish (signal again to abort them)")
-		second := make(chan os.Signal, 1)
-		signal.Notify(second, os.Interrupt, syscall.SIGTERM)
-		<-second
-		fmt.Fprintln(os.Stderr, "interrupted again: aborting in-flight runs")
-		if fr != nil {
-			fr.AbortActive("run aborted by signal")
-		}
-		abortActive("run aborted by signal")
-	}()
-
-	// Fan runs across -j workers; each worker owns its private system, so
-	// per-run determinism is untouched. Reports buffer per run and print
-	// in argument order, never interleaved.
-	par := common.Jobs
-	if par < 1 {
-		par = 1
-	}
-	if par > len(wls) {
-		par = len(wls)
-	}
-	reports := make([]string, len(wls))
-	results := make([]pageseer.Results, len(wls))
-	errs := make([]error, len(wls))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if stopping.Load() {
-					errs[i] = errSkipped
-					continue
-				}
-				c := cfg
-				c.Workload = wls[i]
-				if fr != nil {
-					var res pageseer.Results
-					var err error
-					if c.DisableBWOpt && c.Scheme == pageseer.SchemePageSeer {
-						res, err = fr.RunNoBWOpt(c.Workload)
-					} else {
-						res, err = fr.Run(c.Workload, c.Scheme)
-					}
-					results[i], errs[i] = res, err
-					if err == nil {
-						reports[i] = report(c, res)
-					}
-					continue
-				}
-				multi := len(wls) > 1
-				sinks := runSinks{
-					trace:    outPath(*tracePath, wls[i], multi),
-					timeline: outPath(*tlPath, wls[i], multi),
-					pmCSV:    outPath(*pmCSV, wls[i], multi),
-					pmJSON:   outPath(*pmJSON, wls[i], multi),
-					pm2MB:    *pm2MB,
-				}
-				results[i], reports[i], errs[i] = runOne(c, sinks, common.RunTimeout)
-			}
-		}()
-	}
-	for i := range wls {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-
-	// Report every run — successes in argument order, failures to stderr
-	// with a crashdump file each — and only then decide the exit code, so
-	// one bad run never hides the others' results.
+	// Reports print in argument order, successes to stdout; a failed run's
+	// *RunError is listed with its crashdump by Finish, and runs a signal
+	// kept from starting by its resume hint, so only other errors print
+	// here.
 	failed := false
-	skipped := 0
 	for i := range wls {
-		if errs[i] != nil {
-			failed = true
-			if errors.Is(errs[i], errSkipped) || errors.Is(errs[i], pageseer.ErrStopped) {
-				skipped++
-				continue
-			}
-			fmt.Fprintln(os.Stderr, "error:", errs[i])
+		if err := errs[i]; err != nil {
 			var re *pageseer.RunError
-			if errors.As(errs[i], &re) {
-				path := filepath.Join(common.CrashdumpDir, fmt.Sprintf("crashdump-%s-%s.txt", re.Workload, re.Scheme))
-				if werr := os.WriteFile(path, []byte(re.Crashdump), 0o644); werr != nil {
-					fmt.Fprintln(os.Stderr, "crashdump:", werr)
-				} else {
-					fmt.Fprintln(os.Stderr, "crashdump written to", path)
-				}
+			if !errors.Is(err, pageseer.ErrStopped) && !errors.As(err, &re) {
+				fmt.Fprintln(stderr, "error:", err)
+				failed = true
 			}
 			continue
 		}
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		fmt.Print(reports[i])
+		fmt.Fprint(stdout, report(cfg, results[i]))
 	}
 
 	// The CPI-stack table aggregates the successful runs (argument order)
 	// after the per-run reports, like paper-figures prints its tables after
 	// the figures.
 	if *cpi {
-		label := *scheme
-		if *nobw {
-			label += "-nobw"
-		}
 		var rows []pageseer.CPIStackRow
-		for i := range wls {
-			if errs[i] != nil {
-				continue
-			}
-			rows = append(rows, pageseer.CPIStackRow{
-				Workload:     wls[i],
-				Scheme:       label,
-				Instructions: results[i].Instructions,
-				Stack:        results[i].CPIStack,
-			})
-		}
-		fmt.Println()
-		fmt.Print(pageseer.RenderCPIStack(rows))
-		if *cpiCSV != "" {
-			if err := writeSink(*cpiCSV, func(w io.Writer) error { return pageseer.WriteCPIStackCSV(w, rows) }); err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				failed = true
+		for i, k := range keys {
+			if errs[i] == nil {
+				rows = append(rows, pageseer.CPIStackRow{
+					Workload:     k.Workload,
+					Scheme:       k.Label(),
+					Instructions: results[i].Instructions,
+					Stack:        results[i].CPIStack,
+				})
 			}
 		}
-		if *cpiJSON != "" {
-			if err := writeSink(*cpiJSON, func(w io.Writer) error { return pageseer.WriteCPIStackJSON(w, rows) }); err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				failed = true
-			}
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, pageseer.RenderCPIStack(rows))
+		if err := cli.WriteTable(rows, *cpiCSV, pageseer.WriteCPIStackCSV, *cpiJSON, pageseer.WriteCPIStackJSON); err != nil {
+			fmt.Fprintln(stderr, "error:", err)
+			failed = true
 		}
 	}
-	if journal != nil {
-		if err := journal.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "journal:", err)
-		}
-	}
-	if skipped > 0 {
-		fmt.Fprintf(os.Stderr, "interrupted: %d run(s) never started\n", skipped)
-		if journal != nil {
-			fmt.Fprintf(os.Stderr, "resume with the same flags plus: -journal %s -resume\n", common.Journal)
-		} else {
-			fmt.Fprintln(os.Stderr, "hint: -journal DIR makes interrupted invocations resumable")
-		}
-	}
-	if failed {
-		os.Exit(1)
-	}
-	// With -serve the process keeps the introspection endpoints alive after
-	// the runs so their results stay inspectable. On interrupt the server
-	// drains in-flight HTTP requests under a deadline instead of cutting
-	// connections mid-response.
-	if srv != nil {
-		fmt.Fprintln(os.Stderr, "runs complete; introspection server still running (Ctrl-C to exit)")
-		<-sigCtx.Done()
-		drain, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(drain); err != nil {
-			srv.Close()
-		}
-	}
+	return s.Finish(failed)
 }
 
-// runSinks carries one run's per-run output files (multi-workload
-// invocations get the workload name inserted via outPath).
-type runSinks struct {
+// runFiles names one invocation's per-run output files; with several
+// workloads each run's names get the workload inserted (see outPath).
+type runFiles struct {
 	trace, timeline string
 	pmCSV, pmJSON   string
 	pm2MB           bool
+	multi           bool
 }
 
-func runOne(cfg pageseer.Config, sinks runSinks, timeout time.Duration) (pageseer.Results, string, error) {
-	sys, err := pageseer.Build(cfg)
-	if err != nil {
-		return pageseer.Results{}, "", err
-	}
-	trackActive(sys, true)
-	defer trackActive(sys, false)
-	if timeout > 0 {
-		t := time.AfterFunc(timeout, func() {
-			sys.Abort(fmt.Sprintf("wall-clock run timeout %s exceeded", timeout))
-		})
-		defer t.Stop()
-	}
-	res, err := sys.Run()
-	if err != nil {
-		return pageseer.Results{}, "", err
-	}
-	if sinks.trace != "" {
-		if err := writeSink(sinks.trace, sys.Tracer.WriteJSON); err != nil {
-			return pageseer.Results{}, "", err
+func (f runFiles) any() bool {
+	return f.trace != "" || f.timeline != "" || f.pmCSV != "" || f.pmJSON != ""
+}
+
+// write exports one finished run's trace, timeline and per-page table (or,
+// with -pagemap-2mb, its 2MB-extent roll-up).
+func (f runFiles) write(sys *pageseer.System) error {
+	wl := sys.Cfg.Workload
+	if p := outPath(f.trace, wl, f.multi); p != "" {
+		if err := cli.WriteFile(p, sys.Tracer.WriteJSON); err != nil {
+			return err
 		}
 	}
-	if sinks.timeline != "" {
+	if p := outPath(f.timeline, wl, f.multi); p != "" {
 		w := sys.Timeline.WriteCSV
-		if strings.HasSuffix(sinks.timeline, ".json") {
+		if strings.HasSuffix(p, ".json") {
 			w = sys.Timeline.WriteJSON
 		}
-		if err := writeSink(sinks.timeline, w); err != nil {
-			return pageseer.Results{}, "", err
+		if err := cli.WriteFile(p, w); err != nil {
+			return err
 		}
 	}
-	if sinks.pmCSV != "" || sinks.pmJSON != "" {
-		if err := writePageMap(sys, sinks); err != nil {
-			return pageseer.Results{}, "", err
-		}
-	}
-	return res, report(cfg, res), nil
-}
-
-// writePageMap exports the run's full per-page table (or, with -pagemap-2mb,
-// its 2MB-extent roll-up) to the requested files.
-func writePageMap(sys *pageseer.System, sinks runSinks) error {
-	pm := sys.PageMap()
-	if sinks.pm2MB {
-		regions := pm.Regions()
-		if sinks.pmCSV != "" {
-			if err := writeSink(sinks.pmCSV, func(w io.Writer) error { return pageseer.WritePageMapRegionsCSV(w, regions) }); err != nil {
-				return err
-			}
-		}
-		if sinks.pmJSON != "" {
-			if err := writeSink(sinks.pmJSON, func(w io.Writer) error { return pageseer.WritePageMapRegionsJSON(w, regions) }); err != nil {
-				return err
-			}
-		}
+	csvPath, jsonPath := outPath(f.pmCSV, wl, f.multi), outPath(f.pmJSON, wl, f.multi)
+	if csvPath == "" && jsonPath == "" {
 		return nil
 	}
-	rows := pm.Rows()
-	if sinks.pmCSV != "" {
-		if err := writeSink(sinks.pmCSV, func(w io.Writer) error { return pageseer.WritePageMapCSV(w, rows) }); err != nil {
-			return err
-		}
+	if f.pm2MB {
+		return cli.WriteTable(sys.PageMap().Regions(), csvPath, pageseer.WritePageMapRegionsCSV, jsonPath, pageseer.WritePageMapRegionsJSON)
 	}
-	if sinks.pmJSON != "" {
-		if err := writeSink(sinks.pmJSON, func(w io.Writer) error { return pageseer.WritePageMapJSON(w, rows) }); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cli.WriteTable(sys.PageMap().Rows(), csvPath, pageseer.WritePageMapCSV, jsonPath, pageseer.WritePageMapJSON)
 }
 
 // outPath returns base with the workload name inserted before the extension
@@ -499,18 +254,6 @@ func outPath(base, wl string, multi bool) string {
 	}
 	ext := filepath.Ext(base)
 	return strings.TrimSuffix(base, ext) + "-" + wl + ext
-}
-
-func writeSink(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func report(cfg pageseer.Config, res pageseer.Results) string {

@@ -15,25 +15,21 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"path/filepath"
 	"strings"
-	"syscall"
-	"time"
 
 	"pageseer/internal/cli"
 	"pageseer/internal/figures"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run executes the invocation and returns its exit status: 0 on success, 1
+// on a failed run or campaign, 2 on a usage error.
+func run() int {
 	common := cli.Register(flag.CommandLine)
 	var (
 		all   = flag.Bool("all", false, "regenerate everything")
@@ -72,7 +68,7 @@ func main() {
 	stopProfiles, err := common.StartProfiles()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		return 1
 	}
 	defer stopProfiles()
 
@@ -80,9 +76,9 @@ func main() {
 	if *quick {
 		opts = figures.QuickOptions()
 	}
-	if err := common.ApplyOptions(&opts); err != nil {
+	if err := common.ApplyConfig(&opts.Config); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(2)
+		return 2
 	}
 	if *workloads != "" {
 		opts.Workloads = strings.Split(*workloads, ",")
@@ -91,6 +87,7 @@ func main() {
 		opts.Progress = os.Stderr
 	}
 	opts.Retries = *retry
+	obs := &opts.Config.Obs
 	if *effectCSV != "" || *effectJSON != "" {
 		*effect = true
 	}
@@ -98,21 +95,21 @@ func main() {
 	// introspection server asks for it. It is deliberately NOT part of
 	// -all: -all regenerates the paper's figures, whose runs stay
 	// ledger-free (and byte-identical to earlier releases).
-	opts.Ledger = *effect || common.Serve != ""
+	obs.Ledger = *effect || common.Serve != ""
 	if *cpistackCSV != "" || *cpistackJSON != "" {
 		*cpistack = true
 	}
 	// Cycle attribution follows the same rule: it rides every run when the
 	// CPI-stack table or the introspection server (per-component cycle
 	// counters on /metrics) asks for it, and never under plain -all.
-	opts.CPI = *cpistack || common.Serve != ""
+	obs.CPI = *cpistack || common.Serve != ""
 	if *churnCSV != "" || *churnJSON != "" {
 		*churn = true
 	}
 	// The pagemap is opt-in only (never implied by -serve): unlike the
 	// ledger and attribution digests its table grows with the footprint, so
 	// only the churn table asks for it.
-	opts.PageMap = *churn
+	obs.PageMap = *churn
 
 	anyFigure := *fig7 || *fig8 || *fig9 || *fig10 || *fig11 || *fig12 || *fig13 || *fig14 || *abl || *lat || *effect || *cpistack || *churn
 	anyTable := *table1 || *table2 || *table3
@@ -122,80 +119,44 @@ func main() {
 			true, true, true, true, true, true, true, true, true, true
 	} else if !anyFigure && !anyTable && common.Serve == "" {
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 
 	if *table1 {
-		fmt.Println(figures.Table1(opts.Scale))
+		fmt.Println(figures.Table1(opts.Config.Scale))
 	}
 	if *table2 {
-		fmt.Println(figures.Table2(opts.Scale))
+		fmt.Println(figures.Table2(opts.Config.Scale))
 	}
 	if *table3 {
 		fmt.Println(figures.Table3())
 	}
 
-	fail := func(err error) {
+	// fail reports a campaign-level error; once the session is open, it
+	// also ends it, so failed runs still get their crashdumps.
+	var s *cli.Session
+	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		if s != nil {
+			s.Finish(true)
+		}
+		return 1
 	}
 
-	// The campaign journal makes the grid crash-safe: completed runs are
-	// fsynced to <dir>/journal.psj as they finish, and -resume replays them
-	// instead of re-executing (refusing a journal recorded under different
-	// campaign options).
-	var journal *figures.Journal
+	// The session opens the campaign journal (which makes the grid
+	// crash-safe: completed runs are fsynced as they finish, and -resume
+	// replays them instead of re-executing), arms the two-stage signal
+	// handler and starts the -serve introspection server, which reads the
+	// Runner's memoisation cache and so sees runs the moment they begin.
 	if err := common.CheckResume(); err != nil {
-		fail(err)
+		fmt.Fprintln(os.Stderr, "error:", err)
+		return 2
 	}
-	if common.Journal != "" {
-		j, err := figures.OpenJournal(common.Journal, figures.CampaignHash(opts), common.Resume)
-		if err != nil {
-			fail(err)
-		}
-		journal = j
-		opts.Journal = j
-		if common.Resume {
-			fmt.Fprintf(os.Stderr, "journal: resuming from %s — %d run(s) already complete\n", common.Journal, j.Completed())
-		}
+	s, err = common.Open(opts, os.Stderr)
+	if err != nil {
+		return fail(err)
 	}
-
-	r := figures.NewRunner(opts)
-
-	// Graceful shutdown: the first SIGINT/SIGTERM stops launching new runs
-	// while in-flight runs finish (and journal); a second signal aborts the
-	// in-flight runs at their next event boundary, so they fail into
-	// crashdump-carrying *sim.RunErrors instead of being lost silently.
-	// (sigStop is never called: the handler stays armed for the whole
-	// process so a signal during late output still stops cleanly.)
-	sigCtx, _ := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigCtx.Done()
-		r.Stop()
-		fmt.Fprintln(os.Stderr, "\ninterrupted: no new runs will start; in-flight runs finish (signal again to abort them)")
-		second := make(chan os.Signal, 1)
-		signal.Notify(second, os.Interrupt, syscall.SIGTERM)
-		<-second
-		fmt.Fprintln(os.Stderr, "interrupted again: aborting in-flight runs")
-		r.AbortActive("campaign aborted by signal")
-	}()
-
-	// The introspection server watches the campaign live: it reads the
-	// Runner's memoisation cache, so it sees runs the moment they begin.
-	var srv *http.Server
-	if common.Serve != "" {
-		ln, err := net.Listen("tcp", common.Serve)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "introspection server on http://%s/ (also /runs, /metrics, /debug/pprof/)\n", ln.Addr())
-		srv = &http.Server{Handler: figures.NewIntrospectionHandler(r)}
-		go func() {
-			if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintln(os.Stderr, "serve:", err)
-			}
-		}()
-	}
+	r := s.Runner
 
 	// Prefetch fans the needed (workload, scheme, disableBW) runs across
 	// the -j worker pool before any figure is assembled; the figure
@@ -209,79 +170,72 @@ func main() {
 	if anyFigure || *all {
 		if err := r.Prefetch(needs); err != nil {
 			if errors.Is(err, figures.ErrStopped) {
-				if journal != nil {
-					journal.Close()
-					fmt.Fprintf(os.Stderr, "campaign stopped: %d run(s) journaled; resume with the same flags plus: -journal %s -resume\n",
-						journal.Completed(), common.Journal)
-				} else {
-					fmt.Fprintln(os.Stderr, "campaign stopped; hint: -journal DIR makes interrupted campaigns resumable")
-				}
-				os.Exit(1)
+				return s.Finish(true)
 			}
-			fail(err)
+			return fail(err)
 		}
 	}
 
 	if *fig7 {
 		rows, err := figures.Figure7(r)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Println(figures.RenderFigure7(rows))
 	}
 	if *fig8 {
 		rows, err := figures.Figure8(r)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Println(figures.RenderFigure8(rows))
 	}
 	if *fig9 {
 		rows, err := figures.Figure9(r)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Println(figures.RenderFigure9(rows))
 	}
 	if *fig10 {
 		rows, err := figures.Figure10(r)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Println(figures.RenderFigure10(rows))
 	}
 	if *fig11 {
 		rows, err := figures.Figure11(r)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Println(figures.RenderFigure11(rows))
 	}
 	if *fig12 {
 		rows, err := figures.Figure12(r)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Println(figures.RenderFigure12(rows))
 	}
 	if *fig13 {
 		rows, err := figures.Figure13(r)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Println(figures.RenderFigure13(rows))
 	}
 	if *fig14 {
 		sum, err := figures.Figure14(r)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Println(figures.RenderFigure14(sum))
 	}
 	if *abl {
 		rows, err := figures.Ablation(r)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Println(figures.RenderAblation(rows))
 	}
@@ -290,7 +244,7 @@ func main() {
 	if *lat {
 		rows, err := figures.LatencyTable(r)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Println(figures.RenderLatencyTable(rows))
 	}
@@ -300,18 +254,11 @@ func main() {
 	if *effect {
 		rows, err := figures.EffectivenessTable(r)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Println(figures.RenderEffectiveness(rows))
-		if *effectCSV != "" {
-			if err := writeFile(*effectCSV, rows, figures.WriteEffectivenessCSV); err != nil {
-				fail(err)
-			}
-		}
-		if *effectJSON != "" {
-			if err := writeFile(*effectJSON, rows, figures.WriteEffectivenessJSON); err != nil {
-				fail(err)
-			}
+		if err := cli.WriteTable(rows, *effectCSV, figures.WriteEffectivenessCSV, *effectJSON, figures.WriteEffectivenessJSON); err != nil {
+			return fail(err)
 		}
 	}
 
@@ -321,18 +268,11 @@ func main() {
 	if *cpistack {
 		rows, err := figures.CPIStackTable(r)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Println(figures.RenderCPIStack(rows))
-		if *cpistackCSV != "" {
-			if err := writeFile(*cpistackCSV, rows, figures.WriteCPIStackCSV); err != nil {
-				fail(err)
-			}
-		}
-		if *cpistackJSON != "" {
-			if err := writeFile(*cpistackJSON, rows, figures.WriteCPIStackJSON); err != nil {
-				fail(err)
-			}
+		if err := cli.WriteTable(rows, *cpistackCSV, figures.WriteCPIStackCSV, *cpistackJSON, figures.WriteCPIStackJSON); err != nil {
+			return fail(err)
 		}
 	}
 
@@ -341,68 +281,16 @@ func main() {
 	if *churn {
 		rows, err := figures.ChurnTable(r)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Println(figures.RenderChurn(rows))
-		if *churnCSV != "" {
-			if err := writeFile(*churnCSV, rows, figures.WriteChurnCSV); err != nil {
-				fail(err)
-			}
-		}
-		if *churnJSON != "" {
-			if err := writeFile(*churnJSON, rows, figures.WriteChurnJSON); err != nil {
-				fail(err)
-			}
+		if err := cli.WriteTable(rows, *churnCSV, figures.WriteChurnCSV, *churnJSON, figures.WriteChurnJSON); err != nil {
+			return fail(err)
 		}
 	}
 
 	// Failed runs were absorbed as gaps so the rest of the campaign could
-	// finish; report them — with a crashdump file each — and fail the exit
-	// code only now, after every figure and table has printed.
-	if journal != nil {
-		if err := journal.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "journal:", err)
-		}
-	}
-
-	if fails := r.Failures(); len(fails) > 0 {
-		fmt.Fprintf(os.Stderr, "\n%d run(s) failed (their figures show gaps):\n", len(fails))
-		for _, f := range fails {
-			fmt.Fprintf(os.Stderr, "  %s/%s (%d attempt(s)): %v\n", f.Workload, f.Scheme, f.Attempts, f.Err.Cause)
-			path := filepath.Join(common.CrashdumpDir, fmt.Sprintf("crashdump-%s-%s.txt", f.Workload, f.Scheme))
-			if err := os.WriteFile(path, []byte(f.Err.Crashdump), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "  crashdump:", err)
-			} else {
-				fmt.Fprintln(os.Stderr, "  crashdump written to", path)
-			}
-		}
-		os.Exit(1)
-	}
-
-	// With -serve the process keeps the introspection endpoints alive after
-	// the campaign so its results stay inspectable. On interrupt the server
-	// drains in-flight HTTP requests under a deadline instead of cutting
-	// connections mid-response.
-	if srv != nil {
-		fmt.Fprintln(os.Stderr, "campaign complete; introspection server still running (Ctrl-C to exit)")
-		<-sigCtx.Done()
-		drain, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(drain); err != nil {
-			srv.Close()
-		}
-	}
-}
-
-// writeFile writes rows to path with one of the table encoders.
-func writeFile[T any](path string, rows []T, write func(io.Writer, []T) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f, rows); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	// finish; Finish reports them — with a crashdump file each — and fails
+	// the exit code only now, after every figure and table has printed.
+	return s.Finish(false)
 }

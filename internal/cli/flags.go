@@ -1,7 +1,8 @@
 // Package cli is the command-line surface pageseer-sim and paper-figures
 // share: one definition of their common flags, the validation those flags
-// need, their mapping onto a run's configuration, and the profiling they
-// switch on.
+// need, their mapping onto a run's configuration, the profiling they switch
+// on, the run lifecycle around their figures.Runner (Session), and the
+// table file writers.
 package cli
 
 import (
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"pageseer/internal/check"
-	"pageseer/internal/figures"
 	"pageseer/internal/sim"
 )
 
@@ -89,8 +89,9 @@ func (f *Flags) faults() (check.FaultPlan, error) {
 	return check.FaultPlan{Kind: k, Rate: f.faultRate, Seed: f.faultSeed}, nil
 }
 
-// ApplyConfig sets a run's shape from the flags: scale and budgets only
-// when given (nonzero), everything else as parsed.
+// ApplyConfig sets a run's shape from the flags: scale, budgets and the
+// core cap only when given (nonzero), since the caller's template may set
+// its own; everything else as parsed.
 func (f *Flags) ApplyConfig(cfg *sim.Config) error {
 	plan, err := f.faults()
 	if err != nil {
@@ -99,33 +100,11 @@ func (f *Flags) ApplyConfig(cfg *sim.Config) error {
 	setIf(&cfg.Scale, f.Scale)
 	setIf(&cfg.InstrPerCore, f.Instr)
 	setIf(&cfg.Warmup, f.Warmup)
-	cfg.MaxCores = f.MaxCores
+	setIf(&cfg.MaxCores, f.MaxCores)
 	cfg.Seed = f.Seed
 	cfg.Sample, cfg.SampleWindow, cfg.SampleWarmup = f.Sample, f.SampleWindow, f.SampleWarmup
 	cfg.Audit = f.Audit
 	cfg.Faults = plan
-	return nil
-}
-
-// ApplyOptions sets a campaign's run shape from the flags by the same
-// rule as ApplyConfig — except that the core cap, too, applies only when
-// given, since a campaign profile may set its own — plus its parallelism
-// and per-run timeout.
-func (f *Flags) ApplyOptions(o *figures.Options) error {
-	plan, err := f.faults()
-	if err != nil {
-		return err
-	}
-	setIf(&o.Scale, f.Scale)
-	setIf(&o.InstrPerCore, f.Instr)
-	setIf(&o.Warmup, f.Warmup)
-	setIf(&o.MaxCores, f.MaxCores)
-	o.Seed = f.Seed
-	o.Sample, o.SampleWindow, o.SampleWarmup = f.Sample, f.SampleWindow, f.SampleWarmup
-	o.Audit = f.Audit
-	o.Faults = plan
-	o.Parallelism = f.Jobs
-	o.RunTimeout = f.RunTimeout
 	return nil
 }
 

@@ -1,0 +1,190 @@
+package cli
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"os"
+	"os/signal"
+	"path/filepath"
+	"sync"
+	"syscall"
+	"time"
+
+	"pageseer/internal/figures"
+)
+
+// Session is one invocation's run lifecycle around its figures.Runner: the
+// -journal journal, the two-stage SIGINT/SIGTERM handler, the -serve
+// introspection server, and the end-of-run failure report.
+type Session struct {
+	Runner *figures.Runner
+
+	flags   *Flags
+	stderr  io.Writer
+	journal *figures.Journal
+	srv     *http.Server
+	signals context.Context
+	unwatch context.CancelFunc
+	done    chan struct{}  // closed by Finish: the goroutines below stop
+	exited  sync.WaitGroup // the signal handler and the server
+}
+
+// Open starts the lifecycle of a campaign over opts: it opens the -journal
+// journal (noting a resume on stderr), builds the runner with -j and
+// -run-timeout, arms the signal handler, and starts the -serve server.
+// Every successful Open is ended by Finish.
+func (f *Flags) Open(opts figures.Options, stderr io.Writer) (*Session, error) {
+	s := &Session{flags: f, stderr: stderr, done: make(chan struct{})}
+	if f.Journal != "" {
+		j, err := figures.OpenJournal(f.Journal, figures.CampaignHash(opts), f.Resume)
+		if err != nil {
+			return nil, err
+		}
+		if f.Resume {
+			fmt.Fprintf(stderr, "journal: resuming from %s — %d run(s) already complete\n", f.Journal, j.Completed())
+		}
+		s.journal = j
+		opts.Journal = j
+	}
+	opts.Parallelism = f.Jobs
+	opts.RunTimeout = f.RunTimeout
+	s.Runner = figures.NewRunner(opts)
+
+	if f.Serve != "" {
+		ln, err := net.Listen("tcp", f.Serve)
+		if err != nil {
+			if s.journal != nil {
+				s.journal.Close()
+			}
+			return nil, err
+		}
+		fmt.Fprintf(stderr, "introspection server on http://%s/ (also /runs, /metrics, /debug/pprof/)\n", ln.Addr())
+		s.srv = &http.Server{Handler: figures.NewIntrospectionHandler(s.Runner)}
+		s.exited.Add(1)
+		go func() {
+			defer s.exited.Done()
+			if err := s.srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				fmt.Fprintln(stderr, "serve:", err)
+			}
+		}()
+	}
+
+	// Graceful shutdown: the first SIGINT/SIGTERM stops launching new runs
+	// while in-flight runs finish (and journal); a second signal aborts the
+	// in-flight runs at their next event boundary, so they fail into
+	// crashdump-carrying *sim.RunErrors instead of being lost silently.
+	s.signals, s.unwatch = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	s.exited.Add(1)
+	go func() {
+		defer s.exited.Done()
+		select {
+		case <-s.signals.Done():
+		case <-s.done:
+			return
+		}
+		s.Runner.Stop()
+		fmt.Fprintln(stderr, "\ninterrupted: no new runs will start; in-flight runs finish (signal again to abort them)")
+		second := make(chan os.Signal, 1)
+		signal.Notify(second, os.Interrupt, syscall.SIGTERM)
+		defer signal.Stop(second)
+		select {
+		case <-second:
+			fmt.Fprintln(stderr, "interrupted again: aborting in-flight runs")
+			s.Runner.AbortActive("run aborted by signal")
+		case <-s.done:
+		}
+	}()
+	return s, nil
+}
+
+// Finish ends the invocation. It closes the journal, prints a resume hint
+// if a signal stopped the runner, and lists every failed run on stderr,
+// writing its crashdump into -crashdump-dir. With -serve, and when nothing
+// failed, it keeps the server up until a signal; it then drains the server
+// and disarms the signal handler, returning once the server and the
+// handler have stopped. failed reports a failure the caller saw
+// itself. Finish returns the exit status: 1 on a stop or any failure, else
+// 0.
+func (s *Session) Finish(failed bool) int {
+	defer func() {
+		close(s.done)
+		s.exited.Wait()
+		s.unwatch()
+	}()
+	if s.journal != nil {
+		if err := s.journal.Close(); err != nil {
+			fmt.Fprintln(s.stderr, "journal:", err)
+		}
+	}
+	if s.Runner.Stopping() {
+		failed = true
+		if s.journal != nil {
+			fmt.Fprintf(s.stderr, "stopped: %d run(s) journaled; resume with the same flags plus: -journal %s -resume\n",
+				s.journal.Completed(), s.flags.Journal)
+		} else {
+			fmt.Fprintln(s.stderr, "stopped; hint: -journal DIR makes interrupted invocations resumable")
+		}
+	}
+	if fails := s.Runner.Failures(); len(fails) > 0 {
+		failed = true
+		fmt.Fprintf(s.stderr, "\n%d run(s) failed:\n", len(fails))
+		for _, f := range fails {
+			fmt.Fprintf(s.stderr, "  %s/%s (%d attempt(s)): %v\n", f.Workload, f.Scheme, f.Attempts, f.Err.Cause)
+			path := filepath.Join(s.flags.CrashdumpDir, fmt.Sprintf("crashdump-%s-%s.txt", f.Workload, f.Scheme))
+			if err := os.WriteFile(path, []byte(f.Err.Crashdump), 0o644); err != nil {
+				fmt.Fprintln(s.stderr, "  crashdump:", err)
+			} else {
+				fmt.Fprintln(s.stderr, "  crashdump written to", path)
+			}
+		}
+	}
+	if s.srv != nil {
+		// The server outlives the runs so their results stay inspectable;
+		// on interrupt it drains in-flight HTTP requests under a deadline
+		// instead of cutting connections mid-response.
+		if !failed {
+			fmt.Fprintln(s.stderr, "runs complete; introspection server still running (Ctrl-C to exit)")
+			<-s.signals.Done()
+		}
+		drain, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.srv.Shutdown(drain); err != nil {
+			s.srv.Close()
+		}
+	}
+	if failed {
+		return 1
+	}
+	return 0
+}
+
+// WriteFile creates path and fills it with write.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// WriteTable writes rows as CSV to csvPath and as JSON to jsonPath, with
+// the table's two encoders; an empty path is skipped.
+func WriteTable[T any](rows []T, csvPath string, csv func(io.Writer, []T) error, jsonPath string, json func(io.Writer, []T) error) error {
+	if csvPath != "" {
+		if err := WriteFile(csvPath, func(w io.Writer) error { return csv(w, rows) }); err != nil {
+			return err
+		}
+	}
+	if jsonPath != "" {
+		return WriteFile(jsonPath, func(w io.Writer) error { return json(w, rows) })
+	}
+	return nil
+}

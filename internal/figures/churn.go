@@ -23,7 +23,7 @@ type ChurnRow struct {
 // ErrNoPageMap rejects churn aggregation over a campaign that ran without
 // the pagemap: every digest would be zero and the table would silently
 // report a churn-free campaign.
-var ErrNoPageMap = errors.New("figures: churn requires Options.PageMap (campaign ran without the pagemap)")
+var ErrNoPageMap = errors.New("figures: churn requires Config.Obs.PageMap (campaign ran without the pagemap)")
 
 // ChurnTable collects the per-run pagemap digests over the campaign's
 // workloads for the Figure 14 comparison schemes (static never swaps, so its
@@ -31,7 +31,7 @@ var ErrNoPageMap = errors.New("figures: churn requires Options.PageMap (campaign
 // cached runs the figures use, so adding it to a campaign costs no extra
 // simulation.
 func ChurnTable(r *Runner) ([]ChurnRow, error) {
-	if !r.opts.PageMap {
+	if !r.opts.Config.Obs.PageMap {
 		return nil, ErrNoPageMap
 	}
 	var rows []ChurnRow
@@ -46,7 +46,7 @@ func ChurnTable(r *Runner) ([]ChurnRow, error) {
 			}
 			rows = append(rows, ChurnRow{
 				Workload: wl,
-				Scheme:   schemeLabel(sch, false),
+				Scheme:   string(sch),
 				Summary:  res.PageMap,
 			})
 		}

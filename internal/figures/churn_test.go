@@ -106,7 +106,7 @@ func TestChurnTableRequiresPageMap(t *testing.T) {
 func TestChurnTableFromCampaign(t *testing.T) {
 	opts := tinyOpts()
 	opts.Workloads = []string{"lbm"}
-	opts.PageMap = true
+	opts.Config.Obs.PageMap = true
 	r := NewRunner(opts)
 	rows, err := ChurnTable(r)
 	if err != nil {
@@ -141,11 +141,11 @@ func TestMetricsPageMapAndWatchdog(t *testing.T) {
 	// The watchdog samples every 200k cycles; the tiny geometry finishes
 	// before the first sample, so this test runs the quick GemsFDTD scale.
 	opts.Workloads = []string{"GemsFDTD"}
-	opts.InstrPerCore = 400_000
-	opts.Warmup = 250_000
-	opts.MaxCores = 4
-	opts.PageMap = true
-	opts.Audit = true // arms the watchdog, whose stats feed the strike series
+	opts.Config.InstrPerCore = 400_000
+	opts.Config.Warmup = 250_000
+	opts.Config.MaxCores = 4
+	opts.Config.Obs.PageMap = true
+	opts.Config.Audit = true // arms the watchdog, whose stats feed the strike series
 	r := NewRunner(opts)
 	if _, err := r.Run("GemsFDTD", sim.SchemePageSeer); err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ type CPIStackRow struct {
 // ErrNoCPI rejects CPI-stack aggregation over a campaign that ran without
 // cycle attribution: every stack would be zero and the table would silently
 // report a stall-free campaign.
-var ErrNoCPI = errors.New("figures: CPI stacks require Options.CPI (campaign ran without cycle attribution)")
+var ErrNoCPI = errors.New("figures: CPI stacks require Config.Obs.CPI (campaign ran without cycle attribution)")
 
 // CPIStackTable collects the per-run CPI stacks over the campaign's
 // workloads for the static baseline and the Figure 14 comparison schemes.
@@ -37,7 +37,7 @@ var ErrNoCPI = errors.New("figures: CPI stacks require Options.CPI (campaign ran
 // prefetched campaign simulates them here on first use; everything else
 // comes from the shared run cache.
 func CPIStackTable(r *Runner) ([]CPIStackRow, error) {
-	if !r.opts.CPI {
+	if !r.opts.Config.Obs.CPI {
 		return nil, ErrNoCPI
 	}
 	var rows []CPIStackRow
@@ -52,7 +52,7 @@ func CPIStackTable(r *Runner) ([]CPIStackRow, error) {
 			}
 			rows = append(rows, CPIStackRow{
 				Workload:     wl,
-				Scheme:       schemeLabel(sch, false),
+				Scheme:       string(sch),
 				Instructions: res.Instructions,
 				Stack:        res.CPIStack,
 			})

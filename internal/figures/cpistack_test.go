@@ -87,7 +87,7 @@ func TestCPIStackTableRequiresCPI(t *testing.T) {
 func TestCPIStackTableFromCampaign(t *testing.T) {
 	opts := tinyOpts()
 	opts.Workloads = []string{"lbm"}
-	opts.CPI = true
+	opts.Config.Obs.CPI = true
 	r := NewRunner(opts)
 	rows, err := CPIStackTable(r)
 	if err != nil {
@@ -128,7 +128,7 @@ func TestCPIStackTableFromCampaign(t *testing.T) {
 func TestMetricsCPIAndHistograms(t *testing.T) {
 	opts := tinyOpts()
 	opts.Workloads = []string{"lbm"}
-	opts.CPI = true
+	opts.Config.Obs.CPI = true
 	r := NewRunner(opts)
 	if _, err := r.Run("lbm", sim.SchemePageSeer); err != nil {
 		t.Fatal(err)

@@ -22,14 +22,14 @@ type EffectivenessRow struct {
 // ErrNoLedger rejects effectiveness aggregation over a campaign that ran
 // without the swap-provenance ledger: every summary would be zero and the
 // table would silently report a perfectly wasteless campaign.
-var ErrNoLedger = errors.New("figures: effectiveness requires Options.Ledger (campaign ran without the swap-provenance ledger)")
+var ErrNoLedger = errors.New("figures: effectiveness requires Config.Obs.Ledger (campaign ran without the swap-provenance ledger)")
 
 // EffectivenessTable collects the per-run effectiveness digests over the
 // campaign's workloads for the Figure 14 comparison schemes. It draws on
 // the same cached runs the figures use, so adding it to a campaign costs no
 // extra simulation.
 func EffectivenessTable(r *Runner) ([]EffectivenessRow, error) {
-	if !r.opts.Ledger {
+	if !r.opts.Config.Obs.Ledger {
 		return nil, ErrNoLedger
 	}
 	var rows []EffectivenessRow
@@ -44,7 +44,7 @@ func EffectivenessTable(r *Runner) ([]EffectivenessRow, error) {
 			}
 			rows = append(rows, EffectivenessRow{
 				Workload: wl,
-				Scheme:   schemeLabel(sch, false),
+				Scheme:   string(sch),
 				Summary:  res.Effectiveness,
 			})
 		}

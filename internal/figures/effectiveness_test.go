@@ -89,7 +89,7 @@ func TestEffectivenessTableRequiresLedger(t *testing.T) {
 func TestEffectivenessTableFromCampaign(t *testing.T) {
 	opts := tinyOpts()
 	opts.Workloads = []string{"lbm"}
-	opts.Ledger = true
+	opts.Config.Obs.Ledger = true
 	r := NewRunner(opts)
 	rows, err := EffectivenessTable(r)
 	if err != nil {
@@ -121,8 +121,8 @@ func TestEffectivenessTableFromCampaign(t *testing.T) {
 func TestIntrospectionServer(t *testing.T) {
 	opts := tinyOpts()
 	opts.Workloads = []string{"lbm"}
-	opts.Ledger = true
-	opts.Audit = true
+	opts.Config.Obs.Ledger = true
+	opts.Config.Audit = true
 	r := NewRunner(opts)
 	if _, err := r.Run("lbm", sim.SchemePageSeer); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,13 +13,9 @@ import (
 
 func isolationOptions() Options {
 	return Options{
-		Scale:        128,
-		InstrPerCore: 120_000,
-		Warmup:       60_000,
-		Seed:         1,
-		MaxCores:     2,
-		Workloads:    []string{"lbm", "GemsFDTD"},
-		Parallelism:  2,
+		Config:      sim.Config{Scale: 128, InstrPerCore: 120_000, Warmup: 60_000, Seed: 1, MaxCores: 2},
+		Workloads:   []string{"lbm", "GemsFDTD"},
+		Parallelism: 2,
 	}
 }
 
@@ -157,5 +154,77 @@ func TestStopSkipsQueuedRuns(t *testing.T) {
 	r.Stop()
 	if _, err := r.Run("lbm", sim.SchemePageSeer); !errors.Is(err, ErrStopped) {
 		t.Fatalf("run on a stopped campaign returned %v, want ErrStopped", err)
+	}
+}
+
+// TestFailuresListsRunsOutsideTheCampaign: a failed run outside the
+// canonical key set — a static CPI-stack baseline, or whatever scheme
+// pageseer-sim runs — is listed by Failures after the canonical ones, so
+// the CLIs exit non-zero and write its crashdump.
+func TestFailuresListsRunsOutsideTheCampaign(t *testing.T) {
+	simulateHook = func(cfg sim.Config) {
+		if cfg.Scheme == sim.SchemeStatic || cfg.Scheme == sim.SchemeMemPod {
+			panic("figures: injected failure")
+		}
+	}
+	defer func() { simulateHook = nil }()
+
+	opts := isolationOptions()
+	opts.Workloads = []string{"lbm"}
+	r := NewRunner(opts)
+	if _, err := r.Run("lbm", sim.SchemeStatic); !isGap(err) {
+		t.Fatalf("static run returned %v, want its *sim.RunError", err)
+	}
+	if _, err := r.Run("lbm", sim.SchemeMemPod); !isGap(err) {
+		t.Fatalf("mempod run returned %v, want its *sim.RunError", err)
+	}
+	var got []string
+	for _, f := range r.Failures() {
+		got = append(got, f.Workload+"/"+f.Scheme)
+	}
+	if want := []string{"lbm/mempod", "lbm/static"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Failures() = %v, want %v (canonical keys first, then the rest)", got, want)
+	}
+}
+
+// TestRunKeysHandsEachSystemToTheSink: RunKeys returns results in key
+// order and gives the sink every system it simulates, once; a sink error
+// fails that run, and a sink panic becomes the run's *sim.RunError.
+func TestRunKeysHandsEachSystemToTheSink(t *testing.T) {
+	r := NewRunner(isolationOptions())
+	keys := []Key{
+		{Workload: "GemsFDTD", Scheme: sim.SchemePoM},
+		{Workload: "lbm", Scheme: sim.SchemePoM},
+		{Workload: "GemsFDTD", Scheme: sim.SchemePoM}, // memoised: no second sink call
+	}
+	var mu sync.Mutex
+	sunk := map[string]int{}
+	results, errs := r.RunKeys(keys, func(sys *sim.System) error {
+		mu.Lock()
+		defer mu.Unlock()
+		sunk[sys.Cfg.Workload]++
+		return nil
+	})
+	for i, k := range keys {
+		if errs[i] != nil || results[i].Workload != k.Workload {
+			t.Fatalf("key %d (%s): results for %q, err %v", i, k.Workload, results[i].Workload, errs[i])
+		}
+	}
+	if want := map[string]int{"GemsFDTD": 1, "lbm": 1}; !reflect.DeepEqual(sunk, want) {
+		t.Fatalf("sink calls = %v, want %v", sunk, want)
+	}
+
+	failing := []Key{{Workload: "lbm", Scheme: sim.SchemeStatic}, {Workload: "GemsFDTD", Scheme: sim.SchemeStatic}}
+	_, errs = r.RunKeys(failing, func(sys *sim.System) error {
+		if sys.Cfg.Workload == "lbm" {
+			return errors.New("sink refused")
+		}
+		panic("sink crashed")
+	})
+	if errs[0] == nil || isGap(errs[0]) || !strings.Contains(errs[0].Error(), "sink refused") {
+		t.Fatalf("sink error surfaced as %v, want the sink's own error", errs[0])
+	}
+	if !isGap(errs[1]) {
+		t.Fatalf("sink panic surfaced as %v, want a *sim.RunError", errs[1])
 	}
 }

@@ -23,58 +23,26 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pageseer/internal/check"
 	"pageseer/internal/sim"
 	"pageseer/internal/workload"
 )
 
 // Options configures a harness campaign.
 type Options struct {
-	// Scale, InstrPerCore, Warmup, Seed mirror sim.Config.
-	Scale        int
-	InstrPerCore uint64
-	Warmup       uint64
-	Seed         uint64
+	// Config is the run template: every run copies it and sets only
+	// Scheme, Workload and DisableBWOpt from its key.
+	Config sim.Config
 	// Workloads selects a subset (nil = all 26 of Table III).
 	Workloads []string
-	// MaxCores caps core counts for quick runs (0 = paper counts).
-	MaxCores int
 	// Progress, when non-nil, receives one line per completed run.
-	// Writes are serialised, and during Prefetch/RunAll they are emitted
-	// in campaign order regardless of which worker finishes first.
+	// Writes are serialised, and during a fan-out (RunKeys, Prefetch,
+	// RunAll) they are emitted in key order regardless of which worker
+	// finishes first.
 	Progress io.Writer
-	// Parallelism is the worker-pool width for Prefetch/RunAll
+	// Parallelism is the worker-pool width of a fan-out
 	// (0 = runtime.GOMAXPROCS(0)). It fans whole runs out; each run
 	// executes on the serial engine.
 	Parallelism int
-
-	// Audit mirrors sim.Config.Audit: every campaign run carries the
-	// liveness watchdog and the end-of-run invariant audit.
-	Audit bool
-	// Ledger mirrors sim.Config.Obs.Ledger: every campaign run records
-	// swap provenance, filling Results.Effectiveness for the
-	// effectiveness table and the introspection server.
-	Ledger bool
-	// CPI mirrors sim.Config.Obs.CPI: every campaign run carries the
-	// cycle-attribution layer, filling Results.CPIStack for the CPI-stack
-	// table and the per-component metrics on the introspection server.
-	CPI bool
-	// PageMap mirrors sim.Config.Obs.PageMap: every campaign run carries
-	// the address-space telemetry table, filling Results.PageMap for the
-	// churn table and the wear/flap/hot-set metrics on the introspection
-	// server.
-	PageMap bool
-	// Faults mirrors sim.Config.Faults: every campaign run executes under
-	// the given deterministic fault-injection plan.
-	Faults check.FaultPlan
-	// Sample, SampleWindow, SampleWarmup mirror the sim.Config sampling
-	// geometry: when Sample > 0 every campaign run executes the SMARTS-style
-	// sampled schedule (functional fast-forward between detailed windows)
-	// instead of the full detailed reference. Results carry the geometry in
-	// Results.Sampling.
-	Sample       uint64
-	SampleWindow uint64
-	SampleWarmup uint64
 	// Retries re-executes a run up to Retries extra times when it fails
 	// with a *sim.RunError, with deterministic capped backoff
 	// (min(250ms·2ⁿ, 5s)), before recording it as a campaign gap (for
@@ -93,15 +61,12 @@ type Options struct {
 	Journal *Journal
 }
 
-// DefaultOptions runs the full 26-workload campaign at the default scale.
+// DefaultOptions runs the full 26-workload campaign at the default
+// configuration.
 func DefaultOptions() Options {
-	d := sim.DefaultConfig()
 	return Options{
-		Scale:        d.Scale,
-		InstrPerCore: d.InstrPerCore,
-		Warmup:       d.Warmup,
-		Seed:         1,
-		Workloads:    workload.AllWorkloadNames(),
+		Config:    sim.DefaultConfig(),
+		Workloads: workload.AllWorkloadNames(),
 	}
 }
 
@@ -109,17 +74,38 @@ func DefaultOptions() Options {
 // budgets, capped cores) for benches and smoke checks.
 func QuickOptions() Options {
 	o := DefaultOptions()
-	o.InstrPerCore = 400_000
-	o.Warmup = 250_000
-	o.MaxCores = 4
+	o.Config.InstrPerCore = 400_000
+	o.Config.Warmup = 250_000
+	o.Config.MaxCores = 4
 	o.Workloads = []string{"lbm", "GemsFDTD", "miniFE", "barnes", "mix6"}
 	return o
 }
 
-type runKey struct {
-	workload  string
-	scheme    sim.Scheme
-	disableBW bool
+// configFor resolves one run key to its full sim.Config: the template with
+// the key's scheme, workload and bandwidth-heuristic switch. It is the
+// resolution simulate executes and the journal hashes, so a journal record
+// can be verified against exactly what would run.
+func (o Options) configFor(k Key) sim.Config {
+	cfg := o.Config
+	cfg.Scheme, cfg.Workload, cfg.DisableBWOpt = k.Scheme, k.Workload, k.DisableBW
+	return cfg
+}
+
+// Key names one run: a workload under a scheme, with PageSeer's Swap
+// Driver bandwidth heuristic switched off when DisableBW is set.
+type Key struct {
+	Workload  string
+	Scheme    sim.Scheme
+	DisableBW bool
+}
+
+// Label is the run's scheme as reports print it, "-nobw" appended when the
+// bandwidth heuristic is off.
+func (k Key) Label() string {
+	if k.DisableBW {
+		return string(k.Scheme) + "-nobw"
+	}
+	return string(k.Scheme)
 }
 
 // runEntry is one memoised run. done closes when res/err/wall are final;
@@ -145,18 +131,18 @@ type Runner struct {
 	opts Options
 
 	mu    sync.Mutex // guards cache and began (the map/slice, not the entries)
-	cache map[runKey]*runEntry
+	cache map[Key]*runEntry
 	// began records every key in the order its run first started, so the
-	// introspection snapshot can also surface runs outside the canonical
-	// campaign key set (static CPI-stack baselines, ad-hoc schemes driven
-	// through pageseer-sim -serve).
-	began []runKey
+	// introspection snapshot and Failures also surface runs outside the
+	// canonical campaign key set (static CPI-stack baselines, the schemes
+	// pageseer-sim runs).
+	began []Key
 
 	// Ordered progress emission during Prefetch/RunAll: lines buffer in
 	// pending and flush in order[next:] as the completed prefix grows.
 	progressMu sync.Mutex
-	order      []runKey
-	pending    map[runKey]string
+	order      []Key
+	pending    map[Key]string
 	next       int
 
 	// Graceful shutdown: Stop flips stopped, after which no new run starts
@@ -213,7 +199,7 @@ func NewRunner(opts Options) *Runner {
 	}
 	return &Runner{
 		opts:   opts,
-		cache:  make(map[runKey]*runEntry),
+		cache:  make(map[Key]*runEntry),
 		active: make(map[*sim.System]struct{}),
 	}
 }
@@ -231,17 +217,16 @@ func (r *Runner) Parallelism() int {
 
 // Run returns the (cached) results for one workload under one scheme.
 func (r *Runner) Run(wl string, scheme sim.Scheme) (sim.Results, error) {
-	return r.run(wl, scheme, false)
+	return r.run(Key{Workload: wl, Scheme: scheme}, nil)
 }
 
 // RunNoBWOpt returns PageSeer results with the Swap Driver bandwidth
 // heuristic disabled (Figure 11's second bar).
 func (r *Runner) RunNoBWOpt(wl string) (sim.Results, error) {
-	return r.run(wl, sim.SchemePageSeer, true)
+	return r.run(Key{Workload: wl, Scheme: sim.SchemePageSeer, DisableBW: true}, nil)
 }
 
-func (r *Runner) run(wl string, scheme sim.Scheme, disableBW bool) (sim.Results, error) {
-	k := runKey{workload: wl, scheme: scheme, disableBW: disableBW}
+func (r *Runner) run(k Key, sink func(*sim.System) error) (sim.Results, error) {
 	r.mu.Lock()
 	if e, ok := r.cache[k]; ok {
 		r.mu.Unlock()
@@ -264,10 +249,10 @@ func (r *Runner) run(wl string, scheme sim.Scheme, disableBW bool) (sim.Results,
 	// than silently mixing two campaigns' numbers.
 	if j := r.opts.Journal; j != nil {
 		if rec, ok := j.lookup(k); ok {
-			want := configHash(r.configFor(k))
+			want := configHash(r.opts.configFor(k))
 			if rec.ConfigHash != want {
 				e.err = fmt.Errorf("journal: run %s/%s was recorded under config %s but this campaign resolves it to %s — the journal belongs to a different campaign; use a fresh -journal directory",
-					k.workload, schemeLabel(k.scheme, k.disableBW), rec.ConfigHash, want)
+					k.Workload, k.Label(), rec.ConfigHash, want)
 				return sim.Results{}, e.err
 			}
 			e.res, e.attempts, e.fromJournal = rec.Results, rec.Attempts, true
@@ -283,17 +268,17 @@ func (r *Runner) run(wl string, scheme sim.Scheme, disableBW bool) (sim.Results,
 	}
 
 	start := time.Now()
-	e.res, e.err = r.simulate(k)
+	e.res, e.err = r.simulate(k, sink)
 	e.attempts = 1
 	for e.err != nil && isGap(e.err) && e.attempts <= r.opts.Retries && !r.stopped.Load() {
 		time.Sleep(retryBackoff(e.attempts))
 		e.attempts++
-		e.res, e.err = r.simulate(k)
+		e.res, e.err = r.simulate(k, sink)
 	}
 	e.wall = time.Since(start)
 	if e.err == nil {
 		if j := r.opts.Journal; j != nil {
-			if jerr := j.record(k, configHash(r.configFor(k)), e.attempts, e.res); jerr != nil {
+			if jerr := j.record(k, configHash(r.opts.configFor(k)), e.attempts, e.res); jerr != nil {
 				// A journal that cannot persist is a campaign-level
 				// failure: continuing would silently lose durability.
 				e.err = jerr
@@ -331,35 +316,15 @@ func isGap(err error) bool {
 	return errors.As(err, &re)
 }
 
-// simulate executes one run; it holds no Runner locks, so independent keys
-// proceed in parallel. It is the campaign's isolation boundary: sim.Run
-// already converts in-run panics to *sim.RunError, and the recover here
-// catches anything outside that net (construction, the test hook), so one
-// dying run can never unwind a Prefetch worker and abort the campaign.
-// configFor resolves one run key to its full sim.Config — the same
-// resolution simulate executes and the journal hashes, so a journal record
-// can be verified against exactly what would run.
-func (r *Runner) configFor(k runKey) sim.Config {
-	return sim.Config{
-		Scheme:       k.scheme,
-		Workload:     k.workload,
-		Scale:        r.opts.Scale,
-		InstrPerCore: r.opts.InstrPerCore,
-		Warmup:       r.opts.Warmup,
-		Seed:         r.opts.Seed,
-		MaxCores:     r.opts.MaxCores,
-		DisableBWOpt: k.disableBW,
-		Audit:        r.opts.Audit,
-		Faults:       r.opts.Faults,
-		Sample:       r.opts.Sample,
-		SampleWindow: r.opts.SampleWindow,
-		SampleWarmup: r.opts.SampleWarmup,
-		Obs:          sim.ObsOptions{Ledger: r.opts.Ledger, CPI: r.opts.CPI, PageMap: r.opts.PageMap},
-	}
-}
-
-func (r *Runner) simulate(k runKey) (res sim.Results, err error) {
-	cfg := r.configFor(k)
+// simulate executes one run and hands the finished system to sink, if
+// any; it holds no Runner locks, so independent keys proceed in parallel.
+// It is the campaign's isolation boundary: sim.Run already converts in-run
+// panics to *sim.RunError, and the recover here catches anything outside
+// that net (construction, the sink, the test hook), so one dying run can
+// never unwind a worker and abort the campaign. The run timeout covers the
+// sink too.
+func (r *Runner) simulate(k Key, sink func(*sim.System) error) (res sim.Results, err error) {
+	cfg := r.opts.configFor(k)
 	defer func() {
 		if p := recover(); p != nil {
 			cause, ok := p.(error)
@@ -368,14 +333,14 @@ func (r *Runner) simulate(k runKey) (res sim.Results, err error) {
 			}
 			stack := debug.Stack()
 			res, err = sim.Results{}, &sim.RunError{
-				Scheme:   k.scheme,
-				Workload: k.workload,
+				Scheme:   k.Scheme,
+				Workload: k.Workload,
 				Seed:     cfg.Seed,
 				Cause:    cause,
 				Stack:    string(stack),
 				Crashdump: fmt.Sprintf(
 					"pageseer crashdump\nrun: workload=%s scheme=%s seed=%d scale=%d\ncause: %v\n(run died outside the event loop; no system state to dump)\n\nstack:\n%s",
-					k.workload, schemeLabel(k.scheme, k.disableBW), cfg.Seed, cfg.Scale, cause, stack),
+					k.Workload, k.Label(), cfg.Seed, cfg.Scale, cause, stack),
 			}
 		}
 	}()
@@ -396,15 +361,20 @@ func (r *Runner) simulate(k runKey) (res sim.Results, err error) {
 	}
 	res, err = sys.Run()
 	if err != nil {
-		return sim.Results{}, fmt.Errorf("figures: %s/%s: %w", k.workload, k.scheme, err)
+		return sim.Results{}, fmt.Errorf("figures: %s/%s: %w", k.Workload, k.Scheme, err)
+	}
+	if sink != nil {
+		if err := sink(sys); err != nil {
+			return sim.Results{}, err
+		}
 	}
 	return res, nil
 }
 
-// emitProgress writes one run's progress line. Outside a prefetch it goes
-// out immediately; during one it buffers until every earlier campaign key
-// has reported, so worker interleaving never reorders the log.
-func (r *Runner) emitProgress(k runKey, e *runEntry) {
+// emitProgress writes one run's progress line. Outside a fan-out it goes
+// out immediately; during one it buffers until every earlier key has
+// reported, so worker interleaving never reorders the log.
+func (r *Runner) emitProgress(k Key, e *runEntry) {
 	if r.opts.Progress == nil {
 		return
 	}
@@ -412,17 +382,16 @@ func (r *Runner) emitProgress(k runKey, e *runEntry) {
 	switch {
 	case e.err == nil && e.fromJournal:
 		line = fmt.Sprintf("jrnl %-12s %-16s ipc=%.3f (replayed from journal)\n",
-			k.workload, schemeLabel(k.scheme, k.disableBW), e.res.IPC)
+			k.Workload, k.Label(), e.res.IPC)
 	case e.err == nil:
 		d, n, b := e.res.ServiceBreakdown()
 		line = fmt.Sprintf("ran %-12s %-16s ipc=%.3f ammat=%.0f dram/nvm/buf=%.2f/%.2f/%.3f\n",
-			k.workload, schemeLabel(k.scheme, k.disableBW), e.res.IPC, e.res.AMMAT, d, n, b)
+			k.Workload, k.Label(), e.res.IPC, e.res.AMMAT, d, n, b)
 	case errors.Is(e.err, ErrStopped):
 		// A stopped campaign skips its remaining runs silently; the CLI
 		// prints one resume hint instead of a FAIL line per skipped run.
 	default:
-		line = fmt.Sprintf("FAIL %-12s %-16s %v\n",
-			k.workload, schemeLabel(k.scheme, k.disableBW), e.err)
+		line = fmt.Sprintf("FAIL %-12s %-16s %v\n", k.Workload, k.Label(), e.err)
 	}
 	r.progressMu.Lock()
 	defer r.progressMu.Unlock()
@@ -433,7 +402,7 @@ func (r *Runner) emitProgress(k runKey, e *runEntry) {
 		return
 	}
 	if r.pending == nil {
-		r.pending = make(map[runKey]string)
+		r.pending = make(map[Key]string)
 	}
 	r.pending[k] = line
 	for r.next < len(r.order) {
@@ -462,39 +431,54 @@ func AllNeeds() Needs { return Needs{Baselines: true, NoCorr: true, NoBW: true} 
 
 // keys enumerates the campaign key set for n in canonical (workload-major)
 // order — the order progress lines and Metrics follow.
-func (r *Runner) keys(n Needs) []runKey {
-	var ks []runKey
+func (r *Runner) keys(n Needs) []Key {
+	var ks []Key
 	for _, wl := range r.opts.Workloads {
 		if n.Baselines {
-			ks = append(ks,
-				runKey{workload: wl, scheme: sim.SchemePoM},
-				runKey{workload: wl, scheme: sim.SchemeMemPod})
+			ks = append(ks, Key{Workload: wl, Scheme: sim.SchemePoM}, Key{Workload: wl, Scheme: sim.SchemeMemPod})
 		}
-		ks = append(ks, runKey{workload: wl, scheme: sim.SchemePageSeer})
+		ks = append(ks, Key{Workload: wl, Scheme: sim.SchemePageSeer})
 		if n.NoCorr {
-			ks = append(ks, runKey{workload: wl, scheme: sim.SchemePageSeerNoCorr})
+			ks = append(ks, Key{Workload: wl, Scheme: sim.SchemePageSeerNoCorr})
 		}
 		if n.NoBW {
-			ks = append(ks, runKey{workload: wl, scheme: sim.SchemePageSeer, disableBW: true})
+			ks = append(ks, Key{Workload: wl, Scheme: sim.SchemePageSeer, DisableBW: true})
 		}
 	}
 	return ks
 }
 
-// RunAll pre-executes the campaign's full (workload, scheme, disableBW)
-// key set across the worker pool. Figures built afterwards hit the cache.
+// RunAll pre-executes the campaign's full key set across the worker pool.
+// Figures built afterwards hit the cache.
 func (r *Runner) RunAll() error { return r.Prefetch(AllNeeds()) }
 
-// Prefetch fans the selected run families across Parallelism workers.
-// Results land in the cache; every worker finishes regardless of failures.
-// Per-run failures (*sim.RunError) are absorbed — they surface as gaps in
-// the figures and through Failures() — so one crashed run cannot abort the
-// campaign. The first campaign-level error (unknown workload, invalid
-// configuration) in campaign order is returned.
+// Prefetch fans the selected run families across the worker pool (see
+// RunKeys). Per-run failures (*sim.RunError) are absorbed — they surface as
+// gaps in the figures and through Failures() — so one crashed run cannot
+// abort the campaign. The first campaign-level error (unknown workload,
+// invalid configuration, ErrStopped) in campaign order is returned.
 func (r *Runner) Prefetch(n Needs) error {
-	keys := r.keys(n)
+	_, errs := r.RunKeys(r.keys(n), nil)
+	for _, err := range errs {
+		if err != nil && !isGap(err) {
+			return err
+		}
+	}
+	return nil
+}
+
+// RunKeys fans keys across Parallelism workers and returns each key's
+// results and error, in keys' order. Results land in the cache; every
+// worker finishes regardless of failures, and keys not yet dispatched when
+// the runner is stopped fail with ErrStopped. sink, when non-nil, receives
+// the finished system of every run this call simulates (not one replayed
+// from the journal or already cached), inside the run's recovery and
+// timeout scope; a sink error fails that run.
+func (r *Runner) RunKeys(keys []Key, sink func(*sim.System) error) ([]sim.Results, []error) {
+	results := make([]sim.Results, len(keys))
+	errs := make([]error, len(keys))
 	if len(keys) == 0 {
-		return nil
+		return results, errs
 	}
 
 	// Install ordered progress for keys that have not yet reported.
@@ -525,26 +509,21 @@ func (r *Runner) Prefetch(n Needs) error {
 		r.progressMu.Unlock()
 	}()
 
-	par := r.Parallelism()
-	if par > len(keys) {
-		par = len(keys)
-	}
+	par := min(r.Parallelism(), len(keys))
 	jobs := make(chan int)
-	errs := make([]error, len(keys))
 	var wg sync.WaitGroup
 	for w := 0; w < par; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				k := keys[i]
-				_, errs[i] = r.run(k.workload, k.scheme, k.disableBW)
+				results[i], errs[i] = r.run(keys[i], sink)
 			}
 		}()
 	}
 	for i := range keys {
 		if r.stopped.Load() {
-			// Stopped mid-campaign: the rest of the grid never starts.
+			// Stopped mid-campaign: the rest of the keys never start.
 			for j := i; j < len(keys); j++ {
 				errs[j] = ErrStopped
 			}
@@ -554,12 +533,40 @@ func (r *Runner) Prefetch(n Needs) error {
 	}
 	close(jobs)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil && !isGap(err) {
-			return err
+	return results, errs
+}
+
+// begun lists every key the runner has begun: the canonical campaign keys
+// first, then the others (static CPI-stack baselines, the schemes
+// pageseer-sim runs) in the order they began.
+func (r *Runner) begun() []Key {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ks := make([]Key, 0, len(r.began))
+	seen := make(map[Key]bool, len(r.began))
+	for _, k := range append(r.keys(AllNeeds()), r.began...) {
+		if _, ok := r.cache[k]; ok && !seen[k] {
+			seen[k] = true
+			ks = append(ks, k)
 		}
 	}
-	return nil
+	return ks
+}
+
+// entry returns k's memoised run once it has finished.
+func (r *Runner) entry(k Key) (*runEntry, bool) {
+	r.mu.Lock()
+	e, ok := r.cache[k]
+	r.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	select {
+	case <-e.done:
+		return e, true
+	default:
+		return nil, false
+	}
 }
 
 // RunFailure is one failed campaign run, for end-of-campaign reporting.
@@ -570,41 +577,20 @@ type RunFailure struct {
 	Err      *sim.RunError
 }
 
-// Failures returns every completed campaign run that failed with a
-// *sim.RunError, in canonical campaign order. CLIs render these after the
-// figures and use the embedded crashdumps for triage files.
+// Failures returns every finished run that failed with a *sim.RunError:
+// canonical campaign keys first, then the others in the order they began.
+// CLIs render these after their output and use the embedded crashdumps for
+// triage files.
 func (r *Runner) Failures() []RunFailure {
 	var fs []RunFailure
-	for _, k := range r.keys(AllNeeds()) {
-		r.mu.Lock()
-		e, ok := r.cache[k]
-		r.mu.Unlock()
-		if !ok {
-			continue
-		}
-		select {
-		case <-e.done:
-		default:
-			continue // still in flight
-		}
+	for _, k := range r.begun() {
+		e, ok := r.entry(k)
 		var re *sim.RunError
-		if e.err != nil && errors.As(e.err, &re) {
-			fs = append(fs, RunFailure{
-				Workload: k.workload,
-				Scheme:   schemeLabel(k.scheme, k.disableBW),
-				Attempts: e.attempts,
-				Err:      re,
-			})
+		if ok && errors.As(e.err, &re) {
+			fs = append(fs, RunFailure{Workload: k.Workload, Scheme: k.Label(), Attempts: e.attempts, Err: re})
 		}
 	}
 	return fs
-}
-
-func schemeLabel(s sim.Scheme, disableBW bool) string {
-	if s == sim.SchemePageSeer && disableBW {
-		return "pageseer-nobw"
-	}
-	return string(s)
 }
 
 // suiteOrder fixes the row order of per-suite figures.

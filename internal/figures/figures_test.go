@@ -11,9 +11,9 @@ import (
 func tinyOpts() Options {
 	o := DefaultOptions()
 	o.Workloads = []string{"lbm", "barnes"}
-	o.InstrPerCore = 120_000
-	o.Warmup = 60_000
-	o.MaxCores = 2
+	o.Config.InstrPerCore = 120_000
+	o.Config.Warmup = 60_000
+	o.Config.MaxCores = 2
 	return o
 }
 
@@ -174,7 +174,30 @@ func TestBarRendering(t *testing.T) {
 
 func TestQuickOptionsAreSubset(t *testing.T) {
 	q := QuickOptions()
-	if len(q.Workloads) >= 26 || q.InstrPerCore >= DefaultOptions().InstrPerCore {
+	if len(q.Workloads) >= 26 || q.Config.InstrPerCore >= DefaultOptions().Config.InstrPerCore {
 		t.Fatalf("quick options not reduced: %+v", q)
+	}
+}
+
+// TestNoBWKeyReachesNoCorr: the bandwidth-heuristic switch of a run key
+// applies to PageSeer-NoCorr as well as PageSeer — the resolved config
+// carries it, and the run is labelled apart from the plain NoCorr run.
+func TestNoBWKeyReachesNoCorr(t *testing.T) {
+	var got []sim.Config
+	simulateHook = func(cfg sim.Config) { got = append(got, cfg) }
+	defer func() { simulateHook = nil }()
+
+	o := tinyOpts()
+	o.Parallelism = 1 // keep the hook race-free
+	r := NewRunner(o)
+	k := Key{Workload: "lbm", Scheme: sim.SchemePageSeerNoCorr, DisableBW: true}
+	if _, errs := r.RunKeys([]Key{k}, nil); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if len(got) != 1 || got[0].Scheme != sim.SchemePageSeerNoCorr || !got[0].DisableBWOpt {
+		t.Fatalf("resolved configs = %+v, want one NoCorr run with DisableBWOpt", got)
+	}
+	if snap := r.Snapshot(); len(snap) != 1 || snap[0].Scheme != "pageseer-nocorr-nobw" {
+		t.Fatalf("snapshot = %+v, want one pageseer-nocorr-nobw run", snap)
 	}
 }

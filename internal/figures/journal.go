@@ -41,7 +41,7 @@ import (
 // journalVersion is bumped on any format change, including a change to the
 // sim.Config fields configHash encodes: older records' hashes would no
 // longer match, and resume must say so by version, not as a foreign campaign.
-const journalVersion = 2
+const journalVersion = 3
 
 // journalFile is the file name inside the -journal directory.
 const journalFile = "journal.psj"
@@ -62,12 +62,12 @@ type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
-	done map[runKey]journalRecord
+	done map[Key]journalRecord
 }
 
 // journalKey converts a record back to the runner's cache key.
-func (rec *journalRecord) key() runKey {
-	return runKey{workload: rec.Workload, scheme: sim.Scheme(rec.Scheme), disableBW: rec.NoBW}
+func (rec *journalRecord) key() Key {
+	return Key{Workload: rec.Workload, Scheme: sim.Scheme(rec.Scheme), DisableBW: rec.NoBW}
 }
 
 // OpenJournal creates (or, with resume, reopens) the campaign journal in
@@ -86,7 +86,7 @@ func OpenJournal(dir, campaignHash string, resume bool) (*Journal, error) {
 		return nil, fmt.Errorf("journal: %s exists; pass -resume to continue it or point -journal at a fresh directory", path)
 	}
 
-	j := &Journal{path: path, done: make(map[runKey]journalRecord)}
+	j := &Journal{path: path, done: make(map[Key]journalRecord)}
 	if resume {
 		keep, err := j.load(path, campaignHash)
 		if err != nil {
@@ -204,7 +204,7 @@ func parseRecord(line string) (*journalRecord, error) {
 // lookup returns the journaled record for a run key, if the key completed
 // in a previous (or the current) campaign. The config hash is re-verified by
 // the caller (Runner.run) against the key's freshly resolved configuration.
-func (j *Journal) lookup(k runKey) (journalRecord, bool) {
+func (j *Journal) lookup(k Key) (journalRecord, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	rec, ok := j.done[k]
@@ -220,11 +220,11 @@ func (j *Journal) Completed() int {
 
 // record appends one completed run and syncs it to disk, so a kill
 // immediately afterwards cannot lose it.
-func (j *Journal) record(k runKey, configHash string, attempts int, res sim.Results) error {
+func (j *Journal) record(k Key, configHash string, attempts int, res sim.Results) error {
 	rec := journalRecord{
-		Workload:   k.workload,
-		Scheme:     string(k.scheme),
-		NoBW:       k.disableBW,
+		Workload:   k.Workload,
+		Scheme:     string(k.Scheme),
+		NoBW:       k.DisableBW,
 		ConfigHash: configHash,
 		Attempts:   attempts,
 		Results:    res,
@@ -258,55 +258,14 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// CampaignHash digests every option that shapes a campaign's Results — the
-// journal header's compatibility check. Presentation and execution-strategy
-// options (Progress, Parallelism, Retries, the journal itself) are
-// excluded on purpose: they change wall-clock behaviour, never Results, so a
-// campaign may legitimately resume under different parallelism or retry
-// policy.
-func CampaignHash(opts Options) string {
-	canon := struct {
-		Version      int
-		Scale        int
-		InstrPerCore uint64
-		Warmup       uint64
-		Seed         uint64
-		MaxCores     int
-		Audit        bool
-		Ledger       bool
-		CPI          bool
-		PageMap      bool
-		FaultKind    string
-		FaultRate    float64
-		FaultSeed    uint64
-		Sample       uint64
-		SampleWindow uint64
-		SampleWarmup uint64
-	}{
-		Version:      journalVersion,
-		Scale:        opts.Scale,
-		InstrPerCore: opts.InstrPerCore,
-		Warmup:       opts.Warmup,
-		Seed:         opts.Seed,
-		MaxCores:     opts.MaxCores,
-		Audit:        opts.Audit,
-		Ledger:       opts.Ledger,
-		CPI:          opts.CPI,
-		PageMap:      opts.PageMap,
-		FaultKind:    string(opts.Faults.Kind),
-		FaultRate:    opts.Faults.Rate,
-		FaultSeed:    opts.Faults.Seed,
-		Sample:       opts.Sample,
-		SampleWindow: opts.SampleWindow,
-		SampleWarmup: opts.SampleWarmup,
-	}
-	b, err := json.Marshal(canon)
-	if err != nil {
-		panic(fmt.Sprintf("figures: campaign hash: %v", err)) // struct of scalars; cannot fail
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:8])
-}
+// CampaignHash digests what shapes a campaign's Results — the journal
+// header's compatibility check: the run template with the fields each run
+// key sets (scheme, workload, bandwidth heuristic) cleared. Presentation and
+// execution-strategy options (the workload list, Progress, Parallelism,
+// Retries, RunTimeout, the journal itself) are excluded on purpose: they
+// change wall-clock behaviour, never Results, so a campaign may
+// legitimately resume under different parallelism or retry policy.
+func CampaignHash(opts Options) string { return configHash(opts.configFor(Key{})) }
 
 // configHash digests one run's fully resolved sim.Config — the per-record
 // compatibility check, stricter than the campaign hash because it covers

@@ -14,13 +14,9 @@ import (
 
 func journalOpts() Options {
 	return Options{
-		Scale:        128,
-		InstrPerCore: 120_000,
-		Warmup:       60_000,
-		Seed:         1,
-		MaxCores:     2,
-		Workloads:    []string{"lbm"},
-		Parallelism:  2,
+		Config:      sim.Config{Scale: 128, InstrPerCore: 120_000, Warmup: 60_000, Seed: 1, MaxCores: 2},
+		Workloads:   []string{"lbm"},
+		Parallelism: 2,
 	}
 }
 
@@ -46,15 +42,15 @@ func journalCampaign(t *testing.T, dir string) string {
 
 // referenceResults runs the same campaign journal-free, as the ground truth
 // resumed campaigns must reproduce byte-identically.
-func referenceResults(t *testing.T) map[runKey]sim.Results {
+func referenceResults(t *testing.T) map[Key]sim.Results {
 	t.Helper()
 	r := NewRunner(journalOpts())
 	if err := r.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	ref := make(map[runKey]sim.Results)
+	ref := make(map[Key]sim.Results)
 	for _, k := range r.keys(AllNeeds()) {
-		res, err := r.run(k.workload, k.scheme, k.disableBW)
+		res, err := r.run(k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,12 +87,12 @@ func TestJournalResumeSkipsCompleted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, want := range ref {
-		got, err := r.run(k.workload, k.scheme, k.disableBW)
+		got, err := r.run(k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s/%s: journal replay diverged from the uninterrupted campaign", k.workload, schemeLabel(k.scheme, k.disableBW))
+			t.Errorf("%s/%s: journal replay diverged from the uninterrupted campaign", k.Workload, k.Label())
 		}
 	}
 }
@@ -141,12 +137,12 @@ func TestJournalTornTailResumesOnlyCasualty(t *testing.T) {
 		t.Errorf("resume re-executed %d run(s), want exactly the torn casualty", n)
 	}
 	for k, want := range ref {
-		got, err := r.run(k.workload, k.scheme, k.disableBW)
+		got, err := r.run(k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s/%s: resumed campaign diverged from the uninterrupted one", k.workload, schemeLabel(k.scheme, k.disableBW))
+			t.Errorf("%s/%s: resumed campaign diverged from the uninterrupted one", k.Workload, k.Label())
 		}
 	}
 }
@@ -190,7 +186,7 @@ func TestJournalCampaignMismatchRefused(t *testing.T) {
 	journalCampaign(t, dir)
 
 	other := journalOpts()
-	other.Seed = 2
+	other.Config.Seed = 2
 	_, err := OpenJournal(dir, CampaignHash(other), true)
 	if err == nil {
 		t.Fatal("resume accepted a journal from a different campaign")
@@ -207,16 +203,16 @@ func TestJournalOldVersionRefused(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, journalFile)
 	hash := CampaignHash(journalOpts())
-	if err := os.WriteFile(path, []byte("pageseer-journal v1 "+hash+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("pageseer-journal v2 "+hash+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err := OpenJournal(dir, hash, true)
 	if err == nil {
-		t.Fatal("resume accepted a v1 journal")
+		t.Fatal("resume accepted a v2 journal")
 	}
-	want := "journal: " + path + " is format v1, this build writes v2"
+	want := "journal: " + path + " is format v2, this build writes v3"
 	if err.Error() != want {
-		t.Fatalf("v1 journal refused with %q, want %q", err, want)
+		t.Fatalf("v2 journal refused with %q, want %q", err, want)
 	}
 }
 
@@ -240,7 +236,7 @@ func TestJournalConfigHashMismatchRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := runKey{workload: "lbm", scheme: sim.SchemePageSeer}
+	k := Key{Workload: "lbm", Scheme: sim.SchemePageSeer}
 	if err := j.record(k, "0000000000000000", 1, sim.Results{}); err != nil {
 		t.Fatal(err)
 	}

@@ -14,24 +14,24 @@ import (
 // under -race.
 func parTestOpts() Options {
 	o := QuickOptions()
-	o.InstrPerCore = 80_000
-	o.Warmup = 40_000
-	o.MaxCores = 2
+	o.Config.InstrPerCore = 80_000
+	o.Config.Warmup = 40_000
+	o.Config.MaxCores = 2
 	return o
 }
 
 // campaignResults drains every campaign key through the public accessors
 // and returns the full result set keyed by (workload, scheme, nobw).
-func campaignResults(t *testing.T, r *Runner) map[runKey]sim.Results {
+func campaignResults(t *testing.T, r *Runner) map[Key]sim.Results {
 	t.Helper()
-	out := make(map[runKey]sim.Results)
+	out := make(map[Key]sim.Results)
 	for _, k := range r.keys(AllNeeds()) {
 		var res sim.Results
 		var err error
-		if k.disableBW {
-			res, err = r.RunNoBWOpt(k.workload)
+		if k.DisableBW {
+			res, err = r.RunNoBWOpt(k.Workload)
 		} else {
-			res, err = r.Run(k.workload, k.scheme)
+			res, err = r.Run(k.Workload, k.Scheme)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -67,7 +67,7 @@ func TestParallelCampaignMatchesSerial(t *testing.T) {
 		for k, w := range want {
 			if g := got[k]; g != w {
 				t.Errorf("%s/%s nobw=%v diverges:\n  serial   %+v\n  parallel %+v",
-					k.workload, k.scheme, k.disableBW, w, g)
+					k.Workload, k.Scheme, k.DisableBW, w, g)
 			}
 		}
 		t.Fatal("parallel campaign results differ from serial")

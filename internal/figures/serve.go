@@ -27,31 +27,16 @@ type RunState struct {
 	Results     *sim.Results `json:"results,omitempty"`
 }
 
-// Snapshot reports every campaign run the Runner has begun, in canonical
-// campaign order: in-flight runs appear with Done=false, completed runs
-// carry their Results (successes) or error text (failures). Safe to call
-// concurrently with a running campaign — a run's Results are only read
-// after its entry is closed.
+// Snapshot reports every run the Runner has begun, canonical campaign keys
+// first and the others in the order they began: in-flight runs appear with
+// Done=false, completed runs carry their Results (successes) or error text
+// (failures). Safe to call concurrently with a running campaign — a run's
+// Results are only read after its entry is closed.
 func (r *Runner) Snapshot() []RunState {
 	var states []RunState
-	seen := make(map[runKey]bool)
-	add := func(k runKey) {
-		if seen[k] {
-			return
-		}
-		r.mu.Lock()
-		e, ok := r.cache[k]
-		r.mu.Unlock()
-		if !ok {
-			return
-		}
-		seen[k] = true
-		st := RunState{
-			Workload: k.workload,
-			Scheme:   schemeLabel(k.scheme, k.disableBW),
-		}
-		select {
-		case <-e.done:
+	for _, k := range r.begun() {
+		st := RunState{Workload: k.Workload, Scheme: k.Label()}
+		if e, done := r.entry(k); done {
 			st.Done = true
 			st.WallSeconds = e.wall.Seconds()
 			if e.err != nil {
@@ -61,21 +46,8 @@ func (r *Runner) Snapshot() []RunState {
 				res := e.res
 				st.Results = &res
 			}
-		default:
 		}
 		states = append(states, st)
-	}
-	for _, k := range r.keys(AllNeeds()) {
-		add(k)
-	}
-	// Runs outside the canonical campaign key set (the CPI-stack table's
-	// static baseline, ad-hoc schemes driven through pageseer-sim -serve)
-	// follow, in the order they began.
-	r.mu.Lock()
-	began := append([]runKey(nil), r.began...)
-	r.mu.Unlock()
-	for _, k := range began {
-		add(k)
 	}
 	return states
 }
@@ -260,7 +232,7 @@ var metricFamilies = []metricFamily{
 			}
 		}},
 
-	// Cycle-attribution counters (campaigns run with Options.CPI): the raw
+	// Cycle-attribution counters (campaigns run with Config.Obs.CPI): the raw
 	// material of the CPI stacks, one counter per trigger class x component.
 	{"pageseer_cpi_cycles_total", "counter", "Attributed blame cycles by trigger class and component.",
 		func(res *sim.Results, emit emitFunc) {
@@ -320,7 +292,7 @@ var metricFamilies = []metricFamily{
 			}
 		}},
 
-	// Address-space telemetry (campaigns run with Options.PageMap): churn,
+	// Address-space telemetry (campaigns run with Config.Obs.PageMap): churn,
 	// wear, and hot-set size from the per-page table's digest.
 	{"pageseer_page_flaps_total", "counter", "Pagemap flap events: K DRAM<->NVM round trips completed inside the sliding window.",
 		func(res *sim.Results, emit emitFunc) {

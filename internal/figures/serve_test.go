@@ -22,11 +22,11 @@ const metricsDigest = "ea80a7da7b53b1330d9e6e602c534d6c01ad8c4bd5169c0e290990662
 func TestMetricsPageDigest(t *testing.T) {
 	opts := QuickOptions()
 	opts.Workloads = []string{"GemsFDTD"}
-	opts.Ledger = true
-	opts.CPI = true
-	opts.PageMap = true
-	opts.Audit = true
-	opts.Faults = check.FaultPlan{Kind: check.FaultMetaThrash, Seed: 7}
+	opts.Config.Obs.Ledger = true
+	opts.Config.Obs.CPI = true
+	opts.Config.Obs.PageMap = true
+	opts.Config.Audit = true
+	opts.Config.Faults = check.FaultPlan{Kind: check.FaultMetaThrash, Seed: 7}
 	r := NewRunner(opts)
 	for _, w := range opts.Workloads {
 		for _, s := range []sim.Scheme{sim.SchemeStatic, sim.SchemePoM, sim.SchemeMemPod, sim.SchemePageSeer} {

@@ -75,15 +75,15 @@ func (m *MEA) Count(e uint64) uint32 {
 	return 0
 }
 
-// Frequent returns the tracked elements with count >= minCount, unordered.
-func (m *MEA) Frequent(minCount uint32) []uint64 {
-	out := make([]uint64, 0, m.n)
+// Frequent appends the tracked elements with count >= minCount to dst,
+// unordered, and returns the extended slice.
+func (m *MEA) Frequent(dst []uint64, minCount uint32) []uint64 {
 	for i, c := range m.counts[:m.n] {
 		if c >= minCount {
-			out = append(out, m.keys[i])
+			dst = append(dst, m.keys[i])
 		}
 	}
-	return out
+	return dst
 }
 
 // Reset clears the sketch for the next interval.

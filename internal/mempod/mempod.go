@@ -1,7 +1,7 @@
 package mempod
 
 import (
-	"sort"
+	"slices"
 
 	"pageseer/internal/engine"
 	"pageseer/internal/hmc"
@@ -82,9 +82,12 @@ type MemPod struct {
 	pods     []pod
 	lastTick uint64
 
-	// pending holds interval migrations waiting for a free swap buffer;
-	// hotness is re-checked against the sketch state at start time.
+	// pending[head:] holds interval migrations waiting for a free swap
+	// buffer; each keeps the hot set of the interval that queued it.
 	pending []pendingMig
+	head    int
+	// free holds hot sets no interval or pending migration references.
+	free []*hotSet
 
 	stats Stats
 }
@@ -92,7 +95,27 @@ type MemPod struct {
 type pendingMig struct {
 	pod int
 	s   hmc.Seg
-	hot map[hmc.Seg]bool
+	hot *hotSet
+}
+
+// hotSet is one pod's MEA survivors for one interval, sorted. Queued
+// migrations outlive their interval, so sets are reference-counted and
+// recycled through MemPod.free rather than rebuilt per interval.
+type hotSet struct {
+	segs []uint64
+	refs int
+}
+
+func (h *hotSet) has(s hmc.Seg) bool {
+	_, ok := slices.BinarySearch(h.segs, uint64(s))
+	return ok
+}
+
+// release drops one reference to h, recycling it at zero.
+func (m *MemPod) release(h *hotSet) {
+	if h.refs--; h.refs == 0 {
+		m.free = append(m.free, h)
+	}
 }
 
 // New installs a MemPod manager on the controller.
@@ -158,14 +181,15 @@ func (m *MemPod) interval() {
 	m.stats.Intervals++
 	for pi := range m.pods {
 		p := &m.pods[pi]
-		hot := p.mea.Frequent(m.cfg.MinCount)
-		sort.Slice(hot, func(a, b int) bool { return hot[a] < hot[b] }) // determinism
-		hotSet := make(map[hmc.Seg]bool, len(hot))
-		for _, h := range hot {
-			hotSet[hmc.Seg(h)] = true
+		hot := &hotSet{}
+		if n := len(m.free); n > 0 {
+			hot, m.free = m.free[n-1], m.free[:n-1]
 		}
+		hot.segs = p.mea.Frequent(hot.segs[:0], m.cfg.MinCount)
+		slices.Sort(hot.segs) // determinism
+		hot.refs = 1
 		migrated := 0
-		for _, h := range hot {
+		for _, h := range hot.segs {
 			if migrated >= m.cfg.MaxMigrationsPerInterval {
 				break
 			}
@@ -176,22 +200,24 @@ func (m *MemPod) interval() {
 			if !m.ctl.Engine.CanStart() {
 				// Queue the rest of the interval's burst; they start as
 				// buffers free (the burstiness Section V-A describes).
-				m.pending = append(m.pending, pendingMig{pod: pi, s: s, hot: hotSet})
+				hot.refs++
+				m.pending = append(m.pending, pendingMig{pod: pi, s: s, hot: hot})
 				migrated++
 				continue
 			}
-			if m.migrate(pi, s, hotSet) {
+			if m.migrate(pi, s, hot) {
 				migrated++
 			}
 		}
+		m.release(hot)
 		p.mea.Reset()
 	}
 }
 
 // migrate swaps hot segment s into a DRAM slot of its pod whose current
 // data is not hot. Any-to-any flexibility within the pod.
-func (m *MemPod) migrate(pi int, s hmc.Seg, hotSet map[hmc.Seg]bool) bool {
-	slot, ok := m.pickVictim(pi, hotSet)
+func (m *MemPod) migrate(pi int, s hmc.Seg, hot *hotSet) bool {
+	slot, ok := m.pickVictim(pi, hot)
 	if !ok {
 		return false
 	}
@@ -214,21 +240,21 @@ func (m *MemPod) committed(hmc.Seg) {
 
 // drainPending starts queued interval migrations as swap buffers free.
 func (m *MemPod) drainPending() {
-	for len(m.pending) > 0 && m.ctl.Engine.CanStart() {
-		e := m.pending[0]
-		m.pending = m.pending[1:]
-		if m.Loc(e.s) < m.fastSegs {
-			continue
+	for m.head < len(m.pending) && m.ctl.Engine.CanStart() {
+		e := m.pending[m.head]
+		if m.head++; m.head == len(m.pending) {
+			m.pending, m.head = m.pending[:0], 0
 		}
-		if !m.migrate(e.pod, e.s, e.hot) {
+		if m.Loc(e.s) >= m.fastSegs && !m.migrate(e.pod, e.s, e.hot) {
 			m.stats.MigrationsDropped++
 		}
+		m.release(e.hot)
 	}
 }
 
 // pickVictim scans the pod's DRAM slots round-robin for one whose resident
 // data is not currently hot, and which is neither in flight nor pinned.
-func (m *MemPod) pickVictim(pi int, hotSet map[hmc.Seg]bool) (hmc.Seg, bool) {
+func (m *MemPod) pickVictim(pi int, hot *hotSet) (hmc.Seg, bool) {
 	p := &m.pods[pi]
 	n := m.fastSegs / hmc.Seg(m.cfg.Pods)
 	if n == 0 {
@@ -241,7 +267,7 @@ func (m *MemPod) pickVictim(pi int, hotSet map[hmc.Seg]bool) (hmc.Seg, bool) {
 		if slot >= m.fastSegs {
 			continue
 		}
-		if hotSet[m.Owner(slot)] || m.Busy(slot) || m.Pinned(slot) {
+		if hot.has(m.Owner(slot)) || m.Busy(slot) || m.Pinned(slot) {
 			continue
 		}
 		p.nextVictim = idx + 1

@@ -47,7 +47,7 @@ func TestMEAMajority(t *testing.T) {
 	if m.Count(7) == 0 {
 		t.Fatal("majority element evicted")
 	}
-	hot := m.Frequent(2)
+	hot := m.Frequent(nil, 2)
 	found := false
 	for _, h := range hot {
 		if h == 7 {
@@ -239,5 +239,43 @@ func TestMemPodIntegrityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPendingMigrationKeepsItsHotSet: a migration queued because no swap
+// buffer was free keeps the hot set of the interval that queued it after
+// the next interval runs, and a set is recycled only once nothing holds it.
+func TestPendingMigrationKeepsItsHotSet(t *testing.T) {
+	sim := engine.New()
+	osm := mem.NewOS(mem.Map{DRAMBytes: 2 << 20, NVMBytes: 16 << 20}, 16)
+	ecfg := hmc.DefaultSwapEngineConfig()
+	ecfg.MaxOps = 0 // every interval migration queues
+	ctl := hmc.NewController(sim, osm, memsim.DRAMConfig(), memsim.NVMConfig(), ecfg)
+	m := New(ctl, testConfig())
+
+	heat := func(s hmc.Seg) {
+		for i := 0; i < 4; i++ {
+			m.pods[m.podOf(s)].mea.Observe(uint64(s))
+		}
+	}
+	first, second := hmc.SegOf(nvmSeg(ctl, 40)), hmc.SegOf(nvmSeg(ctl, 44)) // same pod
+	heat(first)
+	m.interval()
+	heat(second)
+	m.interval()
+
+	if len(m.pending) != 2 {
+		t.Fatalf("%d queued migrations, want 2", len(m.pending))
+	}
+	a, b := m.pending[0].hot, m.pending[1].hot
+	if a == b || !a.has(first) || a.has(second) || !b.has(second) || b.has(first) {
+		t.Fatalf("queued migrations see hot sets %v and %v, want [%d] and [%d]", a.segs, b.segs, first, second)
+	}
+	// Pods with nothing hot released their sets at once; the two held by
+	// the queue stay out of the free list.
+	for _, h := range m.free {
+		if h == a || h == b {
+			t.Fatal("a hot set still held by a queued migration was recycled")
+		}
 	}
 }

@@ -20,12 +20,8 @@ var mapGuardPackages = []string{"cache", "hmc", "core", "mem", "pom", "mempod", 
 // per-request path. A declaration is "pkg.Func", "pkg.Type.Method" or,
 // for a struct field, "pkg.Type.field".
 var mapAllowlist = map[string]string{
-	"mem.AddressSpace.mapped":  "first-touch VPN -> PPN record: a walk reads the page table itself",
-	"mem.OS.NewProcess":        "builds an address space's first-touch record",
-	"mempod.pendingMig.hot":    "per-interval hot set carried by a queued migration",
-	"mempod.MemPod.interval":   "builds the per-interval hot set",
-	"mempod.MemPod.migrate":    "takes the per-interval hot set",
-	"mempod.MemPod.pickVictim": "takes the per-interval hot set",
+	"mem.AddressSpace.mapped": "first-touch VPN -> PPN record: a walk reads the page table itself",
+	"mem.OS.NewProcess":       "builds an address space's first-touch record",
 }
 
 // TestNoMapsOnRequestPath parses the non-test sources of mapGuardPackages

@@ -291,6 +291,10 @@ type FigureRunner = figures.Runner
 // Ablation) to regenerate specific results.
 func NewFigureRunner(opts FigureOptions) *FigureRunner { return figures.NewRunner(opts) }
 
+// FigureKey names one FigureRunner run: workload, scheme, and whether
+// PageSeer's bandwidth heuristic is off.
+type FigureKey = figures.Key
+
 // FigureNeeds selects which run families FigureRunner.Prefetch executes
 // (baselines, ablation, no-BW); FigureRunner.RunAll covers them all.
 type FigureNeeds = figures.Needs
@@ -321,8 +325,8 @@ func OpenJournal(dir, campaignHash string, resume bool) (*Journal, error) {
 	return figures.OpenJournal(dir, campaignHash, resume)
 }
 
-// CampaignHash digests every FigureOptions field that shapes Results; it is
-// the journal's campaign-compatibility check.
+// CampaignHash digests the FigureOptions run template with its per-run
+// fields cleared; it is the journal's campaign-compatibility check.
 func CampaignHash(opts FigureOptions) string { return figures.CampaignHash(opts) }
 
 // ErrStopped is the failure of runs skipped because the campaign was

@@ -56,8 +56,8 @@ func TestFacadePageSeerConfigOverride(t *testing.T) {
 func TestFigureRunnerViaFacade(t *testing.T) {
 	opts := QuickFigureOptions()
 	opts.Workloads = []string{"barnes"}
-	opts.InstrPerCore = 100_000
-	opts.Warmup = 50_000
+	opts.Config.InstrPerCore = 100_000
+	opts.Config.Warmup = 50_000
 	r := NewFigureRunner(opts)
 	res, err := r.Run("barnes", SchemePageSeer)
 	if err != nil {

@@ -74,8 +74,9 @@ layers:
 ## interception and op
 ## cycles, the shared open-addressed table, MemPod's MEA sketch, a
 ## remap-table commit and a page walk of a mapped page allocate nothing in
-## steady state. Run without -race (race instrumentation allocates and would
-## false-fail).
+## steady state, and (e) TestZeroAllocBuildBudget holds one sim.Build of
+## GemsFDTD under its per-scheme allocation ceiling. Run without -race (race
+## instrumentation allocates and would false-fail).
 allocguard:
 	$(GO) test -run TestZeroAlloc -count=1 ./internal/obs ./internal/obs/ledger ./internal/obs/attrib ./internal/obs/pagemap ./internal/sim ./internal/engine ./internal/memsim ./internal/core ./internal/cache ./internal/hmc ./internal/mem ./internal/mempod
 

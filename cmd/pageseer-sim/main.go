@@ -137,6 +137,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// The introspection server's /metrics page draws on the provenance and
 	// attribution digests, so -serve attaches both (mirroring paper-figures).
+	// What a run prints and writes follows its own flags: the provenance
+	// block needs -effectiveness, and a trace always carries the ledger's
+	// counters.
 	cfg.Obs.Ledger = common.Effectiveness || common.Serve != ""
 	cfg.Obs.CPI = *cpi || common.Serve != ""
 	cfg.Obs.PageMap = *pagemapOn || files.pmCSV != "" || files.pmJSON != ""
@@ -176,7 +179,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if i > 0 {
 			fmt.Fprintln(stdout)
 		}
-		fmt.Fprint(stdout, report(cfg, results[i]))
+		fmt.Fprint(stdout, report(cfg, results[i], common.Effectiveness))
 	}
 
 	// The CPI-stack table aggregates the successful runs (argument order)
@@ -256,7 +259,8 @@ func outPath(base, wl string, multi bool) string {
 	return strings.TrimSuffix(base, ext) + "-" + wl + ext
 }
 
-func report(cfg pageseer.Config, res pageseer.Results) string {
+// report renders one run; the provenance block only when asked for.
+func report(cfg pageseer.Config, res pageseer.Results, provenance bool) string {
 	var b strings.Builder
 	d, n, bf := res.ServiceBreakdown()
 	pos, neg, neu := res.AccessEffectiveness()
@@ -284,7 +288,7 @@ func report(cfg pageseer.Config, res pageseer.Results) string {
 		fmt.Fprintf(&b, "\nenergy:        %s", stats.Energy(res.RemapCache, res.PCTc, res.Ctl.DataDemand))
 	}
 	fmt.Fprintln(&b)
-	if eff := res.Effectiveness; eff.DemandTotal > 0 {
+	if eff := res.Effectiveness; provenance && eff.DemandTotal > 0 {
 		fmt.Fprintf(&b, "provenance:    started regular %d / pct %d / mmu %d / follower %d  (useful %d, unused %d, open %d, late %d)\n",
 			eff.Started[pageseer.TrigRegular], eff.Started[pageseer.TrigPCT],
 			eff.Started[pageseer.TrigMMU], eff.Started[pageseer.TrigFollower],

@@ -31,14 +31,11 @@ func (s *syncBuffer) String() string {
 }
 
 // quickArgs runs two small workloads on two workers with every per-run
-// file sink writing into dir. It attaches the ledger and cycle attribution
-// -serve would attach anyway (the trace records the ledger's counters), so
-// adding -serve changes no run.
+// file sink writing into dir.
 func quickArgs(dir string) []string {
 	return []string{
 		"-workload", "GemsFDTD,lbm", "-j", "2",
 		"-instr", "50000", "-warmup", "20000", "-maxcores", "2",
-		"-effectiveness", "-cpi",
 		"-trace", filepath.Join(dir, "trace.json"),
 		"-timeline", filepath.Join(dir, "tl.csv"),
 		"-pagemap-csv", filepath.Join(dir, "pm.csv"),

@@ -16,7 +16,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"pageseer"
 	"pageseer/internal/hmc"
@@ -132,6 +134,13 @@ func (e *Eager) trySwap(page mem.PPN) {
 func (e *Eager) MMUHint(mmu.Hint) {}
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run races Eager against PageSeer and writes the two result lines to w.
+func run(w io.Writer) error {
 	const wl = "barnes"
 	cfg := pageseer.DefaultConfig()
 	cfg.Workload = wl
@@ -148,13 +157,13 @@ func main() {
 		return eager
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := sys.Run()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("custom 'Eager' policy on %s: IPC %.3f, AMMAT %.1f, %d swaps (%.0f%% useful)\n",
+	fmt.Fprintf(w, "custom 'Eager' policy on %s: IPC %.3f, AMMAT %.1f, %d swaps (%.0f%% useful)\n",
 		wl, res.IPC, res.AMMAT, eager.swaps, res.Effectiveness.Accuracy*100)
 
 	// And PageSeer on the identical workload via the facade.
@@ -162,12 +171,13 @@ func main() {
 	cfg2.Scheme = pageseer.SchemePageSeer
 	sys2, err := pageseer.Build(cfg2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res2, err := sys2.Run()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("PageSeer on %s:              IPC %.3f, AMMAT %.1f, %.0f swaps (%.0f%% useful)\n",
+	fmt.Fprintf(w, "PageSeer on %s:              IPC %.3f, AMMAT %.1f, %.0f swaps (%.0f%% useful)\n",
 		wl, res2.IPC, res2.AMMAT, res2.SwapsPerKI*float64(res2.Instructions)/1000, res2.Effectiveness.Accuracy*100)
+	return nil
 }

@@ -8,16 +8,25 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"pageseer"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run runs the mix under each scheme and writes the table to w.
+func run(w io.Writer) error {
 	const mix = "mix6" // libquantum-lbm-mcf-bwaves, the most memory-hungry mix
 
-	fmt.Printf("running %s (%s suite) under four schemes\n\n", mix, pageseer.Suite(mix))
-	fmt.Printf("%-16s %8s %10s %8s %8s %8s\n", "scheme", "IPC", "AMMAT", "DRAM%", "NVM%", "pos%")
+	fmt.Fprintf(w, "running %s (%s suite) under four schemes\n\n", mix, pageseer.Suite(mix))
+	fmt.Fprintf(w, "%-16s %8s %10s %8s %8s %8s\n", "scheme", "IPC", "AMMAT", "DRAM%", "NVM%", "pos%")
 
 	type outcome struct {
 		scheme pageseer.Scheme
@@ -35,15 +44,15 @@ func main() {
 		cfg.Scheme = scheme
 		sys, err := pageseer.Build(cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		res, err := sys.Run()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		d, n, _ := res.ServiceBreakdown()
 		pos, _, _ := res.AccessEffectiveness()
-		fmt.Printf("%-16s %8.3f %10.1f %7.1f%% %7.1f%% %7.1f%%\n",
+		fmt.Fprintf(w, "%-16s %8.3f %10.1f %7.1f%% %7.1f%% %7.1f%%\n",
 			scheme, res.IPC, res.AMMAT, d*100, n*100, pos*100)
 		outcomes = append(outcomes, outcome{scheme, res.IPC})
 	}
@@ -54,5 +63,6 @@ func main() {
 			best = o
 		}
 	}
-	fmt.Printf("\nbest scheme for %s: %s\n", mix, best.scheme)
+	fmt.Fprintf(w, "\nbest scheme for %s: %s\n", mix, best.scheme)
+	return nil
 }

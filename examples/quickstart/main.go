@@ -4,12 +4,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"pageseer"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run builds and runs both systems and writes the comparison to w.
+func run(w io.Writer) error {
 	// A laptop-scale configuration: 1/128 of the paper's memory system.
 	cfg := pageseer.DefaultConfig()
 	cfg.Workload = "miniFE" // any Table III name; see pageseer.Workloads()
@@ -19,33 +28,34 @@ func main() {
 
 	sys, err := pageseer.Build(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := sys.Run()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	dram, nvm, buf := res.ServiceBreakdown()
-	fmt.Printf("workload %s on %d cores under %s\n", res.Workload, res.Cores, res.Scheme)
-	fmt.Printf("  IPC    %.3f\n", res.IPC)
-	fmt.Printf("  AMMAT  %.1f CPU cycles\n", res.AMMAT)
-	fmt.Printf("  served from DRAM %.1f%%, NVM %.1f%%, swap buffers %.1f%%\n",
+	fmt.Fprintf(w, "workload %s on %d cores under %s\n", res.Workload, res.Cores, res.Scheme)
+	fmt.Fprintf(w, "  IPC    %.3f\n", res.IPC)
+	fmt.Fprintf(w, "  AMMAT  %.1f CPU cycles\n", res.AMMAT)
+	fmt.Fprintf(w, "  served from DRAM %.1f%%, NVM %.1f%%, swap buffers %.1f%%\n",
 		dram*100, nvm*100, buf*100)
-	fmt.Printf("  swaps  %.3f per kilo-instruction\n", res.SwapsPerKI)
+	fmt.Fprintf(w, "  swaps  %.3f per kilo-instruction\n", res.SwapsPerKI)
 
 	// Compare against running the same workload with no management at all.
 	cfg.Scheme = pageseer.SchemeStatic
 	sys2, err := pageseer.Build(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	base, err := sys2.Run()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nno-swap baseline: IPC %.3f, AMMAT %.1f\n", base.IPC, base.AMMAT)
+	fmt.Fprintf(w, "\nno-swap baseline: IPC %.3f, AMMAT %.1f\n", base.IPC, base.AMMAT)
 	if base.IPC > 0 {
-		fmt.Printf("PageSeer speedup over static placement: %+.1f%%\n", (res.IPC/base.IPC-1)*100)
+		fmt.Fprintf(w, "PageSeer speedup over static placement: %+.1f%%\n", (res.IPC/base.IPC-1)*100)
 	}
+	return nil
 }

@@ -5,33 +5,45 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"pageseer"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run sweeps both knobs and writes the two tables to w.
+func run(w io.Writer) error {
 	const wl = "lbm"
 	base := pageseer.DefaultConfig()
 	base.Workload = wl
 	base.InstrPerCore = 1_500_000
 	base.Warmup = 750_000
 
-	fmt.Printf("PageSeer design sweep on %s\n\n", wl)
+	fmt.Fprintf(w, "PageSeer design sweep on %s\n\n", wl)
 
-	fmt.Println("PCTc prefetch-swap threshold (paper value: 14):")
-	fmt.Printf("  %9s %8s %10s %12s %10s\n", "threshold", "IPC", "AMMAT", "swaps/Ki", "accuracy")
+	fmt.Fprintln(w, "PCTc prefetch-swap threshold (paper value: 14):")
+	fmt.Fprintf(w, "  %9s %8s %10s %12s %10s\n", "threshold", "IPC", "AMMAT", "swaps/Ki", "accuracy")
 	for _, threshold := range []uint32{6, 10, 14, 20, 28} {
 		pcfg := pageseer.DefaultPageSeerConfig().Scale(base.Scale)
 		pcfg.PCTThreshold = threshold
 		pcfg.AccuracyTarget = uint64(threshold)
-		res := run(base, pcfg)
-		fmt.Printf("  %9d %8.3f %10.1f %12.3f %9.1f%%\n",
+		res, err := simulate(base, pcfg)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  %9d %8.3f %10.1f %12.3f %9.1f%%\n",
 			threshold, res.IPC, res.AMMAT, res.SwapsPerKI, res.PrefetchAccuracy*100)
 	}
 
-	fmt.Println("\nSwap Driver bandwidth heuristic (Section V-B):")
-	fmt.Printf("  %9s %8s %10s %12s %10s\n", "gate", "IPC", "AMMAT", "swaps/Ki", "declined")
+	fmt.Fprintln(w, "\nSwap Driver bandwidth heuristic (Section V-B):")
+	fmt.Fprintf(w, "  %9s %8s %10s %12s %10s\n", "gate", "IPC", "AMMAT", "swaps/Ki", "declined")
 	for _, gate := range []float64{0.5, 0.7, 0.9, 1.01 /* never */} {
 		pcfg := pageseer.DefaultPageSeerConfig().Scale(base.Scale)
 		pcfg.BWSatFraction = gate
@@ -39,20 +51,21 @@ func main() {
 		if gate > 1 {
 			label = "off"
 		}
-		res := run(base, pcfg)
-		fmt.Printf("  %9s %8.3f %10.1f %12.3f %10d\n",
+		res, err := simulate(base, pcfg)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  %9s %8.3f %10.1f %12.3f %10d\n",
 			label, res.IPC, res.AMMAT, res.SwapsPerKI, res.PS.DeclinedBW)
 	}
+	return nil
 }
 
-func run(cfg pageseer.Config, pcfg pageseer.PageSeerConfig) pageseer.Results {
+// simulate builds and runs one PageSeer system under pcfg.
+func simulate(cfg pageseer.Config, pcfg pageseer.PageSeerConfig) (pageseer.Results, error) {
 	sys, err := pageseer.BuildWithPageSeerConfig(cfg, pcfg)
 	if err != nil {
-		log.Fatal(err)
+		return pageseer.Results{}, err
 	}
-	res, err := sys.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	return res
+	return sys.Run()
 }

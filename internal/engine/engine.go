@@ -125,29 +125,24 @@ func (s *Sim) Fired() uint64 { return s.fire }
 func (s *Sim) Pending() int { return len(s.pq) + s.wheelLen }
 
 // Reserve pre-sizes the event queue for about n concurrently pending
-// events: the overflow heap gets capacity n up front and every wheel bucket
-// a small baseline, so a run sized by the caller (sim setup knows its core
+// events: the overflow heap gets capacity n and every wheel bucket a small
+// baseline, sliced from one backing array (a bucket that outgrows its slice
+// reallocates alone), so a run sized by the caller (sim setup knows its core
 // count and memory-level parallelism) never pays append-growth
 // reallocations mid-run. Reserve never shrinks and is cheap to call again.
 func (s *Sim) Reserve(n int) {
 	if n <= 0 {
 		return
 	}
-	if cap(s.pq) < n {
-		pq := make([]event, len(s.pq), n)
-		copy(pq, s.pq)
-		s.pq = pq
-	}
-	per := n / WheelHorizon
-	if per < 4 {
-		per = 4
-	}
+	s.pq = slices.Grow(s.pq, max(n-len(s.pq), 0))
+	per := max(n/WheelHorizon, 4)
+	var backing []func()
 	for i := range s.slots {
-		sl := &s.slots[i]
-		if cap(sl.fns) < per {
-			fns := make([]func(), len(sl.fns), per)
-			copy(fns, sl.fns)
-			sl.fns = fns
+		if sl := &s.slots[i]; cap(sl.fns) < per {
+			if backing == nil {
+				backing = make([]func(), WheelHorizon*per)
+			}
+			sl.fns = append(backing[i*per:i*per:(i+1)*per], sl.fns...)
 		}
 	}
 }

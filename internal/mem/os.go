@@ -27,7 +27,7 @@ func NewOS(m Map, reserveDRAM uint64) *OS {
 	a.ReserveDRAM = reserveDRAM
 	return &OS{
 		alloc: a,
-		store: newTableStore(m),
+		store: &tableStore{},
 	}
 }
 
@@ -57,8 +57,8 @@ func (o *OS) NewProcess(pid int) *AddressSpace {
 		root:       root,
 		store:      o.store,
 		alloc:      o.alloc,
-		mapped:     make(map[VPN]PPN),
 		tableCount: 1,
+		memoRegion: ^uint64(0),
 	}
 	if pid >= len(o.procs) {
 		o.procs = append(o.procs, make([]*AddressSpace, pid+1-len(o.procs))...)

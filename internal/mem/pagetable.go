@@ -13,21 +13,19 @@ func entryValid(e uint64) bool { return e&entryPresent != 0 }
 // tableStore holds the contents of every allocated page-table frame. It is
 // shared by all address spaces so the walker can read any table by frame
 // number, exactly as hardware reads physical memory: frames is indexed by
-// PPN over all of physical memory, nil where a frame holds no table.
+// PPN up to the highest table frame, nil where a frame holds no table.
 type tableStore struct {
 	frames []*[EntriesPerTable]uint64
 }
 
-func newTableStore(m Map) *tableStore {
-	return &tableStore{frames: make([]*[EntriesPerTable]uint64, m.Total()>>PageShift)}
-}
-
 func (ts *tableStore) add(p PPN) {
+	if n := int(p) + 1; n > len(ts.frames) {
+		ts.frames = append(ts.frames, make([]*[EntriesPerTable]uint64, n-len(ts.frames))...)
+	}
 	ts.frames[p] = new([EntriesPerTable]uint64)
 }
 
-// table returns frame p's table, or nil when p holds none or lies beyond
-// physical memory.
+// table returns frame p's table, or nil when p holds none.
 func (ts *tableStore) table(p PPN) *[EntriesPerTable]uint64 {
 	if uint64(p) >= uint64(len(ts.frames)) {
 		return nil
@@ -68,15 +66,21 @@ type Walk struct {
 // This is the address whose cache line the PageSeer MMU Driver caches.
 func (w Walk) PTEAddr() Addr { return w.Steps[PTE].EntryAddr }
 
-// AddressSpace is one process's 4-level page table.
+// AddressSpace is one process's 4-level page table: its only translation record.
 type AddressSpace struct {
 	pid   int
 	root  PPN // PGD frame (the CR3 value)
 	store *tableStore
 	alloc *Allocator
 
-	mapped     map[VPN]PPN
 	tableCount uint64
+
+	// memo is Touch's last walk and memoRegion its 2MB region
+	// (all ones before the first). Tables are never freed and only Touch
+	// writes them, so upper-level entries never change once present and a
+	// page in the same region starts at memo's PTE-level table.
+	memo       Walk
+	memoRegion uint64
 }
 
 // PID returns the owning process identifier.
@@ -84,9 +88,6 @@ func (as *AddressSpace) PID() int { return as.pid }
 
 // Root returns the PGD frame (CR3).
 func (as *AddressSpace) Root() PPN { return as.root }
-
-// MappedPages returns the number of data pages currently mapped.
-func (as *AddressSpace) MappedPages() int { return len(as.mapped) }
 
 // TableFrames returns the number of frames consumed by page tables,
 // including the root.
@@ -119,9 +120,14 @@ func (as *AddressSpace) Lookup(va VAddr) (Walk, bool) {
 // whether the leaf page was newly created.
 func (as *AddressSpace) Touch(va VAddr) (Walk, bool, error) {
 	var w Walk
-	table := as.root
+	table, from := as.root, PGD
+	region := uint64(va) >> (PageShift + 9)
+	if region == as.memoRegion {
+		w = as.memo
+		table, from = PageOf(w.Steps[PTE].EntryAddr), PTE
+	}
 	created := false
-	for l := PGD; l < NumLevels; l++ {
+	for l := from; l < NumLevels; l++ {
 		idx := Index(va, l)
 		w.Steps[l] = WalkStep{Level: l, EntryAddr: entryAddr(table, idx)}
 		e := as.store.read(table, idx)
@@ -142,19 +148,17 @@ func (as *AddressSpace) Touch(va VAddr) (Walk, bool, error) {
 			}
 			as.store.write(table, idx, makeEntry(child))
 			e = makeEntry(child)
-			if l == PTE {
-				created = true
-				as.mapped[VPageOf(va)] = child
-			}
+			created = l == PTE
 		}
 		table = entryPPN(e)
 	}
 	w.Leaf = table
+	as.memo, as.memoRegion = w, region
 	return w, created, nil
 }
 
 // Translate returns the physical page mapped at va, if present.
 func (as *AddressSpace) Translate(va VAddr) (PPN, bool) {
-	p, ok := as.mapped[VPageOf(va)]
-	return p, ok
+	w, ok := as.Lookup(va)
+	return w.Leaf, ok
 }

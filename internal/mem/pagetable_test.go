@@ -292,3 +292,71 @@ func TestIsPageTableBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestTranslateReadsThePageTable: Translate agrees with Lookup on every
+// mapped page, and reports a page that was never touched as absent, both
+// in a region with a PTE-level table and in one without.
+func TestTranslateReadsThePageTable(t *testing.T) {
+	o := testOS()
+	as := o.NewProcess(1)
+	rng := rand.New(rand.NewSource(7))
+	base := VAddr(0x40000000 - 150*PageSize) // the run straddles a 2MB boundary
+	var vas []VAddr
+	for i := 0; i < 300; i++ {
+		va := base + VAddr(i)*PageSize
+		if i%3 == 0 {
+			va = VAddr(rng.Uint64() & (1<<40 - 1))
+		}
+		if _, _, err := as.Touch(va); err != nil {
+			t.Fatal(err)
+		}
+		vas = append(vas, va)
+	}
+	for _, va := range vas {
+		w, ok := as.Lookup(va)
+		p, found := as.Translate(va)
+		if !ok || !found || p != w.Leaf {
+			t.Fatalf("va %#x: Translate = %v, %v; Lookup leaf %v, %v", uint64(va), p, found, w.Leaf, ok)
+		}
+	}
+	for _, va := range []VAddr{base + 300*PageSize, 0x7f0000000000} {
+		if p, found := as.Translate(va); found {
+			t.Errorf("never-touched va %#x translates to %v", uint64(va), p)
+		}
+	}
+}
+
+// TestTouchMemoMatchesColdWalk: a Touch that starts from the memo of the
+// previous walk returns the walk a cold Lookup from the root reads — at
+// both ends of a 2MB region, across into the next region and back, with
+// another process touching the same addresses in between.
+func TestTouchMemoMatchesColdWalk(t *testing.T) {
+	o := testOS()
+	a1 := o.NewProcess(1)
+	a2 := o.NewProcess(2)
+	const region = 2 << 20
+	base := VAddr(0x40000000)
+	for i, c := range []struct {
+		as *AddressSpace
+		va VAddr
+	}{
+		{a1, base},
+		{a1, base + region - PageSize},
+		{a2, base + PageSize},
+		{a1, base + region},
+		{a1, base + region + PageSize},
+		{a2, base + region - PageSize},
+		{a1, base + PageSize},
+		{a1, base + region - PageSize},
+		{a1, base + 5*region},
+	} {
+		w, _, err := c.as.Touch(c.va)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, ok := c.as.Lookup(c.va)
+		if !ok || w != cold {
+			t.Fatalf("step %d: pid %d va %#x: Touch walk %+v, cold walk %+v (present %v)", i, c.as.PID(), uint64(c.va), w, cold, ok)
+		}
+	}
+}

@@ -18,11 +18,9 @@ var mapGuardPackages = []string{"cache", "hmc", "core", "mem", "pom", "mempod", 
 // mapAllowlist names every declaration in mapGuardPackages whose non-test
 // code may mention a map type, each with the reason it is off the
 // per-request path. A declaration is "pkg.Func", "pkg.Type.Method" or,
-// for a struct field, "pkg.Type.field".
-var mapAllowlist = map[string]string{
-	"mem.AddressSpace.mapped": "first-touch VPN -> PPN record: a walk reads the page table itself",
-	"mem.OS.NewProcess":       "builds an address space's first-touch record",
-}
+// for a struct field, "pkg.Type.field". It is empty: no request-path
+// package holds a map.
+var mapAllowlist = map[string]string{}
 
 // TestNoMapsOnRequestPath parses the non-test sources of mapGuardPackages
 // and fails on any map type outside a declaration on mapAllowlist. It

@@ -147,8 +147,11 @@ type ObsOptions struct {
 	// events and leaves Results.EventsFired untouched.
 	TimelineEvery uint64
 
-	// Trace records swap-lifecycle spans and MMU-hint causality arrows in
-	// Chrome Trace Event Format (System.Tracer, written via WriteJSON).
+	// Trace records swap-lifecycle spans, MMU-hint causality arrows and the
+	// provenance ledger's running counts in Chrome Trace Event Format
+	// (System.Tracer, written via WriteJSON). Tracing runs a ledger for
+	// those counter tracks, so a run's trace is the same whatever other
+	// sinks are attached.
 	Trace bool
 
 	// Ledger attaches the swap-provenance ledger: per-swap causal records
@@ -223,7 +226,8 @@ type System struct {
 	lat      *obs.LatencySet
 
 	// led is the optional swap-provenance ledger (Config.Obs.Ledger, or
-	// forced internally by Config.Obs.CPI for trigger classing); att is the
+	// forced internally by Config.Obs.CPI for trigger classing and by
+	// Config.Obs.Trace for its counter tracks); att is the
 	// optional cycle-attribution accumulator (Config.Obs.CPI); wd is the
 	// liveness watchdog armed by Config.Audit. All nil when off.
 	led *ledger.Ledger
@@ -350,11 +354,12 @@ func Build(cfg Config) (*System, error) {
 	if cfg.Obs.TimelineEvery > 0 {
 		sys.Timeline = obs.NewTimeline(cfg.Obs.TimelineEvery, sys.timelineCounters)
 	}
-	if cfg.Obs.Ledger || cfg.Obs.CPI {
+	if cfg.Obs.Ledger || cfg.Obs.CPI || sys.Tracer != nil {
 		// Trigger classing (hint-prefetched DRAM hit vs regular) needs swap
-		// provenance, so attribution runs a ledger too. Results.Effectiveness
-		// stays gated on Obs.Ledger, so Results remain byte-identical with
-		// attribution on or off.
+		// provenance, so attribution runs a ledger too, and a trace carries
+		// the ledger's counter tracks. Results.Effectiveness stays gated on
+		// Obs.Ledger, so Results remain byte-identical with attribution or
+		// tracing on or off.
 		sys.led = ledger.New(swapUnitShift(cfg.Scheme))
 		ctl.Attach(sys.led)
 		if sys.Tracer != nil {

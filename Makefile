@@ -71,14 +71,15 @@ layers:
 ## state, and (d) the engine's timing wheel, memsim scheduling, PageSeer's
 ## correlator, Hot Page Tables and PTE-line cache, the cache miss/fill
 ## path, the metadata caches (pending-fetch merges included), swap-engine
-## interception and op
-## cycles, the shared open-addressed table, MemPod's MEA sketch, a
-## remap-table commit and a page walk of a mapped page allocate nothing in
-## steady state, and (e) TestZeroAllocBuildBudget holds one sim.Build of
-## GemsFDTD under its per-scheme allocation ceiling. Run without -race (race
-## instrumentation allocates and would false-fail).
+## interception and op cycles, the shared open-addressed table, MemPod's
+## MEA sketch, the exchange core (a declined exchange, and committed pair,
+## optimized-slow and restore exchanges at the page unit), a remap-table
+## commit, a page walk of a mapped page and a workload name's mix-lookup
+## miss allocate nothing in steady state, and (e) TestZeroAllocBuildBudget
+## holds one sim.Build of GemsFDTD under its per-scheme allocation ceiling.
+## Run without -race (race instrumentation allocates and would false-fail).
 allocguard:
-	$(GO) test -run TestZeroAlloc -count=1 ./internal/obs ./internal/obs/ledger ./internal/obs/attrib ./internal/obs/pagemap ./internal/sim ./internal/engine ./internal/memsim ./internal/core ./internal/cache ./internal/hmc ./internal/mem ./internal/mempod
+	$(GO) test -run TestZeroAlloc -count=1 ./internal/obs ./internal/obs/ledger ./internal/obs/attrib ./internal/obs/pagemap ./internal/sim ./internal/engine ./internal/memsim ./internal/core ./internal/cache ./internal/hmc ./internal/mem ./internal/mempod ./internal/workload
 
 ## benchguard: a 10 s untraced bench/ run of every workload on this tree
 ## (it exits 1 if any run fails), then `bench --compare` against the

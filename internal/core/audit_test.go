@@ -25,8 +25,8 @@ func TestAuditCleanManager(t *testing.T) {
 func TestAuditCatchesRemapDesync(t *testing.T) {
 	_, ctl, ps := testRig(testConfig())
 	n0, n1 := uint64(nvmPage(ctl, 0)), uint64(nvmPage(ctl, 1))
-	ps.remap.Exchange(n0, 0)
-	ps.remap.Exchange(n0, n1)
+	ps.Remap().Exchange(n0, 0)
+	ps.Remap().Exchange(n0, n1)
 
 	a := &check.Audit{}
 	ps.Audit(a)
@@ -43,7 +43,7 @@ func TestAuditCatchesRemapDesync(t *testing.T) {
 // side of the DRAM/NVM boundary — never legal for a hot/cold exchange.
 func TestAuditCatchesNonCrossingPair(t *testing.T) {
 	_, ctl, ps := testRig(testConfig())
-	ps.remap.Exchange(uint64(nvmPage(ctl, 0)), uint64(nvmPage(ctl, 1)))
+	ps.Remap().Exchange(uint64(nvmPage(ctl, 0)), uint64(nvmPage(ctl, 1)))
 
 	a := &check.Audit{}
 	ps.Audit(a)
@@ -88,10 +88,10 @@ func TestVerifyIntegrityCatchesMutation(t *testing.T) {
 		t.Fatalf("uncorrupted run fails: %v", err)
 	}
 	p := uint64(nvmPage(ctl, 3))
-	if ps.remap.Loc(p) == p {
+	if ps.Remap().Loc(p) == p {
 		t.Fatal("the first hot page never left home")
 	}
-	ps.remap.Place(p, p)
+	ps.Remap().Place(p, p)
 	if err := ctl.VerifyIntegrity(); err == nil {
 		t.Fatal("VerifyIntegrity accepted a translation the oracle contradicts")
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"pageseer/internal/cache"
+	"pageseer/internal/hmc"
 	"pageseer/internal/mem"
 	"pageseer/internal/mmu"
 )
@@ -10,13 +11,13 @@ import (
 // sim.Config.Sample): the same architectural decisions as the detailed
 // handlers — hot-page counting, correlation training, metadata-cache
 // residency, swap commits — applied immediately with no events, no timing,
-// and no statistics. Swaps commit instantly (ffSwap) with exactly the
-// mutations completeSwap/startRestore perform, so VerifyIntegrity and the
-// end-of-run audits hold across fast-forward gaps. Two modelling choices
-// are deliberate: the bandwidth heuristic and the swap queue are skipped
-// (both describe transient contention that does not exist on a quiesced,
-// clock-frozen machine), and HPT decay does not advance (it keys on the
-// engine clock, which fast-forward freezes).
+// and no statistics. Swaps commit instantly (ffSwap) through the exchange
+// core's Apply, with the same placements as a detailed commit, so
+// VerifyIntegrity and the end-of-run audits hold across fast-forward gaps.
+// Two modelling choices are deliberate: the bandwidth heuristic and the
+// swap queue are skipped (both describe transient contention that does not
+// exist on a quiesced, clock-frozen machine), and HPT decay does not
+// advance (it keys on the engine clock, which fast-forward freezes).
 
 // SetFFSwapBudget bounds how many swaps the functional fast-forward path
 // may commit before the next detailed phase; the sampled scheduler sets it
@@ -61,14 +62,14 @@ func (p *PageSeer) HandleRequestFunctional(line mem.Addr, write bool, meta cache
 	if !meta.Writeback && !meta.PageWalk {
 		p.trackMissFunctional(meta.PID, page)
 	}
-	p.prtc.AccessFunctional(uint64(page), false)
+	p.RemapCache().AccessFunctional(uint64(page), false)
 }
 
 // MMUHintFunctional implements mmu.FunctionalHinter: warm the PTE-line
 // cache and the hinted page's metadata, and evaluate MMU-triggered swaps.
 func (p *PageSeer) MMUHintFunctional(h mmu.Hint) {
 	p.pte.insert(mem.LineOf(h.PTELine))
-	p.prtc.AccessFunctional(uint64(h.LeafPPN), false)
+	p.RemapCache().AccessFunctional(uint64(h.LeafPPN), false)
 	p.evaluateCorrelationFunctional(h.LeafPPN, SwapPrefetchMMU)
 }
 
@@ -104,7 +105,7 @@ func (p *PageSeer) evaluateCorrelationFunctional(page mem.PPN, kind SwapKind) {
 		return
 	}
 	if snap.FollowerCount >= p.cfg.PCTThreshold {
-		p.prtc.AccessFunctional(uint64(snap.Follower), false)
+		p.RemapCache().AccessFunctional(uint64(snap.Follower), false)
 		p.pctc.AccessFunctional(uint64(snap.Follower), false)
 		if !p.residentDRAM(snap.Follower) {
 			p.ffSwap(snap.Follower, kind)
@@ -112,9 +113,8 @@ func (p *PageSeer) evaluateCorrelationFunctional(page mem.PPN, kind SwapKind) {
 	}
 }
 
-// ffSwap commits a page -> DRAM swap instantly: the same victim choice and
-// the same architectural mutations as startSwap/completeSwap (or, for a
-// displaced DRAM-original page, startRestore's completion), minus engine
+// ffSwap commits a page -> DRAM swap instantly: the same plan and the same
+// architectural mutations as startSwap and its commit, minus engine
 // choreography, ledger records, timing, and statistics. It reports whether
 // the swap happened, so edge-triggered callers can re-arm on decline.
 func (p *PageSeer) ffSwap(page mem.PPN, kind SwapKind) bool {
@@ -132,40 +132,19 @@ func (p *PageSeer) ffSwap(page mem.PPN, kind SwapKind) bool {
 	if p.ffBudget == 0 {
 		return false
 	}
-	if nPartner := p.frameOf(page); nPartner != page {
-		// Restore the pair to its original frames (startRestore's only
-		// legal move), with the same hot-partner guard.
-		if p.hptDRAM.Contains(nPartner) {
-			return false
-		}
-		p.ffBudget--
-		p.ffCommits++
-		p.remap.Place(uint64(page), uint64(page))
-		p.ctl.Oracle.Exchange(uint64(page), uint64(nPartner))
-		p.finalizeTrack(nPartner) // it just left DRAM
-		p.hptNVM.Remove(page)
-		return true
-	}
-	frame, partner, hasPartner, ok := p.pickVictim(p.color(page))
+	shape, dst, ok := p.plan(page)
 	if !ok {
 		return false
 	}
 	p.ffBudget--
 	p.ffCommits++
-	if hasPartner {
-		p.remap.Place(uint64(partner), uint64(partner))
-		p.ctl.Oracle.Exchange(uint64(frame), uint64(page))
-		p.ctl.Oracle.Exchange(uint64(page), uint64(partner))
-		p.finalizeTrack(partner)
-	} else {
-		p.ctl.Oracle.Exchange(uint64(page), uint64(frame))
+	victim := mem.PPN(p.Owner(hmc.Seg(dst)))
+	p.Apply(shape, hmc.Seg(page), hmc.Seg(dst))
+	p.settle(shape, page, victim)
+	if shape == hmc.Restore {
+		return true
 	}
-	p.remap.Place(uint64(page), uint64(frame))
-	p.prtc.AccessFunctional(uint64(page), false)
-	p.hptNVM.Remove(page)
-	if hasPartner {
-		p.hptNVM.Remove(partner)
-	}
+	p.RemapCache().AccessFunctional(uint64(page), false)
 	if kind != SwapRegular {
 		// Open the accuracy window architecturally; the tracked/accurate
 		// counters stay silent, and resetStats clears open windows before

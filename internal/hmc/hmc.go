@@ -1,8 +1,8 @@
 // Package hmc provides the Hybrid Memory Controller framework shared by
 // PageSeer and the baseline schemes: request routing between the DRAM and
 // NVM timing models, a swap engine with swap buffers, on-controller
-// metadata caches backed by DRAM-resident tables, the segment-swap core
-// the 2KB baselines share, service-source and positive/negative/neutral
+// metadata caches backed by DRAM-resident tables, the exchange core all
+// three swapping schemes share, service-source and positive/negative/neutral
 // accounting, and a data-integrity oracle.
 //
 // A concrete scheme (PageSeer, PoM, MemPod, or the no-swap Static manager)
@@ -144,6 +144,7 @@ type Controller struct {
 	Engine *SwapEngine
 	Oracle *Oracle
 
+	unit    uint // log2 of the swap unit of the remap and the oracle
 	mgr     Manager
 	ffMgr   FunctionalManager    // mgr's functional path, nil if unsupported
 	ffHint  mmu.FunctionalHinter // mgr's functional hint path, nil if unsupported
@@ -187,6 +188,7 @@ func NewController(sim *engine.Sim, osm *mem.OS, dramCfg, nvmCfg memsim.Config, 
 		OS:     osm,
 		Layout: layout,
 		Oracle: NewOracle(layout.Total() >> mem.PageShift),
+		unit:   mem.PageShift,
 	}
 	c.DRAM = memsim.New(sim, dramCfg, 0, layout.DRAMBytes)
 	c.NVM = memsim.New(sim, nvmCfg, mem.Addr(layout.DRAMBytes), layout.NVMBytes)
@@ -204,8 +206,13 @@ func (c *Controller) NewRemap(unitShift uint) *Remap {
 	if c.Oracle.Units() != units {
 		c.Oracle = NewOracle(units)
 	}
+	c.unit = unitShift
 	return NewRemap(units)
 }
+
+// UnitShift returns log2 of the installed scheme's swap unit: the unit of
+// its remap and of the oracle (a page until a NewRemap says otherwise).
+func (c *Controller) UnitShift() uint { return c.unit }
 
 // SetManager installs the management scheme. Must be called before traffic.
 func (c *Controller) SetManager(m Manager) {

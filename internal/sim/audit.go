@@ -105,7 +105,7 @@ func (s *System) auditPageMap(a *check.Audit) {
 func (s *System) metaCaches() []*hmc.MetaCache {
 	switch {
 	case s.PageSeer != nil:
-		return []*hmc.MetaCache{s.PageSeer.PRTc(), s.PageSeer.PCTc()}
+		return []*hmc.MetaCache{s.PageSeer.RemapCache(), s.PageSeer.PCTc()}
 	case s.PoM != nil:
 		return []*hmc.MetaCache{s.PoM.RemapCache()}
 	case s.MemPod != nil:

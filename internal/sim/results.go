@@ -168,7 +168,7 @@ func (s *System) collect(epochStart uint64) Results {
 	case s.PageSeer != nil:
 		r.PS = s.PageSeer.Stats()
 		r.PrefetchAccuracy = s.PageSeer.PrefetchAccuracy()
-		r.RemapCache = s.PageSeer.PRTc().Stats()
+		r.RemapCache = s.PageSeer.RemapCache().Stats()
 		r.PCTc = s.PageSeer.PCTc().Stats()
 	case s.PoM != nil:
 		r.RemapCache = s.PoM.RemapCache().Stats()

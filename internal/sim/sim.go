@@ -354,26 +354,6 @@ func Build(cfg Config) (*System, error) {
 	if cfg.Obs.TimelineEvery > 0 {
 		sys.Timeline = obs.NewTimeline(cfg.Obs.TimelineEvery, sys.timelineCounters)
 	}
-	if cfg.Obs.Ledger || cfg.Obs.CPI || sys.Tracer != nil {
-		// Trigger classing (hint-prefetched DRAM hit vs regular) needs swap
-		// provenance, so attribution runs a ledger too, and a trace carries
-		// the ledger's counter tracks. Results.Effectiveness stays gated on
-		// Obs.Ledger, so Results remain byte-identical with attribution or
-		// tracing on or off.
-		sys.led = ledger.New(swapUnitShift(cfg.Scheme))
-		ctl.Attach(sys.led)
-		if sys.Tracer != nil {
-			ctl.Attach(ledgerCounters{t: sys.Tracer, l: sys.led})
-		}
-	}
-	if cfg.Obs.PageMap {
-		sys.pm = pagemap.New(swapUnitShift(cfg.Scheme), pagemap.DefaultFlapK, pagemap.DefaultFlapWindow)
-		ctl.Attach(sys.pm)
-	}
-	if cfg.Obs.CPI {
-		sys.att = attrib.New(nCores)
-	}
-
 	switch {
 	case cfg.customManager != nil:
 		if m := cfg.customManager(ctl); ctl.Manager() == nil {
@@ -383,6 +363,26 @@ func Build(cfg Config) (*System, error) {
 		if err := installScheme(cfg, sys, ctl); err != nil {
 			return nil, err
 		}
+	}
+	// The swap-unit observers key their rows by the scheme's swap unit.
+	if cfg.Obs.Ledger || cfg.Obs.CPI || sys.Tracer != nil {
+		// Trigger classing (hint-prefetched DRAM hit vs regular) needs swap
+		// provenance, so attribution runs a ledger too, and a trace carries
+		// the ledger's counter tracks. Results.Effectiveness stays gated on
+		// Obs.Ledger, so Results remain byte-identical with attribution or
+		// tracing on or off.
+		sys.led = ledger.New(ctl.UnitShift())
+		ctl.Attach(sys.led)
+		if sys.Tracer != nil {
+			ctl.Attach(ledgerCounters{t: sys.Tracer, l: sys.led})
+		}
+	}
+	if cfg.Obs.PageMap {
+		sys.pm = pagemap.New(ctl.UnitShift(), pagemap.DefaultFlapK, pagemap.DefaultFlapWindow)
+		ctl.Attach(sys.pm)
+	}
+	if cfg.Obs.CPI {
+		sys.att = attrib.New(nCores)
 	}
 	if sys.att != nil && sys.PageSeer != nil {
 		sys.PageSeer.SetAttrib(sys.att)
@@ -453,16 +453,6 @@ func (c ledgerCounters) SwapSettled(now uint64) {
 	c.t.Counter("ledger", "swaps-useful", obs.TracePidSwap, now, "value", useful)
 	c.t.Counter("ledger", "swaps-unused", obs.TracePidSwap, now, "value", unused)
 	c.t.Counter("ledger", "swaps-open", obs.TracePidSwap, now, "value", open)
-}
-
-// swapUnitShift returns the log2 of a scheme's swap granularity — the
-// ledger's addr->unit conversion. PageSeer and Static move 4KB pages, PoM
-// and MemPod 2KB segments. Custom managers default to page granularity.
-func swapUnitShift(scheme Scheme) uint {
-	if scheme == SchemePoM || scheme == SchemeMemPod {
-		return hmc.SegmentShift
-	}
-	return mem.PageShift
 }
 
 func installScheme(cfg Config, sys *System, ctl *hmc.Controller) error {
@@ -548,7 +538,7 @@ func buildWorkload(cfg Config) ([]workload.Generator, []int, []uint64, error) {
 	var gens []workload.Generator
 	var pids []int
 	var feet []uint64
-	if m, err := workload.MixByName(cfg.Workload); err == nil {
+	if m, ok := workload.MixByName(cfg.Workload); ok {
 		for i, name := range m.Members {
 			p, err := workload.ProfileByName(name)
 			if err != nil {

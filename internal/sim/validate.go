@@ -20,7 +20,7 @@ import (
 func (cfg Config) Validate() error {
 	fail := func(err error) error { return fmt.Errorf("sim: invalid config: %w", err) }
 
-	if _, err := workload.MixByName(cfg.Workload); err != nil {
+	if _, ok := workload.MixByName(cfg.Workload); !ok {
 		if _, err := workload.ProfileByName(cfg.Workload); err != nil {
 			return fail(fmt.Errorf("workload %q is neither a benchmark nor a mix", cfg.Workload))
 		}

@@ -65,14 +65,15 @@ func Mixes() []Mix {
 	}
 }
 
-// MixByName finds a mix.
-func MixByName(name string) (Mix, error) {
+// MixByName finds a mix, reporting whether name is one. A miss allocates
+// nothing: every Build of a benchmark workload asks here first.
+func MixByName(name string) (Mix, bool) {
 	for _, m := range Mixes() {
 		if m.Name == name {
-			return m, nil
+			return m, true
 		}
 	}
-	return Mix{}, fmt.Errorf("workload: unknown mix %q", name)
+	return Mix{}, false
 }
 
 // AllWorkloadNames returns the 26 workload identifiers in Table III order.

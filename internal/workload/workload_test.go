@@ -37,14 +37,27 @@ func TestProfilesMatchTableIII(t *testing.T) {
 	}
 }
 
+// TestZeroAllocMixLookupMiss: looking a benchmark name up as a mix, as
+// every Build of a benchmark workload does, allocates nothing.
+func TestZeroAllocMixLookupMiss(t *testing.T) {
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, ok := MixByName("GemsFDTD"); ok {
+			t.Fatal("GemsFDTD found as a mix")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a mix-lookup miss allocates %.1f times, want 0", allocs)
+	}
+}
+
 func TestMixesMatchTableIII(t *testing.T) {
 	ms := Mixes()
 	if len(ms) != 6 {
 		t.Fatalf("got %d mixes, want 6", len(ms))
 	}
-	m6, err := MixByName("mix6")
-	if err != nil {
-		t.Fatal(err)
+	m6, ok := MixByName("mix6")
+	if !ok {
+		t.Fatal("mix6 not found")
 	}
 	want := [4]string{"libquantum", "lbm", "mcf", "bwaves"}
 	if m6.Members != want {

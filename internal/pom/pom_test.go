@@ -35,6 +35,9 @@ func slowSeg(ctl *hmc.Controller, i int) mem.Addr {
 	return mem.Addr(ctl.Layout.DRAMBytes) + mem.Addr(i)*hmc.SegmentBytes
 }
 
+// segBase returns 2KB segment s's first address.
+func segBase(s hmc.Seg) mem.Addr { return mem.Addr(s) << hmc.SegmentShift }
+
 func miss(sim *engine.Sim, ctl *hmc.Controller, a mem.Addr) {
 	ctl.Access(a, false, cache.Meta{PID: 1}, nil)
 	sim.Drain(0)
@@ -85,14 +88,14 @@ func TestFastSwapDisplacesToSlowHome(t *testing.T) {
 	s1 := g + fast   // first slow segment of group g
 	s2 := g + 2*fast // second slow segment of group g
 	for i := 0; i < int(p.cfg.K); i++ {
-		miss(sim, ctl, s1.Base())
+		miss(sim, ctl, segBase(s1))
 	}
 	sim.Drain(0)
 	if p.Loc(s1) != g {
 		t.Fatalf("s1 not in fast slot: %d", p.Loc(s1))
 	}
 	for i := 0; i < int(p.cfg.K); i++ {
-		miss(sim, ctl, s2.Base())
+		miss(sim, ctl, segBase(s2))
 	}
 	sim.Drain(0)
 	if p.Loc(s2) != g {
@@ -115,10 +118,10 @@ func TestConflictThrashingPossible(t *testing.T) {
 	s1, s2 := g+fast, g+2*fast
 	for round := 0; round < 3; round++ {
 		for i := 0; i < int(p.cfg.K); i++ {
-			miss(sim, ctl, s1.Base())
+			miss(sim, ctl, segBase(s1))
 		}
 		for i := 0; i < int(p.cfg.K); i++ {
-			miss(sim, ctl, s2.Base())
+			miss(sim, ctl, segBase(s2))
 		}
 		sim.Drain(0)
 	}
@@ -136,7 +139,7 @@ func TestPinnedFastSlotBlocksSwap(t *testing.T) {
 	// into it must be blocked.
 	s := p.fastSegs // slow segment of group 0
 	for i := 0; i < int(p.cfg.K)+3; i++ {
-		miss(sim, ctl, s.Base())
+		miss(sim, ctl, segBase(s))
 	}
 	sim.Drain(0)
 	if p.Loc(s) == 0 {

@@ -245,9 +245,15 @@ func (c *Cache) getMSHR() *mshr {
 }
 
 func (c *Cache) putMSHR(m *mshr) {
-	clear(m.waiters)
+	// Index stores, not clear: the slices usually hold one element, and
+	// clear of a pointer slice is a runtime memclrHasPointers call.
+	for i := 0; i < len(m.waiters); i++ {
+		m.waiters[i] = nil
+	}
 	m.waiters = m.waiters[:0]
-	clear(m.vwaiters)
+	for i := 0; i < len(m.vwaiters); i++ {
+		m.vwaiters[i] = nil
+	}
 	m.vwaiters = m.vwaiters[:0]
 	m.line, m.meta, m.write = 0, Meta{}, false
 	c.mshrPool.Put(m)

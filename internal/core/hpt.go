@@ -25,16 +25,18 @@ type HPT struct {
 	lastDecay  uint64
 
 	// idx holds each page's counter and heap slot, indexed by PPN over
-	// all of physical memory (the tables key pages by identity, not by
+	// the pages a run can name (the tables key pages by identity, not by
 	// residence, so either table may hold a page of either tier); a zero
-	// counter marks a page with no entry. heap holds slot numbers as a
-	// binary min-heap on (key, PPN), where a slot's key is its page's
-	// counter as of its last placement in the heap. Touch raises only the
-	// counter, so the key may lag it; a full table refreshes lagging roots
-	// before it evicts, which makes the root the coldest entry, lowest PPN
-	// first among equal counts (a tie-independent choice keeps runs
-	// deterministic). Each slot records its heap position, so reordering
-	// the heap writes no index entry. free lists the slots no page holds.
+	// counter marks a page with no entry, and a page past the end panics
+	// (with a *mem.DomainError when it would add one). heap holds slot
+	// numbers as a binary min-heap on (key, PPN), where a slot's key is its
+	// page's counter as of its last placement in the heap. Touch raises
+	// only the counter, so the key may lag it; a full table refreshes
+	// lagging roots before it evicts, which makes the root the coldest
+	// entry, lowest PPN first among equal counts (a tie-independent choice
+	// keeps runs deterministic). Each slot records its heap position, so
+	// reordering the heap writes no index entry. free lists the slots no
+	// page holds.
 	idx   []hptEntry
 	slots []hptSlot
 	free  []int32
@@ -114,6 +116,13 @@ func (h *HPT) Len() int {
 	return len(h.heap)
 }
 
+// entry returns p's index entry for a write. The reads index idx
+// directly to stay inlinable; Go's bounds check panics for them.
+func (h *HPT) entry(p mem.PPN) *hptEntry {
+	mem.CheckFrame("core: HPT", uint64(p), uint64(len(h.idx)))
+	return &h.idx[p]
+}
+
 // Count returns the counter for p (0 if absent).
 func (h *HPT) Count(p mem.PPN) uint32 {
 	h.maybeDecay()
@@ -131,7 +140,7 @@ func (h *HPT) Contains(p mem.PPN) bool {
 // table is full, the coldest entry is evicted to make room.
 func (h *HPT) Touch(p mem.PPN) uint32 {
 	h.maybeDecay()
-	if e := &h.idx[p]; e.count != 0 {
+	if e := h.entry(p); e.count != 0 {
 		if e.count < h.counterMax {
 			e.count++ // the heap key catches up if the slot reaches the root
 		}
@@ -174,7 +183,7 @@ func (h *HPT) Remove(p mem.PPN) {
 // Swap Driver declines a request).
 func (h *HPT) Set(p mem.PPN, v uint32) {
 	h.maybeDecay()
-	e := &h.idx[p]
+	e := h.entry(p)
 	switch {
 	case v == 0:
 		if e.count != 0 {

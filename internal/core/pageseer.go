@@ -310,14 +310,17 @@ func New(ctl *hmc.Controller, cfg Config) *PageSeer {
 		HitLatency: cfg.PCTcHitLatency, EntriesPerLine: 6, // 10.5B entries
 		Background: true, // off the critical path (Section III-C3)
 	}, ctl.AllocMetaRegion(cfg.PCTBytes, 11), ctl.IssueLine)
-	pages := ctl.Layout.Total() >> mem.PageShift
-	p.corr = NewCorrelator(cfg, pages, func(leader mem.PPN, effective bool) {
-		if effective {
-			p.pctc.MarkDirty(uint64(leader))
-		}
+	// The PCT, the Filter index and both HPTs are indexed by page over the
+	// frames the run can name, known once the footprint is mapped.
+	ctl.OnSeal(func(pages uint64) {
+		p.corr = NewCorrelator(cfg, pages, func(leader mem.PPN, effective bool) {
+			if effective {
+				p.pctc.MarkDirty(uint64(leader))
+			}
+		})
+		p.hptDRAM = NewHPT(ctl.Sim, cfg.HPTDecayInterval, cfg.HPTEntries, cfg.CounterMax, pages)
+		p.hptNVM = NewHPT(ctl.Sim, cfg.HPTDecayInterval, cfg.HPTEntries, cfg.CounterMax, pages)
 	})
-	p.hptDRAM = NewHPT(ctl.Sim, cfg.HPTDecayInterval, cfg.HPTEntries, cfg.CounterMax, pages)
-	p.hptNVM = NewHPT(ctl.Sim, cfg.HPTDecayInterval, cfg.HPTEntries, cfg.CounterMax, pages)
 	p.pte = NewPTECache()
 	// The same-color constraint is defined over logical PRT entry sets
 	// (Figure 4), independent of the PRTc's physical line organisation.

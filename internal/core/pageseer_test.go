@@ -36,6 +36,7 @@ func testRig(cfg Config) (*engine.Sim, *hmc.Controller, *PageSeer) {
 	osm := mem.NewOS(mem.Map{DRAMBytes: 2 << 20, NVMBytes: 16 << 20}, 16)
 	ctl := hmc.NewController(sim, osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
 	ps := New(ctl, cfg)
+	ctl.Seal(ctl.Layout.Total() >> mem.PageShift) // the rig names frames directly
 	return sim, ctl, ps
 }
 

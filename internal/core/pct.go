@@ -59,9 +59,10 @@ type CorrelatorStats struct {
 // new = current + old/2.
 type Correlator struct {
 	cfg Config
-	// pct holds every page's entry; a zero Count marks a page with no PCT
-	// state (a written entry counts at least its activating miss). pctN
-	// counts the pages with state.
+	// pct holds the entry of every page a run can name; a zero Count marks
+	// a page with no PCT state (a written entry counts at least its
+	// activating miss), and a page past the end panics with a
+	// *mem.DomainError. pctN counts the pages with state.
 	pct  []PCTEntry
 	pctN int
 	// filter indexes the Filter's entries by leader PPN (nil = not
@@ -116,6 +117,7 @@ func (c *Correlator) Stats() CorrelatorStats { return c.stats }
 // snapshot is one invocation stale there — a page's first re-walk would
 // always look untrained and MMU-triggered swaps could never start.
 func (c *Correlator) Snapshot(page mem.PPN) PCTEntry {
+	mem.CheckFrame("core: PCT", uint64(page), uint64(len(c.pct)))
 	if fe := c.filter[page]; fe != nil {
 		e := fe.old
 		if n := c.liveCount(page); n > e.Count {
@@ -133,6 +135,7 @@ func (c *Correlator) PCTSize() int { return c.pctN }
 // miss starts a new invocation of page (the "first miss" that Section
 // III-C2 uses as the prefetch-swap trigger point).
 func (c *Correlator) OnMiss(pid int, page mem.PPN) (firstMiss bool) {
+	mem.CheckFrame("core: PCT", uint64(page), uint64(len(c.pct)))
 	l := c.lead(pid)
 	if l.hasLead && l.active == page {
 		// The leader reasserting itself dissolves any takeover candidate:

@@ -177,6 +177,9 @@ type Controller struct {
 	// meta lists the regions AllocMetaRegion reserved, which no swap may
 	// move (Pinned).
 	meta []MetaRegion
+
+	// onSeal holds the sizing of the per-frame tables built before Seal.
+	onSeal []func(frames uint64)
 }
 
 // NewController builds a controller with the given memory-part configs over
@@ -187,7 +190,7 @@ func NewController(sim *engine.Sim, osm *mem.OS, dramCfg, nvmCfg memsim.Config, 
 		Sim:    sim,
 		OS:     osm,
 		Layout: layout,
-		Oracle: NewOracle(layout.Total() >> mem.PageShift),
+		Oracle: NewOracle(0),
 		unit:   mem.PageShift,
 	}
 	c.DRAM = memsim.New(sim, dramCfg, 0, layout.DRAMBytes)
@@ -197,17 +200,33 @@ func NewController(sim *engine.Sim, osm *mem.OS, dramCfg, nvmCfg memsim.Config, 
 	return c
 }
 
-// NewRemap returns a manager's remap table over physical memory in swap
-// units of 1<<unitShift bytes, and re-keys the oracle to the same unit when
-// it differs (the oracle starts at page granularity). Managers call it from
-// their constructors, before any traffic.
+// NewRemap returns a manager's remap table over the frames a run can name
+// in swap units of 1<<unitShift bytes, and keys the oracle to the same unit
+// (a page until a NewRemap says otherwise). Managers call it from their
+// constructors, before any traffic; the table is empty until Seal sizes it.
 func (c *Controller) NewRemap(unitShift uint) *Remap {
-	units := c.Layout.Total() >> unitShift
-	if c.Oracle.Units() != units {
-		c.Oracle = NewOracle(units)
-	}
 	c.unit = unitShift
-	return NewRemap(units)
+	r := &Remap{}
+	c.OnSeal(func(frames uint64) { r.size(frames << mem.PageShift >> unitShift) })
+	return r
+}
+
+// OnSeal registers size to build per-frame state over the domain Seal
+// fixes, in 4KB frames. Managers call it from their constructors.
+func (c *Controller) OnSeal(size func(frames uint64)) { c.onSeal = append(c.onSeal, size) }
+
+// Seal fixes the per-frame domain at frames 4KB frames from frame 0 and
+// sizes the oracle and every table registered through NewRemap and OnSeal
+// to it. Build calls it once the footprint is mapped and before any
+// traffic, with the frames a run can name (every DRAM frame and the NVM
+// frames mapped, mem.Allocator.Named), so no per-frame table grows during
+// a run; a frame outside the domain panics with a *mem.DomainError.
+func (c *Controller) Seal(frames uint64) {
+	*c.Oracle = Oracle{units: frames << mem.PageShift >> c.unit}
+	for _, size := range c.onSeal {
+		size(frames)
+	}
+	c.onSeal = nil
 }
 
 // UnitShift returns log2 of the installed scheme's swap unit: the unit of

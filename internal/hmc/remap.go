@@ -1,5 +1,7 @@
 package hmc
 
+import "pageseer/internal/mem"
+
 // Remap is a permutation of swap units over physical memory: the slot that
 // holds each unit's data, and the unit whose data each slot holds. Units
 // are numbered from physical address 0 at the scheme's swap granularity
@@ -7,9 +9,11 @@ package hmc
 // number is both a data identity — the unit's OS-visible home — and a slot.
 //
 // Both directions are dense arrays, like the in-DRAM tables they model (the
-// paper's PRT, PoM's SRT). Each entry stores its unit's offset from home
-// modulo 2^32, so the zero value is the identity of a freshly booted
-// machine and building a table writes nothing.
+// paper's PRT, PoM's SRT), over the units of the frames a run can name
+// (Controller.Seal); a unit outside them panics with a *mem.DomainError.
+// Each entry stores its unit's offset from home modulo 2^32, so the zero
+// value is the identity of a freshly booted machine and building a table
+// writes nothing.
 type Remap struct {
 	loc   []uint32 // loc[d]: slot holding d's data, minus d
 	owner []uint32 // owner[s]: unit whose data slot s holds, minus s
@@ -18,17 +22,30 @@ type Remap struct {
 
 // NewRemap returns an identity permutation over units swap units.
 func NewRemap(units uint64) *Remap {
-	return &Remap{loc: make([]uint32, units), owner: make([]uint32, units)}
+	r := &Remap{}
+	r.size(units)
+	return r
+}
+
+// size makes r the identity over units units.
+func (r *Remap) size(units uint64) {
+	r.loc, r.owner, r.moved = make([]uint32, units), make([]uint32, units), 0
 }
 
 // Units returns the number of units the table covers.
 func (r *Remap) Units() uint64 { return uint64(len(r.loc)) }
 
 // Loc returns the slot currently holding unit d's data.
-func (r *Remap) Loc(d uint64) uint64 { return uint64(uint32(d) + r.loc[d]) }
+func (r *Remap) Loc(d uint64) uint64 {
+	mem.CheckFrame("hmc: remap", d, uint64(len(r.loc)))
+	return uint64(uint32(d) + r.loc[d])
+}
 
 // Owner returns the unit whose data slot s currently holds.
-func (r *Remap) Owner(s uint64) uint64 { return uint64(uint32(s) + r.owner[s]) }
+func (r *Remap) Owner(s uint64) uint64 {
+	mem.CheckFrame("hmc: remap", s, uint64(len(r.owner)))
+	return uint64(uint32(s) + r.owner[s])
+}
 
 // Moved returns how many units' data is away from home.
 func (r *Remap) Moved() int { return r.moved }

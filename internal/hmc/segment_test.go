@@ -38,6 +38,7 @@ func segmentRig(sc segmentScheme) (*engine.Sim, *hmc.Controller, *hmc.Segments, 
 	g, commits := sc.install(ctl)
 	as := osm.NewProcess(1)
 	osm.WalkVA(1, 0x1000)
+	ctl.Seal(ctl.Layout.Total() >> mem.PageShift) // the rig names frames directly
 	return sim, ctl, g, commits, as.Root()
 }
 
@@ -173,6 +174,7 @@ func pageRig(t *testing.T) (*engine.Sim, *hmc.Controller, *hmc.Segments, *int, *
 	g := hmc.NewSegments(ctl, "pages", mem.PageShift, hmc.MetaCacheConfig{
 		Name: "PRTc", Entries: 64, Ways: 4, HitLatency: 2, EntriesPerLine: 18,
 	}, 32<<10, func(m hmc.Move) { *commits, *last = *commits+1, m })
+	ctl.Seal(ctl.Layout.Total() >> mem.PageShift)
 	if ctl.UnitShift() != mem.PageShift {
 		t.Fatalf("UnitShift = %d, want %d", ctl.UnitShift(), mem.PageShift)
 	}

@@ -53,6 +53,12 @@ func (a *Allocator) UsedDRAMFrames() uint64 { return a.usedDRAM }
 // UsedNVMFrames returns how many NVM frames are currently allocated.
 func (a *Allocator) UsedNVMFrames() uint64 { return a.usedNVM }
 
+// Named returns the number of frames a run can name: every DRAM frame, and
+// the NVM frames issued so far, which sit below nextNVM. Per-frame state
+// sized to it once the footprint is mapped covers every frame holding
+// data, a page table or controller metadata.
+func (a *Allocator) Named() uint64 { return uint64(a.nextNVM) }
+
 // AllocDRAM allocates one DRAM frame. ok is false when DRAM is exhausted.
 func (a *Allocator) AllocDRAM() (PPN, bool) {
 	if n := len(a.freeDRAM); n > 0 {

@@ -58,8 +58,9 @@ func (o *OS) NewProcess(pid int) *AddressSpace {
 		store:      o.store,
 		alloc:      o.alloc,
 		tableCount: 1,
-		memoRegion: ^uint64(0),
+		region:     ^uint64(0),
 	}
+	as.tables[PGD] = root
 	if pid >= len(o.procs) {
 		o.procs = append(o.procs, make([]*AddressSpace, pid+1-len(o.procs))...)
 	}

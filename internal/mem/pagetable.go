@@ -75,12 +75,13 @@ type AddressSpace struct {
 
 	tableCount uint64
 
-	// memo is Touch's last walk and memoRegion its 2MB region
-	// (all ones before the first). Tables are never freed and only Touch
-	// writes them, so upper-level entries never change once present and a
-	// page in the same region starts at memo's PTE-level table.
-	memo       Walk
-	memoRegion uint64
+	// region is the 2MB region of the last page mapPage mapped (all ones
+	// before the first) and tables the table frame its walk read at each
+	// level. Tables are never freed and only mapPage writes them, so
+	// upper-level entries never change once present and a page in the
+	// same region starts at tables[PTE].
+	region uint64
+	tables [NumLevels]PPN
 }
 
 // PID returns the owning process identifier.
@@ -115,21 +116,19 @@ func (as *AddressSpace) Lookup(va VAddr) (Walk, bool) {
 	return w, true
 }
 
-// Touch walks the table for va, allocating intermediate tables and the leaf
-// data frame on demand (first-touch). It returns the complete walk and
-// whether the leaf page was newly created.
-func (as *AddressSpace) Touch(va VAddr) (Walk, bool, error) {
-	var w Walk
-	table, from := as.root, PGD
-	region := uint64(va) >> (PageShift + 9)
-	if region == as.memoRegion {
-		w = as.memo
-		table, from = PageOf(w.Steps[PTE].EntryAddr), PTE
+// mapPage maps va's page on first touch, allocating the missing table
+// levels and the leaf data frame, and leaves as.tables holding the table
+// frames of va's walk. It returns the leaf frame and whether the page was
+// newly created. The one mapping routine under Touch and Prefault.
+func (as *AddressSpace) mapPage(va VAddr) (leaf PPN, created bool, err error) {
+	from, region := PGD, uint64(va)>>(PageShift+9)
+	if region == as.region {
+		from = PTE
+	} else {
+		as.region = ^uint64(0) // tables is rewritten below
 	}
-	created := false
 	for l := from; l < NumLevels; l++ {
-		idx := Index(va, l)
-		w.Steps[l] = WalkStep{Level: l, EntryAddr: entryAddr(table, idx)}
+		table, idx := as.tables[l], Index(va, l)
 		e := as.store.read(table, idx)
 		if !entryValid(e) {
 			var child PPN
@@ -144,17 +143,41 @@ func (as *AddressSpace) Touch(va VAddr) (Walk, bool, error) {
 				}
 			}
 			if !ok {
-				return w, false, fmt.Errorf("mem: out of physical memory mapping va %#x (pid %d)", uint64(va), as.pid)
+				return 0, false, fmt.Errorf("mem: out of physical memory mapping va %#x (pid %d)", uint64(va), as.pid)
 			}
-			as.store.write(table, idx, makeEntry(child))
 			e = makeEntry(child)
+			as.store.write(table, idx, e)
 			created = l == PTE
 		}
-		table = entryPPN(e)
+		if l == PTE {
+			leaf = entryPPN(e)
+		} else {
+			as.tables[l+1] = entryPPN(e)
+		}
 	}
-	w.Leaf = table
-	as.memo, as.memoRegion = w, region
+	as.region = region
+	return leaf, created, nil
+}
+
+// Touch maps va's page on first touch (see mapPage) and returns the
+// complete walk and whether the leaf page was newly created.
+func (as *AddressSpace) Touch(va VAddr) (Walk, bool, error) {
+	leaf, created, err := as.mapPage(va)
+	if err != nil {
+		return Walk{}, false, err
+	}
+	w := Walk{Leaf: leaf}
+	for l := PGD; l < NumLevels; l++ {
+		w.Steps[l] = WalkStep{Level: l, EntryAddr: entryAddr(as.tables[l], Index(va, l))}
+	}
 	return w, created, nil
+}
+
+// Prefault maps va's page on first touch, like Touch, but builds no walk:
+// the mapping path sim.Build pre-touches every footprint page through.
+func (as *AddressSpace) Prefault(va VAddr) error {
+	_, _, err := as.mapPage(va)
+	return err
 }
 
 // Translate returns the physical page mapped at va, if present.

@@ -360,3 +360,69 @@ func TestTouchMemoMatchesColdWalk(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefaultMatchesWalkVA: mapping the same interleaved pages of two
+// processes through Prefault and through WalkVA hands out the same frames.
+// The run crosses 2MB and 1GB boundaries in both processes, so every table
+// level is allocated mid-run. Both give each page the same leaf, the same
+// frames hold tables, each process counts the same table frames, and a
+// later WalkVA of every page returns the same walk on both.
+func TestPrefaultMatchesWalkVA(t *testing.T) {
+	const gb, region = 1 << 30, 2 << 20
+	var vas []VAddr
+	for _, base := range []VAddr{gb - 3*region/2, 2*gb - region/2, 5 * gb} {
+		for off := VAddr(0); off < 2*region; off += 37 * PageSize {
+			vas = append(vas, base+off)
+		}
+	}
+	build := func(prefault bool) *OS {
+		// 128 DRAM frames: the later pages spill to NVM.
+		o := NewOS(Map{DRAMBytes: 512 << 10, NVMBytes: 16 << 20}, 16)
+		for pid := 1; pid <= 2; pid++ {
+			o.NewProcess(pid)
+		}
+		for _, va := range vas {
+			for pid := 1; pid <= 2; pid++ {
+				if prefault {
+					as, _ := o.Process(pid)
+					if err := as.Prefault(va + VAddr(pid-1)*PageSize); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					o.WalkVA(pid, va+VAddr(pid-1)*PageSize)
+				}
+			}
+		}
+		return o
+	}
+	pre, walked := build(true), build(false)
+	for p := PPN(0); p < PPN(pre.Map().Total()>>PageShift); p++ {
+		if pre.IsPageTable(p) != walked.IsPageTable(p) {
+			t.Fatalf("frame %#x: page table %v after Prefault, %v after WalkVA", uint64(p), pre.IsPageTable(p), walked.IsPageTable(p))
+		}
+	}
+	if pre.Allocator().UsedNVMFrames() == 0 {
+		t.Fatal("no page spilled to NVM")
+	}
+	if pre.Allocator().Named() != walked.Allocator().Named() {
+		t.Fatalf("Named = %d after Prefault, %d after WalkVA", pre.Allocator().Named(), walked.Allocator().Named())
+	}
+	for pid := 1; pid <= 2; pid++ {
+		a, _ := pre.Process(pid)
+		b, _ := walked.Process(pid)
+		if a.TableFrames() != b.TableFrames() {
+			t.Fatalf("pid %d: %d table frames after Prefault, %d after WalkVA", pid, a.TableFrames(), b.TableFrames())
+		}
+		for _, va := range vas {
+			va += VAddr(pid-1) * PageSize
+			pa, _ := a.Translate(va)
+			pb, _ := b.Translate(va)
+			if pa != pb {
+				t.Fatalf("pid %d va %#x: leaf %v after Prefault, %v after WalkVA", pid, uint64(va), pa, pb)
+			}
+			if wa, wb := pre.WalkVA(pid, va), walked.WalkVA(pid, va); wa != wb {
+				t.Fatalf("pid %d va %#x: walk %+v after Prefault, %+v after WalkVA", pid, uint64(va), wa, wb)
+			}
+		}
+	}
+}

@@ -25,6 +25,7 @@ func testRig() (*engine.Sim, *hmc.Controller, *MemPod) {
 	osm := mem.NewOS(mem.Map{DRAMBytes: 2 << 20, NVMBytes: 16 << 20}, 16)
 	ctl := hmc.NewController(sim, osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
 	m := New(ctl, testConfig())
+	ctl.Seal(ctl.Layout.Total() >> mem.PageShift) // the rig names frames directly
 	return sim, ctl, m
 }
 
@@ -252,6 +253,7 @@ func TestPendingMigrationKeepsItsHotSet(t *testing.T) {
 	ecfg.MaxOps = 0 // every interval migration queues
 	ctl := hmc.NewController(sim, osm, memsim.DRAMConfig(), memsim.NVMConfig(), ecfg)
 	m := New(ctl, testConfig())
+	ctl.Seal(ctl.Layout.Total() >> mem.PageShift)
 
 	heat := func(s hmc.Seg) {
 		for i := 0; i < 4; i++ {

@@ -28,6 +28,7 @@ func rigWith(cfg Config) (*engine.Sim, *hmc.Controller, *PoM) {
 	osm := mem.NewOS(mem.Map{DRAMBytes: 2 << 20, NVMBytes: 16 << 20}, 16)
 	ctl := hmc.NewController(sim, osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
 	p := New(ctl, cfg)
+	ctl.Seal(ctl.Layout.Total() >> mem.PageShift) // the rig names frames directly
 	return sim, ctl, p
 }
 

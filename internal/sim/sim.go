@@ -434,7 +434,11 @@ func Build(cfg Config) (*System, error) {
 		sys.L2s = append(sys.L2s, l2)
 		sys.Cores = append(sys.Cores, c)
 	}
-	preTouch(osm, pids, feet)
+	if err := preTouch(osm, pids, feet); err != nil {
+		return nil, err
+	}
+	// Every frame the run can name is now mapped: size the per-frame state.
+	ctl.Seal(osm.Allocator().Named())
 	return sys, nil
 }
 
@@ -483,22 +487,23 @@ func installScheme(cfg Config, sys *System, ctl *hmc.Controller) error {
 // across processes — the placement a concurrent first-touch run converges
 // to after the paper's 1.5B-instruction warm-up. Early (usually hottest)
 // pages land in DRAM; the remainder spills to NVM.
-func preTouch(osm *mem.OS, pids []int, feet []uint64) {
+func preTouch(osm *mem.OS, pids []int, feet []uint64) error {
 	var maxPages uint64
-	pages := make([]uint64, len(feet))
-	for i, f := range feet {
-		pages[i] = f / mem.PageSize
-		if pages[i] > maxPages {
-			maxPages = pages[i]
-		}
+	for _, f := range feet {
+		maxPages = max(maxPages, f/mem.PageSize)
 	}
 	for off := uint64(0); off < maxPages; off++ {
+		va := workload.VABase + mem.VAddr(off*mem.PageSize)
 		for i, pid := range pids {
-			if off < pages[i] {
-				osm.WalkVA(pid, workload.VABase+mem.VAddr(off*mem.PageSize))
+			if off < feet[i]/mem.PageSize {
+				as, _ := osm.Process(pid)
+				if err := as.Prefault(va); err != nil {
+					return fmt.Errorf("sim: pre-touching the footprint: %w", err)
+				}
 			}
 		}
 	}
+	return nil
 }
 
 // scaleCache divides a cache size by scale, keeping it a power-of-two

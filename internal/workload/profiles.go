@@ -38,13 +38,17 @@ func Profiles() []Profile {
 
 // ProfileByName finds a profile.
 func ProfileByName(name string) (Profile, error) {
-	for _, p := range Profiles() {
+	for _, p := range profiles {
 		if p.Name == name {
 			return p, nil
 		}
 	}
 	return Profile{}, fmt.Errorf("workload: unknown benchmark %q", name)
 }
+
+// profiles is the table ProfileByName searches, built once: Profiles
+// returns a fresh copy for callers that may modify it.
+var profiles = Profiles()
 
 // Mix is one of the paper's mixed-benchmark workloads: four different
 // benchmarks on four cores.

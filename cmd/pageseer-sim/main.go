@@ -19,11 +19,10 @@
 // prints the per-trigger swap mix, accuracy/coverage, wasted transfer
 // bytes, and MMU-hint lead times; -cpi attaches the cycle-attribution layer
 // and prints a per-run CPI-stack table (export it with -cpi-csv/-cpi-json);
-// -serve runs the campaign introspection server from paper-figures over
-// this invocation's runs (progress on /, per-run JSON on /runs, Prometheus
-// metrics on /metrics, pprof under /debug/pprof/); -journal makes the
-// invocation resumable like a paper-figures campaign; -trace writes
-// swap-lifecycle spans and MMU-hint causality arrows in Chrome Trace Event
+// -journal makes the invocation resumable like a paper-figures campaign;
+// -fault adds a "faults:" line counting what the injector forced, and
+// -audit a "watchdog:" line with the liveness watchdog's samples; -trace
+// writes swap-lifecycle spans and MMU-hint causality arrows in Chrome Trace Event
 // Format (open in Perfetto or chrome://tracing); -timeline samples IPC,
 // swap activity, and queue occupancy every -timeline-every cycles into CSV
 // (or JSON when the path ends in .json).
@@ -33,8 +32,8 @@
 // -journal cannot combine with them.
 //
 // Every run goes through the same figures.Runner paper-figures uses, so
-// -j, -run-timeout, -serve, -journal and the signal handling behave alike
-// in both commands.
+// -j, -run-timeout, -journal and the signal handling behave alike in both
+// commands.
 //
 // Usage:
 //
@@ -45,7 +44,7 @@
 //	pageseer-sim -workload all -j 8
 //	pageseer-sim -workload lbm -trace trace.json -timeline tl.csv
 //	pageseer-sim -workload GemsFDTD -cpi -cpi-csv cpi.csv
-//	pageseer-sim -workload all -serve :8090
+//	pageseer-sim -workload all -j 8 -journal camp
 package main
 
 import (
@@ -95,8 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Flag-combination validation up front, before any run (or server)
-	// starts.
+	// Flag-combination validation up front, before any run starts.
 	if common.Journal != "" && files.any() {
 		fmt.Fprintln(stderr, "error: -journal cannot be combined with -trace/-timeline/-pagemap-csv/-json: a run replayed from the journal has no system to write them from")
 		return 2
@@ -135,13 +133,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *cpiCSV != "" || *cpiJSON != "" {
 		*cpi = true
 	}
-	// The introspection server's /metrics page draws on the provenance and
-	// attribution digests, so -serve attaches both (mirroring paper-figures).
-	// What a run prints and writes follows its own flags: the provenance
-	// block needs -effectiveness, and a trace always carries the ledger's
-	// counters.
-	cfg.Obs.Ledger = common.Effectiveness || common.Serve != ""
-	cfg.Obs.CPI = *cpi || common.Serve != ""
+	cfg.Obs.Ledger = common.Effectiveness
+	cfg.Obs.CPI = *cpi
 	cfg.Obs.PageMap = *pagemapOn || files.pmCSV != "" || files.pmJSON != ""
 	if files.timeline != "" {
 		cfg.Obs.TimelineEvery = *tlEvery
@@ -315,6 +308,13 @@ func report(cfg pageseer.Config, res pageseer.Results, provenance bool) string {
 	fmt.Fprintf(&b, "memory:        DRAM %d reads %d writes (row hit %.1f%%) | NVM %d reads %d writes (row hit %.1f%%)\n",
 		res.DRAM.Reads, res.DRAM.Writes, rowHitPct(res.DRAM.RowHits, res.DRAM.RowMisses, res.DRAM.RowConflicts),
 		res.NVM.Reads, res.NVM.Writes, rowHitPct(res.NVM.RowHits, res.NVM.RowMisses, res.NVM.RowConflicts))
+	if f := res.Faults; cfg.Faults.Kind != pageseer.FaultNone {
+		fmt.Fprintf(&b, "faults:        %s injected: swap starts blocked %d, metadata misses forced %d, issue stalls %d, storm touches %d\n",
+			cfg.Faults.Kind, f.SwapStartsBlocked, f.MetaMissesForced, f.IssueStalls, f.StormTouches)
+	}
+	if w := res.Watchdog; cfg.Audit {
+		fmt.Fprintf(&b, "watchdog:      %d checks, max %d consecutive without progress\n", w.Checks, w.MaxStrikes)
+	}
 	return b.String()
 }
 

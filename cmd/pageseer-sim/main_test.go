@@ -2,17 +2,21 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"pageseer"
 )
 
 // syncBuffer is a bytes.Buffer safe for the concurrent writes a run's
-// signal handler and server goroutines make to stderr.
+// signal handler goroutine makes to stderr.
 type syncBuffer struct {
 	mu sync.Mutex
 	b  bytes.Buffer
@@ -64,41 +68,91 @@ func TestRunWritesReportsAndPerRunFiles(t *testing.T) {
 			t.Errorf("%s not written: %v", name, err)
 		}
 	}
+	if strings.Contains(out, "faults:") || strings.Contains(out, "watchdog:") {
+		t.Errorf("report without -fault or -audit has a faults or watchdog line:\n%s", out)
+	}
+}
 
-	// The same invocation under -serve runs through the same runner and
-	// prints and writes byte-identical output. The server outlives the runs
-	// until a signal, which the session's handler catches.
-	served := t.TempDir()
-	var servedOut syncBuffer
-	stderr = syncBuffer{}
+// TestReportShowsFaultsAndWatchdog: -fault adds a line counting what the
+// injector forced, and -audit one with the liveness watchdog's samples.
+func TestReportShowsFaultsAndWatchdog(t *testing.T) {
+	var stdout, stderr syncBuffer
+	args := []string{"-workload", "GemsFDTD", "-instr", "400000", "-warmup", "250000", "-maxcores", "4", "-fault", "meta-thrash", "-audit"}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, stderr.String())
+	}
+	out := stdout.String()
+	var blocked, forced, stalls, storms, checks, strikes uint64
+	if !scanLine(out, "faults:        meta-thrash injected: swap starts blocked %d, metadata misses forced %d, issue stalls %d, storm touches %d",
+		&blocked, &forced, &stalls, &storms) || forced == 0 {
+		t.Errorf("no faults line counting forced metadata misses:\n%s", out)
+	}
+	if !scanLine(out, "watchdog:      %d checks, max %d consecutive without progress", &checks, &strikes) || checks == 0 {
+		t.Errorf("no watchdog line with samples taken:\n%s", out)
+	}
+}
+
+// scanLine reports whether some line of out matches format, filling args.
+func scanLine(out, format string, args ...any) bool {
+	for _, line := range strings.Split(out, "\n") {
+		if n, _ := fmt.Sscanf(line, format, args...); n == len(args) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestInterruptStopsQueuedRuns sends SIGINT to a serial multi-workload
+// run once its first run has finished: the session's handler lets the
+// in-flight run finish, starts no further run, prints the resume hint and
+// exits 1, and every finished run still prints its report.
+func TestInterruptStopsQueuedRuns(t *testing.T) {
+	// While registered, this channel also keeps a SIGINT from killing the
+	// test binary if it lands outside the session's handler.
+	caught := make(chan os.Signal, 1)
+	signal.Notify(caught, os.Interrupt)
+	defer signal.Stop(caught)
+
+	dir := t.TempDir()
+	wls := pageseer.Workloads()
+	var stdout, stderr syncBuffer
 	done := make(chan int, 1)
-	go func() { done <- run(append(quickArgs(served), "-serve", "127.0.0.1:0"), &servedOut, &stderr) }()
-	deadline := time.Now().Add(2 * time.Minute)
-	for !strings.Contains(stderr.String(), "introspection server still running") {
+	go func() {
+		done <- run([]string{"-workload", "all", "-j", "1", "-instr", "300000", "-warmup", "50000", "-maxcores", "2",
+			"-timeline", filepath.Join(dir, "tl.csv")}, &stdout, &stderr)
+	}()
+	first := filepath.Join(dir, "tl-"+wls[0]+".csv")
+	for {
+		if _, err := os.Stat(first); err == nil {
+			break
+		}
 		select {
 		case code := <-done:
-			t.Fatalf("-serve run exited %d before serving; stderr:\n%s", code, stderr.String())
-		default:
+			t.Fatalf("run exited %d before its first run finished; stderr:\n%s", code, stderr.String())
+		case <-time.After(time.Millisecond):
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("-serve run never finished; stderr:\n%s", stderr.String())
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGINT); err != nil {
 		t.Fatal(err)
 	}
-	if code := <-done; code != 0 {
-		t.Fatalf("-serve run exited %d; stderr:\n%s", code, stderr.String())
+	if code := <-done; code != 1 {
+		t.Fatalf("interrupted run exited %d, want 1; stderr:\n%s", code, stderr.String())
 	}
-	if servedOut.String() != out {
-		t.Errorf("stdout under -serve differs from the plain run:\n%s\nwant:\n%s", servedOut.String(), out)
+	if !strings.Contains(stderr.String(), "stopped") {
+		t.Errorf("no stopped hint on stderr:\n%s", stderr.String())
 	}
-	for _, name := range perRunFiles {
-		want, err1 := os.ReadFile(filepath.Join(dir, name))
-		got, err2 := os.ReadFile(filepath.Join(served, name))
-		if err1 != nil || err2 != nil || !bytes.Equal(want, got) {
-			t.Errorf("%s under -serve differs from the plain run (errors %v, %v)", name, err1, err2)
+	out := stdout.String()
+	if !strings.Contains(out, "workload "+wls[0]+" ") {
+		t.Errorf("the run finished before the signal printed no report:\n%s", out)
+	}
+	last := wls[len(wls)-1]
+	if strings.Contains(out, "workload "+last+" ") {
+		t.Errorf("a run queued behind the signal still ran (%s)", last)
+	}
+	for _, w := range wls {
+		_, err := os.Stat(filepath.Join(dir, "tl-"+w+".csv"))
+		if reported := strings.Contains(out, "workload "+w+" "); reported != (err == nil) {
+			t.Errorf("%s: report printed %v, timeline written %v", w, reported, err == nil)
 		}
 	}
 }

@@ -11,7 +11,7 @@
 //	paper-figures -fig7 -fig8 -scale 64 -instr 4000000 -warmup 2000000
 //	paper-figures -workloads lbm,miniFE,mix6 -fig14
 //	paper-figures -quick -effectiveness -effectiveness-csv eff.csv
-//	paper-figures -all -serve :8090   # live campaign introspection server
+//	paper-figures -all -journal camp  # crash-safe; add -resume to continue it
 package main
 
 import (
@@ -60,7 +60,6 @@ func run() int {
 
 		workloads = flag.String("workloads", "", "comma-separated workload subset")
 		quiet     = flag.Bool("quiet", false, "suppress per-run progress")
-		retry     = flag.Int("retry", 0, "retry each failed run up to N times (capped exponential backoff) before reporting it as a gap")
 	)
 	flag.Parse()
 	effect := &common.Effectiveness
@@ -86,29 +85,25 @@ func run() int {
 	if !*quiet {
 		opts.Progress = os.Stderr
 	}
-	opts.Retries = *retry
 	obs := &opts.Config.Obs
 	if *effectCSV != "" || *effectJSON != "" {
 		*effect = true
 	}
-	// The ledger rides every campaign run when effectiveness output or the
-	// introspection server asks for it. It is deliberately NOT part of
-	// -all: -all regenerates the paper's figures, whose runs stay
-	// ledger-free (and byte-identical to earlier releases).
-	obs.Ledger = *effect || common.Serve != ""
+	// The ledger rides every campaign run when effectiveness output asks
+	// for it. It is deliberately NOT part of -all: -all regenerates the
+	// paper's figures, whose runs stay ledger-free (and byte-identical to
+	// earlier releases).
+	obs.Ledger = *effect
 	if *cpistackCSV != "" || *cpistackJSON != "" {
 		*cpistack = true
 	}
 	// Cycle attribution follows the same rule: it rides every run when the
-	// CPI-stack table or the introspection server (per-component cycle
-	// counters on /metrics) asks for it, and never under plain -all.
-	obs.CPI = *cpistack || common.Serve != ""
+	// CPI-stack table asks for it, and never under plain -all.
+	obs.CPI = *cpistack
 	if *churnCSV != "" || *churnJSON != "" {
 		*churn = true
 	}
-	// The pagemap is opt-in only (never implied by -serve): unlike the
-	// ledger and attribution digests its table grows with the footprint, so
-	// only the churn table asks for it.
+	// The pagemap follows the same rule: only the churn table asks for it.
 	obs.PageMap = *churn
 
 	anyFigure := *fig7 || *fig8 || *fig9 || *fig10 || *fig11 || *fig12 || *fig13 || *fig14 || *abl || *lat || *effect || *cpistack || *churn
@@ -117,7 +112,7 @@ func run() int {
 		*table1, *table2, *table3 = true, true, true
 		*fig7, *fig8, *fig9, *fig10, *fig11, *fig12, *fig13, *fig14, *abl, *lat =
 			true, true, true, true, true, true, true, true, true, true
-	} else if !anyFigure && !anyTable && common.Serve == "" {
+	} else if !anyFigure && !anyTable {
 		flag.Usage()
 		return 2
 	}
@@ -145,9 +140,8 @@ func run() int {
 
 	// The session opens the campaign journal (which makes the grid
 	// crash-safe: completed runs are fsynced as they finish, and -resume
-	// replays them instead of re-executing), arms the two-stage signal
-	// handler and starts the -serve introspection server, which reads the
-	// Runner's memoisation cache and so sees runs the moment they begin.
+	// replays them instead of re-executing) and arms the two-stage signal
+	// handler.
 	if err := common.CheckResume(); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		return 2

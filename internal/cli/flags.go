@@ -34,7 +34,6 @@ type Flags struct {
 	Journal       string
 	Resume        bool
 	RunTimeout    time.Duration
-	Serve         string
 	Effectiveness bool
 
 	fault      string
@@ -64,7 +63,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Journal, "journal", "", "campaign journal directory: every completed run is appended and fsynced there, so a killed invocation can be resumed with -resume")
 	fs.BoolVar(&f.Resume, "resume", false, "resume the invocation journaled in -journal: completed runs replay from the journal, only unfinished runs execute")
 	fs.DurationVar(&f.RunTimeout, "run-timeout", 0, "per-run wall-clock limit (e.g. 10m); a run exceeding it is aborted and fails with a crashdump")
-	fs.StringVar(&f.Serve, "serve", "", "serve live run introspection on this address (e.g. :8090): progress on /, per-run JSON on /runs, Prometheus on /metrics, pprof under /debug/pprof/")
 	fs.BoolVar(&f.Effectiveness, "effectiveness", false, "attach the swap-provenance ledger to every run and print per-trigger swap effectiveness")
 	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&f.memProfile, "memprofile", "", "write a pprof heap profile to this file on exit")

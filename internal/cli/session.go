@@ -2,41 +2,35 @@ package cli
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"sync"
 	"syscall"
-	"time"
 
 	"pageseer/internal/figures"
 )
 
 // Session is one invocation's run lifecycle around its figures.Runner: the
-// -journal journal, the two-stage SIGINT/SIGTERM handler, the -serve
-// introspection server, and the end-of-run failure report.
+// -journal journal, the two-stage SIGINT/SIGTERM handler, and the
+// end-of-run failure report.
 type Session struct {
 	Runner *figures.Runner
 
 	flags   *Flags
 	stderr  io.Writer
 	journal *figures.Journal
-	srv     *http.Server
-	signals context.Context
 	unwatch context.CancelFunc
-	done    chan struct{}  // closed by Finish: the goroutines below stop
-	exited  sync.WaitGroup // the signal handler and the server
+	done    chan struct{}  // closed by Finish: the signal handler stops
+	exited  sync.WaitGroup // the signal handler
 }
 
 // Open starts the lifecycle of a campaign over opts: it opens the -journal
 // journal (noting a resume on stderr), builds the runner with -j and
-// -run-timeout, arms the signal handler, and starts the -serve server.
-// Every successful Open is ended by Finish.
+// -run-timeout, and arms the signal handler. Every successful Open is
+// ended by Finish.
 func (f *Flags) Open(opts figures.Options, stderr io.Writer) (*Session, error) {
 	s := &Session{flags: f, stderr: stderr, done: make(chan struct{})}
 	if f.Journal != "" {
@@ -54,35 +48,17 @@ func (f *Flags) Open(opts figures.Options, stderr io.Writer) (*Session, error) {
 	opts.RunTimeout = f.RunTimeout
 	s.Runner = figures.NewRunner(opts)
 
-	if f.Serve != "" {
-		ln, err := net.Listen("tcp", f.Serve)
-		if err != nil {
-			if s.journal != nil {
-				s.journal.Close()
-			}
-			return nil, err
-		}
-		fmt.Fprintf(stderr, "introspection server on http://%s/ (also /runs, /metrics, /debug/pprof/)\n", ln.Addr())
-		s.srv = &http.Server{Handler: figures.NewIntrospectionHandler(s.Runner)}
-		s.exited.Add(1)
-		go func() {
-			defer s.exited.Done()
-			if err := s.srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintln(stderr, "serve:", err)
-			}
-		}()
-	}
-
 	// Graceful shutdown: the first SIGINT/SIGTERM stops launching new runs
 	// while in-flight runs finish (and journal); a second signal aborts the
 	// in-flight runs at their next event boundary, so they fail into
 	// crashdump-carrying *sim.RunErrors instead of being lost silently.
-	s.signals, s.unwatch = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	signals, unwatch := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	s.unwatch = unwatch
 	s.exited.Add(1)
 	go func() {
 		defer s.exited.Done()
 		select {
-		case <-s.signals.Done():
+		case <-signals.Done():
 		case <-s.done:
 			return
 		}
@@ -103,12 +79,10 @@ func (f *Flags) Open(opts figures.Options, stderr io.Writer) (*Session, error) {
 
 // Finish ends the invocation. It closes the journal, prints a resume hint
 // if a signal stopped the runner, and lists every failed run on stderr,
-// writing its crashdump into -crashdump-dir. With -serve, and when nothing
-// failed, it keeps the server up until a signal; it then drains the server
-// and disarms the signal handler, returning once the server and the
-// handler have stopped. failed reports a failure the caller saw
-// itself. Finish returns the exit status: 1 on a stop or any failure, else
-// 0.
+// writing its crashdump into -crashdump-dir. It then disarms the signal
+// handler and returns once the handler has stopped. failed reports a
+// failure the caller saw itself. Finish returns the exit status: 1 on a
+// stop or any failure, else 0.
 func (s *Session) Finish(failed bool) int {
 	defer func() {
 		close(s.done)
@@ -133,27 +107,13 @@ func (s *Session) Finish(failed bool) int {
 		failed = true
 		fmt.Fprintf(s.stderr, "\n%d run(s) failed:\n", len(fails))
 		for _, f := range fails {
-			fmt.Fprintf(s.stderr, "  %s/%s (%d attempt(s)): %v\n", f.Workload, f.Scheme, f.Attempts, f.Err.Cause)
+			fmt.Fprintf(s.stderr, "  %s/%s: %v\n", f.Workload, f.Scheme, f.Err.Cause)
 			path := filepath.Join(s.flags.CrashdumpDir, fmt.Sprintf("crashdump-%s-%s.txt", f.Workload, f.Scheme))
 			if err := os.WriteFile(path, []byte(f.Err.Crashdump), 0o644); err != nil {
 				fmt.Fprintln(s.stderr, "  crashdump:", err)
 			} else {
 				fmt.Fprintln(s.stderr, "  crashdump written to", path)
 			}
-		}
-	}
-	if s.srv != nil {
-		// The server outlives the runs so their results stay inspectable;
-		// on interrupt it drains in-flight HTTP requests under a deadline
-		// instead of cutting connections mid-response.
-		if !failed {
-			fmt.Fprintln(s.stderr, "runs complete; introspection server still running (Ctrl-C to exit)")
-			<-s.signals.Done()
-		}
-		drain, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := s.srv.Shutdown(drain); err != nil {
-			s.srv.Close()
 		}
 	}
 	if failed {

@@ -33,14 +33,14 @@ func Figure7(r *Runner) ([]Figure7Row, error) {
 		for _, sch := range schemes3 {
 			var d, n, b []float64
 			for _, wl := range wls {
-				res, err := r.Run(wl, sch)
+				res, ok, err := r.runs(wl, Key{Scheme: sch})
 				if err != nil {
-					if isGap(err) {
-						continue // failed run: drop it from the suite mean
-					}
 					return nil, err
 				}
-				dd, nn, bb := res.ServiceBreakdown()
+				if !ok {
+					continue // failed run: drop it from the suite mean
+				}
+				dd, nn, bb := res[0].ServiceBreakdown()
 				d = append(d, dd)
 				n = append(n, nn)
 				b = append(b, bb)
@@ -78,14 +78,14 @@ func Figure8(r *Runner) ([]Figure8Row, error) {
 		for _, sch := range schemes3 {
 			var p, n, u []float64
 			for _, wl := range wls {
-				res, err := r.Run(wl, sch)
+				res, ok, err := r.runs(wl, Key{Scheme: sch})
 				if err != nil {
-					if isGap(err) {
-						continue
-					}
 					return nil, err
 				}
-				pp, nn, uu := res.AccessEffectiveness()
+				if !ok {
+					continue
+				}
+				pp, nn, uu := res[0].AccessEffectiveness()
 				p = append(p, pp)
 				n = append(n, nn)
 				u = append(u, uu)
@@ -113,17 +113,17 @@ type Figure9Row struct {
 func Figure9(r *Runner) ([]Figure9Row, error) {
 	var rows []Figure9Row
 	for _, wl := range r.opts.Workloads {
-		res, err := r.Run(wl, sim.SchemePageSeer)
+		ps, ok, err := r.runs(wl, Key{Scheme: sim.SchemePageSeer})
 		if err != nil {
-			if isGap(err) {
-				continue
-			}
 			return nil, err
+		}
+		if !ok {
+			continue
 		}
 		rows = append(rows, Figure9Row{
 			Workload: wl,
-			Accuracy: res.PrefetchAccuracy,
-			Tracked:  res.PS.PrefetchTracked,
+			Accuracy: ps[0].PrefetchAccuracy,
+			Tracked:  ps[0].PS.PrefetchTracked,
 		})
 	}
 	return rows, nil
@@ -142,13 +142,14 @@ type Figure10Row struct {
 func Figure10(r *Runner) ([]Figure10Row, error) {
 	var rows []Figure10Row
 	for _, wl := range r.opts.Workloads {
-		res, err := r.Run(wl, sim.SchemePageSeer)
+		ps, ok, err := r.runs(wl, Key{Scheme: sim.SchemePageSeer})
 		if err != nil {
-			if isGap(err) {
-				continue
-			}
 			return nil, err
 		}
+		if !ok {
+			continue
+		}
+		res := ps[0]
 		tot := res.PS.TotalSwaps()
 		row := Figure10Row{Workload: wl, TotalSwaps: tot}
 		if tot > 0 {
@@ -180,22 +181,15 @@ func Figure11(r *Runner) ([]Figure11Row, error) {
 		}
 		var with, without []float64
 		for _, wl := range wls {
-			a, err := r.Run(wl, sim.SchemePageSeer)
+			res, ok, err := r.runs(wl, Key{Scheme: sim.SchemePageSeer}, Key{Scheme: sim.SchemePageSeer, DisableBW: true})
 			if err != nil {
-				if isGap(err) {
-					continue
-				}
 				return nil, err
 			}
-			b, err := r.RunNoBWOpt(wl)
-			if err != nil {
-				if isGap(err) {
-					continue // keep the pair together: drop the workload
-				}
-				return nil, err
+			if !ok {
+				continue // keep the pair together: drop the workload
 			}
-			with = append(with, a.SwapsPerKI)
-			without = append(without, b.SwapsPerKI)
+			with = append(with, res[0].SwapsPerKI)
+			without = append(without, res[1].SwapsPerKI)
 		}
 		if len(with) == 0 {
 			continue
@@ -217,17 +211,17 @@ type Figure12Row struct {
 func Figure12(r *Runner) ([]Figure12Row, error) {
 	var rows []Figure12Row
 	for _, wl := range r.opts.Workloads {
-		res, err := r.Run(wl, sim.SchemePageSeer)
+		ps, ok, err := r.runs(wl, Key{Scheme: sim.SchemePageSeer})
 		if err != nil {
-			if isGap(err) {
-				continue
-			}
 			return nil, err
+		}
+		if !ok {
+			continue
 		}
 		rows = append(rows, Figure12Row{
 			Workload:         wl,
-			PTEMissRate:      res.PTEMissRate(),
-			MMUDriverHitRate: res.MMUDriverHitRate(),
+			PTEMissRate:      ps[0].PTEMissRate(),
+			MMUDriverHitRate: ps[0].MMUDriverHitRate(),
 		})
 	}
 	return rows, nil
@@ -246,20 +240,14 @@ type Figure13Row struct {
 func Figure13(r *Runner) ([]Figure13Row, error) {
 	var rows []Figure13Row
 	for _, wl := range r.opts.Workloads {
-		ps, err := r.Run(wl, sim.SchemePageSeer)
+		res, ok, err := r.runs(wl, Key{Scheme: sim.SchemePageSeer}, Key{Scheme: sim.SchemePoM})
 		if err != nil {
-			if isGap(err) {
-				continue
-			}
 			return nil, err
 		}
-		pom, err := r.Run(wl, sim.SchemePoM)
-		if err != nil {
-			if isGap(err) {
-				continue
-			}
-			return nil, err
+		if !ok {
+			continue
 		}
+		ps, pom := res[0], res[1]
 		red := 0.0
 		if pom.RemapCache.WaitCycles > 0 {
 			red = 1 - float64(ps.RemapCache.WaitCycles)/float64(pom.RemapCache.WaitCycles)
@@ -300,27 +288,14 @@ func Figure14(r *Runner) (Figure14Summary, error) {
 	var out Figure14Summary
 	var ipcP, ipcS, amP, amS []float64
 	for _, wl := range r.opts.Workloads {
-		mp, err := r.Run(wl, sim.SchemeMemPod)
+		res, ok, err := r.runs(wl, Key{Scheme: sim.SchemeMemPod}, Key{Scheme: sim.SchemePoM}, Key{Scheme: sim.SchemePageSeer})
 		if err != nil {
-			if isGap(err) {
-				continue // normalisation needs the full triple: drop the workload
-			}
 			return out, err
 		}
-		pom, err := r.Run(wl, sim.SchemePoM)
-		if err != nil {
-			if isGap(err) {
-				continue
-			}
-			return out, err
+		if !ok {
+			continue // normalisation needs the full triple: drop the workload
 		}
-		ps, err := r.Run(wl, sim.SchemePageSeer)
-		if err != nil {
-			if isGap(err) {
-				continue
-			}
-			return out, err
-		}
+		mp, pom, ps := res[0], res[1], res[2]
 		row := Figure14Row{Workload: wl}
 		if mp.IPC > 0 {
 			row.IPCPoM = pom.IPC / mp.IPC
@@ -362,20 +337,14 @@ type AblationRow struct {
 func Ablation(r *Runner) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, wl := range r.opts.Workloads {
-		full, err := r.Run(wl, sim.SchemePageSeer)
+		res, ok, err := r.runs(wl, Key{Scheme: sim.SchemePageSeer}, Key{Scheme: sim.SchemePageSeerNoCorr})
 		if err != nil {
-			if isGap(err) {
-				continue
-			}
 			return nil, err
 		}
-		nc, err := r.Run(wl, sim.SchemePageSeerNoCorr)
-		if err != nil {
-			if isGap(err) {
-				continue
-			}
-			return nil, err
+		if !ok {
+			continue
 		}
+		full, nc := res[0], res[1]
 		sp := 0.0
 		if nc.IPC > 0 {
 			sp = full.IPC / nc.IPC

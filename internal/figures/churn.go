@@ -37,17 +37,17 @@ func ChurnTable(r *Runner) ([]ChurnRow, error) {
 	var rows []ChurnRow
 	for _, wl := range r.opts.Workloads {
 		for _, sch := range schemes3 {
-			res, err := r.Run(wl, sch)
+			res, ok, err := r.runs(wl, Key{Scheme: sch})
 			if err != nil {
-				if isGap(err) {
-					continue
-				}
 				return nil, err
+			}
+			if !ok {
+				continue
 			}
 			rows = append(rows, ChurnRow{
 				Workload: wl,
 				Scheme:   string(sch),
-				Summary:  res.PageMap,
+				Summary:  res[0].PageMap,
 			})
 		}
 	}

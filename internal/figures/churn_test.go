@@ -2,15 +2,11 @@ package figures
 
 import (
 	"bytes"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"pageseer/internal/obs"
 	"pageseer/internal/obs/pagemap"
-	"pageseer/internal/sim"
 )
 
 // churnRows is a hand-built fixture populating every Summary field class —
@@ -129,96 +125,5 @@ func TestChurnTableFromCampaign(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestMetricsPageMapAndWatchdog checks the /metrics additions: pagemap flap,
-// wear, and hot-set series, plus the watchdog strikes counter — and that two
-// successive scrapes of the counters never go backwards (Prometheus counter
-// discipline over the campaign's cached results).
-func TestMetricsPageMapAndWatchdog(t *testing.T) {
-	opts := tinyOpts()
-	// The watchdog samples every 200k cycles; the tiny geometry finishes
-	// before the first sample, so this test runs the quick GemsFDTD scale.
-	opts.Workloads = []string{"GemsFDTD"}
-	opts.Config.InstrPerCore = 400_000
-	opts.Config.Warmup = 250_000
-	opts.Config.MaxCores = 4
-	opts.Config.Obs.PageMap = true
-	opts.Config.Audit = true // arms the watchdog, whose stats feed the strike series
-	r := NewRunner(opts)
-	if _, err := r.Run("GemsFDTD", sim.SchemePageSeer); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewIntrospectionHandler(r))
-	defer srv.Close()
-
-	scrape := func() string {
-		resp, err := http.Get(srv.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var b bytes.Buffer
-		if _, err := b.ReadFrom(resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	body := scrape()
-	for _, want := range []string{
-		"# TYPE pageseer_page_flaps_total counter",
-		"pageseer_page_flaps_total{workload=\"GemsFDTD\",scheme=\"pageseer\"}",
-		"pageseer_nvm_wear_writes_total{workload=\"GemsFDTD\",scheme=\"pageseer\"}",
-		"pageseer_hot_set_pages{workload=\"GemsFDTD\",scheme=\"pageseer\",coverage=\"p50\"}",
-		"pageseer_hot_set_pages{workload=\"GemsFDTD\",scheme=\"pageseer\",coverage=\"p90\"}",
-		"pageseer_hot_set_pages{workload=\"GemsFDTD\",scheme=\"pageseer\",coverage=\"p99\"}",
-		"# TYPE pageseer_watchdog_strikes_total counter",
-		"pageseer_watchdog_strikes_total{workload=\"GemsFDTD\",scheme=\"pageseer\"}",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-
-	counterValue := func(body, series string) (uint64, bool) {
-		for _, line := range strings.Split(body, "\n") {
-			if !strings.HasPrefix(line, series) {
-				continue
-			}
-			var v uint64
-			if _, err := fmt.Sscanf(line[strings.LastIndex(line, " ")+1:], "%d", &v); err != nil {
-				t.Fatalf("unparseable series line: %s", line)
-			}
-			return v, true
-		}
-		return 0, false
-	}
-	body2 := scrape()
-	for _, series := range []string{
-		"pageseer_page_flaps_total{workload=\"GemsFDTD\",scheme=\"pageseer\"}",
-		"pageseer_nvm_wear_writes_total{workload=\"GemsFDTD\",scheme=\"pageseer\"}",
-		"pageseer_watchdog_checks_total{workload=\"GemsFDTD\",scheme=\"pageseer\"}",
-		"pageseer_watchdog_strikes_total{workload=\"GemsFDTD\",scheme=\"pageseer\"}",
-	} {
-		v1, ok1 := counterValue(body, series)
-		v2, ok2 := counterValue(body2, series)
-		if !ok1 || !ok2 {
-			t.Errorf("series %s missing from a scrape", series)
-			continue
-		}
-		if v2 < v1 {
-			t.Errorf("counter %s went backwards: %d -> %d", series, v1, v2)
-		}
-	}
-	// Strike accounting sanity: the final-check strike count can never
-	// exceed the worst run observed.
-	strikes, _ := counterValue(body, "pageseer_watchdog_strikes_total{workload=\"GemsFDTD\",scheme=\"pageseer\"}")
-	worst, ok := counterValue(body, "pageseer_watchdog_max_strikes{workload=\"GemsFDTD\",scheme=\"pageseer\"}")
-	if !ok {
-		t.Fatal("pageseer_watchdog_max_strikes series missing")
-	}
-	if strikes > worst {
-		t.Errorf("final strikes %d exceed max strikes %d", strikes, worst)
 	}
 }

@@ -43,18 +43,18 @@ func CPIStackTable(r *Runner) ([]CPIStackRow, error) {
 	var rows []CPIStackRow
 	for _, wl := range r.opts.Workloads {
 		for _, sch := range cpiSchemes {
-			res, err := r.Run(wl, sch)
+			res, ok, err := r.runs(wl, Key{Scheme: sch})
 			if err != nil {
-				if isGap(err) {
-					continue
-				}
 				return nil, err
+			}
+			if !ok {
+				continue
 			}
 			rows = append(rows, CPIStackRow{
 				Workload:     wl,
 				Scheme:       string(sch),
-				Instructions: res.Instructions,
-				Stack:        res.CPIStack,
+				Instructions: res[0].Instructions,
+				Stack:        res[0].CPIStack,
 			})
 		}
 	}

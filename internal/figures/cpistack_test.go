@@ -2,14 +2,10 @@ package figures
 
 import (
 	"bytes"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"pageseer/internal/obs/attrib"
-	"pageseer/internal/sim"
 )
 
 // cpiRows is a hand-built fixture spreading cycles across classes and
@@ -119,65 +115,5 @@ func TestCPIStackTableFromCampaign(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestMetricsCPIAndHistograms checks the /metrics additions: per-component
-// attribution counters, real cumulative latency histogram series, and the
-// Table II energy counters.
-func TestMetricsCPIAndHistograms(t *testing.T) {
-	opts := tinyOpts()
-	opts.Workloads = []string{"lbm"}
-	opts.Config.Obs.CPI = true
-	r := NewRunner(opts)
-	if _, err := r.Run("lbm", sim.SchemePageSeer); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewIntrospectionHandler(r))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var b bytes.Buffer
-	if _, err := b.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	body := b.String()
-	for _, want := range []string{
-		"# TYPE pageseer_request_latency_cycles histogram",
-		"pageseer_request_latency_cycles_bucket{workload=\"lbm\",scheme=\"pageseer\",source=\"DRAM\",le=\"+Inf\"}",
-		"pageseer_request_latency_cycles_sum{workload=\"lbm\",scheme=\"pageseer\",source=\"DRAM\"}",
-		"pageseer_request_latency_cycles_count{workload=\"lbm\",scheme=\"pageseer\",source=\"DRAM\"}",
-		"pageseer_cpi_cycles_total{workload=\"lbm\",scheme=\"pageseer\",class=\"unswapped\",component=\"core\"}",
-		"pageseer_cpi_requests_total{workload=\"lbm\",scheme=\"pageseer\",class=\"unswapped\"}",
-		"pageseer_cpi_correval_cycles_total{workload=\"lbm\",scheme=\"pageseer\"}",
-		"pageseer_structure_energy_nanojoules_total{workload=\"lbm\",scheme=\"pageseer\",structure=\"all\"}",
-		"pageseer_structure_accesses_total{workload=\"lbm\",scheme=\"pageseer\"}",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-	// Cumulative discipline: every _bucket line for one series must be
-	// monotonically non-decreasing in emission order (le ascends).
-	var prev uint64
-	var seen bool
-	for _, line := range strings.Split(body, "\n") {
-		if !strings.HasPrefix(line, "pageseer_request_latency_cycles_bucket{workload=\"lbm\",scheme=\"pageseer\",source=\"DRAM\"") {
-			continue
-		}
-		var v uint64
-		if _, err := fmt.Sscanf(line[strings.LastIndex(line, " ")+1:], "%d", &v); err != nil {
-			t.Fatalf("unparseable bucket line: %s", line)
-		}
-		if seen && v < prev {
-			t.Fatalf("bucket series not cumulative at: %s", line)
-		}
-		prev, seen = v, true
-	}
-	if !seen {
-		t.Fatal("no DRAM bucket series emitted")
 	}
 }

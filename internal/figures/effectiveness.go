@@ -35,17 +35,17 @@ func EffectivenessTable(r *Runner) ([]EffectivenessRow, error) {
 	var rows []EffectivenessRow
 	for _, wl := range r.opts.Workloads {
 		for _, sch := range schemes3 {
-			res, err := r.Run(wl, sch)
+			res, ok, err := r.runs(wl, Key{Scheme: sch})
 			if err != nil {
-				if isGap(err) {
-					continue
-				}
 				return nil, err
+			}
+			if !ok {
+				continue
 			}
 			rows = append(rows, EffectivenessRow{
 				Workload: wl,
 				Scheme:   string(sch),
-				Summary:  res.Effectiveness,
+				Summary:  res[0].Effectiveness,
 			})
 		}
 	}

@@ -2,14 +2,11 @@ package figures
 
 import (
 	"bytes"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"pageseer/internal/obs"
 	"pageseer/internal/obs/ledger"
-	"pageseer/internal/sim"
 )
 
 // effRows is a hand-built fixture with awkward float values (thirds do not
@@ -113,65 +110,5 @@ func TestEffectivenessTableFromCampaign(t *testing.T) {
 	out := RenderEffectiveness(rows)
 	if !strings.Contains(out, "pageseer") || !strings.Contains(out, "lbm") {
 		t.Fatalf("render missing rows:\n%s", out)
-	}
-}
-
-// TestIntrospectionServer drives the live endpoints against a completed
-// tiny campaign through httptest.
-func TestIntrospectionServer(t *testing.T) {
-	opts := tinyOpts()
-	opts.Workloads = []string{"lbm"}
-	opts.Config.Obs.Ledger = true
-	opts.Config.Audit = true
-	r := NewRunner(opts)
-	if _, err := r.Run("lbm", sim.SchemePageSeer); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewIntrospectionHandler(r))
-	defer srv.Close()
-
-	get := func(path string) (int, string) {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var b bytes.Buffer
-		if _, err := b.ReadFrom(resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, b.String()
-	}
-
-	if code, body := get("/"); code != http.StatusOK || !strings.Contains(body, "1 done") {
-		t.Fatalf("/ = %d:\n%s", code, body)
-	}
-	code, body := get("/runs")
-	if code != http.StatusOK || !strings.Contains(body, "\"workload\": \"lbm\"") {
-		t.Fatalf("/runs = %d:\n%s", code, body)
-	}
-	if !strings.Contains(body, "\"Effectiveness\"") {
-		t.Fatalf("/runs missing effectiveness digest:\n%s", body)
-	}
-	code, body = get("/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics = %d", code)
-	}
-	for _, want := range []string{
-		"pageseer_campaign_runs{state=\"done\"} 1",
-		"pageseer_run_ipc{workload=\"lbm\",scheme=\"pageseer\"}",
-		"pageseer_swaps_total{workload=\"lbm\",scheme=\"pageseer\",trigger=\"regular\",outcome=\"useful\"}",
-		"pageseer_swap_accuracy",
-		"pageseer_watchdog_checks_total",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q:\n%s", want, body)
-		}
-	}
-	if code, body := get("/debug/pprof/cmdline"); code != http.StatusOK || body == "" {
-		t.Fatalf("/debug/pprof/cmdline = %d", code)
-	}
-	if code, _ := get("/nosuch"); code != http.StatusNotFound {
-		t.Fatalf("unknown path served %d, want 404", code)
 	}
 }

@@ -99,32 +99,6 @@ func TestCampaignSurvivesRunPanic(t *testing.T) {
 	}
 }
 
-// TestRetryRecoversTransientFailure: with Options.Retries, a run that panics
-// once and then succeeds must land in the campaign as a success.
-func TestRetryRecoversTransientFailure(t *testing.T) {
-	opts := isolationOptions()
-	opts.Workloads = []string{"lbm"}
-	opts.Retries = 1
-
-	armed := true
-	simulateHook = func(cfg sim.Config) {
-		if armed && cfg.Workload == "lbm" && cfg.Scheme == sim.SchemePageSeer && !cfg.DisableBWOpt {
-			armed = false
-			panic("figures: transient fault")
-		}
-	}
-	defer func() { simulateHook = nil }()
-
-	r := NewRunner(opts)
-	r.opts.Parallelism = 1 // keep the hook race-free
-	if _, err := r.Run("lbm", sim.SchemePageSeer); err != nil {
-		t.Fatalf("retry did not recover the transient failure: %v", err)
-	}
-	if fails := r.Failures(); len(fails) != 0 {
-		t.Fatalf("recovered run still reported failed: %+v", fails)
-	}
-}
-
 // TestRunTimeoutAbortsRun: a run exceeding Options.RunTimeout is aborted at
 // an event boundary and absorbed as a campaign gap (a *sim.RunError with
 // the deadline in its cause), never a hang or a campaign abort.

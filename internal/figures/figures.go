@@ -43,16 +43,9 @@ type Options struct {
 	// (0 = runtime.GOMAXPROCS(0)). It fans whole runs out; each run
 	// executes on the serial engine.
 	Parallelism int
-	// Retries re-executes a run up to Retries extra times when it fails
-	// with a *sim.RunError, with deterministic capped backoff
-	// (min(250ms·2ⁿ, 5s)), before recording it as a campaign gap (for
-	// flaky-host triage; a deterministic failure fails every attempt
-	// identically). Failures() reports the attempt count.
-	Retries int
 	// RunTimeout, when > 0, bounds each run's wall-clock time: a run that
 	// exceeds it is aborted at the next event boundary and fails with a
-	// *sim.RunError (a campaign gap, retried like any other), never
-	// hanging the campaign.
+	// *sim.RunError (a campaign gap), never hanging the campaign.
 	RunTimeout time.Duration
 	// Journal, when non-nil, makes the campaign crash-safe: every
 	// completed run is appended (and fsynced) to the journal, and runs
@@ -108,17 +101,13 @@ func (k Key) Label() string {
 	return string(k.Scheme)
 }
 
-// runEntry is one memoised run. done closes when res/err/wall are final;
+// runEntry is one memoised run. done closes when res and err are final;
 // the entry doubles as a per-key singleflight so two figures requesting
 // the same run never simulate it twice, even concurrently.
 type runEntry struct {
 	done chan struct{}
 	res  sim.Results
 	err  error
-	wall time.Duration
-	// attempts counts simulation executions (1 + retries taken); replayed
-	// journal entries carry the count recorded when the run first completed.
-	attempts int
 	// fromJournal marks entries replayed from the campaign journal rather
 	// than simulated in this process.
 	fromJournal bool
@@ -132,10 +121,9 @@ type Runner struct {
 
 	mu    sync.Mutex // guards cache and began (the map/slice, not the entries)
 	cache map[Key]*runEntry
-	// began records every key in the order its run first started, so the
-	// introspection snapshot and Failures also surface runs outside the
-	// canonical campaign key set (static CPI-stack baselines, the schemes
-	// pageseer-sim runs).
+	// began records every key in the order its run first started, so
+	// Failures also surfaces runs outside the canonical campaign key set
+	// (static CPI-stack baselines, the schemes pageseer-sim runs).
 	began []Key
 
 	// Ordered progress emission during Prefetch/RunAll: lines buffer in
@@ -170,8 +158,7 @@ func (r *Runner) Stopping() bool { return r.stopped.Load() }
 
 // AbortActive interrupts every in-flight run at its next event boundary;
 // each aborted run fails with a *sim.RunError carrying reason. Callers
-// normally Stop() first so the aborted runs are not retried into a stopped
-// campaign.
+// normally Stop() first so no queued run starts in their place.
 func (r *Runner) AbortActive(reason string) {
 	r.activeMu.Lock()
 	defer r.activeMu.Unlock()
@@ -203,9 +190,6 @@ func NewRunner(opts Options) *Runner {
 		active: make(map[*sim.System]struct{}),
 	}
 }
-
-// Workloads returns the campaign's workload list.
-func (r *Runner) Workloads() []string { return r.opts.Workloads }
 
 // Parallelism returns the effective worker-pool width.
 func (r *Runner) Parallelism() int {
@@ -255,7 +239,7 @@ func (r *Runner) run(k Key, sink func(*sim.System) error) (sim.Results, error) {
 					k.Workload, k.Label(), rec.ConfigHash, want)
 				return sim.Results{}, e.err
 			}
-			e.res, e.attempts, e.fromJournal = rec.Results, rec.Attempts, true
+			e.res, e.fromJournal = rec.Results, true
 			return e.res, nil
 		}
 	}
@@ -267,18 +251,10 @@ func (r *Runner) run(k Key, sink func(*sim.System) error) (sim.Results, error) {
 		return sim.Results{}, e.err
 	}
 
-	start := time.Now()
 	e.res, e.err = r.simulate(k, sink)
-	e.attempts = 1
-	for e.err != nil && isGap(e.err) && e.attempts <= r.opts.Retries && !r.stopped.Load() {
-		time.Sleep(retryBackoff(e.attempts))
-		e.attempts++
-		e.res, e.err = r.simulate(k, sink)
-	}
-	e.wall = time.Since(start)
 	if e.err == nil {
 		if j := r.opts.Journal; j != nil {
-			if jerr := j.record(k, configHash(r.opts.configFor(k)), e.attempts, e.res); jerr != nil {
+			if jerr := j.record(k, configHash(r.opts.configFor(k)), e.res); jerr != nil {
 				// A journal that cannot persist is a campaign-level
 				// failure: continuing would silently lose durability.
 				e.err = jerr
@@ -287,19 +263,6 @@ func (r *Runner) run(k Key, sink func(*sim.System) error) (sim.Results, error) {
 		}
 	}
 	return e.res, e.err
-}
-
-// retryBackoff is the deterministic capped backoff before retry n
-// (1-based): 250ms, 500ms, 1s, ... capped at 5s.
-func retryBackoff(n int) time.Duration {
-	d := 250 * time.Millisecond
-	for i := 1; i < n && d < 5*time.Second; i++ {
-		d *= 2
-	}
-	if d > 5*time.Second {
-		d = 5 * time.Second
-	}
-	return d
 }
 
 // simulateHook, when set (tests only), observes every run configuration
@@ -314,6 +277,24 @@ var simulateHook func(sim.Config)
 func isGap(err error) bool {
 	var re *sim.RunError
 	return errors.As(err, &re)
+}
+
+// runs returns wl's results under each of keys, in order; a key's
+// Workload is ignored. ok is false when one of the runs is a gap (it failed
+// with a *sim.RunError): runs stops there, and the caller leaves wl out of
+// its figure. Any other error is the campaign's and aborts the figure.
+func (r *Runner) runs(wl string, keys ...Key) (res []sim.Results, ok bool, err error) {
+	res = make([]sim.Results, len(keys))
+	for i, k := range keys {
+		k.Workload = wl
+		if res[i], err = r.run(k, nil); err != nil {
+			if isGap(err) {
+				err = nil
+			}
+			return nil, false, err
+		}
+	}
+	return res, true, nil
 }
 
 // simulate executes one run and hands the finished system to sink, if
@@ -573,7 +554,6 @@ func (r *Runner) entry(k Key) (*runEntry, bool) {
 type RunFailure struct {
 	Workload string
 	Scheme   string // display label (includes the -nobw variant)
-	Attempts int    // simulation attempts made (1 + retries taken)
 	Err      *sim.RunError
 }
 
@@ -587,7 +567,7 @@ func (r *Runner) Failures() []RunFailure {
 		e, ok := r.entry(k)
 		var re *sim.RunError
 		if ok && errors.As(e.err, &re) {
-			fs = append(fs, RunFailure{Workload: k.Workload, Scheme: k.Label(), Attempts: e.attempts, Err: re})
+			fs = append(fs, RunFailure{Workload: k.Workload, Scheme: k.Label(), Err: re})
 		}
 	}
 	return fs

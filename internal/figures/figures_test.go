@@ -197,7 +197,7 @@ func TestNoBWKeyReachesNoCorr(t *testing.T) {
 	if len(got) != 1 || got[0].Scheme != sim.SchemePageSeerNoCorr || !got[0].DisableBWOpt {
 		t.Fatalf("resolved configs = %+v, want one NoCorr run with DisableBWOpt", got)
 	}
-	if snap := r.Snapshot(); len(snap) != 1 || snap[0].Scheme != "pageseer-nocorr-nobw" {
-		t.Fatalf("snapshot = %+v, want one pageseer-nocorr-nobw run", snap)
+	if ks := r.begun(); len(ks) != 1 || ks[0].Label() != "pageseer-nocorr-nobw" {
+		t.Fatalf("begun keys = %+v, want one pageseer-nocorr-nobw run", ks)
 	}
 }

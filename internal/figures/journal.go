@@ -21,7 +21,7 @@ import (
 //
 // Format (line-oriented, append-only):
 //
-//	pageseer-journal v1 <campaign-hash>\n
+//	pageseer-journal v3 <campaign-hash>\n
 //	<crc32-hex> <json>\n
 //	...
 //
@@ -41,6 +41,9 @@ import (
 // journalVersion is bumped on any format change, including a change to the
 // sim.Config fields configHash encodes: older records' hashes would no
 // longer match, and resume must say so by version, not as a foreign campaign.
+// Dropping a record field needs no bump: encoding/json skips the unknown key
+// in older records (v3 records written before -retry was removed carry an
+// "attempts" count).
 const journalVersion = 3
 
 // journalFile is the file name inside the -journal directory.
@@ -52,7 +55,6 @@ type journalRecord struct {
 	Scheme     string      `json:"scheme"`
 	NoBW       bool        `json:"nobw,omitempty"`
 	ConfigHash string      `json:"config_hash"`
-	Attempts   int         `json:"attempts"`
 	Results    sim.Results `json:"results"`
 }
 
@@ -220,13 +222,12 @@ func (j *Journal) Completed() int {
 
 // record appends one completed run and syncs it to disk, so a kill
 // immediately afterwards cannot lose it.
-func (j *Journal) record(k Key, configHash string, attempts int, res sim.Results) error {
+func (j *Journal) record(k Key, configHash string, res sim.Results) error {
 	rec := journalRecord{
 		Workload:   k.Workload,
 		Scheme:     string(k.Scheme),
 		NoBW:       k.DisableBW,
 		ConfigHash: configHash,
-		Attempts:   attempts,
 		Results:    res,
 	}
 	body, err := json.Marshal(rec)
@@ -262,9 +263,9 @@ func (j *Journal) Close() error {
 // header's compatibility check: the run template with the fields each run
 // key sets (scheme, workload, bandwidth heuristic) cleared. Presentation and
 // execution-strategy options (the workload list, Progress, Parallelism,
-// Retries, RunTimeout, the journal itself) are excluded on purpose: they
-// change wall-clock behaviour, never Results, so a campaign may
-// legitimately resume under different parallelism or retry policy.
+// RunTimeout, the journal itself) are excluded on purpose: they change
+// wall-clock behaviour, never Results, so a campaign may legitimately
+// resume under different parallelism.
 func CampaignHash(opts Options) string { return configHash(opts.configFor(Key{})) }
 
 // configHash digests one run's fully resolved sim.Config — the per-record

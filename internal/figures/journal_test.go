@@ -2,6 +2,9 @@ package figures
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -237,7 +240,7 @@ func TestJournalConfigHashMismatchRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := Key{Workload: "lbm", Scheme: sim.SchemePageSeer}
-	if err := j.record(k, "0000000000000000", 1, sim.Results{}); err != nil {
+	if err := j.record(k, "0000000000000000", sim.Results{}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -253,5 +256,47 @@ func TestJournalConfigHashMismatchRefused(t *testing.T) {
 		t.Fatal("replay accepted a record with a mismatched config hash")
 	} else if !strings.Contains(err.Error(), "journal") {
 		t.Fatalf("config-hash mismatch error lacks a diagnosis: %v", err)
+	}
+}
+
+// TestJournalResumesRecordWithAttempts: v3 journals written while the
+// runner still retried failed runs carry an "attempts" count in every
+// record. Resume ignores the key and replays the record without
+// re-executing the run.
+func TestJournalResumesRecordWithAttempts(t *testing.T) {
+	dir := t.TempDir()
+	opts := journalOpts()
+	k := Key{Workload: "lbm", Scheme: sim.SchemePageSeer}
+	want := sim.Results{Scheme: sim.SchemePageSeer, Workload: "lbm", Cycles: 131364, Instructions: 400058, IPC: 3.045}
+	res, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"workload":"lbm","scheme":"pageseer","config_hash":%q,"attempts":1,"results":%s}`,
+		configHash(opts.configFor(k)), res)
+	data := fmt.Sprintf("pageseer-journal v3 %s\n%08x %s\n", CampaignHash(opts), crc32.ChecksumIEEE([]byte(body)), body)
+	if err := os.WriteFile(filepath.Join(dir, journalFile), []byte(data), 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	simulateHook = func(cfg sim.Config) {
+		t.Errorf("%s/%s re-executed despite its journal record", cfg.Workload, cfg.Scheme)
+	}
+	defer func() { simulateHook = nil }()
+	j, err := OpenJournal(dir, CampaignHash(opts), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if n := j.Completed(); n != 1 {
+		t.Fatalf("journal replayed %d run(s), want 1", n)
+	}
+	opts.Journal = j
+	got, err := NewRunner(opts).Run("lbm", sim.SchemePageSeer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed results = %+v, want %+v", got, want)
 	}
 }

@@ -21,14 +21,14 @@ type LatencyRow struct {
 func LatencyTable(r *Runner) ([]LatencyRow, error) {
 	var rows []LatencyRow
 	for _, wl := range r.opts.Workloads {
-		res, err := r.Run(wl, sim.SchemePageSeer)
+		ps, ok, err := r.runs(wl, Key{Scheme: sim.SchemePageSeer})
 		if err != nil {
-			if isGap(err) {
-				continue
-			}
 			return nil, err
 		}
-		rows = append(rows, LatencyRow{Workload: wl, Latency: res.Latency})
+		if !ok {
+			continue
+		}
+		rows = append(rows, LatencyRow{Workload: wl, Latency: ps[0].Latency})
 	}
 	return rows, nil
 }

@@ -40,9 +40,9 @@ type Results struct {
 	Latency obs.LatencySummary
 
 	// LatencyHist carries the raw log2-bucketed histograms behind Latency,
-	// so exporters (e.g. the Prometheus /metrics endpoint) can publish full
-	// cumulative bucket series instead of just percentiles. Always
-	// collected, fixed-size, and deterministic like every other field.
+	// so a sampled run can merge its windows' histograms before taking
+	// percentiles. Always collected, fixed-size, and deterministic like
+	// every other field.
 	LatencyHist obs.LatencySet
 
 	// Remap-cache (PRTc / SRC / MemPod remap) statistics for Figure 13.

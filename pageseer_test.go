@@ -52,18 +52,3 @@ func TestFacadePageSeerConfigOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestFigureRunnerViaFacade(t *testing.T) {
-	opts := QuickFigureOptions()
-	opts.Workloads = []string{"barnes"}
-	opts.Config.InstrPerCore = 100_000
-	opts.Config.Warmup = 50_000
-	r := NewFigureRunner(opts)
-	res, err := r.Run("barnes", SchemePageSeer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Workload != "barnes" {
-		t.Fatalf("wrong workload in results: %q", res.Workload)
-	}
-}

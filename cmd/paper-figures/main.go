@@ -18,6 +18,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -170,116 +171,38 @@ func run() int {
 		}
 	}
 
-	if *fig7 {
-		rows, err := figures.Figure7(r)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(figures.RenderFigure7(rows))
+	// Outputs print in this order. Each one added after the paper's figures
+	// went at the end, so adding it to an invocation never shifts the byte
+	// positions of what -all emits: the latency table after the ablation,
+	// then effectiveness, then the CPI stacks (whose static-baseline runs
+	// are not in the prefetch key set, so they simulate here on first use),
+	// then churn.
+	outputs := []struct {
+		on    bool
+		print func(*figures.Runner) error
+	}{
+		{*fig7, show(figures.Figure7, figures.RenderFigure7)},
+		{*fig8, show(figures.Figure8, figures.RenderFigure8)},
+		{*fig9, show(figures.Figure9, figures.RenderFigure9)},
+		{*fig10, show(figures.Figure10, figures.RenderFigure10)},
+		{*fig11, show(figures.Figure11, figures.RenderFigure11)},
+		{*fig12, show(figures.Figure12, figures.RenderFigure12)},
+		{*fig13, show(figures.Figure13, figures.RenderFigure13)},
+		{*fig14, show(figures.Figure14, figures.RenderFigure14)},
+		{*abl, show(figures.Ablation, figures.RenderAblation)},
+		{*lat, show(figures.LatencyTable, figures.RenderLatencyTable)},
+		{*effect, table(figures.EffectivenessTable, figures.RenderEffectiveness,
+			*effectCSV, figures.WriteEffectivenessCSV, *effectJSON, figures.WriteEffectivenessJSON)},
+		{*cpistack, table(figures.CPIStackTable, figures.RenderCPIStack,
+			*cpistackCSV, figures.WriteCPIStackCSV, *cpistackJSON, figures.WriteCPIStackJSON)},
+		{*churn, table(figures.ChurnTable, figures.RenderChurn,
+			*churnCSV, figures.WriteChurnCSV, *churnJSON, figures.WriteChurnJSON)},
 	}
-	if *fig8 {
-		rows, err := figures.Figure8(r)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(figures.RenderFigure8(rows))
-	}
-	if *fig9 {
-		rows, err := figures.Figure9(r)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(figures.RenderFigure9(rows))
-	}
-	if *fig10 {
-		rows, err := figures.Figure10(r)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(figures.RenderFigure10(rows))
-	}
-	if *fig11 {
-		rows, err := figures.Figure11(r)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(figures.RenderFigure11(rows))
-	}
-	if *fig12 {
-		rows, err := figures.Figure12(r)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(figures.RenderFigure12(rows))
-	}
-	if *fig13 {
-		rows, err := figures.Figure13(r)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(figures.RenderFigure13(rows))
-	}
-	if *fig14 {
-		sum, err := figures.Figure14(r)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(figures.RenderFigure14(sum))
-	}
-	if *abl {
-		rows, err := figures.Ablation(r)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(figures.RenderAblation(rows))
-	}
-	// The latency table prints last so every pre-existing output keeps its
-	// position (and bytes) in an -all run.
-	if *lat {
-		rows, err := figures.LatencyTable(r)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(figures.RenderLatencyTable(rows))
-	}
-
-	// Effectiveness prints after everything -all emits, so adding it to an
-	// invocation never shifts the byte positions of the paper's figures.
-	if *effect {
-		rows, err := figures.EffectivenessTable(r)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(figures.RenderEffectiveness(rows))
-		if err := cli.WriteTable(rows, *effectCSV, figures.WriteEffectivenessCSV, *effectJSON, figures.WriteEffectivenessJSON); err != nil {
-			return fail(err)
-		}
-	}
-
-	// CPI stacks print after effectiveness for the same byte-stability
-	// reason. The table's static-baseline runs are not in the prefetch key
-	// set, so they simulate here on first use.
-	if *cpistack {
-		rows, err := figures.CPIStackTable(r)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(figures.RenderCPIStack(rows))
-		if err := cli.WriteTable(rows, *cpistackCSV, figures.WriteCPIStackCSV, *cpistackJSON, figures.WriteCPIStackJSON); err != nil {
-			return fail(err)
-		}
-	}
-
-	// Churn prints last among the opt-in tables, keeping every earlier
-	// output's byte position stable.
-	if *churn {
-		rows, err := figures.ChurnTable(r)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(figures.RenderChurn(rows))
-		if err := cli.WriteTable(rows, *churnCSV, figures.WriteChurnCSV, *churnJSON, figures.WriteChurnJSON); err != nil {
-			return fail(err)
+	for _, o := range outputs {
+		if o.on {
+			if err := o.print(r); err != nil {
+				return fail(err)
+			}
 		}
 	}
 
@@ -287,4 +210,30 @@ func run() int {
 	// finish; Finish reports them — with a crashdump file each — and fails
 	// the exit code only now, after every figure and table has printed.
 	return s.Finish(false)
+}
+
+// show builds one figure from the campaign and prints it.
+func show[T any](build func(*figures.Runner) (T, error), render func(T) string) func(*figures.Runner) error {
+	return func(r *figures.Runner) error {
+		rows, err := build(r)
+		if err != nil {
+			return err
+		}
+		fmt.Println(render(rows))
+		return nil
+	}
+}
+
+// table is show for a table that also writes its rows to the CSV and JSON
+// files named (none when empty).
+func table[T any](build func(*figures.Runner) ([]T, error), render func([]T) string,
+	csvPath string, csv func(io.Writer, []T) error, jsonPath string, json func(io.Writer, []T) error) func(*figures.Runner) error {
+	return func(r *figures.Runner) error {
+		rows, err := build(r)
+		if err != nil {
+			return err
+		}
+		fmt.Println(render(rows))
+		return cli.WriteTable(rows, csvPath, csv, jsonPath, json)
+	}
 }

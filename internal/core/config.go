@@ -112,6 +112,24 @@ func DefaultConfig() Config {
 	}
 }
 
+// PRTc returns the PRT cache's geometry. PRT entries are 3.5B: 4B apart
+// in the table, 18 to a PRTc line.
+func (c Config) PRTc() hmc.MetaCacheConfig {
+	return hmc.MetaCacheConfig{
+		Name: "PRTc", Entries: c.PRTcEntries, Ways: c.PRTcWays,
+		HitLatency: c.PRTcHitLatency, EntriesPerLine: 18,
+	}
+}
+
+// PCTc returns the PCT cache's geometry: 10.5B entries, 6 to a line, its
+// misses off the critical path (Section III-C3).
+func (c Config) PCTc() hmc.MetaCacheConfig {
+	return hmc.MetaCacheConfig{
+		Name: "PCTc", Entries: c.PCTcEntries, Ways: c.PCTcWays,
+		HitLatency: c.PCTcHitLatency, EntriesPerLine: 6, Background: true,
+	}
+}
+
 // Scale shrinks the SRAM structures for a scaled-down memory system: the
 // on-controller caches by the square root of the memory scale
 // (hmc.SRAMRoot), the DRAM tables by the scale itself. factor is the memory

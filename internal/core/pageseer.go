@@ -300,16 +300,8 @@ const pendingStaleCycles = 60_000
 // workload pages are allocated.
 func New(ctl *hmc.Controller, cfg Config) *PageSeer {
 	p := &PageSeer{sim: ctl.Sim, ctl: ctl, cfg: cfg}
-	// PRT entries are 3.5B: 4B apart in the table, 18 to a PRTc line.
-	p.Segments = hmc.NewSegments(ctl, "pageseer", mem.PageShift, hmc.MetaCacheConfig{
-		Name: "PRTc", Entries: cfg.PRTcEntries, Ways: cfg.PRTcWays,
-		HitLatency: cfg.PRTcHitLatency, EntriesPerLine: 18,
-	}, cfg.PRTBytes, p.committed)
-	p.pctc = hmc.NewMetaCache(ctl.Sim, hmc.MetaCacheConfig{
-		Name: "PCTc", Entries: cfg.PCTcEntries, Ways: cfg.PCTcWays,
-		HitLatency: cfg.PCTcHitLatency, EntriesPerLine: 6, // 10.5B entries
-		Background: true, // off the critical path (Section III-C3)
-	}, ctl.AllocMetaRegion(cfg.PCTBytes, 11), ctl.IssueLine)
+	p.Segments = hmc.NewSegments(ctl, "pageseer", mem.PageShift, cfg.PRTc(), cfg.PRTBytes, p.committed)
+	p.pctc = ctl.NewMetaCache(cfg.PCTc(), ctl.AllocMetaRegion(cfg.PCTBytes, 11))
 	// The PCT, the Filter index and both HPTs are indexed by page over the
 	// frames the run can name, known once the footprint is mapped.
 	ctl.OnSeal(func(pages uint64) {
@@ -815,11 +807,10 @@ func (p *PageSeer) Audit(a *check.Audit) {
 	})
 }
 
-// ResetStats zeroes the PageSeer counters (e.g. after warm-up). Trained
-// state — PCT history, HPT counters, remappings — is deliberately kept.
+// ResetStats zeroes the PageSeer counters; Controller.ResetStats calls it
+// after warm-up, with the metadata caches'. Trained state — PCT history,
+// HPT counters, remappings — is deliberately kept.
 func (p *PageSeer) ResetStats() {
 	p.stats = Stats{}
-	p.RemapCache().ResetStats()
-	p.pctc.ResetStats()
 	p.prefTracks.Clear()
 }

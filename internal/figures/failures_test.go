@@ -74,8 +74,9 @@ func TestCampaignSurvivesRunPanic(t *testing.T) {
 				t.Errorf("%s/%s: results diverged from the clean campaign", wl, sch)
 			}
 		}
-		want, err1 := clean.RunNoBWOpt(wl)
-		got, err2 := faulty.RunNoBWOpt(wl)
+		nobw := Key{Workload: wl, Scheme: sim.SchemePageSeer, DisableBW: true}
+		want, err1 := clean.run(nobw, nil)
+		got, err2 := faulty.run(nobw, nil)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s nobw: unexpected errors %v / %v", wl, err1, err2)
 		}

@@ -204,12 +204,6 @@ func (r *Runner) Run(wl string, scheme sim.Scheme) (sim.Results, error) {
 	return r.run(Key{Workload: wl, Scheme: scheme}, nil)
 }
 
-// RunNoBWOpt returns PageSeer results with the Swap Driver bandwidth
-// heuristic disabled (Figure 11's second bar).
-func (r *Runner) RunNoBWOpt(wl string) (sim.Results, error) {
-	return r.run(Key{Workload: wl, Scheme: sim.SchemePageSeer, DisableBW: true}, nil)
-}
-
 func (r *Runner) run(k Key, sink func(*sim.System) error) (sim.Results, error) {
 	r.mu.Lock()
 	if e, ok := r.cache[k]; ok {

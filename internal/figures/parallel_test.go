@@ -26,13 +26,7 @@ func campaignResults(t *testing.T, r *Runner) map[Key]sim.Results {
 	t.Helper()
 	out := make(map[Key]sim.Results)
 	for _, k := range r.keys(AllNeeds()) {
-		var res sim.Results
-		var err error
-		if k.DisableBW {
-			res, err = r.RunNoBWOpt(k.Workload)
-		} else {
-			res, err = r.Run(k.Workload, k.Scheme)
-		}
+		res, err := r.run(k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -175,8 +175,10 @@ type Controller struct {
 	prov  provenance
 
 	// meta lists the regions AllocMetaRegion reserved, which no swap may
-	// move (Pinned).
-	meta []MetaRegion
+	// move (Pinned); caches lists the metadata caches NewMetaCache built,
+	// which ResetStats and Audit cover.
+	meta   []MetaRegion
+	caches []*MetaCache
 
 	// onSeal holds the sizing of the per-frame tables built before Seal.
 	onSeal []func(frames uint64)
@@ -279,9 +281,8 @@ func (c *Controller) Attach(p obs.Probe) {
 func (c *Controller) Probe() obs.Probes { return c.probe }
 
 // SetInjector attaches a fault injector to the controller and its swap
-// engine (nil detaches). Installed by sim.Build when a fault plan is
-// active; the metadata caches are wired separately, since the managers own
-// them.
+// engine (nil detaches). Set it before installing the scheme: each
+// metadata cache takes the injector when NewMetaCache builds it.
 func (c *Controller) SetInjector(i *check.Injector) {
 	c.inj = i
 	c.Engine.inj = i
@@ -640,6 +641,16 @@ func (c *Controller) AllocMetaRegion(bytes, entrySize uint64) MetaRegion {
 	return r
 }
 
+// NewMetaCache builds a scheme's metadata cache over region: its line
+// traffic issues through the controller, it takes the controller's fault
+// injector, and ResetStats and Audit cover it.
+func (c *Controller) NewMetaCache(cfg MetaCacheConfig, region MetaRegion) *MetaCache {
+	mc := NewMetaCache(c.Sim, cfg, region, c.IssueLine)
+	mc.inj = c.inj
+	c.caches = append(c.caches, mc)
+	return mc
+}
+
 // Pinned reports whether frame must never be relocated by a swap: it holds
 // a controller table reserved through AllocMetaRegion, or a page table.
 func (c *Controller) Pinned(frame mem.PPN) bool {
@@ -657,8 +668,10 @@ func (c *Controller) Pinned(frame mem.PPN) bool {
 func (c *Controller) VerifyIntegrity() error { return c.mgr.CheckIntegrity() }
 
 // Audit reports end-of-run invariant violations: every request completed
-// and its pooled record returned, and service-source conservation — each data-demand request was served by exactly one of
-// DRAM, NVM, or the swap buffers.
+// and its pooled record returned, and service-source conservation — each
+// data-demand request was served by exactly one of DRAM, NVM, or the swap
+// buffers. It then audits the swap engine, both memory modules, every
+// metadata cache and the manager, when the manager has an Audit method.
 func (c *Controller) Audit(a *check.Audit) {
 	a.Checkf(c.reqPool.Live() == 0,
 		"hmc: %d pooled request record(s) never completed", c.reqPool.Live())
@@ -670,14 +683,34 @@ func (c *Controller) Audit(a *check.Audit) {
 	a.Checkf(eff == c.stats.DataDemand,
 		"hmc: effectiveness conservation broken: pos+neg+neu = %d of %d data-demand requests",
 		eff, c.stats.DataDemand)
+	c.Engine.Audit(a)
+	c.DRAM.Audit(a)
+	c.NVM.Audit(a)
+	for _, mc := range c.caches {
+		mc.Audit(a)
+	}
+	if m, ok := c.mgr.(interface{ Audit(*check.Audit) }); ok {
+		m.Audit(a)
+	}
 }
 
 // ResetStats zeroes the controller counters and the attached latency
 // histograms (e.g. after warm-up), and advances the request epoch so that
 // requests in flight across the reset complete without touching the new
-// counters (see Controller.epoch). Safe to call mid-flight.
+// counters (see Controller.epoch). It also resets the swap engine, both
+// memory modules, every metadata cache and the manager, when the manager
+// has a ResetStats method. Safe to call mid-flight.
 func (c *Controller) ResetStats() {
 	c.stats = Stats{}
 	c.epoch++
 	c.lat.Reset()
+	c.Engine.ResetStats()
+	c.DRAM.ResetStats()
+	c.NVM.ResetStats()
+	for _, mc := range c.caches {
+		mc.ResetStats()
+	}
+	if m, ok := c.mgr.(interface{ ResetStats() }); ok {
+		m.ResetStats()
+	}
 }

@@ -120,8 +120,9 @@ type MetaCache struct {
 	fetchPool mem.Pool[fetchTxn]
 	stats     MetaCacheStats
 
-	// inj (nil when off) forces resident entries to refetch (thrash); set
-	// through Controller.SetInjector or SetInjector directly.
+	// inj (nil when off) forces resident entries to refetch (thrash); a
+	// cache takes its controller's injector when Controller.NewMetaCache
+	// builds it.
 	inj *check.Injector
 }
 
@@ -410,9 +411,6 @@ func (c *MetaCache) touch(base, e int, dirty bool) {
 		c.sets.MarkDirty(base, e)
 	}
 }
-
-// SetInjector wires a fault injector (nil disables).
-func (c *MetaCache) SetInjector(i *check.Injector) { c.inj = i }
 
 // Audit reports end-of-run invariant violations: a quiesced metadata cache
 // has no pending line fetches and every pooled record back in its pool.

@@ -8,20 +8,11 @@ import (
 	"pageseer/internal/obs"
 )
 
-// SegmentShift is log2 of SegmentBytes.
-const SegmentShift = 11
-
-// SegmentBytes is the swap unit of the segment schemes, PoM and MemPod.
-const SegmentBytes = 1 << SegmentShift
-
 // Seg numbers a swap unit of an exchange core from physical address 0: a
 // 2KB segment for PoM and MemPod, a 4KB page for PageSeer. Like every
 // Remap unit it is both a data identity (the unit's OS-visible home) and a
 // slot.
 type Seg uint64
-
-// SegOf returns the 2KB segment holding address a.
-func SegOf(a mem.Addr) Seg { return Seg(a >> SegmentShift) }
 
 // Exchange outcomes.
 const (
@@ -67,6 +58,7 @@ type Segments struct {
 	ctl    *Controller
 	scheme string // error prefix
 	shift  uint   // log2 of the swap unit
+	fast   Seg    // DRAM slots: units below it are fast
 	remap  *Remap
 	region MetaRegion
 	cache  *MetaCache
@@ -92,18 +84,20 @@ type exchange struct {
 // 1<<shift bytes: it re-keys the remap and the oracle to that unit,
 // reserves tableBytes of DRAM for the remap table (4B per entry —
 // PageSeer's 3.5B PRT entries are laid out 4B apart too —
-// cache.EntriesPerLine to a line) and builds the remap cache over it.
+// cache.EntriesPerLine to a line) and has the controller build the remap
+// cache over it.
 // committed runs after each exchange's commit.
 func NewSegments(ctl *Controller, scheme string, shift uint, cache MetaCacheConfig, tableBytes uint64, committed func(Move)) *Segments {
 	g := &Segments{
 		ctl:       ctl,
 		scheme:    scheme,
 		shift:     shift,
+		fast:      Seg(ctl.Layout.DRAMBytes >> shift),
 		remap:     ctl.NewRemap(shift),
 		committed: committed,
 	}
 	g.region = ctl.AllocMetaRegion(tableBytes, 4)
-	g.cache = NewMetaCache(ctl.Sim, cache, g.region, ctl.IssueLine)
+	g.cache = ctl.NewMetaCache(cache, g.region)
 	return g
 }
 
@@ -119,11 +113,17 @@ func (g *Segments) Loc(s Seg) Seg { return Seg(g.remap.Loc(uint64(s))) }
 // Owner returns the unit whose data slot holds.
 func (g *Segments) Owner(slot Seg) Seg { return Seg(g.remap.Owner(uint64(slot))) }
 
+// Unit returns the unit holding address a.
+func (g *Segments) Unit(a mem.Addr) Seg { return Seg(a >> g.shift) }
+
+// FastUnits returns the number of DRAM slots: slots below it are fast.
+func (g *Segments) FastUnits() Seg { return g.fast }
+
 func (g *Segments) base(s Seg) mem.Addr { return mem.Addr(s) << g.shift }
 
 // TranslateLine implements Manager.
 func (g *Segments) TranslateLine(addr mem.Addr) mem.Addr {
-	return g.base(g.Loc(Seg(addr>>g.shift))) | addr&(1<<g.shift-1)
+	return g.base(g.Loc(g.Unit(addr))) | addr&(1<<g.shift-1)
 }
 
 // CheckIntegrity implements Manager.

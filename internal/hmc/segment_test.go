@@ -50,7 +50,7 @@ func TestSegmentCore(t *testing.T) {
 	for _, sc := range segmentSchemes {
 		t.Run(sc.name, func(t *testing.T) {
 			sim, ctl, g, commits, root := segmentRig(sc)
-			fastSegs := hmc.Seg(ctl.Layout.DRAMBytes / hmc.SegmentBytes)
+			fastSegs := g.FastUnits()
 			data := fastSegs + 100 // an NVM segment at home
 			dst := fastSegs - 1    // the last DRAM slot: above the remap table
 			if g.Pinned(dst) {
@@ -58,7 +58,7 @@ func TestSegmentCore(t *testing.T) {
 			}
 
 			// Refusals: nothing starts, nothing moves.
-			pt := hmc.SegOf(root.Addr())
+			pt := g.Unit(root.Addr())
 			for _, c := range []struct {
 				name string
 				dst  hmc.Seg
@@ -117,7 +117,7 @@ func TestSegmentCore(t *testing.T) {
 			if g.Busy(dst) || g.Busy(data) {
 				t.Fatal("a committed exchange still holds its slots")
 			}
-			at := func(s hmc.Seg) mem.Addr { return mem.Addr(s)<<hmc.SegmentShift + 3*mem.LineSize }
+			at := func(s hmc.Seg) mem.Addr { return mem.Addr(s)<<ctl.UnitShift() + 3*mem.LineSize }
 			if got := g.TranslateLine(at(data)); got != at(dst) {
 				t.Fatalf("TranslateLine = %#x, want %#x", uint64(got), uint64(at(dst)))
 			}
@@ -139,8 +139,8 @@ func TestSegmentCore(t *testing.T) {
 func TestZeroAllocDeclinedExchange(t *testing.T) {
 	for _, sc := range segmentSchemes {
 		t.Run(sc.name, func(t *testing.T) {
-			sim, ctl, g, _, _ := segmentRig(sc)
-			fastSegs := hmc.Seg(ctl.Layout.DRAMBytes / hmc.SegmentBytes)
+			sim, _, g, _, _ := segmentRig(sc)
+			fastSegs := g.FastUnits()
 			maxOps := hmc.DefaultSwapEngineConfig().MaxOps
 			for i := 0; i < maxOps; i++ {
 				s := hmc.Seg(i)

@@ -44,6 +44,18 @@ func DefaultConfig() Config {
 	}
 }
 
+// segShift is log2 of MemPod's swap unit, the 2KB segment.
+const segShift = 11
+
+// RemapCache returns the remap cache's geometry: one 4B entry per segment, 16
+// to a line.
+func (c Config) RemapCache() hmc.MetaCacheConfig {
+	return hmc.MetaCacheConfig{
+		Name: "MemPodRemap", Entries: c.RemapEntries, Ways: c.RemapWays, HitLatency: c.RemapLatency,
+		EntriesPerLine: 16,
+	}
+}
+
 // Scale shrinks the remap cache with the memory system, by the same square
 // root as PageSeer's caches (hmc.SRAMRoot).
 func (c Config) Scale(factor int) Config {
@@ -78,7 +90,6 @@ type MemPod struct {
 	ctl *hmc.Controller
 	cfg Config
 
-	fastSegs hmc.Seg
 	pods     []pod
 	lastTick uint64
 
@@ -120,17 +131,8 @@ func (m *MemPod) release(h *hotSet) {
 
 // New installs a MemPod manager on the controller.
 func New(ctl *hmc.Controller, cfg Config) *MemPod {
-	m := &MemPod{
-		sim:      ctl.Sim,
-		ctl:      ctl,
-		cfg:      cfg,
-		fastSegs: hmc.Seg(ctl.Layout.DRAMBytes / hmc.SegmentBytes),
-	}
-	// The remap cache holds one 4B entry per segment, 16 to a line.
-	m.Segments = hmc.NewSegments(ctl, "mempod", hmc.SegmentShift, hmc.MetaCacheConfig{
-		Name: "MemPodRemap", Entries: cfg.RemapEntries, Ways: cfg.RemapWays, HitLatency: cfg.RemapLatency,
-		EntriesPerLine: 16,
-	}, cfg.RemapTableBytes, m.committed)
+	m := &MemPod{sim: ctl.Sim, ctl: ctl, cfg: cfg}
+	m.Segments = hmc.NewSegments(ctl, "mempod", segShift, cfg.RemapCache(), cfg.RemapTableBytes, m.committed)
 	m.pods = make([]pod, cfg.Pods)
 	for i := range m.pods {
 		m.pods[i] = pod{mea: NewMEA(cfg.MEACounters)}
@@ -153,7 +155,7 @@ func (m *MemPod) podOf(s hmc.Seg) int { return int(s) % m.cfg.Pods }
 // path; the paper grants the inverted table zero latency, so only the
 // forward lookup is timed.
 func (m *MemPod) HandleRequest(r *hmc.Request) {
-	s := hmc.SegOf(r.Line)
+	s := m.Unit(r.Line)
 	if !r.Meta.Writeback && !r.Meta.PageWalk {
 		m.observe(s)
 	}
@@ -195,7 +197,7 @@ func (m *MemPod) interval() {
 				break
 			}
 			s := hmc.Seg(h)
-			if m.Loc(s) < m.fastSegs {
+			if m.Loc(s) < m.FastUnits() {
 				continue // already in DRAM
 			}
 			if !m.ctl.Engine.CanStart() {
@@ -246,7 +248,7 @@ func (m *MemPod) drainPending() {
 		if m.head++; m.head == len(m.pending) {
 			m.pending, m.head = m.pending[:0], 0
 		}
-		if m.Loc(e.s) >= m.fastSegs && !m.migrate(e.pod, e.s, e.hot) {
+		if m.Loc(e.s) >= m.FastUnits() && !m.migrate(e.pod, e.s, e.hot) {
 			m.stats.MigrationsDropped++
 		}
 		m.release(e.hot)
@@ -257,7 +259,8 @@ func (m *MemPod) drainPending() {
 // data is not currently hot, and which is neither in flight nor pinned.
 func (m *MemPod) pickVictim(pi int, hot *hotSet) (hmc.Seg, bool) {
 	p := &m.pods[pi]
-	n := m.fastSegs / hmc.Seg(m.cfg.Pods)
+	fast := m.FastUnits()
+	n := fast / hmc.Seg(m.cfg.Pods)
 	if n == 0 {
 		return 0, false
 	}
@@ -265,7 +268,7 @@ func (m *MemPod) pickVictim(pi int, hot *hotSet) (hmc.Seg, bool) {
 	for i := hmc.Seg(0); i < n; i++ {
 		idx := (start + i) % n
 		slot := idx*hmc.Seg(m.cfg.Pods) + hmc.Seg(pi) // pod-interleaved DRAM slot
-		if slot >= m.fastSegs {
+		if slot >= fast {
 			continue
 		}
 		if hot.has(m.Owner(slot)) || m.Busy(slot) || m.Pinned(slot) {
@@ -282,7 +285,4 @@ func (m *MemPod) MMUHint(mmu.Hint) {}
 
 // ResetStats zeroes the MemPod counters (e.g. after warm-up), keeping all
 // sketch and remap state.
-func (m *MemPod) ResetStats() {
-	m.stats = Stats{}
-	m.RemapCache().ResetStats()
-}
+func (m *MemPod) ResetStats() { m.stats = Stats{} }

@@ -29,8 +29,11 @@ func testRig() (*engine.Sim, *hmc.Controller, *MemPod) {
 	return sim, ctl, m
 }
 
+// segOf returns the 2KB segment holding address a.
+func segOf(a mem.Addr) hmc.Seg { return hmc.Seg(a >> segShift) }
+
 func nvmSeg(ctl *hmc.Controller, i int) mem.Addr {
-	return mem.Addr(ctl.Layout.DRAMBytes) + mem.Addr(i)*hmc.SegmentBytes
+	return mem.Addr(ctl.Layout.DRAMBytes) + mem.Addr(i)<<segShift
 }
 
 func miss(sim *engine.Sim, ctl *hmc.Controller, a mem.Addr) {
@@ -161,7 +164,7 @@ func TestMigrationsStayInPod(t *testing.T) {
 	miss(sim, ctl, hots[0])
 	sim.Drain(0)
 	for _, h := range hots {
-		s := hmc.SegOf(h)
+		s := segOf(h)
 		loc := m.Loc(s)
 		if loc == s {
 			continue // not migrated (victim scarcity is fine)
@@ -180,13 +183,13 @@ func TestHotDRAMDataNotVictimised(t *testing.T) {
 	// A DRAM segment that is itself hot must not be chosen as a victim for
 	// an NVM segment in the same pod and interval.
 	pod0DRAM := mem.Addr(1 << 20) // DRAM, above metadata
-	s := hmc.SegOf(pod0DRAM)
+	s := segOf(pod0DRAM)
 	pi := m.podOf(s)
 	// find an NVM segment in the same pod
 	var hot mem.Addr
 	for i := 0; i < 16; i++ {
 		a := nvmSeg(ctl, 80+i)
-		if m.podOf(hmc.SegOf(a)) == pi {
+		if m.podOf(segOf(a)) == pi {
 			hot = a
 			break
 		}
@@ -260,7 +263,7 @@ func TestPendingMigrationKeepsItsHotSet(t *testing.T) {
 			m.pods[m.podOf(s)].mea.Observe(uint64(s))
 		}
 	}
-	first, second := hmc.SegOf(nvmSeg(ctl, 40)), hmc.SegOf(nvmSeg(ctl, 44)) // same pod
+	first, second := segOf(nvmSeg(ctl, 40)), segOf(nvmSeg(ctl, 44)) // same pod
 	heat(first)
 	m.interval()
 	heat(second)

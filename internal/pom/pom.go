@@ -43,6 +43,18 @@ func DefaultConfig() Config {
 	}
 }
 
+// segShift is log2 of PoM's swap unit, the 2KB segment.
+const segShift = 11
+
+// SRC returns the segment remap cache's geometry: one 4B entry per swap
+// group, 16 to a line.
+func (c Config) SRC() hmc.MetaCacheConfig {
+	return hmc.MetaCacheConfig{
+		Name: "SRC", Entries: c.SRCEntries, Ways: c.SRCWays, HitLatency: c.SRCLatency,
+		EntriesPerLine: 16,
+	}
+}
+
 // Scale shrinks the SRC and the counter table with the memory system, by
 // the same square root as PageSeer's caches (hmc.SRAMRoot).
 func (c Config) Scale(factor int) Config {
@@ -71,8 +83,6 @@ type PoM struct {
 	sim *engine.Sim
 	cfg Config
 
-	fastSegs hmc.Seg // number of DRAM segments == number of swap groups
-
 	// counters holds the K-threshold counts of slow-resident segments,
 	// keyed by segment; dead is the decay pass's scratch list of counters
 	// that halve to zero.
@@ -85,16 +95,8 @@ type PoM struct {
 
 // New installs a PoM manager on the controller.
 func New(ctl *hmc.Controller, cfg Config) *PoM {
-	p := &PoM{
-		sim:      ctl.Sim,
-		cfg:      cfg,
-		fastSegs: hmc.Seg(ctl.Layout.DRAMBytes / hmc.SegmentBytes),
-	}
-	// The SRC holds one 4B entry per swap group, 16 to a line.
-	p.Segments = hmc.NewSegments(ctl, "pom", hmc.SegmentShift, hmc.MetaCacheConfig{
-		Name: "SRC", Entries: cfg.SRCEntries, Ways: cfg.SRCWays, HitLatency: cfg.SRCLatency,
-		EntriesPerLine: 16,
-	}, cfg.RemapTableBytes, p.committed)
+	p := &PoM{sim: ctl.Sim, cfg: cfg}
+	p.Segments = hmc.NewSegments(ctl, "pom", segShift, cfg.SRC(), cfg.RemapTableBytes, p.committed)
 	ctl.SetManager(p)
 	return p
 }
@@ -106,18 +108,20 @@ func (p *PoM) Name() string { return "PoM" }
 func (p *PoM) Stats() Stats { return p.stats }
 
 // group returns the swap group (== fast segment index) a segment belongs
-// to. Fast segments are their own group; slow segments direct-map onto one.
+// to: there are as many groups as DRAM segments. Fast segments are their
+// own group; slow segments direct-map onto one.
 func (p *PoM) group(s hmc.Seg) hmc.Seg {
-	if s < p.fastSegs {
+	fast := p.FastUnits()
+	if s < fast {
 		return s
 	}
-	return (s - p.fastSegs) % p.fastSegs
+	return (s - fast) % fast
 }
 
 // HandleRequest implements hmc.Manager: SRC lookup on the critical path,
 // counter tracking and swap trigger off it.
 func (p *PoM) HandleRequest(r *hmc.Request) {
-	s := hmc.SegOf(r.Line)
+	s := p.Unit(r.Line)
 	if !r.Meta.Writeback && !r.Meta.PageWalk {
 		p.track(s)
 	}
@@ -155,7 +159,7 @@ func (p *PoM) maybeDecay() {
 // coldest counter to admit a new segment.
 func (p *PoM) track(s hmc.Seg) {
 	p.maybeDecay()
-	if p.Loc(s) < p.fastSegs {
+	if p.Loc(s) < p.FastUnits() {
 		return // already in fast memory
 	}
 	c := uint32(1)
@@ -210,7 +214,4 @@ func (p *PoM) MMUHint(mmu.Hint) {}
 
 // ResetStats zeroes the PoM counters (e.g. after warm-up), keeping all
 // trained and remap state.
-func (p *PoM) ResetStats() {
-	p.stats = Stats{}
-	p.RemapCache().ResetStats()
-}
+func (p *PoM) ResetStats() { p.stats = Stats{} }

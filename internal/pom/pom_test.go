@@ -32,12 +32,15 @@ func rigWith(cfg Config) (*engine.Sim, *hmc.Controller, *PoM) {
 	return sim, ctl, p
 }
 
+// segOf returns the 2KB segment holding address a.
+func segOf(a mem.Addr) hmc.Seg { return hmc.Seg(a >> segShift) }
+
 func slowSeg(ctl *hmc.Controller, i int) mem.Addr {
-	return mem.Addr(ctl.Layout.DRAMBytes) + mem.Addr(i)*hmc.SegmentBytes
+	return mem.Addr(ctl.Layout.DRAMBytes) + mem.Addr(i)<<segShift
 }
 
 // segBase returns 2KB segment s's first address.
-func segBase(s hmc.Seg) mem.Addr { return mem.Addr(s) << hmc.SegmentShift }
+func segBase(s hmc.Seg) mem.Addr { return mem.Addr(s) << segShift }
 
 func miss(sim *engine.Sim, ctl *hmc.Controller, a mem.Addr) {
 	ctl.Access(a, false, cache.Meta{PID: 1}, nil)
@@ -69,7 +72,7 @@ func TestSwapAtThresholdK(t *testing.T) {
 func TestDirectMappedGroup(t *testing.T) {
 	_, ctl, p := testRig()
 	// A slow segment's group is (index - fastSegs) % fastSegs.
-	fast := hmc.Seg(ctl.Layout.DRAMBytes / hmc.SegmentBytes)
+	fast := hmc.Seg(ctl.Layout.DRAMBytes >> segShift)
 	if p.group(0) != 0 || p.group(fast) != 0 || p.group(fast+1) != 1 {
 		t.Fatalf("group mapping wrong: %d %d %d", p.group(0), p.group(fast), p.group(fast+1))
 	}
@@ -83,7 +86,7 @@ func TestFastSwapDisplacesToSlowHome(t *testing.T) {
 	// Two slow segments of the same group swap in sequence; the first's
 	// data must end up at the second's original home (fast swap), not at
 	// its own.
-	fast := hmc.Seg(ctl.Layout.DRAMBytes / hmc.SegmentBytes)
+	fast := hmc.Seg(ctl.Layout.DRAMBytes >> segShift)
 	// Avoid group 0..N where metadata lives.
 	g := fast - 1
 	s1 := g + fast   // first slow segment of group g
@@ -114,7 +117,7 @@ func TestConflictThrashingPossible(t *testing.T) {
 	sim, ctl, p := testRig()
 	// PoM's direct mapping means two hot segments of one group keep
 	// displacing each other — the weakness PageSeer Section V-A calls out.
-	fast := hmc.Seg(ctl.Layout.DRAMBytes / hmc.SegmentBytes)
+	fast := hmc.Seg(ctl.Layout.DRAMBytes >> segShift)
 	g := fast - 2
 	s1, s2 := g+fast, g+2*fast
 	for round := 0; round < 3; round++ {
@@ -138,7 +141,7 @@ func TestPinnedFastSlotBlocksSwap(t *testing.T) {
 	sim, ctl, p := testRig()
 	// Group 0's fast slot hosts the remap table (reserved first): swaps
 	// into it must be blocked.
-	s := p.fastSegs // slow segment of group 0
+	s := p.FastUnits() // slow segment of group 0
 	for i := 0; i < int(p.cfg.K)+3; i++ {
 		miss(sim, ctl, segBase(s))
 	}
@@ -185,7 +188,7 @@ func TestCounterTableEvictsOnlyToAdmit(t *testing.T) {
 	miss(sim, ctl, b)
 	miss(sim, ctl, a) // the table is full: b and a at 1
 	miss(sim, ctl, b)
-	if c, _ := p.counters.Get(uint64(hmc.SegOf(b))); c != 2 {
+	if c, _ := p.counters.Get(uint64(segOf(b))); c != 2 {
 		t.Fatalf("b's counter = %d after its second access, want 2", c)
 	}
 	miss(sim, ctl, b)
@@ -193,7 +196,7 @@ func TestCounterTableEvictsOnlyToAdmit(t *testing.T) {
 	if p.Stats().Swaps != 1 || !ctl.Layout.IsDRAM(p.TranslateLine(b)) {
 		t.Fatalf("b reached K but swaps = %d and it maps to %#x", p.Stats().Swaps, uint64(p.TranslateLine(b)))
 	}
-	if c, _ := p.counters.Get(uint64(hmc.SegOf(a))); c != 1 {
+	if c, _ := p.counters.Get(uint64(segOf(a))); c != 1 {
 		t.Fatalf("a's counter = %d, want 1: nothing needed its slot", c)
 	}
 }
@@ -268,7 +271,7 @@ func TestVerifyIntegrityCatchesMutation(t *testing.T) {
 	if err := ctl.VerifyIntegrity(); err != nil {
 		t.Fatalf("uncorrupted run fails: %v", err)
 	}
-	s := hmc.SegOf(slowSeg(ctl, 100))
+	s := segOf(slowSeg(ctl, 100))
 	if p.Loc(s) == s {
 		t.Fatal("the first hot segment never left home")
 	}

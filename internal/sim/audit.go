@@ -2,15 +2,9 @@ package sim
 
 import (
 	"pageseer/internal/check"
-	"pageseer/internal/hmc"
 	"pageseer/internal/mem"
 	"pageseer/internal/obs"
 )
-
-// auditable is the shape every component with end-of-run invariants exposes.
-type auditable interface {
-	Audit(a *check.Audit)
-}
 
 // CheckInvariants audits the quiesced system after a run: the event queue is
 // empty, every core retired its budget and drained its window, no cache or
@@ -45,16 +39,7 @@ func (s *System) CheckInvariants() error {
 		"cores: %d memory op(s) retired but %d L1 accesses recorded", memOps, l1Accesses)
 
 	s.L3.Audit(a)
-	s.Ctl.Audit(a)
-	s.Ctl.Engine.Audit(a)
-	s.Ctl.DRAM.Audit(a)
-	s.Ctl.NVM.Audit(a)
-	for _, mc := range s.metaCaches() {
-		mc.Audit(a)
-	}
-	if m, ok := s.Ctl.Manager().(auditable); ok {
-		m.Audit(a)
-	}
+	s.Ctl.Audit(a) // the swap engine, memory modules, metadata caches and manager too
 	s.led.Audit(a) // nil-safe: no-op without the provenance ledger
 	// Blame conservation: every retired request's component cycles must sum
 	// exactly to its end-to-end latency, per core and per trigger class.
@@ -98,18 +83,4 @@ func (s *System) auditPageMap(a *check.Audit) {
 	s.pm.AuditResidency(a, func(addr uint64) bool {
 		return s.Ctl.Layout.IsDRAM(mgr.TranslateLine(mem.Addr(addr)))
 	})
-}
-
-// metaCaches returns the installed scheme's on-controller metadata caches
-// (for injector wiring and auditing).
-func (s *System) metaCaches() []*hmc.MetaCache {
-	switch {
-	case s.PageSeer != nil:
-		return []*hmc.MetaCache{s.PageSeer.RemapCache(), s.PageSeer.PCTc()}
-	case s.PoM != nil:
-		return []*hmc.MetaCache{s.PoM.RemapCache()}
-	case s.MemPod != nil:
-		return []*hmc.MetaCache{s.MemPod.RemapCache()}
-	}
-	return nil
 }

@@ -45,7 +45,8 @@ type Results struct {
 	// every other field.
 	LatencyHist obs.LatencySet
 
-	// Remap-cache (PRTc / SRC / MemPod remap) statistics for Figure 13.
+	// Remap-cache (PRTc / SRC / MemPod remap) statistics for Figure 13:
+	// those of the manager's RemapCache(), zero when it has none.
 	RemapCache hmc.MetaCacheStats
 
 	// PageSeer-only detail (zero value otherwise).
@@ -53,8 +54,8 @@ type Results struct {
 	PrefetchAccuracy float64
 	PCTc             hmc.MetaCacheStats
 
-	// SwapsPerKI is completed swap operations per kilo-instruction
-	// (Figure 11).
+	// SwapsPerKI is the swap engine's completed operations per
+	// kilo-instruction (Figure 11), for any installed scheme.
 	SwapsPerKI float64
 
 	// EventsFired counts engine events executed during the measured
@@ -164,16 +165,13 @@ func (s *System) collect(epochStart uint64) Results {
 	r.Latency = s.lat.Summary()
 	r.LatencyHist = *s.lat
 
-	switch {
-	case s.PageSeer != nil:
+	if m, ok := s.Ctl.Manager().(interface{ RemapCache() *hmc.MetaCache }); ok {
+		r.RemapCache = m.RemapCache().Stats()
+	}
+	if s.PageSeer != nil {
 		r.PS = s.PageSeer.Stats()
 		r.PrefetchAccuracy = s.PageSeer.PrefetchAccuracy()
-		r.RemapCache = s.PageSeer.RemapCache().Stats()
 		r.PCTc = s.PageSeer.PCTc().Stats()
-	case s.PoM != nil:
-		r.RemapCache = s.PoM.RemapCache().Stats()
-	case s.MemPod != nil:
-		r.RemapCache = s.MemPod.RemapCache().Stats()
 	}
 	swaps := s.completedSwaps()
 	if r.Instructions > 0 {

@@ -5,6 +5,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync/atomic"
@@ -182,9 +183,9 @@ type ObsOptions struct {
 	PageMap bool
 }
 
-// ManagerFactory builds a user-defined management scheme on a controller.
-// The factory must call ctl.SetManager (managers typically do so in their
-// constructors).
+// ManagerFactory builds a management scheme on a controller. Build
+// installs the manager it returns unless the factory already called
+// ctl.SetManager (managers typically do so in their constructors).
 type ManagerFactory func(ctl *hmc.Controller) hmc.Manager
 
 // DefaultConfig returns a laptop-scale configuration: 1/128 of the paper's
@@ -215,9 +216,7 @@ type System struct {
 	Cores []*cpu.Core
 	L2s   []*cache.Cache
 
-	PageSeer *core.PageSeer // nil unless Scheme is pageseer / nocorr
-	PoM      *pom.PoM       // nil unless pom
-	MemPod   *mempod.MemPod // nil unless mempod
+	PageSeer *core.PageSeer // nil unless the installed manager is a PageSeer
 
 	// Timeline and Tracer are the optional sinks selected by Config.Obs
 	// (nil when off). lat is always attached: see Config.Obs.
@@ -307,7 +306,8 @@ func BuildWithPageSeerConfig(cfg Config, pcfg core.Config) (*System, error) {
 
 // Build assembles a system for cfg.
 func Build(cfg Config) (*System, error) {
-	if err := cfg.Validate(); err != nil {
+	install, err := cfg.validate()
+	if err != nil {
 		return nil, err
 	}
 	if cfg.Scale < 1 {
@@ -354,16 +354,15 @@ func Build(cfg Config) (*System, error) {
 	if cfg.Obs.TimelineEvery > 0 {
 		sys.Timeline = obs.NewTimeline(cfg.Obs.TimelineEvery, sys.timelineCounters)
 	}
-	switch {
-	case cfg.customManager != nil:
-		if m := cfg.customManager(ctl); ctl.Manager() == nil {
-			ctl.SetManager(m)
-		}
-	default:
-		if err := installScheme(cfg, sys, ctl); err != nil {
-			return nil, err
-		}
+	if inj := check.NewInjector(cfg.Faults); inj != nil {
+		// Before the scheme: its metadata caches take the injector as the
+		// controller builds them.
+		ctl.SetInjector(inj)
 	}
+	if m := install(ctl); ctl.Manager() == nil {
+		ctl.SetManager(m)
+	}
+	sys.PageSeer, _ = ctl.Manager().(*core.PageSeer)
 	// The swap-unit observers key their rows by the scheme's swap unit.
 	if cfg.Obs.Ledger || cfg.Obs.CPI || sys.Tracer != nil {
 		// Trigger classing (hint-prefetched DRAM hit vs regular) needs swap
@@ -387,16 +386,8 @@ func Build(cfg Config) (*System, error) {
 	if sys.att != nil && sys.PageSeer != nil {
 		sys.PageSeer.SetAttrib(sys.att)
 	}
-	if inj := check.NewInjector(cfg.Faults); inj != nil {
-		// Wire after the manager so the scheme's metadata caches exist.
-		ctl.SetInjector(inj)
-		for _, mc := range sys.metaCaches() {
-			mc.SetInjector(inj)
-		}
-	}
 
-	l3cfg := cache.L3Config()
-	l3cfg.SizeBytes = scaleCache(l3cfg.SizeBytes, cfg.Scale, 64<<10)
+	l1cfg, l2cfg, l3cfg := cacheConfigs(cfg.Scale)
 	sys.L3 = cache.New(sm, l3cfg, ctl)
 
 	var hinter mmu.Hinter
@@ -420,11 +411,7 @@ func Build(cfg Config) (*System, error) {
 	for i := 0; i < nCores; i++ {
 		pid := pids[i]
 		osm.NewProcess(pid)
-		l2cfg := cache.L2Config()
-		l2cfg.SizeBytes = scaleCache(l2cfg.SizeBytes, cfg.Scale, 16<<10)
 		l2 := cache.New(sm, l2cfg, sys.L3)
-		l1cfg := cache.L1Config()
-		l1cfg.SizeBytes = scaleCache(l1cfg.SizeBytes, cfg.Scale, 4<<10)
 		l1 := cache.New(sm, l1cfg, l2)
 		m := mmu.New(sm, osm, i, pid, mcfg, l2, hinter)
 		c := cpu.NewCore(sm, i, pid, cfg.CoreConfig, m, l1, gens[i])
@@ -459,28 +446,44 @@ func (c ledgerCounters) SwapSettled(now uint64) {
 	c.t.Counter("ledger", "swaps-open", obs.TracePidSwap, now, "value", open)
 }
 
-func installScheme(cfg Config, sys *System, ctl *hmc.Controller) error {
+// resolveScheme maps cfg to the factory that installs its manager, after
+// checking the geometry of the metadata caches that manager builds. It is
+// the one function in sim that names a scheme's package, so adding or
+// retiring a scheme edits it and the scheme's own package.
+func (cfg Config) resolveScheme() (ManagerFactory, error) {
+	if cfg.customManager != nil {
+		return cfg.customManager, nil // the factory owns construction
+	}
+	scale := max(cfg.Scale, 1)
+	var install ManagerFactory
+	var err error
 	switch cfg.Scheme {
 	case SchemeStatic:
-		hmc.NewStatic(ctl)
+		install = func(ctl *hmc.Controller) hmc.Manager { return hmc.NewStatic(ctl) }
 	case SchemePageSeer, SchemePageSeerNoCorr:
-		var pcfg core.Config
+		pcfg := core.DefaultConfig().Scale(scale)
+		pcfg.NoCorr = cfg.Scheme == SchemePageSeerNoCorr
+		pcfg.BWOpt = !cfg.DisableBWOpt
 		if cfg.pageSeerCfg != nil {
 			pcfg = *cfg.pageSeerCfg
-		} else {
-			pcfg = core.DefaultConfig().Scale(cfg.Scale)
-			pcfg.NoCorr = cfg.Scheme == SchemePageSeerNoCorr
-			pcfg.BWOpt = !cfg.DisableBWOpt
 		}
-		sys.PageSeer = core.New(ctl, pcfg)
+		install = func(ctl *hmc.Controller) hmc.Manager { return core.New(ctl, pcfg) }
+		err = errors.Join(pcfg.PRTc().Validate(), pcfg.PCTc().Validate())
 	case SchemePoM:
-		sys.PoM = pom.New(ctl, pom.DefaultConfig().Scale(cfg.Scale))
+		pcfg := pom.DefaultConfig().Scale(scale)
+		install = func(ctl *hmc.Controller) hmc.Manager { return pom.New(ctl, pcfg) }
+		err = pcfg.SRC().Validate()
 	case SchemeMemPod:
-		sys.MemPod = mempod.New(ctl, mempod.DefaultConfig().Scale(cfg.Scale))
+		mcfg := mempod.DefaultConfig().Scale(scale)
+		install = func(ctl *hmc.Controller) hmc.Manager { return mempod.New(ctl, mcfg) }
+		err = mcfg.RemapCache().Validate()
 	default:
-		return fmt.Errorf("sim: unknown scheme %q", cfg.Scheme)
+		err = fmt.Errorf("unknown scheme %q", cfg.Scheme)
 	}
-	return nil
+	if err != nil {
+		return nil, err
+	}
+	return install, nil
 }
 
 // preTouch maps every process's footprint up front, interleaved round-robin
@@ -519,6 +522,16 @@ func scaleCache(size, scale int, floor int) int {
 		p *= 2
 	}
 	return p
+}
+
+// cacheConfigs returns the L1, L2 and L3 configs of a memory system scale
+// times smaller than the paper's.
+func cacheConfigs(scale int) (l1, l2, l3 cache.Config) {
+	l1, l2, l3 = cache.L1Config(), cache.L2Config(), cache.L3Config()
+	l1.SizeBytes = scaleCache(l1.SizeBytes, scale, 4<<10)
+	l2.SizeBytes = scaleCache(l2.SizeBytes, scale, 16<<10)
+	l3.SizeBytes = scaleCache(l3.SizeBytes, scale, 64<<10)
+	return l1, l2, l3
 }
 
 func scaleCount(n, scale, ways int) int {
@@ -634,23 +647,12 @@ func (s *System) resetStats() {
 	}
 	s.Ctl.ResetStats()
 	s.led.Reset() // nil-safe: no-op without the provenance ledger
-	s.Ctl.DRAM.ResetStats()
-	s.Ctl.NVM.ResetStats()
-	s.Ctl.Engine.ResetStats()
 	s.L3.ResetStats()
 	for i, c := range s.Cores {
 		c.MMU().ResetStats()
 		c.L1().ResetStats()
 		s.L2s[i].ResetStats()
 		c.MarkEpoch()
-	}
-	switch {
-	case s.PageSeer != nil:
-		s.PageSeer.ResetStats()
-	case s.PoM != nil:
-		s.PoM.ResetStats()
-	case s.MemPod != nil:
-		s.MemPod.ResetStats()
 	}
 }
 
@@ -686,20 +688,11 @@ func (s *System) totalInstructions() uint64 {
 	return n
 }
 
-// completedSwaps returns the scheme's completed swap/migration count since
-// the last stats reset — the numerator of Results.SwapsPerKI and the
-// timeline's swap counter, so the two always agree.
-func (s *System) completedSwaps() uint64 {
-	switch {
-	case s.PageSeer != nil:
-		return s.PageSeer.Stats().TotalSwaps()
-	case s.PoM != nil:
-		return s.PoM.Stats().Swaps
-	case s.MemPod != nil:
-		return s.MemPod.Stats().Migrations
-	}
-	return 0
-}
+// completedSwaps returns the swap engine's completed op count since the
+// last stats reset — whatever the scheme, the numerator of
+// Results.SwapsPerKI and the timeline's swap counter, so the two always
+// agree.
+func (s *System) completedSwaps() uint64 { return s.Ctl.Engine.Stats().OpsCompleted }
 
 // Watchdog thresholds: with the default timing parameters a run that is
 // alive moves data at least every few hundred cycles, so 25 consecutive

@@ -7,6 +7,7 @@ import (
 	"pageseer/internal/hmc"
 	"pageseer/internal/mem"
 	"pageseer/internal/mmu"
+	"pageseer/internal/pom"
 )
 
 // tinyConfig keeps driver tests fast.
@@ -182,21 +183,55 @@ func TestHintsOnlyForPageSeer(t *testing.T) {
 	}
 }
 
+// TestBuildWithManagerInstallsCustomScheme installs schemes through
+// factories. A factory that builds a named scheme reports what the named
+// run reports: the swap count comes from the swap engine and the remap
+// cache from the exchange core, whoever installed the manager.
 func TestBuildWithManagerInstallsCustomScheme(t *testing.T) {
-	installed := false
 	cfg := tinyConfig(SchemeStatic, "lbm")
-	sys, err := BuildWithManager(cfg, func(ctl *hmc.Controller) hmc.Manager {
-		installed = true
-		return hmc.NewStatic(ctl)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !installed {
-		t.Fatal("factory never invoked")
-	}
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		factory ManagerFactory
+		named   Scheme // "" = no named scheme to compare against
+	}{
+		{"static", func(ctl *hmc.Controller) hmc.Manager { return hmc.NewStatic(ctl) }, ""},
+		{"pom", func(ctl *hmc.Controller) hmc.Manager { return pom.New(ctl, pom.DefaultConfig().Scale(cfg.Scale)) }, SchemePoM},
+	} {
+		installed := false
+		sys, err := BuildWithManager(cfg, func(ctl *hmc.Controller) hmc.Manager {
+			installed = true
+			return tc.factory(ctl)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !installed {
+			t.Fatalf("%s: factory never invoked", tc.name)
+		}
+		got, err := sys.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.named == "" {
+			continue
+		}
+		named := cfg
+		named.Scheme = tc.named
+		sys, err = Build(named)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sys.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.SwapsPerKI == 0 {
+			t.Fatalf("%s: the named run swapped nothing; the comparison shows nothing", tc.name)
+		}
+		if got.SwapsPerKI != want.SwapsPerKI || got.RemapCache != want.RemapCache {
+			t.Errorf("%s: custom run SwapsPerKI %v, remap cache %+v; named run %v, %+v",
+				tc.name, got.SwapsPerKI, got.RemapCache, want.SwapsPerKI, want.RemapCache)
+		}
 	}
 }
 

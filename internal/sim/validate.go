@@ -1,13 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
-	"pageseer/internal/cache"
-	"pageseer/internal/core"
-	"pageseer/internal/hmc"
-	"pageseer/internal/mempod"
-	"pageseer/internal/pom"
 	"pageseer/internal/workload"
 )
 
@@ -18,7 +14,16 @@ import (
 // construction. Normalisations Build applies silently (Scale<1 becomes 1, a
 // zero CoreConfig takes the default) are not errors here either.
 func (cfg Config) Validate() error {
-	fail := func(err error) error { return fmt.Errorf("sim: invalid config: %w", err) }
+	_, err := cfg.validate()
+	return err
+}
+
+// validate is Validate that also returns the factory resolveScheme made
+// for cfg, the one Build installs.
+func (cfg Config) validate() (ManagerFactory, error) {
+	fail := func(err error) (ManagerFactory, error) {
+		return nil, fmt.Errorf("sim: invalid config: %w", err)
+	}
 
 	if _, ok := workload.MixByName(cfg.Workload); !ok {
 		if _, err := workload.ProfileByName(cfg.Workload); err != nil {
@@ -52,62 +57,13 @@ func (cfg Config) Validate() error {
 		return fail(fmt.Errorf("sample window/warmup set but sampling is off (sample=0)"))
 	}
 
-	scale := cfg.Scale
-	if scale < 1 {
-		scale = 1
+	l1, l2, l3 := cacheConfigs(max(cfg.Scale, 1))
+	if err := errors.Join(l1.Validate(), l2.Validate(), l3.Validate()); err != nil {
+		return fail(err)
 	}
-	// The scaled hierarchy: scaleCache keeps sizes power-of-two multiples of
-	// the floors, so these only fail when a future change breaks that
-	// contract — but checking them here keeps the diagnosis a one-liner.
-	for _, base := range []struct {
-		cfg   cache.Config
-		floor int
-	}{
-		{cache.L1Config(), 4 << 10},
-		{cache.L2Config(), 16 << 10},
-		{cache.L3Config(), 64 << 10},
-	} {
-		c := base.cfg
-		c.SizeBytes = scaleCache(c.SizeBytes, scale, base.floor)
-		if err := c.Validate(); err != nil {
-			return fail(err)
-		}
+	install, err := cfg.resolveScheme()
+	if err != nil {
+		return fail(err)
 	}
-
-	if cfg.customManager != nil {
-		return nil // scheme checks don't apply; the factory owns construction
-	}
-	switch cfg.Scheme {
-	case SchemeStatic:
-	case SchemePageSeer, SchemePageSeerNoCorr:
-		var pcfg core.Config
-		if cfg.pageSeerCfg != nil {
-			pcfg = *cfg.pageSeerCfg
-		} else {
-			pcfg = core.DefaultConfig().Scale(scale)
-		}
-		for _, mc := range []hmc.MetaCacheConfig{
-			{Name: "PRTc", Entries: pcfg.PRTcEntries, Ways: pcfg.PRTcWays, EntriesPerLine: 18},
-			{Name: "PCTc", Entries: pcfg.PCTcEntries, Ways: pcfg.PCTcWays, EntriesPerLine: 6},
-		} {
-			if err := mc.Validate(); err != nil {
-				return fail(err)
-			}
-		}
-	case SchemePoM:
-		pcfg := pom.DefaultConfig().Scale(scale)
-		mc := hmc.MetaCacheConfig{Name: "SRC", Entries: pcfg.SRCEntries, Ways: pcfg.SRCWays}
-		if err := mc.Validate(); err != nil {
-			return fail(err)
-		}
-	case SchemeMemPod:
-		mcfg := mempod.DefaultConfig().Scale(scale)
-		mc := hmc.MetaCacheConfig{Name: "remap", Entries: mcfg.RemapEntries, Ways: mcfg.RemapWays}
-		if err := mc.Validate(); err != nil {
-			return fail(err)
-		}
-	default:
-		return fail(fmt.Errorf("unknown scheme %q", cfg.Scheme))
-	}
-	return nil
+	return install, nil
 }

@@ -58,8 +58,11 @@ func TestBuildSurfacesValidateError(t *testing.T) {
 }
 
 // FuzzConfigValidate drives Validate with arbitrary flag combinations: it
-// must never panic, always wrap its diagnosis, and never reject a config
-// that Build would accept (nor accept one Build refuses for config reasons).
+// must never panic, always wrap its diagnosis, and pass only configs Build
+// accepts. Validate and Build resolve the scheme and scale the caches
+// through the same functions (resolveScheme, cacheConfigs), so the two
+// cannot disagree on a declared geometry; the fuzz target catches a
+// construction failure that no declared check covers.
 func FuzzConfigValidate(f *testing.F) {
 	f.Add("lbm", "pageseer", 128, 0, 0)
 	f.Add("mix6", "pom", 1, 4, 16)

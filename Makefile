@@ -3,16 +3,15 @@
 
 GO ?= go
 
-.PHONY: tier1 fmt vet build test race bench-test benchsmoke bench bench-record layers allocguard benchguard effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke invariants chaos-smoke chaos resume-smoke fuzz-validate trace-demo
+.PHONY: tier1 fmt vet build test race bench-test benchsmoke bench bench-record layers allocguard benchguard effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke invariants chaos-smoke chaos fuzz-validate trace-demo
 
 ## tier1: the full pre-PR gate — gofmt, vet, build, race-enabled tests, a
 ## one-shot figure-campaign smoke bench, the alloc-budget guards, the
 ## bench/ regression gate against BENCH_bench.json, the swap-provenance
 ## effectiveness smoke, the cycle-attribution smoke, the address-space
 ## telemetry smoke, the sampled-execution accuracy/speedup gate, the
-## invariant-audit gate, a fault-injection smoke run, and the
-## kill-and-resume durability gate.
-tier1: fmt vet build race bench-test benchsmoke allocguard benchguard effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke invariants chaos-smoke resume-smoke
+## invariant-audit gate, and a fault-injection smoke run.
+tier1: fmt vet build race bench-test benchsmoke allocguard benchguard effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke invariants chaos-smoke
 
 ## fmt: fail if any tracked Go file is not gofmt-formatted.
 fmt:
@@ -145,14 +144,6 @@ chaos-smoke:
 ## audits on) under the race detector.
 chaos:
 	PAGESEER_CHAOS=1 $(GO) test -race -run 'TestChaosMatrix|TestChaosSmoke' -count=1 ./internal/sim
-
-## resume-smoke: the durability gate — SIGKILL a journaled quick
-## paper-figures campaign and a journaled pageseer-sim invocation mid-way,
-## resume each with -resume (completed runs replay from the journal, only
-## the casualties re-execute), and require each resumed output to be
-## byte-identical to an uninterrupted reference.
-resume-smoke:
-	GO="$(GO)" sh scripts/resume_smoke.sh
 
 ## fuzz-validate: fuzz Config.Validate — it must never panic and never
 ## disagree with Build.

@@ -19,7 +19,6 @@
 // prints the per-trigger swap mix, accuracy/coverage, wasted transfer
 // bytes, and MMU-hint lead times; -cpi attaches the cycle-attribution layer
 // and prints a per-run CPI-stack table (export it with -cpi-csv/-cpi-json);
-// -journal makes the invocation resumable like a paper-figures campaign;
 // -fault adds a "faults:" line counting what the injector forced, and
 // -audit a "watchdog:" line with the liveness watchdog's samples; -trace
 // writes swap-lifecycle spans and MMU-hint causality arrows in Chrome Trace Event
@@ -27,13 +26,12 @@
 // swap activity, and queue occupancy every -timeline-every cycles into CSV
 // (or JSON when the path ends in .json).
 // With multiple workloads each run writes its own file, the workload name
-// inserted before the extension (trace.json -> trace-lbm.json). A run
-// replayed from a -journal has no system to write these files from, so
-// -journal cannot combine with them.
+// inserted before the extension (trace.json -> trace-lbm.json).
 //
 // Every run goes through the same figures.Runner paper-figures uses, so
-// -j, -run-timeout, -journal and the signal handling behave alike in both
-// commands.
+// -j, -run-timeout and the signal handling behave alike in both commands.
+// The first SIGINT lets in-flight runs finish and starts no more; runs are
+// deterministic, so rerunning the same command repeats the invocation.
 //
 // Usage:
 //
@@ -44,7 +42,6 @@
 //	pageseer-sim -workload all -j 8
 //	pageseer-sim -workload lbm -trace trace.json -timeline tl.csv
 //	pageseer-sim -workload GemsFDTD -cpi -cpi-csv cpi.csv
-//	pageseer-sim -workload all -j 8 -journal camp
 package main
 
 import (
@@ -94,12 +91,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Flag-combination validation up front, before any run starts.
-	if common.Journal != "" && files.any() {
-		fmt.Fprintln(stderr, "error: -journal cannot be combined with -trace/-timeline/-pagemap-csv/-json: a run replayed from the journal has no system to write them from")
-		return 2
-	}
-	if err := common.CheckResume(); err != nil {
+	cfg := pageseer.DefaultConfig()
+	if err := common.ApplyConfig(&cfg); err != nil {
 		fmt.Fprintln(stderr, "error:", err)
 		return 2
 	}
@@ -124,11 +117,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	files.multi = len(wls) > 1
 
-	cfg := pageseer.DefaultConfig()
-	if err := common.ApplyConfig(&cfg); err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 2
-	}
 	cfg.Obs.Trace = files.trace != ""
 	if *cpiCSV != "" || *cpiJSON != "" {
 		*cpi = true
@@ -140,11 +128,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Obs.TimelineEvery = *tlEvery
 	}
 
-	s, err := common.Open(pageseer.FigureOptions{Config: cfg, Workloads: wls}, stderr)
-	if err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
+	s := common.Open(pageseer.FigureOptions{Config: cfg, Workloads: wls}, stderr)
 	keys := make([]pageseer.FigureKey, len(wls))
 	for i, w := range wls {
 		keys[i] = pageseer.FigureKey{Workload: w, Scheme: pageseer.Scheme(*scheme), DisableBW: *nobw}
@@ -157,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Reports print in argument order, successes to stdout; a failed run's
 	// *RunError is listed with its crashdump by Finish, and runs a signal
-	// kept from starting by its resume hint, so only other errors print
+	// kept from starting by its stop message, so only other errors print
 	// here.
 	failed := false
 	for i := range wls {

@@ -104,8 +104,8 @@ func scanLine(out, format string, args ...any) bool {
 
 // TestInterruptStopsQueuedRuns sends SIGINT to a serial multi-workload
 // run once its first run has finished: the session's handler lets the
-// in-flight run finish, starts no further run, prints the resume hint and
-// exits 1, and every finished run still prints its report.
+// in-flight run finish, starts no further run, prints how many runs
+// finished and exits 1, and every finished run still prints its report.
 func TestInterruptStopsQueuedRuns(t *testing.T) {
 	// While registered, this channel also keeps a SIGINT from killing the
 	// test binary if it lands outside the session's handler.
@@ -138,10 +138,13 @@ func TestInterruptStopsQueuedRuns(t *testing.T) {
 	if code := <-done; code != 1 {
 		t.Fatalf("interrupted run exited %d, want 1; stderr:\n%s", code, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), "stopped") {
-		t.Errorf("no stopped hint on stderr:\n%s", stderr.String())
-	}
 	out := stdout.String()
+	var finished int
+	if !scanLine(stderr.String(), "stopped: %d run(s) finished; rerunning the same command repeats the campaign from the start", &finished) {
+		t.Errorf("no stop message on stderr:\n%s", stderr.String())
+	} else if reported := strings.Count(out, "workload "); finished != reported {
+		t.Errorf("stop message counts %d finished runs, %d reports printed", finished, reported)
+	}
 	if !strings.Contains(out, "workload "+wls[0]+" ") {
 		t.Errorf("the run finished before the signal printed no report:\n%s", out)
 	}
@@ -157,17 +160,26 @@ func TestInterruptStopsQueuedRuns(t *testing.T) {
 	}
 }
 
-// TestJournalRejectsPerRunFiles: a run replayed from a journal has no
-// system to write files from, so -journal with a per-run sink is a usage
-// error.
-func TestJournalRejectsPerRunFiles(t *testing.T) {
-	dir := t.TempDir()
-	var stdout, stderr syncBuffer
-	args := []string{"-workload", "lbm", "-journal", filepath.Join(dir, "j"), "-trace", filepath.Join(dir, "t.json")}
-	if code := run(args, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit %d, want 2; stderr:\n%s", code, stderr.String())
-	}
-	if _, err := os.Stat(filepath.Join(dir, "j")); !os.IsNotExist(err) {
-		t.Fatalf("rejected invocation still created its journal (%v)", err)
+// TestUsageErrorsExit2: negative values of the int flags that treat 0 as
+// "default", and an unknown fault kind, are usage errors caught before any
+// run starts.
+func TestUsageErrorsExit2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scale", "-4"},
+		{"-maxcores", "-2"},
+		{"-j", "-1"},
+		{"-scale", "-4", "-maxcores", "-2", "-j", "-1"},
+		{"-fault", "no-such-fault"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			var stdout, stderr syncBuffer
+			args := append([]string{"-workload", "lbm", "-instr", "20000", "-warmup", "20000", "-maxcores", "2"}, args...)
+			if code := run(args, &stdout, &stderr); code != 2 {
+				t.Fatalf("exit %d, want 2; stderr:\n%s", code, stderr.String())
+			}
+			if out := stdout.String(); out != "" {
+				t.Fatalf("a rejected invocation printed a report:\n%s", out)
+			}
+		})
 	}
 }

@@ -11,7 +11,11 @@
 //	paper-figures -fig7 -fig8 -scale 64 -instr 4000000 -warmup 2000000
 //	paper-figures -workloads lbm,miniFE,mix6 -fig14
 //	paper-figures -quick -effectiveness -effectiveness-csv eff.csv
-//	paper-figures -all -journal camp  # crash-safe; add -resume to continue it
+//
+// The first SIGINT lets in-flight runs finish and starts no more; a second
+// aborts them into crashdumps. Runs are deterministic, so rerunning the
+// same command repeats the campaign: the full grid takes about a minute on
+// two cores (see EXPERIMENTS.md).
 package main
 
 import (
@@ -26,65 +30,73 @@ import (
 	"pageseer/internal/figures"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run executes the invocation and returns its exit status: 0 on success, 1
 // on a failed run or campaign, 2 on a usage error.
-func run() int {
-	common := cli.Register(flag.CommandLine)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paper-figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	common := cli.Register(fs)
 	var (
-		all   = flag.Bool("all", false, "regenerate everything")
-		quick = flag.Bool("quick", false, "reduced campaign (subset of workloads, small budgets)")
+		all   = fs.Bool("all", false, "regenerate everything")
+		quick = fs.Bool("quick", false, "reduced campaign (subset of workloads, small budgets)")
 
-		table1 = flag.Bool("table1", false, "Table I: system configuration")
-		table2 = flag.Bool("table2", false, "Table II: PageSeer parameters and energy")
-		table3 = flag.Bool("table3", false, "Table III: workloads")
-		fig7   = flag.Bool("fig7", false, "Figure 7: service-source breakdown")
-		fig8   = flag.Bool("fig8", false, "Figure 8: positive/negative/neutral accesses")
-		fig9   = flag.Bool("fig9", false, "Figure 9: prefetch-swap accuracy")
-		fig10  = flag.Bool("fig10", false, "Figure 10: swap composition")
-		fig11  = flag.Bool("fig11", false, "Figure 11: swap rate with/without BW heuristic")
-		fig12  = flag.Bool("fig12", false, "Figure 12: page-walk PTE statistics")
-		fig13  = flag.Bool("fig13", false, "Figure 13: remap-cache waiting time vs PoM")
-		fig14  = flag.Bool("fig14", false, "Figure 14: IPC and AMMAT normalised to MemPod")
-		abl    = flag.Bool("ablation", false, "Section V-C: PageSeer vs PageSeer-NoCorr")
-		lat    = flag.Bool("latency", false, "per-source HMC service-latency percentiles (PageSeer)")
+		table1 = fs.Bool("table1", false, "Table I: system configuration")
+		table2 = fs.Bool("table2", false, "Table II: PageSeer parameters and energy")
+		table3 = fs.Bool("table3", false, "Table III: workloads")
+		fig7   = fs.Bool("fig7", false, "Figure 7: service-source breakdown")
+		fig8   = fs.Bool("fig8", false, "Figure 8: positive/negative/neutral accesses")
+		fig9   = fs.Bool("fig9", false, "Figure 9: prefetch-swap accuracy")
+		fig10  = fs.Bool("fig10", false, "Figure 10: swap composition")
+		fig11  = fs.Bool("fig11", false, "Figure 11: swap rate with/without BW heuristic")
+		fig12  = fs.Bool("fig12", false, "Figure 12: page-walk PTE statistics")
+		fig13  = fs.Bool("fig13", false, "Figure 13: remap-cache waiting time vs PoM")
+		fig14  = fs.Bool("fig14", false, "Figure 14: IPC and AMMAT normalised to MemPod")
+		abl    = fs.Bool("ablation", false, "Section V-C: PageSeer vs PageSeer-NoCorr")
+		lat    = fs.Bool("latency", false, "per-source HMC service-latency percentiles (PageSeer)")
 
-		effectCSV    = flag.String("effectiveness-csv", "", "write the effectiveness table to this CSV file (implies -effectiveness)")
-		effectJSON   = flag.String("effectiveness-json", "", "write the effectiveness table (with lead-time histograms) to this JSON file (implies -effectiveness)")
-		cpistack     = flag.Bool("cpistack", false, "cycle-attribution CPI-stack table incl. the static baseline (attaches attribution to every run; not part of -all)")
-		cpistackCSV  = flag.String("cpistack-csv", "", "write the CPI-stack table to this CSV file (implies -cpistack)")
-		cpistackJSON = flag.String("cpistack-json", "", "write the CPI-stack table (with per-trigger-class splits) to this JSON file (implies -cpistack)")
-		churn        = flag.Bool("churn", false, "address-space churn table: hot-set sizes, swap churn, flaps, NVM wear (attaches the pagemap to every run; not part of -all)")
-		churnCSV     = flag.String("churn-csv", "", "write the churn table to this CSV file (implies -churn)")
-		churnJSON    = flag.String("churn-json", "", "write the churn table (with reuse histograms and leaderboards) to this JSON file (implies -churn)")
+		effectCSV    = fs.String("effectiveness-csv", "", "write the effectiveness table to this CSV file (implies -effectiveness)")
+		effectJSON   = fs.String("effectiveness-json", "", "write the effectiveness table (with lead-time histograms) to this JSON file (implies -effectiveness)")
+		cpistack     = fs.Bool("cpistack", false, "cycle-attribution CPI-stack table incl. the static baseline (attaches attribution to every run; not part of -all)")
+		cpistackCSV  = fs.String("cpistack-csv", "", "write the CPI-stack table to this CSV file (implies -cpistack)")
+		cpistackJSON = fs.String("cpistack-json", "", "write the CPI-stack table (with per-trigger-class splits) to this JSON file (implies -cpistack)")
+		churn        = fs.Bool("churn", false, "address-space churn table: hot-set sizes, swap churn, flaps, NVM wear (attaches the pagemap to every run; not part of -all)")
+		churnCSV     = fs.String("churn-csv", "", "write the churn table to this CSV file (implies -churn)")
+		churnJSON    = fs.String("churn-json", "", "write the churn table (with reuse histograms and leaderboards) to this JSON file (implies -churn)")
 
-		workloads = flag.String("workloads", "", "comma-separated workload subset")
-		quiet     = flag.Bool("quiet", false, "suppress per-run progress")
+		workloads = fs.String("workloads", "", "comma-separated workload subset")
+		quiet     = fs.Bool("quiet", false, "suppress per-run progress")
 	)
-	flag.Parse()
-	effect := &common.Effectiveness
-
-	stopProfiles, err := common.StartProfiles()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		return 1
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	defer stopProfiles()
+	effect := &common.Effectiveness
 
 	opts := figures.DefaultOptions()
 	if *quick {
 		opts = figures.QuickOptions()
 	}
 	if err := common.ApplyConfig(&opts.Config); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
+		fmt.Fprintln(stderr, "error:", err)
 		return 2
 	}
+
+	stopProfiles, err := common.StartProfiles()
+	if err != nil {
+		fmt.Fprintln(stderr, "error:", err)
+		return 1
+	}
+	defer stopProfiles()
+
 	if *workloads != "" {
 		opts.Workloads = strings.Split(*workloads, ",")
 	}
 	if !*quiet {
-		opts.Progress = os.Stderr
+		opts.Progress = stderr
 	}
 	obs := &opts.Config.Obs
 	if *effectCSV != "" || *effectJSON != "" {
@@ -114,42 +126,28 @@ func run() int {
 		*fig7, *fig8, *fig9, *fig10, *fig11, *fig12, *fig13, *fig14, *abl, *lat =
 			true, true, true, true, true, true, true, true, true, true
 	} else if !anyFigure && !anyTable {
-		flag.Usage()
+		fs.Usage()
 		return 2
 	}
 
 	if *table1 {
-		fmt.Println(figures.Table1(opts.Config.Scale))
+		fmt.Fprintln(stdout, figures.Table1(opts.Config.Scale))
 	}
 	if *table2 {
-		fmt.Println(figures.Table2(opts.Config.Scale))
+		fmt.Fprintln(stdout, figures.Table2(opts.Config.Scale))
 	}
 	if *table3 {
-		fmt.Println(figures.Table3())
+		fmt.Fprintln(stdout, figures.Table3())
 	}
 
-	// fail reports a campaign-level error; once the session is open, it
-	// also ends it, so failed runs still get their crashdumps.
-	var s *cli.Session
+	// The session arms the two-stage signal handler; fail reports a
+	// campaign-level error and ends the session, so failed runs still get
+	// their crashdumps.
+	s := common.Open(opts, stderr)
 	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		if s != nil {
-			s.Finish(true)
-		}
+		fmt.Fprintln(stderr, "error:", err)
+		s.Finish(true)
 		return 1
-	}
-
-	// The session opens the campaign journal (which makes the grid
-	// crash-safe: completed runs are fsynced as they finish, and -resume
-	// replays them instead of re-executing) and arms the two-stage signal
-	// handler.
-	if err := common.CheckResume(); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		return 2
-	}
-	s, err = common.Open(opts, os.Stderr)
-	if err != nil {
-		return fail(err)
 	}
 	r := s.Runner
 
@@ -179,7 +177,7 @@ func run() int {
 	// then churn.
 	outputs := []struct {
 		on    bool
-		print func(*figures.Runner) error
+		print func(*figures.Runner, io.Writer) error
 	}{
 		{*fig7, show(figures.Figure7, figures.RenderFigure7)},
 		{*fig8, show(figures.Figure8, figures.RenderFigure8)},
@@ -200,7 +198,7 @@ func run() int {
 	}
 	for _, o := range outputs {
 		if o.on {
-			if err := o.print(r); err != nil {
+			if err := o.print(r, stdout); err != nil {
 				return fail(err)
 			}
 		}
@@ -212,14 +210,14 @@ func run() int {
 	return s.Finish(false)
 }
 
-// show builds one figure from the campaign and prints it.
-func show[T any](build func(*figures.Runner) (T, error), render func(T) string) func(*figures.Runner) error {
-	return func(r *figures.Runner) error {
+// show builds one figure from the campaign and prints it to w.
+func show[T any](build func(*figures.Runner) (T, error), render func(T) string) func(*figures.Runner, io.Writer) error {
+	return func(r *figures.Runner, w io.Writer) error {
 		rows, err := build(r)
 		if err != nil {
 			return err
 		}
-		fmt.Println(render(rows))
+		fmt.Fprintln(w, render(rows))
 		return nil
 	}
 }
@@ -227,13 +225,13 @@ func show[T any](build func(*figures.Runner) (T, error), render func(T) string) 
 // table is show for a table that also writes its rows to the CSV and JSON
 // files named (none when empty).
 func table[T any](build func(*figures.Runner) ([]T, error), render func([]T) string,
-	csvPath string, csv func(io.Writer, []T) error, jsonPath string, json func(io.Writer, []T) error) func(*figures.Runner) error {
-	return func(r *figures.Runner) error {
+	csvPath string, csv func(io.Writer, []T) error, jsonPath string, json func(io.Writer, []T) error) func(*figures.Runner, io.Writer) error {
+	return func(r *figures.Runner, w io.Writer) error {
 		rows, err := build(r)
 		if err != nil {
 			return err
 		}
-		fmt.Println(render(rows))
+		fmt.Fprintln(w, render(rows))
 		return cli.WriteTable(rows, csvPath, csv, jsonPath, json)
 	}
 }

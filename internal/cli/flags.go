@@ -6,7 +6,6 @@
 package cli
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -31,8 +30,6 @@ type Flags struct {
 	SampleWarmup  uint64
 	Audit         bool
 	CrashdumpDir  string
-	Journal       string
-	Resume        bool
 	RunTimeout    time.Duration
 	Effectiveness bool
 
@@ -60,21 +57,11 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.Float64Var(&f.faultRate, "fault-rate", 0, "fault trigger probability per decision point (0 = kind default)")
 	fs.Uint64Var(&f.faultSeed, "fault-seed", 1, "fault-injection RNG seed")
 	fs.StringVar(&f.CrashdumpDir, "crashdump-dir", ".", "directory for per-run crashdump files on failure")
-	fs.StringVar(&f.Journal, "journal", "", "campaign journal directory: every completed run is appended and fsynced there, so a killed invocation can be resumed with -resume")
-	fs.BoolVar(&f.Resume, "resume", false, "resume the invocation journaled in -journal: completed runs replay from the journal, only unfinished runs execute")
 	fs.DurationVar(&f.RunTimeout, "run-timeout", 0, "per-run wall-clock limit (e.g. 10m); a run exceeding it is aborted and fails with a crashdump")
 	fs.BoolVar(&f.Effectiveness, "effectiveness", false, "attach the swap-provenance ledger to every run and print per-trigger swap effectiveness")
 	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&f.memProfile, "memprofile", "", "write a pprof heap profile to this file on exit")
 	return f
-}
-
-// CheckResume rejects -resume without -journal.
-func (f *Flags) CheckResume() error {
-	if f.Resume && f.Journal == "" {
-		return errors.New("-resume requires -journal (the directory holding the journal to resume)")
-	}
-	return nil
 }
 
 // faults returns the fault-injection plan -fault, -fault-rate and
@@ -89,8 +76,13 @@ func (f *Flags) faults() (check.FaultPlan, error) {
 
 // ApplyConfig sets a run's shape from the flags: scale, budgets and the
 // core cap only when given (nonzero), since the caller's template may set
-// its own; everything else as parsed.
+// its own; everything else as parsed. It rejects a negative -scale,
+// -maxcores or -j, which would otherwise fall back to the default
+// silently.
 func (f *Flags) ApplyConfig(cfg *sim.Config) error {
+	if f.Scale < 0 || f.MaxCores < 0 || f.Jobs < 0 {
+		return fmt.Errorf("-scale %d, -maxcores %d, -j %d: none may be negative", f.Scale, f.MaxCores, f.Jobs)
+	}
 	plan, err := f.faults()
 	if err != nil {
 		return err
@@ -116,19 +108,25 @@ func setIf[T int | uint64](dst *T, v T) {
 // returns the function that stops it and writes the -memprofile heap
 // profile; the caller defers it.
 func (f *Flags) StartProfiles() (stop func(), err error) {
-	stopCPU := func() {}
+	stopCPU := func() error { return nil }
 	if f.cpuProfile != "" {
 		out, err := os.Create(f.cpuProfile)
 		if err != nil {
 			return nil, err
 		}
 		if err := pprof.StartCPUProfile(out); err != nil {
+			out.Close()
 			return nil, err
 		}
-		stopCPU = pprof.StopCPUProfile
+		stopCPU = func() error {
+			pprof.StopCPUProfile()
+			return out.Close()
+		}
 	}
 	return func() {
-		stopCPU()
+		if err := stopCPU(); err != nil {
+			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
+		}
 		if err := writeHeapProfile(f.memProfile); err != nil {
 			fmt.Fprintln(os.Stderr, "memprofile:", err)
 		}
@@ -143,7 +141,10 @@ func writeHeapProfile(path string) error {
 	if err != nil {
 		return err
 	}
-	defer out.Close()
 	runtime.GC()
-	return pprof.WriteHeapProfile(out)
+	if err := pprof.WriteHeapProfile(out); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }

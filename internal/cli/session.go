@@ -14,43 +14,29 @@ import (
 )
 
 // Session is one invocation's run lifecycle around its figures.Runner: the
-// -journal journal, the two-stage SIGINT/SIGTERM handler, and the
-// end-of-run failure report.
+// two-stage SIGINT/SIGTERM handler and the end-of-run failure report.
 type Session struct {
 	Runner *figures.Runner
 
 	flags   *Flags
 	stderr  io.Writer
-	journal *figures.Journal
 	unwatch context.CancelFunc
 	done    chan struct{}  // closed by Finish: the signal handler stops
 	exited  sync.WaitGroup // the signal handler
 }
 
-// Open starts the lifecycle of a campaign over opts: it opens the -journal
-// journal (noting a resume on stderr), builds the runner with -j and
-// -run-timeout, and arms the signal handler. Every successful Open is
-// ended by Finish.
-func (f *Flags) Open(opts figures.Options, stderr io.Writer) (*Session, error) {
+// Open starts the lifecycle of a campaign over opts: it builds the runner
+// with -j and -run-timeout and arms the signal handler. Every Open is ended
+// by Finish.
+func (f *Flags) Open(opts figures.Options, stderr io.Writer) *Session {
 	s := &Session{flags: f, stderr: stderr, done: make(chan struct{})}
-	if f.Journal != "" {
-		j, err := figures.OpenJournal(f.Journal, figures.CampaignHash(opts), f.Resume)
-		if err != nil {
-			return nil, err
-		}
-		if f.Resume {
-			fmt.Fprintf(stderr, "journal: resuming from %s — %d run(s) already complete\n", f.Journal, j.Completed())
-		}
-		s.journal = j
-		opts.Journal = j
-	}
 	opts.Parallelism = f.Jobs
 	opts.RunTimeout = f.RunTimeout
 	s.Runner = figures.NewRunner(opts)
 
 	// Graceful shutdown: the first SIGINT/SIGTERM stops launching new runs
-	// while in-flight runs finish (and journal); a second signal aborts the
-	// in-flight runs at their next event boundary, so they fail into
+	// while in-flight runs finish; a second signal aborts the in-flight
+	// runs at their next event boundary, so they fail into
 	// crashdump-carrying *sim.RunErrors instead of being lost silently.
 	signals, unwatch := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	s.unwatch = unwatch
@@ -74,34 +60,26 @@ func (f *Flags) Open(opts figures.Options, stderr io.Writer) (*Session, error) {
 		case <-s.done:
 		}
 	}()
-	return s, nil
+	return s
 }
 
-// Finish ends the invocation. It closes the journal, prints a resume hint
-// if a signal stopped the runner, and lists every failed run on stderr,
-// writing its crashdump into -crashdump-dir. It then disarms the signal
-// handler and returns once the handler has stopped. failed reports a
-// failure the caller saw itself. Finish returns the exit status: 1 on a
-// stop or any failure, else 0.
+// Finish ends the invocation. If a signal stopped the runner, it says how
+// many runs finished and that rerunning the command repeats the campaign
+// (runs are deterministic, so a rerun reproduces them). It lists every
+// failed run on stderr, writing its crashdump into -crashdump-dir, then
+// disarms the signal handler and returns once the handler has stopped.
+// failed reports a failure the caller saw itself. Finish returns the exit
+// status: 1 on a stop or any failure, else 0.
 func (s *Session) Finish(failed bool) int {
 	defer func() {
 		close(s.done)
 		s.exited.Wait()
 		s.unwatch()
 	}()
-	if s.journal != nil {
-		if err := s.journal.Close(); err != nil {
-			fmt.Fprintln(s.stderr, "journal:", err)
-		}
-	}
 	if s.Runner.Stopping() {
 		failed = true
-		if s.journal != nil {
-			fmt.Fprintf(s.stderr, "stopped: %d run(s) journaled; resume with the same flags plus: -journal %s -resume\n",
-				s.journal.Completed(), s.flags.Journal)
-		} else {
-			fmt.Fprintln(s.stderr, "stopped; hint: -journal DIR makes interrupted invocations resumable")
-		}
+		fmt.Fprintf(s.stderr, "stopped: %d run(s) finished; rerunning the same command repeats the campaign from the start\n",
+			s.Runner.Finished())
 	}
 	if fails := s.Runner.Failures(); len(fails) > 0 {
 		failed = true

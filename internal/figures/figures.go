@@ -47,11 +47,6 @@ type Options struct {
 	// exceeds it is aborted at the next event boundary and fails with a
 	// *sim.RunError (a campaign gap), never hanging the campaign.
 	RunTimeout time.Duration
-	// Journal, when non-nil, makes the campaign crash-safe: every
-	// completed run is appended (and fsynced) to the journal, and runs
-	// already journaled are replayed from it instead of re-executed. See
-	// OpenJournal.
-	Journal *Journal
 }
 
 // DefaultOptions runs the full 26-workload campaign at the default
@@ -72,16 +67,6 @@ func QuickOptions() Options {
 	o.Config.MaxCores = 4
 	o.Workloads = []string{"lbm", "GemsFDTD", "miniFE", "barnes", "mix6"}
 	return o
-}
-
-// configFor resolves one run key to its full sim.Config: the template with
-// the key's scheme, workload and bandwidth-heuristic switch. It is the
-// resolution simulate executes and the journal hashes, so a journal record
-// can be verified against exactly what would run.
-func (o Options) configFor(k Key) sim.Config {
-	cfg := o.Config
-	cfg.Scheme, cfg.Workload, cfg.DisableBWOpt = k.Scheme, k.Workload, k.DisableBW
-	return cfg
 }
 
 // Key names one run: a workload under a scheme, with PageSeer's Swap
@@ -108,9 +93,6 @@ type runEntry struct {
 	done chan struct{}
 	res  sim.Results
 	err  error
-	// fromJournal marks entries replayed from the campaign journal rather
-	// than simulated in this process.
-	fromJournal bool
 }
 
 // Runner executes and memoises simulation runs so every figure sharing a
@@ -134,9 +116,9 @@ type Runner struct {
 	next       int
 
 	// Graceful shutdown: Stop flips stopped, after which no new run starts
-	// (they fail fast with ErrStopped) while in-flight runs finish and
-	// journal normally. AbortActive additionally interrupts the in-flight
-	// runs at their next event boundary.
+	// (they fail fast with ErrStopped) while in-flight runs finish
+	// normally. AbortActive additionally interrupts the in-flight runs at
+	// their next event boundary.
 	stopped  atomic.Bool
 	activeMu sync.Mutex
 	active   map[*sim.System]struct{}
@@ -145,12 +127,12 @@ type Runner struct {
 // ErrStopped is the error runs fail with when they were not yet started at
 // the moment the campaign was stopped (Stop). It is a campaign-level error,
 // not a run gap: Prefetch returns it so CLIs can exit non-zero with a
-// resume hint.
+// stop message.
 var ErrStopped = errors.New("figures: campaign stopped before this run started")
 
 // Stop prevents any not-yet-started run from launching. In-flight runs
-// finish normally (and are journaled); runs that have not begun fail fast
-// with ErrStopped. Safe to call from a signal handler goroutine.
+// finish normally; runs that have not begun fail fast with ErrStopped.
+// Safe to call from a signal handler goroutine.
 func (r *Runner) Stop() { r.stopped.Store(true) }
 
 // Stopping reports whether Stop has been called.
@@ -221,23 +203,6 @@ func (r *Runner) run(k Key, sink func(*sim.System) error) (sim.Results, error) {
 		r.emitProgress(k, e)
 	}()
 
-	// Replay from the journal: a run completed by an earlier (crashed or
-	// interrupted) campaign is not re-executed — unless its recorded
-	// configuration no longer matches, which is refused outright rather
-	// than silently mixing two campaigns' numbers.
-	if j := r.opts.Journal; j != nil {
-		if rec, ok := j.lookup(k); ok {
-			want := configHash(r.opts.configFor(k))
-			if rec.ConfigHash != want {
-				e.err = fmt.Errorf("journal: run %s/%s was recorded under config %s but this campaign resolves it to %s — the journal belongs to a different campaign; use a fresh -journal directory",
-					k.Workload, k.Label(), rec.ConfigHash, want)
-				return sim.Results{}, e.err
-			}
-			e.res, e.fromJournal = rec.Results, true
-			return e.res, nil
-		}
-	}
-
 	// Graceful shutdown: once stopped, no new run starts. (In-flight runs
 	// are past this check and finish normally.)
 	if r.stopped.Load() {
@@ -246,16 +211,6 @@ func (r *Runner) run(k Key, sink func(*sim.System) error) (sim.Results, error) {
 	}
 
 	e.res, e.err = r.simulate(k, sink)
-	if e.err == nil {
-		if j := r.opts.Journal; j != nil {
-			if jerr := j.record(k, configHash(r.opts.configFor(k)), e.res); jerr != nil {
-				// A journal that cannot persist is a campaign-level
-				// failure: continuing would silently lose durability.
-				e.err = jerr
-				return sim.Results{}, e.err
-			}
-		}
-	}
 	return e.res, e.err
 }
 
@@ -299,7 +254,8 @@ func (r *Runner) runs(wl string, keys ...Key) (res []sim.Results, ok bool, err e
 // never unwind a worker and abort the campaign. The run timeout covers the
 // sink too.
 func (r *Runner) simulate(k Key, sink func(*sim.System) error) (res sim.Results, err error) {
-	cfg := r.opts.configFor(k)
+	cfg := r.opts.Config
+	cfg.Scheme, cfg.Workload, cfg.DisableBWOpt = k.Scheme, k.Workload, k.DisableBW
 	defer func() {
 		if p := recover(); p != nil {
 			cause, ok := p.(error)
@@ -355,16 +311,13 @@ func (r *Runner) emitProgress(k Key, e *runEntry) {
 	}
 	var line string
 	switch {
-	case e.err == nil && e.fromJournal:
-		line = fmt.Sprintf("jrnl %-12s %-16s ipc=%.3f (replayed from journal)\n",
-			k.Workload, k.Label(), e.res.IPC)
 	case e.err == nil:
 		d, n, b := e.res.ServiceBreakdown()
 		line = fmt.Sprintf("ran %-12s %-16s ipc=%.3f ammat=%.0f dram/nvm/buf=%.2f/%.2f/%.3f\n",
 			k.Workload, k.Label(), e.res.IPC, e.res.AMMAT, d, n, b)
 	case errors.Is(e.err, ErrStopped):
 		// A stopped campaign skips its remaining runs silently; the CLI
-		// prints one resume hint instead of a FAIL line per skipped run.
+		// prints one stop message instead of a FAIL line per skipped run.
 	default:
 		line = fmt.Sprintf("FAIL %-12s %-16s %v\n", k.Workload, k.Label(), e.err)
 	}
@@ -446,9 +399,9 @@ func (r *Runner) Prefetch(n Needs) error {
 // results and error, in keys' order. Results land in the cache; every
 // worker finishes regardless of failures, and keys not yet dispatched when
 // the runner is stopped fail with ErrStopped. sink, when non-nil, receives
-// the finished system of every run this call simulates (not one replayed
-// from the journal or already cached), inside the run's recovery and
-// timeout scope; a sink error fails that run.
+// the finished system of every run this call simulates (not one already
+// cached), inside the run's recovery and timeout scope; a sink error fails
+// that run.
 func (r *Runner) RunKeys(keys []Key, sink func(*sim.System) error) ([]sim.Results, []error) {
 	results := make([]sim.Results, len(keys))
 	errs := make([]error, len(keys))
@@ -542,6 +495,18 @@ func (r *Runner) entry(k Key) (*runEntry, bool) {
 	default:
 		return nil, false
 	}
+}
+
+// Finished counts the runs that have ended, successful or failed; a run
+// the campaign's stop kept from starting is not one.
+func (r *Runner) Finished() int {
+	n := 0
+	for _, k := range r.begun() {
+		if e, ok := r.entry(k); ok && !errors.Is(e.err, ErrStopped) {
+			n++
+		}
+	}
+	return n
 }
 
 // RunFailure is one failed campaign run, for end-of-campaign reporting.

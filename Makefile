@@ -3,6 +3,11 @@
 
 GO ?= go
 
+## BENCH_ENV is bench/run.sh's build environment: local toolchain, no
+## module downloads, and the Go cache under .bench_build/.
+BENCH_ENV = GOCACHE=$(CURDIR)/.bench_build/go-cache GOPATH=$(CURDIR)/.bench_build/gopath \
+	XDG_CONFIG_HOME=$(CURDIR)/.bench_build/config GOTOOLCHAIN=local GOPROXY=off GOWORK=off
+
 .PHONY: tier1 fmt vet build test race bench-test benchsmoke bench bench-record layers allocguard benchguard effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke invariants chaos-smoke chaos fuzz-validate trace-demo
 
 ## tier1: the full pre-PR gate — gofmt, vet, build, race-enabled tests, a
@@ -17,8 +22,11 @@ tier1: fmt vet build race bench-test benchsmoke allocguard benchguard effectiven
 fmt:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
+## vet: go vet over the root module and over bench/, a separate module
+## the root `go vet ./...` does not reach (vetted with BENCH_ENV).
 vet:
 	$(GO) vet ./...
+	cd bench && $(BENCH_ENV) $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -31,11 +39,9 @@ race:
 
 ## bench-test: the benchmark module's own tests (bench/ is a separate Go
 ## module, so `go test ./...` at the root does not reach it), built with
-## bench/run.sh's environment: local toolchain, no module downloads, and the
-## Go cache under .bench_build/.
+## BENCH_ENV.
 bench-test:
-	cd bench && GOCACHE=$(CURDIR)/.bench_build/go-cache GOPATH=$(CURDIR)/.bench_build/gopath \
-		XDG_CONFIG_HOME=$(CURDIR)/.bench_build/config GOTOOLCHAIN=local GOPROXY=off GOWORK=off $(GO) test ./...
+	cd bench && $(BENCH_ENV) $(GO) test ./...
 
 ## benchsmoke: one iteration of the headline figure bench — catches
 ## campaign-path regressions without the cost of a full bench sweep.

@@ -161,8 +161,8 @@ func TestInterruptStopsQueuedRuns(t *testing.T) {
 }
 
 // TestUsageErrorsExit2: negative values of the int flags that treat 0 as
-// "default", and an unknown fault kind, are usage errors caught before any
-// run starts.
+// "default", an unknown fault kind and a fault rate that is not a
+// probability are usage errors caught before any run starts.
 func TestUsageErrorsExit2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scale", "-4"},
@@ -170,6 +170,9 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-j", "-1"},
 		{"-scale", "-4", "-maxcores", "-2", "-j", "-1"},
 		{"-fault", "no-such-fault"},
+		{"-fault", "meta-thrash", "-fault-rate", "-1"},
+		{"-fault", "meta-thrash", "-fault-rate", "5"},
+		{"-fault", "meta-thrash", "-fault-rate", "NaN"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			var stdout, stderr syncBuffer

@@ -8,16 +8,21 @@ import (
 	"testing"
 )
 
-// TestUsageErrorsExit2: flags the program no longer has and a negative
-// -scale are usage errors caught before the campaign starts a run.
+// TestUsageErrorsExit2: flags the program no longer has, a negative -scale
+// and a -fault-rate above 1 are usage errors caught before the campaign
+// starts a run.
 func TestUsageErrorsExit2(t *testing.T) {
 	dir := t.TempDir()
 	for _, args := range [][]string{
 		{"-journal", filepath.Join(dir, "x")},
 		{"-resume"},
 		{"-scale", "-4"},
+		{"-fault", "meta-thrash", "-fault-rate", "5"},
 	} {
-		t.Run(strings.Join(args, " "), func(t *testing.T) {
+		// The temporary directory is left out of the subtest name so that
+		// the name is the same on every run.
+		name := strings.ReplaceAll(strings.Join(args, " "), dir, "DIR")
+		t.Run(name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			args := append([]string{"-quick", "-fig14", "-j", "1"}, args...)
 			if code := run(args, &stdout, &stderr); code != 2 {

@@ -62,13 +62,21 @@ func FaultKinds() []FaultKind {
 // nothing.
 type FaultPlan struct {
 	Kind FaultKind
-	// Rate is the per-decision-point probability (0 picks the kind's
-	// default, chosen to be disruptive without starving the run).
+	// Rate is the per-decision-point probability, in [0, 1] (0 picks the
+	// kind's default, chosen to be disruptive without starving the run).
 	Rate float64
 	// Seed keys the injector's private RNG. Injection decisions depend only
 	// on (Seed, decision index), and the event loop is single-threaded, so
 	// a faulted run is exactly as repeatable as a clean one.
 	Seed uint64
+}
+
+// Validate rejects a Rate that is not a probability (NaN included).
+func (p FaultPlan) Validate() error {
+	if !(p.Rate >= 0 && p.Rate <= 1) {
+		return fmt.Errorf("fault rate %v is outside [0, 1]", p.Rate)
+	}
+	return nil
 }
 
 // InjectorStats counts what was actually injected, for reports and

@@ -71,14 +71,15 @@ func (f *Flags) faults() (check.FaultPlan, error) {
 	if err != nil {
 		return check.FaultPlan{}, err
 	}
-	return check.FaultPlan{Kind: k, Rate: f.faultRate, Seed: f.faultSeed}, nil
+	plan := check.FaultPlan{Kind: k, Rate: f.faultRate, Seed: f.faultSeed}
+	return plan, plan.Validate()
 }
 
 // ApplyConfig sets a run's shape from the flags: scale, budgets and the
 // core cap only when given (nonzero), since the caller's template may set
 // its own; everything else as parsed. It rejects a negative -scale,
 // -maxcores or -j, which would otherwise fall back to the default
-// silently.
+// silently, and a -fault-rate outside [0, 1].
 func (f *Flags) ApplyConfig(cfg *sim.Config) error {
 	if f.Scale < 0 || f.MaxCores < 0 || f.Jobs < 0 {
 		return fmt.Errorf("-scale %d, -maxcores %d, -j %d: none may be negative", f.Scale, f.MaxCores, f.Jobs)

@@ -9,7 +9,6 @@ import (
 	"pageseer/internal/engine"
 	"pageseer/internal/hmc"
 	"pageseer/internal/mem"
-	"pageseer/internal/memsim"
 	"pageseer/internal/mmu"
 )
 
@@ -34,7 +33,7 @@ func testConfig() Config {
 func testRig(cfg Config) (*engine.Sim, *hmc.Controller, *PageSeer) {
 	sim := engine.New()
 	osm := mem.NewOS(mem.Map{DRAMBytes: 2 << 20, NVMBytes: 16 << 20}, 16)
-	ctl := hmc.NewController(sim, osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
+	ctl := hmc.NewController(sim, osm)
 	ps := New(ctl, cfg)
 	ctl.Seal(ctl.Layout.Total() >> mem.PageShift) // the rig names frames directly
 	return sim, ctl, ps

@@ -18,17 +18,11 @@ import (
 	"pageseer/internal/workload"
 )
 
-// CoreConfig sizes one core's execution model.
-type CoreConfig struct {
-	// MaxOutstanding is the memory-level-parallelism window: how many
-	// memory operations may be in flight at once (ROB/MSHR bound).
-	MaxOutstanding int
-}
-
-// DefaultCoreConfig returns an 8-deep memory window, the memory-level
-// parallelism the 4-wide out-of-order cores of Table I sustain on the
-// memory-intensive workloads of the evaluation.
-func DefaultCoreConfig() CoreConfig { return CoreConfig{MaxOutstanding: 8} }
+// MaxOutstanding is the memory-level-parallelism window: how many memory
+// operations a core keeps in flight at once (ROB/MSHR bound). Modelling
+// choice: 8 is the memory-level parallelism the 4-wide out-of-order cores of
+// Table I sustain on the memory-intensive workloads of the evaluation.
+const MaxOutstanding = 8
 
 // CoreStats reports one core's progress.
 type CoreStats struct {
@@ -52,7 +46,6 @@ type Core struct {
 	sim *engine.Sim
 	id  int
 	pid int
-	cfg CoreConfig
 
 	mmu *mmu.MMU
 	l1  *cache.Cache
@@ -97,11 +90,8 @@ type memTxn struct {
 }
 
 // NewCore wires a core to its MMU, L1, and trace generator.
-func NewCore(sim *engine.Sim, id, pid int, cfg CoreConfig, m *mmu.MMU, l1 *cache.Cache, gen workload.Generator) *Core {
-	if cfg.MaxOutstanding < 1 {
-		cfg.MaxOutstanding = 1
-	}
-	c := &Core{sim: sim, id: id, pid: pid, cfg: cfg, mmu: m, l1: l1, gen: gen}
+func NewCore(sim *engine.Sim, id, pid int, m *mmu.MMU, l1 *cache.Cache, gen workload.Generator) *Core {
+	c := &Core{sim: sim, id: id, pid: pid, mmu: m, l1: l1, gen: gen}
 	c.pumpFn = c.pump
 	return c
 }
@@ -205,7 +195,7 @@ func (c *Core) pump() {
 	c.pumping = true
 	defer func() { c.pumping = false }()
 
-	for !c.stats.Done && c.outstanding < c.cfg.MaxOutstanding {
+	for !c.stats.Done && c.outstanding < MaxOutstanding {
 		if c.stats.Instructions >= c.budget {
 			if c.outstanding == 0 {
 				c.finish()

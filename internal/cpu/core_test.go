@@ -10,16 +10,22 @@ import (
 	"pageseer/internal/workload"
 )
 
-// flatMem backs the cache hierarchy with a fixed-latency memory.
+// flatMem backs the cache hierarchy with a fixed-latency memory and tracks
+// the most requests it ever held in flight.
 type flatMem struct {
-	sim     *engine.Sim
-	latency uint64
-	reads   uint64
+	sim      *engine.Sim
+	latency  uint64
+	reads    uint64
+	inflight int
+	peak     int
 }
 
 func (f *flatMem) Access(l mem.Addr, write bool, meta cache.Meta, done func()) {
 	f.reads++
+	f.inflight++
+	f.peak = max(f.peak, f.inflight)
 	f.sim.After(f.latency, func() {
+		f.inflight--
 		if done != nil {
 			done()
 		}
@@ -38,7 +44,7 @@ func (g *fixedGen) Next() workload.Access {
 	return workload.Access{VA: g.va, Gap: g.gap}
 }
 
-func rig(t *testing.T, memLatency uint64, gen workload.Generator, cfg CoreConfig) (*engine.Sim, *Core) {
+func rig(t *testing.T, memLatency uint64, gen workload.Generator) (*engine.Sim, *Core, *flatMem) {
 	t.Helper()
 	sim := engine.New()
 	osm := mem.NewOS(mem.Map{DRAMBytes: 8 << 20, NVMBytes: 64 << 20}, 16)
@@ -47,8 +53,8 @@ func rig(t *testing.T, memLatency uint64, gen workload.Generator, cfg CoreConfig
 	l2 := cache.New(sim, cache.L2Config(), fm)
 	l1 := cache.New(sim, cache.L1Config(), l2)
 	m := mmu.New(sim, osm, 0, 1, mmu.DefaultConfig(), l2, nil)
-	c := NewCore(sim, 0, 1, cfg, m, l1, gen)
-	return sim, c
+	c := NewCore(sim, 0, 1, m, l1, gen)
+	return sim, c, fm
 }
 
 func run(sim *engine.Sim, c *Core, budget uint64) CoreStats {
@@ -62,7 +68,7 @@ func run(sim *engine.Sim, c *Core, budget uint64) CoreStats {
 
 func TestCoreRetiresBudget(t *testing.T) {
 	gen := &fixedGen{gap: 9, step: 64}
-	sim, c := rig(t, 50, gen, DefaultCoreConfig())
+	sim, c, _ := rig(t, 50, gen)
 	st := run(sim, c, 10_000)
 	if st.Instructions < 10_000 {
 		t.Fatalf("retired %d instructions, want >= 10000", st.Instructions)
@@ -82,7 +88,7 @@ func TestHigherLatencyLowersIPC(t *testing.T) {
 	runAt := func(lat uint64) CoreStats {
 		// Page-sized strides so the caches miss.
 		gen := &fixedGen{gap: 4, step: 4096 + 192}
-		sim, c := rig(t, lat, gen, DefaultCoreConfig())
+		sim, c, _ := rig(t, lat, gen)
 		return run(sim, c, 20_000)
 	}
 	fast := runAt(20)
@@ -93,25 +99,27 @@ func TestHigherLatencyLowersIPC(t *testing.T) {
 }
 
 func TestMLPWindowBoundsOverlap(t *testing.T) {
-	// With window 1, misses serialise; with window 8 they overlap, so the
-	// same budget finishes in fewer cycles.
-	mk := func(win int) CoreStats {
-		gen := &fixedGen{gap: 0, step: 4096 * 3}
-		sim, c := rig(t, 400, gen, CoreConfig{MaxOutstanding: win})
-		return run(sim, c, 3_000)
+	// Every access touches a new line, so it misses to a 400-cycle memory
+	// (one page walk per 64 accesses). The window lets up to MaxOutstanding
+	// of them overlap, so the budget finishes in well under the cycles
+	// serial misses would take, and never more than MaxOutstanding are in
+	// flight at once.
+	const lat = 400
+	gen := &fixedGen{gap: 0, step: mem.LineSize}
+	sim, c, fm := rig(t, lat, gen)
+	st := run(sim, c, 3_000)
+	serial := st.MemOps * lat // a lower bound for one miss at a time
+	if cyc := st.FinishCycle - st.StartCycle; cyc*2 >= serial {
+		t.Fatalf("%d misses took %d cycles, not at least 2x under the %d of serial misses", st.MemOps, cyc, serial)
 	}
-	serial := mk(1)
-	overlapped := mk(8)
-	sCyc := serial.FinishCycle - serial.StartCycle
-	oCyc := overlapped.FinishCycle - overlapped.StartCycle
-	if oCyc*2 >= sCyc {
-		t.Fatalf("window 8 (%d cycles) not at least 2x faster than window 1 (%d)", oCyc, sCyc)
+	if fm.peak != MaxOutstanding {
+		t.Fatalf("memory held %d requests in flight at most, want the %d-deep window", fm.peak, MaxOutstanding)
 	}
 }
 
 func TestRunToContinuation(t *testing.T) {
 	gen := &fixedGen{gap: 9, step: 64}
-	sim, c := rig(t, 30, gen, DefaultCoreConfig())
+	sim, c, _ := rig(t, 30, gen)
 	st1 := run(sim, c, 5_000)
 	st2 := run(sim, c, 12_000)
 	if st2.Instructions <= st1.Instructions {
@@ -124,7 +132,7 @@ func TestRunToContinuation(t *testing.T) {
 
 func TestMarkEpochResetsAccounting(t *testing.T) {
 	gen := &fixedGen{gap: 9, step: 64}
-	sim, c := rig(t, 30, gen, DefaultCoreConfig())
+	sim, c, _ := rig(t, 30, gen)
 	run(sim, c, 5_000)
 	c.MarkEpoch()
 	st := c.Stats()
@@ -142,7 +150,7 @@ func TestMarkEpochResetsAccounting(t *testing.T) {
 
 func TestRunToStaleBudgetPanics(t *testing.T) {
 	gen := &fixedGen{gap: 9, step: 64}
-	sim, c := rig(t, 30, gen, DefaultCoreConfig())
+	sim, c, _ := rig(t, 30, gen)
 	run(sim, c, 5_000)
 	defer func() {
 		if recover() == nil {

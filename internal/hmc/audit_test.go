@@ -31,7 +31,7 @@ func TestSwapAuditCleanEngine(t *testing.T) {
 func TestSwapAuditCatchesStuckOp(t *testing.T) {
 	sim := engine.New()
 	drop := func(addr mem.Addr, write bool, prio Priority, done func()) {}
-	e := NewSwapEngine(sim, DefaultSwapEngineConfig(), drop, nil)
+	e := NewSwapEngine(sim, drop, nil)
 	if !e.Start(pageSwapOp(0, mem.Addr(256*mem.PageSize), nil)) {
 		t.Fatal("Start rejected a valid op")
 	}

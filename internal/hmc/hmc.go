@@ -184,9 +184,9 @@ type Controller struct {
 	onSeal []func(frames uint64)
 }
 
-// NewController builds a controller with the given memory-part configs over
-// the OS's address map.
-func NewController(sim *engine.Sim, osm *mem.OS, dramCfg, nvmCfg memsim.Config, swapCfg SwapEngineConfig) *Controller {
+// NewController builds a controller over the OS's address map with the
+// paper's memory parts: the Table I DRAM and NVM modules and the swap engine.
+func NewController(sim *engine.Sim, osm *mem.OS) *Controller {
 	layout := osm.Map()
 	c := &Controller{
 		Sim:    sim,
@@ -195,9 +195,9 @@ func NewController(sim *engine.Sim, osm *mem.OS, dramCfg, nvmCfg memsim.Config, 
 		Oracle: NewOracle(0),
 		unit:   mem.PageShift,
 	}
-	c.DRAM = memsim.New(sim, dramCfg, 0, layout.DRAMBytes)
-	c.NVM = memsim.New(sim, nvmCfg, mem.Addr(layout.DRAMBytes), layout.NVMBytes)
-	c.Engine = NewSwapEngine(sim, swapCfg, c.IssueLine, c.PromoteLine)
+	c.DRAM = memsim.New(sim, memsim.DRAMConfig(), 0, layout.DRAMBytes)
+	c.NVM = memsim.New(sim, memsim.NVMConfig(), mem.Addr(layout.DRAMBytes), layout.NVMBytes)
+	c.Engine = NewSwapEngine(sim, c.IssueLine, c.PromoteLine)
 	c.Engine.isDRAM = layout.IsDRAM
 	return c
 }

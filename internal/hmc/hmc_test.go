@@ -6,13 +6,12 @@ import (
 	"pageseer/internal/cache"
 	"pageseer/internal/engine"
 	"pageseer/internal/mem"
-	"pageseer/internal/memsim"
 )
 
 func testController() (*engine.Sim, *Controller) {
 	sim := engine.New()
 	osm := mem.NewOS(mem.Map{DRAMBytes: 8 << 20, NVMBytes: 64 << 20}, 64)
-	c := NewController(sim, osm, memsim.DRAMConfig(), memsim.NVMConfig(), DefaultSwapEngineConfig())
+	c := NewController(sim, osm)
 	return sim, c
 }
 

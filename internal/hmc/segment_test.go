@@ -7,7 +7,6 @@ import (
 	"pageseer/internal/hmc"
 	"pageseer/internal/mem"
 	"pageseer/internal/mempod"
-	"pageseer/internal/memsim"
 	"pageseer/internal/pom"
 )
 
@@ -34,7 +33,7 @@ var segmentSchemes = []segmentScheme{
 func segmentRig(sc segmentScheme) (*engine.Sim, *hmc.Controller, *hmc.Segments, func() uint64, mem.PPN) {
 	sim := engine.New()
 	osm := mem.NewOS(mem.Map{DRAMBytes: 2 << 20, NVMBytes: 16 << 20}, 16)
-	ctl := hmc.NewController(sim, osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
+	ctl := hmc.NewController(sim, osm)
 	g, commits := sc.install(ctl)
 	as := osm.NewProcess(1)
 	osm.WalkVA(1, 0x1000)
@@ -141,8 +140,7 @@ func TestZeroAllocDeclinedExchange(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			sim, _, g, _, _ := segmentRig(sc)
 			fastSegs := g.FastUnits()
-			maxOps := hmc.DefaultSwapEngineConfig().MaxOps
-			for i := 0; i < maxOps; i++ {
+			for i := 0; i < hmc.MaxOps; i++ {
 				s := hmc.Seg(i)
 				if got := g.Exchange(fastSegs+100+s, fastSegs-1-s, 0); got != hmc.Exchanged {
 					t.Fatalf("exchange %d: got %d, want Exchanged", i, got)
@@ -169,7 +167,7 @@ func TestZeroAllocDeclinedExchange(t *testing.T) {
 func pageRig(t *testing.T) (*engine.Sim, *hmc.Controller, *hmc.Segments, *int, *hmc.Move, hmc.Seg, hmc.Seg) {
 	sim := engine.New()
 	osm := mem.NewOS(mem.Map{DRAMBytes: 2 << 20, NVMBytes: 16 << 20}, 16)
-	ctl := hmc.NewController(sim, osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
+	ctl := hmc.NewController(sim, osm)
 	commits, last := new(int), new(hmc.Move)
 	g := hmc.NewSegments(ctl, "pages", mem.PageShift, hmc.MetaCacheConfig{
 		Name: "PRTc", Entries: 64, Ways: 4, HitLatency: 2, EntriesPerLine: 18,

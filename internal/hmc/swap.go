@@ -86,23 +86,19 @@ const (
 	PrioSwap
 )
 
-// SwapEngineConfig sizes the swap machinery.
-type SwapEngineConfig struct {
+// The swap machinery's sizing (modelling choices: Section III-D3 places
+// swap buffers in the memory modules but does not size them).
+const (
 	// MaxOps is the number of concurrent swap operations the swap buffers
 	// can hold (buffer pairs in the DRAM and NVM modules).
-	MaxOps int
-	// MaxInflightReads bounds outstanding swap line-reads per op, so one
+	MaxOps = 8
+	// maxInflightReads bounds outstanding swap line-reads per op, so one
 	// page move does not flood a channel queue.
-	MaxInflightReads int
-	// BufferLatency is the CPU-cycle cost of servicing a demand request
+	maxInflightReads = 32
+	// bufferLatency is the CPU-cycle cost of servicing a demand request
 	// from a swap buffer.
-	BufferLatency uint64
-}
-
-// DefaultSwapEngineConfig returns the sizing used in the evaluation.
-func DefaultSwapEngineConfig() SwapEngineConfig {
-	return SwapEngineConfig{MaxOps: 8, MaxInflightReads: 32, BufferLatency: 30}
-}
+	bufferLatency = 30
+)
 
 // SwapEngineStats counts swap-machinery activity.
 type SwapEngineStats struct {
@@ -189,7 +185,6 @@ type waiter struct {
 // (Section III-D3).
 type SwapEngine struct {
 	sim     *engine.Sim
-	cfg     SwapEngineConfig
 	issue   IssueFunc
 	promote PromoteFunc
 
@@ -216,13 +211,12 @@ type SwapEngine struct {
 // NewSwapEngine builds a swap engine that issues line traffic through
 // issue; promote (optional) re-prioritises an in-flight line when a demand
 // request is waiting on it.
-func NewSwapEngine(sim *engine.Sim, cfg SwapEngineConfig, issue IssueFunc, promote PromoteFunc) *SwapEngine {
+func NewSwapEngine(sim *engine.Sim, issue IssueFunc, promote PromoteFunc) *SwapEngine {
 	if promote == nil {
 		promote = func(mem.Addr) {}
 	}
 	return &SwapEngine{
 		sim:     sim,
-		cfg:     cfg,
 		issue:   issue,
 		promote: promote,
 	}
@@ -273,7 +267,7 @@ func (e *SwapEngine) Stats() SwapEngineStats { return e.stats }
 func (e *SwapEngine) Busy() int { return len(e.running) }
 
 // CanStart reports whether a new operation would be admitted.
-func (e *SwapEngine) CanStart() bool { return len(e.running) < e.cfg.MaxOps }
+func (e *SwapEngine) CanStart() bool { return len(e.running) < MaxOps }
 
 // Start begins executing op. It returns false (and counts a rejection) when
 // all swap buffers are busy; the caller decides whether to queue or drop.
@@ -327,7 +321,7 @@ func (e *SwapEngine) Start(op *Op) bool {
 	e.lastID++
 	op.ID, op.Start = e.lastID, r.began
 	if e.probe != nil {
-		op.Slot = int((op.ID - 1) % uint64(e.cfg.MaxOps))
+		op.Slot = int((op.ID - 1) % MaxOps)
 		op.StageCount = len(op.Stages)
 		op.BytesDRAM, op.BytesNVM = e.opBytes(op)
 		e.probe.SwapStarted(&op.Swap)
@@ -411,7 +405,7 @@ func (e *SwapEngine) startStage(r *runningOp) {
 // pump issues buffered reads up to the in-flight cap.
 func (e *SwapEngine) pump(r *runningOp) {
 	order := r.order[r.stage]
-	for r.inflight < e.cfg.MaxInflightReads && r.nextRead < len(order) {
+	for r.inflight < maxInflightReads && r.nextRead < len(order) {
 		l := order[r.nextRead]
 		r.nextRead++
 		if l.status != lineUnissued {
@@ -442,7 +436,7 @@ func (e *SwapEngine) readDone(l *opLine) {
 		now := e.sim.Now()
 		for _, w := range l.waiters {
 			w.v.Take(attrib.CompSwapXfer, now)
-			e.sim.After(e.cfg.BufferLatency, w.fn)
+			e.sim.After(bufferLatency, w.fn)
 		}
 		r.waiting -= len(l.waiters)
 		clear(l.waiters)
@@ -540,7 +534,7 @@ func (e *SwapEngine) TryService(addr mem.Addr, v *attrib.Vector, done func()) bo
 	switch l.status {
 	case lineBuffered:
 		e.stats.BufHits++
-		e.sim.After(e.cfg.BufferLatency, done)
+		e.sim.After(bufferLatency, done)
 	case lineIssued:
 		e.stats.BufWaits++
 		e.addWaiter(l, v, done)

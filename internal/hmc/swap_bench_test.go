@@ -37,7 +37,7 @@ func newTryLoop(tb testing.TB) *tryLoop {
 			sim.After(100, done)
 		}
 	}
-	l := &tryLoop{sim: sim, e: NewSwapEngine(sim, DefaultSwapEngineConfig(), issue, nil), done: func() {}}
+	l := &tryLoop{sim: sim, e: NewSwapEngine(sim, issue, nil), done: func() {}}
 	for i := 0; i < swapLoopOps; i++ {
 		if !l.e.Start(swapLoopOp(i)) {
 			tb.Fatal("Start rejected below MaxOps")
@@ -100,7 +100,7 @@ func TestZeroAllocTryService(t *testing.T) {
 // interception table has grown to its working size.
 func TestZeroAllocSwapCycle(t *testing.T) {
 	sim := engine.New()
-	e := NewSwapEngine(sim, DefaultSwapEngineConfig(), fixedIssue(sim), nil)
+	e := NewSwapEngine(sim, fixedIssue(sim), nil)
 	var ops [swapLoopOps]*Op
 	for i := range ops {
 		ops[i] = swapLoopOp(i)

@@ -38,7 +38,7 @@ func (ri *recordingIssuer) issue(addr mem.Addr, write bool, prio Priority, done 
 func testEngine(latency uint64) (*engine.Sim, *SwapEngine, *recordingIssuer) {
 	sim := engine.New()
 	ri := &recordingIssuer{sim: sim, latency: latency}
-	e := NewSwapEngine(sim, DefaultSwapEngineConfig(), ri.issue, nil)
+	e := NewSwapEngine(sim, ri.issue, nil)
 	return sim, e, ri
 }
 
@@ -121,7 +121,7 @@ func TestStageBarrier(t *testing.T) {
 			}
 		})
 	}
-	e := NewSwapEngine(sim, DefaultSwapEngineConfig(), issue, nil)
+	e := NewSwapEngine(sim, issue, nil)
 	op := &Op{
 		Stages: []Stage{
 			{{Src: 0, Dst: NoAddr, Bytes: mem.PageSize}},
@@ -160,7 +160,7 @@ func TestStageBarrier(t *testing.T) {
 
 func TestCapacityRejection(t *testing.T) {
 	sim, e, _ := testEngine(1000)
-	for i := 0; i < e.cfg.MaxOps; i++ {
+	for i := 0; i < MaxOps; i++ {
 		if !e.Start(pageSwapOp(mem.Addr(i)<<20, mem.Addr(i+100)<<20, nil)) {
 			t.Fatalf("op %d rejected below capacity", i)
 		}

@@ -8,39 +8,40 @@ import (
 	"pageseer/internal/mmu"
 )
 
-// Config holds MemPod's parameters (Section IV-B of the PageSeer paper).
+// MemPod's fixed parameters (Section IV-B of the PageSeer paper, except
+// where a line says modelling choice).
+const (
+	// pods is the number of independent pods the memory is divided into
+	// (modelling choice: Table I's DRAM has four channels).
+	pods = 4
+	// meaCounters is the MEA sketch size per pod (64).
+	meaCounters = 64
+	// intervalCycles separates migration decisions: 50us = 100K CPU cycles
+	// at 2GHz.
+	intervalCycles = 100_000
+	// minCount filters MEA survivors before migration (modelling choice).
+	minCount = 2
+	// remapWays and remapLatency give the remap cache's associativity and
+	// hit latency in CPU cycles, those of PageSeer's PRTc (Table II).
+	remapWays    = 4
+	remapLatency = 2
+	// maxMigrations bounds one interval's burst per pod (modelling choice).
+	maxMigrations = 32
+)
+
+// Config holds MemPod's parameters that vary with the memory scale.
 type Config struct {
-	// Pods is the number of independent pods the memory is divided into.
-	Pods int
-	// MEACounters per pod (64).
-	MEACounters int
-	// IntervalCycles between migration decisions (50us = 100K CPU cycles
-	// at 2GHz).
-	IntervalCycles uint64
-	// MinCount filters MEA survivors before migration.
-	MinCount uint32
-	// RemapEntries and RemapWays give the remap cache geometry (32KB).
+	// RemapEntries sizes the remap cache (32KB).
 	RemapEntries int
-	RemapWays    int
-	RemapLatency uint64
 	// RemapTableBytes sizes the DRAM-backed remap table.
 	RemapTableBytes uint64
-	// MaxMigrationsPerInterval bounds one interval's burst per pod.
-	MaxMigrationsPerInterval int
 }
 
 // DefaultConfig returns the Section IV-B configuration.
 func DefaultConfig() Config {
 	return Config{
-		Pods:                     4,
-		MEACounters:              64,
-		IntervalCycles:           100_000,
-		MinCount:                 2,
-		RemapEntries:             8192,
-		RemapWays:                4,
-		RemapLatency:             2,
-		RemapTableBytes:          512 << 10,
-		MaxMigrationsPerInterval: 32,
+		RemapEntries:    8192,
+		RemapTableBytes: 512 << 10,
 	}
 }
 
@@ -51,7 +52,7 @@ const segShift = 11
 // to a line.
 func (c Config) RemapCache() hmc.MetaCacheConfig {
 	return hmc.MetaCacheConfig{
-		Name: "MemPodRemap", Entries: c.RemapEntries, Ways: c.RemapWays, HitLatency: c.RemapLatency,
+		Name: "MemPodRemap", Entries: c.RemapEntries, Ways: remapWays, HitLatency: remapLatency,
 		EntriesPerLine: 16,
 	}
 }
@@ -88,7 +89,6 @@ type MemPod struct {
 
 	sim *engine.Sim
 	ctl *hmc.Controller
-	cfg Config
 
 	pods     []pod
 	lastTick uint64
@@ -131,11 +131,11 @@ func (m *MemPod) release(h *hotSet) {
 
 // New installs a MemPod manager on the controller.
 func New(ctl *hmc.Controller, cfg Config) *MemPod {
-	m := &MemPod{sim: ctl.Sim, ctl: ctl, cfg: cfg}
+	m := &MemPod{sim: ctl.Sim, ctl: ctl}
 	m.Segments = hmc.NewSegments(ctl, "mempod", segShift, cfg.RemapCache(), cfg.RemapTableBytes, m.committed)
-	m.pods = make([]pod, cfg.Pods)
+	m.pods = make([]pod, pods)
 	for i := range m.pods {
-		m.pods[i] = pod{mea: NewMEA(cfg.MEACounters)}
+		m.pods[i] = pod{mea: NewMEA(meaCounters)}
 	}
 	ctl.SetManager(m)
 	return m
@@ -149,7 +149,7 @@ func (m *MemPod) Stats() Stats { return m.stats }
 
 // podOf statically interleaves segments across pods; a pod owns matching
 // slices of DRAM and NVM so migrations stay pod-local.
-func (m *MemPod) podOf(s hmc.Seg) int { return int(s) % m.cfg.Pods }
+func (m *MemPod) podOf(s hmc.Seg) int { return int(s) % pods }
 
 // HandleRequest implements hmc.Manager. The remap cache is on the critical
 // path; the paper grants the inverted table zero latency, so only the
@@ -170,8 +170,8 @@ func (m *MemPod) observe(s hmc.Seg) {
 	if m.lastTick == 0 {
 		m.lastTick = now
 	}
-	for m.lastTick+m.cfg.IntervalCycles <= now {
-		m.lastTick += m.cfg.IntervalCycles
+	for m.lastTick+intervalCycles <= now {
+		m.lastTick += intervalCycles
 		m.interval()
 	}
 	m.pods[m.podOf(s)].mea.Observe(uint64(s))
@@ -188,12 +188,12 @@ func (m *MemPod) interval() {
 		if n := len(m.free); n > 0 {
 			hot, m.free = m.free[n-1], m.free[:n-1]
 		}
-		hot.segs = p.mea.Frequent(hot.segs[:0], m.cfg.MinCount)
+		hot.segs = p.mea.Frequent(hot.segs[:0], minCount)
 		slices.Sort(hot.segs) // determinism
 		hot.refs = 1
 		migrated := 0
 		for _, h := range hot.segs {
-			if migrated >= m.cfg.MaxMigrationsPerInterval {
+			if migrated >= maxMigrations {
 				break
 			}
 			s := hmc.Seg(h)
@@ -260,14 +260,14 @@ func (m *MemPod) drainPending() {
 func (m *MemPod) pickVictim(pi int, hot *hotSet) (hmc.Seg, bool) {
 	p := &m.pods[pi]
 	fast := m.FastUnits()
-	n := fast / hmc.Seg(m.cfg.Pods)
+	n := fast / pods
 	if n == 0 {
 		return 0, false
 	}
 	start := p.nextVictim
 	for i := hmc.Seg(0); i < n; i++ {
 		idx := (start + i) % n
-		slot := idx*hmc.Seg(m.cfg.Pods) + hmc.Seg(pi) // pod-interleaved DRAM slot
+		slot := idx*pods + hmc.Seg(pi) // pod-interleaved DRAM slot
 		if slot >= fast {
 			continue
 		}

@@ -17,7 +17,7 @@ func BenchmarkMemPodTranslateLine(b *testing.B) {
 			miss(sim, ctl, nvmSeg(ctl, 8*i))
 		}
 	}
-	sim.RunUntil(sim.Now() + 2*m.cfg.IntervalCycles)
+	sim.RunUntil(sim.Now() + 2*intervalCycles)
 	miss(sim, ctl, nvmSeg(ctl, 0))
 	sim.Drain(0)
 	if m.Stats().Migrations == 0 {

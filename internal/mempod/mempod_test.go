@@ -9,21 +9,19 @@ import (
 	"pageseer/internal/engine"
 	"pageseer/internal/hmc"
 	"pageseer/internal/mem"
-	"pageseer/internal/memsim"
 )
 
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.RemapEntries = 128
 	cfg.RemapTableBytes = 8 << 10
-	cfg.IntervalCycles = 20_000
 	return cfg
 }
 
 func testRig() (*engine.Sim, *hmc.Controller, *MemPod) {
 	sim := engine.New()
 	osm := mem.NewOS(mem.Map{DRAMBytes: 2 << 20, NVMBytes: 16 << 20}, 16)
-	ctl := hmc.NewController(sim, osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
+	ctl := hmc.NewController(sim, osm)
 	m := New(ctl, testConfig())
 	ctl.Seal(ctl.Layout.Total() >> mem.PageShift) // the rig names frames directly
 	return sim, ctl, m
@@ -120,7 +118,7 @@ func TestIntervalMigration(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		miss(sim, ctl, hot)
 	}
-	sim.RunUntil(sim.Now() + 2*m.cfg.IntervalCycles)
+	sim.RunUntil(sim.Now() + 2*intervalCycles)
 	miss(sim, ctl, hot) // lazy tick fires the interval migration
 	sim.Drain(0)
 	if m.Stats().Migrations == 0 {
@@ -159,7 +157,7 @@ func TestMigrationsStayInPod(t *testing.T) {
 				miss(sim, ctl, h)
 			}
 		}
-		sim.RunUntil(sim.Now() + 2*m.cfg.IntervalCycles)
+		sim.RunUntil(sim.Now() + 2*intervalCycles)
 	}
 	miss(sim, ctl, hots[0])
 	sim.Drain(0)
@@ -198,7 +196,7 @@ func TestHotDRAMDataNotVictimised(t *testing.T) {
 		miss(sim, ctl, pod0DRAM)
 		miss(sim, ctl, hot)
 	}
-	sim.RunUntil(sim.Now() + 2*m.cfg.IntervalCycles)
+	sim.RunUntil(sim.Now() + 2*intervalCycles)
 	miss(sim, ctl, hot)
 	sim.Drain(0)
 	if m.Owner(s) != s {
@@ -224,7 +222,7 @@ func TestMemPodIntegrityProperty(t *testing.T) {
 			want++
 			ctl.Access(a, rng.Intn(4) == 0, cache.Meta{PID: rng.Intn(2)}, func() { got++ })
 			if rng.Intn(5) == 0 {
-				sim.RunUntil(sim.Now() + uint64(rng.Intn(30_000)))
+				sim.RunUntil(sim.Now() + uint64(rng.Intn(3*intervalCycles/2)))
 			}
 			if rng.Intn(60) == 0 {
 				sim.Drain(0)
@@ -250,13 +248,15 @@ func TestMemPodIntegrityProperty(t *testing.T) {
 // buffer was free keeps the hot set of the interval that queued it after
 // the next interval runs, and a set is recycled only once nothing holds it.
 func TestPendingMigrationKeepsItsHotSet(t *testing.T) {
-	sim := engine.New()
-	osm := mem.NewOS(mem.Map{DRAMBytes: 2 << 20, NVMBytes: 16 << 20}, 16)
-	ecfg := hmc.DefaultSwapEngineConfig()
-	ecfg.MaxOps = 0 // every interval migration queues
-	ctl := hmc.NewController(sim, osm, memsim.DRAMConfig(), memsim.NVMConfig(), ecfg)
-	m := New(ctl, testConfig())
-	ctl.Seal(ctl.Layout.Total() >> mem.PageShift)
+	_, ctl, m := testRig()
+	// Fill every swap buffer with an exchange the paused clock never lets
+	// finish, so every interval migration queues.
+	fast := m.FastUnits()
+	for i := hmc.Seg(0); i < hmc.MaxOps; i++ {
+		if got := m.Exchange(fast+100+i, fast-1-i, 0); got != hmc.Exchanged {
+			t.Fatalf("exchange %d: got %d, want Exchanged", i, got)
+		}
+	}
 
 	heat := func(s hmc.Seg) {
 		for i := 0; i < 4; i++ {

@@ -25,7 +25,7 @@ type Hint struct {
 
 	// Cycle is when the walker computed the final-PTE address — the start
 	// of the hint's causal chain in the swap-provenance ledger. The hint
-	// itself arrives HintLatency cycles later.
+	// itself arrives hintLatency cycles later.
 	Cycle uint64
 }
 
@@ -35,23 +35,19 @@ type Hinter interface {
 	MMUHint(Hint)
 }
 
-// Config gathers the per-core MMU parameters.
+// hintLatency is the MMU->HMC wire delay in CPU cycles (Table II).
+const hintLatency = 2
+
+// Config gathers the per-core MMU parameters that vary with the memory
+// scale: the two TLB levels.
 type Config struct {
 	L1TLB TLBConfig
 	L2TLB TLBConfig
-	PWC   PWCConfig
-	// HintLatency is the MMU->HMC wire delay (2 CPU cycles in Table II).
-	HintLatency uint64
 }
 
 // DefaultConfig returns the paper's MMU parameters.
 func DefaultConfig() Config {
-	return Config{
-		L1TLB:       L1TLBConfig(),
-		L2TLB:       L2TLBConfig(),
-		PWC:         DefaultPWCConfig(),
-		HintLatency: 2,
-	}
+	return Config{L1TLB: L1TLBConfig(), L2TLB: L2TLBConfig()}
 }
 
 // Stats counts translation activity.
@@ -234,7 +230,7 @@ func New(sim *engine.Sim, osm *mem.OS, core, pid int, cfg Config, walkPort cache
 		cfg:      cfg,
 		l1:       NewTLB(cfg.L1TLB),
 		l2:       NewTLB(cfg.L2TLB),
-		pwc:      NewPWC(cfg.PWC),
+		pwc:      NewPWC(),
 		walkPort: walkPort,
 		hinter:   hinter,
 	}
@@ -337,7 +333,7 @@ func (m *MMU) startNextWalk() {
 	m.wkTxn = t
 	m.stats.Walks++
 	m.wkWalk = m.os.WalkVA(m.pid, t.va)
-	m.sim.After(m.cfg.PWC.Latency, m.wkStartFn)
+	m.sim.After(pwcLatency, m.wkStartFn)
 }
 
 func (m *MMU) walkStart() {
@@ -374,7 +370,7 @@ func (m *MMU) walkLevel() {
 			LeafPPN: m.wkWalk.Leaf,
 			Cycle:   m.sim.Now(),
 		}
-		m.sim.After(m.cfg.HintLatency, ht.fn)
+		m.sim.After(hintLatency, ht.fn)
 	}
 	m.stats.WalkReads++
 	meta := cache.Meta{Core: m.core, PID: m.pid, PageWalk: true, IsPTE: l == mem.PTE, V: m.wkTxn.v}

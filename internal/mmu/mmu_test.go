@@ -201,7 +201,7 @@ func TestNewTLBRejectsBadWays(t *testing.T) {
 }
 
 func TestPWCRejectsLeafLevel(t *testing.T) {
-	p := NewPWC(DefaultPWCConfig())
+	p := NewPWC()
 	defer func() {
 		if recover() == nil {
 			t.Error("PWC Insert(PTE) did not panic")
@@ -211,7 +211,7 @@ func TestPWCRejectsLeafLevel(t *testing.T) {
 }
 
 func TestPWCDeepestLevelWins(t *testing.T) {
-	p := NewPWC(DefaultPWCConfig())
+	p := NewPWC()
 	va := mem.VAddr(0x7f0012345000)
 	p.Insert(1, va, mem.PGD, 10)
 	p.Insert(1, va, mem.PMD, 30)

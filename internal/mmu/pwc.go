@@ -2,17 +2,14 @@ package mmu
 
 import "pageseer/internal/mem"
 
-// PWCConfig sizes the page-walk cache: entries per intermediate level
-// (PGD, PUD, PMD — the PTE level is never cached in the PWC, matching
-// Section II-C of the paper).
-type PWCConfig struct {
-	EntriesPerLevel int
-	Latency         uint64
-}
-
-// DefaultPWCConfig follows contemporary cores: 32 entries per level,
-// 1-cycle access.
-func DefaultPWCConfig() PWCConfig { return PWCConfig{EntriesPerLevel: 32, Latency: 1} }
+// The page-walk cache's geometry: entries per intermediate level (PGD, PUD,
+// PMD — the PTE level is never cached in the PWC, matching Section II-C of
+// the paper) and the probe latency in CPU cycles. Modelling choice: the paper
+// gives no PWC size, so these follow contemporary cores.
+const (
+	pwcEntriesPerLevel = 32
+	pwcLatency         = 1
+)
 
 type pwcEntry struct {
 	pid    int
@@ -26,7 +23,6 @@ type pwcEntry struct {
 // frame of the *next* table, letting the walker skip all reads at levels
 // <= L. The walker probes the deepest level first (PMD, then PUD, then PGD).
 type PWC struct {
-	cfg    PWCConfig
 	levels [3][]pwcEntry // indexed by mem.PGD/PUD/PMD
 	tick   uint64
 	hits   [3]uint64
@@ -34,16 +30,13 @@ type PWC struct {
 }
 
 // NewPWC builds an empty page-walk cache.
-func NewPWC(cfg PWCConfig) *PWC {
-	p := &PWC{cfg: cfg}
+func NewPWC() *PWC {
+	p := &PWC{}
 	for l := range p.levels {
-		p.levels[l] = make([]pwcEntry, cfg.EntriesPerLevel)
+		p.levels[l] = make([]pwcEntry, pwcEntriesPerLevel)
 	}
 	return p
 }
-
-// Config returns the PWC configuration.
-func (p *PWC) Config() PWCConfig { return p.cfg }
 
 // Hits returns per-level hit counters (PGD, PUD, PMD).
 func (p *PWC) Hits() [3]uint64 { return p.hits }

@@ -12,18 +12,25 @@ import (
 	"pageseer/internal/mmu"
 )
 
-// Config holds PoM's parameters.
+// PoM's fixed parameters.
+const (
+	// swapThreshold is the access count that triggers a swap: K=12,
+	// adjusted for this memory timing model (Section IV-B).
+	swapThreshold = 12
+	// decayInterval halves the segment counters this often, in CPU cycles.
+	// Modelling choice: the same period as PageSeer's HPT decay (Table II).
+	decayInterval = 100_000
+	// srcWays and srcLatency give the SRC's associativity and hit latency
+	// in CPU cycles, those of PageSeer's PRTc (Table II).
+	srcWays    = 4
+	srcLatency = 2
+)
+
+// Config holds PoM's parameters that vary with the memory scale.
 type Config struct {
-	// K is the access-count threshold that triggers a swap (12, adjusted
-	// for this memory timing model per Section IV-B).
-	K uint32
-	// CounterDecayInterval halves segment counters this often (CPU cycles).
-	CounterDecayInterval uint64
-	// SRCEntries and SRCWays give the segment remap cache geometry
-	// (32KB like PageSeer's PRTc).
+	// SRCEntries sizes the segment remap cache (32KB like PageSeer's PRTc,
+	// Section IV-B).
 	SRCEntries int
-	SRCWays    int
-	SRCLatency uint64
 	// RemapTableBytes sizes the DRAM-resident full remap table.
 	RemapTableBytes uint64
 	// CounterTableEntries bounds the per-segment counter storage.
@@ -33,13 +40,9 @@ type Config struct {
 // DefaultConfig returns the Section IV-B configuration.
 func DefaultConfig() Config {
 	return Config{
-		K:                    12,
-		CounterDecayInterval: 100_000,
-		SRCEntries:           8192, // 32KB / 4B group entries
-		SRCWays:              4,
-		SRCLatency:           2,
-		RemapTableBytes:      512 << 10,
-		CounterTableEntries:  16384,
+		SRCEntries:          8192, // 32KB / 4B group entries
+		RemapTableBytes:     512 << 10,
+		CounterTableEntries: 16384,
 	}
 }
 
@@ -50,7 +53,7 @@ const segShift = 11
 // group, 16 to a line.
 func (c Config) SRC() hmc.MetaCacheConfig {
 	return hmc.MetaCacheConfig{
-		Name: "SRC", Entries: c.SRCEntries, Ways: c.SRCWays, HitLatency: c.SRCLatency,
+		Name: "SRC", Entries: c.SRCEntries, Ways: srcWays, HitLatency: srcLatency,
 		EntriesPerLine: 16,
 	}
 }
@@ -129,12 +132,9 @@ func (p *PoM) HandleRequest(r *hmc.Request) {
 }
 
 func (p *PoM) maybeDecay() {
-	if p.cfg.CounterDecayInterval == 0 {
-		return
-	}
 	now := p.sim.Now()
-	for p.lastDecay+p.cfg.CounterDecayInterval <= now {
-		p.lastDecay += p.cfg.CounterDecayInterval
+	for p.lastDecay+decayInterval <= now {
+		p.lastDecay += decayInterval
 		p.counters.Each(func(s uint64, c uint32) {
 			if c /= 2; c == 0 {
 				p.dead = append(p.dead, s)
@@ -147,8 +147,8 @@ func (p *PoM) maybeDecay() {
 		}
 		p.dead = p.dead[:0]
 		if p.counters.Len() == 0 {
-			rem := (now - p.lastDecay) / p.cfg.CounterDecayInterval
-			p.lastDecay += rem * p.cfg.CounterDecayInterval
+			rem := (now - p.lastDecay) / decayInterval
+			p.lastDecay += rem * decayInterval
 			break
 		}
 	}
@@ -172,7 +172,7 @@ func (p *PoM) track(s hmc.Seg) {
 		}
 		p.counters.Put(uint64(s), c)
 	}
-	if c >= p.cfg.K {
+	if c >= swapThreshold {
 		p.trySwap(s)
 	}
 }

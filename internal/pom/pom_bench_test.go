@@ -13,7 +13,7 @@ func BenchmarkPoMTranslateLine(b *testing.B) {
 	sim, ctl, p := testRig()
 	for i := 0; i < 32; i++ {
 		a := slowSeg(ctl, 64*i)
-		for j := 0; j < int(p.cfg.K); j++ {
+		for j := 0; j < swapThreshold; j++ {
 			miss(sim, ctl, a)
 		}
 	}

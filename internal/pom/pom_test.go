@@ -9,14 +9,12 @@ import (
 	"pageseer/internal/engine"
 	"pageseer/internal/hmc"
 	"pageseer/internal/mem"
-	"pageseer/internal/memsim"
 )
 
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.SRCEntries = 128
 	cfg.RemapTableBytes = 8 << 10
-	cfg.CounterDecayInterval = 0
 	cfg.CounterTableEntries = 256
 	return cfg
 }
@@ -26,7 +24,7 @@ func testRig() (*engine.Sim, *hmc.Controller, *PoM) { return rigWith(testConfig(
 func rigWith(cfg Config) (*engine.Sim, *hmc.Controller, *PoM) {
 	sim := engine.New()
 	osm := mem.NewOS(mem.Map{DRAMBytes: 2 << 20, NVMBytes: 16 << 20}, 16)
-	ctl := hmc.NewController(sim, osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
+	ctl := hmc.NewController(sim, osm)
 	p := New(ctl, cfg)
 	ctl.Seal(ctl.Layout.Total() >> mem.PageShift) // the rig names frames directly
 	return sim, ctl, p
@@ -50,7 +48,7 @@ func miss(sim *engine.Sim, ctl *hmc.Controller, a mem.Addr) {
 func TestSwapAtThresholdK(t *testing.T) {
 	sim, ctl, p := testRig()
 	a := slowSeg(ctl, 100)
-	for i := 0; i < int(p.cfg.K)-1; i++ {
+	for i := 0; i < swapThreshold-1; i++ {
 		miss(sim, ctl, a)
 	}
 	if p.Stats().Swaps != 0 {
@@ -91,14 +89,14 @@ func TestFastSwapDisplacesToSlowHome(t *testing.T) {
 	g := fast - 1
 	s1 := g + fast   // first slow segment of group g
 	s2 := g + 2*fast // second slow segment of group g
-	for i := 0; i < int(p.cfg.K); i++ {
+	for i := 0; i < swapThreshold; i++ {
 		miss(sim, ctl, segBase(s1))
 	}
 	sim.Drain(0)
 	if p.Loc(s1) != g {
 		t.Fatalf("s1 not in fast slot: %d", p.Loc(s1))
 	}
-	for i := 0; i < int(p.cfg.K); i++ {
+	for i := 0; i < swapThreshold; i++ {
 		miss(sim, ctl, segBase(s2))
 	}
 	sim.Drain(0)
@@ -121,10 +119,10 @@ func TestConflictThrashingPossible(t *testing.T) {
 	g := fast - 2
 	s1, s2 := g+fast, g+2*fast
 	for round := 0; round < 3; round++ {
-		for i := 0; i < int(p.cfg.K); i++ {
+		for i := 0; i < swapThreshold; i++ {
 			miss(sim, ctl, segBase(s1))
 		}
-		for i := 0; i < int(p.cfg.K); i++ {
+		for i := 0; i < swapThreshold; i++ {
 			miss(sim, ctl, segBase(s2))
 		}
 		sim.Drain(0)
@@ -142,7 +140,7 @@ func TestPinnedFastSlotBlocksSwap(t *testing.T) {
 	// Group 0's fast slot hosts the remap table (reserved first): swaps
 	// into it must be blocked.
 	s := p.FastUnits() // slow segment of group 0
-	for i := 0; i < int(p.cfg.K)+3; i++ {
+	for i := 0; i < swapThreshold+3; i++ {
 		miss(sim, ctl, segBase(s))
 	}
 	sim.Drain(0)
@@ -155,21 +153,19 @@ func TestPinnedFastSlotBlocksSwap(t *testing.T) {
 }
 
 func TestCounterDecay(t *testing.T) {
-	cfg := testConfig()
-	cfg.CounterDecayInterval = 1000
-	sim2, ctl2, p2 := rigWith(cfg)
-	a := slowSeg(ctl2, 50)
-	for i := 0; i < int(cfg.K)-2; i++ {
-		miss(sim2, ctl2, a)
+	sim, ctl, p := testRig()
+	a := slowSeg(ctl, 50)
+	for i := 0; i < swapThreshold-2; i++ {
+		miss(sim, ctl, a)
 	}
 	// Let counters decay well below threshold, then a few more accesses
 	// must not trigger a swap.
-	sim2.RunUntil(sim2.Now() + 10_000)
+	sim.RunUntil(sim.Now() + 10*decayInterval)
 	for i := 0; i < 2; i++ {
-		miss(sim2, ctl2, a)
+		miss(sim, ctl, a)
 	}
-	sim2.Drain(0)
-	if p2.Stats().Swaps != 0 {
+	sim.Drain(0)
+	if p.Stats().Swaps != 0 {
 		t.Fatal("decayed counter still triggered a swap")
 	}
 }
@@ -180,7 +176,6 @@ func TestCounterDecay(t *testing.T) {
 // reaches K.
 func TestCounterTableEvictsOnlyToAdmit(t *testing.T) {
 	cfg := testConfig()
-	cfg.K = 3
 	cfg.CounterTableEntries = 2
 	sim, ctl, p := rigWith(cfg)
 	// b is the lower segment, so it loses every (count, segment) tie.
@@ -191,7 +186,9 @@ func TestCounterTableEvictsOnlyToAdmit(t *testing.T) {
 	if c, _ := p.counters.Get(uint64(segOf(b))); c != 2 {
 		t.Fatalf("b's counter = %d after its second access, want 2", c)
 	}
-	miss(sim, ctl, b)
+	for i := 2; i < swapThreshold; i++ {
+		miss(sim, ctl, b)
+	}
 	sim.Drain(0)
 	if p.Stats().Swaps != 1 || !ctl.Layout.IsDRAM(p.TranslateLine(b)) {
 		t.Fatalf("b reached K but swaps = %d and it maps to %#x", p.Stats().Swaps, uint64(p.TranslateLine(b)))
@@ -202,9 +199,9 @@ func TestCounterTableEvictsOnlyToAdmit(t *testing.T) {
 }
 
 func TestWritebackRoutedThroughRemap(t *testing.T) {
-	sim, ctl, p := testRig()
+	sim, ctl, _ := testRig()
 	a := slowSeg(ctl, 100)
-	for i := 0; i < int(p.cfg.K); i++ {
+	for i := 0; i < swapThreshold; i++ {
 		miss(sim, ctl, a)
 	}
 	sim.Drain(0)
@@ -260,7 +257,7 @@ func TestVerifyIntegrityCatchesMutation(t *testing.T) {
 	sim, ctl, p := testRig()
 	for i := 0; i < 4; i++ {
 		a := slowSeg(ctl, 100+i)
-		for j := 0; j < int(p.cfg.K); j++ {
+		for j := 0; j < swapThreshold; j++ {
 			miss(sim, ctl, a)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"pageseer/internal/engine"
 	"pageseer/internal/hmc"
 	"pageseer/internal/mem"
-	"pageseer/internal/memsim"
 	"pageseer/internal/mmu"
 	"pageseer/internal/workload"
 )
@@ -48,8 +47,8 @@ func benchSystem(gen workload.Generator, footprint uint64) (*engine.Sim, *cpu.Co
 	layout := mem.Map{DRAMBytes: 4 << 20, NVMBytes: 32 << 20}
 	osm := mem.NewOS(layout, layout.DRAMPages()/16)
 	sm := engine.New()
-	sm.Reserve(cpu.DefaultCoreConfig().MaxOutstanding*4 + 256)
-	ctl := hmc.NewController(sm, osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
+	sm.Reserve(cpu.MaxOutstanding*4 + 256)
+	ctl := hmc.NewController(sm, osm)
 	hmc.NewStatic(ctl)
 
 	l3cfg := cache.L3Config()
@@ -64,7 +63,7 @@ func benchSystem(gen workload.Generator, footprint uint64) (*engine.Sim, *cpu.Co
 
 	osm.NewProcess(1)
 	m := mmu.New(sm, osm, 0, 1, mmu.DefaultConfig(), l2, nil)
-	c := cpu.NewCore(sm, 0, 1, cpu.DefaultCoreConfig(), m, l1, gen)
+	c := cpu.NewCore(sm, 0, 1, m, l1, gen)
 	for off := uint64(0); off < footprint; off += mem.PageSize {
 		osm.WalkVA(1, workload.VABase+mem.VAddr(off))
 	}

@@ -18,7 +18,6 @@ import (
 	"pageseer/internal/hmc"
 	"pageseer/internal/mem"
 	"pageseer/internal/mempod"
-	"pageseer/internal/memsim"
 	"pageseer/internal/mmu"
 	"pageseer/internal/obs"
 	"pageseer/internal/obs/attrib"
@@ -100,8 +99,6 @@ type Config struct {
 	// the preceding gap).
 	SampleWindow uint64
 	SampleWarmup uint64
-
-	CoreConfig cpu.CoreConfig
 
 	// Obs enables the optional observability sinks (epoch timeline,
 	// Chrome-trace event stream). Latency histograms are always collected:
@@ -202,7 +199,6 @@ func DefaultConfig() Config {
 		InstrPerCore: 2_000_000,
 		Warmup:       1_000_000,
 		Seed:         1,
-		CoreConfig:   cpu.DefaultCoreConfig(),
 	}
 }
 
@@ -313,9 +309,6 @@ func Build(cfg Config) (*System, error) {
 	if cfg.Scale < 1 {
 		cfg.Scale = 1
 	}
-	if cfg.CoreConfig.MaxOutstanding == 0 {
-		cfg.CoreConfig = cpu.DefaultCoreConfig()
-	}
 	gens, pids, feet, err := buildWorkload(cfg)
 	if err != nil {
 		return nil, err
@@ -339,8 +332,8 @@ func Build(cfg Config) (*System, error) {
 	// event across its pipeline stages, plus per-channel wakeups and swap
 	// engine traffic. Reserving up front keeps append-growth out of the
 	// measured epoch.
-	sm.Reserve(nCores*cfg.CoreConfig.MaxOutstanding*4 + 256)
-	ctl := hmc.NewController(sm, osm, memsim.DRAMConfig(), memsim.NVMConfig(), hmc.DefaultSwapEngineConfig())
+	sm.Reserve(nCores*cpu.MaxOutstanding*4 + 256)
+	ctl := hmc.NewController(sm, osm)
 
 	sys := &System{Cfg: cfg, Sim: sm, OS: osm, Ctl: ctl}
 	sys.lat = &obs.LatencySet{}
@@ -414,7 +407,7 @@ func Build(cfg Config) (*System, error) {
 		l2 := cache.New(sm, l2cfg, sys.L3)
 		l1 := cache.New(sm, l1cfg, l2)
 		m := mmu.New(sm, osm, i, pid, mcfg, l2, hinter)
-		c := cpu.NewCore(sm, i, pid, cfg.CoreConfig, m, l1, gens[i])
+		c := cpu.NewCore(sm, i, pid, m, l1, gens[i])
 		if sys.att != nil {
 			c.SetAttrib(sys.att)
 		}

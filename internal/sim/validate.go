@@ -11,8 +11,8 @@ import (
 // and scheme, and cache/metadata-cache geometries that survive scaling.
 // Build calls it first, so a bad flag combination surfaces as one wrapped
 // error ("sim: invalid config: ...") instead of a panic from deep inside
-// construction. Normalisations Build applies silently (Scale<1 becomes 1, a
-// zero CoreConfig takes the default) are not errors here either.
+// construction. The normalisation Build applies silently (Scale<1 becomes 1)
+// is not an error here either.
 func (cfg Config) Validate() error {
 	_, err := cfg.validate()
 	return err
@@ -33,8 +33,8 @@ func (cfg Config) validate() (ManagerFactory, error) {
 	if cfg.MaxCores < 0 {
 		return fail(fmt.Errorf("max cores %d is negative", cfg.MaxCores))
 	}
-	if cfg.CoreConfig.MaxOutstanding < 0 {
-		return fail(fmt.Errorf("core window %d is negative", cfg.CoreConfig.MaxOutstanding))
+	if err := cfg.Faults.Validate(); err != nil {
+		return fail(err)
 	}
 	if cfg.Sample > 0 {
 		if cfg.SampleWindow == 0 {

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"pageseer/internal/check"
 	"pageseer/internal/core"
 )
 
@@ -19,7 +21,10 @@ func TestConfigValidate(t *testing.T) {
 		{"unknown workload", func(c *Config) { c.Workload = "nope" }, "workload"},
 		{"unknown scheme", func(c *Config) { c.Scheme = "quantum" }, "scheme"},
 		{"negative cores", func(c *Config) { c.MaxCores = -1 }, "cores"},
-		{"negative window", func(c *Config) { c.CoreConfig.MaxOutstanding = -2 }, "window"},
+		{"fault rate in range", func(c *Config) { c.Faults = check.FaultPlan{Kind: check.FaultMetaThrash, Rate: 1} }, ""},
+		{"negative fault rate", func(c *Config) { c.Faults = check.FaultPlan{Kind: check.FaultMetaThrash, Rate: -1} }, "fault rate"},
+		{"fault rate above 1", func(c *Config) { c.Faults.Rate = 5 }, "fault rate"},
+		{"NaN fault rate", func(c *Config) { c.Faults.Rate = math.NaN() }, "fault rate"},
 		{"pagemap on", func(c *Config) { c.Obs.PageMap = true }, ""},
 		{"PRTc wider than an LRU order word", func(c *Config) {
 			p := core.DefaultConfig()
@@ -64,17 +69,17 @@ func TestBuildSurfacesValidateError(t *testing.T) {
 // cannot disagree on a declared geometry; the fuzz target catches a
 // construction failure that no declared check covers.
 func FuzzConfigValidate(f *testing.F) {
-	f.Add("lbm", "pageseer", 128, 0, 0)
-	f.Add("mix6", "pom", 1, 4, 16)
-	f.Add("nope", "mempod", 64, -1, -1)
-	f.Add("GemsFDTD", "quantum", 0, 2, 8)
-	f.Fuzz(func(t *testing.T, wl, scheme string, scale, maxCores, window int) {
+	f.Add("lbm", "pageseer", 128, 0, 0.0)
+	f.Add("mix6", "pom", 1, 4, 0.5)
+	f.Add("nope", "mempod", 64, -1, -1.0)
+	f.Add("GemsFDTD", "quantum", 0, 2, 2.0)
+	f.Fuzz(func(t *testing.T, wl, scheme string, scale, maxCores int, rate float64) {
 		cfg := DefaultConfig()
 		cfg.Workload = wl
 		cfg.Scheme = Scheme(scheme)
 		cfg.Scale = scale
 		cfg.MaxCores = maxCores
-		cfg.CoreConfig.MaxOutstanding = window
+		cfg.Faults = check.FaultPlan{Kind: check.FaultMetaThrash, Rate: rate}
 
 		err := cfg.Validate() // must not panic on any input
 		if err != nil && !strings.Contains(err.Error(), "invalid config") {
@@ -82,7 +87,7 @@ func FuzzConfigValidate(f *testing.F) {
 		}
 		// Cross-check against construction on sane scales only (extreme
 		// scales make Build allocate absurd structures, not fail).
-		if err == nil && scale >= 0 && scale <= 1<<12 && maxCores <= 64 && window <= 1024 {
+		if err == nil && scale >= 0 && scale <= 1<<12 && maxCores <= 64 {
 			if _, berr := Build(cfg); berr != nil {
 				t.Fatalf("Validate passed but Build failed: %v", berr)
 			}

@@ -12,8 +12,8 @@ import (
 // IPC as a metric, so `go test -bench Ablation` doubles as a design-space
 // record. Budgets are small; shapes, not absolutes, are the point.
 
-func ablationConfig() Config {
-	cfg := DefaultConfig()
+func ablationConfig() sim.Config {
+	cfg := sim.DefaultConfig()
 	cfg.Workload = "miniFE"
 	cfg.MaxCores = 4
 	cfg.InstrPerCore = 800_000
@@ -21,7 +21,7 @@ func ablationConfig() Config {
 	return cfg
 }
 
-func runWith(b *testing.B, pcfg core.Config) Results {
+func runWith(b *testing.B, pcfg core.Config) sim.Results {
 	b.Helper()
 	sys, err := sim.BuildWithPageSeerConfig(ablationConfig(), pcfg)
 	if err != nil {

@@ -196,11 +196,11 @@ func BenchmarkAblationNoCorr(b *testing.B) {
 // instructions per wall second) for capacity planning.
 func BenchmarkSingleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := DefaultConfig()
+		cfg := sim.DefaultConfig()
 		cfg.Workload = "lbm"
 		cfg.InstrPerCore = 300_000
 		cfg.Warmup = 100_000
-		sys, err := Build(cfg)
+		sys, err := sim.Build(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

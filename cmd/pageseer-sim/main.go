@@ -53,9 +53,14 @@ import (
 	"path/filepath"
 	"strings"
 
-	"pageseer"
+	"pageseer/internal/check"
 	"pageseer/internal/cli"
+	"pageseer/internal/figures"
+	"pageseer/internal/obs"
+	"pageseer/internal/obs/pagemap"
+	"pageseer/internal/sim"
 	"pageseer/internal/stats"
+	"pageseer/internal/workload"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -91,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg := pageseer.DefaultConfig()
+	cfg := sim.DefaultConfig()
 	if err := common.ApplyConfig(&cfg); err != nil {
 		fmt.Fprintln(stderr, "error:", err)
 		return 2
@@ -105,15 +110,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer stopProfiles()
 
 	if *list {
-		for _, w := range pageseer.Workloads() {
-			fmt.Fprintf(stdout, "%-12s (%s)\n", w, pageseer.Suite(w))
+		for _, w := range workload.AllWorkloadNames() {
+			fmt.Fprintf(stdout, "%-12s (%s)\n", w, workload.Suite(w))
 		}
 		return 0
 	}
 
 	wls := strings.Split(*wl, ",")
 	if *wl == "all" {
-		wls = pageseer.Workloads()
+		wls = workload.AllWorkloadNames()
 	}
 	files.multi = len(wls) > 1
 
@@ -128,12 +133,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Obs.TimelineEvery = *tlEvery
 	}
 
-	s := common.Open(pageseer.FigureOptions{Config: cfg, Workloads: wls}, stderr)
-	keys := make([]pageseer.FigureKey, len(wls))
+	// Each run's configuration is checked before any run starts, so an
+	// unknown -scheme or workload name is a usage error like any other bad
+	// flag value.
+	keys := make([]figures.Key, len(wls))
 	for i, w := range wls {
-		keys[i] = pageseer.FigureKey{Workload: w, Scheme: pageseer.Scheme(*scheme), DisableBW: *nobw}
+		keys[i] = figures.Key{Workload: w, Scheme: sim.Scheme(*scheme), DisableBW: *nobw}
+		if err := keys[i].Config(cfg).Validate(); err != nil {
+			fmt.Fprintln(stderr, "error:", err)
+			return 2
+		}
 	}
-	var sink func(*pageseer.System) error
+	s := common.Open(figures.Options{Config: cfg, Workloads: wls}, stderr)
+	var sink func(*sim.System) error
 	if files.any() {
 		sink = files.write
 	}
@@ -146,8 +158,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	failed := false
 	for i := range wls {
 		if err := errs[i]; err != nil {
-			var re *pageseer.RunError
-			if !errors.Is(err, pageseer.ErrStopped) && !errors.As(err, &re) {
+			var re *sim.RunError
+			if !errors.Is(err, figures.ErrStopped) && !errors.As(err, &re) {
 				fmt.Fprintln(stderr, "error:", err)
 				failed = true
 			}
@@ -163,10 +175,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// after the per-run reports, like paper-figures prints its tables after
 	// the figures.
 	if *cpi {
-		var rows []pageseer.CPIStackRow
+		var rows []figures.CPIStackRow
 		for i, k := range keys {
 			if errs[i] == nil {
-				rows = append(rows, pageseer.CPIStackRow{
+				rows = append(rows, figures.CPIStackRow{
 					Workload:     k.Workload,
 					Scheme:       k.Label(),
 					Instructions: results[i].Instructions,
@@ -175,8 +187,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, pageseer.RenderCPIStack(rows))
-		if err := cli.WriteTable(rows, *cpiCSV, pageseer.WriteCPIStackCSV, *cpiJSON, pageseer.WriteCPIStackJSON); err != nil {
+		fmt.Fprint(stdout, figures.RenderCPIStack(rows))
+		if err := cli.WriteTable(rows, figures.CPIStackColumns, *cpiCSV, *cpiJSON); err != nil {
 			fmt.Fprintln(stderr, "error:", err)
 			failed = true
 		}
@@ -199,7 +211,7 @@ func (f runFiles) any() bool {
 
 // write exports one finished run's trace, timeline and per-page table (or,
 // with -pagemap-2mb, its 2MB-extent roll-up).
-func (f runFiles) write(sys *pageseer.System) error {
+func (f runFiles) write(sys *sim.System) error {
 	wl := sys.Cfg.Workload
 	if p := outPath(f.trace, wl, f.multi); p != "" {
 		if err := cli.WriteFile(p, sys.Tracer.WriteJSON); err != nil {
@@ -207,11 +219,11 @@ func (f runFiles) write(sys *pageseer.System) error {
 		}
 	}
 	if p := outPath(f.timeline, wl, f.multi); p != "" {
-		w := sys.Timeline.WriteCSV
+		csvPath, jsonPath := p, ""
 		if strings.HasSuffix(p, ".json") {
-			w = sys.Timeline.WriteJSON
+			csvPath, jsonPath = "", p
 		}
-		if err := cli.WriteFile(p, w); err != nil {
+		if err := cli.WriteTable(sys.Timeline.Samples(), obs.TimelineColumns, csvPath, jsonPath); err != nil {
 			return err
 		}
 	}
@@ -220,9 +232,9 @@ func (f runFiles) write(sys *pageseer.System) error {
 		return nil
 	}
 	if f.pm2MB {
-		return cli.WriteTable(sys.PageMap().Regions(), csvPath, pageseer.WritePageMapRegionsCSV, jsonPath, pageseer.WritePageMapRegionsJSON)
+		return cli.WriteTable(sys.PageMap().Regions(), pagemap.RegionColumns, csvPath, jsonPath)
 	}
-	return cli.WriteTable(sys.PageMap().Rows(), csvPath, pageseer.WritePageMapCSV, jsonPath, pageseer.WritePageMapJSON)
+	return cli.WriteTable(sys.PageMap().Rows(), pagemap.RowColumns, csvPath, jsonPath)
 }
 
 // outPath returns base with the workload name inserted before the extension
@@ -237,7 +249,7 @@ func outPath(base, wl string, multi bool) string {
 }
 
 // report renders one run; the provenance block only when asked for.
-func report(cfg pageseer.Config, res pageseer.Results, provenance bool) string {
+func report(cfg sim.Config, res sim.Results, provenance bool) string {
 	var b strings.Builder
 	d, n, bf := res.ServiceBreakdown()
 	pos, neg, neu := res.AccessEffectiveness()
@@ -256,7 +268,7 @@ func report(cfg pageseer.Config, res pageseer.Results, provenance bool) string {
 	fmt.Fprintf(&b, "page walks:    %d walks, %.1f%% of PTE reads reached the HMC, driver hit rate %.1f%%\n",
 		res.MMU.Walks, res.PTEMissRate()*100, res.MMUDriverHitRate()*100)
 	fmt.Fprintf(&b, "swaps:         %.3f per Kinstr", res.SwapsPerKI)
-	if res.Scheme == pageseer.SchemePageSeer || res.Scheme == pageseer.SchemePageSeerNoCorr {
+	if res.Scheme == sim.SchemePageSeer || res.Scheme == sim.SchemePageSeerNoCorr {
 		st := res.PS
 		fmt.Fprintf(&b, "  [regular %d, prefetching-triggered %d, MMU-triggered %d]",
 			st.SwapsCompleted[0], st.SwapsCompleted[1], st.SwapsCompleted[2])
@@ -267,8 +279,8 @@ func report(cfg pageseer.Config, res pageseer.Results, provenance bool) string {
 	fmt.Fprintln(&b)
 	if eff := res.Effectiveness; provenance && eff.DemandTotal > 0 {
 		fmt.Fprintf(&b, "provenance:    started regular %d / pct %d / mmu %d / follower %d  (useful %d, unused %d, open %d, late %d)\n",
-			eff.Started[pageseer.TrigRegular], eff.Started[pageseer.TrigPCT],
-			eff.Started[pageseer.TrigMMU], eff.Started[pageseer.TrigFollower],
+			eff.Started[obs.TrigRegular], eff.Started[obs.TrigPCT],
+			eff.Started[obs.TrigMMU], eff.Started[obs.TrigFollower],
 			eff.TotalUseful(), eff.TotalUnused(), eff.TotalOpen(), eff.Late)
 		fmt.Fprintf(&b, "               accuracy %.1f%%  coverage %.1f%%  wasted DRAM/NVM %d/%d KiB",
 			eff.Accuracy*100, eff.Coverage*100, eff.WastedDRAMBytes>>10, eff.WastedNVMBytes>>10)
@@ -292,7 +304,7 @@ func report(cfg pageseer.Config, res pageseer.Results, provenance bool) string {
 	fmt.Fprintf(&b, "memory:        DRAM %d reads %d writes (row hit %.1f%%) | NVM %d reads %d writes (row hit %.1f%%)\n",
 		res.DRAM.Reads, res.DRAM.Writes, rowHitPct(res.DRAM.RowHits, res.DRAM.RowMisses, res.DRAM.RowConflicts),
 		res.NVM.Reads, res.NVM.Writes, rowHitPct(res.NVM.RowHits, res.NVM.RowMisses, res.NVM.RowConflicts))
-	if f := res.Faults; cfg.Faults.Kind != pageseer.FaultNone {
+	if f := res.Faults; cfg.Faults.Kind != check.FaultNone {
 		fmt.Fprintf(&b, "faults:        %s injected: swap starts blocked %d, metadata misses forced %d, issue stalls %d, storm touches %d\n",
 			cfg.Faults.Kind, f.SwapStartsBlocked, f.MetaMissesForced, f.IssueStalls, f.StormTouches)
 	}
@@ -304,7 +316,7 @@ func report(cfg pageseer.Config, res pageseer.Results, provenance bool) string {
 
 // latencyCell formats one serving source's per-request latency digest
 // (cycles) for the report's latency line.
-func latencyCell(name string, d pageseer.LatencyDist) string {
+func latencyCell(name string, d obs.Dist) string {
 	if d.Count == 0 {
 		return name + " —"
 	}

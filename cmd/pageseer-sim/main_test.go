@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"pageseer"
+	"pageseer/internal/workload"
 )
 
 // syncBuffer is a bytes.Buffer safe for the concurrent writes a run's
@@ -114,7 +114,7 @@ func TestInterruptStopsQueuedRuns(t *testing.T) {
 	defer signal.Stop(caught)
 
 	dir := t.TempDir()
-	wls := pageseer.Workloads()
+	wls := workload.AllWorkloadNames()
 	var stdout, stderr syncBuffer
 	done := make(chan int, 1)
 	go func() {
@@ -161,8 +161,8 @@ func TestInterruptStopsQueuedRuns(t *testing.T) {
 }
 
 // TestUsageErrorsExit2: negative values of the int flags that treat 0 as
-// "default", an unknown fault kind and a fault rate that is not a
-// probability are usage errors caught before any run starts.
+// "default", an unknown fault kind, a fault rate that is not a probability
+// and an unknown scheme are usage errors caught before any run starts.
 func TestUsageErrorsExit2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scale", "-4"},
@@ -173,6 +173,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-fault", "meta-thrash", "-fault-rate", "-1"},
 		{"-fault", "meta-thrash", "-fault-rate", "5"},
 		{"-fault", "meta-thrash", "-fault-rate", "NaN"},
+		{"-scheme", "bogus"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			var stdout, stderr syncBuffer

@@ -28,6 +28,7 @@ import (
 
 	"pageseer/internal/cli"
 	"pageseer/internal/figures"
+	"pageseer/internal/obs"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -98,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !*quiet {
 		opts.Progress = stderr
 	}
-	obs := &opts.Config.Obs
+	observe := &opts.Config.Obs
 	if *effectCSV != "" || *effectJSON != "" {
 		*effect = true
 	}
@@ -106,18 +107,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// for it. It is deliberately NOT part of -all: -all regenerates the
 	// paper's figures, whose runs stay ledger-free (and byte-identical to
 	// earlier releases).
-	obs.Ledger = *effect
+	observe.Ledger = *effect
 	if *cpistackCSV != "" || *cpistackJSON != "" {
 		*cpistack = true
 	}
 	// Cycle attribution follows the same rule: it rides every run when the
 	// CPI-stack table asks for it, and never under plain -all.
-	obs.CPI = *cpistack
+	observe.CPI = *cpistack
 	if *churnCSV != "" || *churnJSON != "" {
 		*churn = true
 	}
 	// The pagemap follows the same rule: only the churn table asks for it.
-	obs.PageMap = *churn
+	observe.PageMap = *churn
 
 	anyFigure := *fig7 || *fig8 || *fig9 || *fig10 || *fig11 || *fig12 || *fig13 || *fig14 || *abl || *lat || *effect || *cpistack || *churn
 	anyTable := *table1 || *table2 || *table3
@@ -190,11 +191,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{*abl, show(figures.Ablation, figures.RenderAblation)},
 		{*lat, show(figures.LatencyTable, figures.RenderLatencyTable)},
 		{*effect, table(figures.EffectivenessTable, figures.RenderEffectiveness,
-			*effectCSV, figures.WriteEffectivenessCSV, *effectJSON, figures.WriteEffectivenessJSON)},
+			figures.EffectivenessColumns, *effectCSV, *effectJSON)},
 		{*cpistack, table(figures.CPIStackTable, figures.RenderCPIStack,
-			*cpistackCSV, figures.WriteCPIStackCSV, *cpistackJSON, figures.WriteCPIStackJSON)},
+			figures.CPIStackColumns, *cpistackCSV, *cpistackJSON)},
 		{*churn, table(figures.ChurnTable, figures.RenderChurn,
-			*churnCSV, figures.WriteChurnCSV, *churnJSON, figures.WriteChurnJSON)},
+			figures.ChurnColumns, *churnCSV, *churnJSON)},
 	}
 	for _, o := range outputs {
 		if o.on {
@@ -225,13 +226,13 @@ func show[T any](build func(*figures.Runner) (T, error), render func(T) string) 
 // table is show for a table that also writes its rows to the CSV and JSON
 // files named (none when empty).
 func table[T any](build func(*figures.Runner) ([]T, error), render func([]T) string,
-	csvPath string, csv func(io.Writer, []T) error, jsonPath string, json func(io.Writer, []T) error) func(*figures.Runner, io.Writer) error {
+	cols obs.Columns[T], csvPath, jsonPath string) func(*figures.Runner, io.Writer) error {
 	return func(r *figures.Runner, w io.Writer) error {
 		rows, err := build(r)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, render(rows))
-		return cli.WriteTable(rows, csvPath, csv, jsonPath, json)
+		return cli.WriteTable(rows, cols, csvPath, jsonPath)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"log"
 	"os"
 
-	"pageseer"
 	"pageseer/internal/hmc"
 	"pageseer/internal/mem"
 	"pageseer/internal/mmu"
@@ -142,7 +141,7 @@ func main() {
 // run races Eager against PageSeer and writes the two result lines to w.
 func run(w io.Writer) error {
 	const wl = "barnes"
-	cfg := pageseer.DefaultConfig()
+	cfg := sim.DefaultConfig()
 	cfg.Workload = wl
 	cfg.MaxCores = 4
 	cfg.InstrPerCore = 1_000_000
@@ -166,10 +165,10 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "custom 'Eager' policy on %s: IPC %.3f, AMMAT %.1f, %d swaps (%.0f%% useful)\n",
 		wl, res.IPC, res.AMMAT, eager.swaps, res.Effectiveness.Accuracy*100)
 
-	// And PageSeer on the identical workload via the facade.
+	// And PageSeer on the identical workload.
 	cfg2 := cfg
-	cfg2.Scheme = pageseer.SchemePageSeer
-	sys2, err := pageseer.Build(cfg2)
+	cfg2.Scheme = sim.SchemePageSeer
+	sys2, err := sim.Build(cfg2)
 	if err != nil {
 		return err
 	}

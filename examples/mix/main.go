@@ -12,7 +12,8 @@ import (
 	"log"
 	"os"
 
-	"pageseer"
+	"pageseer/internal/sim"
+	"pageseer/internal/workload"
 )
 
 func main() {
@@ -25,24 +26,24 @@ func main() {
 func run(w io.Writer) error {
 	const mix = "mix6" // libquantum-lbm-mcf-bwaves, the most memory-hungry mix
 
-	fmt.Fprintf(w, "running %s (%s suite) under four schemes\n\n", mix, pageseer.Suite(mix))
+	fmt.Fprintf(w, "running %s (%s suite) under four schemes\n\n", mix, workload.Suite(mix))
 	fmt.Fprintf(w, "%-16s %8s %10s %8s %8s %8s\n", "scheme", "IPC", "AMMAT", "DRAM%", "NVM%", "pos%")
 
 	type outcome struct {
-		scheme pageseer.Scheme
+		scheme sim.Scheme
 		ipc    float64
 	}
 	var outcomes []outcome
-	for _, scheme := range []pageseer.Scheme{
-		pageseer.SchemeStatic,
-		pageseer.SchemeMemPod,
-		pageseer.SchemePoM,
-		pageseer.SchemePageSeer,
+	for _, scheme := range []sim.Scheme{
+		sim.SchemeStatic,
+		sim.SchemeMemPod,
+		sim.SchemePoM,
+		sim.SchemePageSeer,
 	} {
-		cfg := pageseer.DefaultConfig()
+		cfg := sim.DefaultConfig()
 		cfg.Workload = mix
 		cfg.Scheme = scheme
-		sys, err := pageseer.Build(cfg)
+		sys, err := sim.Build(cfg)
 		if err != nil {
 			return err
 		}

@@ -1,5 +1,5 @@
 // Quickstart: build one PageSeer system, run it, and read the headline
-// numbers — the five-minute tour of the public API.
+// numbers — the five-minute tour of the simulator API (internal/sim).
 package main
 
 import (
@@ -8,7 +8,7 @@ import (
 	"log"
 	"os"
 
-	"pageseer"
+	"pageseer/internal/sim"
 )
 
 func main() {
@@ -20,13 +20,13 @@ func main() {
 // run builds and runs both systems and writes the comparison to w.
 func run(w io.Writer) error {
 	// A laptop-scale configuration: 1/128 of the paper's memory system.
-	cfg := pageseer.DefaultConfig()
-	cfg.Workload = "miniFE" // any Table III name; see pageseer.Workloads()
-	cfg.Scheme = pageseer.SchemePageSeer
+	cfg := sim.DefaultConfig()
+	cfg.Workload = "miniFE" // any Table III name; see workload.AllWorkloadNames()
+	cfg.Scheme = sim.SchemePageSeer
 	cfg.InstrPerCore = 1_000_000
 	cfg.Warmup = 500_000
 
-	sys, err := pageseer.Build(cfg)
+	sys, err := sim.Build(cfg)
 	if err != nil {
 		return err
 	}
@@ -44,8 +44,8 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "  swaps  %.3f per kilo-instruction\n", res.SwapsPerKI)
 
 	// Compare against running the same workload with no management at all.
-	cfg.Scheme = pageseer.SchemeStatic
-	sys2, err := pageseer.Build(cfg)
+	cfg.Scheme = sim.SchemeStatic
+	sys2, err := sim.Build(cfg)
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,8 @@ import (
 	"log"
 	"os"
 
-	"pageseer"
+	"pageseer/internal/core"
+	"pageseer/internal/sim"
 )
 
 func main() {
@@ -21,7 +22,7 @@ func main() {
 // run sweeps both knobs and writes the two tables to w.
 func run(w io.Writer) error {
 	const wl = "lbm"
-	base := pageseer.DefaultConfig()
+	base := sim.DefaultConfig()
 	base.Workload = wl
 	base.InstrPerCore = 1_500_000
 	base.Warmup = 750_000
@@ -31,7 +32,7 @@ func run(w io.Writer) error {
 	fmt.Fprintln(w, "PCTc prefetch-swap threshold (paper value: 14):")
 	fmt.Fprintf(w, "  %9s %8s %10s %12s %10s\n", "threshold", "IPC", "AMMAT", "swaps/Ki", "accuracy")
 	for _, threshold := range []uint32{6, 10, 14, 20, 28} {
-		pcfg := pageseer.DefaultPageSeerConfig().Scale(base.Scale)
+		pcfg := core.DefaultConfig().Scale(base.Scale)
 		pcfg.PCTThreshold = threshold
 		pcfg.AccuracyTarget = uint64(threshold)
 		res, err := simulate(base, pcfg)
@@ -45,7 +46,7 @@ func run(w io.Writer) error {
 	fmt.Fprintln(w, "\nSwap Driver bandwidth heuristic (Section V-B):")
 	fmt.Fprintf(w, "  %9s %8s %10s %12s %10s\n", "gate", "IPC", "AMMAT", "swaps/Ki", "declined")
 	for _, gate := range []float64{0.5, 0.7, 0.9, 1.01 /* never */} {
-		pcfg := pageseer.DefaultPageSeerConfig().Scale(base.Scale)
+		pcfg := core.DefaultConfig().Scale(base.Scale)
 		pcfg.BWSatFraction = gate
 		label := fmt.Sprintf("%.2f", gate)
 		if gate > 1 {
@@ -62,10 +63,10 @@ func run(w io.Writer) error {
 }
 
 // simulate builds and runs one PageSeer system under pcfg.
-func simulate(cfg pageseer.Config, pcfg pageseer.PageSeerConfig) (pageseer.Results, error) {
-	sys, err := pageseer.BuildWithPageSeerConfig(cfg, pcfg)
+func simulate(cfg sim.Config, pcfg core.Config) (sim.Results, error) {
+	sys, err := sim.BuildWithPageSeerConfig(cfg, pcfg)
 	if err != nil {
-		return pageseer.Results{}, err
+		return sim.Results{}, err
 	}
 	return sys.Run()
 }

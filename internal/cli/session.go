@@ -11,6 +11,7 @@ import (
 	"syscall"
 
 	"pageseer/internal/figures"
+	"pageseer/internal/obs"
 )
 
 // Session is one invocation's run lifecycle around its figures.Runner: the
@@ -113,16 +114,16 @@ func WriteFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// WriteTable writes rows as CSV to csvPath and as JSON to jsonPath, with
-// the table's two encoders; an empty path is skipped.
-func WriteTable[T any](rows []T, csvPath string, csv func(io.Writer, []T) error, jsonPath string, json func(io.Writer, []T) error) error {
+// WriteTable writes rows as CSV (in cols' shape) to csvPath and as JSON to
+// jsonPath; an empty path is skipped.
+func WriteTable[T any](rows []T, cols obs.Columns[T], csvPath, jsonPath string) error {
 	if csvPath != "" {
-		if err := WriteFile(csvPath, func(w io.Writer) error { return csv(w, rows) }); err != nil {
+		if err := WriteFile(csvPath, func(w io.Writer) error { return cols.WriteCSV(w, rows) }); err != nil {
 			return err
 		}
 	}
 	if jsonPath != "" {
-		return WriteFile(jsonPath, func(w io.Writer) error { return json(w, rows) })
+		return WriteFile(jsonPath, func(w io.Writer) error { return obs.WriteJSON(w, rows) })
 	}
 	return nil
 }

@@ -158,10 +158,6 @@ func (s *Sim) DisableWheel() {
 	s.heapOnly = true
 }
 
-// WheelEnabled reports whether near-future events use the wheel (false
-// after DisableWheel).
-func (s *Sim) WheelEnabled() bool { return !s.heapOnly }
-
 // push inserts e, sifting up from the tail. Parent of i is (i-1)/4.
 func (s *Sim) push(e event) {
 	s.pq = append(s.pq, e)

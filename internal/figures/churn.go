@@ -3,7 +3,6 @@ package figures
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"pageseer/internal/obs"
@@ -79,56 +78,41 @@ func RenderChurn(rows []ChurnRow) string {
 	return b.String()
 }
 
-// churnHeader fixes the CSV column set: the scalar digest of
-// pagemap.Summary. The JSON export additionally carries the reuse-distance
-// log2 histogram and the top-churn leaderboard.
-var churnHeader = []string{
-	"workload", "scheme", "unique_pages",
-	"demand_dram", "demand_nvm", "demand_buf", "demand_pte",
-	"reads", "writes", "ff_reads", "ff_writes",
-	"nvm_wear_writes", "swap_ins", "swap_outs",
-	"ins_regular", "ins_pct", "ins_mmu", "ins_follower",
-	"unused_ins", "wasted_swap_pages",
-	"round_trips", "flap_events", "flapping_pages",
-	"hot50", "hot90", "hot99", "resident_dram",
-	"reuse_count", "reuse_mean", "reuse_p50", "reuse_p90", "reuse_p99", "reuse_max",
-}
-
-// WriteChurnCSV writes the rows as canonical CSV (see export.go;
-// TestChurnCSVJSONRoundTrip pins the JSON round trip).
-func WriteChurnCSV(w io.Writer, rows []ChurnRow) error {
-	return writeTableCSV(w, churnHeader, len(rows), func(i int) []string {
-		r := rows[i]
+// ChurnColumns is the churn table's CSV digest: the scalar fields of
+// pagemap.Summary. Its JSON export (obs.WriteJSON) carries the complete
+// summary per run, including the reuse-distance log2 histogram and the
+// top-churn leaderboard.
+var ChurnColumns = obs.Columns[ChurnRow]{
+	Header: []string{
+		"workload", "scheme", "unique_pages",
+		"demand_dram", "demand_nvm", "demand_buf", "demand_pte",
+		"reads", "writes", "ff_reads", "ff_writes",
+		"nvm_wear_writes", "swap_ins", "swap_outs",
+		"ins_regular", "ins_pct", "ins_mmu", "ins_follower",
+		"unused_ins", "wasted_swap_pages",
+		"round_trips", "flap_events", "flapping_pages",
+		"hot50", "hot90", "hot99", "resident_dram",
+		"reuse_count", "reuse_mean", "reuse_p50", "reuse_p90", "reuse_p99", "reuse_max",
+	},
+	Record: func(r ChurnRow) []string {
 		s := r.Summary
-		rec := []string{r.Workload, r.Scheme, csvUint(s.UniquePages)}
+		rec := []string{r.Workload, r.Scheme, obs.Uint(s.UniquePages)}
 		for src := 0; src < int(obs.NumLatSources); src++ {
-			rec = append(rec, csvUint(s.DemandBySource[src]))
+			rec = append(rec, obs.Uint(s.DemandBySource[src]))
 		}
 		rec = append(rec,
-			csvUint(s.Reads), csvUint(s.Writes), csvUint(s.FFReads), csvUint(s.FFWrites),
-			csvUint(s.NVMWearWrites), csvUint(s.SwapIns), csvUint(s.SwapOuts))
+			obs.Uint(s.Reads), obs.Uint(s.Writes), obs.Uint(s.FFReads), obs.Uint(s.FFWrites),
+			obs.Uint(s.NVMWearWrites), obs.Uint(s.SwapIns), obs.Uint(s.SwapOuts))
 		for t := 0; t < int(obs.NumTriggers); t++ {
-			rec = append(rec, csvUint(s.InsByTrigger[t]))
+			rec = append(rec, obs.Uint(s.InsByTrigger[t]))
 		}
 		return append(rec,
-			csvUint(s.UnusedIns), csvUint(s.WastedSwapPages),
-			csvUint(s.RoundTrips), csvUint(s.FlapEvents), csvUint(s.FlappingPages),
-			csvUint(s.HotSet50), csvUint(s.HotSet90), csvUint(s.HotSet99),
-			csvUint(s.ResidentDRAM),
-			csvUint(s.ReuseDist.Count), csvFloat(s.ReuseDist.Mean),
-			csvUint(s.ReuseDist.P50), csvUint(s.ReuseDist.P90), csvUint(s.ReuseDist.P99), csvUint(s.ReuseDist.Max),
+			obs.Uint(s.UnusedIns), obs.Uint(s.WastedSwapPages),
+			obs.Uint(s.RoundTrips), obs.Uint(s.FlapEvents), obs.Uint(s.FlappingPages),
+			obs.Uint(s.HotSet50), obs.Uint(s.HotSet90), obs.Uint(s.HotSet99),
+			obs.Uint(s.ResidentDRAM),
+			obs.Uint(s.ReuseDist.Count), obs.Float(s.ReuseDist.Mean),
+			obs.Uint(s.ReuseDist.P50), obs.Uint(s.ReuseDist.P90), obs.Uint(s.ReuseDist.P99), obs.Uint(s.ReuseDist.Max),
 		)
-	})
-}
-
-// WriteChurnJSON writes the rows as an indented JSON array carrying the
-// complete pagemap.Summary per run (including the reuse-distance log2
-// histogram and leaderboard the CSV digest omits).
-func WriteChurnJSON(w io.Writer, rows []ChurnRow) error {
-	return writeTableJSON(w, rows)
-}
-
-// ReadChurnJSON parses rows written by WriteChurnJSON.
-func ReadChurnJSON(r io.Reader) ([]ChurnRow, error) {
-	return readTableJSON[ChurnRow](r)
+	},
 }

@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -55,29 +54,10 @@ func churnRows() []ChurnRow {
 // must produce byte-identical CSV.
 func TestChurnCSVJSONRoundTrip(t *testing.T) {
 	rows := churnRows()
-	var direct bytes.Buffer
-	if err := WriteChurnCSV(&direct, rows); err != nil {
-		t.Fatal(err)
-	}
-	var jsonBuf bytes.Buffer
-	if err := WriteChurnJSON(&jsonBuf, rows); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ReadChurnJSON(&jsonBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var viaJSON bytes.Buffer
-	if err := WriteChurnCSV(&viaJSON, parsed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(direct.Bytes(), viaJSON.Bytes()) {
-		t.Fatalf("CSV differs after a JSON round trip:\ndirect:\n%s\nvia JSON:\n%s",
-			direct.String(), viaJSON.String())
-	}
-	lines := strings.Split(direct.String(), "\n")
+	direct := csvAfterJSONRoundTrip(t, ChurnColumns, rows)
+	lines := strings.Split(direct, "\n")
 	if len(lines) < 3 {
-		t.Fatalf("CSV too short: %q", direct.String())
+		t.Fatalf("CSV too short: %q", direct)
 	}
 	if !strings.HasPrefix(lines[0], "workload,scheme,unique_pages,demand_dram,demand_nvm") {
 		t.Fatalf("unexpected CSV header: %s", lines[0])

@@ -3,9 +3,9 @@ package figures
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
+	"pageseer/internal/obs"
 	"pageseer/internal/obs/attrib"
 	"pageseer/internal/sim"
 )
@@ -121,40 +121,25 @@ func RenderCPIStack(rows []CPIStackRow) string {
 	return b.String()
 }
 
-// cpiStackHeader fixes the CSV column set: run identity, the class-summed
-// per-component cycle totals (raw cycles — normalise against instructions),
-// and the machinery counters. The JSON export additionally carries the full
-// per-class split.
-var cpiStackHeader = func() []string {
-	h := []string{"workload", "scheme", "instructions", "requests", "latency"}
-	for c := attrib.Component(0); c < attrib.NumComponents; c++ {
-		h = append(h, "cycles_"+strings.ReplaceAll(c.String(), "-", "_"))
-	}
-	return append(h, "unattributed", "correval_cycles", "correvals")
-}()
-
-// WriteCPIStackCSV writes the rows as canonical CSV (see export.go;
-// TestCPIStackCSVJSONRoundTrip pins the JSON round trip).
-func WriteCPIStackCSV(w io.Writer, rows []CPIStackRow) error {
-	return writeTableCSV(w, cpiStackHeader, len(rows), func(i int) []string {
-		r := rows[i]
-		t := r.Stack.Total()
-		rec := []string{r.Workload, r.Scheme, csvUint(r.Instructions), csvUint(t.Requests), csvUint(t.Latency)}
+// CPIStackColumns is the CPI-stack table's CSV digest: run identity, the
+// class-summed per-component cycle totals (raw cycles — normalise against
+// instructions) and the machinery counters. Its JSON export
+// (obs.WriteJSON) carries the complete attrib.Summary per run, including
+// the per-trigger-class split the CSV sums away.
+var CPIStackColumns = obs.Columns[CPIStackRow]{
+	Header: func() []string {
+		h := []string{"workload", "scheme", "instructions", "requests", "latency"}
 		for c := attrib.Component(0); c < attrib.NumComponents; c++ {
-			rec = append(rec, csvUint(t.Comp[c]))
+			h = append(h, "cycles_"+strings.ReplaceAll(c.String(), "-", "_"))
 		}
-		return append(rec, csvUint(r.Stack.Unattributed), csvUint(r.Stack.CorrEvalCycles), csvUint(r.Stack.CorrEvals))
-	})
-}
-
-// WriteCPIStackJSON writes the rows as an indented JSON array carrying the
-// complete attrib.Summary per run (including the per-trigger-class split the
-// CSV digest sums away).
-func WriteCPIStackJSON(w io.Writer, rows []CPIStackRow) error {
-	return writeTableJSON(w, rows)
-}
-
-// ReadCPIStackJSON parses rows written by WriteCPIStackJSON.
-func ReadCPIStackJSON(r io.Reader) ([]CPIStackRow, error) {
-	return readTableJSON[CPIStackRow](r)
+		return append(h, "unattributed", "correval_cycles", "correvals")
+	}(),
+	Record: func(r CPIStackRow) []string {
+		t := r.Stack.Total()
+		rec := []string{r.Workload, r.Scheme, obs.Uint(r.Instructions), obs.Uint(t.Requests), obs.Uint(t.Latency)}
+		for c := attrib.Component(0); c < attrib.NumComponents; c++ {
+			rec = append(rec, obs.Uint(t.Comp[c]))
+		}
+		return append(rec, obs.Uint(r.Stack.Unattributed), obs.Uint(r.Stack.CorrEvalCycles), obs.Uint(r.Stack.CorrEvals))
+	},
 }

@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -34,29 +33,10 @@ func cpiRows() []CPIStackRow {
 // must produce byte-identical CSV.
 func TestCPIStackCSVJSONRoundTrip(t *testing.T) {
 	rows := cpiRows()
-	var direct bytes.Buffer
-	if err := WriteCPIStackCSV(&direct, rows); err != nil {
-		t.Fatal(err)
-	}
-	var jsonBuf bytes.Buffer
-	if err := WriteCPIStackJSON(&jsonBuf, rows); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ReadCPIStackJSON(&jsonBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var viaJSON bytes.Buffer
-	if err := WriteCPIStackCSV(&viaJSON, parsed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(direct.Bytes(), viaJSON.Bytes()) {
-		t.Fatalf("CSV differs after a JSON round trip:\ndirect:\n%s\nvia JSON:\n%s",
-			direct.String(), viaJSON.String())
-	}
-	lines := strings.Split(direct.String(), "\n")
+	direct := csvAfterJSONRoundTrip(t, CPIStackColumns, rows)
+	lines := strings.Split(direct, "\n")
 	if len(lines) < 3 {
-		t.Fatalf("CSV too short: %q", direct.String())
+		t.Fatalf("CSV too short: %q", direct)
 	}
 	if !strings.HasPrefix(lines[0], "workload,scheme,instructions,requests,latency,cycles_core,cycles_l1") {
 		t.Fatalf("unexpected CSV header: %s", lines[0])

@@ -3,7 +3,6 @@ package figures
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"pageseer/internal/obs"
@@ -75,51 +74,35 @@ func RenderEffectiveness(rows []EffectivenessRow) string {
 	return b.String()
 }
 
-// effectivenessHeader fixes the CSV column set. The columns are the scalar
-// digest of ledger.Summary; the JSON export additionally carries the full
-// log2 lead-time histogram.
-var effectivenessHeader = []string{
-	"workload", "scheme",
-	"started_regular", "started_pct", "started_mmu", "started_follower",
-	"useful_regular", "useful_pct", "useful_mmu", "useful_follower",
-	"unused_regular", "unused_pct", "unused_mmu", "unused_follower",
-	"open_regular", "open_pct", "open_mmu", "open_follower",
-	"late", "accuracy", "coverage",
-	"demand_total", "demand_covered",
-	"wasted_dram_bytes", "wasted_nvm_bytes",
-	"lead_count", "lead_mean", "lead_p50", "lead_p90", "lead_p99", "lead_max",
-}
-
-// WriteEffectivenessCSV writes the rows as canonical CSV (see export.go;
-// TestEffectivenessCSVJSONRoundTrip pins the JSON round trip).
-func WriteEffectivenessCSV(w io.Writer, rows []EffectivenessRow) error {
-	return writeTableCSV(w, effectivenessHeader, len(rows), func(i int) []string {
-		r := rows[i]
+// EffectivenessColumns is the effectiveness table's CSV digest: the scalar
+// fields of ledger.Summary. Its JSON export (obs.WriteJSON) carries the
+// complete summary per run, including the log2 lead-time histogram.
+var EffectivenessColumns = obs.Columns[EffectivenessRow]{
+	Header: []string{
+		"workload", "scheme",
+		"started_regular", "started_pct", "started_mmu", "started_follower",
+		"useful_regular", "useful_pct", "useful_mmu", "useful_follower",
+		"unused_regular", "unused_pct", "unused_mmu", "unused_follower",
+		"open_regular", "open_pct", "open_mmu", "open_follower",
+		"late", "accuracy", "coverage",
+		"demand_total", "demand_covered",
+		"wasted_dram_bytes", "wasted_nvm_bytes",
+		"lead_count", "lead_mean", "lead_p50", "lead_p90", "lead_p99", "lead_max",
+	},
+	Record: func(r EffectivenessRow) []string {
 		s := r.Summary
 		rec := []string{r.Workload, r.Scheme}
 		for _, arr := range [][obs.NumTriggers]uint64{s.Started, s.Useful, s.Unused, s.Open} {
 			for t := 0; t < int(obs.NumTriggers); t++ {
-				rec = append(rec, csvUint(arr[t]))
+				rec = append(rec, obs.Uint(arr[t]))
 			}
 		}
 		return append(rec,
-			csvUint(s.Late), csvFloat(s.Accuracy), csvFloat(s.Coverage),
-			csvUint(s.DemandTotal), csvUint(s.DemandCovered),
-			csvUint(s.WastedDRAMBytes), csvUint(s.WastedNVMBytes),
-			csvUint(s.LeadTime.Count), csvFloat(s.LeadTime.Mean),
-			csvUint(s.LeadTime.P50), csvUint(s.LeadTime.P90), csvUint(s.LeadTime.P99), csvUint(s.LeadTime.Max),
+			obs.Uint(s.Late), obs.Float(s.Accuracy), obs.Float(s.Coverage),
+			obs.Uint(s.DemandTotal), obs.Uint(s.DemandCovered),
+			obs.Uint(s.WastedDRAMBytes), obs.Uint(s.WastedNVMBytes),
+			obs.Uint(s.LeadTime.Count), obs.Float(s.LeadTime.Mean),
+			obs.Uint(s.LeadTime.P50), obs.Uint(s.LeadTime.P90), obs.Uint(s.LeadTime.P99), obs.Uint(s.LeadTime.Max),
 		)
-	})
-}
-
-// WriteEffectivenessJSON writes the rows as an indented JSON array carrying
-// the complete ledger.Summary per run (including the lead-time log2
-// histogram the CSV digest omits).
-func WriteEffectivenessJSON(w io.Writer, rows []EffectivenessRow) error {
-	return writeTableJSON(w, rows)
-}
-
-// ReadEffectivenessJSON parses rows written by WriteEffectivenessJSON.
-func ReadEffectivenessJSON(r io.Reader) ([]EffectivenessRow, error) {
-	return readTableJSON[EffectivenessRow](r)
+	},
 }

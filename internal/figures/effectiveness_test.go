@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -39,30 +38,11 @@ func effRows() []EffectivenessRow {
 // back must produce byte-identical CSV.
 func TestEffectivenessCSVJSONRoundTrip(t *testing.T) {
 	rows := effRows()
-	var direct bytes.Buffer
-	if err := WriteEffectivenessCSV(&direct, rows); err != nil {
-		t.Fatal(err)
-	}
-	var jsonBuf bytes.Buffer
-	if err := WriteEffectivenessJSON(&jsonBuf, rows); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ReadEffectivenessJSON(&jsonBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var viaJSON bytes.Buffer
-	if err := WriteEffectivenessCSV(&viaJSON, parsed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(direct.Bytes(), viaJSON.Bytes()) {
-		t.Fatalf("CSV differs after a JSON round trip:\ndirect:\n%s\nvia JSON:\n%s",
-			direct.String(), viaJSON.String())
-	}
+	direct := csvAfterJSONRoundTrip(t, EffectivenessColumns, rows)
 	// The header and one data row sanity-check the column layout.
-	lines := strings.Split(direct.String(), "\n")
+	lines := strings.Split(direct, "\n")
 	if len(lines) < 3 {
-		t.Fatalf("CSV too short: %q", direct.String())
+		t.Fatalf("CSV too short: %q", direct)
 	}
 	if !strings.HasPrefix(lines[0], "workload,scheme,started_regular") {
 		t.Fatalf("unexpected CSV header: %s", lines[0])

@@ -86,6 +86,13 @@ func (k Key) Label() string {
 	return string(k.Scheme)
 }
 
+// Config returns base with the key's workload, scheme and bandwidth
+// heuristic set: the configuration the key's run simulates.
+func (k Key) Config(base sim.Config) sim.Config {
+	base.Scheme, base.Workload, base.DisableBWOpt = k.Scheme, k.Workload, k.DisableBW
+	return base
+}
+
 // runEntry is one memoised run. done closes when res and err are final;
 // the entry doubles as a per-key singleflight so two figures requesting
 // the same run never simulate it twice, even concurrently.
@@ -254,8 +261,7 @@ func (r *Runner) runs(wl string, keys ...Key) (res []sim.Results, ok bool, err e
 // never unwind a worker and abort the campaign. The run timeout covers the
 // sink too.
 func (r *Runner) simulate(k Key, sink func(*sim.System) error) (res sim.Results, err error) {
-	cfg := r.opts.Config
-	cfg.Scheme, cfg.Workload, cfg.DisableBWOpt = k.Scheme, k.Workload, k.DisableBW
+	cfg := k.Config(r.opts.Config)
 	defer func() {
 		if p := recover(); p != nil {
 			cause, ok := p.(error)

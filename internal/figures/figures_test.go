@@ -1,11 +1,39 @@
 package figures
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"pageseer/internal/obs"
 	"pageseer/internal/sim"
 )
+
+// csvAfterJSONRoundTrip returns rows' CSV, failing t unless rows written to
+// JSON and decoded back write byte-identical CSV (the canonical-cell
+// property every exported table keeps).
+func csvAfterJSONRoundTrip[T any](t *testing.T, cols obs.Columns[T], rows []T) string {
+	t.Helper()
+	var direct, js, viaJSON bytes.Buffer
+	if err := cols.WriteCSV(&direct, rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteJSON(&js, rows); err != nil {
+		t.Fatal(err)
+	}
+	var parsed []T
+	if err := json.NewDecoder(&js).Decode(&parsed); err != nil {
+		t.Fatal(err)
+	}
+	if err := cols.WriteCSV(&viaJSON, parsed); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(direct.Bytes(), viaJSON.Bytes()) {
+		t.Fatalf("CSV differs after a JSON round trip:\ndirect:\n%s\nvia JSON:\n%s", direct.String(), viaJSON.String())
+	}
+	return direct.String()
+}
 
 // tinyOpts keeps figure tests fast: two small workloads, small budgets.
 func tinyOpts() Options {

@@ -144,6 +144,10 @@ type Controller struct {
 	Engine *SwapEngine
 	Oracle *Oracle
 
+	// Latency holds the per-source demand-latency histograms (Results'
+	// latency percentiles); recording is allocation-free.
+	Latency obs.LatencySet
+
 	unit    uint // log2 of the swap unit of the remap and the oracle
 	mgr     Manager
 	ffMgr   FunctionalManager    // mgr's functional path, nil if unsupported
@@ -170,7 +174,6 @@ type Controller struct {
 	// zero-cost-when-off contract). probe is the swap-lifecycle event
 	// stream; prov, when a subscriber provides it, classifies retiring
 	// demand by swap provenance.
-	lat   *obs.LatencySet
 	probe obs.Probes
 	prov  provenance
 
@@ -247,15 +250,6 @@ func (c *Controller) Manager() Manager { return c.mgr }
 
 // Stats returns a snapshot of the controller counters.
 func (c *Controller) Stats() Stats { return c.stats }
-
-// SetLatencySink attaches the per-source demand-latency histograms (nil
-// detaches). Recording is allocation-free, so sim attaches one on every
-// build; the nil guard exists for bare controllers in unit tests and for
-// the zero-cost contract.
-func (c *Controller) SetLatencySink(l *obs.LatencySet) { c.lat = l }
-
-// LatencySink returns the attached latency histograms (may be nil).
-func (c *Controller) LatencySink() *obs.LatencySet { return c.lat }
 
 // provenance reports the trigger of the swap that brought addr's unit into
 // DRAM, when it is swapped in (the provenance ledger).
@@ -458,10 +452,6 @@ func (c *Controller) ServeMemory(r *Request, actual mem.Addr) {
 	c.Route(actual).AccessV(actual, r.Write, memsim.PrioDemand, r.Meta.V, r.memDoneFn)
 }
 
-// Release returns a request the manager finished out-of-band — a writeback
-// absorbed by the swap buffers rather than routed to memory — to the pool.
-func (c *Controller) Release(r *Request) { c.putRequest(r) }
-
 // noopFn is the shared waiter for writebacks absorbed by an in-flight swap:
 // the buffered line is already newer than memory, so nothing runs on
 // service, and sharing one func avoids a per-writeback allocation.
@@ -553,18 +543,16 @@ func (c *Controller) complete(r *Request, src Source) {
 		// boundaries itself.
 		lat := now - r.Arrival
 		c.stats.LatencyTotal += lat
-		if c.lat != nil {
-			idx := obs.LatDRAM
-			switch {
-			case r.pteSrc:
-				idx = obs.LatPTE
-			case src == SrcNVM:
-				idx = obs.LatNVM
-			case src == SrcSwapBuffer:
-				idx = obs.LatBuf
-			}
-			c.lat.Record(idx, lat)
+		ls := obs.LatDRAM
+		switch {
+		case r.pteSrc:
+			ls = obs.LatPTE
+		case src == SrcNVM:
+			ls = obs.LatNVM
+		case src == SrcSwapBuffer:
+			ls = obs.LatBuf
 		}
+		c.Latency.Record(ls, lat)
 		if !r.Meta.PageWalk {
 			switch src {
 			case SrcDRAM:
@@ -584,22 +572,14 @@ func (c *Controller) complete(r *Request, src Source) {
 			default:
 				c.stats.Neutral++
 			}
-			if c.probe != nil {
-				// Reported on the OS-visible line, the data identity every
-				// subscriber keys on.
-				psrc := obs.LatDRAM
-				switch src {
-				case SrcNVM:
-					psrc = obs.LatNVM
-				case SrcSwapBuffer:
-					psrc = obs.LatBuf
-				}
-				c.probe.Demand(uint64(r.Line), r.Write, psrc, now)
-			}
-		} else if r.pteSrc {
-			// Leaf-PTE reads the MMU Driver's cache intercepted: the
-			// PTE-cache-bypass class of the per-page source split.
-			c.probe.Demand(uint64(r.Line), r.Write, obs.LatPTE, now)
+		}
+		// Demand is reported on the OS-visible line, the data identity
+		// every subscriber keys on. Of the page-walk reads only the leaf-PTE
+		// reads the MMU Driver's cache intercepted are reported: the
+		// PTE-cache-bypass class of the per-page source split (pteSrc
+		// implies PageWalk).
+		if c.probe != nil && (!r.Meta.PageWalk || r.pteSrc) {
+			c.probe.Demand(uint64(r.Line), r.Write, ls, now)
 		}
 	}
 	// Release before the callback: done may re-enter Access and is then
@@ -703,7 +683,7 @@ func (c *Controller) Audit(a *check.Audit) {
 func (c *Controller) ResetStats() {
 	c.stats = Stats{}
 	c.epoch++
-	c.lat.Reset()
+	c.Latency.Reset()
 	c.Engine.ResetStats()
 	c.DRAM.ResetStats()
 	c.NVM.ResetStats()

@@ -20,7 +20,6 @@ import "fmt"
 type Oracle struct {
 	units uint64
 	slots *Remap // nil until the first Exchange: the identity
-	moves uint64
 }
 
 // NewOracle returns an identity-mapped oracle over units slots (every data
@@ -29,9 +28,6 @@ func NewOracle(units uint64) *Oracle { return &Oracle{units: units} }
 
 // Units returns the number of slots the oracle covers.
 func (o *Oracle) Units() uint64 { return o.units }
-
-// Moves returns how many slot exchanges have been recorded.
-func (o *Oracle) Moves() uint64 { return o.moves }
 
 // Location returns the slot currently holding data.
 func (o *Oracle) Location(data uint64) uint64 {
@@ -55,7 +51,6 @@ func (o *Oracle) Exchange(a, b uint64) {
 		o.slots = NewRemap(o.units)
 	}
 	o.slots.Exchange(a, b)
-	o.moves++
 }
 
 // Verify checks translate against the oracle for the given data items:

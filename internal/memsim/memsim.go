@@ -349,9 +349,6 @@ func (m *Module) BusBusy() uint64 { return m.stats.BusBusy }
 // Channels returns the channel count.
 func (m *Module) Channels() int { return m.cfg.Channels }
 
-// QueueLen returns the number of requests waiting on channel ch.
-func (m *Module) QueueLen(ch int) int { return m.chans[ch].queued() }
-
 func (c *channel) queued() int { return len(c.demand) + len(c.swap) }
 
 // QueueOccupancy returns the total queued requests across channels — the

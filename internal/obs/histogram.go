@@ -93,17 +93,6 @@ func (h *Histogram) Percentile(p float64) uint64 {
 	return h.Max
 }
 
-// BucketUpper returns the inclusive upper bound of bucket b, and whether b
-// is the unbounded top bucket (exporters render that bound as +Inf). It is
-// what the Prometheus endpoint uses for cumulative `le` labels.
-func BucketUpper(b int) (hi uint64, inf bool) {
-	if b >= HistBuckets-1 {
-		return ^uint64(0), true
-	}
-	_, hi = bucketBounds(b)
-	return hi, false
-}
-
 // bucketBounds returns the inclusive value range of bucket b.
 func bucketBounds(b int) (lo, hi uint64) {
 	if b == 0 {
@@ -167,8 +156,7 @@ func (s LatSource) String() string {
 }
 
 // LatencySet is the controller's per-source latency histogram bank. All
-// methods are nil-safe: a controller without an attached set pays one branch
-// per request and nothing else.
+// methods are nil-safe.
 type LatencySet struct {
 	H [NumLatSources]Histogram
 }

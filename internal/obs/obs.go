@@ -1,8 +1,9 @@
 // Package obs is the simulator-wide observability layer: log2-bucketed
 // latency histograms, an epoch timeline sampler, a Chrome-trace/Perfetto
-// event tracer, and the swap-lifecycle event stream (Probe) that the
-// tracer, the provenance ledger (obs/ledger) and the per-page table
-// (obs/pagemap) subscribe to.
+// event tracer, the swap-lifecycle event stream (Probe) that the tracer,
+// the provenance ledger (obs/ledger) and the per-page table (obs/pagemap)
+// subscribe to, and the CSV/JSON writer every exported table goes through
+// (Columns, WriteJSON).
 //
 // The stream is the one place swaps are observed. A scheme describes each
 // swap once, as the Swap identity of its hmc.Op; the swap engine reports

@@ -1,62 +1,23 @@
 package pagemap
 
-import (
-	"encoding/csv"
-	"encoding/json"
-	"io"
-	"strconv"
-)
+import "pageseer/internal/obs"
 
-// Full-table export for pageseer-sim -pagemap-csv/-json. Both encodings are
-// canonical — integers in base 10, floats in Go's shortest round-trippable
-// form — so rows that took a trip through the JSON export write
-// byte-identical CSV (TestRowsCSVJSONRoundTrip pins this).
+// Full-table export for pageseer-sim -pagemap-csv/-json: the CSV digests
+// below and obs.WriteJSON (TestRowsCSVJSONRoundTrip pins the JSON round
+// trip).
 
-// rowsHeader fixes the per-page CSV column set; the order matches Row's
-// field order.
-var rowsHeader = []string{
-	"page", "dram", "nvm", "buf", "pte",
-	"reads", "writes", "ff_reads", "ff_writes",
-	"wear_writes", "swap_ins", "swap_outs",
-	"ins_regular", "ins_pct", "ins_mmu", "ins_follower",
-	"unused_ins", "round_trips", "flap_events", "resident", "timeline",
-}
-
-// regionsHeader fixes the 2MB-extent CSV column set; the order matches
-// Region's field order.
-var regionsHeader = []string{
-	"region", "pages", "accesses", "wear_writes",
-	"swap_ins", "swap_outs", "flap_events", "resident_dram",
-	"hot_page", "hot_share",
-}
-
-func u(v uint64) string  { return strconv.FormatUint(v, 10) }
-func f(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func writeCSV(w io.Writer, header []string, n int, record func(i int) []string) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		if err := cw.Write(record(i)); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-func writeJSON(w io.Writer, rows any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
-}
-
-// WriteRowsCSV writes the per-page table as canonical CSV.
-func WriteRowsCSV(w io.Writer, rows []Row) error {
-	return writeCSV(w, rowsHeader, len(rows), func(i int) []string {
-		r := rows[i]
+// RowColumns is the per-page table's CSV shape; the column order matches
+// Row's field order.
+var RowColumns = obs.Columns[Row]{
+	Header: []string{
+		"page", "dram", "nvm", "buf", "pte",
+		"reads", "writes", "ff_reads", "ff_writes",
+		"wear_writes", "swap_ins", "swap_outs",
+		"ins_regular", "ins_pct", "ins_mmu", "ins_follower",
+		"unused_ins", "round_trips", "flap_events", "resident", "timeline",
+	},
+	Record: func(r Row) []string {
+		u := obs.Uint
 		return []string{
 			u(r.Page), u(r.DRAM), u(r.NVM), u(r.Buf), u(r.PTE),
 			u(r.Reads), u(r.Writes), u(r.FFReads), u(r.FFWrites),
@@ -64,41 +25,23 @@ func WriteRowsCSV(w io.Writer, rows []Row) error {
 			u(r.InsRegular), u(r.InsPCT), u(r.InsMMU), u(r.InsFollower),
 			u(r.UnusedIns), u(r.RoundTrips), u(r.FlapEvents), r.Resident, u(r.Timeline),
 		}
-	})
+	},
 }
 
-// WriteRowsJSON writes the per-page table as an indented JSON array.
-func WriteRowsJSON(w io.Writer, rows []Row) error { return writeJSON(w, rows) }
-
-// ReadRowsJSON parses rows written by WriteRowsJSON.
-func ReadRowsJSON(r io.Reader) ([]Row, error) {
-	var rows []Row
-	if err := json.NewDecoder(r).Decode(&rows); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// WriteRegionsCSV writes the 2MB-extent roll-up as canonical CSV.
-func WriteRegionsCSV(w io.Writer, regions []Region) error {
-	return writeCSV(w, regionsHeader, len(regions), func(i int) []string {
-		g := regions[i]
+// RegionColumns is the 2MB-extent roll-up's CSV shape; the column order
+// matches Region's field order.
+var RegionColumns = obs.Columns[Region]{
+	Header: []string{
+		"region", "pages", "accesses", "wear_writes",
+		"swap_ins", "swap_outs", "flap_events", "resident_dram",
+		"hot_page", "hot_share",
+	},
+	Record: func(g Region) []string {
+		u := obs.Uint
 		return []string{
 			u(g.Region), u(g.Pages), u(g.Accesses), u(g.WearWrites),
 			u(g.SwapIns), u(g.SwapOuts), u(g.FlapEvents), u(g.ResidentDRAM),
-			u(g.HotPage), f(g.HotShare),
+			u(g.HotPage), obs.Float(g.HotShare),
 		}
-	})
-}
-
-// WriteRegionsJSON writes the 2MB-extent roll-up as an indented JSON array.
-func WriteRegionsJSON(w io.Writer, regions []Region) error { return writeJSON(w, regions) }
-
-// ReadRegionsJSON parses regions written by WriteRegionsJSON.
-func ReadRegionsJSON(r io.Reader) ([]Region, error) {
-	var regions []Region
-	if err := json.NewDecoder(r).Decode(&regions); err != nil {
-		return nil, err
-	}
-	return regions, nil
+	},
 }

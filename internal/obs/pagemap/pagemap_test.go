@@ -1,6 +1,8 @@
 package pagemap
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"pageseer/internal/check"
@@ -256,6 +258,42 @@ func TestRowsSortedAndRegions(t *testing.T) {
 	}
 	if regs[1].Region != uint64(1)<<RegionShift || regs[1].Pages != 1 {
 		t.Fatalf("region 1: %+v", regs[1])
+	}
+}
+
+// TestRowsCSVJSONRoundTrip: the per-page rows and the 2MB regions write
+// byte-identical CSV straight and after a trip through their JSON export.
+func TestRowsCSVJSONRoundTrip(t *testing.T) {
+	p := New(pageShift, 2, 1_000_000)
+	p.Demand(page(600), true, obs.LatNVM, 100)
+	p.Demand(page(1), false, obs.LatDRAM, 300)
+	p.Demand(page(1), false, obs.LatBuf, 310)
+	p.Demand(page(5), false, obs.LatDRAM, 320)
+	roundTrip(t, RowColumns, p.Rows())
+	roundTrip(t, RegionColumns, p.Regions())
+}
+
+func roundTrip[T any](t *testing.T, cols obs.Columns[T], rows []T) {
+	t.Helper()
+	if len(rows) == 0 {
+		t.Fatal("no rows to round-trip")
+	}
+	var direct, js, viaJSON bytes.Buffer
+	if err := cols.WriteCSV(&direct, rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteJSON(&js, rows); err != nil {
+		t.Fatal(err)
+	}
+	var parsed []T
+	if err := json.NewDecoder(&js).Decode(&parsed); err != nil {
+		t.Fatal(err)
+	}
+	if err := cols.WriteCSV(&viaJSON, parsed); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(direct.Bytes(), viaJSON.Bytes()) {
+		t.Fatalf("CSV differs after a JSON round trip:\ndirect:\n%s\nvia JSON:\n%s", direct.String(), viaJSON.String())
 	}
 }
 

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-)
+import "strconv"
 
 // TimelineCounters is one snapshot of the cumulative run counters the
 // timeline derives its samples from. The probe that fills it lives in sim
@@ -122,28 +118,16 @@ func (t *Timeline) SwapsTotal() uint64 {
 	return n
 }
 
-// WriteCSV writes the samples as CSV with a header row.
-func (t *Timeline) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "cycle,instructions,ipc,swaps,swaps_in_flight,served_dram,served_nvm,served_buf,dram_queue,nvm_queue"); err != nil {
-		return err
-	}
-	for _, s := range t.samples {
-		if _, err := fmt.Fprintf(w, "%d,%d,%.6f,%d,%d,%d,%d,%d,%d,%d\n",
-			s.Cycle, s.Instructions, s.IPC, s.Swaps, s.SwapsInFlight,
-			s.ServedDRAM, s.ServedNVM, s.ServedBuf, s.DRAMQueue, s.NVMQueue); err != nil {
-			return err
+// TimelineColumns is the timeline's CSV shape; its IPC cell keeps six
+// decimals.
+var TimelineColumns = Columns[TimelineSample]{
+	Header: []string{"cycle", "instructions", "ipc", "swaps", "swaps_in_flight",
+		"served_dram", "served_nvm", "served_buf", "dram_queue", "nvm_queue"},
+	Record: func(s TimelineSample) []string {
+		return []string{
+			Uint(s.Cycle), Uint(s.Instructions), strconv.FormatFloat(s.IPC, 'f', 6, 64), Uint(s.Swaps),
+			strconv.Itoa(s.SwapsInFlight), Uint(s.ServedDRAM), Uint(s.ServedNVM), Uint(s.ServedBuf),
+			strconv.Itoa(s.DRAMQueue), strconv.Itoa(s.NVMQueue),
 		}
-	}
-	return nil
-}
-
-// WriteJSON writes the samples as a JSON array.
-func (t *Timeline) WriteJSON(w io.Writer) error {
-	samples := t.samples
-	if samples == nil {
-		samples = []TimelineSample{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(samples)
+	},
 }

@@ -51,7 +51,7 @@ func TestTimelineCSVAndJSON(t *testing.T) {
 	tl.Tick()
 
 	var csv bytes.Buffer
-	if err := tl.WriteCSV(&csv); err != nil {
+	if err := TimelineColumns.WriteCSV(&csv, tl.Samples()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
@@ -63,7 +63,7 @@ func TestTimelineCSVAndJSON(t *testing.T) {
 	}
 
 	var js bytes.Buffer
-	if err := tl.WriteJSON(&js); err != nil {
+	if err := WriteJSON(&js, tl.Samples()); err != nil {
 		t.Fatal(err)
 	}
 	var back []TimelineSample

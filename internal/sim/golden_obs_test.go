@@ -78,7 +78,7 @@ func traceDigest(t *testing.T, js []byte, drop string) (string, int) {
 func pagemapRowsDigest(t *testing.T, sys *System) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := pagemap.WriteRowsCSV(&buf, sys.PageMap().Rows()); err != nil {
+	if err := pagemap.RowColumns.WriteCSV(&buf, sys.PageMap().Rows()); err != nil {
 		t.Fatal(err)
 	}
 	return digest(t, buf.Bytes())

@@ -162,8 +162,8 @@ func (s *System) collect(epochStart uint64) Results {
 	r.DRAM = s.Ctl.DRAM.Stats()
 	r.NVM = s.Ctl.NVM.Stats()
 	r.AMMAT = s.Ctl.AMMAT()
-	r.Latency = s.lat.Summary()
-	r.LatencyHist = *s.lat
+	r.Latency = s.Ctl.Latency.Summary()
+	r.LatencyHist = s.Ctl.Latency
 
 	if m, ok := s.Ctl.Manager().(interface{ RemapCache() *hmc.MetaCache }); ok {
 		r.RemapCache = m.RemapCache().Stats()

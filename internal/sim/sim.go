@@ -215,10 +215,9 @@ type System struct {
 	PageSeer *core.PageSeer // nil unless the installed manager is a PageSeer
 
 	// Timeline and Tracer are the optional sinks selected by Config.Obs
-	// (nil when off). lat is always attached: see Config.Obs.
+	// (nil when off).
 	Timeline *obs.Timeline
 	Tracer   *obs.Tracer
-	lat      *obs.LatencySet
 
 	// led is the optional swap-provenance ledger (Config.Obs.Ledger, or
 	// forced internally by Config.Obs.CPI for trigger classing and by
@@ -336,8 +335,6 @@ func Build(cfg Config) (*System, error) {
 	ctl := hmc.NewController(sm, osm)
 
 	sys := &System{Cfg: cfg, Sim: sm, OS: osm, Ctl: ctl}
-	sys.lat = &obs.LatencySet{}
-	ctl.SetLatencySink(sys.lat)
 	if cfg.Obs.Trace {
 		sys.Tracer = obs.NewTracer()
 		sys.Tracer.ProcessName(obs.TracePidCores, "cores (MMU hints)")

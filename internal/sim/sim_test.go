@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pageseer/internal/core"
 	"pageseer/internal/hmc"
 	"pageseer/internal/mem"
 	"pageseer/internal/mmu"
@@ -32,6 +33,28 @@ func TestBuildRejectsUnknownScheme(t *testing.T) {
 	cfg := tinyConfig("definitely-not-a-scheme", "lbm")
 	if _, err := Build(cfg); err == nil {
 		t.Fatal("unknown scheme accepted")
+	}
+}
+
+// TestBuildWithPageSeerConfigOverride: explicit PageSeer hardware
+// parameters replace the defaults the scheme name would select.
+func TestBuildWithPageSeerConfigOverride(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workload = "barnes"
+	cfg.MaxCores = 2
+	cfg.InstrPerCore = 100_000
+	cfg.Warmup = 50_000
+	pcfg := core.DefaultConfig().Scale(cfg.Scale)
+	pcfg.NoCorr = true
+	sys, err := BuildWithPageSeerConfig(cfg, pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.PageSeer == nil || sys.PageSeer.Name() != "PageSeer-NoCorr" {
+		t.Fatal("PageSeer config override not applied")
+	}
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 

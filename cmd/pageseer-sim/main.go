@@ -101,6 +101,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "error:", err)
 		return 2
 	}
+	if files.timeline != "" && *tlEvery == 0 {
+		fmt.Fprintln(stderr, "error: -timeline needs a positive -timeline-every")
+		return 2
+	}
 
 	stopProfiles, err := common.StartProfiles()
 	if err != nil {

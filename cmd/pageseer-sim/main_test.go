@@ -161,8 +161,9 @@ func TestInterruptStopsQueuedRuns(t *testing.T) {
 }
 
 // TestUsageErrorsExit2: negative values of the int flags that treat 0 as
-// "default", an unknown fault kind, a fault rate that is not a probability
-// and an unknown scheme are usage errors caught before any run starts.
+// "default", an unknown fault kind, a fault rate that is not a probability,
+// an unknown scheme and a timeline with no sampling interval are usage
+// errors caught before any run starts.
 func TestUsageErrorsExit2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scale", "-4"},
@@ -174,6 +175,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-fault", "meta-thrash", "-fault-rate", "5"},
 		{"-fault", "meta-thrash", "-fault-rate", "NaN"},
 		{"-scheme", "bogus"},
+		{"-timeline", "tl.csv", "-timeline-every", "0"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			var stdout, stderr syncBuffer

@@ -11,7 +11,8 @@ import (
 
 // TestExportedTablesPinned pins the bytes of the three campaign tables
 // paper-figures exports, as CSV and as JSON, over the quick campaign:
-// effectiveness, CPI stacks and churn.
+// effectiveness, CPI stacks and churn. It also pins the text of every
+// table and figure -all prints with them.
 func TestExportedTablesPinned(t *testing.T) {
 	want := map[string]string{
 		"effectiveness.csv":  "bba0df51511f7237",
@@ -23,13 +24,17 @@ func TestExportedTablesPinned(t *testing.T) {
 	}
 	dir := t.TempDir()
 	out := func(name string) string { return filepath.Join(dir, name) }
-	args := []string{"-quick", "-quiet", "-j", "2",
+	args := []string{"-quick", "-quiet", "-j", "2", "-all",
 		"-effectiveness-csv", out("effectiveness.csv"), "-effectiveness-json", out("effectiveness.json"),
 		"-cpistack-csv", out("cpistack.csv"), "-cpistack-json", out("cpistack.json"),
 		"-churn-csv", out("churn.csv"), "-churn-json", out("churn.json")}
 	var stdout, stderr bytes.Buffer
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d; stderr:\n%s", code, stderr.String())
+	}
+	h := sha256.Sum256(stdout.Bytes())
+	if got := hex.EncodeToString(h[:8]); got != "688c5c966cb482e9" {
+		t.Errorf("stdout: sha256 %s, want 688c5c966cb482e9", got)
 	}
 	for name, sum := range want {
 		b, err := os.ReadFile(out(name))

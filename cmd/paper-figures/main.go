@@ -85,6 +85,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "error:", err)
 		return 2
 	}
+	if *workloads != "" {
+		opts.Workloads = strings.Split(*workloads, ",")
+	}
+	// Each workload's run template is checked before any run starts, so an
+	// unknown workload name is a usage error like any other bad flag value.
+	for _, w := range opts.Workloads {
+		cfg := opts.Config
+		cfg.Workload = w
+		if err := cfg.Validate(); err != nil {
+			fmt.Fprintln(stderr, "error:", err)
+			return 2
+		}
+	}
 
 	stopProfiles, err := common.StartProfiles()
 	if err != nil {
@@ -93,9 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer stopProfiles()
 
-	if *workloads != "" {
-		opts.Workloads = strings.Split(*workloads, ",")
-	}
 	if !*quiet {
 		opts.Progress = stderr
 	}

@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// TestUsageErrorsExit2: flags the program no longer has, a negative -scale
-// and a -fault-rate above 1 are usage errors caught before the campaign
-// starts a run.
+// TestUsageErrorsExit2: flags the program no longer has, a negative -scale,
+// a -fault-rate above 1 and an unknown workload name are usage errors
+// caught before the campaign starts a run.
 func TestUsageErrorsExit2(t *testing.T) {
 	dir := t.TempDir()
 	for _, args := range [][]string{
@@ -18,6 +18,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-resume"},
 		{"-scale", "-4"},
 		{"-fault", "meta-thrash", "-fault-rate", "5"},
+		{"-workloads", "lbm,bogus"},
 	} {
 		// The temporary directory is left out of the subtest name so that
 		// the name is the same on every run.

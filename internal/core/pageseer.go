@@ -7,6 +7,7 @@ import (
 	"pageseer/internal/engine"
 	"pageseer/internal/hmc"
 	"pageseer/internal/mem"
+	"pageseer/internal/memsim"
 	"pageseer/internal/mmu"
 	"pageseer/internal/obs"
 	"pageseer/internal/obs/attrib"
@@ -285,7 +286,7 @@ func (p *PageSeer) putPTEServe(s *pteServe) {
 // issueLineDemand is the shared demand-priority line fetch the pooled
 // continuations bind to.
 func (p *PageSeer) issueLineDemand(line mem.Addr, done func()) {
-	p.ctl.IssueLine(line, false, hmc.PrioDemand, done)
+	p.ctl.IssueLine(line, false, memsim.PrioDemand, done)
 }
 
 const maxPendingSwaps = 1024

@@ -24,37 +24,32 @@ type Figure7Row struct {
 // Figure7 builds the service-source breakdown per suite.
 func Figure7(r *Runner) ([]Figure7Row, error) {
 	var rows []Figure7Row
-	groups := r.groupBySuite()
-	for _, suite := range suiteOrder {
-		wls := groups[suite]
-		if len(wls) == 0 {
-			continue
-		}
+	err := suiteBars(r, sim.Results.ServiceBreakdown, func(suite string, sch sim.Scheme, d, n, b float64) {
+		rows = append(rows, Figure7Row{Group: suite, Scheme: sch, DRAM: d, NVM: n, Buffer: b})
+	})
+	return rows, err
+}
+
+// suiteBars averages a three-way split of each run over a suite's
+// workloads, one bar per (suite, scheme) for the schemes of Figures 7 and
+// 8. A failed run leaves the mean; a bar with no run left is a gap.
+func suiteBars(r *Runner, split func(sim.Results) (float64, float64, float64),
+	bar func(suite string, sch sim.Scheme, a, b, c float64)) error {
+	return r.eachSuite(func(suite string, wls []string) error {
 		for _, sch := range schemes3 {
-			var d, n, b []float64
-			for _, wl := range wls {
-				res, ok, err := r.runs(wl, Key{Scheme: sch})
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue // failed run: drop it from the suite mean
-				}
-				dd, nn, bb := res[0].ServiceBreakdown()
-				d = append(d, dd)
-				n = append(n, nn)
-				b = append(b, bb)
+			var a, b, c []float64
+			if err := r.each(wls, []Key{{Scheme: sch}}, func(_ string, res []sim.Results) {
+				x, y, z := split(res[0])
+				a, b, c = append(a, x), append(b, y), append(c, z)
+			}); err != nil {
+				return err
 			}
-			if len(d) == 0 {
-				continue // every run of the bar failed: leave a gap
+			if len(a) > 0 {
+				bar(suite, sch, stats.Mean(a), stats.Mean(b), stats.Mean(c))
 			}
-			rows = append(rows, Figure7Row{
-				Group: suite, Scheme: sch,
-				DRAM: stats.Mean(d), NVM: stats.Mean(n), Buffer: stats.Mean(b),
-			})
 		}
-	}
-	return rows, nil
+		return nil
+	})
 }
 
 // Figure8Row is one bar of Figure 8: positive/negative/neutral accesses.
@@ -69,37 +64,10 @@ type Figure8Row struct {
 // Figure8 builds the swap-effectiveness breakdown per suite.
 func Figure8(r *Runner) ([]Figure8Row, error) {
 	var rows []Figure8Row
-	groups := r.groupBySuite()
-	for _, suite := range suiteOrder {
-		wls := groups[suite]
-		if len(wls) == 0 {
-			continue
-		}
-		for _, sch := range schemes3 {
-			var p, n, u []float64
-			for _, wl := range wls {
-				res, ok, err := r.runs(wl, Key{Scheme: sch})
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-				pp, nn, uu := res[0].AccessEffectiveness()
-				p = append(p, pp)
-				n = append(n, nn)
-				u = append(u, uu)
-			}
-			if len(p) == 0 {
-				continue
-			}
-			rows = append(rows, Figure8Row{
-				Group: suite, Scheme: sch,
-				Positive: stats.Mean(p), Negative: stats.Mean(n), Neutral: stats.Mean(u),
-			})
-		}
-	}
-	return rows, nil
+	err := suiteBars(r, sim.Results.AccessEffectiveness, func(suite string, sch sim.Scheme, p, n, u float64) {
+		rows = append(rows, Figure8Row{Group: suite, Scheme: sch, Positive: p, Negative: n, Neutral: u})
+	})
+	return rows, err
 }
 
 // Figure9Row is one bar of Figure 9: prefetch-swap accuracy per workload.
@@ -112,21 +80,10 @@ type Figure9Row struct {
 // Figure9 builds prefetch-swap accuracy for PageSeer.
 func Figure9(r *Runner) ([]Figure9Row, error) {
 	var rows []Figure9Row
-	for _, wl := range r.opts.Workloads {
-		ps, ok, err := r.runs(wl, Key{Scheme: sim.SchemePageSeer})
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		rows = append(rows, Figure9Row{
-			Workload: wl,
-			Accuracy: ps[0].PrefetchAccuracy,
-			Tracked:  ps[0].PS.PrefetchTracked,
-		})
-	}
-	return rows, nil
+	err := r.each(r.opts.Workloads, []Key{{Scheme: sim.SchemePageSeer}}, func(wl string, res []sim.Results) {
+		rows = append(rows, Figure9Row{Workload: wl, Accuracy: res[0].PrefetchAccuracy, Tracked: res[0].PS.PrefetchTracked})
+	})
+	return rows, err
 }
 
 // Figure10Row is one bar of Figure 10: the composition of PageSeer's swaps.
@@ -141,25 +98,18 @@ type Figure10Row struct {
 // Figure10 builds the swap-kind composition.
 func Figure10(r *Runner) ([]Figure10Row, error) {
 	var rows []Figure10Row
-	for _, wl := range r.opts.Workloads {
-		ps, ok, err := r.runs(wl, Key{Scheme: sim.SchemePageSeer})
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		res := ps[0]
-		tot := res.PS.TotalSwaps()
+	err := r.each(r.opts.Workloads, []Key{{Scheme: sim.SchemePageSeer}}, func(wl string, res []sim.Results) {
+		ps := res[0].PS
+		tot := ps.TotalSwaps()
 		row := Figure10Row{Workload: wl, TotalSwaps: tot}
 		if tot > 0 {
-			row.RegularFrac = float64(res.PS.SwapsCompleted[0]) / float64(tot)
-			row.PrefetchFrac = float64(res.PS.SwapsCompleted[1]) / float64(tot)
-			row.MMUFrac = float64(res.PS.SwapsCompleted[2]) / float64(tot)
+			row.RegularFrac = float64(ps.SwapsCompleted[0]) / float64(tot)
+			row.PrefetchFrac = float64(ps.SwapsCompleted[1]) / float64(tot)
+			row.MMUFrac = float64(ps.SwapsCompleted[2]) / float64(tot)
 		}
 		rows = append(rows, row)
-	}
-	return rows, nil
+	})
+	return rows, err
 }
 
 // Figure11Row is one group of Figure 11: swaps per kilo-instruction with
@@ -170,33 +120,25 @@ type Figure11Row struct {
 	WithoutBW float64
 }
 
-// Figure11 builds the swap-rate comparison per suite.
+// Figure11 builds the swap-rate comparison per suite. A workload whose pair
+// is incomplete leaves both means.
 func Figure11(r *Runner) ([]Figure11Row, error) {
 	var rows []Figure11Row
-	groups := r.groupBySuite()
-	for _, suite := range suiteOrder {
-		wls := groups[suite]
-		if len(wls) == 0 {
-			continue
-		}
+	pair := []Key{{Scheme: sim.SchemePageSeer}, {Scheme: sim.SchemePageSeer, DisableBW: true}}
+	err := r.eachSuite(func(suite string, wls []string) error {
 		var with, without []float64
-		for _, wl := range wls {
-			res, ok, err := r.runs(wl, Key{Scheme: sim.SchemePageSeer}, Key{Scheme: sim.SchemePageSeer, DisableBW: true})
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue // keep the pair together: drop the workload
-			}
+		if err := r.each(wls, pair, func(_ string, res []sim.Results) {
 			with = append(with, res[0].SwapsPerKI)
 			without = append(without, res[1].SwapsPerKI)
+		}); err != nil {
+			return err
 		}
-		if len(with) == 0 {
-			continue
+		if len(with) > 0 {
+			rows = append(rows, Figure11Row{Group: suite, WithBW: stats.Mean(with), WithoutBW: stats.Mean(without)})
 		}
-		rows = append(rows, Figure11Row{Group: suite, WithBW: stats.Mean(with), WithoutBW: stats.Mean(without)})
-	}
-	return rows, nil
+		return nil
+	})
+	return rows, err
 }
 
 // Figure12Row is one bar of Figure 12 plus the Section V-B MMU Driver
@@ -210,21 +152,10 @@ type Figure12Row struct {
 // Figure12 builds page-walk statistics for PageSeer.
 func Figure12(r *Runner) ([]Figure12Row, error) {
 	var rows []Figure12Row
-	for _, wl := range r.opts.Workloads {
-		ps, ok, err := r.runs(wl, Key{Scheme: sim.SchemePageSeer})
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		rows = append(rows, Figure12Row{
-			Workload:         wl,
-			PTEMissRate:      ps[0].PTEMissRate(),
-			MMUDriverHitRate: ps[0].MMUDriverHitRate(),
-		})
-	}
-	return rows, nil
+	err := r.each(r.opts.Workloads, []Key{{Scheme: sim.SchemePageSeer}}, func(wl string, res []sim.Results) {
+		rows = append(rows, Figure12Row{Workload: wl, PTEMissRate: res[0].PTEMissRate(), MMUDriverHitRate: res[0].MMUDriverHitRate()})
+	})
+	return rows, err
 }
 
 // Figure13Row is one bar of Figure 13: reduction of total PRTc waiting time
@@ -239,27 +170,15 @@ type Figure13Row struct {
 // Figure13 builds the remap-cache waiting-time comparison.
 func Figure13(r *Runner) ([]Figure13Row, error) {
 	var rows []Figure13Row
-	for _, wl := range r.opts.Workloads {
-		res, ok, err := r.runs(wl, Key{Scheme: sim.SchemePageSeer}, Key{Scheme: sim.SchemePoM})
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		ps, pom := res[0], res[1]
+	err := r.each(r.opts.Workloads, []Key{{Scheme: sim.SchemePageSeer}, {Scheme: sim.SchemePoM}}, func(wl string, res []sim.Results) {
+		ps, pom := res[0].RemapCache.WaitCycles, res[1].RemapCache.WaitCycles
 		red := 0.0
-		if pom.RemapCache.WaitCycles > 0 {
-			red = 1 - float64(ps.RemapCache.WaitCycles)/float64(pom.RemapCache.WaitCycles)
+		if pom > 0 {
+			red = 1 - float64(ps)/float64(pom)
 		}
-		rows = append(rows, Figure13Row{
-			Workload:     wl,
-			Reduction:    red,
-			PSWaitCycles: ps.RemapCache.WaitCycles,
-			PoMWait:      pom.RemapCache.WaitCycles,
-		})
-	}
-	return rows, nil
+		rows = append(rows, Figure13Row{Workload: wl, Reduction: red, PSWaitCycles: ps, PoMWait: pom})
+	})
+	return rows, err
 }
 
 // Figure14Row is one workload of Figure 14: IPC and AMMAT of PoM and
@@ -283,18 +202,13 @@ type Figure14Summary struct {
 	AMMATvsPoM, AMMATvsMemPod float64
 }
 
-// Figure14 builds the headline comparison.
+// Figure14 builds the headline comparison. Normalisation needs the full
+// triple, so a workload with a failed run is left out.
 func Figure14(r *Runner) (Figure14Summary, error) {
 	var out Figure14Summary
 	var ipcP, ipcS, amP, amS []float64
-	for _, wl := range r.opts.Workloads {
-		res, ok, err := r.runs(wl, Key{Scheme: sim.SchemeMemPod}, Key{Scheme: sim.SchemePoM}, Key{Scheme: sim.SchemePageSeer})
-		if err != nil {
-			return out, err
-		}
-		if !ok {
-			continue // normalisation needs the full triple: drop the workload
-		}
+	triple := []Key{{Scheme: sim.SchemeMemPod}, {Scheme: sim.SchemePoM}, {Scheme: sim.SchemePageSeer}}
+	err := r.each(r.opts.Workloads, triple, func(wl string, res []sim.Results) {
 		mp, pom, ps := res[0], res[1], res[2]
 		row := Figure14Row{Workload: wl}
 		if mp.IPC > 0 {
@@ -310,6 +224,9 @@ func Figure14(r *Runner) (Figure14Summary, error) {
 		ipcS = append(ipcS, row.IPCPageSeer)
 		amP = append(amP, row.AMMATPoM)
 		amS = append(amS, row.AMMATPageSeer)
+	})
+	if err != nil {
+		return out, err
 	}
 	out.GeoIPCPoM = stats.GeoMean(ipcP)
 	out.GeoIPCPageSeer = stats.GeoMean(ipcS)
@@ -336,22 +253,14 @@ type AblationRow struct {
 // Ablation builds the PageSeer vs PageSeer-NoCorr comparison.
 func Ablation(r *Runner) ([]AblationRow, error) {
 	var rows []AblationRow
-	for _, wl := range r.opts.Workloads {
-		res, ok, err := r.runs(wl, Key{Scheme: sim.SchemePageSeer}, Key{Scheme: sim.SchemePageSeerNoCorr})
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		full, nc := res[0], res[1]
+	err := r.each(r.opts.Workloads, []Key{{Scheme: sim.SchemePageSeer}, {Scheme: sim.SchemePageSeerNoCorr}}, func(wl string, res []sim.Results) {
 		sp := 0.0
-		if nc.IPC > 0 {
-			sp = full.IPC / nc.IPC
+		if res[1].IPC > 0 {
+			sp = res[0].IPC / res[1].IPC
 		}
 		rows = append(rows, AblationRow{Workload: wl, Speedup: sp})
-	}
-	return rows, nil
+	})
+	return rows, err
 }
 
 // bar renders a crude ASCII bar for text figures.

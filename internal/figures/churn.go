@@ -7,6 +7,7 @@ import (
 
 	"pageseer/internal/obs"
 	"pageseer/internal/obs/pagemap"
+	"pageseer/internal/sim"
 )
 
 // ChurnRow is one (workload, scheme) run's address-space telemetry digest:
@@ -34,23 +35,10 @@ func ChurnTable(r *Runner) ([]ChurnRow, error) {
 		return nil, ErrNoPageMap
 	}
 	var rows []ChurnRow
-	for _, wl := range r.opts.Workloads {
-		for _, sch := range schemes3 {
-			res, ok, err := r.runs(wl, Key{Scheme: sch})
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			rows = append(rows, ChurnRow{
-				Workload: wl,
-				Scheme:   string(sch),
-				Summary:  res[0].PageMap,
-			})
-		}
-	}
-	return rows, nil
+	err := r.eachRun(schemes3, func(wl string, sch sim.Scheme, res sim.Results) {
+		rows = append(rows, ChurnRow{Workload: wl, Scheme: string(sch), Summary: res.PageMap})
+	})
+	return rows, err
 }
 
 // RenderChurn renders the address-space churn table: working-set and hot-set

@@ -41,24 +41,10 @@ func CPIStackTable(r *Runner) ([]CPIStackRow, error) {
 		return nil, ErrNoCPI
 	}
 	var rows []CPIStackRow
-	for _, wl := range r.opts.Workloads {
-		for _, sch := range cpiSchemes {
-			res, ok, err := r.runs(wl, Key{Scheme: sch})
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			rows = append(rows, CPIStackRow{
-				Workload:     wl,
-				Scheme:       string(sch),
-				Instructions: res[0].Instructions,
-				Stack:        res[0].CPIStack,
-			})
-		}
-	}
-	return rows, nil
+	err := r.eachRun(cpiSchemes, func(wl string, sch sim.Scheme, res sim.Results) {
+		rows = append(rows, CPIStackRow{Workload: wl, Scheme: string(sch), Instructions: res.Instructions, Stack: res.CPIStack})
+	})
+	return rows, err
 }
 
 // cpi returns cycles normalised to the row's instruction count.

@@ -7,6 +7,7 @@ import (
 
 	"pageseer/internal/obs"
 	"pageseer/internal/obs/ledger"
+	"pageseer/internal/sim"
 )
 
 // EffectivenessRow is one (workload, scheme) run's swap-provenance digest:
@@ -32,23 +33,10 @@ func EffectivenessTable(r *Runner) ([]EffectivenessRow, error) {
 		return nil, ErrNoLedger
 	}
 	var rows []EffectivenessRow
-	for _, wl := range r.opts.Workloads {
-		for _, sch := range schemes3 {
-			res, ok, err := r.runs(wl, Key{Scheme: sch})
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			rows = append(rows, EffectivenessRow{
-				Workload: wl,
-				Scheme:   string(sch),
-				Summary:  res[0].Effectiveness,
-			})
-		}
-	}
-	return rows, nil
+	err := r.eachRun(schemes3, func(wl string, sch sim.Scheme, res sim.Results) {
+		rows = append(rows, EffectivenessRow{Workload: wl, Scheme: string(sch), Summary: res.Effectiveness})
+	})
+	return rows, err
 }
 
 // RenderEffectiveness renders the swap-provenance table: per-trigger swap

@@ -3,12 +3,14 @@ package figures
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"pageseer/internal/sim"
+	"pageseer/internal/stats"
 )
 
 func isolationOptions() Options {
@@ -98,6 +100,131 @@ func TestCampaignSurvivesRunPanic(t *testing.T) {
 	if len(rows) == 0 {
 		t.Fatal("Figure9 dropped the surviving workloads too")
 	}
+}
+
+// TestGapRuleEveryShape pins how each figure and table drops a failed run,
+// for every shape a builder iterates in: per workload (Figures 9, 10, 12,
+// 13, 14, the ablation, the latency table), per suite mean (Figures 7, 8,
+// 11) and per (workload, scheme) cell (the effectiveness, CPI-stack and
+// churn tables). GemsFDTD/pageseer fails; lbm, the other SPEC workload,
+// survives. GemsFDTD comes first, so a gap that ended a whole figure
+// instead of one workload would show.
+func TestGapRuleEveryShape(t *testing.T) {
+	simulateHook = func(cfg sim.Config) {
+		if cfg.Workload == "GemsFDTD" && cfg.Scheme == sim.SchemePageSeer && !cfg.DisableBWOpt {
+			panic("figures: injected mid-campaign panic")
+		}
+	}
+	defer func() { simulateHook = nil }()
+
+	opts := isolationOptions()
+	opts.Workloads = []string{"GemsFDTD", "lbm"}
+	opts.Config.Obs.Ledger, opts.Config.Obs.CPI, opts.Config.Obs.PageMap = true, true, true
+	r := NewRunner(opts)
+	if err := r.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	get := func(k Key) sim.Results {
+		t.Helper()
+		res, err := r.run(k, nil)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", k.Workload, k.Label(), err)
+		}
+		return res
+	}
+
+	// Per workload: a tuple with the failed run loses its workload's row.
+	for _, fig := range []struct {
+		name  string
+		build func() ([]string, error)
+	}{
+		{"Figure9", func() ([]string, error) { return rowNames(Figure9(r)) }},
+		{"Figure10", func() ([]string, error) { return rowNames(Figure10(r)) }},
+		{"Figure12", func() ([]string, error) { return rowNames(Figure12(r)) }},
+		{"Figure13", func() ([]string, error) { return rowNames(Figure13(r)) }},
+		{"Figure14", func() ([]string, error) { s, err := Figure14(r); return rowNames(s.Rows, err) }},
+		{"Ablation", func() ([]string, error) { return rowNames(Ablation(r)) }},
+		{"LatencyTable", func() ([]string, error) { return rowNames(LatencyTable(r)) }},
+	} {
+		got, err := fig.build()
+		if err != nil {
+			t.Fatalf("%s refused the gapped campaign: %v", fig.name, err)
+		}
+		if !reflect.DeepEqual(got, []string{"lbm"}) {
+			t.Errorf("%s rows = %v, want only lbm", fig.name, got)
+		}
+	}
+
+	// Per suite: a pair with the failed run leaves the suite mean, and a
+	// bar keeps every workload whose own run succeeded.
+	f11, err := Figure11(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	with := get(Key{Workload: "lbm", Scheme: sim.SchemePageSeer}).SwapsPerKI
+	without := get(Key{Workload: "lbm", Scheme: sim.SchemePageSeer, DisableBW: true}).SwapsPerKI
+	if want := []Figure11Row{{Group: "SPEC", WithBW: with, WithoutBW: without}}; !reflect.DeepEqual(f11, want) {
+		t.Errorf("Figure11 = %+v, want %+v", f11, want)
+	}
+	f7, err := Figure7(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, n, b := get(Key{Workload: "lbm", Scheme: sim.SchemePageSeer}).ServiceBreakdown()
+	if want := (Figure7Row{Group: "SPEC", Scheme: sim.SchemePageSeer, DRAM: d, NVM: n, Buffer: b}); !slices.Contains(f7, want) {
+		t.Errorf("Figure7 = %+v, want lbm's own PageSeer bar %+v", f7, want)
+	}
+	d1, n1, b1 := get(Key{Workload: "GemsFDTD", Scheme: sim.SchemePoM}).ServiceBreakdown()
+	d2, n2, b2 := get(Key{Workload: "lbm", Scheme: sim.SchemePoM}).ServiceBreakdown()
+	if want := (Figure7Row{Group: "SPEC", Scheme: sim.SchemePoM,
+		DRAM: stats.Mean([]float64{d1, d2}), NVM: stats.Mean([]float64{n1, n2}), Buffer: stats.Mean([]float64{b1, b2})}); !slices.Contains(f7, want) {
+		t.Errorf("Figure7 = %+v, want a PoM bar averaging both workloads %+v", f7, want)
+	}
+	if len(f7) != 3 {
+		t.Errorf("Figure7 has %d bars, want SPEC's 3", len(f7))
+	}
+	f8, err := Figure8(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ng, u := get(Key{Workload: "lbm", Scheme: sim.SchemePageSeer}).AccessEffectiveness()
+	if want := (Figure8Row{Group: "SPEC", Scheme: sim.SchemePageSeer, Positive: p, Negative: ng, Neutral: u}); len(f8) != 3 || !slices.Contains(f8, want) {
+		t.Errorf("Figure8 = %+v, want SPEC's 3 bars with lbm's own PageSeer bar %+v", f8, want)
+	}
+
+	// Per cell: only the failed (workload, scheme) cell goes.
+	for _, tab := range []struct {
+		name  string
+		build func() ([]string, error)
+		want  int
+	}{
+		{"EffectivenessTable", func() ([]string, error) { return rowNames(EffectivenessTable(r)) }, 5},
+		{"CPIStackTable", func() ([]string, error) { return rowNames(CPIStackTable(r)) }, 7},
+		{"ChurnTable", func() ([]string, error) { return rowNames(ChurnTable(r)) }, 5},
+	} {
+		got, err := tab.build()
+		if err != nil {
+			t.Fatalf("%s refused the gapped campaign: %v", tab.name, err)
+		}
+		if len(got) != tab.want || slices.Contains(got, "GemsFDTD/pageseer") {
+			t.Errorf("%s cells = %v, want %d without GemsFDTD/pageseer", tab.name, got, tab.want)
+		}
+	}
+}
+
+// rowNames names each row by its Workload field, followed by "/" and its
+// Scheme field where the row has one.
+func rowNames[T any](rows []T, err error) ([]string, error) {
+	var names []string
+	for _, row := range rows {
+		v := reflect.ValueOf(row)
+		name := v.FieldByName("Workload").String()
+		if s := v.FieldByName("Scheme"); s.IsValid() {
+			name += "/" + s.String()
+		}
+		names = append(names, name)
+	}
+	return names, err
 }
 
 // TestRunTimeoutAbortsRun: a run exceeding Options.RunTimeout is aborted at

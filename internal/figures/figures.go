@@ -235,22 +235,44 @@ func isGap(err error) bool {
 	return errors.As(err, &re)
 }
 
-// runs returns wl's results under each of keys, in order; a key's
-// Workload is ignored. ok is false when one of the runs is a gap (it failed
-// with a *sim.RunError): runs stops there, and the caller leaves wl out of
-// its figure. Any other error is the campaign's and aborts the figure.
-func (r *Runner) runs(wl string, keys ...Key) (res []sim.Results, ok bool, err error) {
-	res = make([]sim.Results, len(keys))
-	for i, k := range keys {
-		k.Workload = wl
-		if res[i], err = r.run(k, nil); err != nil {
-			if isGap(err) {
-				err = nil
+// each calls row with wl's results under keys, in keys' order (a key's
+// Workload is ignored), for every workload in wls whose runs all
+// succeeded. A workload's runs stop at its first gap (a *sim.RunError), so
+// its later keys are never simulated and row skips it; any other error is
+// the campaign's and aborts the iteration. Every call to row reuses one
+// results slice, so row may not keep it.
+func (r *Runner) each(wls []string, keys []Key, row func(wl string, res []sim.Results)) error {
+	res := make([]sim.Results, len(keys))
+next:
+	for _, wl := range wls {
+		for i, k := range keys {
+			k.Workload = wl
+			var err error
+			if res[i], err = r.run(k, nil); err != nil {
+				if isGap(err) {
+					continue next
+				}
+				return err
 			}
-			return nil, false, err
+		}
+		row(wl, res)
+	}
+	return nil
+}
+
+// eachRun calls row with the result of every successful (workload, scheme)
+// run of the campaign, workload-major, schemes in the order given.
+func (r *Runner) eachRun(schemes []sim.Scheme, row func(wl string, sch sim.Scheme, res sim.Results)) error {
+	for _, wl := range r.opts.Workloads {
+		for _, sch := range schemes {
+			if err := r.each([]string{wl}, []Key{{Scheme: sch}}, func(_ string, res []sim.Results) {
+				row(wl, sch, res[0])
+			}); err != nil {
+				return err
+			}
 		}
 	}
-	return res, true, nil
+	return nil
 }
 
 // simulate executes one run and hands the finished system to sink, if
@@ -541,12 +563,22 @@ func (r *Runner) Failures() []RunFailure {
 // suiteOrder fixes the row order of per-suite figures.
 var suiteOrder = []string{"SPEC", "Splash-3", "CORAL", "Mixes"}
 
-// groupBySuite returns the campaign workloads grouped per suite.
-func (r *Runner) groupBySuite() map[string][]string {
-	g := make(map[string][]string)
-	for _, w := range r.opts.Workloads {
-		s := workload.Suite(w)
-		g[s] = append(g[s], w)
+// eachSuite calls f with each suite's campaign workloads, in suiteOrder,
+// skipping a suite with none; f's error ends the iteration.
+func (r *Runner) eachSuite(f func(suite string, wls []string) error) error {
+	for _, suite := range suiteOrder {
+		var wls []string
+		for _, w := range r.opts.Workloads {
+			if workload.Suite(w) == suite {
+				wls = append(wls, w)
+			}
+		}
+		if len(wls) == 0 {
+			continue
+		}
+		if err := f(suite, wls); err != nil {
+			return err
+		}
 	}
-	return g
+	return nil
 }

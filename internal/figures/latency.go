@@ -20,17 +20,10 @@ type LatencyRow struct {
 // to a campaign costs no extra simulation.
 func LatencyTable(r *Runner) ([]LatencyRow, error) {
 	var rows []LatencyRow
-	for _, wl := range r.opts.Workloads {
-		ps, ok, err := r.runs(wl, Key{Scheme: sim.SchemePageSeer})
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		rows = append(rows, LatencyRow{Workload: wl, Latency: ps[0].Latency})
-	}
-	return rows, nil
+	err := r.each(r.opts.Workloads, []Key{{Scheme: sim.SchemePageSeer}}, func(wl string, res []sim.Results) {
+		rows = append(rows, LatencyRow{Workload: wl, Latency: res[0].Latency})
+	})
+	return rows, err
 }
 
 // RenderLatencyTable renders the per-source latency percentiles.

@@ -7,6 +7,7 @@ import (
 	"pageseer/internal/check"
 	"pageseer/internal/engine"
 	"pageseer/internal/mem"
+	"pageseer/internal/memsim"
 )
 
 func TestSwapAuditCleanEngine(t *testing.T) {
@@ -30,7 +31,7 @@ func TestSwapAuditCleanEngine(t *testing.T) {
 // transfers: the op stays running forever and the audit must report it.
 func TestSwapAuditCatchesStuckOp(t *testing.T) {
 	sim := engine.New()
-	drop := func(addr mem.Addr, write bool, prio Priority, done func()) {}
+	drop := func(addr mem.Addr, write bool, prio memsim.Priority, done func()) {}
 	e := NewSwapEngine(sim, drop, nil)
 	if !e.Start(pageSwapOp(0, mem.Addr(256*mem.PageSize), nil)) {
 		t.Fatal("Start rejected a valid op")
@@ -54,7 +55,7 @@ func TestSwapAuditCatchesStuckOp(t *testing.T) {
 
 func TestMetaCacheAuditCatchesStuckFetch(t *testing.T) {
 	sim := engine.New()
-	drop := func(addr mem.Addr, write bool, prio Priority, done func()) {}
+	drop := func(addr mem.Addr, write bool, prio memsim.Priority, done func()) {}
 	region := MetaRegion{Base: 0x1000, Bytes: 1 << 20, EntrySize: 8}
 	mc := NewMetaCache(sim, MetaCacheConfig{Name: "T", Entries: 64, Ways: 4, HitLatency: 2}, region, drop)
 	got := false

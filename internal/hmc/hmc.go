@@ -385,26 +385,24 @@ func (c *Controller) MMUHintFunctional(h mmu.Hint) {
 	}
 }
 
-// IssueLine routes one line access to the owning memory module, adapting
-// priorities. It is the only path to the timing models, so swap traffic,
-// metadata fills, and demand misses all contend on the same channels — and
-// the single place a queue-saturation fault can delay everything at once.
-func (c *Controller) IssueLine(addr mem.Addr, write bool, prio Priority, done func()) {
+// IssueLine routes one line access to the owning memory module.
+func (c *Controller) IssueLine(addr mem.Addr, write bool, prio memsim.Priority, done func()) {
+	c.issue(addr, write, prio, nil, done)
+}
+
+// issue is IssueLine with a blame vector riding the access into the timing
+// model (queue-wait / swap-interference / service split); v may be nil. It
+// is the only path to the timing models, so swap traffic, metadata fills,
+// and demand misses all contend on the same channels — and the single
+// place a queue-saturation fault can delay everything at once.
+func (c *Controller) issue(addr mem.Addr, write bool, prio memsim.Priority, v *attrib.Vector, done func()) {
 	if c.inj != nil {
 		if d := c.inj.IssueStallCycles(); d > 0 {
-			c.Sim.After(d, func() { c.issueLine(addr, write, prio, done) })
+			c.Sim.After(d, func() { c.Route(addr).AccessV(addr, write, prio, v, done) })
 			return
 		}
 	}
-	c.issueLine(addr, write, prio, done)
-}
-
-func (c *Controller) issueLine(addr mem.Addr, write bool, prio Priority, done func()) {
-	mprio := memsim.PrioDemand
-	if prio == PrioSwap {
-		mprio = memsim.PrioSwap
-	}
-	c.Route(addr).Access(addr, write, mprio, done)
+	c.Route(addr).AccessV(addr, write, prio, v, done)
 }
 
 // PromoteLine raises an already-queued access for addr's line to demand
@@ -434,22 +432,12 @@ func (c *Controller) ServeMemory(r *Request, actual mem.Addr) {
 		// on NVM is one line-write of wear against the OS-visible page.
 		c.probe.Writeback(uint64(r.Line), src == SrcDRAM, c.Sim.Now())
 		c.putRequest(r)
-		c.IssueLine(actual, true, PrioDemand, nil)
+		c.IssueLine(actual, true, memsim.PrioDemand, nil)
 		return
 	}
 	r.src = src
 	r.issued = c.Sim.Now()
-	if c.inj != nil {
-		if d := c.inj.IssueStallCycles(); d > 0 {
-			c.Sim.After(d, func() {
-				c.Route(actual).AccessV(actual, r.Write, memsim.PrioDemand, r.Meta.V, r.memDoneFn)
-			})
-			return
-		}
-	}
-	// The demand path bypasses IssueLine so the blame vector rides into the
-	// timing model (queue-wait / swap-interference / service split).
-	c.Route(actual).AccessV(actual, r.Write, memsim.PrioDemand, r.Meta.V, r.memDoneFn)
+	c.issue(actual, r.Write, memsim.PrioDemand, r.Meta.V, r.memDoneFn)
 }
 
 // noopFn is the shared waiter for writebacks absorbed by an in-flight swap:

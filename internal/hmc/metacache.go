@@ -6,6 +6,7 @@ import (
 	"pageseer/internal/check"
 	"pageseer/internal/engine"
 	"pageseer/internal/mem"
+	"pageseer/internal/memsim"
 	"pageseer/internal/obs/attrib"
 )
 
@@ -305,20 +306,20 @@ func (c *MetaCache) AccessUrgent(key uint64, done func()) {
 }
 
 func (c *MetaCache) fetchUrgent(key uint64, done func()) {
-	c.fetchLine(key, PrioDemand, done)
+	c.fetchLine(key, memsim.PrioDemand, done)
 }
 
 func (c *MetaCache) fetch(key uint64, prefetch bool, done func()) {
-	prio := PrioDemand
+	prio := memsim.PrioDemand
 	if prefetch || c.cfg.Background {
-		prio = PrioSwap
+		prio = memsim.PrioSwap
 	}
 	c.fetchLine(key, prio, done)
 }
 
 // fetchLine parks done (if any) on the fetch of key's DRAM line, issuing
 // that fetch at prio unless one is already in flight.
-func (c *MetaCache) fetchLine(key uint64, prio Priority, done func()) {
+func (c *MetaCache) fetchLine(key uint64, prio memsim.Priority, done func()) {
 	lk := c.lineKey(key)
 	t, inflight := c.pending.Get(lk)
 	if !inflight {
@@ -375,7 +376,7 @@ func (c *MetaCache) install(base int, key uint64, writeback bool) {
 		// behaviour: only dirty entries go back, Section III-C2).
 		c.stats.Writebacks++
 		old, _ := c.sets.Key(v)
-		c.issue(c.region.EntryAddr(old), true, PrioSwap, nil)
+		c.issue(c.region.EntryAddr(old), true, memsim.PrioSwap, nil)
 	}
 	c.sets.Fill(base, v, key)
 }

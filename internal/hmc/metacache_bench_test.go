@@ -6,12 +6,13 @@ import (
 	"pageseer/internal/check"
 	"pageseer/internal/engine"
 	"pageseer/internal/mem"
+	"pageseer/internal/memsim"
 )
 
 // fixedIssue answers every DRAM line request after 100 cycles and records
 // nothing, so it allocates nothing once the event queue has grown.
 func fixedIssue(sim *engine.Sim) IssueFunc {
-	return func(_ mem.Addr, _ bool, _ Priority, done func()) {
+	return func(_ mem.Addr, _ bool, _ memsim.Priority, done func()) {
 		if done != nil {
 			sim.After(100, done)
 		}
@@ -38,7 +39,7 @@ func newMetaLoop() *metaLoop {
 	region := MetaRegion{Base: 0, Bytes: 1 << 20, EntrySize: 4}
 	l := &metaLoop{sim: sim, x: 1, done: func() {}}
 	issue := fixedIssue(sim)
-	l.c = NewMetaCache(sim, cfg, region, func(a mem.Addr, write bool, prio Priority, done func()) {
+	l.c = NewMetaCache(sim, cfg, region, func(a mem.Addr, write bool, prio memsim.Priority, done func()) {
 		if !write {
 			l.fetches++
 		}

@@ -5,6 +5,7 @@ import (
 
 	"pageseer/internal/check"
 	"pageseer/internal/mem"
+	"pageseer/internal/memsim"
 	"pageseer/internal/obs"
 )
 
@@ -222,7 +223,7 @@ func (g *Segments) Apply(shape int, data, dst Seg) {
 func (g *Segments) commit(x *exchange) {
 	m := x.m
 	g.Apply(m.Shape, m.Data, m.Dst)
-	g.ctl.IssueLine(g.region.EntryAddr(uint64(m.Dst)), true, PrioSwap, nil)
+	g.ctl.IssueLine(g.region.EntryAddr(uint64(m.Dst)), true, memsim.PrioSwap, nil)
 	if m.Shape != Restore {
 		g.cache.Prefetch(m.Key)
 	}

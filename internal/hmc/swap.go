@@ -7,6 +7,7 @@ import (
 	"pageseer/internal/check"
 	"pageseer/internal/engine"
 	"pageseer/internal/mem"
+	"pageseer/internal/memsim"
 	"pageseer/internal/obs"
 	"pageseer/internal/obs/attrib"
 )
@@ -71,20 +72,10 @@ func (o *Op) Writes() (n int) {
 }
 
 // IssueFunc routes one line access to the right memory module.
-type IssueFunc func(addr mem.Addr, write bool, prio Priority, done func())
+type IssueFunc func(addr mem.Addr, write bool, prio memsim.Priority, done func())
 
 // PromoteFunc raises an already-issued line access to demand priority.
 type PromoteFunc func(addr mem.Addr)
-
-// Priority mirrors memsim's scheduling classes without importing it here;
-// the controller adapts between the two.
-type Priority int
-
-// Swap-engine scheduling classes.
-const (
-	PrioDemand Priority = iota
-	PrioSwap
-)
 
 // The swap machinery's sizing (modelling choices: Section III-D3 places
 // swap buffers in the memory modules but does not size them).
@@ -411,11 +402,11 @@ func (e *SwapEngine) pump(r *runningOp) {
 		if l.status != lineUnissued {
 			continue // escalated earlier by a demand waiter
 		}
-		e.issueRead(r, l, PrioSwap)
+		e.issueRead(r, l, memsim.PrioSwap)
 	}
 }
 
-func (e *SwapEngine) issueRead(r *runningOp, l *opLine, prio Priority) {
+func (e *SwapEngine) issueRead(r *runningOp, l *opLine, prio memsim.Priority) {
 	l.status = lineIssued
 	r.inflight++
 	e.stats.LinesRead++
@@ -457,7 +448,7 @@ func (e *SwapEngine) issueWrite(r *runningOp, dst mem.Addr) {
 	if e.probe != nil && !e.isDRAM(dst) {
 		r.nvmWrites++
 	}
-	e.issue(dst, true, PrioSwap, r.writeFn)
+	e.issue(dst, true, memsim.PrioSwap, r.writeFn)
 }
 
 // writeDone is the pre-bound continuation shared by every line write of an
@@ -549,7 +540,7 @@ func (e *SwapEngine) TryService(addr mem.Addr, v *attrib.Vector, done func()) bo
 			// Requested-line-first: promote this read past the queue and
 			// issue it at demand priority (Section III-D1).
 			e.stats.EscalatedRead++
-			e.issueRead(r, l, PrioDemand)
+			e.issueRead(r, l, memsim.PrioDemand)
 		}
 	}
 	return true

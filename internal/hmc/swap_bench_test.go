@@ -5,6 +5,7 @@ import (
 
 	"pageseer/internal/engine"
 	"pageseer/internal/mem"
+	"pageseer/internal/memsim"
 )
 
 // swapLoopOps is the number of concurrent ops the loops keep running: the
@@ -32,7 +33,7 @@ type tryLoop struct {
 
 func newTryLoop(tb testing.TB) *tryLoop {
 	sim := engine.New()
-	issue := func(_ mem.Addr, write bool, _ Priority, done func()) {
+	issue := func(_ mem.Addr, write bool, _ memsim.Priority, done func()) {
 		if !write && done != nil {
 			sim.After(100, done)
 		}

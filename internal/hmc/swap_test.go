@@ -8,6 +8,7 @@ import (
 	"pageseer/internal/check"
 	"pageseer/internal/engine"
 	"pageseer/internal/mem"
+	"pageseer/internal/memsim"
 )
 
 // recordingIssuer services line traffic with a fixed latency and records it.
@@ -19,13 +20,13 @@ type recordingIssuer struct {
 	demand  int
 }
 
-func (ri *recordingIssuer) issue(addr mem.Addr, write bool, prio Priority, done func()) {
+func (ri *recordingIssuer) issue(addr mem.Addr, write bool, prio memsim.Priority, done func()) {
 	if write {
 		ri.writes++
 	} else {
 		ri.reads++
 	}
-	if prio == PrioDemand {
+	if prio == memsim.PrioDemand {
 		ri.demand++
 	}
 	ri.sim.After(ri.latency, func() {
@@ -111,7 +112,7 @@ func TestStageBarrier(t *testing.T) {
 	sim := engine.New()
 	var order []int
 	stage := 1
-	issue := func(addr mem.Addr, write bool, prio Priority, done func()) {
+	issue := func(addr mem.Addr, write bool, prio memsim.Priority, done func()) {
 		if addr >= 0x999000 && addr < 0x999000+mem.PageSize && write {
 			order = append(order, stage)
 		}
@@ -133,7 +134,7 @@ func TestStageBarrier(t *testing.T) {
 	// the first stage's last read completes.
 	readsSeen := 0
 	origIssue := e.issue
-	e.issue = func(addr mem.Addr, write bool, prio Priority, done func()) {
+	e.issue = func(addr mem.Addr, write bool, prio memsim.Priority, done func()) {
 		if !write {
 			readsSeen++
 			if readsSeen == mem.LinesPerPage {

@@ -155,34 +155,23 @@ func (s LatSource) String() string {
 	return "?"
 }
 
-// LatencySet is the controller's per-source latency histogram bank. All
-// methods are nil-safe.
+// LatencySet is the controller's per-source latency histogram bank.
 type LatencySet struct {
 	H [NumLatSources]Histogram
 }
 
 // Record adds one demand-request latency under the given source.
 func (l *LatencySet) Record(src LatSource, cycles uint64) {
-	if l == nil {
-		return
-	}
 	l.H[src].Record(cycles)
 }
 
 // Reset zeroes every histogram (e.g. after warm-up).
 func (l *LatencySet) Reset() {
-	if l == nil {
-		return
-	}
 	*l = LatencySet{}
 }
 
-// Summary reduces the set to per-source headline statistics. A nil set
-// yields the zero summary.
+// Summary reduces the set to per-source headline statistics.
 func (l *LatencySet) Summary() LatencySummary {
-	if l == nil {
-		return LatencySummary{}
-	}
 	return LatencySummary{
 		DRAM: l.H[LatDRAM].Summary(),
 		NVM:  l.H[LatNVM].Summary(),

@@ -127,15 +127,6 @@ func TestMergeAssociative(t *testing.T) {
 	}
 }
 
-func TestLatencySetNilSafe(t *testing.T) {
-	var l *LatencySet
-	l.Record(LatDRAM, 100) // must not panic
-	l.Reset()
-	if s := l.Summary(); s != (LatencySummary{}) {
-		t.Fatalf("nil LatencySet summary = %+v, want zero", s)
-	}
-}
-
 func TestLatencySetRoutesSources(t *testing.T) {
 	l := &LatencySet{}
 	l.Record(LatDRAM, 10)

@@ -8,7 +8,7 @@ GO ?= go
 BENCH_ENV = GOCACHE=$(CURDIR)/.bench_build/go-cache GOPATH=$(CURDIR)/.bench_build/gopath \
 	XDG_CONFIG_HOME=$(CURDIR)/.bench_build/config GOTOOLCHAIN=local GOPROXY=off GOWORK=off
 
-.PHONY: tier1 fmt vet build test race bench-test benchsmoke bench bench-record layers allocguard benchguard effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke invariants chaos-smoke chaos fuzz-validate trace-demo
+.PHONY: tier1 fmt vet build test race bench-test benchsmoke bench bench-record layers allocguard benchguard effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke invariants chaos-smoke chaos fuzz-validate trace-demo loc
 
 ## tier1: the full pre-PR gate — gofmt, vet, build, race-enabled tests, a
 ## one-shot figure-campaign smoke bench, the alloc-budget guards, the
@@ -69,8 +69,10 @@ layers:
 			./internal/cache ./internal/mmu ./internal/mem ./internal/hmc ./internal/core \
 			./internal/pom ./internal/mempod ./internal/sim; } > BENCH_layers.txt
 
-## allocguard: testing.AllocsPerRun proofs that (a) the observability hot
-## path pays zero allocations with sinks disabled, (b) a disabled
+## allocguard: testing.AllocsPerRun proofs that (a) a run with no observer
+## attached fires its swap-lifecycle event stream, and a simulator without
+## a pagemap its per-page events, without allocating, and the latency
+## histograms record without allocating even when on, (b) a disabled
 ## swap-provenance ledger is free on every hook, (c) the full demand
 ## path stays under its allocs-per-retired-instruction budget in steady
 ## state, and (d) the engine's timing wheel, memsim scheduling, PageSeer's
@@ -155,6 +157,13 @@ chaos:
 ## disagree with Build.
 fuzz-validate:
 	$(GO) test -run '^$$' -fuzz FuzzConfigValidate -fuzztime 20s ./internal/sim
+
+## loc: the non-test and test Go line counts of the tracked files outside
+## bench/ (the benchmark's own module), the figures a simplification
+## reports before and after.
+loc:
+	@echo "non-test: $$(git ls-files '*.go' ':!bench/' ':!*_test.go' | xargs cat | wc -l)"
+	@echo "test:     $$(git ls-files '*_test.go' ':!bench/' | xargs cat | wc -l)"
 
 ## trace-demo: produce a sample Perfetto trace + epoch timeline from a
 ## quick run (open trace-demo.json at https://ui.perfetto.dev).

@@ -176,6 +176,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-fault", "meta-thrash", "-fault-rate", "NaN"},
 		{"-scheme", "bogus"},
 		{"-timeline", "tl.csv", "-timeline-every", "0"},
+		{"-workload", "leslie3d", "-maxcores", "0", "-scale", "2048"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			var stdout, stderr syncBuffer

@@ -19,6 +19,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-scale", "-4"},
 		{"-fault", "meta-thrash", "-fault-rate", "5"},
 		{"-workloads", "lbm,bogus"},
+		{"-scale", "65536", "-workloads", "lbm"},
 	} {
 		// The temporary directory is left out of the subtest name so that
 		// the name is the same on every run.

@@ -267,12 +267,11 @@ func (p *PageSeer) getPTEServe() *pteServe {
 			r, driverHad := s.r, s.driverHad
 			pp := s.p
 			pp.putPTEServe(s)
-			if driverHad {
-				pp.ctl.ServePTECache(r, pp.cfg.PTEServeLatency)
-			} else {
-				// The fetch we just issued was the memory access itself.
-				pp.ctl.ServeDirect(r, hmc.SrcDRAM, pp.cfg.PTEServeLatency)
+			src := obs.LatPTE
+			if !driverHad {
+				src = obs.LatDRAM // the fetch just issued was the memory access itself
 			}
+			pp.ctl.ServeDirect(r, src, pp.cfg.PTEServeLatency)
 		}
 	}
 	return s
@@ -604,8 +603,10 @@ func (p *PageSeer) pickVictim(color int) (frame mem.PPN, ok bool) {
 	bestScore := ^uint64(0)
 	found := false
 
+	// Visit each of the color's DRAM frames once. At small scales colors
+	// can outnumber DRAM frames, leaving a color none, and so no victim.
 	f := start
-	for i := mem.PPN(0); i*mem.PPN(p.nColors) < dramPages; i++ {
+	for i := mem.PPN(0); mem.PPN(color)+i*mem.PPN(p.nColors) < dramPages; i++ {
 		if f >= dramPages {
 			f = mem.PPN(color)
 		}

@@ -88,31 +88,51 @@ type Sim struct {
 	wheelLen int
 	heapOnly bool // DisableWheel: reference mode for differential tests
 
-	// Cycle-tick hook (SetTick): fired from Step when the clock crosses a
-	// period boundary. Deliberately not a queued event — a self-scheduling
-	// sampler would keep Drain alive forever and perturb Pending/Fired;
-	// the hook rides the clock instead, costing one nil check per step.
-	tickFn    func()
-	tickEvery uint64
-	tickNext  uint64
+	// tick (SetTick) and watchdog (SetWatchdog) are independent hooks, so
+	// a liveness monitor rides the clock while an observability sampler
+	// owns the tick. hookAt is the earlier of their next boundaries, so
+	// Step pays one compare per event for both; it may lag low, never high.
+	tick, watchdog hook
+	hookAt         uint64
+}
 
-	// Watchdog hook (SetWatchdog): a second, independent cycle-tick slot so
-	// a liveness monitor can ride the clock even while an observability
-	// sampler owns SetTick. Unlike the tick hook, the watchdog fn may panic
-	// (that is its job); it must not schedule events.
-	wdFn    func()
-	wdEvery uint64
-	wdNext  uint64
+// hook is a cycle-tick slot, fired from Step when the clock reaches or
+// crosses a period boundary. Deliberately not a queued event — a
+// self-scheduling sampler would keep Drain alive forever and perturb
+// Pending/Fired; the hook rides the clock instead.
+type hook struct {
+	fn    func()
+	every uint64
+	next  uint64 // the next boundary; never when disarmed
+}
 
-	// hookAt is the earlier of the armed hooks' next boundaries (the
-	// maximum cycle when neither is armed), so Step pays one compare per
-	// event for both. It may lag low, never high: fireHooks rechecks each.
-	hookAt uint64
+// never is a disarmed hook's boundary: a cycle the clock never reaches.
+const never = ^uint64(0)
+
+// set arms the hook with its first boundary every cycles after now, or
+// disarms it when every is 0 or fn is nil.
+func (h *hook) set(now, every uint64, fn func()) {
+	*h = hook{next: never}
+	if every != 0 && fn != nil {
+		*h = hook{fn: fn, every: every, next: now + every}
+	}
+}
+
+// fire runs fn if the clock has reached the next boundary, advancing the
+// boundary past now first, so a fn that panics leaves the slot consistent.
+func (h *hook) fire(now uint64) {
+	if now < h.next {
+		return
+	}
+	for h.next <= now {
+		h.next += h.every
+	}
+	h.fn()
 }
 
 // New returns an empty simulator positioned at cycle 0.
 func New() *Sim {
-	return &Sim{hookAt: ^uint64(0)}
+	return &Sim{tick: hook{next: never}, watchdog: hook{next: never}, hookAt: never}
 }
 
 // Now returns the current simulation cycle.
@@ -329,13 +349,7 @@ func (s *Sim) After(delay uint64, fn func()) {
 // time jumps, so boundaries between events fire once, at the jump). fn must
 // not schedule events or mutate component state. SetTick(0, nil) disarms.
 func (s *Sim) SetTick(every uint64, fn func()) {
-	if every == 0 || fn == nil {
-		s.tickEvery, s.tickNext, s.tickFn = 0, 0, nil
-	} else {
-		s.tickEvery = every
-		s.tickNext = s.now + every
-		s.tickFn = fn
-	}
+	s.tick.set(s.now, every, fn)
 	s.armHooks()
 }
 
@@ -343,28 +357,15 @@ func (s *Sim) SetTick(every uint64, fn func()) {
 // semantics as SetTick: fn runs at the first executed event on or after
 // each multiple of `every` cycles from now. The slot is separate from
 // SetTick so liveness monitoring composes with the timeline sampler.
-// SetWatchdog(0, nil) disarms.
+// Unlike the tick's fn, the watchdog's may panic (that is its job); it
+// must not schedule events. SetWatchdog(0, nil) disarms.
 func (s *Sim) SetWatchdog(every uint64, fn func()) {
-	if every == 0 || fn == nil {
-		s.wdEvery, s.wdNext, s.wdFn = 0, 0, nil
-	} else {
-		s.wdEvery = every
-		s.wdNext = s.now + every
-		s.wdFn = fn
-	}
+	s.watchdog.set(s.now, every, fn)
 	s.armHooks()
 }
 
 // armHooks recomputes hookAt from the armed hooks.
-func (s *Sim) armHooks() {
-	s.hookAt = ^uint64(0)
-	if s.tickFn != nil {
-		s.hookAt = s.tickNext
-	}
-	if s.wdFn != nil {
-		s.hookAt = min(s.hookAt, s.wdNext)
-	}
-}
+func (s *Sim) armHooks() { s.hookAt = min(s.tick.next, s.watchdog.next) }
 
 // SnapshotPending returns the cycles of up to max queued events in fire
 // order without disturbing the queue — crashdump forensics for a run that
@@ -395,18 +396,8 @@ func (s *Sim) SnapshotPending(max int) []uint64 {
 // hooks observe the state as of the instant the clock first lands on the
 // boundary.
 func (s *Sim) fireHooks() {
-	if s.tickFn != nil && s.now >= s.tickNext {
-		s.tickFn()
-		for s.tickNext <= s.now {
-			s.tickNext += s.tickEvery
-		}
-	}
-	if s.wdFn != nil && s.now >= s.wdNext {
-		for s.wdNext <= s.now {
-			s.wdNext += s.wdEvery
-		}
-		s.wdFn()
-	}
+	s.tick.fire(s.now)
+	s.watchdog.fire(s.now)
 	s.armHooks()
 }
 

@@ -25,16 +25,6 @@ import (
 	"pageseer/internal/obs/attrib"
 )
 
-// Source says which structure serviced a demand request.
-type Source int
-
-// Service sources for Figure 7's breakdown.
-const (
-	SrcDRAM Source = iota
-	SrcNVM
-	SrcSwapBuffer
-)
-
 // Request is one LLC miss (or writeback) that reached the controller. Line
 // is the OS-visible physical address — remapping below the LLC means every
 // request must be translated by the manager before touching memory.
@@ -52,13 +42,12 @@ type Request struct {
 	done    func()
 	ctl     *Controller
 	served  bool
-	pteSrc  bool   // served by the MMU Driver's PTE cache (latency split)
 	epoch   uint64 // controller epoch at checkout; stale => stats-silent completion
 
-	// Completion plumbing for the pooled record: src and issued are filled
-	// by ServeMemory/ServeDirect; memDoneFn and directFn are bound once
-	// when the record is minted.
-	src       Source
+	// Completion plumbing for the pooled record: src, the structure that
+	// serves the request, and issued are filled by ServeMemory/ServeDirect;
+	// memDoneFn and directFn are bound once when the record is minted.
+	src       obs.LatSource
 	issued    uint64
 	memDoneFn func()
 	directFn  func()
@@ -304,7 +293,6 @@ func (c *Controller) getRequest() *Request {
 		r.bufFn = func() { r.ctl.ServeBuffer(r) }
 	}
 	r.served = false
-	r.pteSrc = false
 	r.epoch = c.epoch
 	r.src, r.issued = 0, 0
 	return r
@@ -422,15 +410,15 @@ func (c *Controller) Route(addr mem.Addr) *memsim.Module {
 
 // ServeMemory completes a request from the memory at the translated address.
 func (c *Controller) ServeMemory(r *Request, actual mem.Addr) {
-	src := SrcNVM
+	src := obs.LatNVM
 	if c.Layout.IsDRAM(actual) {
-		src = SrcDRAM
+		src = obs.LatDRAM
 	}
 	if r.Meta.Writeback {
 		// Writebacks contend for bandwidth but complete asynchronously; the
 		// record's job ends once the write is enqueued. A writeback landing
 		// on NVM is one line-write of wear against the OS-visible page.
-		c.probe.Writeback(uint64(r.Line), src == SrcDRAM, c.Sim.Now())
+		c.probe.Writeback(uint64(r.Line), src == obs.LatDRAM, c.Sim.Now())
 		c.putRequest(r)
 		c.IssueLine(actual, true, memsim.PrioDemand, nil)
 		return
@@ -471,25 +459,21 @@ func (c *Controller) routeTranslated(r *Request) {
 // ServeBuffer completes a request from the swap buffers; the manager must
 // already have arranged servicing via the swap engine and calls this from
 // the engine's callback.
-func (c *Controller) ServeBuffer(r *Request) { c.complete(r, SrcSwapBuffer) }
+func (c *Controller) ServeBuffer(r *Request) { c.complete(r, obs.LatBuf) }
 
 // ServeDirect completes r after latency cycles, attributing it to src, for
-// managers that satisfied the data through their own structures or an
-// already-issued memory fetch.
-func (c *Controller) ServeDirect(r *Request, src Source, latency uint64) {
+// managers that satisfied the data through their own structures (LatPTE:
+// the MMU Driver's small PTE cache, PageSeer Section III-B benefit one) or
+// an already-issued memory fetch.
+func (c *Controller) ServeDirect(r *Request, src obs.LatSource, latency uint64) {
+	if src == obs.LatPTE {
+		c.stats.PTEServedByHMC++
+	}
 	r.src = src
 	c.Sim.After(latency, r.directFn)
 }
 
-// ServePTECache completes a PTE-line request from the MMU Driver's small
-// PTE cache after `latency` cycles (PageSeer, Section III-B benefit one).
-func (c *Controller) ServePTECache(r *Request, latency uint64) {
-	c.stats.PTEServedByHMC++
-	r.pteSrc = true
-	c.ServeDirect(r, SrcDRAM, latency)
-}
-
-func (c *Controller) complete(r *Request, src Source) {
+func (c *Controller) complete(r *Request, src obs.LatSource) {
 	if r.served {
 		panic("hmc: request completed twice")
 	}
@@ -500,12 +484,12 @@ func (c *Controller) complete(r *Request, src Source) {
 		// interval (a residual of zero when the timing model already
 		// stamped it). Page-walk reads redirect to CompWalk by vector
 		// state; the PTE cache stays separable on purpose.
-		switch {
-		case r.pteSrc:
+		switch src {
+		case obs.LatPTE:
 			v.TakePTE(now)
-		case src == SrcSwapBuffer:
+		case obs.LatBuf:
 			v.Take(attrib.CompSwapBuf, now)
-		case src == SrcDRAM:
+		case obs.LatDRAM:
 			v.Take(attrib.CompDRAM, now)
 		default:
 			v.Take(attrib.CompNVM, now)
@@ -531,27 +515,18 @@ func (c *Controller) complete(r *Request, src Source) {
 		// boundaries itself.
 		lat := now - r.Arrival
 		c.stats.LatencyTotal += lat
-		ls := obs.LatDRAM
-		switch {
-		case r.pteSrc:
-			ls = obs.LatPTE
-		case src == SrcNVM:
-			ls = obs.LatNVM
-		case src == SrcSwapBuffer:
-			ls = obs.LatBuf
-		}
-		c.Latency.Record(ls, lat)
+		c.Latency.Record(src, lat)
 		if !r.Meta.PageWalk {
 			switch src {
-			case SrcDRAM:
+			case obs.LatDRAM:
 				c.stats.ServedDRAM++
-			case SrcNVM:
+			case obs.LatNVM:
 				c.stats.ServedNVM++
-			case SrcSwapBuffer:
+			case obs.LatBuf:
 				c.stats.ServedBuf++
 			}
 			origDRAM := c.Layout.IsDRAM(r.Line)
-			servedFast := src != SrcNVM
+			servedFast := src != obs.LatNVM
 			switch {
 			case !origDRAM && servedFast:
 				c.stats.Positive++
@@ -564,10 +539,10 @@ func (c *Controller) complete(r *Request, src Source) {
 		// Demand is reported on the OS-visible line, the data identity
 		// every subscriber keys on. Of the page-walk reads only the leaf-PTE
 		// reads the MMU Driver's cache intercepted are reported: the
-		// PTE-cache-bypass class of the per-page source split (pteSrc
+		// PTE-cache-bypass class of the per-page source split (LatPTE
 		// implies PageWalk).
-		if c.probe != nil && (!r.Meta.PageWalk || r.pteSrc) {
-			c.probe.Demand(uint64(r.Line), r.Write, ls, now)
+		if c.probe != nil && (!r.Meta.PageWalk || src == obs.LatPTE) {
+			c.probe.Demand(uint64(r.Line), r.Write, src, now)
 		}
 	}
 	// Release before the callback: done may re-enter Access and is then

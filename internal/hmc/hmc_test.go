@@ -6,6 +6,7 @@ import (
 	"pageseer/internal/cache"
 	"pageseer/internal/engine"
 	"pageseer/internal/mem"
+	"pageseer/internal/obs"
 )
 
 func testController() (*engine.Sim, *Controller) {
@@ -116,14 +117,14 @@ func TestDoubleCompletePanics(t *testing.T) {
 	sim, c := testController()
 	NewStatic(c)
 	r := &Request{Line: 0, ctl: c, Arrival: 0}
-	c.complete(r, SrcDRAM)
+	c.complete(r, obs.LatDRAM)
 	_ = sim
 	defer func() {
 		if recover() == nil {
 			t.Error("double completion did not panic")
 		}
 	}()
-	c.complete(r, SrcDRAM)
+	c.complete(r, obs.LatDRAM)
 }
 
 func TestStaticIntegrity(t *testing.T) {

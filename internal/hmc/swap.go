@@ -155,10 +155,9 @@ type runningOp struct {
 	order      [][]*opLine // the op's lines in read issue order, per stage
 	nextRead   int
 	inflight   int
-	readsLeft  int    // current stage
-	writesLeft int    // current stage
-	nvmWrites  uint64 // current stage's line-writes to the NVM module (probe only)
-	waiting    int    // demand requests parked on the op's lines
+	readsLeft  int // current stage
+	writesLeft int // current stage
+	waiting    int // demand requests parked on the op's lines
 	writeFn    func()
 }
 
@@ -231,7 +230,6 @@ func (e *SwapEngine) putOp(r *runningOp) {
 	r.began, r.stageBegan = 0, 0
 	r.stage = 0
 	r.nextRead, r.inflight, r.readsLeft, r.writesLeft = 0, 0, 0, 0
-	r.nvmWrites = 0
 	e.opPool.Put(r)
 }
 
@@ -310,7 +308,7 @@ func (e *SwapEngine) Start(op *Op) bool {
 	e.running = append(e.running, r)
 	e.stats.OpsStarted++
 	e.lastID++
-	op.ID, op.Start = e.lastID, r.began
+	op.ID, op.Start, op.NVMWrites = e.lastID, r.began, 0
 	if e.probe != nil {
 		op.Slot = int((op.ID - 1) % MaxOps)
 		op.StageCount = len(op.Stages)
@@ -446,7 +444,7 @@ func (e *SwapEngine) readDone(l *opLine) {
 func (e *SwapEngine) issueWrite(r *runningOp, dst mem.Addr) {
 	e.stats.LinesWritten++
 	if e.probe != nil && !e.isDRAM(dst) {
-		r.nvmWrites++
+		r.op.NVMWrites++
 	}
 	e.issue(dst, true, memsim.PrioSwap, r.writeFn)
 }
@@ -462,8 +460,8 @@ func (e *SwapEngine) writeDone(r *runningOp) {
 
 func (e *SwapEngine) finishStage(r *runningOp) {
 	now := e.sim.Now()
-	e.probe.SwapStage(&r.op.Swap, r.stage, r.stageBegan, now, uint64(len(r.order[r.stage])), r.nvmWrites)
-	r.nvmWrites, r.stageBegan = 0, now
+	e.probe.SwapStage(&r.op.Swap, r.stage, r.stageBegan, now, uint64(len(r.order[r.stage])))
+	r.stageBegan = now
 	if r.stage+1 < len(r.op.Stages) {
 		r.stage++
 		e.startStage(r)

@@ -94,6 +94,19 @@ func (as *AddressSpace) Root() PPN { return as.root }
 // including the root.
 func (as *AddressSpace) TableFrames() uint64 { return as.tableCount }
 
+// TablesFor returns the page-table frames a process builds to map bytes of
+// address space from va: its root, and at each lower level one table per
+// span of address space a table of that level maps.
+func TablesFor(va VAddr, bytes uint64) uint64 {
+	first, last := uint64(va), uint64(va)+bytes-1
+	n := uint64(1)
+	for l := PUD; l < NumLevels; l++ {
+		shift := uint(48 - 9*int(l)) // a level-l table maps 1<<shift bytes
+		n += last>>shift - first>>shift + 1
+	}
+	return n
+}
+
 func entryAddr(table PPN, idx uint64) Addr {
 	return table.Addr() + Addr(idx*8)
 }

@@ -426,3 +426,31 @@ func TestPrefaultMatchesWalkVA(t *testing.T) {
 		}
 	}
 }
+
+// TestTablesForCountsBuiltTables: TablesFor predicts the table frames a
+// process builds mapping a range, including ranges that cross the spans a
+// PTE, PMD and PUD table map.
+func TestTablesForCountsBuiltTables(t *testing.T) {
+	cases := []struct {
+		va    VAddr
+		bytes uint64
+	}{
+		{0x10000000, PageSize},
+		{0x10000000, 64 * PageSize},
+		{1<<21 - PageSize, 2 * PageSize},
+		{1<<30 - 2<<20, 5 << 20},
+		{1<<39 - 1<<20, 3 << 20},
+	}
+	for _, c := range cases {
+		o := NewOS(Map{DRAMBytes: 4 << 20, NVMBytes: 16 << 20}, 16)
+		as := o.NewProcess(1)
+		for off := uint64(0); off < c.bytes; off += PageSize {
+			if err := as.Prefault(c.va + VAddr(off)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := TablesFor(c.va, c.bytes), as.TableFrames(); got != want {
+			t.Errorf("TablesFor(%#x, %d) = %d, built %d", uint64(c.va), c.bytes, got, want)
+		}
+	}
+}

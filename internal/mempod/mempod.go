@@ -97,8 +97,6 @@ type MemPod struct {
 	// buffer; each keeps the hot set of the interval that queued it.
 	pending []pendingMig
 	head    int
-	// free holds hot sets no interval or pending migration references.
-	free []*hotSet
 
 	stats Stats
 }
@@ -109,24 +107,15 @@ type pendingMig struct {
 	hot *hotSet
 }
 
-// hotSet is one pod's MEA survivors for one interval, sorted. Queued
-// migrations outlive their interval, so sets are reference-counted and
-// recycled through MemPod.free rather than rebuilt per interval.
+// hotSet is one pod's MEA survivors for one interval, sorted. A queued
+// migration outlives its interval and keeps the set it was queued under.
 type hotSet struct {
 	segs []uint64
-	refs int
 }
 
 func (h *hotSet) has(s hmc.Seg) bool {
 	_, ok := slices.BinarySearch(h.segs, uint64(s))
 	return ok
-}
-
-// release drops one reference to h, recycling it at zero.
-func (m *MemPod) release(h *hotSet) {
-	if h.refs--; h.refs == 0 {
-		m.free = append(m.free, h)
-	}
 }
 
 // New installs a MemPod manager on the controller.
@@ -184,13 +173,8 @@ func (m *MemPod) interval() {
 	m.stats.Intervals++
 	for pi := range m.pods {
 		p := &m.pods[pi]
-		hot := &hotSet{}
-		if n := len(m.free); n > 0 {
-			hot, m.free = m.free[n-1], m.free[:n-1]
-		}
-		hot.segs = p.mea.Frequent(hot.segs[:0], minCount)
+		hot := &hotSet{segs: p.mea.Frequent(nil, minCount)}
 		slices.Sort(hot.segs) // determinism
-		hot.refs = 1
 		migrated := 0
 		for _, h := range hot.segs {
 			if migrated >= maxMigrations {
@@ -203,7 +187,6 @@ func (m *MemPod) interval() {
 			if !m.ctl.Engine.CanStart() {
 				// Queue the rest of the interval's burst; they start as
 				// buffers free (the burstiness Section V-A describes).
-				hot.refs++
 				m.pending = append(m.pending, pendingMig{pod: pi, s: s, hot: hot})
 				migrated++
 				continue
@@ -212,7 +195,6 @@ func (m *MemPod) interval() {
 				migrated++
 			}
 		}
-		m.release(hot)
 		p.mea.Reset()
 	}
 }
@@ -251,7 +233,6 @@ func (m *MemPod) drainPending() {
 		if m.Loc(e.s) >= m.FastUnits() && !m.migrate(e.pod, e.s, e.hot) {
 			m.stats.MigrationsDropped++
 		}
-		m.release(e.hot)
 	}
 }
 

@@ -127,8 +127,8 @@ func (h *Histogram) Summary() Dist {
 	}
 }
 
-// LatSource identifies which structure serviced a demand request, for the
-// per-source latency split of the controller's histograms.
+// LatSource identifies which structure serviced a demand request: the
+// controller's service accounting (Figure 7), latency split and Demand events.
 type LatSource int
 
 // The four service sources the AMMAT decomposition distinguishes.

@@ -249,7 +249,7 @@ func (l *Ledger) record(id uint64) (int, bool) {
 }
 
 // SwapStage records the duration of one transfer stage.
-func (l *Ledger) SwapStage(s *obs.Swap, stage int, began, now, lines, nvmWrites uint64) {
+func (l *Ledger) SwapStage(s *obs.Swap, stage int, began, now, lines uint64) {
 	idx, ok := l.record(s.ID)
 	if !ok || stage < 0 || stage >= maxStages {
 		return

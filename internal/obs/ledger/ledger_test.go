@@ -47,7 +47,7 @@ func TestZeroAllocDisabledLedger(t *testing.T) {
 	n := testing.AllocsPerRun(1000, func() {
 		stream.Hint(0x1000, 10, 10, 0, 1)
 		stream.SwapStarted(s)
-		stream.SwapStage(s, 0, 20, 100, 64, 64)
+		stream.SwapStage(s, 0, 20, 100, 64)
 		stream.SwapCommitted(s, 200)
 		stream.Demand(0x1000, false, obs.LatDRAM, 300)
 		l.Reset()
@@ -85,7 +85,7 @@ func TestUsefulSwapWithHintLeadTime(t *testing.T) {
 	if got := l.Records()[0].ID; got != 1 {
 		t.Fatalf("first record ID = %d, want the swap's ID 1", got)
 	}
-	l.SwapStage(id, 0, 0, 40, 64, 0)
+	l.SwapStage(id, 0, 0, 40, 64)
 	commit(l, id, 400)
 	demand(l, 0x5040, 900) // same page, different line
 	s := l.Summary()
@@ -183,7 +183,7 @@ func TestResetDropsStaleIDs(t *testing.T) {
 		t.Fatalf("started = %d after reset, want 0", got)
 	}
 	commit(l, stale, 400) // stale callback: must be ignored
-	l.SwapStage(stale, 0, 0, 40, 64, 0)
+	l.SwapStage(stale, 0, 0, 40, 64)
 	if len(l.Records()) != 0 {
 		t.Fatalf("stale callback revived a record")
 	}

@@ -15,12 +15,12 @@
 //
 // The package is designed around a zero-cost-when-off contract. A run
 // with no observer carries an empty Probes stream, whose events are
-// no-ops; the tracer's recording primitives are safe to call on a nil
-// receiver. Simulator hot paths therefore pay one predictable branch and
-// zero allocations when observation is off — pinned by the AllocsPerRun
-// guards in this package's tests and the Makefile `allocguard` target. Enabled sinks only ever append to slices
-// or bump counters; none of them schedules engine events or perturbs
-// simulated time, so Results are byte-identical with sinks on or off.
+// no-ops, so simulator hot paths pay one predictable branch and zero
+// allocations when observation is off — pinned by the AllocsPerRun guards
+// in this package's tests and the Makefile `allocguard` target. Enabled
+// sinks only ever append to slices or bump counters; none of them
+// schedules engine events or perturbs simulated time, so Results are
+// byte-identical with sinks on or off.
 //
 // obs depends only on the standard library: the simulator packages (engine,
 // hmc, core, memsim, sim) import it, never the reverse. Cross-package

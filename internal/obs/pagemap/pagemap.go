@@ -126,16 +126,6 @@ func (r *row) accesses() uint64 {
 	return t + r.ffReads + r.ffWrites
 }
 
-// pendingSwap is an engine-accepted swap not yet committed, with the NVM
-// line-writes its stages have made so far.
-type pendingSwap struct {
-	unit        uint64
-	victim      uint64
-	victimValid bool
-	trig        obs.Trigger
-	wear        uint64
-}
-
 // PageMap records per-page telemetry for one run. The zero value is
 // unusable; build with New. A nil *PageMap digests to zero values.
 type PageMap struct {
@@ -146,8 +136,6 @@ type PageMap struct {
 
 	rows  []row
 	index map[uint64]uint32
-
-	pending map[uint64]*pendingSwap // by swap ID
 
 	// timeline binning: bin b covers cycles [b<<binShift, (b+1)<<binShift).
 	// binShift self-scales: when a cycle lands past bit 63 every row's mask
@@ -169,7 +157,6 @@ func New(unitShift uint, flapK int, flapWindow uint64) *PageMap {
 		flapK:      flapK,
 		flapWindow: flapWindow,
 		index:      make(map[uint64]uint32),
-		pending:    make(map[uint64]*pendingSwap),
 		binShift:   12, // 4096-cycle bins until the run outgrows them
 	}
 }
@@ -356,51 +343,31 @@ func (p *PageMap) Writeback(addr uint64, toDRAM bool, now uint64) {
 	}
 }
 
-// SwapStarted registers an engine-accepted swap bringing its unit toward
-// DRAM. Counters move at commit time.
-func (p *PageMap) SwapStarted(s *obs.Swap) {
-	ps := &pendingSwap{unit: p.Unit(s.Addr), trig: s.Trigger}
-	if s.HasVictim {
-		ps.victim, ps.victimValid = p.Unit(s.Victim), true
-	}
-	p.pending[s.ID] = ps
-}
-
-// SwapStage accumulates the stage's NVM line-writes as the swap's transfer
-// wear, charged when the swap commits.
-func (p *PageMap) SwapStage(s *obs.Swap, stage int, began, now, lines, nvmWrites uint64) {
-	if ps, ok := p.pending[s.ID]; ok {
-		ps.wear += nvmWrites
-	}
-}
-
-// SwapCommitted lands a pending swap. Its transfer wear goes to the
-// victim's row (its data is what the swap writes back to NVM), or to the
-// incoming unit when there is no victim. The unit's remap is then
-// architecturally visible, so it is DRAM-resident: a swap-in under the
-// swap's trigger class, arming wasted-swap tracking (cleared by the first
-// access). Finally the victim leaves DRAM for NVM; a swap-in of its own
-// still unused at that point is counted wasted.
+// SwapCommitted lands a swap. Its transfer wear (the NVM line-writes the
+// engine counted on the swap) goes to the victim's row (its data is what
+// the swap writes back to NVM), or to the incoming unit when there is no
+// victim. The unit's remap is then architecturally visible, so it is
+// DRAM-resident: a swap-in under the swap's trigger class, arming
+// wasted-swap tracking (cleared by the first access). Finally the victim
+// leaves DRAM for NVM; a swap-in of its own still unused at that point is
+// counted wasted.
 func (p *PageMap) SwapCommitted(s *obs.Swap, now uint64) {
-	if ps, ok := p.pending[s.ID]; ok {
-		delete(p.pending, s.ID)
-		if ps.wear > 0 {
-			target := ps.unit
-			if ps.victimValid {
-				target = ps.victim
-			}
-			r := p.row(target)
-			r.touched = true
-			r.wear += ps.wear
+	if s.NVMWrites > 0 {
+		target := s.Addr
+		if s.HasVictim {
+			target = s.Victim
 		}
-		r := p.row(ps.unit)
+		r := p.row(p.Unit(target))
 		r.touched = true
-		r.swapIns++
-		r.insByTrig[ps.trig]++
-		r.pendingUse = true
-		p.place(r, ResDRAM, now, false)
-		p.mark(r, now)
+		r.wear += s.NVMWrites
 	}
+	r := p.row(p.Unit(s.Addr))
+	r.touched = true
+	r.swapIns++
+	r.insByTrig[s.Trigger]++
+	r.pendingUse = true
+	p.place(r, ResDRAM, now, false)
+	p.mark(r, now)
 	if s.HasVictim {
 		r := p.row(p.Unit(s.Victim))
 		r.touched = true
@@ -414,10 +381,10 @@ func (p *PageMap) SwapCommitted(s *obs.Swap, now uint64) {
 }
 
 // Reset starts the measured epoch: every statistic is dropped but residency
-// state and pending swaps are kept — they mirror machine state, and an op
-// straddling the reset must still land its commit on the right row. Called
-// once at the end of global warm-up (not per sampling window: the pagemap
-// deliberately accumulates across windows and fast-forward gaps).
+// state is kept — it mirrors machine state, and an op straddling the reset
+// still lands its commit on the right row. Called once at the end of
+// global warm-up (not per sampling window: the pagemap deliberately
+// accumulates across windows and fast-forward gaps).
 func (p *PageMap) Reset() {
 	if p == nil {
 		return
@@ -746,13 +713,11 @@ func (p *PageMap) Regions() []Region {
 // reconciliation flips) must equal the page's residency delta. A lifecycle
 // event landing on a page already in the claimed state (a double commit, or
 // a commit whose matching evict was dropped) breaks the equation, which is
-// exactly what the mutation test exploits. At quiescence, too, every swap
-// the engine accepted has committed, so no swap may remain pending.
+// exactly what the mutation test exploits.
 func (p *PageMap) Audit(a *check.Audit) {
 	if p == nil {
 		return
 	}
-	a.Checkf(len(p.pending) == 0, "pagemap: %d accepted swap(s) never committed", len(p.pending))
 	for i := range p.rows {
 		r := &p.rows[i]
 		var trig uint64
@@ -793,24 +758,18 @@ func resVal(r Residency) int {
 }
 
 // AuditResidency cross-checks tracked residency against ground truth (the
-// manager's live translation): for every unit whose residency is known and
-// not entangled in a still-pending swap, the tracked state must match where
-// the translation actually points. inDRAM maps a unit base address to its
-// current module. A dropped commit or eviction fails here.
+// manager's live translation) at quiescence, when the swap engine's own
+// audit proves no swap is in flight: for every unit whose residency is
+// known, the tracked state must match where the translation actually
+// points. inDRAM maps a unit base address to its current module. A dropped
+// commit or eviction fails here.
 func (p *PageMap) AuditResidency(a *check.Audit, inDRAM func(addr uint64) bool) {
 	if p == nil || inDRAM == nil {
 		return
 	}
-	busy := make(map[uint64]bool, len(p.pending))
-	for _, ps := range p.pending {
-		busy[ps.unit] = true
-		if ps.victimValid {
-			busy[ps.victim] = true
-		}
-	}
 	for i := range p.rows {
 		r := &p.rows[i]
-		if r.res == ResUnknown || busy[r.unit] {
+		if r.res == ResUnknown {
 			continue
 		}
 		want := ResNVM

@@ -31,7 +31,8 @@ func (t Trigger) String() string {
 
 // Swap is one swap operation's identity. The scheme that builds the op
 // fills in the first group of fields; the swap engine stamps the second
-// when it accepts the op, before any subscriber sees it. Addresses are
+// when it accepts the op, before any subscriber sees it, and counts
+// NVMWrites as the op runs. Addresses are
 // OS-visible physical byte addresses, the data-identity key every scheme
 // swaps by.
 type Swap struct {
@@ -52,6 +53,7 @@ type Swap struct {
 	StageCount int
 	BytesDRAM  uint64 // transfer bytes on the DRAM module (reads by source, writes by destination)
 	BytesNVM   uint64
+	NVMWrites  uint64 // line-writes to the NVM module so far (counted only while a probe is attached)
 }
 
 // Probe subscribes to the swap-lifecycle event stream: the accesses that
@@ -89,9 +91,8 @@ type Probe interface {
 	SwapQueued(addr uint64, kind string, enq, now uint64)
 	// SwapStarted: the engine accepted s.
 	SwapStarted(s *Swap)
-	// SwapStage: stage of s ran from began to now, moving lines lines and
-	// writing nvmWrites lines to the NVM module.
-	SwapStage(s *Swap, stage int, began, now, lines, nvmWrites uint64)
+	// SwapStage: stage of s ran from began to now, moving lines lines.
+	SwapStage(s *Swap, stage int, began, now, lines uint64)
 	// SwapCommitted: s's remap is visible and its victim left DRAM.
 	SwapCommitted(s *Swap, now uint64)
 	// SwapSettled: the scheme's completion callback for a swap has run.
@@ -102,16 +103,16 @@ type Probe interface {
 // events they consume.
 type NopProbe struct{}
 
-func (NopProbe) Hint(addr, cycle, now uint64, core int, vpn uint64)          {}
-func (NopProbe) Demand(addr uint64, write bool, src LatSource, now uint64)   {}
-func (NopProbe) Writeback(addr uint64, toDRAM bool, now uint64)              {}
-func (NopProbe) Functional(addr uint64, write, inDRAM bool, now uint64)      {}
-func (NopProbe) SwapRequested(addr uint64, kind string, now uint64)          {}
-func (NopProbe) SwapQueued(addr uint64, kind string, enq, now uint64)        {}
-func (NopProbe) SwapStarted(s *Swap)                                         {}
-func (NopProbe) SwapStage(s *Swap, stage int, began, now, lines, nvm uint64) {}
-func (NopProbe) SwapCommitted(s *Swap, now uint64)                           {}
-func (NopProbe) SwapSettled(now uint64)                                      {}
+func (NopProbe) Hint(addr, cycle, now uint64, core int, vpn uint64)        {}
+func (NopProbe) Demand(addr uint64, write bool, src LatSource, now uint64) {}
+func (NopProbe) Writeback(addr uint64, toDRAM bool, now uint64)            {}
+func (NopProbe) Functional(addr uint64, write, inDRAM bool, now uint64)    {}
+func (NopProbe) SwapRequested(addr uint64, kind string, now uint64)        {}
+func (NopProbe) SwapQueued(addr uint64, kind string, enq, now uint64)      {}
+func (NopProbe) SwapStarted(s *Swap)                                       {}
+func (NopProbe) SwapStage(s *Swap, stage int, began, now, lines uint64)    {}
+func (NopProbe) SwapCommitted(s *Swap, now uint64)                         {}
+func (NopProbe) SwapSettled(now uint64)                                    {}
 
 // Probes fans each event out to its subscribers in attach order. A nil
 // Probes is the disabled stream: every event is a no-op that allocates
@@ -160,9 +161,9 @@ func (ps Probes) SwapStarted(s *Swap) {
 	}
 }
 
-func (ps Probes) SwapStage(s *Swap, stage int, began, now, lines, nvmWrites uint64) {
+func (ps Probes) SwapStage(s *Swap, stage int, began, now, lines uint64) {
 	for _, p := range ps {
-		p.SwapStage(s, stage, began, now, lines, nvmWrites)
+		p.SwapStage(s, stage, began, now, lines)
 	}
 }
 

@@ -41,9 +41,9 @@ type traceEvent struct {
 
 // Tracer collects Chrome-trace/Perfetto events. As a Probe subscriber it
 // draws swap lifecycle spans, scheme queue events and MMU-hint causality
-// arrows; its recording primitives are nil-safe. Timestamps are CPU cycles
-// written as trace microseconds — absolute durations read 1 cycle = 1us in
-// the UI, which keeps relative timing exact.
+// arrows. Timestamps are CPU cycles written as trace microseconds —
+// absolute durations read 1 cycle = 1us in the UI, which keeps relative
+// timing exact.
 type Tracer struct {
 	NopProbe
 	events []traceEvent
@@ -100,7 +100,7 @@ func (t *Tracer) SwapStarted(s *Swap) {
 }
 
 // SwapStage draws one transfer stage on the swap's track.
-func (t *Tracer) SwapStage(s *Swap, stage int, began, now, lines, nvmWrites uint64) {
+func (t *Tracer) SwapStage(s *Swap, stage int, began, now, lines uint64) {
 	t.Complete("swap", "stage-"+strconv.Itoa(stage), TracePidSwap, s.Slot, began, now, "lines", lines)
 }
 
@@ -115,19 +115,8 @@ func (t *Tracer) SwapCommitted(s *Swap, now uint64) {
 	t.Instant("swap", "remap-commit", TracePidSwap, TraceTidQueue, now, "page", s.Addr>>pageShift)
 }
 
-// Len returns the number of recorded events (0 for a nil tracer).
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.events)
-}
-
 // ProcessName emits the metadata event naming a trace process lane.
 func (t *Tracer) ProcessName(pid int, name string) {
-	if t == nil {
-		return
-	}
 	t.events = append(t.events, traceEvent{
 		name: "process_name", ph: 'M', pid: int32(pid), argK: "name", argS: name,
 	})
@@ -135,9 +124,6 @@ func (t *Tracer) ProcessName(pid int, name string) {
 
 // Complete records a duration span [start, end] on (pid, tid).
 func (t *Tracer) Complete(cat, name string, pid, tid int, start, end uint64, argK string, argV uint64) {
-	if t == nil {
-		return
-	}
 	t.events = append(t.events, traceEvent{
 		name: name, cat: cat, ph: 'X', ts: start, dur: end - start,
 		pid: int32(pid), tid: int32(tid), argK: argK, argV: argV,
@@ -146,9 +132,6 @@ func (t *Tracer) Complete(cat, name string, pid, tid int, start, end uint64, arg
 
 // Instant records a point event at ts on (pid, tid).
 func (t *Tracer) Instant(cat, name string, pid, tid int, ts uint64, argK string, argV uint64) {
-	if t == nil {
-		return
-	}
 	t.events = append(t.events, traceEvent{
 		name: name, cat: cat, ph: 'i', ts: ts,
 		pid: int32(pid), tid: int32(tid), argK: argK, argV: argV,
@@ -158,9 +141,6 @@ func (t *Tracer) Instant(cat, name string, pid, tid int, ts uint64, argK string,
 // FlowStart opens causality arrow id at ts on (pid, tid); FlowEnd with the
 // same id draws the arrow to its destination.
 func (t *Tracer) FlowStart(cat, name string, id uint64, pid, tid int, ts uint64) {
-	if t == nil {
-		return
-	}
 	t.events = append(t.events, traceEvent{
 		name: name, cat: cat, ph: 's', ts: ts, id: id, pid: int32(pid), tid: int32(tid),
 	})
@@ -168,9 +148,6 @@ func (t *Tracer) FlowStart(cat, name string, id uint64, pid, tid int, ts uint64)
 
 // FlowEnd closes causality arrow id at ts on (pid, tid).
 func (t *Tracer) FlowEnd(cat, name string, id uint64, pid, tid int, ts uint64) {
-	if t == nil {
-		return
-	}
 	t.events = append(t.events, traceEvent{
 		name: name, cat: cat, ph: 'f', ts: ts, id: id, pid: int32(pid), tid: int32(tid),
 	})
@@ -179,9 +156,6 @@ func (t *Tracer) FlowEnd(cat, name string, id uint64, pid, tid int, ts uint64) {
 // Counter records a counter-track sample: Perfetto plots each distinct
 // (pid, name) as its own counter lane, stepping to value v at ts.
 func (t *Tracer) Counter(cat, name string, pid int, ts uint64, argK string, v uint64) {
-	if t == nil {
-		return
-	}
 	t.events = append(t.events, traceEvent{
 		name: name, cat: cat, ph: 'C', ts: ts, pid: int32(pid), argK: argK, argV: v,
 	})
@@ -213,40 +187,38 @@ type traceFile struct {
 // WriteJSON writes the collected events as a Chrome trace-event JSON object.
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	out := traceFile{
-		TraceEvents:     make([]jsonEvent, 0, t.Len()),
+		TraceEvents:     make([]jsonEvent, 0, len(t.events)),
 		DisplayTimeUnit: "ms",
 		OtherData:       map[string]string{"clock": "cpu-cycles (1 cycle = 1us in the UI)"},
 	}
-	if t != nil {
-		for i := range t.events {
-			e := &t.events[i]
-			je := jsonEvent{
-				Name: e.name, Cat: e.cat, Ph: string(e.ph), Ts: e.ts,
-				Pid: e.pid, Tid: e.tid,
-			}
-			switch e.ph {
-			case 'X':
-				d := e.dur
-				je.Dur = &d
-			case 'i':
-				je.S = "t" // thread-scoped instant
-			case 's':
-				id := e.id
-				je.ID = &id
-			case 'f':
-				id := e.id
-				je.ID = &id
-				je.BP = "e" // bind to the enclosing slice
-			}
-			if e.argK != "" {
-				if e.argS != "" {
-					je.Args = map[string]any{e.argK: e.argS}
-				} else {
-					je.Args = map[string]any{e.argK: e.argV}
-				}
-			}
-			out.TraceEvents = append(out.TraceEvents, je)
+	for i := range t.events {
+		e := &t.events[i]
+		je := jsonEvent{
+			Name: e.name, Cat: e.cat, Ph: string(e.ph), Ts: e.ts,
+			Pid: e.pid, Tid: e.tid,
 		}
+		switch e.ph {
+		case 'X':
+			d := e.dur
+			je.Dur = &d
+		case 'i':
+			je.S = "t" // thread-scoped instant
+		case 's':
+			id := e.id
+			je.ID = &id
+		case 'f':
+			id := e.id
+			je.ID = &id
+			je.BP = "e" // bind to the enclosing slice
+		}
+		if e.argK != "" {
+			if e.argS != "" {
+				je.Args = map[string]any{e.argK: e.argS}
+			} else {
+				je.Args = map[string]any{e.argK: e.argV}
+			}
+		}
+		out.TraceEvents = append(out.TraceEvents, je)
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)

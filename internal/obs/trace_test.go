@@ -63,23 +63,3 @@ func TestTraceJSONIsValidChromeTrace(t *testing.T) {
 		}
 	}
 }
-
-func TestTracerNilSafe(t *testing.T) {
-	var tr *Tracer
-	tr.Complete("c", "n", 1, 0, 0, 10, "", 0)
-	tr.Instant("c", "n", 1, 0, 0, "", 0)
-	tr.FlowStart("c", "n", 1, 1, 0, 0)
-	tr.FlowEnd("c", "n", 1, 1, 0, 0)
-	tr.ProcessName(1, "x")
-	if tr.Len() != 0 {
-		t.Fatal("nil tracer must record nothing")
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatalf("nil tracer WriteJSON: %v", err)
-	}
-	var file map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
-		t.Fatalf("nil tracer output invalid: %v", err)
-	}
-}

@@ -2,25 +2,6 @@ package obs
 
 import "testing"
 
-// TestZeroAllocDisabledSinks pins the zero-cost-when-off contract: every
-// recording call a simulator hot path makes against a disabled (nil)
-// tracer must allocate nothing. This is the Makefile `allocguard` tier-1
-// gate.
-func TestZeroAllocDisabledSinks(t *testing.T) {
-	var tr *Tracer
-	n := testing.AllocsPerRun(1000, func() {
-		// The nil-guarded tracer calls made per swap / per hint.
-		tr.Complete("swap", "swap:regular", TracePidSwap, 0, 100, 200, "page", 1)
-		tr.Instant("swap", "remap-commit", TracePidSwap, 0, 200, "page", 1)
-		tr.FlowStart("hint", "mmu-hint", 1, TracePidCores, 0, 100)
-		tr.FlowEnd("hint", "mmu-hint", 1, TracePidSwap, 0, 200)
-		tr.Counter("ledger", "swaps-useful", TracePidSwap, 200, "value", 3)
-	})
-	if n != 0 {
-		t.Fatalf("disabled-sink hot path allocates %.1f times per request, want 0", n)
-	}
-}
-
 // TestZeroAllocEnabledHistogram: the latency histograms are cheap enough to
 // stay on for every run — recording must never allocate even when enabled.
 func TestZeroAllocEnabledHistogram(t *testing.T) {
@@ -49,7 +30,7 @@ func TestZeroAllocDisabledProbe(t *testing.T) {
 		stream.SwapRequested(0x1000, "regular", 50)
 		stream.SwapQueued(0x1000, "regular", 50, 60)
 		stream.SwapStarted(s)
-		stream.SwapStage(s, 0, 60, 100, 64, 64)
+		stream.SwapStage(s, 0, 60, 100, 64)
 		stream.SwapCommitted(s, 100)
 		stream.SwapSettled(100)
 	})

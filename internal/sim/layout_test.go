@@ -49,7 +49,7 @@ func layoutHash(t *testing.T, cfg Config) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pids, feet, err := buildWorkload(sys.Cfg)
+	_, feet, err := sys.Cfg.cores()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +59,13 @@ func layoutHash(t *testing.T, cfg Config) string {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	for i, pid := range pids {
+	for i, f := range feet {
+		pid := i + 1
 		as, ok := sys.OS.Process(pid)
 		if !ok {
 			t.Fatalf("pid %d has no address space", pid)
 		}
-		pages := feet[i] / mem.PageSize
+		pages := f / mem.PageSize
 		for off := uint64(0); off < pages; off++ {
 			va := workload.VABase + mem.VAddr(off*mem.PageSize)
 			w, ok := as.Lookup(va)

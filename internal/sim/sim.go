@@ -305,20 +305,14 @@ func Build(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Scale < 1 {
-		cfg.Scale = 1
-	}
-	gens, pids, feet, err := buildWorkload(cfg)
+	cfg.Scale = max(cfg.Scale, 1) // the normalisation validate checked under
+	profiles, feet, err := cfg.cores()
 	if err != nil {
 		return nil, err
 	}
-	nCores := len(gens)
+	nCores := len(profiles)
 
-	scale := uint64(cfg.Scale)
-	layout := mem.Map{
-		DRAMBytes: (512 << 20) / scale,
-		NVMBytes:  (4 << 30) / scale,
-	}
+	layout := memoryAt(cfg.Scale)
 	// Reserve DRAM for page tables plus the manager's metadata regions.
 	reserve := layout.DRAMPages() / 16
 	osm := mem.NewOS(layout, reserve)
@@ -399,19 +393,20 @@ func Build(cfg Config) (*System, error) {
 	mcfg.L2TLB.Entries = scaleCount(mcfg.L2TLB.Entries, cfg.Scale, mcfg.L2TLB.Ways)
 
 	for i := 0; i < nCores; i++ {
-		pid := pids[i]
+		pid := i + 1
 		osm.NewProcess(pid)
 		l2 := cache.New(sm, l2cfg, sys.L3)
 		l1 := cache.New(sm, l1cfg, l2)
 		m := mmu.New(sm, osm, i, pid, mcfg, l2, hinter)
-		c := cpu.NewCore(sm, i, pid, m, l1, gens[i])
+		gen := workload.NewGenerator(profiles[i], feet[i], cfg.Seed+uint64(i))
+		c := cpu.NewCore(sm, i, pid, m, l1, gen)
 		if sys.att != nil {
 			c.SetAttrib(sys.att)
 		}
 		sys.L2s = append(sys.L2s, l2)
 		sys.Cores = append(sys.Cores, c)
 	}
-	if err := preTouch(osm, pids, feet); err != nil {
+	if err := preTouch(osm, feet); err != nil {
 		return nil, err
 	}
 	// Every frame the run can name is now mapped: size the per-frame state.
@@ -437,59 +432,88 @@ func (c ledgerCounters) SwapSettled(now uint64) {
 }
 
 // resolveScheme maps cfg to the factory that installs its manager, after
-// checking the geometry of the metadata caches that manager builds. It is
-// the one function in sim that names a scheme's package, so adding or
+// checking the geometry of the metadata caches that manager builds, and
+// returns the bytes of controller tables the manager reserves in DRAM. It
+// is the one function in sim that names a scheme's package, so adding or
 // retiring a scheme edits it and the scheme's own package.
-func (cfg Config) resolveScheme() (ManagerFactory, error) {
+func (cfg Config) resolveScheme() (install ManagerFactory, tables []uint64, err error) {
 	if cfg.customManager != nil {
-		return cfg.customManager, nil // the factory owns construction
+		return cfg.customManager, nil, nil // the factory owns construction
 	}
-	scale := max(cfg.Scale, 1)
-	var install ManagerFactory
-	var err error
 	switch cfg.Scheme {
 	case SchemeStatic:
 		install = func(ctl *hmc.Controller) hmc.Manager { return hmc.NewStatic(ctl) }
 	case SchemePageSeer, SchemePageSeerNoCorr:
-		pcfg := core.DefaultConfig().Scale(scale)
+		pcfg := core.DefaultConfig().Scale(cfg.Scale)
 		pcfg.NoCorr = cfg.Scheme == SchemePageSeerNoCorr
 		pcfg.BWOpt = !cfg.DisableBWOpt
 		if cfg.pageSeerCfg != nil {
 			pcfg = *cfg.pageSeerCfg
 		}
 		install = func(ctl *hmc.Controller) hmc.Manager { return core.New(ctl, pcfg) }
+		tables = []uint64{pcfg.PRTBytes, pcfg.PCTBytes}
 		err = errors.Join(pcfg.PRTc().Validate(), pcfg.PCTc().Validate())
 	case SchemePoM:
-		pcfg := pom.DefaultConfig().Scale(scale)
+		pcfg := pom.DefaultConfig().Scale(cfg.Scale)
 		install = func(ctl *hmc.Controller) hmc.Manager { return pom.New(ctl, pcfg) }
+		tables = []uint64{pcfg.RemapTableBytes}
 		err = pcfg.SRC().Validate()
 	case SchemeMemPod:
-		mcfg := mempod.DefaultConfig().Scale(scale)
+		mcfg := mempod.DefaultConfig().Scale(cfg.Scale)
 		install = func(ctl *hmc.Controller) hmc.Manager { return mempod.New(ctl, mcfg) }
+		tables = []uint64{mcfg.RemapTableBytes}
 		err = mcfg.RemapCache().Validate()
 	default:
 		err = fmt.Errorf("unknown scheme %q", cfg.Scheme)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return install, nil
+	return install, tables, nil
 }
 
-// preTouch maps every process's footprint up front, interleaved round-robin
-// across processes — the placement a concurrent first-touch run converges
-// to after the paper's 1.5B-instruction warm-up. Early (usually hottest)
-// pages land in DRAM; the remainder spills to NVM.
-func preTouch(osm *mem.OS, pids []int, feet []uint64) error {
+// memoryAt returns the physical memory of a machine scale times smaller
+// than the paper's 512MB of DRAM and 4GB of NVM.
+func memoryAt(scale int) mem.Map {
+	return mem.Map{DRAMBytes: (512 << 20) / uint64(scale), NVMBytes: (4 << 30) / uint64(scale)}
+}
+
+// checkFits reports whether memoryAt(scale) holds a run whose scheme first
+// reserves tables (in bytes) in DRAM, and whose cores then map feet bytes
+// each, with their page tables, anywhere: first-touch placement falls back
+// to the DRAM it withholds for page tables once NVM is full.
+func checkFits(scale int, tables, feet []uint64) error {
+	layout := memoryAt(scale)
+	var meta, need uint64
+	for _, b := range tables {
+		meta += (b + mem.PageSize - 1) / mem.PageSize
+	}
+	need = meta
+	for _, f := range feet {
+		need += f/mem.PageSize + mem.TablesFor(workload.VABase, f)
+	}
+	if meta > layout.DRAMPages() || need > layout.DRAMPages()+layout.NVMPages() {
+		return fmt.Errorf("scale %d leaves %d DRAM and %d NVM frames, too few for the run's %d frames (%d of them controller tables, in DRAM)",
+			scale, layout.DRAMPages(), layout.NVMPages(), need, meta)
+	}
+	return nil
+}
+
+// preTouch maps every process's footprint (pid i+1 touches feet[i] bytes)
+// up front, interleaved round-robin across processes — the placement a
+// concurrent first-touch run converges to after the paper's
+// 1.5B-instruction warm-up. Early (usually hottest) pages land in DRAM;
+// the remainder spills to NVM.
+func preTouch(osm *mem.OS, feet []uint64) error {
 	var maxPages uint64
 	for _, f := range feet {
 		maxPages = max(maxPages, f/mem.PageSize)
 	}
 	for off := uint64(0); off < maxPages; off++ {
 		va := workload.VABase + mem.VAddr(off*mem.PageSize)
-		for i, pid := range pids {
-			if off < feet[i]/mem.PageSize {
-				as, _ := osm.Process(pid)
+		for i, f := range feet {
+			if off < f/mem.PageSize {
+				as, _ := osm.Process(i + 1)
 				if err := as.Prefault(va); err != nil {
 					return fmt.Errorf("sim: pre-touching the footprint: %w", err)
 				}
@@ -532,46 +556,37 @@ func scaleCount(n, scale, ways int) int {
 	return s
 }
 
-// buildWorkload returns one generator per core plus the pid layout and the
-// per-core footprints.
-func buildWorkload(cfg Config) ([]workload.Generator, []int, []uint64, error) {
-	scale := uint64(cfg.Scale)
-	foot := func(p workload.Profile) uint64 {
-		f := uint64(p.FootprintMB) << 20 / scale
-		if f < 64*mem.PageSize {
-			f = 64 * mem.PageSize
-		}
-		return f
-	}
-	var gens []workload.Generator
-	var pids []int
-	var feet []uint64
+// cores returns the profile each core runs — a mix's members, or up to
+// MaxCores instances of one benchmark — and the bytes it touches: the
+// profile's footprint divided by the (normalised) scale, at least 64 pages.
+func (cfg Config) cores() ([]workload.Profile, []uint64, error) {
+	var profiles []workload.Profile
 	if m, ok := workload.MixByName(cfg.Workload); ok {
-		for i, name := range m.Members {
+		for _, name := range m.Members {
 			p, err := workload.ProfileByName(name)
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
-			gens = append(gens, workload.NewGenerator(p, foot(p), cfg.Seed+uint64(i)))
-			pids = append(pids, i+1)
-			feet = append(feet, foot(p))
+			profiles = append(profiles, p)
 		}
-		return gens, pids, feet, nil
+	} else {
+		p, err := workload.ProfileByName(cfg.Workload)
+		if err != nil {
+			return nil, nil, fmt.Errorf("workload %q is neither a benchmark nor a mix", cfg.Workload)
+		}
+		n := p.Instances
+		if cfg.MaxCores > 0 && n > cfg.MaxCores {
+			n = cfg.MaxCores
+		}
+		for i := 0; i < n; i++ {
+			profiles = append(profiles, p)
+		}
 	}
-	p, err := workload.ProfileByName(cfg.Workload)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("sim: workload %q is neither a benchmark nor a mix", cfg.Workload)
+	feet := make([]uint64, len(profiles))
+	for i, p := range profiles {
+		feet[i] = max(uint64(p.FootprintMB)<<20/uint64(cfg.Scale), 64*mem.PageSize)
 	}
-	n := p.Instances
-	if cfg.MaxCores > 0 && n > cfg.MaxCores {
-		n = cfg.MaxCores
-	}
-	for i := 0; i < n; i++ {
-		gens = append(gens, workload.NewGenerator(p, foot(p), cfg.Seed+uint64(i)))
-		pids = append(pids, i+1)
-		feet = append(feet, foot(p))
-	}
-	return gens, pids, feet, nil
+	return profiles, feet, nil
 }
 
 // maxRunEvents bounds a single phase against event-loop bugs.

@@ -342,3 +342,25 @@ func TestScaleOneIsPaperSizes(t *testing.T) {
 	}
 	_ = mem.PageSize
 }
+
+// TestPageSeerColorWithoutDRAMFrame: at scale 4096 PageSeer's PRT has more
+// colors than DRAM has frames. A swap into a color with no DRAM frame has
+// no victim and is declined; it must never become an exchange of the page
+// with its own NVM frame, which reads each line twice.
+func TestPageSeerColorWithoutDRAMFrame(t *testing.T) {
+	cfg := tinyConfig(SchemePageSeer, "lbm")
+	cfg.Scale = 4096
+	cfg.InstrPerCore, cfg.Warmup, cfg.MaxCores = 400_000, 250_000, 4
+	cfg.Audit = true
+	sys, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PS.DeclinedNoVictim == 0 {
+		t.Fatal("no swap declined for want of a victim at scale 4096")
+	}
+}

@@ -3,12 +3,12 @@ package sim
 import (
 	"errors"
 	"fmt"
-
-	"pageseer/internal/workload"
 )
 
 // Validate reports whether cfg describes a buildable run: a known workload
-// and scheme, and cache/metadata-cache geometries that survive scaling.
+// and scheme, cache/metadata-cache geometries that survive scaling, and a
+// scaled memory that holds the run's footprints, page tables and
+// controller tables.
 // Build calls it first, so a bad flag combination surfaces as one wrapped
 // error ("sim: invalid config: ...") instead of a panic from deep inside
 // construction. The normalisation Build applies silently (Scale<1 becomes 1)
@@ -19,16 +19,17 @@ func (cfg Config) Validate() error {
 }
 
 // validate is Validate that also returns the factory resolveScheme made
-// for cfg, the one Build installs.
+// for cfg, the one Build installs. It checks cfg with Build's normalised
+// scale, which cores and resolveScheme expect.
 func (cfg Config) validate() (ManagerFactory, error) {
 	fail := func(err error) (ManagerFactory, error) {
 		return nil, fmt.Errorf("sim: invalid config: %w", err)
 	}
 
-	if _, ok := workload.MixByName(cfg.Workload); !ok {
-		if _, err := workload.ProfileByName(cfg.Workload); err != nil {
-			return fail(fmt.Errorf("workload %q is neither a benchmark nor a mix", cfg.Workload))
-		}
+	cfg.Scale = max(cfg.Scale, 1)
+	_, feet, err := cfg.cores()
+	if err != nil {
+		return fail(err)
 	}
 	if cfg.MaxCores < 0 {
 		return fail(fmt.Errorf("max cores %d is negative", cfg.MaxCores))
@@ -57,12 +58,15 @@ func (cfg Config) validate() (ManagerFactory, error) {
 		return fail(fmt.Errorf("sample window/warmup set but sampling is off (sample=0)"))
 	}
 
-	l1, l2, l3 := cacheConfigs(max(cfg.Scale, 1))
+	l1, l2, l3 := cacheConfigs(cfg.Scale)
 	if err := errors.Join(l1.Validate(), l2.Validate(), l3.Validate()); err != nil {
 		return fail(err)
 	}
-	install, err := cfg.resolveScheme()
+	install, tables, err := cfg.resolveScheme()
 	if err != nil {
+		return fail(err)
+	}
+	if err := checkFits(cfg.Scale, tables, feet); err != nil {
 		return fail(err)
 	}
 	return install, nil

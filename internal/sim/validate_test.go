@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"pageseer/internal/check"
 	"pageseer/internal/core"
+	"pageseer/internal/workload"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -64,15 +66,18 @@ func TestBuildSurfacesValidateError(t *testing.T) {
 
 // FuzzConfigValidate drives Validate with arbitrary flag combinations: it
 // must never panic, always wrap its diagnosis, and pass only configs Build
-// accepts. Validate and Build resolve the scheme and scale the caches
-// through the same functions (resolveScheme, cacheConfigs), so the two
-// cannot disagree on a declared geometry; the fuzz target catches a
-// construction failure that no declared check covers.
+// accepts. Validate and Build resolve the scheme, scale the caches and
+// size the footprints through the same functions (resolveScheme,
+// cacheConfigs, cores), so the two cannot disagree on a declared geometry;
+// the fuzz target catches a construction failure that no declared check
+// covers.
 func FuzzConfigValidate(f *testing.F) {
 	f.Add("lbm", "pageseer", 128, 0, 0.0)
 	f.Add("mix6", "pom", 1, 4, 0.5)
 	f.Add("nope", "mempod", 64, -1, -1.0)
 	f.Add("GemsFDTD", "quantum", 0, 2, 2.0)
+	f.Add("leslie3d", "pom", 2048, 0, 0.0)
+	f.Add("lbm", "pageseer", 65536, 0, 0.0)
 	f.Fuzz(func(t *testing.T, wl, scheme string, scale, maxCores int, rate float64) {
 		cfg := DefaultConfig()
 		cfg.Workload = wl
@@ -85,12 +90,40 @@ func FuzzConfigValidate(f *testing.F) {
 		if err != nil && !strings.Contains(err.Error(), "invalid config") {
 			t.Fatalf("unwrapped diagnosis: %v", err)
 		}
-		// Cross-check against construction on sane scales only (extreme
-		// scales make Build allocate absurd structures, not fail).
-		if err == nil && scale >= 0 && scale <= 1<<12 && maxCores <= 64 {
+		if err == nil && scale >= 0 && scale <= 1<<16 && maxCores <= 64 {
 			if _, berr := Build(cfg); berr != nil {
 				t.Fatalf("Validate passed but Build failed: %v", berr)
 			}
 		}
 	})
+}
+
+// TestValidateMatchesBuild: over every workload and scheme at scales from
+// the default to past the point where footprints no longer fit, Validate
+// accepts exactly the configs Build can construct.
+func TestValidateMatchesBuild(t *testing.T) {
+	schemes := []Scheme{SchemeStatic, SchemePageSeer, SchemePageSeerNoCorr, SchemePoM, SchemeMemPod}
+	for _, scale := range []int{128, 1024, 2048, 4096, 8192} {
+		for _, wl := range workload.AllWorkloadNames() {
+			for _, s := range schemes {
+				cfg := DefaultConfig()
+				cfg.Workload, cfg.Scheme, cfg.Scale = wl, s, scale
+				verr := cfg.Validate()
+				_, berr := buildNoPanic(cfg)
+				if (verr == nil) != (berr == nil) {
+					t.Errorf("%s/%s at scale %d: Validate() = %v, Build() = %v", wl, s, scale, verr, berr)
+				}
+			}
+		}
+	}
+}
+
+// buildNoPanic is Build with a construction panic reported as an error.
+func buildNoPanic(cfg Config) (sys *System, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return Build(cfg)
 }

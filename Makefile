@@ -78,8 +78,10 @@ layers:
 ## state, and (d) the engine's timing wheel, memsim scheduling, PageSeer's
 ## correlator, Hot Page Tables and PTE-line cache, the cache miss/fill
 ## path, the metadata caches (pending-fetch merges included), swap-engine
-## interception and op cycles, the shared open-addressed table, MemPod's
-## MEA sketch, the exchange core (a declined exchange, and committed pair,
+## interception and op cycles, the shared open-addressed table, the shared
+## in-flight fetch file (mem.Fetches, merges included) that the MSHRs,
+## metadata caches and PTE-line cache use, MemPod's MEA sketch, the
+## exchange core (a declined exchange, and committed pair,
 ## optimized-slow and restore exchanges at the page unit), a remap-table
 ## commit, a page walk of a mapped page and a workload name's mix-lookup
 ## miss allocate nothing in steady state, and (e) TestZeroAllocBuildBudget

@@ -88,22 +88,15 @@ func L3Config() Config {
 	return Config{Name: "L3", SizeBytes: 8 << 20, Ways: 16, LatencyCycles: 32, AllowPTE: true}
 }
 
-// mshr tracks one outstanding miss. Records are pooled per cache with a
-// pre-bound fill closure, so a miss costs no allocation once the pool (and
-// each record's waiters array) has warmed to the cache's steady-state miss
-// concurrency.
-type mshr struct {
-	c       *Cache
-	line    mem.Addr
-	meta    Meta
-	write   bool // any waiter is a write: line installs dirty
-	waiters []func()
+// miss is an outstanding miss's payload in the cache's MSHR file.
+type miss struct {
+	meta  Meta
+	write bool // any waiter is a write: line installs dirty
 	// vwaiters holds the blame vectors of requests that merged into this
 	// outstanding miss (NOT the creator, whose vector rides fetchMeta down to
 	// the next level). Mergers spend the whole wait in this MSHR, so the fill
 	// charges their interval to CompMSHR.
 	vwaiters []*attrib.Vector
-	fillFn   func()
 }
 
 // cacheTxn carries one access across this level's tag-lookup latency: the
@@ -152,18 +145,16 @@ type Cache struct {
 
 	// tags holds the resident lines, keyed by line number.
 	tags mem.Sets
-	// mshrs finds the outstanding miss for a line, keyed by line number:
-	// the simulator's stand-in for the MSHR file's CAM, as unbounded as
-	// the file it models.
-	mshrs mem.Table[*mshr]
+	// mshrs holds the outstanding misses, keyed by line number: the MSHR
+	// file, as unbounded as the simulator's stand-in for its CAM.
+	mshrs mem.Fetches[miss]
 	stats Stats
 
 	// nextFunc caches the next-level FunctionalBackend assertion for the
 	// sampled fast-forward path; nil until first functional use.
 	nextFunc FunctionalBackend
 
-	txnPool  mem.Pool[cacheTxn]
-	mshrPool mem.Pool[mshr]
+	txnPool mem.Pool[cacheTxn]
 }
 
 // New builds a cache over the given backend, scheduling its lookups and
@@ -172,13 +163,15 @@ func New(sim *engine.Sim, cfg Config, next Backend) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Cache{
+	c := &Cache{
 		sim:  sim,
 		cfg:  cfg,
 		next: next,
 		comp: blameFor(cfg.Name),
 		tags: mem.NewSets(cfg.SizeBytes/mem.LineSize, cfg.Ways),
 	}
+	c.mshrs.Fill = c.fill
+	return c
 }
 
 // blameFor maps a level name to the cycle-accounting component its tag
@@ -235,30 +228,6 @@ func (c *Cache) putTxn(t *cacheTxn) {
 	c.txnPool.Put(t)
 }
 
-func (c *Cache) getMSHR() *mshr {
-	m := c.mshrPool.Get()
-	if m == nil {
-		m = &mshr{c: c}
-		m.fillFn = func() { m.c.fill(m) }
-	}
-	return m
-}
-
-func (c *Cache) putMSHR(m *mshr) {
-	// Index stores, not clear: the slices usually hold one element, and
-	// clear of a pointer slice is a runtime memclrHasPointers call.
-	for i := 0; i < len(m.waiters); i++ {
-		m.waiters[i] = nil
-	}
-	m.waiters = m.waiters[:0]
-	for i := 0; i < len(m.vwaiters); i++ {
-		m.vwaiters[i] = nil
-	}
-	m.vwaiters = m.vwaiters[:0]
-	m.line, m.meta, m.write = 0, Meta{}, false
-	c.mshrPool.Put(m)
-}
-
 // Access requests a line. done fires when the data is available at this
 // level (after this level's latency on a hit, or after the fill on a miss).
 func (c *Cache) Access(addr mem.Addr, write bool, meta Meta, done func()) {
@@ -295,49 +264,37 @@ func (c *Cache) afterTagLookup(t *cacheTxn) {
 	if meta.IsPTE {
 		c.stats.PTEMiss++
 	}
-	if m, _ := c.mshrs.Get(mem.LineNum(l)); m != nil {
+	m, fresh := c.mshrs.Join(mem.LineNum(l), done)
+	if !fresh {
 		c.stats.MSHRMerges++
-		m.write = m.write || write
-		if done != nil {
-			m.waiters = append(m.waiters, done)
-		}
+		m.Data.write = m.Data.write || write
 		if meta.V != nil {
-			m.vwaiters = append(m.vwaiters, meta.V)
+			m.Data.vwaiters = append(m.Data.vwaiters, meta.V)
 		}
 		return
 	}
-	m := c.getMSHR()
-	m.line, m.meta, m.write = l, meta, write
-	if done != nil {
-		m.waiters = append(m.waiters, done)
-	}
-	c.mshrs.Put(mem.LineNum(l), m)
+	m.Data.meta, m.Data.write = meta, write
 	// Fetch the line from below. The fill installs it and releases waiters.
 	fetchMeta := meta
 	fetchMeta.Writeback = false
-	c.next.Access(l, false, fetchMeta, m.fillFn)
+	c.next.Access(l, false, fetchMeta, m.Done)
 }
 
-func (c *Cache) fill(m *mshr) {
-	if got, _ := c.mshrs.Del(mem.LineNum(m.line)); got != m {
-		panic(fmt.Sprintf("cache %s: fill for %#x without MSHR", c.cfg.Name, uint64(m.line)))
-	}
-	c.install(m.line, m.write, m.meta)
+// fill installs line n of a completed miss, before its waiters run, and
+// resets the payload for the record's next miss.
+func (c *Cache) fill(n uint64, m *miss) {
+	c.install(mem.Addr(n<<mem.LineShift), m.write, m.meta)
 	// Mergers spent their whole wait parked in this MSHR while the creator's
 	// vector accumulated the downstream story; charge them the wait here.
 	if len(m.vwaiters) > 0 {
 		now := c.sim.Now()
-		for _, v := range m.vwaiters {
+		for i, v := range m.vwaiters {
 			v.Take(attrib.CompMSHR, now)
+			m.vwaiters[i] = nil
 		}
+		m.vwaiters = m.vwaiters[:0]
 	}
-	// Index loop: a waiter that misses this cache again grabs a fresh MSHR
-	// (m is still checked out), so m.waiters cannot grow underneath us; the
-	// record returns to the pool only after the last waiter ran.
-	for i := 0; i < len(m.waiters); i++ {
-		m.waiters[i]()
-	}
-	c.putMSHR(m)
+	m.meta, m.write = Meta{}, false
 }
 
 func (c *Cache) install(l mem.Addr, dirty bool, meta Meta) {
@@ -429,8 +386,8 @@ func (c *Cache) OutstandingMisses() int { return c.mshrs.Len() }
 func (c *Cache) Audit(a *check.Audit) {
 	a.Checkf(c.mshrs.Len() == 0,
 		"cache %s: %d MSHR(s) still outstanding at quiescence (leaked miss)", c.cfg.Name, c.mshrs.Len())
-	a.Checkf(c.mshrPool.Live() == 0,
-		"cache %s: %d pooled MSHR record(s) never returned", c.cfg.Name, c.mshrPool.Live())
+	a.Checkf(c.mshrs.Live() == 0,
+		"cache %s: %d pooled MSHR record(s) never returned", c.cfg.Name, c.mshrs.Live())
 	a.Checkf(c.txnPool.Live() == 0,
 		"cache %s: %d pooled access record(s) never returned", c.cfg.Name, c.txnPool.Live())
 }

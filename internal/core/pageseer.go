@@ -416,7 +416,7 @@ func (p *PageSeer) evaluateCorrelation(page mem.PPN, kind SwapKind) {
 		p.pctc.AccessUrgent(uint64(page), t.fn)
 		return
 	}
-	p.pctc.Access(uint64(page), false, t.fn)
+	p.pctc.Access(uint64(page), false, nil, t.fn)
 }
 
 func (p *PageSeer) corrEvaluated(t *corrTxn) {
@@ -766,9 +766,11 @@ func (p *PageSeer) DumpState() string {
 // architectural state. It assumes quiescence after Finish: no swaps in
 // flight, every remapped page in a symmetric DRAM<->NVM pair that leaves
 // page tables alone, the Swap Driver's queue index consistent with its
-// queues, and all prefetch-accuracy windows closed.
+// queues, all prefetch-accuracy windows closed and no PTE-line fetch in
+// flight.
 func (p *PageSeer) Audit(a *check.Audit) {
 	p.Segments.Audit(a)
+	p.pte.Audit(a)
 	a.Checkf(p.prefTracks.Len() == 0,
 		"pageseer: %d prefetch-accuracy window(s) still open after Finish", p.prefTracks.Len())
 	layout := p.ctl.Layout

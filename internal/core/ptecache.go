@@ -1,6 +1,9 @@
 package core
 
-import "pageseer/internal/mem"
+import (
+	"pageseer/internal/check"
+	"pageseer/internal/mem"
+)
 
 // MMUDriverLines is the size of the MMU Driver's PTE-line cache (Table II).
 const MMUDriverLines = 16
@@ -13,55 +16,26 @@ const MMUDriverLines = 16
 type PTECache struct {
 	lines mem.Sets // resident lines, keyed by line number
 	// pending holds the in-flight fetches, keyed by line number; later
-	// Obtains of a pending line park on its record.
-	pending mem.Table[*pteFill]
-	// Fetch records are recycled with their waiter arrays: Obtain sits on
-	// the MMU-hint path, which fires on every page walk, so per-miss
-	// closure and slice allocations would land on the steady-state budget.
-	fills mem.Pool[pteFill]
+	// Obtains of a pending line park on its fetch. Obtain sits on the
+	// MMU-hint path, which fires on every page walk, so the fetches are
+	// pooled records that allocate nothing in steady state.
+	pending mem.Fetches[struct{}]
 
 	hits        uint64
 	pendingHits uint64
 	misses      uint64
 }
 
-// pteFill is one in-flight fetch: the Obtain calls waiting on it and its
-// completion continuation, pre-bound to a pooled record.
-type pteFill struct {
-	p       *PTECache
-	line    mem.Addr
-	waiters []func()
-	fn      func()
-}
-
-func (p *PTECache) getFill(line mem.Addr) *pteFill {
-	f := p.fills.Get()
-	if f == nil {
-		f = &pteFill{p: p}
-		f.fn = func() { f.p.filled(f) }
-	}
-	f.line = line
-	return f
-}
-
-// filled installs f's line and runs its waiters. The line leaves the
-// pending table first, so a waiter that obtains it again finds it
-// resident; f returns to the pool only after the last waiter ran.
-func (p *PTECache) filled(f *pteFill) {
-	p.pending.Del(mem.LineNum(f.line))
-	p.insert(f.line)
-	for i := 0; i < len(f.waiters); i++ {
-		f.waiters[i]()
-	}
-	clear(f.waiters)
-	f.line, f.waiters = 0, f.waiters[:0]
-	p.fills.Put(f)
-}
-
 // NewPTECache builds an empty PTE-line cache.
 func NewPTECache() *PTECache {
-	return &PTECache{lines: mem.NewSets(MMUDriverLines, MMUDriverLines)}
+	p := &PTECache{lines: mem.NewSets(MMUDriverLines, MMUDriverLines)}
+	p.pending.Fill = p.filled
+	return p
 }
+
+// filled installs line n of a completed fetch, before its waiters run, so
+// a waiter that obtains it again finds it resident.
+func (p *PTECache) filled(n uint64, _ *struct{}) { p.insert(mem.Addr(n << mem.LineShift)) }
 
 // Hits returns how many Obtain calls found the line resident.
 func (p *PTECache) Hits() uint64 { return p.hits }
@@ -107,16 +81,13 @@ func (p *PTECache) Obtain(line mem.Addr, fetch func(done func()), ready func()) 
 		ready()
 		return true
 	}
-	if f, ok := p.pending.Get(mem.LineNum(line)); ok {
+	f, fresh := p.pending.Join(mem.LineNum(line), ready)
+	if !fresh {
 		p.pendingHits++
-		f.waiters = append(f.waiters, ready)
 		return true
 	}
 	p.misses++
-	f := p.getFill(line)
-	f.waiters = append(f.waiters, ready)
-	p.pending.Put(mem.LineNum(line), f)
-	fetch(f.fn)
+	fetch(f.Done)
 	return false
 }
 
@@ -129,4 +100,13 @@ func (p *PTECache) insert(line mem.Addr) {
 		w = p.lines.Victim(0)
 	}
 	p.lines.Fill(0, w, n)
+}
+
+// Audit reports end-of-run invariant violations: a quiesced PTE-line cache
+// has no fetch in flight and every pooled fetch record back in its pool.
+func (p *PTECache) Audit(a *check.Audit) {
+	a.Checkf(p.pending.Len() == 0,
+		"pte cache: %d line fetch(es) still pending at quiescence", p.pending.Len())
+	a.Checkf(p.pending.Live() == 0,
+		"pte cache: %d pooled fetch record(s) never returned", p.pending.Live())
 }

@@ -3,8 +3,10 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"pageseer/internal/check"
 	"pageseer/internal/mem"
 )
 
@@ -66,6 +68,27 @@ func TestPTECacheWaitersRunInArrivalOrder(t *testing.T) {
 	d.complete(0x3000)
 	if want := []int{9}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("second fill ran waiters %v, want %v", order, want)
+	}
+}
+
+// TestPTECacheAuditCatchesStuckFetch: a fetch that never returns leaves
+// the line pending and its record checked out, and the audit says so; once
+// it returns, the audit is clean.
+func TestPTECacheAuditCatchesStuckFetch(t *testing.T) {
+	p := NewPTECache()
+	d := &deferredFetch{done: map[mem.Addr]func(){}}
+	p.Obtain(0x5000, d.fetch(0x5000), func() {})
+	a := &check.Audit{}
+	p.Audit(a)
+	joined := strings.Join(a.Violations(), "\n")
+	if !strings.Contains(joined, "still pending") || !strings.Contains(joined, "never returned") {
+		t.Fatalf("audit of a stuck fetch: %q", joined)
+	}
+	d.complete(0x5000)
+	a = &check.Audit{}
+	p.Audit(a)
+	if !a.OK() {
+		t.Fatalf("audit after the fill: %q", a.Violations())
 	}
 }
 

@@ -217,12 +217,12 @@ func (c *Core) pump() {
 }
 
 func (c *Core) issue(t *memTxn) {
+	var v *attrib.Vector
 	if c.att != nil {
 		t.v.Begin(c.sim.Now())
-		c.mmu.TranslateTracked(t.acc.VA, &t.v, t.transFn)
-		return
+		v = &t.v
 	}
-	c.mmu.Translate(t.acc.VA, t.transFn)
+	c.mmu.Translate(t.acc.VA, v, t.transFn)
 }
 
 func (c *Core) translated(t *memTxn, ppn mem.PPN) {

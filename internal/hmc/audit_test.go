@@ -59,7 +59,7 @@ func TestMetaCacheAuditCatchesStuckFetch(t *testing.T) {
 	region := MetaRegion{Base: 0x1000, Bytes: 1 << 20, EntrySize: 8}
 	mc := NewMetaCache(sim, MetaCacheConfig{Name: "T", Entries: 64, Ways: 4, HitLatency: 2}, region, drop)
 	got := false
-	mc.Access(42, false, func() { got = true })
+	mc.Access(42, false, nil, func() { got = true })
 	sim.Drain(0)
 	if got {
 		t.Fatal("access completed without a backing store")

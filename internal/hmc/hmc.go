@@ -378,19 +378,21 @@ func (c *Controller) IssueLine(addr mem.Addr, write bool, prio memsim.Priority, 
 	c.issue(addr, write, prio, nil, done)
 }
 
-// issue is IssueLine with a blame vector riding the access into the timing
-// model (queue-wait / swap-interference / service split); v may be nil. It
-// is the only path to the timing models, so swap traffic, metadata fills,
-// and demand misses all contend on the same channels — and the single
-// place a queue-saturation fault can delay everything at once.
+// issue routes one line access to its module's Access, passing v, the
+// blame vector of the demand request the access serves, for the
+// queue-wait / swap-interference / service split (nil for swap traffic,
+// metadata fetches, writebacks and runs without attribution). It is the
+// only path to the timing models, so swap traffic, metadata fills, and
+// demand misses all contend on the same channels — and the single place a
+// queue-saturation fault can delay everything at once.
 func (c *Controller) issue(addr mem.Addr, write bool, prio memsim.Priority, v *attrib.Vector, done func()) {
 	if c.inj != nil {
 		if d := c.inj.IssueStallCycles(); d > 0 {
-			c.Sim.After(d, func() { c.Route(addr).AccessV(addr, write, prio, v, done) })
+			c.Sim.After(d, func() { c.Route(addr).Access(addr, write, prio, v, done) })
 			return
 		}
 	}
-	c.Route(addr).AccessV(addr, write, prio, v, done)
+	c.Route(addr).Access(addr, write, prio, v, done)
 }
 
 // PromoteLine raises an already-queued access for addr's line to demand

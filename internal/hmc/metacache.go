@@ -115,11 +115,10 @@ type MetaCache struct {
 	// sets holds the resident entries, keyed by entry index.
 	sets mem.Sets
 	// pending holds the in-flight DRAM line fetches, keyed by line index;
-	// later misses to a pending line park on its record.
-	pending   mem.Table[*fetchTxn]
-	txnPool   mem.Pool[metaTxn]
-	fetchPool mem.Pool[fetchTxn]
-	stats     MetaCacheStats
+	// later misses to a pending line park on its fetch.
+	pending mem.Fetches[struct{}]
+	txnPool mem.Pool[metaTxn]
+	stats   MetaCacheStats
 
 	// inj (nil when off) forces resident entries to refetch (thrash); a
 	// cache takes its controller's injector when Controller.NewMetaCache
@@ -160,32 +159,6 @@ func (c *MetaCache) putTxn(t *metaTxn) {
 	c.txnPool.Put(t)
 }
 
-// fetchTxn carries one in-flight DRAM line fetch with its pre-bound return
-// continuation and the accesses parked on it (their waiters array keeps
-// its capacity across reuses), so miss fetches allocate nothing in steady
-// state.
-type fetchTxn struct {
-	c       *MetaCache
-	lk      uint64
-	waiters []func()
-	fn      func()
-}
-
-func (c *MetaCache) getFetch() *fetchTxn {
-	t := c.fetchPool.Get()
-	if t == nil {
-		t = &fetchTxn{c: c}
-		t.fn = func() { t.c.fetchDone(t) }
-	}
-	return t
-}
-
-func (c *MetaCache) putFetch(t *fetchTxn) {
-	clear(t.waiters)
-	t.lk, t.waiters = 0, t.waiters[:0]
-	c.fetchPool.Put(t)
-}
-
 // NewMetaCache builds a metadata cache over a DRAM region.
 func NewMetaCache(sim *engine.Sim, cfg MetaCacheConfig, region MetaRegion, issue IssueFunc) *MetaCache {
 	if err := cfg.Validate(); err != nil {
@@ -194,7 +167,7 @@ func NewMetaCache(sim *engine.Sim, cfg MetaCacheConfig, region MetaRegion, issue
 	if cfg.EntriesPerLine < 1 {
 		cfg.EntriesPerLine = 1
 	}
-	return &MetaCache{
+	c := &MetaCache{
 		sim:    sim,
 		cfg:    cfg,
 		region: region,
@@ -202,6 +175,8 @@ func NewMetaCache(sim *engine.Sim, cfg MetaCacheConfig, region MetaRegion, issue
 		epl:    uint64(cfg.EntriesPerLine),
 		sets:   mem.NewSets(cfg.Entries, cfg.Ways),
 	}
+	c.pending.Fill = c.fetched
+	return c
 }
 
 // Config returns the cache configuration.
@@ -228,15 +203,12 @@ func (c *MetaCache) Present(key uint64) bool {
 // Access looks up key, modelling timing: after HitLatency, a hit calls done
 // immediately; a miss fetches the entry's line from DRAM first. dirty marks
 // the entry modified (it will be written back to DRAM on eviction). The
-// cycles a missing access spends waiting are added to WaitCycles.
-func (c *MetaCache) Access(key uint64, dirty bool, done func()) {
-	c.AccessV(key, dirty, nil, done)
-}
-
-// AccessV is Access with a cycle-accounting blame vector: a hit charges the
-// SRAM probe to CompRemap (remap-lookup time on the critical path); a miss
-// charges the DRAM table fetch to CompMeta. v may be nil (attribution off).
-func (c *MetaCache) AccessV(key uint64, dirty bool, v *attrib.Vector, done func()) {
+// cycles a missing access spends waiting are added to WaitCycles. v is the
+// demand request's cycle-accounting blame vector, nil when attribution is
+// off or the lookup serves no demand request: a hit charges the SRAM probe
+// to CompRemap (remap-lookup time on the critical path); a miss charges the
+// DRAM table fetch to CompMeta.
+func (c *MetaCache) Access(key uint64, dirty bool, v *attrib.Vector, done func()) {
 	t := c.getTxn()
 	t.key, t.dirty, t.v, t.done = key, dirty, v, done
 	c.sim.After(c.cfg.HitLatency, t.lookFn)
@@ -320,34 +292,14 @@ func (c *MetaCache) fetch(key uint64, prefetch bool, done func()) {
 // fetchLine parks done (if any) on the fetch of key's DRAM line, issuing
 // that fetch at prio unless one is already in flight.
 func (c *MetaCache) fetchLine(key uint64, prio memsim.Priority, done func()) {
-	lk := c.lineKey(key)
-	t, inflight := c.pending.Get(lk)
-	if !inflight {
-		t = c.getFetch()
-		t.lk = lk
-		c.pending.Put(lk, t)
-	}
-	if done != nil {
-		t.waiters = append(t.waiters, done)
-	}
-	if !inflight {
-		c.issue(c.region.EntryAddr(key), false, prio, t.fn)
+	if f, fresh := c.pending.Join(c.lineKey(key), done); fresh {
+		c.issue(c.region.EntryAddr(key), false, prio, f.Done)
 	}
 }
 
-// fetchDone installs the fetched line and wakes the parked accesses. The
-// line leaves the pending table before the callbacks run, so one that
-// misses the same line again starts a fresh fetch on a fresh record; t
-// returns to the pool only after the last of them.
-func (c *MetaCache) fetchDone(t *fetchTxn) {
-	c.pending.Del(t.lk)
-	// The fetched line carries every entry sharing it; install them all.
-	c.installLine(t.lk, true)
-	for i := 0; i < len(t.waiters); i++ {
-		t.waiters[i]()
-	}
-	c.putFetch(t)
-}
+// fetched installs every entry of the fetched DRAM line lk, before the
+// accesses parked on its fetch run.
+func (c *MetaCache) fetched(lk uint64, _ *struct{}) { c.installLine(lk, true) }
 
 // installLine installs every entry of DRAM line lk that is not yet
 // resident. The line's keys are consecutive, so their sets are too: the
@@ -384,7 +336,7 @@ func (c *MetaCache) install(base int, key uint64, writeback bool) {
 // AccessFunctional warms residency for key with no timing, no events, and
 // no statistics (the sampled fast-forward path): a hit refreshes LRU and
 // dirty state; a miss installs every entry of the backing DRAM line, as
-// fetchDone would, with dirty-victim writebacks dropped silently — there is
+// fetched would, with dirty-victim writebacks dropped silently — there is
 // no bandwidth model to charge them to during fast-forward.
 func (c *MetaCache) AccessFunctional(key uint64, dirty bool) {
 	base, e := c.find(key)
@@ -420,8 +372,8 @@ func (c *MetaCache) Audit(a *check.Audit) {
 		"meta cache %s: %d line fetch(es) still pending at quiescence", c.cfg.Name, c.pending.Len())
 	a.Checkf(c.txnPool.Live() == 0,
 		"meta cache %s: %d pooled access record(s) never returned", c.cfg.Name, c.txnPool.Live())
-	a.Checkf(c.fetchPool.Live() == 0,
-		"meta cache %s: %d pooled fetch record(s) never returned", c.cfg.Name, c.fetchPool.Live())
+	a.Checkf(c.pending.Live() == 0,
+		"meta cache %s: %d pooled fetch record(s) never returned", c.cfg.Name, c.pending.Live())
 }
 
 // ResetStats zeroes the cache counters (e.g. after warm-up) without

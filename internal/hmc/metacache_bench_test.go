@@ -67,7 +67,7 @@ func (l *metaLoop) runFunctional(n int) {
 func (l *metaLoop) runDetailed(n int) {
 	for i := 0; i < n; i++ {
 		key, dirty := l.step()
-		l.c.Access(key, dirty, l.done)
+		l.c.Access(key, dirty, nil, l.done)
 		if i&3 == 3 {
 			l.sim.Drain(0)
 		}
@@ -86,7 +86,7 @@ func (l *metaLoop) runMerging(n int) {
 			l.x = l.x*6364136223846793005 + 1442695040888963407
 			l.line = l.x >> 32 % (64 * 851 / 18)
 		}
-		l.c.Access(l.line*18+uint64(i&3)*5, i&7 == 0, l.done)
+		l.c.Access(l.line*18+uint64(i&3)*5, i&7 == 0, nil, l.done)
 		if i&15 == 15 {
 			l.sim.Drain(0)
 		}

@@ -21,10 +21,10 @@ func TestMetaCacheMissThenHit(t *testing.T) {
 	sim, c, ri := testMetaCache(100)
 	var missLat, hitLat uint64
 	start := sim.Now()
-	c.Access(7, false, func() { missLat = sim.Now() - start })
+	c.Access(7, false, nil, func() { missLat = sim.Now() - start })
 	sim.Drain(0)
 	start = sim.Now()
-	c.Access(7, false, func() { hitLat = sim.Now() - start })
+	c.Access(7, false, nil, func() { hitLat = sim.Now() - start })
 	sim.Drain(0)
 	if missLat < 100 {
 		t.Fatalf("miss latency %d below backing latency", missLat)
@@ -50,7 +50,7 @@ func TestMetaCachePrefetchAvoidsWait(t *testing.T) {
 	sim.Drain(0)
 	var lat uint64
 	start := sim.Now()
-	c.Access(42, false, func() { lat = sim.Now() - start })
+	c.Access(42, false, nil, func() { lat = sim.Now() - start })
 	sim.Drain(0)
 	if lat != 2 {
 		t.Fatalf("post-prefetch access latency = %d, want 2 (hit)", lat)
@@ -67,7 +67,7 @@ func TestMetaCachePrefetchMergesWithAccess(t *testing.T) {
 	sim, c, ri := testMetaCache(100)
 	c.Prefetch(9)
 	done := false
-	c.Access(9, false, func() { done = true })
+	c.Access(9, false, nil, func() { done = true })
 	sim.Drain(0)
 	if !done {
 		t.Fatal("access merged into prefetch never completed")
@@ -84,11 +84,11 @@ func TestMetaCacheDirtyWriteback(t *testing.T) {
 	cfg := MetaCacheConfig{Name: "t", Entries: 4, Ways: 2, HitLatency: 1}
 	c := NewMetaCache(sim, cfg, region, ri.issue)
 	// 2 sets x 2 ways. Fill set 0 with dirty entries, then overflow it.
-	c.Access(0, true, nil)
+	c.Access(0, true, nil, nil)
 	sim.Drain(0)
-	c.Access(2, true, nil)
+	c.Access(2, true, nil, nil)
 	sim.Drain(0)
-	c.Access(4, false, nil) // evicts one dirty entry
+	c.Access(4, false, nil, nil) // evicts one dirty entry
 	sim.Drain(0)
 	if c.Stats().Writebacks != 1 {
 		t.Fatalf("Writebacks = %d, want 1", c.Stats().Writebacks)
@@ -105,7 +105,7 @@ func TestMetaCacheCleanEvictionSilent(t *testing.T) {
 	cfg := MetaCacheConfig{Name: "t", Entries: 4, Ways: 2, HitLatency: 1}
 	c := NewMetaCache(sim, cfg, region, ri.issue)
 	for _, k := range []uint64{0, 2, 4} {
-		c.Access(k, false, nil)
+		c.Access(k, false, nil, nil)
 		sim.Drain(0)
 	}
 	if ri.writes != 0 {
@@ -130,14 +130,14 @@ func TestMetaCacheResidencyProperty(t *testing.T) {
 			keys[i] = set + uint64(i*(cfg.Entries/cfg.Ways)*1) // same set
 		}
 		for _, k := range keys {
-			c.Access(k, false, nil)
+			c.Access(k, false, nil, nil)
 		}
 		sim.Drain(0)
 		missesAfterWarm := c.Stats().Misses
 		for i := 0; i < 100; i++ {
 			k := keys[rng.Intn(len(keys))]
 			ok := true
-			c.Access(k, rng.Intn(2) == 0, func() { ok = c.Present(k) })
+			c.Access(k, rng.Intn(2) == 0, nil, func() { ok = c.Present(k) })
 			sim.Drain(0)
 			if !ok {
 				return false

@@ -137,7 +137,7 @@ func (g *Segments) CheckIntegrity() error {
 
 // Lookup reads remap-cache entry key on r's critical path, then routes r.
 func (g *Segments) Lookup(r *Request, key uint64) {
-	g.cache.AccessV(key, false, r.Meta.V, r.RouteFn())
+	g.cache.Access(key, false, r.Meta.V, r.RouteFn())
 }
 
 // Busy reports whether a running exchange holds slot.

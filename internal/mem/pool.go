@@ -1,14 +1,13 @@
 package mem
 
 // Pool is the simulator's one free list: a stack of the records that carry
-// a request across a latency (cache accesses and misses, controller and
-// memsim requests, swap ops and lines, segment exchanges, metadata
-// fetches, MMU translations and hints, core transactions, PageSeer's
-// continuations). An owner mints
-// a record only while its pool warms to the owner's steady-state
-// concurrency, binding the record's continuation closures once, so the
-// demand path allocates nothing after that. The zero value is an empty
-// pool.
+// a request across a latency (cache accesses, in-flight fetches in a
+// Fetches file, controller and memsim requests, swap ops and lines,
+// segment exchanges, metadata-cache probes, MMU translations and hints,
+// core transactions, PageSeer's continuations). An owner mints a record
+// only while its pool warms to the owner's steady-state concurrency,
+// binding the record's continuation closures once, so the demand path
+// allocates nothing after that. The zero value is an empty pool.
 type Pool[T any] struct {
 	free []*T
 	live int // records checked out and not yet returned

@@ -3,8 +3,9 @@ package mem
 import "math/bits"
 
 // Table is the simulator's one hash table for small, short-lived sets keyed
-// by a uint64: outstanding cache misses, pending metadata-line fetches,
-// in-flight swap lines and the like (the stand-in for an MSHR file's CAM).
+// by a uint64: the in-flight fetches of a Fetches file (the stand-in for an
+// MSHR file's CAM), in-flight swap lines, PageSeer's in-flight pages, the
+// exchange core's busy slots and PoM's counters.
 // It is open-addressed, with linear probing from a Fibonacci-hash home
 // slot. It doubles at half load, so it is unbounded, and deletion shifts
 // later members of the probe run back rather than leaving tombstones, so a

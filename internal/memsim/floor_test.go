@@ -7,6 +7,7 @@ import (
 
 	"pageseer/internal/engine"
 	"pageseer/internal/mem"
+	"pageseer/internal/obs/attrib"
 )
 
 // scanFloor is the bank scan floor replaced: each bank's lowest start
@@ -59,10 +60,10 @@ func (f *floorChecked) check(ch int) {
 	}
 }
 
-func (f *floorChecked) Access(addr mem.Addr, write bool, prio Priority, done func()) {
+func (f *floorChecked) Access(addr mem.Addr, write bool, prio Priority, v *attrib.Vector, done func()) {
 	ch, _, _ := f.locate(mem.LineOf(addr))
 	f.check(ch)
-	f.Module.Access(addr, write, prio, done)
+	f.Module.Access(addr, write, prio, v, done)
 }
 
 // TestFloorMatchesBankScan drives random DRAM and NVM traffic — banks that

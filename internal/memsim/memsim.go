@@ -385,14 +385,10 @@ func (m *Module) Audit(a *check.Audit) {
 }
 
 // Access enqueues a line access. done runs at completion time (may be nil).
-func (m *Module) Access(addr mem.Addr, write bool, prio Priority, done func()) {
-	m.AccessV(addr, write, prio, nil, done)
-}
-
-// AccessV is Access with a blame vector riding the request: completion
-// stamps the queue-wait / swap-interference / service split onto v. A nil
-// v is exactly Access.
-func (m *Module) AccessV(addr mem.Addr, write bool, prio Priority, v *attrib.Vector, done func()) {
+// v is the blame vector of the demand request riding the access, nil when
+// attribution is off or the access serves none: completion stamps the
+// queue-wait / swap-interference / service split onto it.
+func (m *Module) Access(addr mem.Addr, write bool, prio Priority, v *attrib.Vector, done func()) {
 	ch, bk, row := m.locate(mem.LineOf(addr))
 	c := &m.chans[ch]
 	r := m.getReq()

@@ -50,7 +50,7 @@ func newLoadLoop(cfg Config, depth, demandEvery int) *loadLoop {
 func (l *loadLoop) access(prio Priority, done func()) {
 	l.x = l.x*6364136223846793005 + 1442695040888963407
 	line := (l.x >> 24) % l.lines
-	l.m.Access(mem.Addr(line*mem.LineSize), (l.x>>60)&3 == 0, prio, done)
+	l.m.Access(mem.Addr(line*mem.LineSize), (l.x>>60)&3 == 0, prio, nil, done)
 }
 
 // run steps the engine until n more requests have completed.

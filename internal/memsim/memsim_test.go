@@ -21,7 +21,7 @@ func TestSingleReadLatency(t *testing.T) {
 	sim := engine.New()
 	d := newDRAM(sim)
 	var doneAt uint64
-	d.Access(0x1000, false, PrioDemand, func() { doneAt = sim.Now() })
+	d.Access(0x1000, false, PrioDemand, nil, func() { doneAt = sim.Now() })
 	sim.Drain(0)
 	want := d.IdleLatency() // closed bank: tRCD+tCAS+burst, CPU cycles
 	if doneAt != want {
@@ -51,9 +51,9 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 	d := newDRAM(sim)
 	// Two accesses to the same line: second is a row hit.
 	var t1, t2 uint64
-	d.Access(0x40, false, PrioDemand, func() { t1 = sim.Now() })
+	d.Access(0x40, false, PrioDemand, nil, func() { t1 = sim.Now() })
 	sim.Drain(0)
-	d.Access(0x40, false, PrioDemand, func() { t2 = sim.Now() })
+	d.Access(0x40, false, PrioDemand, nil, func() { t2 = sim.Now() })
 	sim.Drain(0)
 	hitLat := t2 - t1
 	if hitLat >= d.IdleLatency() {
@@ -74,9 +74,9 @@ func TestRowConflictReopensRow(t *testing.T) {
 	d := New(sim, cfg, 0, 64<<20)
 	rowStride := mem.Addr(cfg.RowBytes) // next row, same (only) bank
 	var t1, t2 uint64
-	d.Access(0, false, PrioDemand, func() { t1 = sim.Now() })
+	d.Access(0, false, PrioDemand, nil, func() { t1 = sim.Now() })
 	sim.Drain(0)
-	d.Access(rowStride, false, PrioDemand, func() { t2 = sim.Now() })
+	d.Access(rowStride, false, PrioDemand, nil, func() { t2 = sim.Now() })
 	sim.Drain(0)
 	if t2-t1 <= d.IdleLatency() {
 		t.Fatalf("conflict latency %d not worse than closed-bank %d", t2-t1, d.IdleLatency())
@@ -96,7 +96,7 @@ func TestBankParallelismBeatsSameBank(t *testing.T) {
 	sameBankDone := uint64(0)
 	rowStride := mem.Addr(cfg.RowBytes * uint64(cfg.BanksPerRank))
 	for i := 0; i < 4; i++ {
-		d.Access(mem.Addr(i)*rowStride*8, false, PrioDemand, func() { sameBankDone = sim.Now() })
+		d.Access(mem.Addr(i)*rowStride*8, false, PrioDemand, nil, func() { sameBankDone = sim.Now() })
 	}
 	sim.Drain(0)
 	sameBankTime := sameBankDone
@@ -106,7 +106,7 @@ func TestBankParallelismBeatsSameBank(t *testing.T) {
 	d2 := New(sim2, cfg, 0, 256<<20)
 	spreadDone := uint64(0)
 	for i := 0; i < 4; i++ {
-		d2.Access(mem.Addr(cfg.RowBytes)*mem.Addr(i), false, PrioDemand, func() { spreadDone = sim2.Now() })
+		d2.Access(mem.Addr(cfg.RowBytes)*mem.Addr(i), false, PrioDemand, nil, func() { spreadDone = sim2.Now() })
 	}
 	sim2.Drain(0)
 	if spreadDone >= sameBankTime {
@@ -124,8 +124,8 @@ func TestNVMWriteRecoveryHurtsFollowingAccess(t *testing.T) {
 	// Write then a conflicting read to another row in the same bank: the
 	// precharge must wait out tWR (180 memory cycles).
 	var rdDone uint64
-	n.Access(0, true, PrioDemand, nil)
-	n.Access(mem.Addr(cfg.RowBytes), false, PrioDemand, func() { rdDone = sim.Now() })
+	n.Access(0, true, PrioDemand, nil, nil)
+	n.Access(mem.Addr(cfg.RowBytes), false, PrioDemand, nil, func() { rdDone = sim.Now() })
 	sim.Drain(0)
 	if rdDone < cfg.Timing.TWR*cfg.ClockRatio {
 		t.Fatalf("read after NVM write done at %d, expected to wait at least tWR=%d",
@@ -142,9 +142,9 @@ func TestDemandPriorityOverSwap(t *testing.T) {
 	// Enqueue many swap requests first, then one demand request; demand must
 	// be picked at the first scheduling opportunity after arrival.
 	for i := 0; i < 8; i++ {
-		d.Access(mem.Addr(i*64*int(cfg.Channels)), false, PrioSwap, func() { order = append(order, "swap") })
+		d.Access(mem.Addr(i*64*int(cfg.Channels)), false, PrioSwap, nil, func() { order = append(order, "swap") })
 	}
-	d.Access(0x100000, false, PrioDemand, func() { order = append(order, "demand") })
+	d.Access(0x100000, false, PrioDemand, nil, func() { order = append(order, "demand") })
 	sim.Drain(0)
 	if len(order) != 9 {
 		t.Fatalf("completed %d requests", len(order))
@@ -183,7 +183,7 @@ func TestOutOfRangePanics(t *testing.T) {
 			t.Error("out-of-range access did not panic")
 		}
 	}()
-	d.Access(mem.Addr(1<<40), false, PrioDemand, nil)
+	d.Access(mem.Addr(1<<40), false, PrioDemand, nil, nil)
 }
 
 func TestBacklogReflectsQueuedWork(t *testing.T) {
@@ -192,7 +192,7 @@ func TestBacklogReflectsQueuedWork(t *testing.T) {
 	cfg.Channels = 1
 	d := New(sim, cfg, 0, 256<<20)
 	for i := 0; i < 32; i++ {
-		d.Access(mem.Addr(i*64), false, PrioDemand, nil)
+		d.Access(mem.Addr(i*64), false, PrioDemand, nil, nil)
 	}
 	q, _ := d.Backlog()
 	if q == 0 {
@@ -225,7 +225,7 @@ func TestAllRequestsCompleteProperty(t *testing.T) {
 			}
 			arrive[i] = sim.Now()
 			at := arrive[i]
-			d.Access(addr, w, prio, func() {
+			d.Access(addr, w, prio, nil, func() {
 				if sim.Now() < at {
 					panic("completion before arrival")
 				}
@@ -253,7 +253,7 @@ func TestBandwidthBoundProperty(t *testing.T) {
 		var last uint64
 		for i := 0; i < k; i++ {
 			addr := mem.Addr(rng.Int63n(256<<20)) & ^mem.Addr(63)
-			d.Access(addr, false, PrioDemand, func() { last = sim.Now() })
+			d.Access(addr, false, PrioDemand, nil, func() { last = sim.Now() })
 		}
 		sim.Drain(0)
 		minCycles := uint64(k) * cfg.BurstMemCycles * cfg.ClockRatio

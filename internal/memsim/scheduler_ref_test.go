@@ -8,6 +8,7 @@ import (
 
 	"pageseer/internal/engine"
 	"pageseer/internal/mem"
+	"pageseer/internal/obs/attrib"
 )
 
 // refModule is the scheduler before the class-split queues: one
@@ -210,7 +211,7 @@ func (m *refModule) issue(ch int, r *request, dataStart uint64) {
 	m.sim.At(dataEnd, r.done)
 }
 
-func (m *refModule) Access(addr mem.Addr, write bool, prio Priority, done func()) {
+func (m *refModule) Access(addr mem.Addr, write bool, prio Priority, _ *attrib.Vector, done func()) {
 	ch, _, _ := m.locate(mem.LineOf(addr))
 	c := &m.chans[ch]
 	c.queue = append(c.queue, &request{addr: mem.LineOf(addr), write: write, prio: prio, arrival: m.sim.Now(), done: done})
@@ -254,7 +255,7 @@ func (m *refModule) QueueOccupancy() int {
 }
 
 type scheduler interface {
-	Access(addr mem.Addr, write bool, prio Priority, done func())
+	Access(addr mem.Addr, write bool, prio Priority, v *attrib.Vector, done func())
 	Promote(addr mem.Addr)
 	Stats() Stats
 	QueueOccupancy() int
@@ -323,13 +324,14 @@ func replay(sim *engine.Sim, s scheduler, burst uint64, ops []schedOp) ([]comple
 	var log []completion
 	var access func(addr mem.Addr, write bool, prio Priority, chain bool)
 	access = func(addr mem.Addr, write bool, prio Priority, chain bool) {
-		s.Access(addr, write, prio, func() {
+		s.Access(addr, write, prio, nil, func() {
 			now := sim.Now()
 			log = append(log, completion{addr, now - burst, now})
 			if chain {
 				access(addr, false, PrioDemand, false)
 			}
 		})
+
 	}
 	peak := 0
 	for _, op := range ops {

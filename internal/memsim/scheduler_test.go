@@ -19,12 +19,12 @@ func TestPromoteRaisesSwapRequest(t *testing.T) {
 	// promote it: it must complete before the later demand tail.
 	var order []string
 	for i := 0; i < 6; i++ {
-		d.Access(mem.Addr(i*64), false, PrioDemand, nil)
+		d.Access(mem.Addr(i*64), false, PrioDemand, nil, nil)
 	}
 	swapAddr := mem.Addr(0x100000)
-	d.Access(swapAddr, false, PrioSwap, func() { order = append(order, "swap") })
+	d.Access(swapAddr, false, PrioSwap, nil, func() { order = append(order, "swap") })
 	for i := 6; i < 12; i++ {
-		d.Access(mem.Addr(i*64), false, PrioDemand, func() { order = append(order, "demand-tail") })
+		d.Access(mem.Addr(i*64), false, PrioDemand, nil, func() { order = append(order, "demand-tail") })
 	}
 	d.Promote(swapAddr)
 	sim.Drain(0)
@@ -46,7 +46,7 @@ func TestClasslessSlotGuaranteesBackgroundShare(t *testing.T) {
 	// would wait for the entire demand stream.
 	swapsDone := 0
 	for i := 0; i < 16; i++ {
-		d.Access(mem.Addr(0x200000+i*64), false, PrioSwap, func() { swapsDone++ })
+		d.Access(mem.Addr(0x200000+i*64), false, PrioSwap, nil, func() { swapsDone++ })
 	}
 	demandLeft := 200
 	var feed func()
@@ -55,7 +55,7 @@ func TestClasslessSlotGuaranteesBackgroundShare(t *testing.T) {
 			return
 		}
 		demandLeft--
-		d.Access(mem.Addr(demandLeft*64), false, PrioDemand, func() { feed() })
+		d.Access(mem.Addr(demandLeft*64), false, PrioDemand, nil, func() { feed() })
 	}
 	// Prime several in flight so the queue never empties until the end.
 	for i := 0; i < 8; i++ {
@@ -80,11 +80,11 @@ func TestAgingPromotesToMiddleClass(t *testing.T) {
 	d := New(sim, cfg, 0, 256<<20)
 
 	done := false
-	d.Access(0x300000, false, PrioSwap, func() { done = true })
+	d.Access(0x300000, false, PrioSwap, nil, func() { done = true })
 	// Continuous fresh demand for a while; after the age limit the swap
 	// should still get through within a bounded horizon.
 	for i := 0; i < 50; i++ {
-		d.Access(mem.Addr(i*64), false, PrioDemand, nil)
+		d.Access(mem.Addr(i*64), false, PrioDemand, nil, nil)
 	}
 	sim.RunUntil(5000)
 	sim.Drain(0)

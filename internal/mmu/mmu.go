@@ -261,16 +261,12 @@ func (m *MMU) Stats() Stats { return m.stats }
 func (m *MMU) PID() int { return m.pid }
 
 // Translate resolves va to the OS-visible physical page, modelling TLB and
-// page-walk timing. done receives the PPN when the translation is ready.
-func (m *MMU) Translate(va mem.VAddr, done func(mem.PPN)) {
-	m.TranslateTracked(va, nil, done)
-}
-
-// TranslateTracked is Translate with a cycle-accounting blame vector: TLB
-// lookup time is charged to CompTLB, everything from the walker queue to the
-// leaf PTE return to CompWalk (with PTE-cache service separable via
-// CompPTECache). v may be nil (attribution off).
-func (m *MMU) TranslateTracked(va mem.VAddr, v *attrib.Vector, done func(mem.PPN)) {
+// page-walk timing. done receives the PPN when the translation is ready. v
+// is the request's cycle-accounting blame vector, nil when attribution is
+// off: TLB lookup time is charged to CompTLB, everything from the walker
+// queue to the leaf PTE return to CompWalk (with PTE-cache service
+// separable via CompPTECache).
+func (m *MMU) Translate(va mem.VAddr, v *attrib.Vector, done func(mem.PPN)) {
 	t := m.getTxn()
 	t.va, t.v, t.done = va, v, done
 	m.sim.After(m.cfg.L1TLB.Latency, t.l1Fn)

@@ -50,7 +50,7 @@ func testRig(t *testing.T, hinter Hinter) (*engine.Sim, *mem.OS, *MMU, *flatMem)
 func TestFirstTranslationWalksAllLevels(t *testing.T) {
 	sim, _, m, fm := testRig(t, nil)
 	var got mem.PPN
-	m.Translate(0x7f0000001000, func(p mem.PPN) { got = p })
+	m.Translate(0x7f0000001000, nil, func(p mem.PPN) { got = p })
 	sim.Drain(0)
 	if got == 0 && !m.os.Map().Contains(got.Addr()) {
 		t.Fatal("translation returned invalid PPN")
@@ -66,12 +66,12 @@ func TestFirstTranslationWalksAllLevels(t *testing.T) {
 
 func TestTLBHitSkipsWalk(t *testing.T) {
 	sim, _, m, fm := testRig(t, nil)
-	m.Translate(0x1000, func(mem.PPN) {})
+	m.Translate(0x1000, nil, func(mem.PPN) {})
 	sim.Drain(0)
 	n := len(fm.reads)
 	var lat uint64
 	start := sim.Now()
-	m.Translate(0x1000, func(mem.PPN) { lat = sim.Now() - start })
+	m.Translate(0x1000, nil, func(mem.PPN) { lat = sim.Now() - start })
 	sim.Drain(0)
 	if len(fm.reads) != n {
 		t.Fatal("L1 TLB hit still walked")
@@ -84,10 +84,10 @@ func TestTLBHitSkipsWalk(t *testing.T) {
 func TestPWCShortensSecondWalk(t *testing.T) {
 	sim, _, m, fm := testRig(t, nil)
 	// Two pages under the same PMD: the second walk should only read the PTE.
-	m.Translate(0x2000, func(mem.PPN) {})
+	m.Translate(0x2000, nil, func(mem.PPN) {})
 	sim.Drain(0)
 	n := len(fm.reads)
-	m.Translate(0x2000+mem.PageSize, func(mem.PPN) {})
+	m.Translate(0x2000+mem.PageSize, nil, func(mem.PPN) {})
 	sim.Drain(0)
 	if len(fm.reads)-n != 1 {
 		t.Fatalf("PMD-covered walk issued %d reads, want 1", len(fm.reads)-n)
@@ -97,9 +97,9 @@ func TestPWCShortensSecondWalk(t *testing.T) {
 func TestTranslationsAreStable(t *testing.T) {
 	sim, _, m, _ := testRig(t, nil)
 	var p1, p2 mem.PPN
-	m.Translate(0x5000, func(p mem.PPN) { p1 = p })
+	m.Translate(0x5000, nil, func(p mem.PPN) { p1 = p })
 	sim.Drain(0)
-	m.Translate(0x5000, func(p mem.PPN) { p2 = p })
+	m.Translate(0x5000, nil, func(p mem.PPN) { p2 = p })
 	sim.Drain(0)
 	if p1 != p2 {
 		t.Fatalf("translation changed: %v vs %v", p1, p2)
@@ -110,7 +110,7 @@ func TestHintSentOncePerWalk(t *testing.T) {
 	hr := &hintRec{}
 	sim, osm, m, _ := testRig(t, hr)
 	va := mem.VAddr(0x7f0000003000)
-	m.Translate(va, func(mem.PPN) {})
+	m.Translate(va, nil, func(mem.PPN) {})
 	sim.Drain(0)
 	if len(hr.hints) != 1 {
 		t.Fatalf("got %d hints, want 1", len(hr.hints))
@@ -131,7 +131,7 @@ func TestHintSentOncePerWalk(t *testing.T) {
 		t.Fatalf("hint leaf %v, want %v", h.LeafPPN, w.Leaf)
 	}
 	// TLB hit: no further hints.
-	m.Translate(va, func(mem.PPN) {})
+	m.Translate(va, nil, func(mem.PPN) {})
 	sim.Drain(0)
 	if len(hr.hints) != 1 {
 		t.Fatal("TLB hit produced a hint")
@@ -140,7 +140,7 @@ func TestHintSentOncePerWalk(t *testing.T) {
 
 func TestOnlyLeafReadMarkedPTE(t *testing.T) {
 	sim, _, m, fm := testRig(t, nil)
-	m.Translate(0x9000, func(mem.PPN) {})
+	m.Translate(0x9000, nil, func(mem.PPN) {})
 	sim.Drain(0)
 	if fm.pteReqs != 1 {
 		t.Fatalf("%d reads marked IsPTE, want 1", fm.pteReqs)
@@ -153,8 +153,8 @@ func TestWalksSerialisePerCore(t *testing.T) {
 	// walker must run them one after another (no PWC sharing, 4 reads each,
 	// and the second's walk cannot overlap the first's).
 	var t1, t2 uint64
-	m.Translate(0x1000, func(mem.PPN) { t1 = sim.Now() })
-	m.Translate(mem.VAddr(1)<<39, func(mem.PPN) { t2 = sim.Now() })
+	m.Translate(0x1000, nil, func(mem.PPN) { t1 = sim.Now() })
+	m.Translate(mem.VAddr(1)<<39, nil, func(mem.PPN) { t2 = sim.Now() })
 	sim.Drain(0)
 	if t2 < t1+4*100 {
 		t.Fatalf("second walk finished at %d, first at %d: walks overlapped", t2, t1)
@@ -235,7 +235,7 @@ func TestTranslationCorrectnessProperty(t *testing.T) {
 		ok := true
 		for i := 0; i < 200; i++ {
 			va := mem.VAddr(rng.Uint64() & (1<<36 - 1))
-			m.Translate(va, func(got mem.PPN) {
+			m.Translate(va, nil, func(got mem.PPN) {
 				if want, found := as.Translate(va); !found || got != want {
 					ok = false
 				}

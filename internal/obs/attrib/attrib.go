@@ -142,7 +142,10 @@ func (c Class) String() string {
 // Vector is one request's blame vector: component-tagged cycle counters
 // plus the telescoping stamp state. It is embedded by value in the pooled
 // continuation records; a nil *Vector is the disabled state and every
-// method no-ops on it.
+// method no-ops on it. Each demand-path layer has one entry point that
+// takes the vector (mmu.MMU.Translate, cache.Meta.V, hmc.MetaCache.Access,
+// memsim.Module.Access); callers pass nil when attribution is off or the
+// access serves no demand request.
 type Vector struct {
 	counts [NumComponents]uint64
 	begin  uint64 // cycle the request issued (Begin)
@@ -176,23 +179,6 @@ func (v *Vector) Take(c Component, now uint64) {
 	if now > v.last {
 		v.counts[c] += now - v.last
 		v.last = now
-	}
-}
-
-// TakeAt is Take with an explicit boundary cycle in the past: it charges
-// up to cycle (not beyond an already-advanced stamp), for stages that know
-// an interior boundary only at completion time (the memory queue knows its
-// data-start cycle only when the burst ends).
-func (v *Vector) TakeAt(c Component, cycle uint64) {
-	if v == nil {
-		return
-	}
-	if v.walk {
-		c = CompWalk
-	}
-	if cycle > v.last {
-		v.counts[c] += cycle - v.last
-		v.last = cycle
 	}
 }
 

@@ -17,7 +17,6 @@ func TestZeroAllocDisabledAttrib(t *testing.T) {
 	n := testing.AllocsPerRun(1000, func() {
 		v.Begin(10)
 		v.Take(CompL1, 12)
-		v.TakeAt(CompMemQ, 14)
 		v.AddUpTo(CompSwapXfer, 3)
 		v.TakePTE(20)
 		v.SetWalk(true)
@@ -63,7 +62,7 @@ func TestVectorTelescopes(t *testing.T) {
 	v.Take(CompL3, 145)
 	v.Take(CompRemap, 160)
 	v.AddUpTo(CompSwapXfer, 7)
-	v.TakeAt(CompMemQ, 180)
+	v.Take(CompMemQ, 180)
 	v.Take(CompNVM, 220)
 
 	a := New(1)

@@ -78,7 +78,8 @@ layers:
 ## state, and (d) the engine's timing wheel, memsim scheduling, PageSeer's
 ## correlator, Hot Page Tables and PTE-line cache, the cache miss/fill
 ## path, the metadata caches (pending-fetch merges included), swap-engine
-## interception and op cycles, the shared open-addressed table, the shared
+## interception and swap cycles (one pooled engine record per running
+## swap, its lines included), the shared open-addressed table, the shared
 ## in-flight fetch file (mem.Fetches, merges included) that the MSHRs,
 ## metadata caches and PTE-line cache use, MemPod's MEA sketch, the
 ## exchange core (a declined exchange, and committed pair,

@@ -4,9 +4,11 @@
 // The framework accepts any hmc.Manager: this example implements "Eager" —
 // an aggressive policy that swaps an NVM page to DRAM on its very first
 // miss (no history, no thresholds). It demonstrates the full extension
-// surface: remap state, the swap engine with its buffers, the integrity
-// oracle, and the controller's pinned frames. Each swap op carries its identity (obs.Swap:
-// what comes in, what goes out, why); the swap engine reports the op's
+// surface: remap state, the swap engine, which runs an hmc.Move (here a
+// Pair of two page frames) through its buffers and hands it back to a
+// completion hook, the integrity oracle, and the controller's pinned
+// frames. Each Move carries its swap's identity (obs.Swap: what comes
+// in, what goes out, why); the swap engine reports the swap's
 // lifecycle to every attached observer, so the policy gets ledger,
 // pagemap and trace rows with no observer code of its own — the run below
 // prints its swap accuracy from the ledger. The result also shows *why*
@@ -106,27 +108,24 @@ func (e *Eager) trySwap(page mem.PPN) {
 		return
 	}
 	e.inflight[page], e.inflight[victim] = true, true
-	op := &hmc.Op{
-		Swap: obs.Swap{
-			Addr: uint64(page.Addr()), Victim: uint64(victim.Addr()), HasVictim: true,
-			Trigger: obs.TrigRegular, Request: e.ctl.Sim.Now(),
-		},
-		Stages: []hmc.Stage{{
-			{Src: page.Addr(), Dst: victim.Addr(), Bytes: mem.PageSize},
-			{Src: victim.Addr(), Dst: page.Addr(), Bytes: mem.PageSize},
-		}},
-		OnComplete: func() {
-			e.remap.Exchange(uint64(page), uint64(victim))
-			e.ctl.Oracle.Exchange(uint64(page), uint64(victim))
-			e.swaps++
-			delete(e.inflight, page)
-			delete(e.inflight, victim)
-		},
+	m := hmc.Move{
+		Shape: hmc.Pair, Shift: mem.PageShift,
+		Data: hmc.Seg(page), Src: hmc.Seg(page), Dst: hmc.Seg(victim), Victim: hmc.Seg(victim),
+		Why: obs.Swap{Trigger: obs.TrigRegular, Request: e.ctl.Sim.Now()},
 	}
-	if !e.ctl.Engine.Start(op) {
+	if !e.ctl.Engine.Start(m, e.swapped) {
 		delete(e.inflight, page)
 		delete(e.inflight, victim)
 	}
+}
+
+// swapped commits a finished swap: the page and its victim trade frames.
+func (e *Eager) swapped(m hmc.Move) {
+	e.remap.Exchange(uint64(m.Data), uint64(m.Victim))
+	e.ctl.Oracle.Exchange(uint64(m.Data), uint64(m.Victim))
+	e.swaps++
+	delete(e.inflight, mem.PPN(m.Data))
+	delete(e.inflight, mem.PPN(m.Victim))
 }
 
 // MMUHint implements hmc.Manager (Eager has no use for hints).

@@ -759,7 +759,7 @@ func (p *PageSeer) SwappedPages() int { return p.Remap().Moved() / 2 }
 // DumpState formats a short diagnostic summary.
 func (p *PageSeer) DumpState() string {
 	return fmt.Sprintf("%s: %d pairs swapped, %d in flight, %d pending, swaps=%v",
-		p.Name(), p.SwappedPages(), p.Running(), p.pendingKind.Len(), p.stats.SwapsCompleted)
+		p.Name(), p.SwappedPages(), p.ctl.Engine.Busy(), p.pendingKind.Len(), p.stats.SwapsCompleted)
 }
 
 // Audit reports end-of-run invariant violations against the manager's
@@ -769,7 +769,6 @@ func (p *PageSeer) DumpState() string {
 // queues, all prefetch-accuracy windows closed and no PTE-line fetch in
 // flight.
 func (p *PageSeer) Audit(a *check.Audit) {
-	p.Segments.Audit(a)
 	p.pte.Audit(a)
 	a.Checkf(p.prefTracks.Len() == 0,
 		"pageseer: %d prefetch-accuracy window(s) still open after Finish", p.prefTracks.Len())

@@ -13,7 +13,7 @@ import (
 func TestSwapAuditCleanEngine(t *testing.T) {
 	sim, e, _ := testEngine(5)
 	done := false
-	if !e.Start(pageSwapOp(0, mem.Addr(256*mem.PageSize), func() { done = true })) {
+	if !e.Start(pairMove(0, mem.Addr(256*mem.PageSize)), marks(&done)) {
 		t.Fatal("Start rejected a valid op")
 	}
 	sim.Drain(0)
@@ -33,7 +33,7 @@ func TestSwapAuditCatchesStuckOp(t *testing.T) {
 	sim := engine.New()
 	drop := func(addr mem.Addr, write bool, prio memsim.Priority, done func()) {}
 	e := NewSwapEngine(sim, drop, nil)
-	if !e.Start(pageSwapOp(0, mem.Addr(256*mem.PageSize), nil)) {
+	if !e.Start(pairMove(0, mem.Addr(256*mem.PageSize)), noHook) {
 		t.Fatal("Start rejected a valid op")
 	}
 	sim.Drain(0)

@@ -1,9 +1,11 @@
 // Package hmc provides the Hybrid Memory Controller framework shared by
 // PageSeer and the baseline schemes: request routing between the DRAM and
-// NVM timing models, a swap engine with swap buffers, on-controller
-// metadata caches backed by DRAM-resident tables, the exchange core all
-// three swapping schemes share, service-source and positive/negative/neutral
-// accounting, and a data-integrity oracle.
+// NVM timing models, on-controller metadata caches backed by DRAM-resident
+// tables, the exchange core all three swapping schemes share, the swap
+// engine that carries out each of its exchanges (a Move: a Pair, an
+// optimized slow swap or a Restore) line by line through the swap
+// buffers, service-source and positive/negative/neutral accounting, and a
+// data-integrity oracle.
 //
 // A concrete scheme (PageSeer, PoM, MemPod, or the no-swap Static manager)
 // plugs in as a Manager: it receives every request that reaches the

@@ -3,7 +3,6 @@ package hmc
 import (
 	"fmt"
 
-	"pageseer/internal/check"
 	"pageseer/internal/mem"
 	"pageseer/internal/memsim"
 	"pageseer/internal/obs"
@@ -37,21 +36,27 @@ const (
 	Restore
 )
 
-// Move is one exchange. The scheme sets Shape, Data, Dst, Key, Tag and the
-// identity fields of Why (Trigger, Request, HintPath, Label); Start sets
-// Victim and Why's Addr and Victim. The commit hook receives it back.
+// Move is one exchange, and the swap engine's description of the swap
+// that carries it out. The scheme sets Shape, Data, Dst, Key, Tag and the
+// identity fields of Why (Trigger, Request, HintPath, Label); Segments.Start
+// sets the slots, Src and Victim, and the unit, Shift. The engine moves
+// units of 1<<Shift bytes between the slots Src, Dst and (for a Slow) the
+// victim's home, stamps the rest of Why, and hands the Move to the
+// completion hook.
 type Move struct {
 	Shape     int
 	Data, Dst Seg
-	Victim    Seg
+	Src       Seg    // the slot Data's data leaves
+	Victim    Seg    // the unit whose data sits in Dst; its home slot is Victim too
+	Shift     uint   // log2 of the unit's bytes
 	Key       uint64 // the remap-cache entry the commit refreshes
-	Tag       int    // labels the op (PageSeer: the swap kind)
+	Tag       int    // labels the swap (PageSeer: the swap kind)
 	Why       obs.Swap
 }
 
 // Segments is the exchange core all three schemes share: the unit remap
 // and its translation and integrity check, the DRAM-resident remap table
-// behind its metadata cache, the slots running exchanges hold, and the
+// behind its metadata cache, the busy and pinned slot checks, and the
 // three exchange shapes with their commit. A scheme keeps only its policy
 // — which unit moves where, and when — and embeds the core, which
 // implements Manager's TranslateLine and CheckIntegrity for it.
@@ -63,22 +68,11 @@ type Segments struct {
 	remap  *Remap
 	region MetaRegion
 	cache  *MetaCache
-	busy   mem.Table[struct{}] // slots a running exchange holds
-	pool   mem.Pool[exchange]
 
-	// committed is the scheme's hook, run last in every commit.
+	// committed is the scheme's hook, run last in every commit; commitFn
+	// is the commit, bound once for the swap engine.
 	committed func(Move)
-}
-
-// exchange is one running exchange. Records are pooled with their op, its
-// stages and the commit continuation bound in, so no exchange allocates in
-// steady state.
-type exchange struct {
-	op    Op
-	stage [2]Stage
-	xfer  [4]Transfer
-	m     Move
-	src   Seg
+	commitFn  func(Move)
 }
 
 // NewSegments builds a scheme's exchange core over swap units of
@@ -97,6 +91,7 @@ func NewSegments(ctl *Controller, scheme string, shift uint, cache MetaCacheConf
 		remap:     ctl.NewRemap(shift),
 		committed: committed,
 	}
+	g.commitFn = g.commit
 	g.region = ctl.AllocMetaRegion(tableBytes, 4)
 	g.cache = ctl.NewMetaCache(cache, g.region)
 	return g
@@ -140,8 +135,9 @@ func (g *Segments) Lookup(r *Request, key uint64) {
 	g.cache.Access(key, false, r.Meta.V, r.RouteFn())
 }
 
-// Busy reports whether a running exchange holds slot.
-func (g *Segments) Busy(slot Seg) bool { return g.busy.Has(uint64(slot)) }
+// Busy reports whether a running exchange holds slot: whether the swap
+// engine reads the slot's first line.
+func (g *Segments) Busy(slot Seg) bool { return g.ctl.Engine.Involved(g.base(slot)) }
 
 // Pinned reports whether slot lies in a frame no exchange may move (see
 // Controller.Pinned).
@@ -158,46 +154,12 @@ func (g *Segments) Exchange(data, dst Seg, key uint64) int {
 // needs is held by a running exchange or Dst is pinned, and EngineFull
 // when the swap engine declines.
 func (g *Segments) Start(m Move) int {
-	src := g.Loc(m.Data)
-	m.Victim = g.Owner(m.Dst)
-	if g.Busy(m.Dst) || g.Busy(src) || g.Pinned(m.Dst) || m.Shape == Slow && g.Busy(m.Victim) {
+	m.Src, m.Victim, m.Shift = g.Loc(m.Data), g.Owner(m.Dst), g.shift
+	if g.Busy(m.Dst) || g.Busy(m.Src) || g.Pinned(m.Dst) || m.Shape == Slow && g.Busy(m.Victim) {
 		return SlotBusy
 	}
-	x := g.pool.Get()
-	if x == nil {
-		x = &exchange{}
-		x.stage[0], x.stage[1] = x.xfer[:2], x.xfer[2:]
-		x.op.OnComplete = func() { g.commit(x) }
-	}
-	x.m, x.src = m, src
-	x.op.Swap = m.Why
-	x.op.Addr, x.op.Victim, x.op.HasVictim = uint64(g.base(m.Data)), uint64(g.base(m.Victim)), true
-	x.op.Tag = m.Tag
-	s, d, n := g.base(src), g.base(m.Dst), uint64(1)<<g.shift
-	x.op.Stages = x.stage[:1]
-	switch m.Shape {
-	case Pair:
-		x.xfer[0], x.xfer[1] = Transfer{s, d, n}, Transfer{d, s, n}
-	case Restore: // the slot going home is read first
-		x.xfer[0], x.xfer[1] = Transfer{d, s, n}, Transfer{s, d, n}
-	case Slow:
-		h := g.base(m.Victim)
-		x.xfer = [4]Transfer{
-			{d, h, n},      // the victim home
-			{h, NoAddr, n}, // its home's data to a buffer
-			{s, d, n},      // the data in
-			{NoAddr, s, n}, // the buffer to the data's old slot
-		}
-		x.op.Stages = x.stage[:2]
-	}
-	if !g.ctl.Engine.Start(&x.op) {
-		g.pool.Put(x)
+	if !g.ctl.Engine.Start(m, g.commitFn) {
 		return EngineFull
-	}
-	g.busy.Put(uint64(m.Dst), struct{}{})
-	g.busy.Put(uint64(src), struct{}{})
-	if m.Shape == Slow {
-		g.busy.Put(uint64(m.Victim), struct{}{})
 	}
 	return Exchanged
 }
@@ -220,30 +182,11 @@ func (g *Segments) Apply(shape int, data, dst Seg) {
 // commit is every exchange's completion: the placements, the oracle, the
 // remap-table line write of the destination slot, the remap-cache refresh
 // (none for a Restore), and the scheme's hook.
-func (g *Segments) commit(x *exchange) {
-	m := x.m
+func (g *Segments) commit(m Move) {
 	g.Apply(m.Shape, m.Data, m.Dst)
 	g.ctl.IssueLine(g.region.EntryAddr(uint64(m.Dst)), true, memsim.PrioSwap, nil)
 	if m.Shape != Restore {
 		g.cache.Prefetch(m.Key)
 	}
-	g.busy.Del(uint64(m.Dst))
-	g.busy.Del(uint64(x.src))
-	if m.Shape == Slow {
-		g.busy.Del(uint64(m.Victim))
-	}
-	// Release before the hook: it may start the next exchange.
-	g.pool.Put(x)
 	g.committed(m)
-}
-
-// Running returns the number of exchanges in flight.
-func (g *Segments) Running() int { return g.pool.Live() }
-
-// Audit reports exchanges still running at quiescence.
-func (g *Segments) Audit(a *check.Audit) {
-	a.Checkf(g.pool.Live() == 0,
-		"%s: %d exchange record(s) never committed", g.scheme, g.pool.Live())
-	a.Checkf(g.busy.Len() == 0,
-		"%s: %d slot(s) still held by exchanges at quiescence", g.scheme, g.busy.Len())
 }

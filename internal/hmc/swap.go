@@ -12,65 +12,6 @@ import (
 	"pageseer/internal/obs/attrib"
 )
 
-// NoAddr marks an absent side of a Transfer (buffer fill or buffer drain).
-const NoAddr = ^mem.Addr(0)
-
-// Transfer is one segment movement inside a swap operation.
-//
-//   - Src and Dst set: copy Src -> Dst, line by line, pipelined (each line's
-//     write issues when its read returns).
-//   - Src only (Dst == NoAddr): read the segment into a swap buffer.
-//   - Dst only (Src == NoAddr): drain a previously-buffered segment to Dst.
-type Transfer struct {
-	Src   mem.Addr
-	Dst   mem.Addr
-	Bytes uint64
-}
-
-// Stage is a set of transfers that proceed concurrently. The next stage
-// starts only when every transfer of the current one has fully completed —
-// the barrier PageSeer's optimized slow swap relies on (Figure 5).
-type Stage []Transfer
-
-// Op is a complete swap operation: optimized slow swaps, fast swaps and
-// plain migrations are all choreographies of stages. The embedded
-// obs.Swap is the op's identity: the scheme fills in what moves where and
-// why, the engine stamps the rest on acceptance and reports the op's
-// lifecycle to the controller's probe under it.
-type Op struct {
-	obs.Swap
-	Stages     []Stage
-	OnComplete func()
-
-	// Tag lets the owning manager label the op (swap kind) for stats.
-	Tag int
-}
-
-// Reads and Writes return the total page-read/page-write volume of the op
-// in segments, for cost assertions (optimized slow swap: 3 reads, 3 writes).
-func (o *Op) Reads() (n int) {
-	for _, st := range o.Stages {
-		for _, tr := range st {
-			if tr.Src != NoAddr {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// Writes returns the number of segment writes in the op.
-func (o *Op) Writes() (n int) {
-	for _, st := range o.Stages {
-		for _, tr := range st {
-			if tr.Dst != NoAddr {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // IssueFunc routes one line access to the right memory module.
 type IssueFunc func(addr mem.Addr, write bool, prio memsim.Priority, done func())
 
@@ -127,38 +68,92 @@ const (
 	lineBuffered
 )
 
-// opLine is one line of a running op. Records are pooled on the engine with
-// a pre-bound read-return continuation, so the per-line cost of a page swap
-// (64 lines each way at 4KB) stays off the allocator in steady state.
+// part names one side of a transfer inside a running swap: one of the
+// move's three slots, or a swap buffer.
+type part uint8
+
+const (
+	srcPart  part = iota // the slot Data's data leaves
+	dstPart              // Dst
+	homePart             // the victim's home slot
+	bufPart              // a swap buffer
+)
+
+// transfer copies one unit from one part to another, line by line and
+// pipelined: each line's write issues when its read returns. A transfer
+// to the buffer only reads; one from the buffer drains, writing every line
+// as soon as its stage starts.
+type transfer struct{ from, to part }
+
+// shapes lists each exchange shape's transfers, stage by stage, in the
+// order their lines are read. A stage starts only when every transfer of
+// the one before has fully completed — the barrier the optimized slow swap
+// relies on (Figure 5).
+var shapes = [...][][]transfer{
+	Pair: {{{srcPart, dstPart}, {dstPart, srcPart}}},
+	Slow: {
+		{{dstPart, homePart}, {homePart, bufPart}}, // the victim home; its home's data to a buffer
+		{{srcPart, dstPart}, {bufPart, srcPart}},   // the data in; the buffer to the data's old slot
+	},
+	Restore: {{{dstPart, srcPart}, {srcPart, dstPart}}}, // the slot going home is read first
+}
+
+// opLine is one line a running swap reads. The lines live in their swap's
+// record with a pre-bound read-return continuation, so the per-line cost
+// of a page swap (64 lines each way at 4KB) stays off the allocator in
+// steady state.
 type opLine struct {
-	e      *SwapEngine
-	r      *runningOp
+	r      *swap
 	status lineStatus
 	stage  int
 	src    mem.Addr
-	dst    mem.Addr // NoAddr if fill-only
+	dst    mem.Addr // written when the read returns, unless fill is set
+	fill   bool     // the line only fills a swap buffer
 	// waiters are the demand requests parked until the read returns; the
 	// array keeps its capacity across reuses.
 	waiters []waiter
 	readFn  func()
 }
 
-// runningOp is one in-flight swap operation. Pooled like opLine: the
-// per-stage order slices keep their capacity across reuses, and the single
-// write-return continuation is shared by every line write of the op.
-type runningOp struct {
-	e          *SwapEngine
-	op         *Op
+// swap is one running move. Records are pooled: the line array, each
+// line's waiter array and the continuations keep their capacity and
+// bindings across reuses, and the single write-return continuation is
+// shared by every line write of the swap.
+type swap struct {
+	m          Move
+	done       func(Move)
+	lines      []opLine // the lines the move reads, stage by stage, in read issue order
+	ends       [2]int   // lines[ends[s-1]:ends[s]] are stage s's (ends[-1] = 0)
 	began      uint64
 	stageBegan uint64
 	stage      int
-	order      [][]*opLine // the op's lines in read issue order, per stage
 	nextRead   int
 	inflight   int
 	readsLeft  int // current stage
 	writesLeft int // current stage
-	waiting    int // demand requests parked on the op's lines
+	waiting    int // demand requests parked on the swap's lines
 	writeFn    func()
+}
+
+// stageLines returns the lines the current stage reads.
+func (r *swap) stageLines() []opLine {
+	from := 0
+	if r.stage > 0 {
+		from = r.ends[r.stage-1]
+	}
+	return r.lines[from:r.ends[r.stage]]
+}
+
+// addr returns the first byte of part p (not the buffer).
+func (r *swap) addr(p part) mem.Addr {
+	s := r.m.Src
+	switch p {
+	case dstPart:
+		s = r.m.Dst
+	case homePart:
+		s = r.m.Victim
+	}
+	return mem.Addr(s) << r.m.Shift
 }
 
 // waiter is one demand request parked on an in-flight swap line: its
@@ -170,32 +165,31 @@ type waiter struct {
 	v  *attrib.Vector
 }
 
-// SwapEngine executes swap operations against the memory modules and
-// services demand requests for in-flight pages from the swap buffers
-// (Section III-D3).
+// SwapEngine executes moves against the memory modules and services
+// demand requests for in-flight units from the swap buffers (Section
+// III-D3).
 type SwapEngine struct {
 	sim     *engine.Sim
 	issue   IssueFunc
 	promote PromoteFunc
 
-	running []*runningOp // in start order
-	// lineOwner finds the running line reading a src line, keyed by line
-	// number, for interception. When ops overlap on a line, the last one
-	// to start owns it.
+	running []*swap // in start order
+	// lineOwner finds the running line reading a source line, keyed by
+	// line number, for interception; every line a running swap reads is in
+	// it from Start until the swap's commit.
 	lineOwner mem.Table[*opLine]
-	opPool    mem.Pool[runningOp]
-	linePool  mem.Pool[opLine]
+	pool      mem.Pool[swap]
 	stats     SwapEngineStats
 
 	// inj (nil when off) forces buffer exhaustion and demand storms; set
 	// through Controller.SetInjector.
 	inj *check.Injector
 
-	// probe (nil when off) receives every accepted op's lifecycle; isDRAM
-	// splits its traffic by module. Both set by the controller.
+	// probe (nil when off) receives every accepted swap's lifecycle;
+	// isDRAM splits its traffic by module. Both set by the controller.
 	probe  obs.Probes
 	isDRAM func(mem.Addr) bool
-	lastID uint64 // the most recently accepted op's ID
+	lastID uint64 // the most recently accepted swap's ID
 }
 
 // NewSwapEngine builds a swap engine that issues line traffic through
@@ -212,108 +206,90 @@ func NewSwapEngine(sim *engine.Sim, issue IssueFunc, promote PromoteFunc) *SwapE
 	}
 }
 
-func (e *SwapEngine) getOp() *runningOp {
-	r := e.opPool.Get()
+// getSwap pops a pooled record with room for n lines, minting (and
+// binding continuations) only while the pool warms. Lines past the end
+// keep their bindings, so a record reslices within its capacity for free.
+func (e *SwapEngine) getSwap(n int) *swap {
+	r := e.pool.Get()
 	if r == nil {
-		r = &runningOp{e: e}
-		r.writeFn = func() { r.e.writeDone(r) }
+		r = &swap{}
+		r.writeFn = func() { e.writeDone(r) }
 	}
+	if cap(r.lines) < n {
+		r.lines = make([]opLine, n)
+		for i := range r.lines {
+			l := &r.lines[i]
+			l.r = r
+			l.readFn = func() { e.readDone(l) }
+		}
+	}
+	r.lines = r.lines[:n]
 	return r
-}
-
-func (e *SwapEngine) putOp(r *runningOp) {
-	for i := range r.order {
-		clear(r.order[i])
-		r.order[i] = r.order[i][:0]
-	}
-	r.op = nil
-	r.began, r.stageBegan = 0, 0
-	r.stage = 0
-	r.nextRead, r.inflight, r.readsLeft, r.writesLeft = 0, 0, 0, 0
-	e.opPool.Put(r)
-}
-
-func (e *SwapEngine) getLine() *opLine {
-	l := e.linePool.Get()
-	if l == nil {
-		l = &opLine{e: e}
-		l.readFn = func() { l.e.readDone(l) }
-	}
-	return l
-}
-
-func (e *SwapEngine) putLine(l *opLine) {
-	l.r = nil
-	l.status = lineUnissued
-	l.stage, l.src, l.dst = 0, 0, 0
-	e.linePool.Put(l)
 }
 
 // Stats returns a snapshot of the counters.
 func (e *SwapEngine) Stats() SwapEngineStats { return e.stats }
 
-// Busy returns the number of running operations.
+// Busy returns the number of running swaps.
 func (e *SwapEngine) Busy() int { return len(e.running) }
 
-// CanStart reports whether a new operation would be admitted.
+// CanStart reports whether a new swap would be admitted.
 func (e *SwapEngine) CanStart() bool { return len(e.running) < MaxOps }
 
-// Start begins executing op. It returns false (and counts a rejection) when
-// all swap buffers are busy; the caller decides whether to queue or drop.
-func (e *SwapEngine) Start(op *Op) bool {
+// Start begins moving m: the engine reads and writes the slots m.Src,
+// m.Dst and (for a Slow) m.Victim in units of 1<<m.Shift bytes, stamps
+// m.Why with the swap's identity, and hands m to done once the last write
+// has returned. It returns false (and counts a rejection) when all swap
+// buffers are busy; the caller decides whether to queue or drop. A line
+// that a running swap already reads panics: callers hold their slots (see
+// Segments.Busy).
+func (e *SwapEngine) Start(m Move, done func(Move)) bool {
 	if !e.CanStart() || (e.inj != nil && e.inj.SwapStartBlocked()) {
 		e.stats.OpsRejected++
 		return false
 	}
-	if len(op.Stages) == 0 {
-		panic("hmc: swap op with no stages")
-	}
-	r := e.getOp()
-	r.op = op
-	r.began = e.sim.Now()
-	r.stageBegan = e.sim.Now()
-	if cap(r.order) < len(op.Stages) {
-		r.order = make([][]*opLine, len(op.Stages))
-	} else {
-		r.order = r.order[:len(op.Stages)]
-	}
-	for si, st := range op.Stages {
+	stages := shapes[m.Shape]
+	unit := mem.Addr(1) << m.Shift
+	r := e.getSwap(3 * int(unit/mem.LineSize)) // no shape reads more than 3 units
+	r.m, r.done = m, done
+	now := e.sim.Now()
+	r.began, r.stageBegan, r.stage = now, now, 0
+	i := 0
+	for si, st := range stages {
 		for _, tr := range st {
-			if tr.Bytes == 0 || tr.Bytes%mem.LineSize != 0 {
-				panic(fmt.Sprintf("hmc: transfer of %d bytes not line-aligned", tr.Bytes))
+			if tr.from == bufPart {
+				continue // drains are written at stage start
 			}
-			if tr.Src == NoAddr && tr.Dst == NoAddr {
-				panic("hmc: transfer with neither source nor destination")
+			src, dst := r.addr(tr.from), mem.Addr(0)
+			if tr.to != bufPart {
+				dst = r.addr(tr.to)
 			}
-			if tr.Src == NoAddr {
-				continue // drain transfers handled at stage start
-			}
-			for off := uint64(0); off < tr.Bytes; off += mem.LineSize {
-				src := tr.Src + mem.Addr(off)
-				dst := NoAddr
-				if tr.Dst != NoAddr {
-					dst = tr.Dst + mem.Addr(off)
+			for off := mem.Addr(0); off < unit; off += mem.LineSize {
+				ln := mem.LineNum(src + off)
+				if e.lineOwner.Has(ln) {
+					panic(fmt.Sprintf("hmc: line %#x is already read by a running swap", uint64(src+off)))
 				}
-				if o, _ := e.lineOwner.Get(mem.LineNum(src)); o != nil && o.r == r {
-					panic(fmt.Sprintf("hmc: line %#x read twice in one op", uint64(src)))
-				}
-				l := e.getLine()
-				l.r = r
-				l.stage, l.src, l.dst = si, src, dst
-				r.order[si] = append(r.order[si], l)
-				e.lineOwner.Put(mem.LineNum(src), l)
+				l := &r.lines[i]
+				i++
+				l.status, l.stage = lineUnissued, si
+				l.src, l.dst, l.fill = src+off, dst+off, tr.to == bufPart
+				e.lineOwner.Put(ln, l)
 			}
 		}
+		r.ends[si] = i
 	}
+	r.lines = r.lines[:i]
 	e.running = append(e.running, r)
 	e.stats.OpsStarted++
 	e.lastID++
-	op.ID, op.Start, op.NVMWrites = e.lastID, r.began, 0
+	w := &r.m.Why
+	w.Addr, w.Victim, w.HasVictim = uint64(mem.Addr(m.Data)<<m.Shift), uint64(r.addr(homePart)), true
+	w.ID, w.Start, w.NVMWrites = e.lastID, now, 0
 	if e.probe != nil {
-		op.Slot = int((op.ID - 1) % MaxOps)
-		op.StageCount = len(op.Stages)
-		op.BytesDRAM, op.BytesNVM = e.opBytes(op)
-		e.probe.SwapStarted(&op.Swap)
+		w.Slot = int((w.ID - 1) % MaxOps)
+		w.StageCount = len(stages)
+		w.BytesDRAM, w.BytesNVM = e.moveBytes(r)
+		e.probe.SwapStarted(w)
 	}
 	e.startStage(r)
 	if e.inj != nil {
@@ -322,44 +298,38 @@ func (e *SwapEngine) Start(op *Op) bool {
 	return true
 }
 
-// opBytes sums an op's transfer traffic per memory module: each read is
-// charged to the module owning its source line, each write to the module
-// owning its destination.
-func (e *SwapEngine) opBytes(op *Op) (dramBytes, nvmBytes uint64) {
-	charge := func(a mem.Addr, n uint64) {
-		switch {
-		case a == NoAddr:
-		case e.isDRAM(a):
-			dramBytes += n
-		default:
-			nvmBytes += n
-		}
-	}
-	for _, st := range op.Stages {
+// moveBytes sums a swap's transfer traffic per memory module: each read
+// is charged to the module owning its source slot, each write to the
+// module owning its destination.
+func (e *SwapEngine) moveBytes(r *swap) (dramBytes, nvmBytes uint64) {
+	unit := uint64(1) << r.m.Shift
+	for _, st := range shapes[r.m.Shape] {
 		for _, tr := range st {
-			charge(tr.Src, tr.Bytes)
-			charge(tr.Dst, tr.Bytes)
+			for _, side := range [2]part{tr.from, tr.to} {
+				switch {
+				case side == bufPart:
+				case e.isDRAM(r.addr(side)):
+					dramBytes += unit
+				default:
+					nvmBytes += unit
+				}
+			}
 		}
 	}
 	return dramBytes, nvmBytes
 }
 
 // injectStorm schedules a burst of synthetic demand interceptions at the
-// first-stage source lines of a just-started op, staggered a cycle apart so
-// they land across the buffered/issued/unissued states. Each touch goes
+// first-stage source lines of a just-started swap, staggered a cycle apart
+// so they land across the buffered/issued/unissued states. Each touch goes
 // through TryService like a real post-translation demand access; a touch
-// that arrives after the op completed simply misses lineOwner and is a no-op.
-func (e *SwapEngine) injectStorm(r *runningOp) {
-	n := e.inj.StormTouches()
-	if n == 0 || len(r.order) == 0 {
-		return
-	}
-	order := r.order[0]
-	if n > len(order) {
-		n = len(order)
-	}
+// that arrives after the swap completed simply misses lineOwner and is a
+// no-op.
+func (e *SwapEngine) injectStorm(r *swap) {
+	first := r.lines[:r.ends[0]]
+	n := min(e.inj.StormTouches(), len(first))
 	for j := 0; j < n; j++ {
-		src := order[j].src
+		src := first[j].src
 		e.sim.After(uint64(j)+1, func() { e.TryService(src, nil, stormSink) })
 	}
 }
@@ -367,35 +337,31 @@ func (e *SwapEngine) injectStorm(r *runningOp) {
 // stormSink swallows the completion of an injected storm touch.
 func stormSink() {}
 
-func (e *SwapEngine) startStage(r *runningOp) {
-	st := r.op.Stages[r.stage]
+func (e *SwapEngine) startStage(r *swap) {
 	r.nextRead = 0
-	r.readsLeft = len(r.order[r.stage])
+	r.readsLeft = len(r.stageLines())
 	r.writesLeft = 0
-	for _, tr := range st {
-		nLines := int(tr.Bytes / mem.LineSize)
-		if tr.Dst != NoAddr {
-			r.writesLeft += nLines
+	unit := mem.Addr(1) << r.m.Shift
+	for _, tr := range shapes[r.m.Shape][r.stage] {
+		if tr.to == bufPart {
+			continue
 		}
-		if tr.Src == NoAddr {
-			// Drain: data already buffered, write everything now.
-			for off := uint64(0); off < tr.Bytes; off += mem.LineSize {
-				e.issueWrite(r, tr.Dst+mem.Addr(off))
+		r.writesLeft += int(unit / mem.LineSize)
+		if tr.from == bufPart {
+			// Drain: the data is already buffered; write it all now.
+			for a := r.addr(tr.to); a < r.addr(tr.to)+unit; a += mem.LineSize {
+				e.issueWrite(r, a)
 			}
 		}
-	}
-	if r.readsLeft == 0 && r.writesLeft == 0 {
-		e.finishStage(r)
-		return
 	}
 	e.pump(r)
 }
 
 // pump issues buffered reads up to the in-flight cap.
-func (e *SwapEngine) pump(r *runningOp) {
-	order := r.order[r.stage]
-	for r.inflight < maxInflightReads && r.nextRead < len(order) {
-		l := order[r.nextRead]
+func (e *SwapEngine) pump(r *swap) {
+	lines := r.stageLines()
+	for r.inflight < maxInflightReads && r.nextRead < len(lines) {
+		l := &lines[r.nextRead]
 		r.nextRead++
 		if l.status != lineUnissued {
 			continue // escalated earlier by a demand waiter
@@ -404,7 +370,7 @@ func (e *SwapEngine) pump(r *runningOp) {
 	}
 }
 
-func (e *SwapEngine) issueRead(r *runningOp, l *opLine, prio memsim.Priority) {
+func (e *SwapEngine) issueRead(r *swap, l *opLine, prio memsim.Priority) {
 	l.status = lineIssued
 	r.inflight++
 	e.stats.LinesRead++
@@ -431,7 +397,7 @@ func (e *SwapEngine) readDone(l *opLine) {
 		clear(l.waiters)
 		l.waiters = l.waiters[:0]
 	}
-	if l.dst != NoAddr {
+	if !l.fill {
 		e.issueWrite(r, l.dst)
 	}
 	if r.readsLeft == 0 && r.writesLeft == 0 {
@@ -441,34 +407,34 @@ func (e *SwapEngine) readDone(l *opLine) {
 	}
 }
 
-func (e *SwapEngine) issueWrite(r *runningOp, dst mem.Addr) {
+func (e *SwapEngine) issueWrite(r *swap, dst mem.Addr) {
 	e.stats.LinesWritten++
 	if e.probe != nil && !e.isDRAM(dst) {
-		r.op.NVMWrites++
+		r.m.Why.NVMWrites++
 	}
 	e.issue(dst, true, memsim.PrioSwap, r.writeFn)
 }
 
-// writeDone is the pre-bound continuation shared by every line write of an
-// op (writes carry no per-line state).
-func (e *SwapEngine) writeDone(r *runningOp) {
+// writeDone is the pre-bound continuation shared by every line write of a
+// swap (writes carry no per-line state).
+func (e *SwapEngine) writeDone(r *swap) {
 	r.writesLeft--
 	if r.readsLeft == 0 && r.writesLeft == 0 {
 		e.finishStage(r)
 	}
 }
 
-func (e *SwapEngine) finishStage(r *runningOp) {
+func (e *SwapEngine) finishStage(r *swap) {
 	now := e.sim.Now()
-	e.probe.SwapStage(&r.op.Swap, r.stage, r.stageBegan, now, uint64(len(r.order[r.stage])))
+	e.probe.SwapStage(&r.m.Why, r.stage, r.stageBegan, now, uint64(len(r.stageLines())))
 	r.stageBegan = now
-	if r.stage+1 < len(r.op.Stages) {
+	if r.stage+1 < len(shapes[r.m.Shape]) {
 		r.stage++
 		e.startStage(r)
 		return
 	}
-	// Operation complete: dismantle buffer interception, report the commit,
-	// then let OnComplete update the manager's remap state.
+	// The swap is complete: dismantle buffer interception, report the
+	// commit, then hand the move to its hook.
 	for i, o := range e.running {
 		if o == r {
 			n := len(e.running) - 1
@@ -478,42 +444,34 @@ func (e *SwapEngine) finishStage(r *runningOp) {
 			break
 		}
 	}
-	for _, ls := range r.order {
-		for _, l := range ls {
-			// A later op that reads the same line took it over; its entry
-			// stays.
-			if o, _ := e.lineOwner.Get(mem.LineNum(l.src)); o == l {
-				e.lineOwner.Del(mem.LineNum(l.src))
-			}
-			e.putLine(l)
-		}
+	for i := range r.lines {
+		e.lineOwner.Del(mem.LineNum(r.lines[i].src))
 	}
 	e.stats.OpsCompleted++
 	e.stats.OpCycles += now - r.began
 	if r.waiting != 0 {
-		// Every waiter registers on a src line of some stage, and every
-		// stage's reads complete before the op does.
-		panic("hmc: swap op completed with demand waiters still pending")
+		// Every waiter registers on a source line of some stage, and every
+		// stage's reads complete before the swap does.
+		panic("hmc: swap completed with demand waiters still pending")
 	}
-	// Release before OnComplete: the callback may start a new op that
-	// reuses this record. The commit and the victim's eviction reach the
-	// subscribers first, since the callback may start a swap on the
-	// evicted unit; the settle event follows it, once the manager's tables
+	// The commit and the victim's eviction reach the subscribers first,
+	// since the hook may start a swap on the evicted unit. The record goes
+	// back to the pool before the hook, which may start a swap that reuses
+	// it; the settle event follows the hook, once the scheme's tables
 	// reflect the commit.
-	op := r.op
-	e.putOp(r)
-	e.probe.SwapCommitted(&op.Swap, now)
-	if op.OnComplete != nil {
-		op.OnComplete()
-	}
+	e.probe.SwapCommitted(&r.m.Why, now)
+	m, done := r.m, r.done
+	r.done = nil
+	e.pool.Put(r)
+	done(m)
 	e.probe.SwapSettled(now)
 }
 
 // TryService intercepts a demand access to line addr (post-translation). If
-// the line belongs to a page participating in a running swap, the request
-// is serviced from the swap buffers — immediately if the line has been read,
-// or as soon as its read returns — and TryService reports true. done runs
-// when the data is available.
+// the line belongs to a unit a running swap reads, the request is serviced
+// from the swap buffers — immediately if the line has been read, or as
+// soon as its read returns — and TryService reports true. done runs when
+// the data is available.
 func (e *SwapEngine) TryService(addr mem.Addr, v *attrib.Vector, done func()) bool {
 	l, ok := e.lineOwner.Get(mem.LineNum(addr))
 	if !ok {
@@ -549,39 +507,39 @@ func (e *SwapEngine) addWaiter(l *opLine, v *attrib.Vector, done func()) {
 	l.r.waiting++
 }
 
-// Involved reports whether addr's line belongs to a running swap (tests).
+// Involved reports whether a running swap reads addr's line. Every line of
+// a slot a running swap holds is involved from Start until the commit, so
+// Segments.Busy asks it about the slot's first line.
 func (e *SwapEngine) Involved(addr mem.Addr) bool {
 	return e.lineOwner.Has(mem.LineNum(addr))
 }
 
 // Audit reports end-of-run invariant violations: a quiesced engine has no
-// running ops, no intercepted lines, every pooled record back on its free
-// list, and as many completions as starts (stats reset only at quiescence,
-// so the two counters cover the same set of ops).
+// running swaps, no intercepted lines, every pooled record back on its
+// free list, and as many completions as starts (stats reset only at
+// quiescence, so the two counters cover the same set of swaps).
 func (e *SwapEngine) Audit(a *check.Audit) {
 	a.Checkf(len(e.running) == 0,
 		"swap engine: %d op(s) still running at quiescence", len(e.running))
 	a.Checkf(e.lineOwner.Len() == 0,
 		"swap engine: %d line(s) still intercepted with no running op", e.lineOwner.Len())
-	a.Checkf(e.opPool.Live() == 0,
-		"swap engine: %d pooled op record(s) never returned", e.opPool.Live())
-	a.Checkf(e.linePool.Live() == 0,
-		"swap engine: %d pooled line record(s) never returned", e.linePool.Live())
+	a.Checkf(e.pool.Live() == 0,
+		"swap engine: %d pooled op record(s) never returned", e.pool.Live())
 	a.Checkf(e.stats.OpsStarted == e.stats.OpsCompleted,
 		"swap engine: %d op(s) started but %d completed", e.stats.OpsStarted, e.stats.OpsCompleted)
 }
 
-// DescribeRunning renders every in-flight op for a crashdump, sorted.
+// DescribeRunning renders every running swap for a crashdump, sorted.
 func (e *SwapEngine) DescribeRunning() []string {
 	out := make([]string, 0, len(e.running))
 	for _, r := range e.running {
-		label := r.op.Label
+		label := r.m.Why.Label
 		if label == "" {
 			label = "swap"
 		}
 		out = append(out, fmt.Sprintf(
 			"op %q tag=%d began=%d stage=%d/%d readsLeft=%d writesLeft=%d inflight=%d waiters=%d",
-			label, r.op.Tag, r.began, r.stage+1, len(r.op.Stages),
+			label, r.m.Tag, r.began, r.stage+1, len(shapes[r.m.Shape]),
 			r.readsLeft, r.writesLeft, r.inflight, r.waiting))
 	}
 	sort.Strings(out)
@@ -589,5 +547,5 @@ func (e *SwapEngine) DescribeRunning() []string {
 }
 
 // ResetStats zeroes the engine counters (e.g. after warm-up); running
-// operations are unaffected.
+// swaps are unaffected.
 func (e *SwapEngine) ResetStats() { e.stats = SwapEngineStats{} }

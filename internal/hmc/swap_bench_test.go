@@ -12,11 +12,11 @@ import (
 // default engine's MaxOps.
 const swapLoopOps = 8
 
-// swapLoopOp returns the i-th loop op: a 4KB page exchange between DRAM
-// page i and an NVM page 256MB above it.
-func swapLoopOp(i int) *Op {
+// swapLoopMove returns the i-th loop move: a 4KB page exchange between
+// DRAM page i and an NVM page 256MB above it.
+func swapLoopMove(i int) Move {
 	d := mem.Addr(i) * mem.PageSize
-	return pageSwapOp(d, d+256<<20, nil)
+	return pairMove(d, d+256<<20)
 }
 
 // tryLoop holds eight 4KB swaps running forever: line reads return after
@@ -40,7 +40,7 @@ func newTryLoop(tb testing.TB) *tryLoop {
 	}
 	l := &tryLoop{sim: sim, e: NewSwapEngine(sim, issue, nil), done: func() {}}
 	for i := 0; i < swapLoopOps; i++ {
-		if !l.e.Start(swapLoopOp(i)) {
+		if !l.e.Start(swapLoopMove(i), noHook) {
 			tb.Fatal("Start rejected below MaxOps")
 		}
 	}
@@ -96,20 +96,16 @@ func TestZeroAllocTryService(t *testing.T) {
 
 // TestZeroAllocSwapCycle: once warmed, a whole cycle — eight ops start,
 // demand requests park on unissued and issued lines of each, every read
-// and write returns and the ops complete — allocates nothing: lines, ops
-// and their waiter arrays come from the engine's pools, and the
-// interception table has grown to its working size.
+// and write returns and the ops complete — allocates nothing: the swap
+// records, with their lines and waiter arrays, come from the engine's
+// pool, and the interception table has grown to its working size.
 func TestZeroAllocSwapCycle(t *testing.T) {
 	sim := engine.New()
 	e := NewSwapEngine(sim, fixedIssue(sim), nil)
-	var ops [swapLoopOps]*Op
-	for i := range ops {
-		ops[i] = swapLoopOp(i)
-	}
 	done := func() {}
 	cycle := func() {
-		for i, op := range ops {
-			if !e.Start(op) {
+		for i := 0; i < swapLoopOps; i++ {
+			if !e.Start(swapLoopMove(i), noHook) {
 				t.Fatal("Start rejected below MaxOps")
 			}
 			base := mem.Addr(i) * mem.PageSize

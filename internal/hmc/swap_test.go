@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"pageseer/internal/check"
 	"pageseer/internal/engine"
 	"pageseer/internal/mem"
 	"pageseer/internal/memsim"
@@ -43,20 +42,27 @@ func testEngine(latency uint64) (*engine.Sim, *SwapEngine, *recordingIssuer) {
 	return sim, e, ri
 }
 
-func pageSwapOp(a, b mem.Addr, onDone func()) *Op {
-	return &Op{
-		Stages: []Stage{{
-			{Src: a, Dst: b, Bytes: mem.PageSize},
-			{Src: b, Dst: a, Bytes: mem.PageSize},
-		}},
-		OnComplete: onDone,
-	}
+// pageMove returns a 4KB move of the given shape over the pages at src,
+// dst and (read by a Slow only) home, identity-mapped: the data is src's
+// own page and the victim is the unit at home.
+func pageMove(shape int, src, dst, home mem.Addr) Move {
+	unit := func(a mem.Addr) Seg { return Seg(a >> mem.PageShift) }
+	return Move{Shape: shape, Data: unit(src), Src: unit(src), Dst: unit(dst), Victim: unit(home), Shift: mem.PageShift}
 }
+
+// pairMove returns a Pair exchanging the 4KB pages at a and b.
+func pairMove(a, b mem.Addr) Move { return pageMove(Pair, a, b, b) }
+
+// noHook is a completion hook that ignores the move.
+func noHook(Move) {}
+
+// marks returns a completion hook that sets *done.
+func marks(done *bool) func(Move) { return func(Move) { *done = true } }
 
 func TestFastSwapMovesAllLines(t *testing.T) {
 	sim, e, ri := testEngine(10)
 	done := false
-	if !e.Start(pageSwapOp(0, 0x100000, func() { done = true })) {
+	if !e.Start(pairMove(0, 0x100000), marks(&done)) {
 		t.Fatal("Start rejected with empty engine")
 	}
 	sim.Drain(0)
@@ -73,30 +79,19 @@ func TestFastSwapMovesAllLines(t *testing.T) {
 	}
 }
 
+// Figure 5's optimized slow swap over DRAM slot d, the NVM slot n2 of the
+// page d's victim comes from, and the NVM slot n3 of the incoming page.
+const (
+	slowD  = mem.Addr(0)
+	slowN2 = mem.Addr(0x200000)
+	slowN3 = mem.Addr(0x300000)
+)
+
 func TestOptimizedSlowSwapCost(t *testing.T) {
 	// Figure 5: 3 page reads and 3 page writes, in two stages.
-	d := mem.Addr(0)         // DRAM slot
-	n2 := mem.Addr(0x200000) // NVM slot of page 2
-	n3 := mem.Addr(0x300000) // NVM slot of page 3
-	op := &Op{
-		Stages: []Stage{
-			{
-				{Src: d, Dst: n2, Bytes: mem.PageSize},      // data2 home
-				{Src: n2, Dst: NoAddr, Bytes: mem.PageSize}, // data1 to buffer
-			},
-			{
-				{Src: n3, Dst: d, Bytes: mem.PageSize},      // data3 to DRAM
-				{Src: NoAddr, Dst: n3, Bytes: mem.PageSize}, // drain data1
-			},
-		},
-	}
-	if op.Reads() != 3 || op.Writes() != 3 {
-		t.Fatalf("optimized slow swap cost = %d reads %d writes, want 3/3", op.Reads(), op.Writes())
-	}
 	sim, e, ri := testEngine(10)
 	completed := false
-	op.OnComplete = func() { completed = true }
-	e.Start(op)
+	e.Start(pageMove(Slow, slowN3, slowD, slowN2), marks(&completed))
 	sim.Drain(0)
 	if !completed {
 		t.Fatal("op never completed")
@@ -108,65 +103,53 @@ func TestOptimizedSlowSwapCost(t *testing.T) {
 }
 
 func TestStageBarrier(t *testing.T) {
-	// The drain of stage 2 must not begin before stage 1 finishes.
+	// No access of the second stage (the incoming page's reads, the writes
+	// into d and the buffer's drain into n3) may issue before every access
+	// of the first (the reads of d and n2, the writes home into n2) has
+	// returned. The writes home are slow, so the first stage ends on a
+	// write, long after its last read.
 	sim := engine.New()
-	var order []int
-	stage := 1
+	page := func(a mem.Addr) mem.Addr { return a &^ (mem.PageSize - 1) }
+	var lastFirst uint64
+	firstIssue, drained := ^uint64(0), 0
 	issue := func(addr mem.Addr, write bool, prio memsim.Priority, done func()) {
-		if addr >= 0x999000 && addr < 0x999000+mem.PageSize && write {
-			order = append(order, stage)
-		}
-		sim.After(5, func() {
-			if done != nil {
-				done()
+		p := page(addr)
+		if first := !write && p != slowN3 || write && p == slowN2; first {
+			lat := uint64(5)
+			if write {
+				lat = 500
 			}
-		})
+			sim.After(lat, func() {
+				lastFirst = sim.Now()
+				done()
+			})
+			return
+		}
+		firstIssue = min(firstIssue, sim.Now())
+		if write && p == slowN3 {
+			drained++
+		}
+		sim.After(5, done)
 	}
 	e := NewSwapEngine(sim, issue, nil)
-	op := &Op{
-		Stages: []Stage{
-			{{Src: 0, Dst: NoAddr, Bytes: mem.PageSize}},
-			{{Src: NoAddr, Dst: 0x999000, Bytes: mem.PageSize}},
-		},
-		OnComplete: func() {},
-	}
-	// Track stage transitions by watching readsLeft: simpler — mark when
-	// the first stage's last read completes.
-	readsSeen := 0
-	origIssue := e.issue
-	e.issue = func(addr mem.Addr, write bool, prio memsim.Priority, done func()) {
-		if !write {
-			readsSeen++
-			if readsSeen == mem.LinesPerPage {
-				wrapped := done
-				done = func() {
-					stage = 2
-					wrapped()
-				}
-			}
-		}
-		origIssue(addr, write, prio, done)
-	}
-	e.Start(op)
+	e.Start(pageMove(Slow, slowN3, slowD, slowN2), noHook)
 	sim.Drain(0)
-	for _, s := range order {
-		if s != 2 {
-			t.Fatal("stage-2 write issued before stage 1 completed")
-		}
+	if firstIssue < lastFirst {
+		t.Fatal("stage-2 access issued before stage 1 completed")
 	}
-	if len(order) != mem.LinesPerPage {
-		t.Fatalf("drain wrote %d lines, want %d", len(order), mem.LinesPerPage)
+	if drained != mem.LinesPerPage {
+		t.Fatalf("drain wrote %d lines, want %d", drained, mem.LinesPerPage)
 	}
 }
 
 func TestCapacityRejection(t *testing.T) {
 	sim, e, _ := testEngine(1000)
 	for i := 0; i < MaxOps; i++ {
-		if !e.Start(pageSwapOp(mem.Addr(i)<<20, mem.Addr(i+100)<<20, nil)) {
+		if !e.Start(pairMove(mem.Addr(i)<<20, mem.Addr(i+100)<<20), noHook) {
 			t.Fatalf("op %d rejected below capacity", i)
 		}
 	}
-	if e.Start(pageSwapOp(0x70000000, 0x7F000000, nil)) {
+	if e.Start(pairMove(0x70000000, 0x7F000000), noHook) {
 		t.Fatal("op admitted beyond capacity")
 	}
 	if e.Stats().OpsRejected != 1 {
@@ -180,7 +163,7 @@ func TestCapacityRejection(t *testing.T) {
 
 func TestBufferServiceDuringSwap(t *testing.T) {
 	sim, e, _ := testEngine(50)
-	e.Start(pageSwapOp(0, 0x100000, nil))
+	e.Start(pairMove(0, 0x100000), noHook)
 	// Demand for a line of the page being swapped must be intercepted.
 	served := false
 	if !e.TryService(0x40, nil, func() { served = true }) {
@@ -198,7 +181,7 @@ func TestBufferServiceDuringSwap(t *testing.T) {
 
 func TestTryServiceIgnoresUninvolvedLines(t *testing.T) {
 	sim, e, _ := testEngine(50)
-	e.Start(pageSwapOp(0, 0x100000, nil))
+	e.Start(pairMove(0, 0x100000), noHook)
 	if e.TryService(0x5000000, nil, func() {}) {
 		t.Fatal("intercepted a line outside the swap")
 	}
@@ -208,60 +191,38 @@ func TestTryServiceIgnoresUninvolvedLines(t *testing.T) {
 	}
 }
 
-// TestOverlappingOpsLastStartOwns pins interception when two running ops
-// read the same line: the op started last owns it, an op's completion
-// removes only the entries it owns, and so when the owner finishes first
-// the line stops being intercepted even though the other op still has to
-// read it.
-func TestOverlappingOpsLastStartOwns(t *testing.T) {
+// TestOverlappingStartPanics: a move that reads a line a running swap
+// already reads — another swap's, or its own twice — panics, since no
+// scheme may start one (every slot a shape reads is busy-checked).
+func TestOverlappingStartPanics(t *testing.T) {
 	page := func(n int) mem.Addr { return mem.Addr(n) * mem.PageSize }
-	shared := page(0) + 5*mem.LineSize
-	for _, ownerFirst := range []bool{false, true} {
-		sim, e, _ := testEngine(10)
-		var aDone, bDone bool
-		short := []Stage{{{Src: page(0), Dst: page(100), Bytes: mem.PageSize}}}
-		long := []Stage{
-			{{Src: page(1), Dst: page(101), Bytes: mem.PageSize}},
-			{{Src: page(0), Dst: page(102), Bytes: mem.PageSize}},
-		}
-		a := &Op{Stages: short, OnComplete: func() { aDone = true }}
-		b := &Op{Stages: long, OnComplete: func() { bDone = true }}
-		if ownerFirst {
-			a.Stages, b.Stages = long, short
-		}
-		if !e.Start(a) || !e.Start(b) {
+	for _, c := range []struct {
+		name string
+		m    Move
+	}{
+		{"another swap's source", pairMove(page(0), page(200))},
+		{"another swap's destination", pairMove(page(200), page(100))},
+		{"a Slow's victim home", pageMove(Slow, page(201), page(202), page(100))},
+		{"its own line twice", pairMove(page(300), page(300))},
+	} {
+		_, e, _ := testEngine(10)
+		if !e.Start(pairMove(page(0), page(100)), noHook) {
 			t.Fatal("Start rejected with an empty engine")
 		}
-		if l, _ := e.lineOwner.Get(mem.LineNum(shared)); l == nil || l.r.op != b {
-			t.Fatalf("ownerFirst=%v: the op started last does not own the shared line", ownerFirst)
-		}
-		for !aDone && !bDone && sim.Step() {
-		}
-		if ownerFirst {
-			if !bDone || e.Involved(shared) {
-				t.Fatal("the owner finished first but its shared line is still intercepted")
-			}
-		} else if !aDone || !e.Involved(shared) {
-			t.Fatal("the first op's completion removed a line the later op owns")
-		}
-		if !e.Involved(page(1)) {
-			t.Fatal("the first completion removed a line only the running op reads")
-		}
-		sim.Drain(0)
-		if !aDone || !bDone || e.Involved(shared) || e.Busy() != 0 {
-			t.Fatal("ops did not both complete and release their lines")
-		}
-		audit := &check.Audit{}
-		e.Audit(audit)
-		if !audit.OK() {
-			t.Fatalf("ownerFirst=%v: %q", ownerFirst, audit.Violations())
-		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a move reading %s did not panic", c.name)
+				}
+			}()
+			e.Start(c.m, noHook)
+		}()
 	}
 }
 
 func TestDemandEscalationPromotesRead(t *testing.T) {
 	sim, e, ri := testEngine(50)
-	e.Start(pageSwapOp(0, 0x100000, nil))
+	e.Start(pairMove(0, 0x100000), noHook)
 	// The last line of the page is deep in the issue order; demanding it
 	// must escalate its read to demand priority.
 	lastLine := mem.Addr(mem.PageSize - mem.LineSize)
@@ -279,68 +240,44 @@ func TestDemandEscalationPromotesRead(t *testing.T) {
 	}
 }
 
-func TestOpValidation(t *testing.T) {
-	_, e, _ := testEngine(1)
-	for _, op := range []*Op{
-		{Stages: []Stage{}},
-		{Stages: []Stage{{{Src: NoAddr, Dst: NoAddr, Bytes: mem.PageSize}}}},
-		{Stages: []Stage{{{Src: 0, Dst: 0x1000, Bytes: 100}}}},
-	} {
-		func() {
-			defer func() { recover() }()
-			e.Start(op)
-			t.Errorf("invalid op %+v did not panic", op)
-		}()
-	}
-}
-
-// Property: any random well-formed multi-stage op completes, with line
-// traffic exactly matching its declared read/write cost.
+// Property: any mix of running moves — random shapes, units and disjoint
+// slots — completes, each hook sees its move with its identity stamped,
+// and the line traffic is exactly the shapes' cost: 2 units read and
+// written per Pair or Restore, 3 per Slow.
 func TestOpCompletionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sim, e, ri := testEngine(uint64(rng.Intn(40) + 1))
-		nStages := rng.Intn(3) + 1
-		op := &Op{}
-		next := mem.Addr(0)
-		alloc := func() mem.Addr {
-			a := next
-			next += 0x100000
-			return a
-		}
-		segBytes := uint64(2048)
+		shift := uint(11)
 		if rng.Intn(2) == 0 {
-			segBytes = mem.PageSize
+			shift = mem.PageShift
 		}
-		// Stage 1 must buffer anything later stages drain.
-		drains := 0
-		for s := 0; s < nStages; s++ {
-			var st Stage
-			for i := 0; i < rng.Intn(3)+1; i++ {
-				switch {
-				case s > 0 && drains > 0 && rng.Intn(3) == 0:
-					st = append(st, Transfer{Src: NoAddr, Dst: alloc(), Bytes: segBytes})
-					drains--
-				case rng.Intn(3) == 0:
-					st = append(st, Transfer{Src: alloc(), Dst: NoAddr, Bytes: segBytes})
-					drains++
-				default:
-					st = append(st, Transfer{Src: alloc(), Dst: alloc(), Bytes: segBytes})
-				}
+		next := Seg(rng.Intn(16))
+		slot := func() Seg {
+			next += Seg(rng.Intn(4) + 1)
+			return next
+		}
+		units, completed := 0, uint64(0)
+		for i := rng.Intn(MaxOps) + 1; i > 0; i-- {
+			m := Move{Shape: rng.Intn(3), Src: slot(), Dst: slot(), Victim: slot(), Shift: shift}
+			m.Data = m.Src
+			units += 2
+			if m.Shape == Slow {
+				units++
 			}
-			op.Stages = append(op.Stages, st)
-		}
-		completed := false
-		op.OnComplete = func() { completed = true }
-		if !e.Start(op) {
-			return false
+			want := m
+			if !e.Start(m, func(got Move) {
+				if got.Why.Addr == uint64(want.Data)<<shift && got.Why.Victim == uint64(want.Victim)<<shift && got.Why.ID != 0 {
+					completed++
+				}
+			}) {
+				return false
+			}
 		}
 		sim.Drain(0)
-		linesPerSeg := int(segBytes / mem.LineSize)
-		return completed &&
-			ri.reads == op.Reads()*linesPerSeg &&
-			ri.writes == op.Writes()*linesPerSeg &&
-			e.Busy() == 0
+		lines := units << shift / mem.LineSize
+		return completed == e.Stats().OpsStarted && ri.reads == lines && ri.writes == lines &&
+			e.Busy() == 0 && e.lineOwner.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -353,7 +290,7 @@ func TestInterceptionAlwaysCompletesProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sim, e, _ := testEngine(uint64(rng.Intn(80) + 5))
-		e.Start(pageSwapOp(0, 0x100000, nil))
+		e.Start(pairMove(0, 0x100000), noHook)
 		want, got := 0, 0
 		for i := 0; i < 50; i++ {
 			line := mem.Addr(rng.Intn(2*mem.PageSize)) & ^mem.Addr(63)

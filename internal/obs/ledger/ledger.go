@@ -53,8 +53,8 @@ func (o Outcome) String() string {
 	return "?"
 }
 
-// maxStages bounds the per-stage duration array; no scheme builds swap ops
-// with more than two transfer stages (PageSeer's optimized-slow path).
+// maxStages bounds the per-stage duration array; no exchange shape has
+// more than two transfer stages (PageSeer's optimized slow swap).
 const maxStages = 2
 
 // Record is one swap's full causal chain.

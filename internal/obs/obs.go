@@ -6,8 +6,8 @@
 // (Columns, WriteJSON).
 //
 // The stream is the one place swaps are observed. A scheme describes each
-// swap once, as the Swap identity of its hmc.Op; the swap engine reports
-// the op's start, stages, commit and settlement under one engine-assigned
+// swap once, as the Swap identity of its hmc.Move; the swap engine reports
+// the swap's start, stages, commit and settlement under one engine-assigned
 // ID, and the memory controller reports MMU hints and demand, writeback
 // and functional accesses. A new observer is one more subscriber, with no
 // edit to any scheme. Trigger is the taxonomy every observer classifies

@@ -29,12 +29,12 @@ func (t Trigger) String() string {
 	return "?"
 }
 
-// Swap is one swap operation's identity. The scheme that builds the op
-// fills in the first group of fields; the swap engine stamps the second
-// when it accepts the op, before any subscriber sees it, and counts
-// NVMWrites as the op runs. Addresses are
-// OS-visible physical byte addresses, the data-identity key every scheme
-// swaps by.
+// Swap is one swap's identity. The scheme that starts the swap fills in
+// Trigger, Request, HintPath and Label; the swap engine stamps the
+// addresses from the swap's units and the second group of fields when it
+// accepts the swap, before any subscriber sees it, and counts NVMWrites
+// as the swap runs. Addresses are OS-visible physical byte addresses,
+// the data-identity key every scheme swaps by.
 type Swap struct {
 	Addr      uint64 // the data the swap brings into DRAM
 	Victim    uint64 // the data it displaces, when HasVictim

@@ -10,7 +10,7 @@ import (
 )
 
 // schemePackages hold the hybrid-memory schemes. They describe each swap
-// once, as an hmc.Op's obs.Swap identity, and every observer learns of it
+// once, as an hmc.Move's obs.Swap identity, and every observer learns of it
 // from the swap-lifecycle event stream.
 var schemePackages = []string{"pom", "mempod", "core"}
 

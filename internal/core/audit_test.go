@@ -56,19 +56,6 @@ func TestAuditCatchesNonCrossingPair(t *testing.T) {
 	}
 }
 
-// TestAuditCatchesDanglingPending plants a pendingKind index entry with no
-// backing queue record — the leak a mispaired popPending would leave.
-func TestAuditCatchesDanglingPending(t *testing.T) {
-	_, ctl, ps := testRig(testConfig())
-	ps.pendingKind.Put(uint64(nvmPage(ctl, 3)), SwapRegular)
-
-	a := &check.Audit{}
-	ps.Audit(a)
-	if a.OK() {
-		t.Fatal("audit missed a dangling pending-swap index entry")
-	}
-}
-
 // TestVerifyIntegrityCatchesMutation: after real swaps the manager's remap
 // table agrees with the oracle; sending one swapped page home in the
 // manager's table alone must fail the check.

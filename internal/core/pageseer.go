@@ -24,17 +24,8 @@ const (
 	numSwapKinds
 )
 
-func (k SwapKind) String() string {
-	switch k {
-	case SwapRegular:
-		return "regular"
-	case SwapPrefetchPCT:
-		return "prefetch-pct"
-	case SwapPrefetchMMU:
-		return "prefetch-mmu"
-	}
-	return "?"
-}
+// kindNames names each SwapKind in labels and probe events.
+var kindNames = []string{"regular", "prefetch-pct", "prefetch-mmu"}
 
 // Stats holds PageSeer-specific counters.
 type Stats struct {
@@ -43,7 +34,7 @@ type Stats struct {
 
 	DeclinedBW       uint64 // Swap Driver bandwidth heuristic
 	DeclinedNoVictim uint64 // no usable same-color DRAM frame
-	DeclinedQueue    uint64 // swap request queue overflow
+	DeclinedQueue    uint64 // swap request queue overflow or expiry
 	OptimizedSlow    uint64 // swaps that used the 3R/3W choreography
 
 	HintsReceived uint64
@@ -82,9 +73,9 @@ func (s Stats) TotalSwaps() uint64 {
 // and kind.
 var swapLabels = func() (l [3][numSwapKinds]string) {
 	for k := SwapKind(0); k < numSwapKinds; k++ {
-		l[hmc.Pair][k] = "swap:" + k.String()
-		l[hmc.Slow][k] = "swap:" + k.String() + "+opt"
-		l[hmc.Restore][k] = "swap:restore:" + k.String()
+		l[hmc.Pair][k] = "swap:" + kindNames[k]
+		l[hmc.Slow][k] = "swap:" + kindNames[k] + "+opt"
+		l[hmc.Restore][k] = "swap:restore:" + kindNames[k]
 	}
 	return l
 }()
@@ -131,13 +122,6 @@ type PageSeer struct {
 	hptNVM  *HPT
 	pte     *PTECache
 
-	// The Swap Driver's request queue: prefetch swaps (the early, targeted
-	// ones) drain ahead of regular swaps; a prefetch request for a page
-	// already queued as regular upgrades it in place.
-	pendingPref []pendingSwap
-	pendingReg  []pendingSwap
-	pendingKind mem.Table[SwapKind]
-
 	nColors int
 	colorRR []mem.PPN // next victim-search start per color; 0 = the color itself
 
@@ -172,13 +156,6 @@ type PageSeer struct {
 	att *attrib.Attrib
 
 	stats Stats
-}
-
-type pendingSwap struct {
-	page     mem.PPN
-	kind     SwapKind
-	follower bool
-	at       uint64
 }
 
 // corrTxn carries one evaluateCorrelation across its PCTc lookup: the PCT
@@ -288,12 +265,12 @@ func (p *PageSeer) issueLineDemand(line mem.Addr, done func()) {
 	p.ctl.IssueLine(line, false, memsim.PrioDemand, done)
 }
 
-const maxPendingSwaps = 1024
-
-// pendingStaleCycles expires queued swap requests: converting a page whose
-// flurry has already ended wastes swap bandwidth that a fresh request could
-// use (the same immediacy PoM gets by swapping on the triggering miss).
-const pendingStaleCycles = 60_000
+// admission is the Swap Driver's request queue (modelling choice: Section
+// III-D does not size it). The class is the SwapKind: prefetch swaps drain
+// first, and the MMU hint upgrades a page the access-triggered path queued
+// (they race for one page). Requests expire: converting a page whose flurry
+// has ended wastes swap bandwidth a fresh request could use.
+var admission = hmc.AdmitPolicy{Depth: 1024, Expiry: 60_000, Upgrade: true, Classes: kindNames}
 
 // New installs a PageSeer manager on the controller. It reserves the
 // DRAM-resident PRT and PCT regions, so it must be constructed before any
@@ -301,6 +278,7 @@ const pendingStaleCycles = 60_000
 func New(ctl *hmc.Controller, cfg Config) *PageSeer {
 	p := &PageSeer{sim: ctl.Sim, ctl: ctl, cfg: cfg}
 	p.Segments = hmc.NewSegments(ctl, "pageseer", mem.PageShift, cfg.PRTc(), cfg.PRTBytes, p.committed)
+	hmc.NewAdmission(p.Segments, admission, p.startSwap, p.bandwidthOK, &p.stats.DeclinedQueue)
 	p.pctc = ctl.NewMetaCache(cfg.PCTc(), ctl.AllocMetaRegion(cfg.PCTBytes, 11))
 	// The PCT, the Filter index and both HPTs are indexed by page over the
 	// frames the run can name, known once the footprint is mapped.
@@ -392,7 +370,7 @@ func (p *PageSeer) trackMiss(pid int, page mem.PPN) {
 		// declined request re-arms the trigger: the page stays one miss
 		// away from re-crossing.
 		if c := p.hptNVM.Touch(page); c == p.cfg.HPTThreshold {
-			if !p.requestSwap(page, SwapRegular) {
+			if !p.requestSwap(page, SwapRegular, false) {
 				p.hptNVM.Set(page, p.cfg.HPTThreshold-1)
 			}
 		}
@@ -426,7 +404,7 @@ func (p *PageSeer) corrEvaluated(t *corrTxn) {
 	}
 	p.putCorrTxn(t)
 	if snap.Count >= p.cfg.PCTThreshold && !p.residentDRAM(page) {
-		p.requestSwap(page, kind)
+		p.requestSwap(page, kind, false)
 	}
 	if p.cfg.NoCorr || !snap.HasFollower {
 		return
@@ -438,7 +416,7 @@ func (p *PageSeer) corrEvaluated(t *corrTxn) {
 		p.RemapCache().Prefetch(uint64(snap.Follower))
 		p.pctc.Prefetch(uint64(snap.Follower))
 		if !p.residentDRAM(snap.Follower) {
-			p.requestSwapFrom(snap.Follower, kind, true)
+			p.requestSwap(snap.Follower, kind, true)
 		}
 	}
 }
@@ -463,101 +441,35 @@ func (p *PageSeer) handlePTERequest(r *hmc.Request) {
 	p.pte.Obtain(line, s.fetchFn, s.readyFn)
 }
 
-// requestSwap asks the Swap Driver to move page (an NVM-resident page) to
-// DRAM. Deduplicates, applies the bandwidth heuristic, and queues when the
-// swap buffers are busy. Prefetch-kind requests queue ahead of regular
-// ones and upgrade a page already queued as regular. It
-// reports whether the request was accepted (false: declined by the
-// bandwidth heuristic or the queue bound — the trigger may re-arm).
-func (p *PageSeer) requestSwap(page mem.PPN, kind SwapKind) bool {
-	return p.requestSwapFrom(page, kind, false)
-}
-
-// requestSwapFrom is requestSwap with explicit provenance: follower marks a
-// correlation-follower request for the ledger's trigger taxonomy.
-func (p *PageSeer) requestSwapFrom(page mem.PPN, kind SwapKind, follower bool) bool {
+// requestSwap asks the Swap Driver's admission stage to move page (an
+// NVM-resident page) to DRAM; follower marks a correlation-follower request
+// for the ledger's trigger taxonomy. It reports whether the request was
+// accepted (false: declined by the bandwidth heuristic or the queue bound
+// — the trigger may re-arm).
+func (p *PageSeer) requestSwap(page mem.PPN, kind SwapKind, follower bool) bool {
 	if p.residentDRAM(page) || p.held(page) {
 		return true
 	}
-	if prev, queued := p.pendingKind.Get(uint64(page)); queued {
-		// A stronger trigger upgrades a queued request in place: prefetch
-		// kinds beat regular, and the MMU hint beats the access-triggered
-		// path (when both fire for one page — the common case, since the
-		// hint and the replayed access race — the swap is MMU-initiated).
-		if kind > prev {
-			p.pendingKind.Put(uint64(page), kind)
-			p.pendingPref = append(p.pendingPref, pendingSwap{page: page, kind: kind, follower: follower, at: p.sim.Now()})
-		}
+	return p.Submit(hmc.Ask{Unit: hmc.Seg(page), Class: int(kind), Arg: follower}) != hmc.Declined
+}
+
+// bandwidthOK, the admission gate, is the Section V-B heuristic: decline
+// swaps when the DRAM channels are saturated and a large share of
+// main-memory requests is already served from fast memory — moving more
+// pages then costs demand bandwidth without proportionate benefit.
+// Saturation is a windowed data-bus utilization, not an instantaneous
+// queue depth, so bursty memory-level parallelism does not pass for it.
+func (p *PageSeer) bandwidthOK() bool {
+	st := p.ctl.Stats()
+	if !p.cfg.BWOpt || st.DataDemand == 0 {
 		return true
 	}
-	p.ctl.Probe().SwapRequested(uint64(page.Addr()), kind.String(), p.sim.Now())
-	if p.cfg.BWOpt && p.dramSaturated() {
-		p.stats.DeclinedBW++
-		return false
-	}
-	if !p.ctl.Engine.CanStart() {
-		return p.enqueue(page, kind, follower)
-	}
-	p.startSwap(page, kind, follower, p.sim.Now())
-	return true
-}
-
-func (p *PageSeer) enqueue(page mem.PPN, kind SwapKind, follower bool) bool {
-	if p.pendingKind.Len() >= maxPendingSwaps {
-		p.stats.DeclinedQueue++
-		return false
-	}
-	p.pendingKind.Put(uint64(page), kind)
-	e := pendingSwap{page: page, kind: kind, follower: follower, at: p.sim.Now()}
-	if kind == SwapRegular {
-		p.pendingReg = append(p.pendingReg, e)
-	} else {
-		p.pendingPref = append(p.pendingPref, e)
-	}
-	return true
-}
-
-// popPending returns the next live queued request, prefetch swaps first.
-// Entries whose recorded kind no longer matches are stale (upgraded or
-// already handled) and are skipped.
-func (p *PageSeer) popPending() (pendingSwap, bool) {
-	now := p.sim.Now()
-	for _, q := range []*[]pendingSwap{&p.pendingPref, &p.pendingReg} {
-		for len(*q) > 0 {
-			e := (*q)[0]
-			*q = (*q)[1:]
-			k, ok := p.pendingKind.Get(uint64(e.page))
-			if !ok || k != e.kind {
-				continue // stale duplicate (upgraded or handled)
-			}
-			p.pendingKind.Del(uint64(e.page))
-			if now-e.at > pendingStaleCycles {
-				p.stats.DeclinedQueue++
-				continue // expired: the flurry this served has passed
-			}
-			p.ctl.Probe().SwapQueued(uint64(e.page.Addr()), e.kind.String(), e.at, now)
-			return e, true
-		}
-	}
-	return pendingSwap{}, false
-}
-
-// dramSaturated implements the Section V-B heuristic: decline swaps when
-// the DRAM channels are saturated and a large share of main-memory requests
-// is already satisfied from fast memory — moving more pages then costs
-// demand bandwidth without proportionate benefit. Saturation is a windowed
-// data-bus utilization, not an instantaneous queue depth, so bursty
-// memory-level parallelism does not masquerade as saturation.
-func (p *PageSeer) dramSaturated() bool {
-	st := p.ctl.Stats()
-	if st.DataDemand == 0 {
-		return false
-	}
 	fast := float64(st.ServedDRAM+st.ServedBuf) / float64(st.DataDemand)
-	if fast <= p.cfg.BWSatFraction {
-		return false
+	if fast <= p.cfg.BWSatFraction || p.dramUtilization() < p.cfg.BWSatUtil {
+		return true
 	}
-	return p.dramUtilization() >= p.cfg.BWSatUtil
+	p.stats.DeclinedBW++
+	return false
 }
 
 // dramUtilization returns the DRAM data-bus utilization over the previous
@@ -656,30 +568,29 @@ func (p *PageSeer) plan(page mem.PPN) (shape int, dst mem.PPN, ok bool) {
 	return hmc.Pair, frame, ok
 }
 
-// startSwap launches the swap bringing page to DRAM. req is the cycle the
-// request entered the Swap Driver (for queued requests, the enqueue cycle),
-// recorded in the swap's provenance.
-func (p *PageSeer) startSwap(page mem.PPN, kind SwapKind, follower bool, req uint64) {
+// startSwap, the admission stage's start, launches the swap bringing q's
+// page to DRAM, recording q.At (the enqueue cycle) in its provenance.
+func (p *PageSeer) startSwap(q hmc.Ask) int {
+	page, kind := mem.PPN(q.Unit), SwapKind(q.Class)
 	if p.residentDRAM(page) || p.held(page) {
-		return
+		return hmc.NoMove
 	}
 	shape, dst, ok := p.plan(page)
 	if !ok {
 		p.stats.DeclinedNoVictim++
-		return
+		return hmc.NoMove
 	}
 	if shape == hmc.Slow {
 		p.stats.OptimizedSlow++
 	}
 	if p.Start(hmc.Move{
-		Shape: shape, Data: hmc.Seg(page), Dst: hmc.Seg(dst), Key: uint64(page), Tag: int(kind),
-		Why: swapIdentity(shape, kind, follower, req),
+		Shape: shape, Data: q.Unit, Dst: hmc.Seg(dst), Key: uint64(page), Tag: q.Class,
+		Why: swapIdentity(shape, kind, q.Arg.(bool), q.At),
 	}) != hmc.Exchanged {
-		// Raced with another start; requeue.
-		p.enqueue(page, kind, follower)
-		return
+		return hmc.Queued // raced with another start: wait again
 	}
 	p.stats.SwapsStarted[kind]++
+	return hmc.Exchanged
 }
 
 // settle restarts hot-page tracking after a commit moved page's data into
@@ -706,7 +617,6 @@ func (p *PageSeer) committed(m hmc.Move) {
 		p.stats.PrefetchTracked++
 		p.prefTracks.Put(uint64(page), prefTrack{kind: kind})
 	}
-	p.drainPending()
 }
 
 // finalizeTrack closes the accuracy window for a page leaving DRAM.
@@ -720,19 +630,6 @@ func (p *PageSeer) finalizeTrack(page mem.PPN) {
 func (p *PageSeer) closeTrack(t prefTrack) {
 	if t.count >= p.cfg.AccuracyTarget {
 		p.stats.PrefetchAccurate++
-	}
-}
-
-func (p *PageSeer) drainPending() {
-	for p.ctl.Engine.CanStart() {
-		next, ok := p.popPending()
-		if !ok {
-			return
-		}
-		if p.residentDRAM(next.page) || p.held(next.page) {
-			continue
-		}
-		p.startSwap(next.page, next.kind, next.follower, next.at)
 	}
 }
 
@@ -759,15 +656,14 @@ func (p *PageSeer) SwappedPages() int { return p.Remap().Moved() / 2 }
 // DumpState formats a short diagnostic summary.
 func (p *PageSeer) DumpState() string {
 	return fmt.Sprintf("%s: %d pairs swapped, %d in flight, %d pending, swaps=%v",
-		p.Name(), p.SwappedPages(), p.ctl.Engine.Busy(), p.pendingKind.Len(), p.stats.SwapsCompleted)
+		p.Name(), p.SwappedPages(), p.ctl.Engine.Busy(), p.Pending(), p.stats.SwapsCompleted)
 }
 
 // Audit reports end-of-run invariant violations against the manager's
 // architectural state. It assumes quiescence after Finish: no swaps in
 // flight, every remapped page in a symmetric DRAM<->NVM pair that leaves
-// page tables alone, the Swap Driver's queue index consistent with its
-// queues, all prefetch-accuracy windows closed and no PTE-line fetch in
-// flight.
+// page tables alone, all prefetch-accuracy windows closed and no PTE-line
+// fetch in flight. The swap engine's audit covers the Swap Driver's queue.
 func (p *PageSeer) Audit(a *check.Audit) {
 	p.pte.Audit(a)
 	a.Checkf(p.prefTracks.Len() == 0,
@@ -792,22 +688,6 @@ func (p *PageSeer) Audit(a *check.Audit) {
 				uint64(page), uint64(frame))
 		}
 	}
-	// The queues may carry stale entries (upgrades append duplicates and
-	// popPending skips them lazily), so the invariant is one-directional:
-	// every indexed request must have a live queue record of its kind.
-	p.pendingKind.Each(func(k uint64, kind SwapKind) {
-		page := mem.PPN(k)
-		found := false
-		for _, q := range [2][]pendingSwap{p.pendingPref, p.pendingReg} {
-			for _, e := range q {
-				if e.page == page && e.kind == kind {
-					found = true
-				}
-			}
-		}
-		a.Checkf(found,
-			"pageseer: pending request for page %#x (kind %d) has no queue record", uint64(page), kind)
-	})
 }
 
 // ResetStats zeroes the PageSeer counters; Controller.ResetStats calls it

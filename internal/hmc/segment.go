@@ -14,11 +14,14 @@ import (
 // slot.
 type Seg uint64
 
-// Exchange outcomes.
+// Exchange outcomes, and the admission stage's (Admission.Submit).
 const (
 	Exchanged  = iota // the exchange started
 	SlotBusy          // a slot is held by a running exchange, or the target is pinned
 	EngineFull        // Engine.Start declined: every swap buffer is busy
+	NoMove            // the scheme found no legal move
+	Queued            // the request waits for a free swap buffer
+	Declined          // the request was refused before it could queue
 )
 
 // Exchange shapes. In each, Data's data moves into slot Dst and the unit
@@ -56,8 +59,9 @@ type Move struct {
 
 // Segments is the exchange core all three schemes share: the unit remap
 // and its translation and integrity check, the DRAM-resident remap table
-// behind its metadata cache, the busy and pinned slot checks, and the
-// three exchange shapes with their commit. A scheme keeps only its policy
+// behind its metadata cache, the busy and pinned slot checks, the three
+// exchange shapes with their commit, and (once NewAdmission ran) the
+// admission stage in front of the swap engine. A scheme keeps only its policy
 // — which unit moves where, and when — and embeds the core, which
 // implements Manager's TranslateLine and CheckIntegrity for it.
 type Segments struct {
@@ -73,6 +77,7 @@ type Segments struct {
 	// is the commit, bound once for the swap engine.
 	committed func(Move)
 	commitFn  func(Move)
+	*Admission
 }
 
 // NewSegments builds a scheme's exchange core over swap units of

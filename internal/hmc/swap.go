@@ -185,6 +185,8 @@ type SwapEngine struct {
 	// through Controller.SetInjector.
 	inj *check.Injector
 
+	admit Admission // the stage in front of the engine; drains after each completion hook
+
 	// probe (nil when off) receives every accepted swap's lifecycle;
 	// isDRAM splits its traffic by module. Both set by the controller.
 	probe  obs.Probes
@@ -199,11 +201,13 @@ func NewSwapEngine(sim *engine.Sim, issue IssueFunc, promote PromoteFunc) *SwapE
 	if promote == nil {
 		promote = func(mem.Addr) {}
 	}
-	return &SwapEngine{
+	e := &SwapEngine{
 		sim:     sim,
 		issue:   issue,
 		promote: promote,
 	}
+	e.admit.e = e
+	return e
 }
 
 // getSwap pops a pooled record with room for n lines, minting (and
@@ -464,6 +468,7 @@ func (e *SwapEngine) finishStage(r *swap) {
 	r.done = nil
 	e.pool.Put(r)
 	done(m)
+	e.admit.drain()
 	e.probe.SwapSettled(now)
 }
 
@@ -517,8 +522,10 @@ func (e *SwapEngine) Involved(addr mem.Addr) bool {
 // Audit reports end-of-run invariant violations: a quiesced engine has no
 // running swaps, no intercepted lines, every pooled record back on its
 // free list, and as many completions as starts (stats reset only at
-// quiescence, so the two counters cover the same set of swaps).
+// quiescence, so the two counters cover the same set of swaps); its
+// admission stage holds no request.
 func (e *SwapEngine) Audit(a *check.Audit) {
+	e.admit.audit(a)
 	a.Checkf(len(e.running) == 0,
 		"swap engine: %d op(s) still running at quiescence", len(e.running))
 	a.Checkf(e.lineOwner.Len() == 0,

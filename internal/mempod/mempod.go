@@ -1,6 +1,7 @@
 package mempod
 
 import (
+	"math"
 	"slices"
 
 	"pageseer/internal/engine"
@@ -28,6 +29,10 @@ const (
 	// maxMigrations bounds one interval's burst per pod (modelling choice).
 	maxMigrations = 32
 )
+
+// admission holds the rest of an interval's burst until swap buffers free:
+// one FIFO without bound (modelling choice; Section V-A's burstiness).
+var admission = hmc.AdmitPolicy{Depth: math.MaxInt}
 
 // Config holds MemPod's parameters that vary with the memory scale.
 type Config struct {
@@ -71,9 +76,8 @@ func (c Config) Scale(factor int) Config {
 
 // Stats counts MemPod activity.
 type Stats struct {
-	Migrations        uint64
-	MigrationsDropped uint64 // engine at capacity during a burst
-	Intervals         uint64
+	Migrations uint64
+	Intervals  uint64
 }
 
 type pod struct {
@@ -93,18 +97,7 @@ type MemPod struct {
 	pods     []pod
 	lastTick uint64
 
-	// pending[head:] holds interval migrations waiting for a free swap
-	// buffer; each keeps the hot set of the interval that queued it.
-	pending []pendingMig
-	head    int
-
 	stats Stats
-}
-
-type pendingMig struct {
-	pod int
-	s   hmc.Seg
-	hot *hotSet
 }
 
 // hotSet is one pod's MEA survivors for one interval, sorted. A queued
@@ -122,6 +115,7 @@ func (h *hotSet) has(s hmc.Seg) bool {
 func New(ctl *hmc.Controller, cfg Config) *MemPod {
 	m := &MemPod{sim: ctl.Sim, ctl: ctl}
 	m.Segments = hmc.NewSegments(ctl, "mempod", segShift, cfg.RemapCache(), cfg.RemapTableBytes, m.committed)
+	hmc.NewAdmission(m.Segments, admission, m.migrate, nil, nil)
 	m.pods = make([]pod, pods)
 	for i := range m.pods {
 		m.pods[i] = pod{mea: NewMEA(meaCounters)}
@@ -184,14 +178,7 @@ func (m *MemPod) interval() {
 			if m.Loc(s) < m.FastUnits() {
 				continue // already in DRAM
 			}
-			if !m.ctl.Engine.CanStart() {
-				// Queue the rest of the interval's burst; they start as
-				// buffers free (the burstiness Section V-A describes).
-				m.pending = append(m.pending, pendingMig{pod: pi, s: s, hot: hot})
-				migrated++
-				continue
-			}
-			if m.migrate(pi, s, hot) {
+			if out := m.Submit(hmc.Ask{Unit: s, Arg: hot}); out == hmc.Exchanged || out == hmc.Queued {
 				migrated++
 			}
 		}
@@ -199,42 +186,22 @@ func (m *MemPod) interval() {
 	}
 }
 
-// migrate swaps hot segment s into a DRAM slot of its pod whose current
-// data is not hot. Any-to-any flexibility within the pod.
-func (m *MemPod) migrate(pi int, s hmc.Seg, hot *hotSet) bool {
-	slot, ok := m.pickVictim(pi, hot)
+// migrate, the admission stage's start, swaps hot segment q.Unit into a
+// DRAM slot of its pod whose data is not in q.Arg, the hot set of the
+// interval that asked. Any-to-any flexibility within the pod.
+func (m *MemPod) migrate(q hmc.Ask) int {
+	if m.Loc(q.Unit) < m.FastUnits() {
+		return hmc.NoMove // arrived while the request waited
+	}
+	slot, ok := m.pickVictim(m.podOf(q.Unit), q.Arg.(*hotSet))
 	if !ok {
-		return false
+		return hmc.NoMove
 	}
-	switch m.Exchange(s, slot, uint64(s)) {
-	case hmc.SlotBusy:
-		return false
-	case hmc.EngineFull:
-		m.stats.MigrationsDropped++
-		return false
-	}
-	return true
+	return m.Exchange(q.Unit, slot, uint64(q.Unit))
 }
 
-// committed is the exchange core's commit hook: a freed swap buffer starts
-// the next queued migration.
-func (m *MemPod) committed(hmc.Move) {
-	m.stats.Migrations++
-	m.drainPending()
-}
-
-// drainPending starts queued interval migrations as swap buffers free.
-func (m *MemPod) drainPending() {
-	for m.head < len(m.pending) && m.ctl.Engine.CanStart() {
-		e := m.pending[m.head]
-		if m.head++; m.head == len(m.pending) {
-			m.pending, m.head = m.pending[:0], 0
-		}
-		if m.Loc(e.s) >= m.FastUnits() && !m.migrate(e.pod, e.s, e.hot) {
-			m.stats.MigrationsDropped++
-		}
-	}
-}
+// committed is the exchange core's commit hook.
+func (m *MemPod) committed(hmc.Move) { m.stats.Migrations++ }
 
 // pickVictim scans the pod's DRAM slots round-robin for one whose resident
 // data is not currently hot, and which is neither in flight nor pinned.

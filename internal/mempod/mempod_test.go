@@ -248,9 +248,14 @@ func TestMemPodIntegrityProperty(t *testing.T) {
 // buffer was free keeps the hot set of the interval that queued it after
 // the next interval runs.
 func TestPendingMigrationKeepsItsHotSet(t *testing.T) {
-	_, ctl, m := testRig()
-	// Fill every swap buffer with an exchange the paused clock never lets
-	// finish, so every interval migration queues.
+	sim, ctl, m := testRig()
+	var started []hmc.Ask
+	hmc.NewAdmission(m.Segments, admission, func(q hmc.Ask) int {
+		started = append(started, q)
+		return m.migrate(q)
+	}, nil, nil)
+	// Fill every swap buffer with an exchange the paused clock does not let
+	// finish before both intervals ran, so every interval migration queues.
 	fast := m.FastUnits()
 	for i := hmc.Seg(0); i < hmc.MaxOps; i++ {
 		if got := m.Exchange(fast+100+i, fast-1-i, 0); got != hmc.Exchanged {
@@ -269,10 +274,14 @@ func TestPendingMigrationKeepsItsHotSet(t *testing.T) {
 	heat(second)
 	m.interval()
 
-	if len(m.pending) != 2 {
-		t.Fatalf("%d queued migrations, want 2", len(m.pending))
+	if m.Pending() != 2 || len(started) != 0 {
+		t.Fatalf("%d queued and %d started migrations, want 2 and 0", m.Pending(), len(started))
 	}
-	a, b := m.pending[0].hot, m.pending[1].hot
+	sim.Drain(0)
+	if len(started) != 2 || started[0].Unit != first || started[1].Unit != second {
+		t.Fatalf("queued migrations started as %+v, want %d then %d", started, first, second)
+	}
+	a, b := started[0].Arg.(*hotSet), started[1].Arg.(*hotSet)
 	if a == b || !a.has(first) || a.has(second) || !b.has(second) || b.has(first) {
 		t.Fatalf("queued migrations see hot sets %v and %v, want [%d] and [%d]", a.segs, b.segs, first, second)
 	}

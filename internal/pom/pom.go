@@ -26,6 +26,10 @@ const (
 	srcLatency = 2
 )
 
+// admission queues nothing: PoM swaps on the triggering access or not at
+// all, and a later access re-triggers (Section IV-B).
+var admission = hmc.AdmitPolicy{}
+
 // Config holds PoM's parameters that vary with the memory scale.
 type Config struct {
 	// SRCEntries sizes the segment remap cache (32KB like PageSeer's PRTc,
@@ -73,9 +77,8 @@ func (c Config) Scale(factor int) Config {
 
 // Stats counts PoM activity.
 type Stats struct {
-	Swaps         uint64
-	SwapsDeclined uint64 // engine at capacity
-	SwapsBlocked  uint64 // a slot held by a running swap, or the fast slot pinned
+	Swaps        uint64
+	SwapsBlocked uint64 // a slot held by a running swap, or the fast slot pinned
 }
 
 // PoM is the baseline manager: K-threshold counters and direct-mapped swap
@@ -100,6 +103,7 @@ type PoM struct {
 func New(ctl *hmc.Controller, cfg Config) *PoM {
 	p := &PoM{sim: ctl.Sim, cfg: cfg}
 	p.Segments = hmc.NewSegments(ctl, "pom", segShift, cfg.SRC(), cfg.RemapTableBytes, p.committed)
+	hmc.NewAdmission(p.Segments, admission, p.swap, nil, nil)
 	ctl.SetManager(p)
 	return p
 }
@@ -173,7 +177,7 @@ func (p *PoM) track(s hmc.Seg) {
 		p.counters.Put(uint64(s), c)
 	}
 	if c >= swapThreshold {
-		p.trySwap(s)
+		p.Submit(hmc.Ask{Unit: s})
 	}
 }
 
@@ -190,16 +194,15 @@ func (p *PoM) evictColdestCounter() {
 	p.counters.Del(victim)
 }
 
-// trySwap performs PoM's fast swap: segment s (slow-resident) exchanges
-// with whatever currently sits in its group's fast slot.
-func (p *PoM) trySwap(s hmc.Seg) {
-	g := p.group(s)
-	switch p.Exchange(s, g, uint64(g)) {
-	case hmc.SlotBusy:
+// swap, the admission stage's start, is PoM's fast swap: segment q.Unit
+// (slow-resident) exchanges with whatever sits in its group's fast slot.
+func (p *PoM) swap(q hmc.Ask) int {
+	g := p.group(q.Unit)
+	out := p.Exchange(q.Unit, g, uint64(g))
+	if out == hmc.SlotBusy {
 		p.stats.SwapsBlocked++
-	case hmc.EngineFull:
-		p.stats.SwapsDeclined++
 	}
+	return out
 }
 
 // committed is the exchange core's commit hook: m.Data now sits in fast

@@ -66,9 +66,7 @@ func (a *Admission) Submit(q Ask) int {
 		}
 		return Queued
 	}
-	if a.pol.Classes != nil {
-		a.e.probe.SwapRequested(uint64(q.Unit)<<a.shift, a.pol.Classes[q.Class], q.At)
-	}
+	a.e.probe.SwapRequested(uint64(q.Unit)<<a.shift, a.pol.Classes[q.Class], q.At)
 	if a.gate != nil && !a.gate() {
 		return Declined
 	}
@@ -121,9 +119,7 @@ func (a *Admission) drain() {
 			*a.declined++
 			continue
 		}
-		if a.pol.Classes != nil {
-			a.e.probe.SwapQueued(uint64(q.Unit)<<a.shift, a.pol.Classes[q.Class], q.At, now)
-		}
+		a.e.probe.SwapQueued(uint64(q.Unit)<<a.shift, a.pol.Classes[q.Class], q.At, now)
 		a.try(q)
 		i = 0
 	}

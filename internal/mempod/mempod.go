@@ -32,7 +32,7 @@ const (
 
 // admission holds the rest of an interval's burst until swap buffers free:
 // one FIFO without bound (modelling choice; Section V-A's burstiness).
-var admission = hmc.AdmitPolicy{Depth: math.MaxInt}
+var admission = hmc.AdmitPolicy{Depth: math.MaxInt, Classes: []string{"regular"}}
 
 // Config holds MemPod's parameters that vary with the memory scale.
 type Config struct {

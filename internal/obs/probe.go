@@ -60,8 +60,9 @@ type Swap struct {
 // reach the memory controller, MMU hints, and every swap from request to
 // settlement. The controller reports accesses and hints; the swap engine,
 // and only the engine, reports a swap's start, stages, commit and
-// settlement, once per op and under one engine-assigned ID. A scheme
-// reports only its own queue (SwapRequested, SwapQueued). Subscribers must
+// settlement, once per op and under one engine-assigned ID. The admission
+// stage in front of the engine, and only the stage, reports every scheme's
+// swap requests and queue waits (SwapRequested, SwapQueued). Subscribers must
 // not schedule events or perturb simulated state, so Results are identical
 // with any set of subscribers attached.
 //
@@ -84,7 +85,7 @@ type Probe interface {
 	Writeback(addr uint64, toDRAM bool, now uint64)
 	// Functional: a fast-forward access, with the module it resolved to.
 	Functional(addr uint64, write, inDRAM bool, now uint64)
-	// SwapRequested: a scheme's swap queue took a request of kind.
+	// SwapRequested: the admission stage took a scheme's request of kind.
 	SwapRequested(addr uint64, kind string, now uint64)
 	// SwapQueued: a queued request of kind, enqueued at enq, left the queue
 	// for the engine at now.

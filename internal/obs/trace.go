@@ -72,12 +72,12 @@ func (t *Tracer) Hint(addr, cycle, now uint64, core int, vpn uint64) {
 	t.hintFlow[addr>>pageShift] = hintOrigin{id: t.hintSeq, ts: now, core: core}
 }
 
-// SwapRequested marks a request entering the scheme's swap queue.
+// SwapRequested marks a request entering the swap admission stage.
 func (t *Tracer) SwapRequested(addr uint64, kind string, now uint64) {
 	t.Instant("swap", "request:"+kind, TracePidSwap, TraceTidQueue, now, "page", addr>>pageShift)
 }
 
-// SwapQueued draws a request's wait in the scheme's swap queue.
+// SwapQueued draws a request's wait in the swap admission queue.
 func (t *Tracer) SwapQueued(addr uint64, kind string, enq, now uint64) {
 	if now > enq {
 		t.Complete("swap", "queued:"+kind, TracePidSwap, TraceTidQueue, enq, now, "page", addr>>pageShift)

@@ -28,7 +28,7 @@ const (
 
 // admission queues nothing: PoM swaps on the triggering access or not at
 // all, and a later access re-triggers (Section IV-B).
-var admission = hmc.AdmitPolicy{}
+var admission = hmc.AdmitPolicy{Classes: []string{"regular"}}
 
 // Config holds PoM's parameters that vary with the memory scale.
 type Config struct {

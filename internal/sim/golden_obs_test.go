@@ -95,8 +95,8 @@ func TestGoldenObserverOutputs(t *testing.T) {
 		effectiveness, records, pagemapRows, cpiStack, trace string
 	}
 	want := map[Scheme]golden{
-		SchemePoM:      {"98c1e9c1fec0144d", "e92c6d9f4672154b", "52838fe608304e45", "3bba680867f32d6c", "3367a8b34aeb0226"},
-		SchemeMemPod:   {"a93f325ef21f2b58", "81c84446bee89eda", "351944c4d78486ca", "6ced01b35c979300", "f2f8838819d03ff2"},
+		SchemePoM:      {"98c1e9c1fec0144d", "e92c6d9f4672154b", "52838fe608304e45", "3bba680867f32d6c", "cf92850f9d5b8a05"},
+		SchemeMemPod:   {"a93f325ef21f2b58", "81c84446bee89eda", "351944c4d78486ca", "6ced01b35c979300", "c3bbeb20b6725b46"},
 		SchemePageSeer: {"ae83c17a272b431a", "1dd038e45e53eb30", "737471b2483740b9", "ddaafdd3b14b1a8e", "6f78d33fbbf41cc2"},
 	}
 	for _, sch := range Schemes() {

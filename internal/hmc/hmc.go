@@ -261,10 +261,6 @@ func (c *Controller) Attach(p obs.Probe) {
 	}
 }
 
-// Probe returns the event stream (nil when nothing is attached), for the
-// events a scheme reports itself: its swap queue's requests and waits.
-func (c *Controller) Probe() obs.Probes { return c.probe }
-
 // SetInjector attaches a fault injector to the controller and its swap
 // engine (nil detaches). Set it before installing the scheme: each
 // metadata cache takes the injector when NewMetaCache builds it.

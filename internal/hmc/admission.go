@@ -95,33 +95,31 @@ func (a *Admission) enqueue(q Ask) int {
 	if a.pol.Upgrade {
 		a.index.Put(uint64(q.Unit), q.Class)
 	}
-	i := min(q.Class, 1) ^ 1
+	i := min(q.Class, 1) ^ 1 // lane 0 for classes above 0, lane 1 for class 0
 	a.lanes[i] = append(a.lanes[i], q)
 	return Queued
 }
 
 // drain starts queued requests, first lane first, while the engine can
-// take them, skipping stale records and dropping expired requests.
+// take them, skipping stale records and dropping expired requests. A start
+// re-queues only into its own lane, so an emptied lane stays empty.
 func (a *Admission) drain() {
 	now := a.e.sim.Now()
-	for i := 0; i < len(a.lanes) && a.e.CanStart(); {
-		if len(a.lanes[i]) == 0 {
-			i++
-			continue
+	for i := range a.lanes {
+		for len(a.lanes[i]) > 0 && a.e.CanStart() {
+			q := a.lanes[i][0]
+			a.lanes[i] = a.lanes[i][1:]
+			if k, ok := a.index.Get(uint64(q.Unit)); a.pol.Upgrade && (!ok || k != q.Class) {
+				continue
+			}
+			a.index.Del(uint64(q.Unit))
+			if a.queued--; a.pol.Expiry > 0 && now-q.At > a.pol.Expiry {
+				*a.declined++
+				continue
+			}
+			a.e.probe.SwapQueued(uint64(q.Unit)<<a.shift, a.pol.Classes[q.Class], q.At, now)
+			a.try(q)
 		}
-		q := a.lanes[i][0]
-		a.lanes[i] = a.lanes[i][1:]
-		if k, ok := a.index.Get(uint64(q.Unit)); a.pol.Upgrade && (!ok || k != q.Class) {
-			continue
-		}
-		a.index.Del(uint64(q.Unit))
-		if a.queued--; a.pol.Expiry > 0 && now-q.At > a.pol.Expiry {
-			*a.declined++
-			continue
-		}
-		a.e.probe.SwapQueued(uint64(q.Unit)<<a.shift, a.pol.Classes[q.Class], q.At, now)
-		a.try(q)
-		i = 0
 	}
 }
 
